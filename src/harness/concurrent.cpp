@@ -66,8 +66,10 @@ ConcurrentResult runConcurrent(const RunConfig& base, const std::vector<AppSpec>
   env.storage = rng.logNormalMedian(1.0, base.noise.storageSigmaLog);
 
   sim::FluidSimulator fluid;
+  if (base.solverEpsilon > 0.0) fluid.setSolverEpsilon(base.solverEpsilon);
   beegfs::Deployment deployment(fluid, base.cluster, base.fs, rng.split(), env);
   beegfs::FileSystem fs(deployment, rng.split());
+  if (base.observe.profile) fluid.setProfiling(true);
 
   // Same contract as runOnce: the controller only exists when enabled, so
   // default concurrent experiments stay bitwise identical.
@@ -189,6 +191,8 @@ ConcurrentResult runConcurrent(const RunConfig& base, const std::vector<AppSpec>
     }
   }
 
+  result.deferredResolves = fluid.deferredResolves();
+  result.solveSeconds = fluid.solveSeconds();
   result.aggregateBandwidth = aggregateBandwidth(result.apps);
 
   // Sharing statistics.

@@ -74,6 +74,10 @@ struct ConcurrentResult {
   /// Aggregated QoS accounting; sloViolations counts apps whose achieved
   /// bandwidth fell below sloTolerance * sloRate (zeroed when !qosActive).
   qos::QosStats qos;
+  /// Component re-solves skipped under the ε bound (0 on the exact path).
+  std::size_t deferredResolves = 0;
+  /// Host wall time inside the solver; stays 0 unless base.observe.profile.
+  double solveSeconds = 0.0;
 };
 
 /// Run all applications concurrently on one deployment built from

@@ -1,6 +1,7 @@
 #include "sim/fluid.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -16,6 +17,16 @@ namespace {
 constexpr double kRemainderEpsMiB = 1e-9;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// splitmix64 finalizer: scrambles sequential keys before masking.
+std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x;
+}
 }  // namespace
 
 CapacityFn constantCapacity(util::MiBps capacity) {
@@ -26,15 +37,9 @@ CapacityFn constantCapacity(util::MiBps capacity) {
 // --- IdMap -------------------------------------------------------------
 
 std::size_t FluidSimulator::IdMap::bucketOf(std::uint64_t key, std::size_t mask) {
-  // splitmix64 finalizer: flow ids are sequential, so they need scrambling
-  // before masking or every id would probe the same run of buckets.
-  std::uint64_t x = key;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return static_cast<std::size_t>(x) & mask;
+  // Flow ids are sequential, so they need scrambling before masking or every
+  // id would probe the same run of buckets.
+  return static_cast<std::size_t>(mix64(key)) & mask;
 }
 
 void FluidSimulator::IdMap::grow() {
@@ -101,6 +106,112 @@ void FluidSimulator::IdMap::erase(std::uint64_t key) {
   --size_;
 }
 
+// --- ClassTable --------------------------------------------------------
+
+std::uint32_t FluidSimulator::ClassTable::join(const std::uint32_t* path, std::uint32_t len,
+                                               double weight, double rateCap) {
+  // The key compares weight and cap bitwise: members must be interchangeable
+  // in every floating-point operation of the per-flow solve.
+  std::uint64_t hash = mix64(std::bit_cast<std::uint64_t>(weight)) ^
+                       std::bit_cast<std::uint64_t>(rateCap);
+  for (std::uint32_t i = 0; i < len; ++i) hash = mix64(hash ^ path[i]);
+  if (!buckets_.empty()) {
+    const std::size_t mask = buckets_.size() - 1;
+    for (std::size_t b = hash & mask; buckets_[b] != kNone; b = (b + 1) & mask) {
+      const auto c = buckets_[b];
+      if (matches(c, hash, path, len, weight, rateCap)) {
+        ++members_[c];
+        return c;
+      }
+    }
+  }
+
+  // Grow before the new class counts as live: grow() re-places live classes.
+  if (buckets_.empty() || (size_ + 1) * 10 > buckets_.size() * 7) grow();
+  auto c = static_cast<std::uint32_t>(members_.size());
+  if (!freeSlots_.empty()) {
+    c = freeSlots_.back();
+    freeSlots_.pop_back();
+  } else {
+    hash_.push_back(0);
+    weight_.push_back(0.0);
+    rateCap_.push_back(0.0);
+    members_.push_back(0);
+    adjOffset_.push_back(0);
+    adjLen_.push_back(0);
+    adjCap_.push_back(0);
+    rate_.push_back(0.0);
+    epoch_.push_back(0);
+  }
+  if (adjCap_[c] < len) {  // same reuse rule as the flow path arena
+    adjOffset_[c] = static_cast<std::uint32_t>(adjacency_.size());
+    adjCap_[c] = len;
+    adjacency_.resize(adjacency_.size() + len);
+  }
+  std::copy(path, path + len, adjacency_.begin() + adjOffset_[c]);
+  adjLen_[c] = len;
+  hash_[c] = hash;
+  weight_[c] = weight;
+  rateCap_[c] = rateCap;
+  members_[c] = 1;
+  place(c);
+  ++size_;
+  return c;
+}
+
+bool FluidSimulator::ClassTable::matches(std::uint32_t c, std::uint64_t hash,
+                                         const std::uint32_t* path, std::uint32_t len,
+                                         double weight, double rateCap) const {
+  return hash_[c] == hash && adjLen_[c] == len &&
+         std::bit_cast<std::uint64_t>(weight_[c]) == std::bit_cast<std::uint64_t>(weight) &&
+         std::bit_cast<std::uint64_t>(rateCap_[c]) == std::bit_cast<std::uint64_t>(rateCap) &&
+         std::equal(path, path + len, adjacency_.begin() + adjOffset_[c]);
+}
+
+void FluidSimulator::ClassTable::place(std::uint32_t c) {
+  const std::size_t mask = buckets_.size() - 1;
+  std::size_t b = hash_[c] & mask;
+  while (buckets_[b] != kNone) b = (b + 1) & mask;
+  buckets_[b] = c;
+}
+
+void FluidSimulator::ClassTable::grow() {
+  buckets_.assign(buckets_.empty() ? 16 : buckets_.size() * 2, kNone);
+  for (std::uint32_t c = 0; c < members_.size(); ++c) {
+    if (members_[c] != 0) place(c);
+  }
+}
+
+void FluidSimulator::ClassTable::leave(std::uint32_t c) {
+  BEESIM_ASSERT(members_[c] > 0, "flow left an empty class");
+  if (--members_[c] != 0) return;
+  const std::size_t mask = buckets_.size() - 1;
+  std::size_t hole = hash_[c] & mask;
+  while (buckets_[hole] != c) hole = (hole + 1) & mask;
+  // Backward-shift deletion, as in IdMap.
+  for (std::size_t j = (hole + 1) & mask; buckets_[j] != kNone; j = (j + 1) & mask) {
+    const std::size_t home = hash_[buckets_[j]] & mask;
+    const bool reachable = hole <= j ? (home <= hole || home > j) : (home <= hole && home > j);
+    if (reachable) {
+      buckets_[hole] = buckets_[j];
+      hole = j;
+    }
+  }
+  buckets_[hole] = kNone;
+  --size_;
+  freeSlots_.push_back(c);
+}
+
+bool FluidSimulator::ClassTable::claim(std::uint32_t c, std::uint64_t epoch) {
+  if (epoch_[c] == epoch) return false;
+  epoch_[c] = epoch;
+  return true;
+}
+
+SolverView FluidSimulator::ClassTable::view(std::span<const double> capacity) const {
+  return SolverView{capacity, adjacency_, adjOffset_, adjLen_, weight_, rateCap_, members_};
+}
+
 // --- FluidSimulator ----------------------------------------------------
 
 FluidSimulator::FluidSimulator() {
@@ -124,10 +235,8 @@ void FluidSimulator::addObserver(FluidObserver* observer) {
     return;
   }
   // A second distinct observer: promote the slot to the hub, preserving the
-  // currently installed one ahead of the newcomer.  A stale hub from an
-  // earlier episode (left behind by setObserver clobbering it) is reset.
+  // currently installed one ahead of the newcomer.
   if (hub_ == nullptr) hub_ = std::make_unique<ObserverHub>();
-  hub_->clear();
   hub_->add(observer_);
   hub_->add(observer);
   observer_ = hub_.get();
@@ -268,6 +377,7 @@ std::uint32_t FluidSimulator::allocateFlowSlot() {
   flowBytes_.push_back(0);
   flowOnComplete_.emplace_back();
   flowNext_.push_back(kNone);
+  flowClass_.push_back(kNone);
   pathOffset_.push_back(0);
   pathLen_.push_back(0);
   pathCap_.push_back(0);
@@ -331,6 +441,8 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
     pathArena_[pathOffset_[slot] + i] = spec.path[i];
     adjacencyArena_[pathOffset_[slot] + i] = spec.path[i].value;
   }
+  flowClass_[slot] = classes_.join(adjacencyArena_.data() + pathOffset_[slot], len,
+                                   spec.queueWeight, spec.rateCap);
 
   // Settle and merge the components the path touches.  Banking each
   // component's progress *before* membership changes keeps the piecewise
@@ -467,6 +579,7 @@ void FluidSimulator::removeFlowLoad(std::uint32_t slot) {
     // doubles cannot leave a residue in the queue-depth accounting.
     if (resFlowCount_[r] == 0) resQueueDepth_[r] = 0.0;
   }
+  classes_.leave(flowClass_[slot]);
 }
 
 void FluidSimulator::settleComponent(std::uint32_t root, SimTime t) {
@@ -602,7 +715,10 @@ void FluidSimulator::resolveNow() {
   }
 
   // 5. Re-solve each dirty component in isolation (max-min decomposes
-  //    exactly over connected components).  A component whose dirtiness is
+  //    exactly over connected components), one solver slot per flow class:
+  //    the component's classes are collected by walking its flows, solved
+  //    with their member counts as multiplicities, and each class rate is
+  //    copied back to its members.  A component whose dirtiness is
   //    purely capacity drift bounded by ε may be *deferred*: weighted
   //    max-min rates are 1-Lipschitz in each capacity and subadditive across
   //    changes, so Σ|Δcapacity| bounds every flow's rate movement.  Skipped
@@ -614,8 +730,7 @@ void FluidSimulator::resolveNow() {
   solvedRates_.clear();
   std::size_t solvedCount = 0;
   const bool record = observer_ != nullptr;
-  const SolverView view{resCapacity_, adjacencyArena_, pathOffset_,
-                        pathLen_,     flowWeight_,     flowRateCap_};
+  const SolverView view = classes_.view(resCapacity_);
   for (std::size_t i = 0; i < dirtyRoots_.size(); ++i) {
     const auto listed = dirtyRoots_[i];
     const auto r = findRoot(listed);
@@ -634,22 +749,26 @@ void FluidSimulator::resolveNow() {
       continue;
     }
     advanceComponent(r, t);
-    subsetSlots_.clear();
+    subsetClasses_.clear();
+    ++subsetEpoch_;
     for (auto slot = compHead_[r]; slot != kNone; slot = flowNext_[slot]) {
-      subsetSlots_.push_back(slot);
-    }
-    solverIterations_ += referenceSolver_
-                             ? workspace_.solveSubsetReference(view, subsetSlots_, flowRate_)
-                             : workspace_.solveSubset(view, subsetSlots_, flowRate_);
-    solvedCount += subsetSlots_.size();
-    double horizon = kInf;
-    for (const auto slot : subsetSlots_) {
-      if (flowRate_[slot] > 0.0) {
-        horizon = std::min(horizon, flowRemaining_[slot] / flowRate_[slot]);
+      if (classes_.claim(flowClass_[slot], subsetEpoch_)) {
+        subsetClasses_.push_back(flowClass_[slot]);
       }
+    }
+    solverIterations_ +=
+        referenceSolver_
+            ? workspace_.solveSubsetReference(view, subsetClasses_, classes_.rates())
+            : workspace_.solveSubset(view, subsetClasses_, classes_.rates());
+    solvedCount += compFlowCount_[r];
+    double horizon = kInf;
+    for (auto slot = compHead_[r]; slot != kNone; slot = flowNext_[slot]) {
+      const double rate = classes_.rate(flowClass_[slot]);
+      flowRate_[slot] = rate;
+      if (rate > 0.0) horizon = std::min(horizon, flowRemaining_[slot] / rate);
       if (record) {
         solvedIds_.push_back(FlowId{flowId_[slot]});
-        solvedRates_.push_back(flowRate_[slot]);
+        solvedRates_.push_back(rate);
       }
     }
     compNextCompletion_[r] = std::isfinite(horizon) ? t + horizon : kInf;
@@ -712,10 +831,12 @@ void FluidSimulator::runSolverCheck() {
   // this path only runs when explicitly enabled.
   std::vector<std::uint32_t> countCheck(resources_.size(), 0);
   std::vector<double> depthCheck(resources_.size(), 0.0);
+  std::vector<std::uint32_t> classCheck;
   checkSlots_.clear();
   for (std::uint32_t slot = 0; slot < flowId_.size(); ++slot) {
     if (flowId_[slot] == 0) continue;
     checkSlots_.push_back(slot);
+    classCheck.push_back(flowClass_[slot]);
     const auto* adj = adjacencyArena_.data() + pathOffset_[slot];
     for (std::uint32_t i = 0; i < pathLen_[slot]; ++i) {
       ++countCheck[adj[i]];
@@ -724,6 +845,18 @@ void FluidSimulator::runSolverCheck() {
   }
   BEESIM_ASSERT(checkSlots_.size() == activeCount_,
                 "solver check: live-slot count disagrees with activeFlows()");
+  // Every class's member count must equal the live flows pointing at it.
+  std::sort(classCheck.begin(), classCheck.end());
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < classCheck.size();) {
+    std::size_t j = i;
+    while (j < classCheck.size() && classCheck[j] == classCheck[i]) ++j;
+    BEESIM_ASSERT(classes_.members(classCheck[i]) == j - i,
+                  "solver check: stale flow-class member count");
+    ++distinct;
+    i = j;
+  }
+  BEESIM_ASSERT(distinct == classes_.size(), "solver check: stale flow-class table");
   std::size_t compTotal = 0;
   for (const auto r : activeRoots_) {
     if (findRoot(r) == r) compTotal += compFlowCount_[r];
@@ -741,10 +874,11 @@ void FluidSimulator::runSolverCheck() {
   checkRates_.resize(flowRate_.size());
   const SolverView view{resCapacity_, adjacencyArena_, pathOffset_,
                         pathLen_,     flowWeight_,     flowRateCap_};
-  // The scratch solve uses the scalar reference walk, so in the default SoA
-  // configuration this also differentially pins the vectorized layout.  With
-  // ε-deferral enabled the maintained rates may lag the exact solution by up
-  // to the configured bound, so the tolerance widens by ε.
+  // The scratch solve is per flow (no classes, no multiplicities) on the
+  // scalar reference walk, so it is an independent oracle for both the class
+  // aggregation and the vectorized layout.  With ε-deferral enabled the
+  // maintained rates may lag the exact solution by up to the configured
+  // bound, so the tolerance widens by ε.
   checkWorkspace_.solveSubsetReference(view, checkSlots_, checkRates_);
   for (const auto slot : checkSlots_) {
     const double expect = checkRates_[slot];

@@ -39,9 +39,17 @@
 // matter, and with ε = 0 (the default) behavior is bit-identical to the
 // always-exact path.
 //
+// Flow classes: flows with the same (path, queueWeight, rateCap) -- the ranks
+// of one node writing to the same targets, say -- always receive identical
+// max-min rates, so the simulator groups them into classes as they start and
+// leave, and the solver fills each class once with its member count as the
+// multiplicity.  The class rate is then copied back to every member, whose
+// remaining bytes and completion horizon stay per flow.
+//
 // Setting BEESIM_SOLVER_CHECK=1 (or setSolverCheck(true)) turns on a
 // differential mode that re-solves every resolve from scratch over all live
-// flows and asserts the incremental rates match to 1e-9 relative.
+// flows, one solver slot per flow (no classes), and asserts the incremental
+// rates match to 1e-9 relative.
 #pragma once
 
 #include <cstdint>
@@ -214,13 +222,9 @@ class FluidSimulator {
 
   /// Use the scalar reference solver walk instead of the SoA fast path.
   /// Rates are bit-identical either way (see sim/maxmin.hpp); this exists so
-  /// the scale benchmark can measure the PR-2-era baseline in place.
+  /// the scale benchmark can measure the scalar baseline in place.  Both
+  /// walks solve the same flow-class view.
   void setReferenceSolver(bool enabled) { referenceSolver_ = enabled; }
-
-  /// Attach an observer (nullptr detaches).  A single slot with clobbering
-  /// semantics -- prefer addObserver/removeObserver, which compose.  The
-  /// caller keeps ownership and must outlive the simulation.
-  void setObserver(FluidObserver* observer) { observer_ = observer; }
 
   /// Attach an observer *alongside* any already installed: the first
   /// observer occupies the slot directly (zero fan-out overhead); a second
@@ -239,9 +243,9 @@ class FluidSimulator {
 
   /// Enable/disable the differential solver check (also via the
   /// BEESIM_SOLVER_CHECK environment variable): every resolve additionally
-  /// re-solves all live flows from scratch and asserts the incremental rates
-  /// match to 1e-9 relative, and that the incremental load accounting agrees
-  /// with an exact recount.
+  /// re-solves all live flows from scratch, one solver slot per flow, and
+  /// asserts the incremental class rates match to 1e-9 relative, and that
+  /// the incremental load and class accounting agrees with an exact recount.
   void setSolverCheck(bool enabled) { solverCheck_ = enabled; }
 
   /// Run until all events *and* flows drain.  Throws ContractError if flows
@@ -252,6 +256,8 @@ class FluidSimulator {
   std::size_t resolveCount() const { return resolveCount_; }
   std::size_t solverIterations() const { return solverIterations_; }
   std::size_t lastSolvedFlows() const { return lastSolvedFlows_; }
+  /// Live flow classes (see the header comment); 0 once the system drains.
+  std::size_t flowClassCount() const { return classes_.size(); }
 
   /// Enable wall-clock profiling of resolves.  Off by default so the hot
   /// path never calls the clock; when on, solveSeconds() accumulates the
@@ -279,6 +285,49 @@ class FluidSimulator {
     std::vector<std::uint64_t> keys_;
     std::vector<std::uint32_t> slots_;
     std::size_t size_ = 0;
+  };
+
+  /// Flow-class table: open-addressed (path, weight bits, cap bits) -> class
+  /// slot map with per-class member counts.  Class slots are recycled
+  /// through a free list and their path regions reused, so a steady flow
+  /// population allocates nothing.  The per-class arrays form the solver
+  /// view (multiplicity = member count).
+  class ClassTable {
+   public:
+    /// Count one flow into the class of its key, creating the class on first
+    /// use.  Returns the class slot.
+    std::uint32_t join(const std::uint32_t* path, std::uint32_t len, double weight,
+                       double rateCap);
+    /// Count one member out; an emptied class is erased and its slot freed.
+    void leave(std::uint32_t c);
+    std::size_t size() const { return size_; }
+    std::uint32_t members(std::uint32_t c) const { return members_[c]; }
+    /// True the first time it is called for `c` with this `epoch`.
+    bool claim(std::uint32_t c, std::uint64_t epoch);
+    SolverView view(std::span<const double> capacity) const;
+    std::span<double> rates() { return rate_; }
+    double rate(std::uint32_t c) const { return rate_[c]; }
+
+   private:
+    bool matches(std::uint32_t c, std::uint64_t hash, const std::uint32_t* path,
+                 std::uint32_t len, double weight, double rateCap) const;
+    void place(std::uint32_t c);
+    void grow();
+
+    std::vector<std::uint32_t> buckets_;  // class slot, or kNone when empty
+    std::size_t size_ = 0;
+    // Per class slot (members_ == 0 marks a free slot).
+    std::vector<std::uint64_t> hash_;
+    std::vector<double> weight_;
+    std::vector<double> rateCap_;
+    std::vector<std::uint32_t> members_;
+    std::vector<std::uint32_t> adjOffset_;
+    std::vector<std::uint32_t> adjLen_;
+    std::vector<std::uint32_t> adjCap_;
+    std::vector<double> rate_;
+    std::vector<std::uint64_t> epoch_;
+    std::vector<std::uint32_t> adjacency_;
+    std::vector<std::uint32_t> freeSlots_;
   };
 
   struct DrainEntry {
@@ -351,6 +400,7 @@ class FluidSimulator {
   std::vector<util::Bytes> flowBytes_;
   std::vector<std::function<void(const FlowStats&)>> flowOnComplete_;
   std::vector<std::uint32_t> flowNext_;  // next slot in the component list
+  std::vector<std::uint32_t> flowClass_;
   std::vector<std::uint32_t> pathOffset_;
   std::vector<std::uint32_t> pathLen_;
   std::vector<std::uint32_t> pathCap_;
@@ -358,10 +408,12 @@ class FluidSimulator {
   std::vector<std::uint32_t> adjacencyArena_;  // same data, solver-facing
   std::vector<std::uint32_t> freeFlowSlots_;
   IdMap idMap_;
+  ClassTable classes_;
 
   // --- Resolve scratch (reused; no steady-state allocations) ---
   SolverWorkspace workspace_;
-  std::vector<std::uint32_t> subsetSlots_;
+  std::vector<std::uint32_t> subsetClasses_;
+  std::uint64_t subsetEpoch_ = 0;
   std::vector<FlowId> solvedIds_;
   std::vector<util::MiBps> solvedRates_;
   std::vector<DrainEntry> drain_;

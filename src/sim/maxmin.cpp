@@ -14,6 +14,14 @@ namespace {
 constexpr double kEps = 1e-9;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Slot f's share of each crossed resource: multiplicity · weight.  k = 1
+/// (and an empty multiplicity span) yields the weight itself, bit for bit.
+double loadOf(const SolverView& view, std::uint32_t f) {
+  return view.multiplicity.empty()
+             ? view.weight[f]
+             : static_cast<double>(view.multiplicity[f]) * view.weight[f];
+}
 }  // namespace
 
 void SolverWorkspace::ensureResourceCapacity(std::size_t resourceCount) {
@@ -48,6 +56,7 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
   rSaturated_.clear();
   fSlot_.clear();
   fWeight_.clear();
+  fLoad_.clear();
   fActiveW_.clear();
   fCapOrInf_.clear();
   fRate_.clear();
@@ -59,12 +68,16 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
   for (const auto f : flows) {
     BEESIM_ASSERT(view.adjLen[f] > 0, "every flow must cross >= 1 resource");
     BEESIM_ASSERT(view.weight[f] > 0.0, "flow weight must be positive");
+    BEESIM_ASSERT(view.multiplicity.empty() || view.multiplicity[f] > 0,
+                  "flow multiplicity must be positive");
     const auto j = static_cast<std::uint32_t>(fSlot_.size());
     const auto* adj = view.adjacency.data() + view.adjOffset[f];
     const auto len = view.adjLen[f];
     const double w = view.weight[f];
+    const double load = loadOf(view, f);
     fSlot_.push_back(f);
     fWeight_.push_back(w);
+    fLoad_.push_back(load);
     fRate_.push_back(0.0);
     fAdjOffset_.push_back(static_cast<std::uint32_t>(denseAdj_.size()));
     fAdjLen_.push_back(len);
@@ -95,7 +108,7 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
     if (view.rateCap[f] > 0.0) ++capActive;
     for (std::uint32_t i = 0; i < len; ++i) {
       const auto d = denseAdj_[fAdjOffset_[j] + i];
-      rActiveWeight_[d] += w;
+      rActiveWeight_[d] += load;
       ++rActiveCount_[d];
     }
     activeList_.push_back(j);
@@ -161,7 +174,7 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
         ++newlyFrozen;
         for (std::uint32_t k = 0; k < fAdjLen_[j]; ++k) {
           const auto d = adj[k];
-          rActiveWeight_[d] -= fWeight_[j];
+          rActiveWeight_[d] -= fLoad_[j];
           if (--rActiveCount_[d] == 0) rActiveWeight_[d] = 0.0;
         }
         fActiveW_[j] = 0.0;
@@ -196,6 +209,8 @@ std::size_t SolverWorkspace::solveSubsetReference(const SolverView& view,
   for (const auto f : flows) {
     BEESIM_ASSERT(view.adjLen[f] > 0, "every flow must cross >= 1 resource");
     BEESIM_ASSERT(view.weight[f] > 0.0, "flow weight must be positive");
+    BEESIM_ASSERT(view.multiplicity.empty() || view.multiplicity[f] > 0,
+                  "flow multiplicity must be positive");
     const auto* adj = view.adjacency.data() + view.adjOffset[f];
     for (std::uint32_t i = 0; i < view.adjLen[f]; ++i) {
       const auto r = adj[i];
@@ -224,8 +239,9 @@ std::size_t SolverWorkspace::solveSubsetReference(const SolverView& view,
     }
     rates[f] = 0.0;
     if (dead) continue;  // rate stays 0
+    const double load = loadOf(view, f);
     for (std::uint32_t i = 0; i < view.adjLen[f]; ++i) {
-      activeWeight_[adj[i]] += view.weight[f];
+      activeWeight_[adj[i]] += load;
       ++activeCount_[adj[i]];
     }
     activeFlows_.push_back(f);
@@ -279,9 +295,10 @@ std::size_t SolverWorkspace::solveSubsetReference(const SolverView& view,
       }
       if (stop) {
         ++newlyFrozen;
+        const double load = loadOf(view, f);
         for (std::uint32_t k = 0; k < view.adjLen[f]; ++k) {
           const auto r = adj[k];
-          activeWeight_[r] -= view.weight[f];
+          activeWeight_[r] -= load;
           if (--activeCount_[r] == 0) activeWeight_[r] = 0.0;
         }
         activeFlows_[i] = activeFlows_.back();

@@ -83,6 +83,13 @@ struct SolverResult {
 /// `adjacency[adjOffset[f] .. adjOffset[f] + adjLen[f])`.  Slots not named
 /// in a solveSubset call are ignored entirely, so callers may keep free
 /// (stale) slots in the arrays.
+///
+/// A slot may stand for a *class* of k identical flows (same resources,
+/// weight and cap): `multiplicity[f] = k` makes the slot load each crossed
+/// resource with k·weight while its rate -- the rate of every member -- still
+/// grows by delta·weight and is bounded by rateCap, exactly as for one flow.
+/// The solved rate equals what each member would get in the per-flow
+/// problem.  An empty span means k = 1 everywhere.
 struct SolverView {
   std::span<const double> capacity;          // per resource
   std::span<const std::uint32_t> adjacency;  // shared resource-index arena
@@ -90,6 +97,7 @@ struct SolverView {
   std::span<const std::uint32_t> adjLen;     // per flow slot
   std::span<const double> weight;            // per flow slot
   std::span<const double> rateCap;           // per flow slot (<= 0: uncapped)
+  std::span<const std::uint32_t> multiplicity = {};  // per flow slot (>= 1), optional
 };
 
 /// Reusable scratch state for progressive filling.  One workspace may be
@@ -145,8 +153,10 @@ class SolverWorkspace {
   // holds the rate cap while the flow is filling *and* capped, +inf
   // otherwise (so the cap scan is branch-free and frozen flows never
   // re-tighten delta).
+  // fLoad holds multiplicity · weight, the slot's share of each resource.
   std::vector<std::uint32_t> fSlot_;
   std::vector<double> fWeight_;
+  std::vector<double> fLoad_;
   std::vector<double> fActiveW_;
   std::vector<double> fCapOrInf_;
   std::vector<double> fRate_;

@@ -30,7 +30,6 @@ class ObserverHub final : public FluidObserver {
   /// loop re-checks bounds), which is what observer destructors do.
   void remove(FluidObserver* observer);
 
-  void clear() { observers_.clear(); }
   std::size_t size() const { return observers_.size(); }
   bool empty() const { return observers_.empty(); }
   bool contains(const FluidObserver* observer) const;

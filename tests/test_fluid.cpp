@@ -277,7 +277,7 @@ TEST(Fluid, ZeroByteFlowEmitsObserverEvents) {
   // traces silently dropped empty transfers while their onComplete still ran.
   FluidSimulator fluid;
   CountingObserver observer;
-  fluid.setObserver(&observer);
+  fluid.addObserver(&observer);
   const auto link = addLink(fluid, "link", 100.0);
   bool done = false;
   const auto id = fluid.startFlow(FlowSpec{.path = {link},
@@ -298,7 +298,7 @@ TEST(Fluid, ZeroByteFlowEmitsObserverEvents) {
 TEST(Fluid, ZeroByteFlowNotifiesObserverWithoutCallback) {
   FluidSimulator fluid;
   CountingObserver observer;
-  fluid.setObserver(&observer);
+  fluid.addObserver(&observer);
   const auto link = addLink(fluid, "link", 100.0);
   fluid.startFlow(FlowSpec{.path = {link},
                            .bytes = 0,
@@ -340,7 +340,7 @@ TEST(Fluid, FlowRateStaysConsistentAcrossCompletions) {
   // stale index would report another flow's rate (or crash).
   FluidSimulator fluid;
   RateCheckObserver observer(fluid);
-  fluid.setObserver(&observer);
+  fluid.addObserver(&observer);
   const auto link = addLink(fluid, "link", 120.0);
   std::vector<FlowId> ids;
   // Staggered sizes: flows finish one at a time, churning the indices.
@@ -411,7 +411,7 @@ TEST(FluidCancel, ObserverSeesCancellationWithRemainingBytes) {
   };
   FluidSimulator fluid;
   CancelObserver observer;
-  fluid.setObserver(&observer);
+  fluid.addObserver(&observer);
   const auto link = addLink(fluid, "link", 100.0);
   const auto id = fluid.startFlow(FlowSpec{.path = {link},
                                            .bytes = 500_MiB,

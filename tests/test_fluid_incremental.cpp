@@ -1,15 +1,21 @@
 // Tests of the incremental, component-aware rate resolution in the fluid
 // core: deferred completion callbacks (reentrancy), component dirtiness,
-// randomized differential checks against from-scratch solves, the stalled-
-// flow deadlock diagnostics, and the zero-allocation steady-state guarantee.
+// randomized differential checks against from-scratch solves, flow classes,
+// the stalled-flow deadlock diagnostics, and the zero-allocation steady-state
+// guarantee.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <new>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/fluid.hpp"
@@ -160,7 +166,7 @@ TEST(FluidIncremental, DisjointComponentsAreNotResolved) {
   // own component; the first flow's (clean) component is left untouched.
   FluidSimulator fluid;
   SolveSetObserver observer;
-  fluid.setObserver(&observer);
+  fluid.addObserver(&observer);
   const auto linkA = addLink(fluid, "a", 100.0);
   const auto linkB = addLink(fluid, "b", 100.0);
   const auto f1 = fluid.startFlow(FlowSpec{.path = {linkA}, .bytes = 1_GiB,
@@ -187,7 +193,7 @@ TEST(FluidIncremental, SharedResourceMergesComponents) {
   // merged component is re-solved as a whole.
   FluidSimulator fluid;
   SolveSetObserver observer;
-  fluid.setObserver(&observer);
+  fluid.addObserver(&observer);
   const auto linkA = addLink(fluid, "a", 100.0);
   const auto linkB = addLink(fluid, "b", 100.0);
   const auto f1 = fluid.startFlow(FlowSpec{.path = {linkA}, .bytes = 1_GiB,
@@ -290,9 +296,10 @@ TEST(FluidIncremental, RandomizedIncrementalMatchesScratchSolve) {
 TEST(FluidIncremental, SteadyStateResolveIsAllocationFree) {
   // The acceptance bar for the incremental resolver: once warmed up, the
   // periodic resolve path (advance -> capacity evaluation -> component solve
-  // -> wakeup rescheduling) performs zero heap allocations.  Time-varying
-  // capacities keep every component dirty, so the solver genuinely runs in
-  // the measured window.
+  // -> wakeup rescheduling) performs zero heap allocations -- and so does
+  // flow-class churn: flows leaving and joining existing classes, and
+  // classes emptying and being recreated.  Time-varying capacities keep every
+  // component dirty, so the solver genuinely runs in the measured window.
   FluidSimulator fluid;
   fluid.setSolverCheck(false);  // the differential check allocates by design
   fluid.setResolveInterval(0.05);
@@ -303,33 +310,65 @@ TEST(FluidIncremental, SteadyStateResolveIsAllocationFree) {
           return 200.0 + 50.0 * std::sin(load.time);
         }}));
   }
-  // Two disjoint components, several multi-resource flows each; sizes large
-  // enough that nothing completes inside the measurement window.
-  for (int f = 0; f < 4; ++f) {
-    fluid.startFlow(FlowSpec{.path = {links[0], links[1], links[2]},
-                             .bytes = 1_TiB,
-                             .queueWeight = 1.0 + f,
-                             .rateCap = 0.0,
-                             .onComplete = nullptr});
-    fluid.startFlow(FlowSpec{.path = {links[3], links[4], links[5]},
-                             .bytes = 1_TiB,
-                             .queueWeight = 1.0 + f,
-                             .rateCap = 0.0,
-                             .onComplete = nullptr});
+  // Two disjoint components with four classes each (one per weight), two
+  // members per class; sizes large enough that nothing completes inside the
+  // measurement window.
+  const auto specOf = [&](std::size_t cls) {
+    const std::size_t base = cls % 2 == 0 ? 0 : 3;
+    return FlowSpec{.path = {links[base], links[base + 1], links[base + 2]},
+                    .bytes = 1_TiB,
+                    .queueWeight = 1.0 + static_cast<double>(cls / 2),
+                    .rateCap = 0.0,
+                    .onComplete = nullptr};
+  };
+  constexpr std::size_t kClasses = 8;
+  std::vector<FlowId> members;  // members[2c], members[2c + 1] belong to class c
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    members.push_back(fluid.startFlow(specOf(c)));
+    members.push_back(fluid.startFlow(specOf(c)));
   }
-  fluid.engine().runUntil(1.0);  // warm up scratch arrays and event slots
+  // Churn every 0.07 s: replace one member of a class, and every third tick
+  // empty the class entirely and refill it.  Replacement specs are built up
+  // front, in consumption order (a FlowSpec owns its path vector), and moved
+  // in.
+  const auto classAt = [&](std::size_t tick) { return tick % kClasses; };
+  const auto emptiesAt = [](std::size_t tick) { return tick % 3 == 0; };
+  std::vector<FlowSpec> spares;
+  for (std::size_t t = 0; t < 64; ++t) {
+    spares.push_back(specOf(classAt(t)));
+    if (emptiesAt(t)) spares.push_back(specOf(classAt(t)));
+  }
+  std::size_t tick = 0;
+  std::size_t used = 0;
+  std::function<void()> churn;
+  churn = [&] {
+    const std::size_t c = classAt(tick);
+    const bool empty = emptiesAt(tick);
+    if (used + (empty ? 2 : 1) > spares.size()) return;
+    ++tick;
+    fluid.cancelFlow(members[2 * c]);
+    if (empty) fluid.cancelFlow(members[2 * c + 1]);
+    members[2 * c] = fluid.startFlow(std::move(spares[used++]));
+    if (empty) members[2 * c + 1] = fluid.startFlow(std::move(spares[used++]));
+    fluid.engine().scheduleAfter(0.07, [&churn] { churn(); });
+  };
+  fluid.engine().scheduleAfter(0.07, [&churn] { churn(); });
+  fluid.engine().runUntil(1.0);  // warm up scratch arrays, event slots, free lists
   const auto resolvesBefore = fluid.resolveCount();
   const auto iterationsBefore = fluid.solverIterations();
+  const auto ticksBefore = tick;
   {
     AllocProbe probe;
     fluid.engine().runUntil(2.0);
     EXPECT_EQ(probe.count(), 0u)
-        << "steady-state resolves must not allocate";
+        << "steady-state resolves and class churn must not allocate";
   }
   EXPECT_GE(fluid.resolveCount(), resolvesBefore + 15);
   EXPECT_GT(fluid.solverIterations(), iterationsBefore)
       << "the solver must actually run in the measured window";
-  EXPECT_EQ(fluid.activeFlows(), 8u);
+  EXPECT_GE(tick, ticksBefore + 10) << "classes must actually churn in the window";
+  EXPECT_EQ(fluid.activeFlows(), 2 * kClasses);
+  EXPECT_EQ(fluid.flowClassCount(), kClasses);
 }
 
 TEST(FluidIncremental, ClusterScaleResolveIsAllocationFree) {
@@ -386,6 +425,179 @@ TEST(FluidIncremental, ClusterScaleResolveIsAllocationFree) {
       EXPECT_EQ(fluid.deferredResolves(), 0u);
     }
   }
+}
+
+// --- Flow classes --------------------------------------------------------
+
+/// (path, weight, cap) as the caller specified it: the flow-class key.
+using ClassKey = std::tuple<std::vector<std::uint32_t>, double, double>;
+
+/// Oracle observer: at every rate solve, re-solves all live flows per flow
+/// with solveMaxMin (no classes) from capacities it recomputes itself, and
+/// checks every flow's rate, the bitwise equality of class members, and the
+/// simulator's class count.
+class ClassOracle : public FluidObserver {
+ public:
+  ClassOracle(FluidSimulator& fluid, std::function<double(std::size_t, SimTime)> capacityAt,
+              std::size_t resources)
+      : fluid_(fluid), capacityAt_(std::move(capacityAt)), resources_(resources) {}
+
+  void onFlowStarted(FlowId, std::span<const ResourceIndex>, util::Bytes, SimTime) override {}
+  void onRatesSolved(SimTime at, std::span<const FlowId>, std::span<const util::MiBps>,
+                     std::size_t activeFlows) override {
+    ASSERT_EQ(live.size(), activeFlows);
+    std::vector<SolverResource> res(resources_);
+    for (std::size_t r = 0; r < resources_; ++r) res[r].capacity = capacityAt_(r, at);
+    std::vector<SolverFlow> flows;
+    for (const auto& [id, key] : live) {
+      flows.push_back(SolverFlow{std::get<0>(key), std::get<2>(key), std::get<1>(key)});
+    }
+    const auto expect = solveMaxMin(res, flows).rates;
+    std::map<ClassKey, double> classRate;
+    std::size_t i = 0;
+    for (const auto& [id, key] : live) {
+      const double got = fluid_.flowRate(FlowId{id});
+      EXPECT_NEAR(got, expect[i], 1e-9 * std::max(1.0, expect[i])) << "flow #" << id;
+      const auto [it, first] = classRate.emplace(key, got);
+      if (!first) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(it->second), std::bit_cast<std::uint64_t>(got))
+            << "class members must have bitwise-equal rates (flow #" << id << ")";
+      }
+      ++i;
+    }
+    EXPECT_EQ(fluid_.flowClassCount(), classRate.size());
+    ++checks;
+  }
+  void onFlowCompleted(const FlowStats& stats) override { live.erase(stats.id.value); }
+  void onFlowCancelled(const FlowStats& stats) override { live.erase(stats.id.value); }
+
+  std::map<std::uint64_t, ClassKey> live;  // filled by whoever starts flows
+  std::size_t checks = 0;
+
+ private:
+  FluidSimulator& fluid_;
+  std::function<double(std::size_t, SimTime)> capacityAt_;
+  std::size_t resources_;
+};
+
+TEST(FlowClasses, RatesMatchPerFlowSolveUnderChurn) {
+  // Seeded property test: paths, weights and caps come from small pools, so
+  // classes have 1..k members; starts, cancels, completions and capacity
+  // wobble interleave.  Both solver walks run on the class view.
+  const std::vector<std::vector<std::uint32_t>> pathPool{
+      {0, 1}, {1, 0}, {0, 2, 3}, {3}, {4, 5}, {2, 4}, {5}};
+  const std::vector<double> weightPool{1.0, 2.0, 0.375};
+  const std::vector<double> capPool{0.0, 0.0, 40.0};
+  constexpr std::size_t kResources = 6;
+  for (const bool reference : {false, true}) {
+    for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
+      util::Rng rng(seed);
+      std::vector<double> base(kResources);
+      for (auto& b : base) b = rng.uniform(60.0, 400.0);
+      const auto capacityAt = [base](std::size_t r, SimTime t) {
+        return r % 2 == 0 ? base[r] * (1.0 + 0.2 * std::sin(3.0 * t)) : base[r];
+      };
+      FluidSimulator fluid;
+      fluid.setReferenceSolver(reference);
+      fluid.setResolveInterval(0.1);
+      std::vector<ResourceIndex> res;
+      for (std::size_t r = 0; r < kResources; ++r) {
+        res.push_back(fluid.addResource(ResourceSpec{
+            "r" + std::to_string(r),
+            [capacityAt, r](const ResourceLoad& load) { return capacityAt(r, load.time); }}));
+      }
+      ClassOracle oracle(fluid, capacityAt, kResources);
+      fluid.addObserver(&oracle);
+
+      std::size_t started = 0;
+      std::size_t cancelled = 0;
+      const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+      };
+      for (std::size_t f = 0; f < 60; ++f) {
+        const auto& path = pathPool[pick(pathPool.size())];
+        const double weight = weightPool[pick(weightPool.size())];
+        const double cap = capPool[pick(capPool.size())];
+        const auto bytes = static_cast<util::Bytes>(rng.uniformInt(5, 120)) * 1_MiB;
+        fluid.engine().schedule(rng.uniform(0.0, 3.0), [&, path, weight, cap, bytes] {
+          FlowSpec spec{.path = {}, .bytes = bytes, .queueWeight = weight, .rateCap = cap,
+                        .onComplete = nullptr};
+          for (const auto r : path) spec.path.push_back(res[r]);
+          const auto id = fluid.startFlow(std::move(spec));
+          oracle.live.emplace(id.value, ClassKey{path, weight, cap});
+          ++started;
+        });
+      }
+      for (std::size_t c = 0; c < 15; ++c) {
+        fluid.engine().schedule(rng.uniform(0.0, 3.0), [&] {
+          if (oracle.live.empty()) return;
+          auto it = oracle.live.begin();
+          std::advance(it, static_cast<std::ptrdiff_t>(pick(oracle.live.size())));
+          ASSERT_TRUE(fluid.cancelFlow(FlowId{it->first}).has_value());
+          ++cancelled;
+        });
+      }
+      fluid.run();
+      EXPECT_EQ(started, 60u);
+      EXPECT_GT(cancelled, 0u) << "seed " << seed;
+      EXPECT_GT(oracle.checks, 20u) << "seed " << seed;
+      EXPECT_TRUE(oracle.live.empty());
+      EXPECT_EQ(fluid.flowClassCount(), 0u) << "the class table must drain with the flows";
+    }
+  }
+}
+
+TEST(FlowClasses, TableEmptiesWhenTheSystemDrains) {
+  FluidSimulator fluid;
+  fluid.setSolverCheck(true);
+  const auto a = addLink(fluid, "a", 100.0);
+  const auto b = addLink(fluid, "b", 50.0);
+  std::vector<FlowId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(fluid.startFlow(FlowSpec{.path = {a, b},
+                                           .bytes = static_cast<util::Bytes>(i + 1) * 10_MiB,
+                                           .queueWeight = 1.0 + i % 2,
+                                           .rateCap = 0.0,
+                                           .onComplete = nullptr}));
+  }
+  EXPECT_EQ(fluid.flowClassCount(), 2u);
+  fluid.engine().scheduleAfter(0.1, [&] { fluid.cancelFlow(ids[5]); });
+  fluid.run();
+  EXPECT_EQ(fluid.activeFlows(), 0u);
+  EXPECT_EQ(fluid.flowClassCount(), 0u);
+}
+
+TEST(FlowClasses, DifferingWeightCapOrPathOrderNeverShare) {
+  FluidSimulator fluid;
+  fluid.setSolverCheck(true);
+  const auto a = addLink(fluid, "a", 100.0);
+  const auto b = addLink(fluid, "b", 300.0);
+  const auto start = [&](std::vector<ResourceIndex> path, double weight, double cap) {
+    return fluid.startFlow(FlowSpec{.path = std::move(path), .bytes = 1_GiB,
+                                    .queueWeight = weight, .rateCap = cap,
+                                    .onComplete = nullptr});
+  };
+  const auto f1 = start({a, b}, 1.0, 0.0);
+  const auto f2 = start({a, b}, 1.0, 0.0);
+  EXPECT_EQ(fluid.flowClassCount(), 1u) << "identical flows share a class";
+  start({a, b}, 2.0, 0.0);
+  EXPECT_EQ(fluid.flowClassCount(), 2u) << "weight is part of the key";
+  start({a, b}, std::nextafter(1.0, 2.0), 0.0);
+  EXPECT_EQ(fluid.flowClassCount(), 3u) << "weights compare bitwise";
+  start({a, b}, 1.0, 10.0);
+  EXPECT_EQ(fluid.flowClassCount(), 4u) << "the rate cap is part of the key";
+  const auto reversed = start({b, a}, 1.0, 0.0);
+  EXPECT_EQ(fluid.flowClassCount(), 5u) << "path order is part of the key";
+  start({a}, 1.0, 0.0);
+  EXPECT_EQ(fluid.flowClassCount(), 6u) << "a path prefix is a different path";
+  fluid.engine().runUntil(0.0);
+  // Link a (100) bottlenecks all seven flows: every flow first rises to the
+  // capped one's 10, then the six unit-ish weights share the remaining 20.
+  EXPECT_EQ(fluid.flowRate(f1), fluid.flowRate(f2));
+  EXPECT_NEAR(fluid.flowRate(f1), 90.0 / 7.0, 1e-6);
+  EXPECT_NEAR(fluid.flowRate(reversed), 90.0 / 7.0, 1e-6);
+  fluid.run();
+  EXPECT_EQ(fluid.flowClassCount(), 0u);
 }
 
 TEST(SolverWorkspaceTest, SubsetSolveMatchesWholeProblem) {

@@ -274,6 +274,28 @@ TEST(Concurrent, StaggeredStartsRespectOffsets) {
   EXPECT_DOUBLE_EQ(result.apps[1].start - result.apps[0].start, 3.0);
 }
 
+TEST(Concurrent, HonoursSolverEpsilonAndProfiling) {
+  // Regression: runConcurrent built its simulator without the solver ε and
+  // the profiling switch that runOnce applies, so `concurrent
+  // --solver-epsilon` was parsed, validated and then silently ignored.
+  auto base = baseConfig(topo::Scenario::kEthernet10G, 16, 8, 8, 8_GiB);
+  std::vector<AppSpec> apps(2);
+  for (int a = 0; a < 2; ++a) {
+    apps[a].job.ppn = 8;
+    for (std::size_t n = 0; n < 8; ++n) apps[a].job.nodeIds.push_back(a * 8 + n);
+    apps[a].ior.blockSize = ior::blockSizeForTotal(8_GiB, apps[a].job.ranks());
+  }
+  const auto exact = runConcurrent(base, apps, 11);
+  EXPECT_EQ(exact.deferredResolves, 0u);
+  EXPECT_EQ(exact.solveSeconds, 0.0);
+
+  base.solverEpsilon = 25.0;
+  base.observe.profile = true;
+  const auto bounded = runConcurrent(base, apps, 11);
+  EXPECT_GT(bounded.deferredResolves, 0u);
+  EXPECT_GT(bounded.solveSeconds, 0.0);
+}
+
 TEST(Interference, InjectorIssuesBursts) {
   sim::FluidSimulator fluid;
   const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 2);

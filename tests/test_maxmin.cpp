@@ -218,14 +218,16 @@ struct CsrProblem {
   std::vector<std::uint32_t> adjLen;
   std::vector<double> weight;
   std::vector<double> rateCap;
+  std::vector<std::uint32_t> multiplicity;  // empty: one flow per slot
   std::vector<std::uint32_t> subset;
 
   SolverView view() const {
-    return SolverView{capacity, adjacency, adjOffset, adjLen, weight, rateCap};
+    return SolverView{capacity, adjacency, adjOffset, adjLen, weight, rateCap, multiplicity};
   }
 };
 
-CsrProblem randomCsrProblem(std::uint64_t seed) {
+/// With `classes`, every slot stands for 1..6 identical flows.
+CsrProblem randomCsrProblem(std::uint64_t seed, bool classes = false) {
   util::Rng rng(seed);
   CsrProblem p;
   const auto nRes = static_cast<std::size_t>(rng.uniformInt(1, 10));
@@ -246,6 +248,11 @@ CsrProblem randomCsrProblem(std::uint64_t seed) {
     p.rateCap.push_back(rng.bernoulli(0.3) ? rng.uniform(1.0, 300.0) : 0.0);
     p.subset.push_back(static_cast<std::uint32_t>(f));
   }
+  if (classes) {
+    for (std::size_t f = 0; f < nFlows; ++f) {
+      p.multiplicity.push_back(static_cast<std::uint32_t>(rng.uniformInt(1, 6)));
+    }
+  }
   return p;
 }
 
@@ -255,9 +262,10 @@ TEST(SolverSoA, MatchesReferenceBitwiseOnRandomProblems) {
   // adjacency order, min over delta candidates is order-independent, frozen
   // flows add delta * 0.0), so the two paths must agree bit for bit -- not
   // within a tolerance.  This equality is what lets ε = 0 runs keep their
-  // golden CSV bytes across the layout change.
-  for (std::uint64_t seed = 500; seed < 540; ++seed) {
-    const auto p = randomCsrProblem(seed);
+  // golden CSV bytes across the layout change.  Slots standing for flow
+  // classes (multiplicity > 1) must agree bit for bit as well.
+  for (std::uint64_t seed = 500; seed < 580; ++seed) {
+    const auto p = randomCsrProblem(seed, seed >= 540);
     SolverWorkspace fast;
     SolverWorkspace reference;
     std::vector<double> fastRates(p.subset.size(), -1.0);
