@@ -79,6 +79,8 @@ struct MirrorStats {
   std::size_t resyncJobs = 0;
   util::Bytes bytesResynced = 0;
   util::Seconds resyncSeconds = 0.0;
+
+  bool operator==(const MirrorStats&) const = default;
 };
 
 /// Client kernel-module model.
@@ -229,6 +231,8 @@ struct HedgeStats {
   /// Bytes of duplicate hedge sends (leak on the losing target, like
   /// rewrites, until an offline cleanup).
   util::Bytes bytesHedged = 0;
+
+  bool operator==(const HedgeStats&) const = default;
 };
 
 /// Cumulative client-side failure accounting (one FileSystem's view).
@@ -246,6 +250,8 @@ struct ClientFaultStats {
   util::Seconds degradedTime = 0.0;
   /// Strict-mode abort (or degraded mode with no surviving target).
   bool aborted = false;
+
+  bool operator==(const ClientFaultStats&) const = default;
 };
 
 struct BeegfsParams {
@@ -286,6 +292,8 @@ struct BeegfsParams {
 struct EnvironmentFactors {
   double network = 1.0;
   double storage = 1.0;
+
+  bool operator==(const EnvironmentFactors&) const = default;
 };
 
 }  // namespace beesim::beegfs

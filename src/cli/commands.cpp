@@ -3,19 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <optional>
 
 #include "control/health.hpp"
 #include "control/rebalance.hpp"
 #include "core/advisor.hpp"
 #include "core/allocation.hpp"
 #include "core/analytic.hpp"
-#include "core/metrics.hpp"
-#include "beegfs/deployment.hpp"
-#include "beegfs/filesystem.hpp"
 #include "faults/schedule.hpp"
 #include "harness/campaign.hpp"
-#include "sim/trace.hpp"
 #include "harness/concurrent.hpp"
 #include "ior/options.hpp"
 #include "qos/manager.hpp"
@@ -280,12 +275,14 @@ int cmdRun(const Args& args, std::ostream& out) {
   const auto seed = static_cast<std::uint64_t>(args.getUnsigned("seed", 2022));
   const auto pattern = args.getString("pattern", "n1");
   const auto op = args.getString("op", "write");
-  const auto traceFile = args.getString("trace", "");
-  const auto traceOut = args.getString("trace-out", "");
+  // Exports of the traced replay (see below); the campaign runs carry none.
+  harness::ObservabilityOptions trace;
+  trace.traceJsonl = args.getString("trace", "");
+  trace.traceChrome = args.getString("trace-out", "");
   const auto traceFormat = args.getString("trace-format", "full");
-  const auto ringCap = args.getUnsigned("trace-ring-cap", 1u << 20);
-  const auto metricsOut = args.getString("metrics-out", "");
-  const auto metricsDt = args.getDouble("metrics-dt", 0.1);
+  trace.ringCapacity = args.getUnsigned("trace-ring-cap", trace.ringCapacity);
+  trace.metricsCsv = args.getString("metrics-out", "");
+  trace.metricsDt = args.getDouble("metrics-dt", trace.metricsDt);
   const auto faultSpec = args.getString("faults", "");
   const auto faultMode = args.getString("fault-mode", "");
   const auto ioTimeout = args.getDouble("io-timeout", 5.0);
@@ -330,18 +327,19 @@ int cmdRun(const Args& args, std::ostream& out) {
   if (failSlowSeverity < 0.0 || failSlowSeverity > 1.0) {
     throw util::ConfigError("--fail-slow-severity must lie in [0, 1] (rate-multiplier ceiling)");
   }
-  if (metricsDt <= 0.0) throw util::ConfigError("--metrics-dt must be > 0");
+  if (trace.metricsDt <= 0.0) throw util::ConfigError("--metrics-dt must be > 0");
   if (traceFormat != "full" && traceFormat != "ring") {
     throw util::ConfigError("--trace-format must be full|ring");
   }
-  if (args.get("trace-format") && traceFile.empty() && traceOut.empty()) {
+  trace.traceRing = traceFormat == "ring";
+  if (args.get("trace-format") && trace.traceJsonl.empty() && trace.traceChrome.empty()) {
     throw util::ConfigError("--trace-format requires --trace and/or --trace-out");
   }
   if (args.get("trace-ring-cap")) {
-    if (traceFormat != "ring") {
+    if (!trace.traceRing) {
       throw util::ConfigError("--trace-ring-cap requires --trace-format=ring");
     }
-    if (ringCap == 0) throw util::ConfigError("--trace-ring-cap must be >= 1");
+    if (trace.ringCapacity == 0) throw util::ConfigError("--trace-ring-cap must be >= 1");
   }
 
   config.fs.defaultStripe.stripeCount = stripe;
@@ -400,193 +398,121 @@ int cmdRun(const Args& args, std::ostream& out) {
   harness::ProtocolOptions protocol;
   protocol.repetitions = reps;
 
+  // Each feature's counters reach the totals through the campaign columns
+  // makeRow fills; only the allocation tally needs the raw record.
   std::map<std::string, std::size_t> allocationCounts;
-  beegfs::ClientFaultStats faultTotals;
-  beegfs::MirrorStats mirrorTotals;
-  control::RebalanceStats rebalTotals;
-  control::HealthStats grayTotals;
-  beegfs::HedgeStats hedgeTotals;
-  qos::QosStats qosTotals;
-  std::uint64_t mdOpsTotal = 0;
-  double mdSecondsTotal = 0.0;
-  double mdOpsPerSecSum = 0.0;
-  double mdPeakImbalance = 0.0;
-  std::size_t faultAborts = 0;
   const auto store = harness::executeCampaign(
       entries, protocol, seed,
       [&](const harness::RunRecord& record, harness::ResultRow&) {
         ++allocationCounts[core::Allocation(record.ior.targetsUsed, cluster).key()];
-        rebalTotals.samples += record.rebalance.samples;
-        rebalTotals.triggers += record.rebalance.triggers;
-        rebalTotals.retargets += record.rebalance.retargets;
-        rebalTotals.migrations += record.rebalance.migrations;
-        rebalTotals.bytesMigrated += record.rebalance.bytesMigrated;
-        rebalTotals.migrationSeconds += record.rebalance.migrationSeconds;
-        rebalTotals.peakImbalance =
-            std::max(rebalTotals.peakImbalance, record.rebalance.peakImbalance);
-        faultTotals.timeouts += record.ior.faults.timeouts;
-        faultTotals.retries += record.ior.faults.retries;
-        faultTotals.failovers += record.ior.faults.failovers;
-        faultTotals.bytesRewritten += record.ior.faults.bytesRewritten;
-        faultTotals.degradedTime += record.ior.faults.degradedTime;
-        if (record.ior.failed) ++faultAborts;
-        mirrorTotals.failovers += record.ior.mirror.failovers;
-        mirrorTotals.bytesReplicated += record.ior.mirror.bytesReplicated;
-        mirrorTotals.bytesResent += record.ior.mirror.bytesResent;
-        mirrorTotals.bytesLost += record.ior.mirror.bytesLost;
-        mirrorTotals.resyncJobs += record.ior.mirror.resyncJobs;
-        mirrorTotals.bytesResynced += record.ior.mirror.bytesResynced;
-        mirrorTotals.resyncSeconds += record.ior.mirror.resyncSeconds;
-        grayTotals.samples += record.health.samples;
-        grayTotals.suspects += record.health.suspects;
-        grayTotals.quarantines += record.health.quarantines;
-        grayTotals.probations += record.health.probations;
-        grayTotals.readmissions += record.health.readmissions;
-        grayTotals.relapses += record.health.relapses;
-        hedgeTotals.hedgesIssued += record.ior.hedge.hedgesIssued;
-        hedgeTotals.hedgeWins += record.ior.hedge.hedgeWins;
-        hedgeTotals.primaryWins += record.ior.hedge.primaryWins;
-        hedgeTotals.mirrorSwitchovers += record.ior.hedge.mirrorSwitchovers;
-        hedgeTotals.bytesHedged += record.ior.hedge.bytesHedged;
-        qosTotals.tokensIssued += record.qos.tokensIssued;
-        qosTotals.tokensBorrowed += record.qos.tokensBorrowed;
-        qosTotals.tokensReclaimed += record.qos.tokensReclaimed;
-        qosTotals.deferrals += record.qos.deferrals;
-        qosTotals.throttleSeconds += record.qos.throttleSeconds;
-        qosTotals.sloViolations += record.qos.sloViolations;
-        mdOpsTotal += record.md.totalOps;
-        mdSecondsTotal += record.md.end - record.md.start;
-        mdOpsPerSecSum += record.md.opsPerSec;
-        mdPeakImbalance = std::max(mdPeakImbalance, record.md.mdtImbalance);
       },
       exec);
+  const auto sum = [&store](const std::string& metric) {
+    double total = 0.0;
+    for (const double v : store.metric(metric)) total += v;
+    return total;
+  };
+  const auto count = [&sum](const std::string& metric) { return util::fmt(sum(metric), 0); };
+  const auto peak = [&store](const std::string& metric) {
+    return stats::summarize(store.metric(metric)).max;
+  };
 
   const auto summary = stats::summarize(store.metric("bandwidth_mibps"));
   out << config.ior.describe() << "  (" << config.job.ranks() << " ranks on "
       << cluster.nodes.size() << " nodes, " << reps << " repetitions)\n";
   out << "bandwidth: " << summary.describe() << " MiB/s\n";
   out << "allocations: ";
-  for (const auto& [key, count] : allocationCounts) out << key << " x" << count << "  ";
+  for (const auto& [key, n] : allocationCounts) out << key << " x" << n << "  ";
   out << "\n";
+  const std::string totals = " (totals over " + std::to_string(reps) + " reps): ";
   if (!config.faults.empty()) {
-    out << "faults (totals over " << reps << " reps): timeouts=" << faultTotals.timeouts
-        << " retries=" << faultTotals.retries << " failovers=" << faultTotals.failovers
-        << " rewritten=" << util::fmt(util::toMiB(faultTotals.bytesRewritten), 1)
-        << " MiB degraded=" << util::fmt(faultTotals.degradedTime, 2)
-        << " s aborted_runs=" << faultAborts << "\n";
+    out << "faults" << totals << "timeouts=" << count("fault_timeouts")
+        << " retries=" << count("fault_retries") << " failovers=" << count("fault_failovers")
+        << " rewritten=" << util::fmt(sum("fault_rewritten_mib"), 1)
+        << " MiB degraded=" << util::fmt(sum("fault_degraded_seconds"), 2)
+        << " s aborted_runs=" << count("fault_aborted") << "\n";
   }
   if (mirror) {
-    out << "mirror (totals over " << reps
-        << " reps): replicated=" << util::fmt(util::toMiB(mirrorTotals.bytesReplicated), 1)
-        << " MiB failovers=" << mirrorTotals.failovers
-        << " resent=" << util::fmt(util::toMiB(mirrorTotals.bytesResent), 1)
-        << " MiB lost=" << util::fmt(util::toMiB(mirrorTotals.bytesLost), 1)
-        << " MiB resyncs=" << mirrorTotals.resyncJobs
-        << " resynced=" << util::fmt(util::toMiB(mirrorTotals.bytesResynced), 1)
-        << " MiB resync_time=" << util::fmt(mirrorTotals.resyncSeconds, 2) << " s\n";
+    out << "mirror" << totals << "replicated=" << util::fmt(sum("mirror_replica_mib"), 1)
+        << " MiB failovers=" << count("mirror_failovers")
+        << " resent=" << util::fmt(sum("mirror_resent_mib"), 1)
+        << " MiB lost=" << util::fmt(sum("mirror_lost_mib"), 1)
+        << " MiB resyncs=" << count("resync_jobs")
+        << " resynced=" << util::fmt(sum("resync_mib"), 1)
+        << " MiB resync_time=" << util::fmt(sum("resync_seconds"), 2) << " s\n";
   }
   if (config.rebalance.enabled) {
-    out << "rebalance (totals over " << reps << " reps): triggers=" << rebalTotals.triggers
-        << " retargets=" << rebalTotals.retargets
-        << " migrations=" << rebalTotals.migrations
-        << " migrated=" << util::fmt(util::toMiB(rebalTotals.bytesMigrated), 1)
-        << " MiB migration_time=" << util::fmt(rebalTotals.migrationSeconds, 2)
-        << " s peak_imbalance=" << util::fmt(rebalTotals.peakImbalance, 3) << "\n";
+    out << "rebalance" << totals << "triggers=" << count("rebal_triggers")
+        << " retargets=" << count("rebal_retargets")
+        << " migrations=" << count("rebal_migrations")
+        << " migrated=" << util::fmt(sum("rebal_migrated_mib"), 1)
+        << " MiB migration_time=" << util::fmt(sum("rebal_migration_seconds"), 2)
+        << " s peak_imbalance=" << util::fmt(peak("rebal_peak_imbalance"), 3) << "\n";
   }
   if (config.health.enabled) {
-    out << "health (totals over " << reps << " reps): samples=" << grayTotals.samples
-        << " suspects=" << grayTotals.suspects
-        << " quarantines=" << grayTotals.quarantines
-        << " probations=" << grayTotals.probations
-        << " readmissions=" << grayTotals.readmissions
-        << " relapses=" << grayTotals.relapses << "\n";
+    out << "health" << totals << "samples=" << count("gray_samples")
+        << " suspects=" << count("gray_suspects")
+        << " quarantines=" << count("gray_quarantines")
+        << " probations=" << count("gray_probations")
+        << " readmissions=" << count("gray_readmissions")
+        << " relapses=" << count("gray_relapses") << "\n";
   }
   if (config.fs.hedge.enabled) {
-    out << "hedge (totals over " << reps << " reps): issued=" << hedgeTotals.hedgesIssued
-        << " wins=" << hedgeTotals.hedgeWins
-        << " primary_wins=" << hedgeTotals.primaryWins
-        << " mirror_switchovers=" << hedgeTotals.mirrorSwitchovers
-        << " hedged=" << util::fmt(util::toMiB(hedgeTotals.bytesHedged), 1) << " MiB\n";
+    out << "hedge" << totals << "issued=" << count("hedge_issued")
+        << " wins=" << count("hedge_wins") << " primary_wins=" << count("hedge_primary_wins")
+        << " mirror_switchovers=" << count("hedge_mirror_switchovers")
+        << " hedged=" << util::fmt(sum("hedge_mib"), 1) << " MiB\n";
   }
   if (config.qos.enabled) {
-    out << "qos (totals over " << reps << " reps): issued="
-        << util::fmt(qosTotals.tokensIssued / static_cast<double>(util::kMiB), 1)
-        << " MiB borrowed="
-        << util::fmt(qosTotals.tokensBorrowed / static_cast<double>(util::kMiB), 1)
-        << " MiB reclaimed="
-        << util::fmt(qosTotals.tokensReclaimed / static_cast<double>(util::kMiB), 1)
-        << " MiB deferrals=" << qosTotals.deferrals
-        << " throttle=" << util::fmt(qosTotals.throttleSeconds, 2)
-        << " s slo_violations=" << qosTotals.sloViolations << "\n";
+    out << "qos" << totals << "issued=" << util::fmt(sum("qos_issued_mib"), 1)
+        << " MiB borrowed=" << util::fmt(sum("qos_borrowed_mib"), 1)
+        << " MiB reclaimed=" << util::fmt(sum("qos_reclaimed_mib"), 1)
+        << " MiB deferrals=" << count("qos_deferrals")
+        << " throttle=" << util::fmt(sum("qos_throttle_seconds"), 2)
+        << " s slo_violations=" << count("qos_slo_violations") << "\n";
   }
   if (config.mdtest) {
-    out << "metadata (totals over " << reps << " reps): ops=" << mdOpsTotal
-        << " md_time=" << util::fmt(mdSecondsTotal, 2)
-        << " s mean_ops_s=" << util::fmt(mdOpsPerSecSum / reps, 0)
-        << " peak_mdt_imbalance=" << util::fmt(mdPeakImbalance, 3) << "\n";
+    out << "metadata" << totals << "ops=" << count("md_total_ops")
+        << " md_time=" << util::fmt(sum("md_seconds"), 2)
+        << " s mean_ops_s=" << util::fmt(sum("md_ops_s") / reps, 0)
+        << " peak_mdt_imbalance=" << util::fmt(peak("md_mdt_imbalance"), 3) << "\n";
   }
 
-  if (!traceFile.empty() || !traceOut.empty() || !metricsOut.empty()) {
-    // One extra traced run (same seed as the campaign root) with the flow
-    // timeline exported as JSONL and/or Chrome-trace JSON, an optional
-    // virtual-time metrics series, and a per-resource traffic decomposition.
-    //
-    // --trace-format=ring swaps the event log onto the bounded-memory binary
-    // ring sink (no per-event maps or formatting during the run); the
-    // FlowTracer -- and its utilization/imbalance tables -- is then only
-    // attached when --metrics-out still needs the sampled series.
-    util::Rng rng(seed);
-    sim::FluidSimulator fluid;
-    if (config.solverEpsilon > 0.0) fluid.setSolverEpsilon(config.solverEpsilon);
-    beegfs::Deployment deployment(fluid, cluster, config.fs, rng.split());
-    beegfs::FileSystem fs(deployment, rng.split());
-    const bool ringMode = traceFormat == "ring";
-    std::optional<sim::RingTraceSink> ring;
-    std::optional<sim::FlowTracer> tracer;
-    if (ringMode) ring.emplace(fluid, ringCap);
-    if (!ringMode || !metricsOut.empty()) {
-      tracer.emplace(fluid);
-      if (!metricsOut.empty() || !traceOut.empty()) tracer->setMetricsInterval(metricsDt);
-      for (std::size_t h = 0; h < cluster.hosts.size(); ++h) {
-        tracer->trackLink(deployment.serverNicResource(h), cluster.hosts[h].name);
-      }
-      // Under the queued metadata model the MDTs are first-class fluid
-      // resources; surface them as named links in the exported series.
-      for (std::size_t m = 0; m < deployment.mdtCount(); ++m) {
-        tracer->trackLink(deployment.mdtResource(m), "mdt" + std::to_string(m));
-      }
+  if (!trace.traceJsonl.empty() || !trace.traceChrome.empty() || !trace.metricsCsv.empty()) {
+    // Replay the campaign's first planned run (same seed, start time and run
+    // path) with the exports attached: the timeline, metrics series and
+    // traffic tables describe bit for bit the run the campaign reported.
+    util::Rng planRng(seed);
+    const auto first = harness::buildProtocolPlan(1, protocol, planRng).front();
+    auto replay = config;
+    replay.startAt = first.systemTime;
+    replay.observe = trace;
+    const auto record = harness::runOnce(replay, first.seed);
+    out << "traced run: rep " << first.repetition << " seed=" << first.seed
+        << " bandwidth=" << util::fmt(record.ior.bandwidth, 1) << " MiB/s";
+    if (!config.faults.empty()) out << " failovers=" << record.ior.faults.failovers;
+    out << "\n";
+    const auto& report = record.trace;
+    const auto events =
+        std::to_string(report.events) + (trace.traceRing ? " ring records" : " events");
+    const auto dropped = std::to_string(report.dropped) + " dropped";
+    if (!trace.traceJsonl.empty()) {
+      out << "trace: wrote " << events << (trace.traceRing ? " (" + dropped + ")" : "")
+          << " to " << trace.traceJsonl << "\n";
     }
-    const auto traced = ior::runIor(fs, config.job, config.ior);
-    if (!traceFile.empty()) {
-      if (ring) {
-        ring->writeJsonl(traceFile);
-        out << "trace: wrote " << ring->size() << " ring records (" << ring->dropped()
-            << " dropped) to " << traceFile << "\n";
-      } else {
-        tracer->writeJsonl(traceFile);
-        out << "trace: wrote " << tracer->events().size() << " events to " << traceFile
-            << "\n";
-      }
+    if (!trace.traceChrome.empty()) {
+      out << "trace: wrote Chrome trace (" << events << ", "
+          << (trace.traceRing ? dropped : std::to_string(report.samples) + " samples")
+          << ") to " << trace.traceChrome << "\n";
     }
-    if (!traceOut.empty()) {
-      if (ring) {
-        ring->writeChromeTrace(traceOut);
-        out << "trace: wrote Chrome trace (" << ring->size() << " ring records, "
-            << ring->dropped() << " dropped) to " << traceOut << "\n";
-      } else {
-        tracer->writeChromeTrace(traceOut);
-        out << "trace: wrote Chrome trace (" << tracer->events().size() << " events, "
-            << tracer->samples().size() << " samples) to " << traceOut << "\n";
-      }
+    if (!trace.metricsCsv.empty()) {
+      out << "metrics: wrote " << report.samples << " samples (dt="
+          << util::fmt(trace.metricsDt, 3) << " s) to " << trace.metricsCsv << "\n";
     }
-    if (!metricsOut.empty()) {
-      tracer->writeMetricsCsv(metricsOut);
-      out << "metrics: wrote " << tracer->samples().size() << " samples (dt="
-          << util::fmt(metricsDt, 3) << " s) to " << metricsOut << "\n";
-    }
-    if (tracer) {
+    const auto& split = record.ior.util;
+    if (split.active) {
       util::TableWriter usage({"resource", "MiB carried", "busy s", "peak MiB/s"});
-      for (const auto& u : tracer->resourceUsage()) {
+      for (const auto& u : report.usage) {
         if (u.mib <= 0.0) continue;
         usage.addRow({u.name, util::fmt(u.mib, 0), util::fmt(u.busyTime, 2),
                       util::fmt(u.peakRate, 0)});
@@ -594,19 +520,14 @@ int cmdRun(const Args& args, std::ostream& out) {
       out << usage.render();
       // Per-server split of the traced run: the measured view of the paper's
       // (min,max) balance story.
-      const util::Seconds span = traced.end - traced.start;
-      std::vector<double> serverMiB;
       util::TableWriter servers({"server", "MiB", "busy frac"});
       for (std::size_t h = 0; h < cluster.hosts.size(); ++h) {
-        const auto link = deployment.serverNicResource(h);
-        const double mib = tracer->resourceMiB(link);
-        const double busy = span > 0.0 ? tracer->resourceBusyTime(link) / span : 0.0;
-        servers.addRow({cluster.hosts[h].name, util::fmt(mib, 0), util::fmt(busy, 3)});
-        serverMiB.push_back(mib);
+        servers.addRow({cluster.hosts[h].name, util::fmt(split.serverMiB[h], 0),
+                        util::fmt(split.serverBusyFrac[h], 3)});
       }
       out << servers.render();
-      out << "link_imbalance (max/mean server MiB): "
-          << util::fmt(core::linkImbalance(serverMiB), 3) << "\n";
+      out << "link_imbalance (max/mean server MiB): " << util::fmt(split.linkImbalance, 3)
+          << "\n";
     }
   }
   return 0;

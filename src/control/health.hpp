@@ -68,6 +68,8 @@ struct HealthStats {
   std::size_t probations = 0;    ///< quarantined -> probation transitions
   std::size_t readmissions = 0;  ///< probation -> healthy transitions
   std::size_t relapses = 0;      ///< probation -> quarantined transitions
+
+  bool operator==(const HealthStats&) const = default;
 };
 
 class HealthMonitor {

@@ -70,6 +70,8 @@ struct RebalanceStats {
   util::Bytes bytesMigrated = 0;    ///< bytes carried by completed migrations
   util::Seconds migrationSeconds = 0.0;  ///< summed migration flow durations
   double peakImbalance = 0.0;       ///< max link imbalance ever sampled
+
+  bool operator==(const RebalanceStats&) const = default;
 };
 
 class RebalanceController {

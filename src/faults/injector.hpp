@@ -27,6 +27,8 @@ struct InjectorStats {
     return targetFailures + targetRecoveries + hostFailures + hostRecoveries +
            linkDegradations + targetDegradations;
   }
+
+  bool operator==(const InjectorStats&) const = default;
 };
 
 class FaultInjector {

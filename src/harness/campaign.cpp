@@ -142,7 +142,7 @@ class ProgressTracker {
     if (exec_.totals) *exec_.totals = CampaignTotals{};
   }
 
-  void committed(const PlannedRun& planned, const RunRecord& record, double runSeconds) {
+  void committed(const PlannedRun& planned, const RunRecord& record) {
     if (exec_.totals) {
       auto& totals = *exec_.totals;
       ++totals.runs;
@@ -154,8 +154,8 @@ class ProgressTracker {
       totals.campaignWallSeconds = secondsSince(startedAt_);
     }
     ++progress_.completed;
-    if (runSeconds > progress_.slowestRunSeconds) {
-      progress_.slowestRunSeconds = runSeconds;
+    if (record.wallSeconds > progress_.slowestRunSeconds) {
+      progress_.slowestRunSeconds = record.wallSeconds;
       progress_.slowestConfig = describeFactors(entries_[planned.configIndex]);
     }
     if (!exec_.onProgress) return;
@@ -178,14 +178,10 @@ class ProgressTracker {
   double lastReport_ = 0.0;
 };
 
-RunRecord timedRunOnce(const CampaignEntry& entry, const PlannedRun& planned,
-                       double& runSeconds) {
+RunRecord runPlanned(const CampaignEntry& entry, const PlannedRun& planned) {
   RunConfig config = entry.config;
   config.startAt = planned.systemTime;
-  const auto startedAt = Clock::now();
-  RunRecord record = runOnce(config, planned.seed);
-  runSeconds = secondsSince(startedAt);
-  return record;
+  return runOnce(config, planned.seed);
 }
 
 /// The legacy serial path: run and commit one planned run at a time.
@@ -194,10 +190,9 @@ ResultStore executeSerial(const std::vector<CampaignEntry>& entries,
                           ProgressTracker& tracker) {
   ResultStore store;
   for (const auto& planned : plan) {
-    double runSeconds = 0.0;
-    const auto record = timedRunOnce(entries[planned.configIndex], planned, runSeconds);
+    const auto record = runPlanned(entries[planned.configIndex], planned);
     store.add(makeRow(entries[planned.configIndex], planned, record, annotate));
-    tracker.committed(planned, record, runSeconds);
+    tracker.committed(planned, record);
   }
   return store;
 }
@@ -212,7 +207,6 @@ ResultStore executeParallel(const std::vector<CampaignEntry>& entries,
                             ProgressTracker& tracker, std::size_t jobs) {
   struct Slot {
     RunRecord record;
-    double runSeconds = 0.0;
     bool done = false;
   };
   std::vector<Slot> slots(plan.size());
@@ -227,12 +221,10 @@ ResultStore executeParallel(const std::vector<CampaignEntry>& entries,
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= plan.size()) return;
       try {
-        double runSeconds = 0.0;
-        RunRecord record = timedRunOnce(entries[plan[i].configIndex], plan[i], runSeconds);
+        RunRecord record = runPlanned(entries[plan[i].configIndex], plan[i]);
         {
           const std::lock_guard<std::mutex> lock(mutex);
           slots[i].record = std::move(record);
-          slots[i].runSeconds = runSeconds;
           slots[i].done = true;
         }
         slotReady.notify_one();
@@ -265,7 +257,7 @@ ResultStore executeParallel(const std::vector<CampaignEntry>& entries,
       lock.unlock();
       try {
         store.add(makeRow(entries[plan[i].configIndex], plan[i], slot.record, annotate));
-        tracker.committed(plan[i], slot.record, slot.runSeconds);
+        tracker.committed(plan[i], slot.record);
       } catch (...) {
         commitError = std::current_exception();
         failed.store(true, std::memory_order_relaxed);

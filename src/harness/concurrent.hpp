@@ -7,6 +7,8 @@
 //              sum_i vol_i
 //   ------------------------------------
 //   max_i(end_i)  -  min_i(start_i)
+//
+// runConcurrent is the only function that assembles a simulated system.
 #pragma once
 
 #include <cstdint>
@@ -74,20 +76,35 @@ struct ConcurrentResult {
   /// Aggregated QoS accounting; sloViolations counts apps whose achieved
   /// bandwidth fell below sloTolerance * sloRate (zeroed when !qosActive).
   qos::QosStats qos;
+  /// Mirroring accounting after the drain (zeroed unless base.fs.mirror).
+  beegfs::MirrorStats mirror;
+  /// Per-server traffic split over the Eq. 1 window (ObservabilityOptions).
+  ior::RunUtilization util;
+  TraceReport trace;
+  std::size_t resolves = 0;
+  std::size_t solverIterations = 0;
   /// Component re-solves skipped under the ε bound (0 on the exact path).
   std::size_t deferredResolves = 0;
+  double wallSeconds = 0.0;
   /// Host wall time inside the solver; stays 0 unless base.observe.profile.
   double solveSeconds = 0.0;
 };
 
 /// Run all applications concurrently on one deployment built from
-/// `base.cluster`/`base.fs`/`base.noise` (base.job/base.ior are ignored).
-/// Node sets must be pairwise disjoint.  Deterministic given (inputs, seed).
+/// `base.cluster`/`base.fs`/`base.noise` (base.job/base.ior/
+/// base.pinnedTargets are ignored).  Node sets must be pairwise disjoint.
+/// With >= 2 apps, app a's test file and mdtest dir get an ".app<a>"
+/// suffix; a lone app keeps the configured names.  Deterministic given
+/// (inputs, seed).
 ConcurrentResult runConcurrent(const RunConfig& base, const std::vector<AppSpec>& apps,
                                std::uint64_t seed);
 
 /// Paper Equation 1 over per-app (start, end, bytes) triples.  A zero-length
 /// window (every app had zero duration, e.g. all-zero-byte jobs) yields 0.
 util::MiBps aggregateBandwidth(const std::vector<ior::IorResult>& apps);
+
+/// The QoS SLO rule: an app violates its SLO when it moved bytes at less
+/// than `tolerance` * sloRate(spec).  Zero-demand apps cannot violate.
+bool violatesSlo(const ior::IorResult& app, const qos::QosAppSpec& spec, double tolerance);
 
 }  // namespace beesim::harness

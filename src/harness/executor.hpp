@@ -1,7 +1,7 @@
 // Deterministic parallel execution primitives for the harness.
 //
 // Every repetition of a campaign is an independent, seed-isolated simulation
-// (runOnce builds its own FluidSimulator/Deployment/FileSystem and derives
+// (runConcurrent builds its own FluidSimulator/Deployment/FileSystem and derives
 // all randomness from the planned per-run seed), so a campaign parallelizes
 // across worker threads without any sharing.  The contract everything here
 // upholds: the observable result is *bitwise identical* to serial execution

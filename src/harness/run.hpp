@@ -4,10 +4,12 @@
 // Each repetition builds its own FluidSimulator + Deployment + FileSystem so
 // no state leaks between runs -- the simulated analogue of the paper's
 // protocol choice to avoid warm-up and caching effects (Section III-B/C).
+// A run is the one-application case of runConcurrent (concurrent.hpp).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "beegfs/params.hpp"
@@ -19,6 +21,7 @@
 #include "ior/options.hpp"
 #include "ior/runner.hpp"
 #include "qos/manager.hpp"
+#include "sim/trace.hpp"
 #include "topology/cluster.hpp"
 
 namespace beesim::harness {
@@ -31,17 +34,36 @@ struct NoiseSpec {
   double storageSigmaLog = 0.04;
 };
 
-/// Per-run observability switches.  Both default off: a run with the
-/// defaults attaches no observer and never calls the host clock, so the
-/// fluid core's hot path is untouched (and campaign CSVs keep their exact
-/// legacy bytes).
+/// Per-run observability.  Everything defaults off: a run with the defaults
+/// attaches no observer and the solver never reads the host clock (campaign
+/// CSVs keep their exact legacy bytes).  Observers only read events, so an
+/// observed run is bitwise identical to the unobserved one.
 struct ObservabilityOptions {
-  /// Attach a FlowTracer for the run's lifetime and fill
-  /// IorResult::util with the measured per-server traffic split.
+  /// Fill IorResult::util with the measured per-server traffic split.
   bool utilization = false;
-  /// Measure solver wall time (FluidSimulator::setProfiling) and per-run
-  /// wall time into RunRecord.
+  /// Measure solver wall time (FluidSimulator::setProfiling).
   bool profile = false;
+  /// Exports written after the drain (empty = none): the flow event log as
+  /// JSONL and as Chrome-trace JSON, and the metrics series (server NICs and
+  /// MDTs as tracked links) as CSV.  Every export except a ring-format event
+  /// log alone attaches a FlowTracer, which also fills IorResult::util.
+  std::string traceJsonl;
+  std::string traceChrome;
+  std::string metricsCsv;
+  /// Keep the event log in the bounded RingTraceSink (40-byte records).
+  bool traceRing = false;
+  std::size_t ringCapacity = std::size_t{1} << 20;
+  /// Metrics-series sampling interval (virtual seconds).
+  util::Seconds metricsDt = 0.1;
+};
+
+/// What a run's exports wrote (empty unless an export was requested).
+struct TraceReport {
+  std::size_t events = 0;    ///< FlowTracer events, or ring records held
+  std::uint64_t dropped = 0; ///< ring records lost to wrap-around
+  std::size_t samples = 0;   ///< metrics-series samples
+  /// Per-resource traffic, in resource-index order (FlowTracer only).
+  std::vector<sim::ResourceUsage> usage;
 };
 
 /// Everything needed to execute one benchmark run.
@@ -61,7 +83,7 @@ struct RunConfig {
   /// identical to pre-fault-model builds (no extra rng splits, no watchdogs).
   /// Schedules with target/host failures require fs.faults.mode != kNone.
   faults::FaultPlan faults;
-  /// Run-level observability (utilization measurement, profiling).
+  /// Run-level observability (utilization, profiling, trace exports).
   ObservabilityOptions observe;
   /// Closed-loop rebalancing (DESIGN.md §2.6).  Disabled by default: the
   /// controller is then never constructed and the run stays bitwise
@@ -73,8 +95,8 @@ struct RunConfig {
   control::HealthPolicy health;
   /// Multi-tenant QoS (DESIGN.md §2.8).  Disabled by default: the manager is
   /// then never constructed and the run stays bitwise identical to
-  /// pre-QoS builds.  runOnce registers the whole job as one application at
-  /// qos.rate/qos.burst; runConcurrent registers one app per AppSpec.
+  /// pre-QoS builds.  Each application (for runOnce, the whole job) is
+  /// registered with its AppSpec::qos, else at qos.rate/qos.burst.
   qos::QosPolicy qos;
   /// mdtest-style metadata phase appended after the IOR job completes (the
   /// IO500's bw-then-md shape; DESIGN.md §2.10).  Requires the queued
@@ -123,7 +145,7 @@ struct RunRecord {
   bool qosActive = false;
   /// What the QoS layer did (zeroed when !qosActive).
   qos::QosStats qos;
-  /// Solver work done by this run (always filled; the counters are free).
+  /// Solver work done by this run (counted whether or not profiled).
   std::size_t resolves = 0;
   std::size_t solverIterations = 0;
   /// Component re-solves skipped under the ε bound (0 on the exact path).
@@ -132,9 +154,12 @@ struct RunRecord {
   /// observe.profile is on (the solver never reads the clock otherwise).
   double wallSeconds = 0.0;
   double solveSeconds = 0.0;
+  TraceReport trace;
 };
 
-/// Execute one run to completion.  Deterministic given (config, seed).
+/// Execute one run to completion: runConcurrent with the one application
+/// (config.job, config.ior, config.pinnedTargets), projected onto a
+/// RunRecord.  Deterministic given (config, seed).
 RunRecord runOnce(const RunConfig& config, std::uint64_t seed);
 
 }  // namespace beesim::harness

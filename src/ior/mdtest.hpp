@@ -52,6 +52,8 @@ struct MdtestPhase {
   std::uint64_t ops = 0;
   /// ops / (end - start); 0 for disabled phases.
   double opsPerSec = 0.0;
+
+  bool operator==(const MdtestPhase&) const = default;
 };
 
 struct MdtestResult {
@@ -67,6 +69,8 @@ struct MdtestResult {
   std::vector<std::uint64_t> mdtOps;
   /// max/mean over mdtOps: 1 = perfectly sharded, mdtCount = one hot MDT.
   double mdtImbalance = 1.0;
+
+  bool operator==(const MdtestResult&) const = default;
 };
 
 /// Launch an mdtest run at virtual time `startAt`; `done` fires when the

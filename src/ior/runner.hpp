@@ -47,6 +47,8 @@ struct RunUtilization {
   double linkImbalance = 0.0;
   /// False when utilization measurement was off (the vectors are empty).
   bool active = false;
+
+  bool operator==(const RunUtilization&) const = default;
 };
 
 struct IorResult {
@@ -71,7 +73,7 @@ struct IorResult {
   /// Mirroring/resync accounting attributable to this run (delta between
   /// launch and completion).  Background resync that outlives the job keeps
   /// counting in the file system's totals; the harness re-snapshots after
-  /// the simulation drains (see harness::runOnce).
+  /// the simulation drains (see harness::runConcurrent).
   beegfs::MirrorStats mirror;
   /// Hedged-write accounting attributable to this run (delta between launch
   /// and completion; all-zero unless HedgePolicy::enabled).
@@ -80,9 +82,11 @@ struct IorResult {
   /// degraded mode with no surviving target).  `bandwidth` is reported as 0
   /// for failed runs -- the planned bytes never fully landed.
   bool failed = false;
-  /// Measured per-server traffic split (filled by harness::runOnce when
+  /// Measured per-server traffic split (filled by the harness when
   /// utilization observability is enabled; inactive otherwise).
   RunUtilization util;
+
+  bool operator==(const IorResult&) const = default;
 };
 
 /// Launch an IOR run at virtual time `startAt`; `done` fires when the last

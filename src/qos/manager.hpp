@@ -75,6 +75,8 @@ struct QosStats {
   std::size_t deferrals = 0;     ///< chunks that had to wait for tokens
   util::Seconds throttleSeconds = 0.0;  ///< summed per-chunk waiting time
   std::size_t sloViolations = 0;        ///< apps below tolerance * sloRate
+
+  bool operator==(const QosStats&) const = default;
 };
 
 class QosManager {

@@ -5,6 +5,11 @@
 #include <filesystem>
 #include <sstream>
 
+#include "faults/schedule.hpp"
+#include "harness/campaign.hpp"
+#include "topology/plafrim.hpp"
+#include "util/table.hpp"
+
 namespace beesim::cli {
 namespace {
 
@@ -191,6 +196,47 @@ TEST(Cli, RunExportsChromeTraceAndMetrics) {
                         "0"});
   EXPECT_EQ(bad.code, 1);
   EXPECT_NE(bad.err.find("--metrics-dt must be > 0"), std::string::npos) << bad.err;
+}
+
+TEST(Cli, TraceReplaysTheCampaignsFirstPlannedRun) {
+  // The traced run is the campaign's own first planned run -- same seed,
+  // start time and fault plan -- not a separate run without the faults.
+  const auto tracePath =
+      (std::filesystem::temp_directory_path() / "beesim_cli_replay.json").string();
+  const auto result = run({"run", "--cluster", "plafrim1", "--nodes", "4", "--reps", "2",
+                           "--total", "4GiB", "--faults", "off:h1@0.5", "--trace-out",
+                           tracePath});
+  std::filesystem::remove(tracePath);
+  ASSERT_EQ(result.code, 0) << result.err;
+  const auto line = result.out.find("traced run: ");
+  ASSERT_NE(line, std::string::npos) << result.out;
+  const auto traced = result.out.substr(line, result.out.find('\n', line) - line);
+
+  // The same campaign through the harness: the row of the plan's first run.
+  harness::CampaignEntry entry;
+  auto& config = entry.config;
+  config.cluster = topo::makePlafrim(topo::Scenario::kEthernet10G, 4);
+  config.fs.defaultStripe.stripeCount = 4;
+  config.job = ior::IorJob::onFirstNodes(4, 8);
+  config.ior.blockSize = ior::blockSizeForTotal(4ull << 30, config.job.ranks());
+  config.faults.schedule = faults::parseSchedule("off:h1@0.5");
+  config.fs.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+  harness::ProtocolOptions protocol;
+  protocol.repetitions = 2;
+  util::Rng planRng(2022);
+  const auto first = harness::buildProtocolPlan(1, protocol, planRng).front();
+  harness::RunRecord row;
+  harness::executeCampaign({entry}, protocol, 2022,
+                           [&](const harness::RunRecord& record, harness::ResultRow& r) {
+                             if (r.factors.at("rep") == std::to_string(first.repetition)) {
+                               row = record;
+                             }
+                           });
+  ASSERT_GT(row.ior.faults.failovers, 0u);
+  EXPECT_EQ(traced, "traced run: rep " + std::to_string(first.repetition) +
+                        " seed=" + std::to_string(first.seed) +
+                        " bandwidth=" + util::fmt(row.ior.bandwidth, 1) +
+                        " MiB/s failovers=" + std::to_string(row.ior.faults.failovers));
 }
 
 TEST(Cli, ErrorsAreReportedNotThrown) {

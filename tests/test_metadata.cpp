@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -359,27 +360,102 @@ TEST(MetadataRun, MdPhaseFollowsTheBandwidthPhase) {
 }
 
 TEST(MetadataRun, MetaTimeAgreesBetweenRunAndConcurrent) {
-  // Satellite 3: a single-app concurrent experiment must charge the same
-  // create+open window (and reach the same bandwidth) as runOnce.
-  auto config = metadataRun();
-  std::vector<harness::AppSpec> specs(1);
-  specs[0].job = config.job;
-  specs[0].ior = config.ior;
-  const auto once = harness::runOnce(config, 99);
-  const auto conc = harness::runConcurrent(config, specs, 99);
-  ASSERT_EQ(conc.apps.size(), 1u);
-  EXPECT_DOUBLE_EQ(conc.apps[0].metaTime, once.ior.metaTime);
-  EXPECT_DOUBLE_EQ(conc.apps[0].bandwidth, once.ior.bandwidth);
-  // Same agreement under the queued model, where the window is simulated
-  // rather than drawn.
-  config.fs.meta.queued = true;
-  config.fs.meta.mdtCount = 2;
-  const auto onceQ = harness::runOnce(config, 99);
-  const auto concQ = harness::runConcurrent(config, specs, 99);
-  ASSERT_EQ(concQ.apps.size(), 1u);
-  EXPECT_DOUBLE_EQ(concQ.apps[0].metaTime, onceQ.ior.metaTime);
-  EXPECT_DOUBLE_EQ(concQ.apps[0].bandwidth, onceQ.ior.bandwidth);
-  EXPECT_GT(onceQ.ior.metaTime, 0.0);
+  // runOnce is the one-app runConcurrent: for every feature mix, the
+  // RunRecord must be the exact projection of the 1-app ConcurrentResult
+  // (bandwidth, metadata window, allocation, and each feature's counters,
+  // including those snapshot after the drain).
+  struct Mix {
+    const char* name;
+    std::function<void(harness::RunConfig&)> apply;
+    std::function<bool(const harness::ConcurrentResult&)> engaged;
+  };
+  const std::vector<Mix> mixes = {
+      {"scalar metadata", [](harness::RunConfig&) {},
+       [](const harness::ConcurrentResult& r) { return r.apps[0].metaTime > 0.0; }},
+      {"queued metadata",
+       [](harness::RunConfig& c) {
+         c.fs.meta.queued = true;
+         c.fs.meta.mdtCount = 2;
+       },
+       [](const harness::ConcurrentResult& r) { return r.apps[0].metaTime > 0.0; }},
+      {"faults + mirroring",
+       [](harness::RunConfig& c) {
+         c.faults.schedule = faults::parseSchedule("off:t0@0.1;on:t0@0.25");
+         c.fs.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+         c.fs.mirror.enabled = true;
+         c.fs.defaultStripe.mirror = true;
+       },
+       [](const harness::ConcurrentResult& r) {
+         return r.faultsActive && r.mirror.failovers > 0 &&
+                r.mirror.resyncJobs > r.apps[0].mirror.resyncJobs;
+       }},
+      {"fail-slow + health + hedge",
+       [](harness::RunConfig& c) {
+         c.faults.schedule = faults::parseSchedule("slow:t1@0.05=0.05");
+         c.health.enabled = true;
+         c.health.suspectRatio = 0.5;
+         c.fs.hedge.enabled = true;
+       },
+       [](const harness::ConcurrentResult& r) {
+         return r.healthActive && r.health.samples > 0 && r.hedge.hedgesIssued > 0;
+       }},
+      {"qos",
+       [](harness::RunConfig& c) {
+         c.qos.enabled = true;
+         c.qos.rate = 200.0;
+       },
+       [](const harness::ConcurrentResult& r) { return r.qosActive && r.qos.deferrals > 0; }},
+      {"mdtest on queued MDTs",
+       [](harness::RunConfig& c) {
+         c.fs.meta.queued = true;
+         c.fs.meta.mdtCount = 4;
+         c.mdtest = ior::MdtestOptions{};
+         c.mdtest->filesPerRank = 8;
+       },
+       [](const harness::ConcurrentResult& r) { return r.mdActive && r.appMd[0].totalOps > 0; }},
+      {"utilization",
+       [](harness::RunConfig& c) { c.observe.utilization = true; },
+       [](const harness::ConcurrentResult& r) { return r.util.active; }},
+  };
+  for (const auto& mix : mixes) {
+    SCOPED_TRACE(mix.name);
+    auto config = metadataRun(512_MiB);
+    mix.apply(config);
+    std::vector<harness::AppSpec> specs(1);
+    specs[0].job = config.job;
+    specs[0].ior = config.ior;
+    const auto once = harness::runOnce(config, 99);
+    const auto conc = harness::runConcurrent(config, specs, 99);
+    ASSERT_EQ(conc.apps.size(), 1u);
+    EXPECT_TRUE(mix.engaged(conc));
+
+    auto ior = conc.apps[0];
+    if (config.fs.mirror.enabled) ior.mirror = conc.mirror;
+    if (conc.hedgeActive) ior.hedge = conc.hedge;
+    ior.util = conc.util;
+    EXPECT_TRUE(once.ior == ior);
+    EXPECT_EQ(once.ior.bandwidth, conc.aggregateBandwidth);
+    EXPECT_EQ(once.ior.metaTime, conc.apps[0].metaTime);
+    EXPECT_EQ(once.ior.targetsUsed, conc.apps[0].targetsUsed);
+    EXPECT_TRUE(once.environment == conc.environment);
+    EXPECT_EQ(once.faultsActive, conc.faultsActive);
+    EXPECT_TRUE(once.injected == conc.injected);
+    EXPECT_EQ(once.mirrorActive, config.fs.mirror.enabled);
+    EXPECT_EQ(once.rebalanceActive, conc.rebalanceActive);
+    EXPECT_TRUE(once.rebalance == conc.rebalance);
+    EXPECT_EQ(once.healthActive, conc.healthActive);
+    EXPECT_TRUE(once.health == conc.health);
+    EXPECT_EQ(once.hedgeActive, conc.hedgeActive);
+    EXPECT_EQ(once.mdActive, conc.mdActive);
+    if (conc.mdActive) {
+      EXPECT_TRUE(once.md == conc.appMd[0]);
+    }
+    EXPECT_EQ(once.qosActive, conc.qosActive);
+    EXPECT_TRUE(once.qos == conc.qos);
+    EXPECT_EQ(once.resolves, conc.resolves);
+    EXPECT_EQ(once.solverIterations, conc.solverIterations);
+    EXPECT_EQ(once.deferredResolves, conc.deferredResolves);
+  }
 }
 
 TEST(MetadataRun, CampaignMetaSecondsMatchesTheRecordUnderFaults) {
