@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 
+#include "beegfs/peer_median.hpp"
 #include "qos/manager.hpp"
 #include "util/error.hpp"
 #include "util/string_util.hpp"
@@ -361,6 +362,7 @@ void FileSystem::issueChunkAdmitted(const std::shared_ptr<TransferState>& transf
             },
     });
     hedged_[track->primaryFlow.value] = track;
+    ++trackEpoch_;
     if (policy.mode != ClientFaultPolicy::Mode::kNone) {
       armWatchdog(transfer, stripeSlot, bytes, target, track->primaryFlow, failedAt);
     }
@@ -480,16 +482,8 @@ void FileSystem::armHedge(const std::shared_ptr<HedgeTrack>& track) {
 
 void FileSystem::hedgeCheck(const std::shared_ptr<HedgeTrack>& track) {
   if (track->resolved) return;
-  auto& fluid = deployment_.fluid();
   const auto& policy = deployment_.params().hedge;
-
-  const double primaryRate =
-      fluid.flowActive(track->primaryFlow) ? fluid.flowRate(track->primaryFlow) : 0.0;
-  const double hedgeRate =
-      track->hedgeFlow.value != 0 && fluid.flowActive(track->hedgeFlow)
-          ? fluid.flowRate(track->hedgeFlow)
-          : 0.0;
-  const double best = std::max(primaryRate, hedgeRate);
+  const double best = bestLegRate(*track);
 
   // Peer-relative lag: compare against the median best-leg rate of the
   // other tracked in-flight chunks.  Like the HealthMonitor's score this is
@@ -497,23 +491,9 @@ void FileSystem::hedgeCheck(const std::shared_ptr<HedgeTrack>& track) {
   // moving zero bytes is lagging with or without peers (dead-but-online).
   bool lagging = best <= 0.0;
   if (!lagging) {
-    std::vector<double> peers;
-    peers.reserve(hedged_.size());
-    for (const auto& [id, other] : hedged_) {
-      if (other == track || other->resolved) continue;
-      const double op = fluid.flowActive(other->primaryFlow)
-                            ? fluid.flowRate(other->primaryFlow)
-                            : 0.0;
-      const double oh =
-          other->hedgeFlow.value != 0 && fluid.flowActive(other->hedgeFlow)
-              ? fluid.flowRate(other->hedgeFlow)
-              : 0.0;
-      peers.push_back(std::max(op, oh));
-    }
-    if (!peers.empty()) {
-      std::sort(peers.begin(), peers.end());
-      const double median = peers[(peers.size() - 1) / 2];  // lower median
-      lagging = median > 0.0 && best < policy.lagRatio * median;
+    refreshPeerSnapshot();
+    if (const auto median = lowerMedianExcludingSelf(peerBest_, best)) {
+      lagging = *median > 0.0 && best < policy.lagRatio * *median;
     }
     // The in-flight peer set can be *uniformly* sick: once the healthy
     // chunks complete, only the ones behind a stuttering link remain and
@@ -540,6 +520,23 @@ void FileSystem::hedgeCheck(const std::shared_ptr<HedgeTrack>& track) {
   }
   issueHedge(track, alt);
   armHedge(track);
+}
+
+util::MiBps FileSystem::bestLegRate(const HedgeTrack& track) const {
+  const auto& fluid = deployment_.fluid();
+  const double primary = fluid.flowRate(track.primaryFlow);
+  return track.hedgeFlow.value != 0 ? std::max(primary, fluid.flowRate(track.hedgeFlow))
+                                    : primary;
+}
+
+void FileSystem::refreshPeerSnapshot() {
+  const auto epoch = deployment_.fluid().rateEpoch();
+  if (peerRateEpoch_ == epoch && peerTrackEpoch_ == trackEpoch_) return;
+  peerBest_.clear();
+  for (const auto& [id, other] : hedged_) peerBest_.push_back(bestLegRate(*other));
+  std::sort(peerBest_.begin(), peerBest_.end());
+  peerRateEpoch_ = epoch;
+  peerTrackEpoch_ = trackEpoch_;
 }
 
 bool FileSystem::pickHedgeTarget(const HedgeTrack& track, std::size_t& out) const {
@@ -577,9 +574,8 @@ bool FileSystem::pickHedgeTarget(const HedgeTrack& track, std::size_t& out) cons
 void FileSystem::issueHedge(const std::shared_ptr<HedgeTrack>& track, std::size_t alt) {
   auto& fluid = deployment_.fluid();
   // A dead previous hedge leg is abandoned before the replacement starts.
-  if (track->hedgeFlow.value != 0 && fluid.flowActive(track->hedgeFlow)) {
-    fluid.cancelFlow(track->hedgeFlow);
-  }
+  if (track->hedgeFlow.value != 0) fluid.cancelFlow(track->hedgeFlow);
+  ++trackEpoch_;
   track->hedgeTarget = alt;
   track->tried.push_back(alt);
   ++track->hedges;
@@ -607,6 +603,7 @@ void FileSystem::resolveHedged(const std::shared_ptr<HedgeTrack>& track, bool he
   track->resolved = true;
   auto& fluid = deployment_.fluid();
   hedged_.erase(track->primaryFlow.value);
+  ++trackEpoch_;
   // Winning legs feed the lag reference (same alpha as the HealthMonitor's
   // EWMA).  Losing/cancelled legs never complete, so a stalled primary
   // cannot drag the reference down.
@@ -615,15 +612,13 @@ void FileSystem::resolveHedged(const std::shared_ptr<HedgeTrack>& track, bool he
   }
   if (hedgeWon) {
     ++hedgeStats_.hedgeWins;
-    if (fluid.flowActive(track->primaryFlow)) fluid.cancelFlow(track->primaryFlow);
+    fluid.cancelFlow(track->primaryFlow);
     // Re-home the slot: later segments address the winner directly instead
     // of re-fighting the gray target chunk by chunk.
     substitutes_[{track->transfer->handleValue, track->stripeSlot}] = track->hedgeTarget;
   } else {
     if (track->hedges > 0) ++hedgeStats_.primaryWins;
-    if (track->hedgeFlow.value != 0 && fluid.flowActive(track->hedgeFlow)) {
-      fluid.cancelFlow(track->hedgeFlow);
-    }
+    if (track->hedgeFlow.value != 0) fluid.cancelFlow(track->hedgeFlow);
   }
   if (track->failedAt >= 0.0) {
     faultStats_.degradedTime += fluid.now() - track->failedAt;
@@ -637,10 +632,8 @@ void FileSystem::dropHedgeTrack(sim::FlowId primaryFlow) {
   const auto track = it->second;
   track->resolved = true;  // pending hedge timers become no-ops
   hedged_.erase(it);
-  auto& fluid = deployment_.fluid();
-  if (track->hedgeFlow.value != 0 && fluid.flowActive(track->hedgeFlow)) {
-    fluid.cancelFlow(track->hedgeFlow);
-  }
+  ++trackEpoch_;
+  if (track->hedgeFlow.value != 0) deployment_.fluid().cancelFlow(track->hedgeFlow);
 }
 
 // -- Buddy mirroring. --------------------------------------------------------

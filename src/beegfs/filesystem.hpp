@@ -220,6 +220,11 @@ class FileSystem {
   /// Periodic per-chunk lag check (HedgePolicy::deadline cadence).
   void armHedge(const std::shared_ptr<HedgeTrack>& track);
   void hedgeCheck(const std::shared_ptr<HedgeTrack>& track);
+  /// Current rate of the track's faster leg (0 when both are gone).
+  util::MiBps bestLegRate(const HedgeTrack& track) const;
+  /// Re-sort peerBest_ if the fluid rate epoch or the track set moved since
+  /// it was taken.
+  void refreshPeerSnapshot();
   /// Deterministic alternate-target choice: prefers the original target's
   /// host (unless quarantined), then other non-quarantined hosts, then any
   /// online target; within a class lowest (used, index).  Zero randomness.
@@ -277,6 +282,13 @@ class FileSystem {
   /// Unresolved hedge tracks keyed by the original leg's flow id (also the
   /// peer set for the lag median).
   std::map<std::uint64_t, std::shared_ptr<HedgeTrack>> hedged_;
+  /// Bumped whenever hedged_ gains or loses a track or a track's legs change.
+  std::uint64_t trackEpoch_ = 1;
+  /// Every hedged_ track's bestLegRate, ascending, as of the stamps below
+  /// (peerTrackEpoch_ starts behind trackEpoch_, so the first check builds it).
+  std::vector<util::MiBps> peerBest_;
+  std::uint64_t peerRateEpoch_ = 0;
+  std::uint64_t peerTrackEpoch_ = 0;
   /// EWMA of completed winning legs' mean rates: the lag reference when the
   /// in-flight peer set is itself sick (e.g. only the chunks behind a
   /// stuttering link remain, so their median cannot expose them).

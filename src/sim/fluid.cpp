@@ -483,6 +483,7 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
   }
   idMap_.insert(id.value, slot);
   ++activeCount_;
+  ++rateEpoch_;
   scheduleResolve();
   return id;
 }
@@ -532,6 +533,7 @@ std::optional<util::Bytes> FluidSimulator::cancelFlow(FlowId id) {
   removeFlowLoad(slot);
   idMap_.erase(id.value);
   --activeCount_;
+  ++rateEpoch_;
   freeFlowSlot(slot);
   markDirty(root);
   scheduleResolve();
@@ -634,6 +636,7 @@ void FluidSimulator::resolveNow() {
 
   const SimTime t = engine_.now();
   ++resolveCount_;
+  ++rateEpoch_;  // step 1 may retire flows
 
   // 1. Components whose next completion is due: bank progress and move the
   //    finished flows out.  A due component is re-solved regardless, so its
@@ -775,6 +778,7 @@ void FluidSimulator::resolveNow() {
   }
   dirtyRoots_.clear();
   lastSolvedFlows_ = solvedCount;
+  ++rateEpoch_;  // step 5 rewrote rates that step 2's callbacks could read
 
   if (solverCheck_) runSolverCheck();
 

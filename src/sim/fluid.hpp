@@ -200,6 +200,14 @@ class FluidSimulator {
   /// Number of unfinished flows.
   std::size_t activeFlows() const { return activeCount_; }
 
+  /// Rate epoch: a counter that moves whenever a flowRate()/flowActive()
+  /// answer may have changed -- on every startFlow of a non-empty flow, every
+  /// successful cancelFlow, and on entry to and after the rate writes of
+  /// every resolve (completions included).  Nothing else changes rates, so
+  /// a cache of per-flow rates stamped with this value stays valid while the
+  /// value is unchanged.  Only equality is meaningful.
+  std::uint64_t rateEpoch() const { return rateEpoch_; }
+
   /// Re-solve rates periodically (every `interval` seconds) while flows are
   /// active, so load-dependent/noisy capacities are refreshed even between
   /// completions.  <= 0 disables (default).
@@ -433,6 +441,7 @@ class FluidSimulator {
   FluidObserver* observer_ = nullptr;
   std::unique_ptr<ObserverHub> hub_;  // owned fan-out, created on demand
 
+  std::uint64_t rateEpoch_ = 0;
   std::size_t resolveCount_ = 0;
   std::size_t solverIterations_ = 0;
   std::size_t lastSolvedFlows_ = 0;

@@ -1,20 +1,24 @@
 // Gray-failure robustness suite (DESIGN.md §2.9): fail-slow injection
 // (slow: grammar, degrade renewal streams, normalize tie-break), injector
 // cause-tracking across overlapping outages, hedged writes rescuing
-// dead-but-online resources, the peer-relative HealthMonitor (including the
+// dead-but-online resources (plus the lag check's exclude-self peer median
+// and pinned hedge outcomes), the peer-relative HealthMonitor (including the
 // no-false-positive property on statistically identical servers), QoS
 // charge-once under hedging, campaign column gating / --jobs invariance, CLI
 // flag plumbing, and a randomized chaos soak.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "beegfs/deployment.hpp"
 #include "beegfs/filesystem.hpp"
+#include "beegfs/peer_median.hpp"
 #include "cli/commands.hpp"
 #include "control/health.hpp"
 #include "faults/injector.hpp"
@@ -337,6 +341,99 @@ TEST(FailSlowHedge, QosTokensAreChargedOncePerLogicalByte) {
   ASSERT_TRUE(done);
   EXPECT_GE(fs.hedgeStats().hedgesIssued, 1u);
   EXPECT_DOUBLE_EQ(manager.stats().tokensIssued, static_cast<double>(512_MiB));
+}
+
+std::optional<double> peerMedianOracle(std::vector<double> values, double self) {
+  values.erase(std::find(values.begin(), values.end(), self));
+  if (values.empty()) return std::nullopt;
+  std::sort(values.begin(), values.end());
+  return values[(values.size() - 1) / 2];
+}
+
+TEST(FailSlowHedge, ExcludeSelfMedianMatchesBruteForceOracle) {
+  // The lag check picks its peer median out of one sorted snapshot of every
+  // track's rate.  It must equal the per-check answer -- drop one copy of
+  // self, sort, take the lower median -- bit for bit.
+  EXPECT_EQ(beegfs::lowerMedianExcludingSelf(std::vector<double>{7.0}, 7.0), std::nullopt);
+  EXPECT_EQ(beegfs::lowerMedianExcludingSelf(std::vector<double>{0.0, 3.0}, 0.0), 3.0);
+  EXPECT_EQ(beegfs::lowerMedianExcludingSelf(std::vector<double>{0.0, 3.0}, 3.0), 0.0);
+  EXPECT_EQ(beegfs::lowerMedianExcludingSelf(std::vector<double>{1.0, 5.0, 5.0, 5.0}, 5.0),
+            5.0);
+
+  util::Rng rng(14);
+  for (int trial = 0; trial < 3000; ++trial) {
+    // The first trials pin n = 1 (no peers) and n = 2; the rest are wider.
+    const auto n = static_cast<std::size_t>(trial < 100 ? 1 + trial % 2
+                                                        : rng.uniformInt(1, 40));
+    // Few distinct levels force runs of ties; zeros model stalled legs.
+    const bool continuous = trial % 4 == 0;
+    const auto levels = rng.uniformInt(1, 5);
+    std::vector<double> values(n);
+    for (auto& v : values) {
+      if (rng.bernoulli(0.2)) {
+        v = 0.0;
+      } else {
+        v = continuous ? rng.uniform(0.0, 1000.0)
+                       : 12.5 * static_cast<double>(rng.uniformInt(1, levels));
+      }
+    }
+    auto sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    // Self takes every member's value in turn: the minimum, the maximum, and
+    // every position inside a tie run.
+    for (const double self : values) {
+      EXPECT_EQ(beegfs::lowerMedianExcludingSelf(sorted, self), peerMedianOracle(values, self))
+          << "trial=" << trial << " n=" << n << " self=" << self;
+    }
+  }
+}
+
+TEST(FailSlowHedge, GrayRunHedgeDecisionsArePinned) {
+  // Small gray_s1-shaped runs: stochastic fail-slow episodes, the health
+  // monitor and hedged writes in degraded mode.  Every hedge decision feeds
+  // the counts below, so a stale peer-rate snapshot shows up as a changed
+  // count.  The values were recorded with the per-check peer scan the
+  // snapshot replaced; seed 3 re-hedges lagging hedge legs, seed 2 mixes
+  // hedge and primary wins.
+  struct Pinned {
+    util::Bytes total;
+    std::uint64_t seed;
+    beegfs::HedgeStats hedge;
+    double bandwidth;
+  };
+  const Pinned pinned[] = {
+      {4_GiB, 3, {.hedgesIssued = 183, .hedgeWins = 0, .primaryWins = 168,
+                  .bytesHedged = 1535115264}, 1493.4659714754814},
+      {6_GiB, 2, {.hedgesIssued = 128, .hedgeWins = 43, .primaryWins = 85,
+                  .bytesHedged = 1610612736}, 1688.3065741083765},
+  };
+  for (const auto& pin : pinned) {
+    harness::RunConfig config;
+    config.cluster = topo::makePlafrim(topo::Scenario::kEthernet10G, 8);
+    config.fs.defaultStripe.stripeCount = 8;
+    config.fs.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+    config.fs.faults.ioTimeout = 0.5;
+    config.fs.faults.backoffBase = 0.25;
+    config.fs.faults.maxRetries = 1;
+    config.fs.hedge.enabled = true;
+    config.fs.hedge.deadline = 0.5;
+    config.health.enabled = true;
+    faults::StochasticFaultSpec slow;
+    slow.degradeMttf = 5.0;
+    slow.degradeMttr = 0.5;
+    slow.degradeCeiling = 0.25;
+    slow.horizon = 120.0;
+    config.faults.stochastic = slow;
+    config.job = ior::IorJob::onFirstNodes(8, 8);
+    config.ior.blockSize = ior::blockSizeForTotal(pin.total, 64);
+    const auto record = harness::runOnce(config, pin.seed);
+    const auto& hedge = record.ior.hedge;
+    EXPECT_EQ(hedge.hedgesIssued, pin.hedge.hedgesIssued) << "seed=" << pin.seed;
+    EXPECT_EQ(hedge.hedgeWins, pin.hedge.hedgeWins) << "seed=" << pin.seed;
+    EXPECT_EQ(hedge.primaryWins, pin.hedge.primaryWins) << "seed=" << pin.seed;
+    EXPECT_EQ(hedge.bytesHedged, pin.hedge.bytesHedged) << "seed=" << pin.seed;
+    EXPECT_EQ(record.ior.bandwidth, pin.bandwidth) << "seed=" << pin.seed;
+  }
 }
 
 // -- HealthMonitor ------------------------------------------------------------
