@@ -41,9 +41,7 @@ void RebalanceController::disarm() {
 
 void RebalanceController::cancel() {
   auto& fluid = fs_.deployment().fluid();
-  for (auto& [key, migration] : migrations_) {
-    if (fluid.flowActive(migration.flow)) fluid.cancelFlow(migration.flow);
-  }
+  for (const auto& [key, migration] : migrations_) fluid.cancelFlow(migration.flow);
   migrations_.clear();
 }
 

@@ -238,6 +238,10 @@ ConcurrentResult runConcurrent(const RunConfig& base, const std::vector<AppSpec>
         apps[a].pinnedTargets);
   }
   fluid.run();
+  // Drain invariant: nothing outlives the run -- no flow, and no chunk op
+  // waiting on a leg, a retry or QoS admission.
+  BEESIM_ASSERT(fluid.activeFlows() == 0, "a flow outlived the drained run");
+  BEESIM_ASSERT(fs.inFlightChunks() == 0, "a chunk outlived the drained run");
   BEESIM_ASSERT(remaining == 0, "a concurrent application did not complete");
   BEESIM_ASSERT(mdRemaining == 0, "a concurrent mdtest phase did not complete");
 
@@ -249,7 +253,6 @@ ConcurrentResult runConcurrent(const RunConfig& base, const std::vector<AppSpec>
   }
   if (base.fs.mirror.enabled) result.mirror = fs.mirrorStats();
   if (rebalance) {
-    rebalance->cancel();  // safety: the drained run left no active flows
     result.rebalanceActive = true;
     result.rebalance = rebalance->stats();
   }

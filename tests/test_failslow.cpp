@@ -5,7 +5,8 @@
 // and pinned hedge outcomes), the peer-relative HealthMonitor (including the
 // no-false-positive property on statistically identical servers), QoS
 // charge-once under hedging, campaign column gating / --jobs invariance, CLI
-// flag plumbing, and a randomized chaos soak.
+// flag plumbing, a randomized fail-slow chaos soak, and an all-features
+// chaos soak (crashes, mirroring, hedging, QoS, rebalancing, mdtest).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include "harness/executor.hpp"
 #include "harness/protocol.hpp"
 #include "harness/run.hpp"
+#include "ior/mdtest.hpp"
 #include "ior/options.hpp"
 #include "ior/runner.hpp"
 #include "qos/manager.hpp"
@@ -272,7 +274,7 @@ TEST(FailSlowHedge, DeadButOnlineTargetIsHedgedNotStalled) {
   EXPECT_TRUE(done);
   EXPECT_GE(fs.hedgeStats().hedgesIssued, 1u);
   EXPECT_GE(fs.hedgeStats().hedgeWins, 1u);
-  EXPECT_EQ(fs.hedgedInFlight(), 0u);
+  EXPECT_EQ(fs.inFlightChunks(), 0u);
 }
 
 TEST(FailSlowHedge, NearZeroLinkDegradeCompletesUnderWatchdogAndHedge) {
@@ -702,6 +704,131 @@ TEST(FailSlowChaos, RandomizedFailSlowNeverStallsOrDoubleSpends) {
     EXPECT_DOUBLE_EQ(record.qos.tokensIssued,
                      static_cast<double>(record.ior.totalBytes))
         << "seed=" << seed;
+  }
+}
+
+// All features at once: every chunk lifecycle (plain with the watchdog ladder,
+// mirrored, hedged, QoS-deferred) under crashes, fail-slow and stutters.
+harness::RunConfig allFeaturesConfig(bool mirrored, bool hedge) {
+  harness::RunConfig config;
+  config.cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+  config.fs.defaultStripe.stripeCount = 8;
+  config.fs.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+  config.fs.faults.ioTimeout = 0.5;
+  config.fs.faults.backoffBase = 0.25;
+  config.fs.faults.maxRetries = 2;
+  config.fs.mirror.enabled = mirrored;
+  config.fs.defaultStripe.mirror = mirrored;
+  config.fs.hedge.enabled = hedge;
+  config.fs.hedge.deadline = 0.4;
+  config.fs.meta.queued = true;
+  config.fs.meta.mdtCount = 2;
+  config.health.enabled = true;
+  config.health.suspectRatio = 0.5;
+  config.qos.enabled = true;
+  config.qos.rate = 800.0;
+  // Slot migration moves plain slots only; mirrored slots move by group.
+  config.rebalance.enabled = !mirrored;
+  faults::StochasticFaultSpec spec;
+  spec.targetMttf = 6.0;
+  spec.targetMttr = 0.75;
+  spec.hostMttf = 60.0;
+  spec.hostMttr = 0.4;
+  spec.degradeMttf = 3.0;
+  spec.degradeMttr = 1.5;
+  spec.degradeFloor = 0.0;
+  spec.degradeCeiling = 0.3;
+  spec.linkStutterMttf = 5.0;
+  spec.linkStutterMttr = 1.0;
+  spec.horizon = 30.0;
+  config.faults.stochastic = spec;
+  config.job = ior::IorJob::onFirstNodes(4, 8);
+  config.ior.blockSize = ior::blockSizeForTotal(4_GiB, 32);
+  ior::MdtestOptions md;
+  md.filesPerRank = 4;
+  config.mdtest = md;
+  return config;
+}
+
+TEST(Chaos, AllFeaturesTerminateConserveAndDrain) {
+  // Each seed must terminate without aborting, charge QoS tokens exactly
+  // once per logical byte, and drain: runOnce asserts that no flow and no
+  // chunk op is live after the simulation ran dry.  Two seeds per variant
+  // pin the outcome, so any change in chunk-lifecycle event order shows.
+  struct Variant {
+    const char* name;
+    bool mirrored;
+    bool hedge;
+  };
+  const Variant variants[] = {
+      {"mirrored+hedge", true, true},
+      {"mirrored", true, false},
+      {"plain+hedge", false, true},
+      {"plain", false, false},
+  };
+  struct Pinned {
+    double bandwidth;
+    std::size_t timeouts;
+    std::size_t failovers;
+    util::Bytes bytesRewritten;
+    std::size_t hedges;
+    std::size_t mirrorFailovers;
+  };
+  // [variant][seed index] for the first two soak seeds.  Mirrored files
+  // hedge only through quarantine switchovers and none fires here, so both
+  // mirrored variants pin the same values.
+  const Pinned pinned[4][2] = {
+      {{603.4825525573948, 0, 0, 0, 0, 13}, {562.05468380534705, 0, 0, 134217728, 0, 14}},
+      {{603.4825525573948, 0, 0, 0, 0, 13}, {562.05468380534705, 0, 0, 134217728, 0, 14}},
+      {{555.32807231269726, 15, 10, 251658240, 199, 0},
+       {464.71694515189461, 10, 6, 167772160, 149, 0}},
+      {{514.34032067501812, 40, 16, 671088640, 0, 0},
+       {421.07332303429638, 41, 22, 687865856, 0, 0}},
+  };
+  std::size_t seeds = 3;
+  if (const char* env = std::getenv("BEESIM_CHAOS_SEEDS")) {
+    seeds = std::max<std::size_t>(2, std::strtoul(env, nullptr, 10));
+  }
+  for (std::size_t v = 0; v < 4; ++v) {
+    const auto& variant = variants[v];
+    for (std::size_t i = 0; i < seeds; ++i) {
+      const std::uint64_t seed = 2000 + 41 * i;
+      std::cout << "[chaos] all-features " << variant.name << " seed=" << seed << "\n";
+      const auto config = allFeaturesConfig(variant.mirrored, variant.hedge);
+      const auto record = harness::runOnce(config, seed);  // asserts the drain
+      EXPECT_FALSE(record.ior.failed) << variant.name << " seed=" << seed;
+      ASSERT_TRUE(record.qosActive);
+      EXPECT_DOUBLE_EQ(record.qos.tokensIssued, static_cast<double>(record.ior.totalBytes))
+          << variant.name << " seed=" << seed;
+      EXPECT_TRUE(record.mdActive);
+      if (i >= 2) continue;
+      const auto& pin = pinned[v][i];
+      EXPECT_EQ(record.ior.bandwidth, pin.bandwidth) << variant.name << " seed=" << seed;
+      EXPECT_EQ(record.ior.faults.timeouts, pin.timeouts) << variant.name << " seed=" << seed;
+      EXPECT_EQ(record.ior.faults.failovers, pin.failovers) << variant.name << " seed=" << seed;
+      EXPECT_EQ(record.ior.faults.bytesRewritten, pin.bytesRewritten)
+          << variant.name << " seed=" << seed;
+      EXPECT_EQ(record.ior.hedge.hedgesIssued, pin.hedges) << variant.name << " seed=" << seed;
+      EXPECT_EQ(record.ior.mirror.failovers, pin.mirrorFailovers)
+          << variant.name << " seed=" << seed;
+    }
+  }
+
+  // Jobs invariance: the same campaign at --jobs 1 and --jobs 4.
+  harness::CampaignEntry entry;
+  entry.config = allFeaturesConfig(/*mirrored=*/false, /*hedge=*/true);
+  harness::ProtocolOptions protocol;
+  protocol.repetitions = 3;
+  harness::ExecutorOptions serial;
+  serial.jobs = 1;
+  harness::ExecutorOptions parallel;
+  parallel.jobs = 4;
+  const auto a = harness::executeCampaign({entry}, protocol, 5, nullptr, serial);
+  const auto b = harness::executeCampaign({entry}, protocol, 5, nullptr, parallel);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    EXPECT_EQ(a.rows()[r].factors, b.rows()[r].factors) << "row " << r;
+    EXPECT_EQ(a.rows()[r].metrics, b.rows()[r].metrics) << "row " << r;
   }
 }
 
