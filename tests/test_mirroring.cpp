@@ -306,8 +306,9 @@ TEST(MirrorFileSystem, DoubleFailureCountsLostBytesAndRecovers) {
   params.mirror.groups = {{0, 4}};
   System system(params);
   // Secondary dies first (debt accrues), then the primary: the group goes
-  // bad and exactly the outstanding debt is lost.  Both members return
-  // later and the group heals with nothing left to stream.
+  // bad.  The only debt is the in-flight chunk's, which never acked and is
+  // rewritten elsewhere, so nothing is lost.  Both members return later and
+  // the group heals with nothing left to stream.
   faults::FaultInjector injector(
       system.deployment, faults::parseSchedule("off:t4@0.05;off:t0@0.5;on:t4@5;on:t0@6"));
   injector.arm();
@@ -320,7 +321,7 @@ TEST(MirrorFileSystem, DoubleFailureCountsLostBytesAndRecovers) {
   ASSERT_TRUE(done);
   const auto& stats = system.fs.mirrorStats();
   EXPECT_EQ(stats.failovers, 0u);      // never a safe promotion to make
-  EXPECT_EQ(stats.bytesLost, 1_GiB);   // the un-replicated chunk's debt
+  EXPECT_EQ(stats.bytesLost, 0u);      // the un-acked chunk lands again
   EXPECT_EQ(stats.resyncJobs, 0u);     // the debt died with the group
   // The in-flight chunk fell back to the degraded-stripe ladder.
   EXPECT_EQ(system.fs.faultStats().bytesRewritten, 1_GiB);
@@ -329,6 +330,35 @@ TEST(MirrorFileSystem, DoubleFailureCountsLostBytesAndRecovers) {
   const auto& group = system.deployment.mgmt().mirrorGroup(0);
   EXPECT_EQ(group.state, MirrorState::kGood);
   EXPECT_EQ(group.resyncDebt, 0u);
+}
+
+TEST(MirrorFileSystem, PrimaryLossCountsOnlyAckedSingleCopyBytes) {
+  auto params = mirrorParams();
+  params.mirror.groups = {{0, 4}};
+  System system(params);
+  // With the secondary down, a first write acks single-copy; a second one is
+  // still in flight when the primary dies.  Only the acked write is lost;
+  // the in-flight one is rewritten elsewhere.
+  faults::FaultInjector injector(
+      system.deployment, faults::parseSchedule("off:t4@0;off:t0@1;on:t4@5;on:t0@6"));
+  injector.arm();
+
+  const auto handle = system.fs.createPinned("/d", {0}, 512_KiB);
+  util::Seconds ackedAt = -1.0;
+  util::Seconds secondDoneAt = -1.0;
+  system.fs.writeAsync(0, handle, 0, 64_MiB, 8.0, [&](util::Seconds t) {
+    ackedAt = t;
+    system.fs.writeAsync(0, handle, 64_MiB, 2_GiB, 8.0,
+                         [&](util::Seconds t2) { secondDoneAt = t2; });
+  });
+  system.fluid.run();
+
+  ASSERT_GE(ackedAt, 0.0);
+  ASSERT_LT(ackedAt, 1.0);       // acked before the primary crash
+  ASSERT_GT(secondDoneAt, 1.0);  // still in flight at the crash
+  const auto& stats = system.fs.mirrorStats();
+  EXPECT_EQ(stats.bytesLost, 64_MiB);
+  EXPECT_EQ(system.fs.faultStats().bytesRewritten, 2_GiB);
 }
 
 TEST(MirrorFileSystem, ResyncRateCapStretchesTheStream) {
