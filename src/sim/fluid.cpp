@@ -141,7 +141,11 @@ std::uint32_t FluidSimulator::ClassTable::join(const std::uint32_t* path, std::u
     adjLen_.push_back(0);
     adjCap_.push_back(0);
     rate_.push_back(0.0);
-    epoch_.push_back(0);
+    served_.push_back(0.0);
+    heap_.emplace_back();
+    solvedBelow_.push_back(0);
+    next_.push_back(kNone);
+    prev_.push_back(kNone);
   }
   if (adjCap_[c] < len) {  // same reuse rule as the flow path arena
     adjOffset_[c] = static_cast<std::uint32_t>(adjacency_.size());
@@ -154,6 +158,12 @@ std::uint32_t FluidSimulator::ClassTable::join(const std::uint32_t* path, std::u
   weight_[c] = weight;
   rateCap_[c] = rateCap;
   members_[c] = 1;
+  rate_[c] = 0.0;
+  served_[c] = 0.0;
+  heap_[c].clear();  // keeps its capacity
+  solvedBelow_[c] = 0;
+  next_[c] = kNone;
+  prev_[c] = kNone;
   place(c);
   ++size_;
   return c;
@@ -182,9 +192,9 @@ void FluidSimulator::ClassTable::grow() {
   }
 }
 
-void FluidSimulator::ClassTable::leave(std::uint32_t c) {
+bool FluidSimulator::ClassTable::leave(std::uint32_t c) {
   BEESIM_ASSERT(members_[c] > 0, "flow left an empty class");
-  if (--members_[c] != 0) return;
+  if (--members_[c] != 0) return false;
   const std::size_t mask = buckets_.size() - 1;
   std::size_t hole = hash_[c] & mask;
   while (buckets_[hole] != c) hole = (hole + 1) & mask;
@@ -200,11 +210,6 @@ void FluidSimulator::ClassTable::leave(std::uint32_t c) {
   buckets_[hole] = kNone;
   --size_;
   freeSlots_.push_back(c);
-}
-
-bool FluidSimulator::ClassTable::claim(std::uint32_t c, std::uint64_t epoch) {
-  if (epoch_[c] == epoch) return false;
-  epoch_[c] = epoch;
   return true;
 }
 
@@ -303,7 +308,8 @@ std::uint32_t FluidSimulator::unite(std::uint32_t a, std::uint32_t b, SimTime at
     if (compHead_[a] == kNone) {
       compHead_[a] = compHead_[b];
     } else {
-      flowNext_[compTail_[a]] = compHead_[b];
+      classes_.next(compTail_[a]) = compHead_[b];
+      classes_.prev(compHead_[b]) = compTail_[a];
     }
     compTail_[a] = compTail_[b];
   }
@@ -369,15 +375,13 @@ std::uint32_t FluidSimulator::allocateFlowSlot() {
   }
   const auto slot = static_cast<std::uint32_t>(flowId_.size());
   flowId_.push_back(0);
-  flowRemaining_.push_back(0.0);
   flowWeight_.push_back(1.0);
   flowRateCap_.push_back(0.0);
-  flowRate_.push_back(0.0);
   flowStart_.push_back(0.0);
   flowBytes_.push_back(0);
   flowOnComplete_.emplace_back();
-  flowNext_.push_back(kNone);
   flowClass_.push_back(kNone);
+  flowHeapPos_.push_back(kNone);
   pathOffset_.push_back(0);
   pathLen_.push_back(0);
   pathCap_.push_back(0);
@@ -386,7 +390,6 @@ std::uint32_t FluidSimulator::allocateFlowSlot() {
 
 void FluidSimulator::freeFlowSlot(std::uint32_t slot) {
   flowId_[slot] = 0;
-  flowRate_[slot] = 0.0;
   flowOnComplete_[slot] = nullptr;
   freeFlowSlots_.push_back(slot);
 }
@@ -418,10 +421,8 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
 
   const auto slot = allocateFlowSlot();
   flowId_[slot] = id.value;
-  flowRemaining_[slot] = util::toMiB(spec.bytes);
   flowWeight_[slot] = spec.queueWeight;
   flowRateCap_[slot] = spec.rateCap;
-  flowRate_[slot] = 0.0;
   flowStart_[slot] = t;
   flowBytes_[slot] = spec.bytes;
   flowOnComplete_[slot] = std::move(spec.onComplete);
@@ -441,8 +442,6 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
     pathArena_[pathOffset_[slot] + i] = spec.path[i];
     adjacencyArena_[pathOffset_[slot] + i] = spec.path[i].value;
   }
-  flowClass_[slot] = classes_.join(adjacencyArena_.data() + pathOffset_[slot], len,
-                                   spec.queueWeight, spec.rateCap);
 
   // Settle and merge the components the path touches.  Banking each
   // component's progress *before* membership changes keeps the piecewise
@@ -456,13 +455,23 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
     root = unite(root, rr, t);
   }
 
-  flowNext_[slot] = kNone;
-  if (compTail_[root] == kNone) {
-    compHead_[root] = slot;
-  } else {
-    flowNext_[compTail_[root]] = slot;
+  // Join the class after the merge: its served counter is current at t, so
+  // the target counts only progress from t on.
+  const auto c = classes_.join(adjacencyArena_.data() + pathOffset_[slot], len,
+                               spec.queueWeight, spec.rateCap);
+  if (classes_.members(c) == 1) {  // new class: append to the component list
+    classes_.prev(c) = compTail_[root];
+    if (compTail_[root] == kNone) {
+      compHead_[root] = c;
+    } else {
+      classes_.next(compTail_[root]) = c;
+    }
+    compTail_[root] = c;
   }
-  compTail_[root] = slot;
+  flowClass_[slot] = c;
+  auto& heap = classes_.heap(c);
+  heap.push_back(Member{classes_.served(c) + util::toMiB(spec.bytes), id.value, slot});
+  heapPlace(heap, static_cast<std::uint32_t>(heap.size() - 1), heap.back());
   ++compFlowCount_[root];
   for (std::uint32_t i = 0; i < len; ++i) {
     const auto r = spec.path[i].value;
@@ -494,7 +503,10 @@ void FluidSimulator::startFlowAt(SimTime at, FlowSpec spec) {
 
 util::MiBps FluidSimulator::flowRate(FlowId id) const {
   const auto slot = idMap_.find(id.value);
-  return slot == kNone ? 0.0 : flowRate_[slot];
+  if (slot == kNone) return 0.0;
+  // A member that joined after its class's last solve has no rate yet.
+  const auto c = flowClass_[slot];
+  return id.value < classes_.solvedBelow(c) ? classes_.rate(c) : 0.0;
 }
 
 bool FluidSimulator::flowActive(FlowId id) const { return idMap_.find(id.value) != kNone; }
@@ -506,23 +518,10 @@ std::optional<util::Bytes> FluidSimulator::cancelFlow(FlowId id) {
   const auto root = findRoot(adjacencyArena_[pathOffset_[slot]]);
   advanceComponent(root, t);
 
-  // Unlink the slot from the component's intrusive flow list.
-  std::uint32_t prev = kNone;
-  std::uint32_t cur = compHead_[root];
-  while (cur != slot) {
-    BEESIM_ASSERT(cur != kNone, "cancelled flow missing from its component list");
-    prev = cur;
-    cur = flowNext_[cur];
-  }
-  if (prev == kNone) {
-    compHead_[root] = flowNext_[slot];
-  } else {
-    flowNext_[prev] = flowNext_[slot];
-  }
-  if (compTail_[root] == slot) compTail_[root] = prev;
-  --compFlowCount_[root];
-
-  const double remainingMiB = std::max(0.0, flowRemaining_[slot]);
+  const auto c = flowClass_[slot];
+  const auto pos = flowHeapPos_[slot];
+  const double remainingMiB =
+      std::max(0.0, classes_.heap(c)[pos].target - classes_.served(c));
   const auto remaining = static_cast<util::Bytes>(
       std::min<double>(std::ceil(remainingMiB * static_cast<double>(util::kMiB)),
                        static_cast<double>(flowBytes_[slot])));
@@ -530,11 +529,9 @@ std::optional<util::Bytes> FluidSimulator::cancelFlow(FlowId id) {
     observer_->onFlowCancelled(FlowStats{id, flowStart_[slot], t, remaining});
   }
 
-  removeFlowLoad(slot);
-  idMap_.erase(id.value);
-  --activeCount_;
+  heapErase(c, pos);
+  retireFlow(root, slot);
   ++rateEpoch_;
-  freeFlowSlot(slot);
   markDirty(root);
   scheduleResolve();
   return remaining;
@@ -564,14 +561,47 @@ void FluidSimulator::advanceComponent(std::uint32_t root, SimTime t) {
   BEESIM_ASSERT(t >= compLastProgress_[root], "component progress moved backwards");
   const double dt = t - compLastProgress_[root];
   if (dt > 0.0) {
-    for (auto slot = compHead_[root]; slot != kNone; slot = flowNext_[slot]) {
-      flowRemaining_[slot] = std::max(0.0, flowRemaining_[slot] - flowRate_[slot] * dt);
+    for (auto c = compHead_[root]; c != kNone; c = classes_.next(c)) {
+      classes_.served(c) += classes_.rate(c) * dt;
     }
   }
   compLastProgress_[root] = t;
 }
 
-void FluidSimulator::removeFlowLoad(std::uint32_t slot) {
+void FluidSimulator::heapPlace(std::vector<Member>& heap, std::uint32_t pos, Member m) {
+  const auto before = [](const Member& a, const Member& b) {
+    return a.target < b.target || (a.target == b.target && a.id < b.id);
+  };
+  // Sift up, then down; only one of the two moves anything.
+  while (pos > 0) {
+    const auto parent = (pos - 1) / 2;
+    if (!before(m, heap[parent])) break;
+    heap[pos] = heap[parent];
+    flowHeapPos_[heap[pos].slot] = pos;
+    pos = parent;
+  }
+  const auto n = static_cast<std::uint32_t>(heap.size());
+  while (true) {
+    auto child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap[child + 1], heap[child])) ++child;
+    if (!before(heap[child], m)) break;
+    heap[pos] = heap[child];
+    flowHeapPos_[heap[pos].slot] = pos;
+    pos = child;
+  }
+  heap[pos] = m;
+  flowHeapPos_[m.slot] = pos;
+}
+
+void FluidSimulator::heapErase(std::uint32_t c, std::uint32_t pos) {
+  auto& heap = classes_.heap(c);
+  const Member last = heap.back();
+  heap.pop_back();
+  if (pos < heap.size()) heapPlace(heap, pos, last);
+}
+
+void FluidSimulator::retireFlow(std::uint32_t root, std::uint32_t slot) {
   const auto* adj = adjacencyArena_.data() + pathOffset_[slot];
   for (std::uint32_t i = 0; i < pathLen_[slot]; ++i) {
     const auto r = adj[i];
@@ -581,37 +611,37 @@ void FluidSimulator::removeFlowLoad(std::uint32_t slot) {
     // doubles cannot leave a residue in the queue-depth accounting.
     if (resFlowCount_[r] == 0) resQueueDepth_[r] = 0.0;
   }
-  classes_.leave(flowClass_[slot]);
+  const auto c = flowClass_[slot];
+  if (classes_.leave(c)) {  // emptied: unlink from the component list
+    const auto prev = classes_.prev(c);
+    const auto next = classes_.next(c);
+    (prev == kNone ? compHead_[root] : classes_.next(prev)) = next;
+    (next == kNone ? compTail_[root] : classes_.prev(next)) = prev;
+  }
+  --compFlowCount_[root];
+  idMap_.erase(flowId_[slot]);
+  --activeCount_;
+  freeFlowSlot(slot);
 }
 
 void FluidSimulator::settleComponent(std::uint32_t root, SimTime t) {
   advanceComponent(root, t);
-  std::uint32_t prev = kNone;
-  std::uint32_t slot = compHead_[root];
-  while (slot != kNone) {
-    const auto next = flowNext_[slot];
-    if (flowRemaining_[slot] <= kRemainderEpsMiB) {
-      if (prev == kNone) {
-        compHead_[root] = next;
-      } else {
-        flowNext_[prev] = next;
-      }
-      if (compTail_[root] == slot) compTail_[root] = prev;
-      --compFlowCount_[root];
-      removeFlowLoad(slot);
-      idMap_.erase(flowId_[slot]);
-      --activeCount_;
+  for (auto c = compHead_[root]; c != kNone;) {
+    const auto next = classes_.next(c);  // c is unlinked if it empties
+    auto& heap = classes_.heap(c);
+    const double served = classes_.served(c);
+    while (!heap.empty() && heap.front().target - served <= kRemainderEpsMiB) {
+      const auto slot = heap.front().slot;
+      heapErase(c, 0);
       // Callbacks are deferred to the drain list: an onComplete that starts
       // new flows (the IOR segment chain does) must not mutate component
       // lists while this sweep walks them.
       drain_.push_back(DrainEntry{FlowStats{FlowId{flowId_[slot]}, flowStart_[slot], t,
                                             flowBytes_[slot]},
                                   std::move(flowOnComplete_[slot])});
-      freeFlowSlot(slot);
-    } else {
-      prev = slot;
+      retireFlow(root, slot);
     }
-    slot = next;
+    c = next;
   }
 }
 
@@ -656,9 +686,13 @@ void FluidSimulator::resolveNow() {
     ++i;
   }
 
-  // 2. Run the deferred completion callbacks.  These may start new flows
-  //    (which merge/dirty components and queue another +0 resolve -- that one
-  //    will find everything clean) or invalidate capacities.
+  // 2. Run the deferred completion callbacks, in ascending flow id.  These
+  //    may start new flows (which merge/dirty components and queue another
+  //    +0 resolve -- that one will find everything clean) or invalidate
+  //    capacities.
+  std::sort(drain_.begin(), drain_.end(), [](const DrainEntry& a, const DrainEntry& b) {
+    return a.stats.id.value < b.stats.id.value;
+  });
   for (auto& entry : drain_) {
     if (observer_ != nullptr) observer_->onFlowCompleted(entry.stats);
     if (entry.onComplete) entry.onComplete(entry.stats);
@@ -719,9 +753,9 @@ void FluidSimulator::resolveNow() {
 
   // 5. Re-solve each dirty component in isolation (max-min decomposes
   //    exactly over connected components), one solver slot per flow class:
-  //    the component's classes are collected by walking its flows, solved
-  //    with their member counts as multiplicities, and each class rate is
-  //    copied back to its members.  A component whose dirtiness is
+  //    the component's class list is solved with member counts as
+  //    multiplicities, and each class's earliest member (its heap top) gives
+  //    the class's completion horizon.  A component whose dirtiness is
   //    purely capacity drift bounded by ε may be *deferred*: weighted
   //    max-min rates are 1-Lipschitz in each capacity and subadditive across
   //    changes, so Σ|Δcapacity| bounds every flow's rate movement.  Skipped
@@ -753,25 +787,25 @@ void FluidSimulator::resolveNow() {
     }
     advanceComponent(r, t);
     subsetClasses_.clear();
-    ++subsetEpoch_;
-    for (auto slot = compHead_[r]; slot != kNone; slot = flowNext_[slot]) {
-      if (classes_.claim(flowClass_[slot], subsetEpoch_)) {
-        subsetClasses_.push_back(flowClass_[slot]);
-      }
-    }
+    for (auto c = compHead_[r]; c != kNone; c = classes_.next(c)) subsetClasses_.push_back(c);
     solverIterations_ +=
         referenceSolver_
             ? workspace_.solveSubsetReference(view, subsetClasses_, classes_.rates())
             : workspace_.solveSubset(view, subsetClasses_, classes_.rates());
     solvedCount += compFlowCount_[r];
     double horizon = kInf;
-    for (auto slot = compHead_[r]; slot != kNone; slot = flowNext_[slot]) {
-      const double rate = classes_.rate(flowClass_[slot]);
-      flowRate_[slot] = rate;
-      if (rate > 0.0) horizon = std::min(horizon, flowRemaining_[slot] / rate);
+    for (const auto c : subsetClasses_) {
+      const double rate = classes_.rate(c);
+      const auto& heap = classes_.heap(c);
+      classes_.solvedBelow(c) = nextFlowId_;
+      if (rate > 0.0) {
+        horizon = std::min(horizon, std::max(0.0, heap.front().target - classes_.served(c)) / rate);
+      }
       if (record) {
-        solvedIds_.push_back(FlowId{flowId_[slot]});
-        solvedRates_.push_back(rate);
+        for (const auto& m : heap) {
+          solvedIds_.push_back(FlowId{m.id});
+          solvedRates_.push_back(rate);
+        }
       }
     }
     compNextCompletion_[r] = std::isfinite(horizon) ? t + horizon : kInf;
@@ -849,24 +883,35 @@ void FluidSimulator::runSolverCheck() {
   }
   BEESIM_ASSERT(checkSlots_.size() == activeCount_,
                 "solver check: live-slot count disagrees with activeFlows()");
-  // Every class's member count must equal the live flows pointing at it.
+  // Every class's member count and heap must match the live flows pointing
+  // at it, and every class must sit in its own component's class list.
   std::sort(classCheck.begin(), classCheck.end());
   std::size_t distinct = 0;
   for (std::size_t i = 0; i < classCheck.size();) {
     std::size_t j = i;
     while (j < classCheck.size() && classCheck[j] == classCheck[i]) ++j;
-    BEESIM_ASSERT(classes_.members(classCheck[i]) == j - i,
+    BEESIM_ASSERT(classes_.members(classCheck[i]) == j - i &&
+                      classes_.heap(classCheck[i]).size() == j - i,
                   "solver check: stale flow-class member count");
     ++distinct;
     i = j;
   }
   BEESIM_ASSERT(distinct == classes_.size(), "solver check: stale flow-class table");
   std::size_t compTotal = 0;
+  std::size_t listedClasses = 0;
   for (const auto r : activeRoots_) {
-    if (findRoot(r) == r) compTotal += compFlowCount_[r];
+    if (findRoot(r) != r) continue;
+    compTotal += compFlowCount_[r];
+    for (auto c = compHead_[r]; c != kNone; c = classes_.next(c)) {
+      BEESIM_ASSERT(findRoot(classes_.firstResource(c)) == r,
+                    "solver check: flow class listed in a foreign component");
+      ++listedClasses;
+    }
   }
   BEESIM_ASSERT(compTotal == activeCount_,
                 "solver check: component flow counts disagree with activeFlows()");
+  BEESIM_ASSERT(listedClasses == classes_.size(),
+                "solver check: component class lists disagree with the class table");
   for (std::uint32_t r = 0; r < resources_.size(); ++r) {
     BEESIM_ASSERT(countCheck[r] == resFlowCount_[r],
                   "solver check: stale flow count on " + resources_[r].name);
@@ -875,7 +920,7 @@ void FluidSimulator::runSolverCheck() {
                   "solver check: stale queue depth on " + resources_[r].name);
   }
 
-  checkRates_.resize(flowRate_.size());
+  checkRates_.resize(flowId_.size());
   const SolverView view{resCapacity_, adjacencyArena_, pathOffset_,
                         pathLen_,     flowWeight_,     flowRateCap_};
   // The scratch solve is per flow (no classes, no multiplicities) on the
@@ -884,15 +929,47 @@ void FluidSimulator::runSolverCheck() {
   // maintained rates may lag the exact solution by up to the configured
   // bound, so the tolerance widens by ε.
   checkWorkspace_.solveSubsetReference(view, checkSlots_, checkRates_);
+  const SimTime t = engine_.now();
+  checkId_.resize(flowId_.size(), 0);
+  checkRemaining_.resize(flowId_.size(), 0.0);
+  checkRate_.resize(flowId_.size(), 0.0);
   for (const auto slot : checkSlots_) {
+    const FlowId id{flowId_[slot]};
     const double expect = checkRates_[slot];
-    const double got = flowRate_[slot];
+    const double got = flowRate(id);
     BEESIM_ASSERT(std::abs(got - expect) <=
                       1e-9 * std::max(1.0, std::abs(expect)) + epsilon_,
                   "solver check: incremental rate diverged for flow #" +
-                      std::to_string(flowId_[slot]) + " (" + std::to_string(got) +
+                      std::to_string(id.value) + " (" + std::to_string(got) +
                       " vs " + std::to_string(expect) + ")");
+
+    // Progress: the class counters must agree with a per-flow integration of
+    // the rates each previous check read.  Every start queues a resolve at
+    // its own instant, so a flow this check has not seen started now and has
+    // made no progress -- unless the check was off until now, in which case
+    // its shadow starts from the maintained value.
+    // Components bank progress lazily, so a clean one is extrapolated to now
+    // the way its next advance will do it (without mutating it).
+    const auto c = flowClass_[slot];
+    const double pending =
+        classes_.rate(c) * (t - compLastProgress_[findRoot(classes_.firstResource(c))]);
+    const double remaining =
+        classes_.heap(c)[flowHeapPos_[slot]].target - (classes_.served(c) + pending);
+    const double sizeMiB = util::toMiB(flowBytes_[slot]);
+    if (checkId_[slot] != id.value) {
+      checkId_[slot] = id.value;
+      checkRemaining_[slot] = flowStart_[slot] == t ? sizeMiB : remaining;
+    } else {
+      checkRemaining_[slot] =
+          std::max(0.0, checkRemaining_[slot] - checkRate_[slot] * (t - checkTime_));
+    }
+    checkRate_[slot] = got;
+    BEESIM_ASSERT(std::abs(remaining - checkRemaining_[slot]) <= 1e-9 * std::max(1.0, sizeMiB),
+                  "solver check: class progress diverged for flow #" +
+                      std::to_string(id.value) + " (" + std::to_string(remaining) +
+                      " MiB left vs " + std::to_string(checkRemaining_[slot]) + ")");
   }
+  checkTime_ = t;
 }
 
 void FluidSimulator::run() {

@@ -43,13 +43,21 @@
 // of one node writing to the same targets, say -- always receive identical
 // max-min rates, so the simulator groups them into classes as they start and
 // leave, and the solver fills each class once with its member count as the
-// multiplicity.  The class rate is then copied back to every member, whose
-// remaining bytes and completion horizon stay per flow.
+// multiplicity.  Progress is per class too: a class counts the MiB it has
+// served each member since it was created, and keeps its members in a
+// min-heap keyed by target = served-at-join + size.  A member's remaining
+// bytes are target - served, so advancing, settling completions, and finding
+// the next completion cost O(classes) per component, not O(flows); each
+// component keeps an intrusive list of its classes.  Flows finishing at the
+// same instant complete in ascending flow id.  Per-flow rates are expanded
+// only for an attached observer (grouped by class, in component solve order).
 //
 // Setting BEESIM_SOLVER_CHECK=1 (or setSolverCheck(true)) turns on a
 // differential mode that re-solves every resolve from scratch over all live
 // flows, one solver slot per flow (no classes), and asserts the incremental
-// rates match to 1e-9 relative.
+// rates match to 1e-9 relative; it also integrates every flow's remaining
+// MiB per flow from the rates it checked and asserts the class progress
+// agrees to 1e-9 of the flow size.
 #pragma once
 
 #include <cstdint>
@@ -183,7 +191,8 @@ class FluidSimulator {
   /// Schedule a flow to start at a later virtual time.
   void startFlowAt(SimTime at, FlowSpec spec);
 
-  /// Current max-min rate of an active flow (0 if finished/unknown).
+  /// Current max-min rate of an active flow (0 if finished/unknown, and 0
+  /// until the flow's class has been re-solved after the flow joined).
   util::MiBps flowRate(FlowId id) const;
 
   /// Whether a flow is still in the system (started and not yet finished or
@@ -252,7 +261,8 @@ class FluidSimulator {
   /// Enable/disable the differential solver check (also via the
   /// BEESIM_SOLVER_CHECK environment variable): every resolve additionally
   /// re-solves all live flows from scratch, one solver slot per flow, and
-  /// asserts the incremental class rates match to 1e-9 relative, and that
+  /// asserts the incremental class rates match to 1e-9 relative, that the
+  /// class progress matches a per-flow integration of those rates, and that
   /// the incremental load and class accounting agrees with an exact recount.
   void setSolverCheck(bool enabled) { solverCheck_ = enabled; }
 
@@ -295,26 +305,45 @@ class FluidSimulator {
     std::size_t size_ = 0;
   };
 
+  /// One member of a class's min-heap.  It completes once the class has
+  /// served `target` MiB (its served counter at join time plus its size).
+  struct Member {
+    double target;
+    std::uint64_t id;
+    std::uint32_t slot;
+  };
+
   /// Flow-class table: open-addressed (path, weight bits, cap bits) -> class
-  /// slot map with per-class member counts.  Class slots are recycled
-  /// through a free list and their path regions reused, so a steady flow
-  /// population allocates nothing.  The per-class arrays form the solver
-  /// view (multiplicity = member count).
+  /// slot map with per-class member counts, progress and member heaps.  Class
+  /// slots are recycled through a free list and their path regions and heap
+  /// storage reused, so a steady flow population allocates nothing.  The
+  /// per-class arrays form the solver view (multiplicity = member count).
   class ClassTable {
    public:
     /// Count one flow into the class of its key, creating the class on first
-    /// use.  Returns the class slot.
+    /// use (served 0, rate 0, empty heap, unlinked).  Returns the class slot.
     std::uint32_t join(const std::uint32_t* path, std::uint32_t len, double weight,
                        double rateCap);
     /// Count one member out; an emptied class is erased and its slot freed.
-    void leave(std::uint32_t c);
+    /// Returns true when the class emptied.
+    bool leave(std::uint32_t c);
     std::size_t size() const { return size_; }
     std::uint32_t members(std::uint32_t c) const { return members_[c]; }
-    /// True the first time it is called for `c` with this `epoch`.
-    bool claim(std::uint32_t c, std::uint64_t epoch);
+    /// First resource of the class path (locates its component).
+    std::uint32_t firstResource(std::uint32_t c) const { return adjacency_[adjOffset_[c]]; }
     SolverView view(std::span<const double> capacity) const;
     std::span<double> rates() { return rate_; }
     double rate(std::uint32_t c) const { return rate_[c]; }
+    /// MiB delivered to each member since the class was created.
+    double& served(std::uint32_t c) { return served_[c]; }
+    /// Members ordered by (target, id); heap(c).front() completes first.
+    std::vector<Member>& heap(std::uint32_t c) { return heap_[c]; }
+    /// Flow ids below this had joined when the class was last solved.
+    std::uint64_t& solvedBelow(std::uint32_t c) { return solvedBelow_[c]; }
+    std::uint64_t solvedBelow(std::uint32_t c) const { return solvedBelow_[c]; }
+    /// Intrusive links of the owning component's class list.
+    std::uint32_t& next(std::uint32_t c) { return next_[c]; }
+    std::uint32_t& prev(std::uint32_t c) { return prev_[c]; }
 
    private:
     bool matches(std::uint32_t c, std::uint64_t hash, const std::uint32_t* path,
@@ -333,7 +362,11 @@ class FluidSimulator {
     std::vector<std::uint32_t> adjLen_;
     std::vector<std::uint32_t> adjCap_;
     std::vector<double> rate_;
-    std::vector<std::uint64_t> epoch_;
+    std::vector<double> served_;
+    std::vector<std::vector<Member>> heap_;
+    std::vector<std::uint64_t> solvedBelow_;
+    std::vector<std::uint32_t> next_;
+    std::vector<std::uint32_t> prev_;
     std::vector<std::uint32_t> adjacency_;
     std::vector<std::uint32_t> freeSlots_;
   };
@@ -355,12 +388,19 @@ class FluidSimulator {
   void listComponent(std::uint32_t root);
   void resetComponents();
 
-  /// Bank progress of one component's flows up to `t` at the current rates.
+  /// Bank progress of one component's classes up to `t` at the current rates.
   void advanceComponent(std::uint32_t root, SimTime t);
   /// Advance to `t` and move finished flows out of the component into
   /// drain_ (bookkeeping updated; callbacks NOT yet run).
   void settleComponent(std::uint32_t root, SimTime t);
-  void removeFlowLoad(std::uint32_t slot);
+  /// Take a flow (already out of its class heap) out of the resource loads,
+  /// its class, its component and the id map, and free its slot.
+  void retireFlow(std::uint32_t root, std::uint32_t slot);
+
+  // Class member heaps; every move keeps flowHeapPos_ current.
+  /// Sift `m` from `pos` (a hole) to its place in `heap`.
+  void heapPlace(std::vector<Member>& heap, std::uint32_t pos, Member m);
+  void heapErase(std::uint32_t c, std::uint32_t pos);
 
   void scheduleResolve();
   void resolveNow();
@@ -386,7 +426,7 @@ class FluidSimulator {
   std::vector<std::uint32_t> loadedRes_;
 
   // --- Per-component state (indexed by union-find root resource) ---
-  std::vector<std::uint32_t> compHead_;  // intrusive flow-slot list
+  std::vector<std::uint32_t> compHead_;  // intrusive class list
   std::vector<std::uint32_t> compTail_;
   std::vector<std::uint32_t> compFlowCount_;
   std::vector<SimTime> compLastProgress_;
@@ -400,15 +440,13 @@ class FluidSimulator {
 
   // --- Per-flow state (slot-indexed; id 0 marks a free slot) ---
   std::vector<std::uint64_t> flowId_;
-  std::vector<double> flowRemaining_;  // MiB
   std::vector<double> flowWeight_;
   std::vector<double> flowRateCap_;
-  std::vector<double> flowRate_;
   std::vector<SimTime> flowStart_;
   std::vector<util::Bytes> flowBytes_;
   std::vector<std::function<void(const FlowStats&)>> flowOnComplete_;
-  std::vector<std::uint32_t> flowNext_;  // next slot in the component list
   std::vector<std::uint32_t> flowClass_;
+  std::vector<std::uint32_t> flowHeapPos_;  // index in its class heap
   std::vector<std::uint32_t> pathOffset_;
   std::vector<std::uint32_t> pathLen_;
   std::vector<std::uint32_t> pathCap_;
@@ -421,13 +459,19 @@ class FluidSimulator {
   // --- Resolve scratch (reused; no steady-state allocations) ---
   SolverWorkspace workspace_;
   std::vector<std::uint32_t> subsetClasses_;
-  std::uint64_t subsetEpoch_ = 0;
   std::vector<FlowId> solvedIds_;
   std::vector<util::MiBps> solvedRates_;
   std::vector<DrainEntry> drain_;
   SolverWorkspace checkWorkspace_;
   std::vector<double> checkRates_;
   std::vector<std::uint32_t> checkSlots_;
+  // Solver-check progress shadow, per flow slot: remaining MiB integrated
+  // per flow from the rate the previous check read (checkId_ names the flow
+  // the shadow belongs to).
+  std::vector<std::uint64_t> checkId_;
+  std::vector<double> checkRemaining_;
+  std::vector<double> checkRate_;
+  SimTime checkTime_ = 0.0;
 
   std::size_t activeCount_ = 0;
   std::uint64_t nextFlowId_ = 1;

@@ -35,9 +35,9 @@
 
 #include <filesystem>
 #include <functional>
-#include <map>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/fluid.hpp"
@@ -169,12 +169,13 @@ class FlowTracer final : public FluidObserver {
 
   FluidSimulator& fluid_;
   std::vector<TraceEvent> events_;
-  /// Flow -> (path, current rate); alive flows only.
+  /// Flow -> (path, current rate); alive flows only.  Looked up, inserted,
+  /// erased and sized, never iterated, so hash order cannot leak into output.
   struct LiveFlow {
     std::vector<ResourceIndex> path;
     util::MiBps rate = 0.0;
   };
-  std::map<std::uint64_t, LiveFlow> live_;
+  std::unordered_map<std::uint64_t, LiveFlow> live_;
 
   // Per-resource accounting, sized from fluid_.resourceCount() at attach
   // time (and grown if resources are added later).  resourceRate_ and

@@ -434,7 +434,10 @@ TEST(FailSlowHedge, GrayRunHedgeDecisionsArePinned) {
     EXPECT_EQ(hedge.hedgeWins, pin.hedge.hedgeWins) << "seed=" << pin.seed;
     EXPECT_EQ(hedge.primaryWins, pin.hedge.primaryWins) << "seed=" << pin.seed;
     EXPECT_EQ(hedge.bytesHedged, pin.hedge.bytesHedged) << "seed=" << pin.seed;
-    EXPECT_EQ(record.ior.bandwidth, pin.bandwidth) << "seed=" << pin.seed;
+    // Floating-point reassociation in the fluid core may move the bandwidth
+    // by a few ULP; the tolerance contract is 1e-9 relative.
+    EXPECT_NEAR(record.ior.bandwidth, pin.bandwidth, 1e-9 * pin.bandwidth)
+        << "seed=" << pin.seed;
   }
 }
 

@@ -5,6 +5,7 @@
 // guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -13,9 +14,11 @@
 #include <iterator>
 #include <map>
 #include <new>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/fluid.hpp"
@@ -597,6 +600,171 @@ TEST(FlowClasses, DifferingWeightCapOrPathOrderNeverShare) {
   EXPECT_NEAR(fluid.flowRate(f1), 90.0 / 7.0, 1e-6);
   EXPECT_NEAR(fluid.flowRate(reversed), 90.0 / 7.0, 1e-6);
   fluid.run();
+  EXPECT_EQ(fluid.flowClassCount(), 0u);
+}
+
+TEST(FlowClasses, UnequalMembersCompleteInSizeOrderAtAnalyticTimes) {
+  // One class, four members of 40/30/20/10 MiB on a 100 MiB/s link, started
+  // largest first: each completion raises the survivors' equal share, so the
+  // members finish smallest first at t = 0.4, 0.7, 0.9, 1.0.
+  FluidSimulator fluid;
+  fluid.setSolverCheck(true);
+  const auto link = addLink(fluid, "link", 100.0);
+  std::vector<std::pair<std::uint64_t, double>> done;
+  std::vector<FlowId> ids;
+  for (const util::Bytes mib : {40u, 30u, 20u, 10u}) {
+    ids.push_back(fluid.startFlow(FlowSpec{
+        .path = {link}, .bytes = mib * 1_MiB, .queueWeight = 1.0, .rateCap = 0.0,
+        .onComplete = [&done](const FlowStats& s) { done.emplace_back(s.id.value, s.endTime); }}));
+  }
+  EXPECT_EQ(fluid.flowClassCount(), 1u);
+  fluid.run();
+  ASSERT_EQ(done.size(), 4u);
+  const double expectEnd[] = {0.4, 0.7, 0.9, 1.0};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(done[i].first, ids[3 - i].value) << "completion " << i;
+    EXPECT_NEAR(done[i].second, expectEnd[i], 1e-12) << "completion " << i;
+  }
+}
+
+TEST(FlowClasses, CancelMidClassReturnsExactRemainingBytes) {
+  // Two 100 MiB members share 96 MiB/s (48 each); at t = 0.25 the class has
+  // served 12 MiB and a 64 MiB member joins (target 76).  Three members get
+  // 32 each, so at t = 0.75 the class has served 28: the late member has
+  // 48 MiB left, an original one 72.  A member cancelled at the instant it
+  // joins gets every byte back, odd sizes included.
+  FluidSimulator fluid;
+  fluid.setSolverCheck(true);
+  const auto link = addLink(fluid, "link", 96.0);
+  const auto spec = [&](util::Bytes bytes) {
+    return FlowSpec{.path = {link}, .bytes = bytes, .queueWeight = 1.0, .rateCap = 0.0,
+                    .onComplete = nullptr};
+  };
+  const auto a = fluid.startFlow(spec(100_MiB));
+  fluid.startFlow(spec(100_MiB));
+  fluid.engine().runUntil(0.25);
+  const auto late = fluid.startFlow(spec(64_MiB));
+  fluid.engine().runUntil(0.75);
+  EXPECT_EQ(fluid.flowRate(late), 32.0);
+  EXPECT_EQ(fluid.cancelFlow(late), std::optional<util::Bytes>(48_MiB));
+  EXPECT_EQ(fluid.cancelFlow(a), std::optional<util::Bytes>(72_MiB));
+  const util::Bytes odd = 5_MiB + 3;
+  const auto instant = fluid.startFlow(spec(odd));
+  EXPECT_EQ(fluid.cancelFlow(instant), std::optional<util::Bytes>(odd));
+  EXPECT_EQ(fluid.cancelFlow(instant), std::nullopt);
+  fluid.run();
+  EXPECT_EQ(fluid.flowClassCount(), 0u);
+}
+
+TEST(FlowClasses, MemberJoiningAfterTheLastSolveHasNoRateYet) {
+  // The class already has a rate when a second member joins, but the new
+  // member reads 0 until the class is re-solved with it (the incumbent keeps
+  // its rate until then).
+  FluidSimulator fluid;
+  fluid.setSolverCheck(true);
+  const auto link = addLink(fluid, "link", 100.0);
+  const auto spec = [&] {
+    return FlowSpec{.path = {link}, .bytes = 1_GiB, .queueWeight = 1.0, .rateCap = 0.0,
+                    .onComplete = nullptr};
+  };
+  const auto first = fluid.startFlow(spec());
+  fluid.engine().runUntil(0.5);
+  EXPECT_EQ(fluid.flowRate(first), 100.0);
+  const auto second = fluid.startFlow(spec());
+  EXPECT_EQ(fluid.flowClassCount(), 1u);
+  EXPECT_EQ(fluid.flowRate(second), 0.0);
+  EXPECT_EQ(fluid.flowRate(first), 100.0);
+  fluid.engine().runUntil(0.5);  // the resolve queued by the start
+  EXPECT_EQ(fluid.flowRate(second), 50.0);
+  EXPECT_EQ(fluid.flowRate(first), 50.0);
+  fluid.run();
+}
+
+TEST(FlowClasses, ReusedClassSlotRestartsServed) {
+  // A 2^30 MiB flow drains a class at 2^30 MiB/s; its completion callback
+  // starts a 1 MiB flow of another class through a 1 MiB/s link, which
+  // reuses the freed class slot.  The periodic 0.1 s resolves bank inexact
+  // increments: on a served counter left at 2^30 (ULP 2.4e-7 MiB) they would
+  // move the completion by ~1e-7 s, on a restarted one they stay exact.
+  FluidSimulator fluid;
+  fluid.setSolverCheck(true);
+  fluid.setResolveInterval(0.1);
+  const auto fast = addLink(fluid, "fast", 1073741824.0);
+  const auto slow = addLink(fluid, "slow", 1.0);
+  std::optional<FlowStats> small;
+  fluid.startFlow(FlowSpec{.path = {fast}, .bytes = util::Bytes{1} << 50, .queueWeight = 1.0,
+                           .rateCap = 0.0, .onComplete = [&](const FlowStats&) {
+                             EXPECT_EQ(fluid.flowClassCount(), 0u);
+                             fluid.startFlow(FlowSpec{
+                                 .path = {fast, slow}, .bytes = 1_MiB, .queueWeight = 1.0,
+                                 .rateCap = 0.0,
+                                 .onComplete = [&](const FlowStats& s) { small = s; }});
+                           }});
+  fluid.run();
+  ASSERT_TRUE(small.has_value());
+  EXPECT_NEAR(small->endTime - small->startTime, 1.0, 1e-12);
+}
+
+TEST(FlowClasses, SimultaneousCrossClassBatchDrainsInAscendingId) {
+  // Flows #2 (class B) and #3 (class A, listed first in the component) both
+  // have 20 MiB at the same rate, so they finish in one resolve; callbacks
+  // run in ascending flow id, not in class-list order.
+  FluidSimulator fluid;
+  fluid.setSolverCheck(true);
+  const auto link = addLink(fluid, "link", 100.0);
+  const auto wide = addLink(fluid, "wide", 1000.0);
+  std::vector<std::uint64_t> order;
+  std::vector<double> ends;
+  const auto start = [&](std::vector<ResourceIndex> path, util::Bytes bytes) {
+    return fluid.startFlow(FlowSpec{.path = std::move(path), .bytes = bytes,
+                                    .queueWeight = 1.0, .rateCap = 0.0,
+                                    .onComplete = [&](const FlowStats& s) {
+                                      order.push_back(s.id.value);
+                                      ends.push_back(s.endTime);
+                                    }});
+  };
+  EXPECT_EQ(start({link}, 30_MiB).value, 1u);
+  EXPECT_EQ(start({link, wide}, 20_MiB).value, 2u);
+  EXPECT_EQ(start({link}, 20_MiB).value, 3u);
+  EXPECT_EQ(fluid.flowClassCount(), 2u);
+  fluid.run();
+  ASSERT_EQ(order, (std::vector<std::uint64_t>{2, 3, 1}));
+  EXPECT_EQ(ends[0], ends[1]);
+  EXPECT_NEAR(ends[0], 0.6, 1e-12);
+}
+
+TEST(FlowClasses, LongLivedClassKeepsChainedCompletionTimesExact) {
+  // A class kept alive for 10^4 chained 1 MiB members (each completion
+  // starts the next) beside one long member: every member gets 50 of the
+  // 100 MiB/s, so member k ends at 0.02 k even though the class's served
+  // counter has grown to 10^4 MiB by the end.
+  FluidSimulator fluid;
+  const auto link = addLink(fluid, "link", 100.0);
+  constexpr std::size_t kChain = 10000;
+  const auto anchor = fluid.startFlow(FlowSpec{.path = {link}, .bytes = 1_TiB,
+                                               .queueWeight = 1.0, .rateCap = 0.0,
+                                               .onComplete = nullptr});
+  std::size_t finished = 0;
+  double worst = 0.0;
+  std::function<void(const FlowStats&)> next;
+  const auto launch = [&] {
+    fluid.startFlow(FlowSpec{.path = {link}, .bytes = 1_MiB, .queueWeight = 1.0,
+                             .rateCap = 0.0, .onComplete = next});
+  };
+  next = [&](const FlowStats& s) {
+    ++finished;
+    const double expect = 0.02 * static_cast<double>(finished);
+    worst = std::max(worst, std::abs(s.endTime - expect) / expect);
+    if (finished < kChain) {
+      launch();
+    } else {
+      fluid.cancelFlow(anchor);
+    }
+  };
+  launch();
+  fluid.run();
+  EXPECT_EQ(finished, kChain);
+  EXPECT_LE(worst, 1e-9);
   EXPECT_EQ(fluid.flowClassCount(), 0u);
 }
 
