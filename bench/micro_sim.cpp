@@ -311,13 +311,12 @@ void writeFluidCoreBench() {
             << "x, shared " << sharedHeadline << "x)\n";
 }
 
-// --- Cluster-scale fluid bench: SoA solver, ε-deferral, trace sinks ----
+// --- Cluster-scale fluid bench: ε-deferral, trace sinks -----------------
 //
 // The scale campaign behind results/BENCH_fluid_scale.json.  Three parts:
 //
-//   * a 10k-flow / 1k-resource wobbling-capacity scenario timed on three
-//     solver legs -- the scalar reference walk (the pre-SoA incremental
-//     path), the SoA fast path at ε=0, and SoA with ε-bounded deferral;
+//   * a 10k-flow / 1k-resource wobbling-capacity scenario timed on two
+//     solver legs -- the exact path (ε=0) and ε-bounded deferral;
 //   * the same scenario untraced vs FlowTracer vs RingTraceSink, measuring
 //     tracing overhead as a percentage of untraced wall time;
 //   * a paper-topology campaign scaled ~1000x in rank count (the paper's
@@ -331,7 +330,7 @@ void writeFluidCoreBench() {
 //                          (override with BEESIM_SCALE_JSON).
 //
 // The guard (BEESIM_BENCH_BASELINE=<committed json>) compares *relative*
-// metrics -- the ε-leg's speedup over the in-process reference leg and the
+// metrics -- the ε-leg's speedup over the in-process exact leg and the
 // ring sink's overhead percentage -- so it is meaningful across hosts of
 // different absolute speed.  It fails (exit 1) when the current speedup
 // falls more than BEESIM_BENCH_GUARD_PCT (default 20) percent below the
@@ -362,10 +361,9 @@ struct ScaleLeg {
 /// every capacity wobbles each resolve tick, so at ε=0 every component
 /// re-solves on every tick (the worst case the ε bound exists to avoid).
 template <typename Attach>
-ScaleLeg runScaleLeg(const ScaleShape& shape, bool reference, double epsilon,
-                     double simWindow, Attach&& attach) {
+ScaleLeg runScaleLeg(const ScaleShape& shape, double epsilon, double simWindow,
+                     Attach&& attach) {
   sim::FluidSimulator fluid;
-  fluid.setReferenceSolver(reference);
   if (epsilon > 0.0) fluid.setSolverEpsilon(epsilon);
   fluid.setResolveInterval(0.01);
   std::vector<sim::ResourceIndex> links;
@@ -446,13 +444,11 @@ std::vector<ScaleLeg> bestScaleLegs(
 util::JsonValue benchScaleSolver(const ScaleShape& shape, double epsilon,
                                  double simWindow, double* speedupOut) {
   const auto legs = bestScaleLegs({
-      [&] { return runScaleLeg(shape, true, 0.0, simWindow, NoObserver{}); },
-      [&] { return runScaleLeg(shape, false, 0.0, simWindow, NoObserver{}); },
-      [&] { return runScaleLeg(shape, false, epsilon, simWindow, NoObserver{}); },
+      [&] { return runScaleLeg(shape, 0.0, simWindow, NoObserver{}); },
+      [&] { return runScaleLeg(shape, epsilon, simWindow, NoObserver{}); },
   });
-  const ScaleLeg& reference = legs[0];
-  const ScaleLeg& soa = legs[1];
-  const ScaleLeg& eps = legs[2];
+  const ScaleLeg& exact = legs[0];
+  const ScaleLeg& eps = legs[1];
 
   util::JsonObject entry;
   entry["name"] = "scale_" + std::to_string(shape.apps * shape.flowsPerApp) + "f_" +
@@ -461,15 +457,12 @@ util::JsonValue benchScaleSolver(const ScaleShape& shape, double epsilon,
   entry["resources"] = static_cast<double>(shape.apps * shape.resPerApp);
   entry["components"] = static_cast<double>(shape.apps);
   entry["epsilon_mibps"] = epsilon;
-  entry["reference_resolves_per_s"] = reference.resolvesPerS;
-  entry["reference_events_per_s"] = reference.eventsPerS;
-  entry["soa_resolves_per_s"] = soa.resolvesPerS;
-  entry["soa_events_per_s"] = soa.eventsPerS;
-  entry["soa_speedup"] = reference.wallPerSimSecond / soa.wallPerSimSecond;
+  entry["exact_resolves_per_s"] = exact.resolvesPerS;
+  entry["exact_events_per_s"] = exact.eventsPerS;
   entry["eps_resolves_per_s"] = eps.resolvesPerS;
   entry["eps_events_per_s"] = eps.eventsPerS;
   entry["eps_deferred_component_solves"] = static_cast<double>(eps.deferred);
-  const double speedup = reference.wallPerSimSecond / eps.wallPerSimSecond;
+  const double speedup = exact.wallPerSimSecond / eps.wallPerSimSecond;
   entry["eps_speedup"] = speedup;
   if (speedupOut != nullptr) *speedupOut = speedup;
   return util::JsonValue(std::move(entry));
@@ -477,18 +470,18 @@ util::JsonValue benchScaleSolver(const ScaleShape& shape, double epsilon,
 
 util::JsonValue benchScaleTracing(const ScaleShape& shape, double simWindow,
                                   double* ringOverheadOut) {
-  // All three legs run the exact (ε=0, SoA) path; only the attached observer
+  // All three legs run the exact (ε=0) path; only the attached observer
   // differs, so the wall-time delta is tracing cost alone.
   std::uint64_t ringRecorded = 0;
   const auto legs = bestScaleLegs({
-      [&] { return runScaleLeg(shape, false, 0.0, simWindow, NoObserver{}); },
+      [&] { return runScaleLeg(shape, 0.0, simWindow, NoObserver{}); },
       [&] {
-        return runScaleLeg(shape, false, 0.0, simWindow, [](sim::FluidSimulator& f) {
+        return runScaleLeg(shape, 0.0, simWindow, [](sim::FluidSimulator& f) {
           return std::make_unique<sim::FlowTracer>(f);
         });
       },
       [&] {
-        return runScaleLeg(shape, false, 0.0, simWindow, [&](sim::FluidSimulator& f) {
+        return runScaleLeg(shape, 0.0, simWindow, [&](sim::FluidSimulator& f) {
           struct Hold {
             sim::RingTraceSink sink;
             std::uint64_t* recorded;
@@ -603,7 +596,7 @@ int runScaleBench(bool smoke, bool quick) {
     std::cout << "fluid-scale campaign written to " << path << "\n";
   }
   std::cout << "fluid-scale: eps-leg speedup " << scaleSpeedup
-            << "x over reference, ring tracing overhead " << ringOverheadPct
+            << "x over exact, ring tracing overhead " << ringOverheadPct
             << "% (full tracer "
             << util::JsonValue(doc).at("tracing").at("full_tracer_overhead_pct").asNumber()
             << "%)\n";

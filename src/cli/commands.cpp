@@ -239,8 +239,6 @@ void rejectUnknownFlags(const Args& args) {
 
 int cmdDescribe(const Args& args, std::ostream& out) {
   const auto cluster = resolveCluster(args);
-  const auto seed = args.getInt("seed", 2022);
-  (void)seed;
   rejectUnknownFlags(args);
 
   out << "cluster: " << cluster.name << "\n";
@@ -334,6 +332,11 @@ int cmdRun(const Args& args, std::ostream& out) {
   trace.traceRing = traceFormat == "ring";
   if (args.get("trace-format") && trace.traceJsonl.empty() && trace.traceChrome.empty()) {
     throw util::ConfigError("--trace-format requires --trace and/or --trace-out");
+  }
+  // Only the metrics CSV and the full-format Chrome trace carry samples.
+  if (args.get("metrics-dt") && trace.metricsCsv.empty() &&
+      (trace.traceChrome.empty() || trace.traceRing)) {
+    throw util::ConfigError("--metrics-dt requires --metrics-out or a full-format --trace-out");
   }
   if (args.get("trace-ring-cap")) {
     if (!trace.traceRing) {
@@ -709,7 +712,8 @@ std::string usage() {
          "\n"
          "shared flags:\n"
          "  --cluster plafrim1|plafrim2|catalyst|FILE.json   (default plafrim2)\n"
-         "  --nodes N --seed S\n"
+         "  --nodes N   compute nodes (default 16)\n"
+         "  --seed S    root RNG seed (run, sweep, concurrent; default 2022)\n"
          "  --jobs N    worker threads for repetitions (default $BEESIM_JOBS, else 1;\n"
          "              0 = all hardware threads; results are identical for any N)\n"
          "  --progress  live status line on stderr (runs done, ETA, slowest config)\n"
@@ -726,7 +730,8 @@ std::string usage() {
          "                            (default 1048576; oldest dropped when full)\n"
          "                --metrics-out FILE.csv  virtual-time metrics series (aggregate\n"
          "                            MiB/s, per-server link MiB/s, link imbalance)\n"
-         "                --metrics-dt S          sampling interval (default 0.1)\n"
+         "                --metrics-dt S          sampling interval (default 0.1; needs\n"
+         "                            --metrics-out or a full-format --trace-out)\n"
          "                --faults \"off:t3@30;on:t3@90;off:h1@60;link:h0@40=0.5;slow:t2@20=0.1\"\n"
          "                            (slow:tN@T=F degrades target N to fraction F of its\n"
          "                            service rate while it stays registered online)\n"

@@ -5,7 +5,7 @@
 //
 //   --cluster plafrim1|plafrim2|catalyst|<file.json>   (default plafrim2)
 //   --nodes N        compute nodes (default 16; overrides the factory size)
-//   --seed S         root RNG seed (default 2022)
+//   --seed S         root RNG seed (run, sweep, concurrent; default 2022)
 //
 // Commands:
 //   describe                      print the topology and analytic bounds

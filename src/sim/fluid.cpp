@@ -788,10 +788,7 @@ void FluidSimulator::resolveNow() {
     advanceComponent(r, t);
     subsetClasses_.clear();
     for (auto c = compHead_[r]; c != kNone; c = classes_.next(c)) subsetClasses_.push_back(c);
-    solverIterations_ +=
-        referenceSolver_
-            ? workspace_.solveSubsetReference(view, subsetClasses_, classes_.rates())
-            : workspace_.solveSubset(view, subsetClasses_, classes_.rates());
+    solverIterations_ += workspace_.solveSubset(view, subsetClasses_, classes_.rates());
     solvedCount += compFlowCount_[r];
     double horizon = kInf;
     for (const auto c : subsetClasses_) {
@@ -923,12 +920,13 @@ void FluidSimulator::runSolverCheck() {
   checkRates_.resize(flowId_.size());
   const SolverView view{resCapacity_, adjacencyArena_, pathOffset_,
                         pathLen_,     flowWeight_,     flowRateCap_};
-  // The scratch solve is per flow (no classes, no multiplicities) on the
-  // scalar reference walk, so it is an independent oracle for both the class
-  // aggregation and the vectorized layout.  With ε-deferral enabled the
-  // maintained rates may lag the exact solution by up to the configured
-  // bound, so the tolerance widens by ε.
-  checkWorkspace_.solveSubsetReference(view, checkSlots_, checkRates_);
+  // The scratch solve is per flow (no classes, no multiplicities) over every
+  // live flow at once, so it is an independent oracle for the class
+  // aggregation, the incremental components, per-class progress and
+  // ε-deferral.  With ε-deferral enabled the maintained rates may lag the
+  // exact solution by up to the configured bound, so the tolerance widens
+  // by ε.
+  checkWorkspace_.solveSubset(view, checkSlots_, checkRates_);
   const SimTime t = engine_.now();
   checkId_.resize(flowId_.size(), 0);
   checkRemaining_.resize(flowId_.size(), 0.0);

@@ -237,12 +237,6 @@ class FluidSimulator {
   /// Resolves skipped under the ε bound (diagnostics / scale bench).
   std::size_t deferredResolves() const { return deferredResolves_; }
 
-  /// Use the scalar reference solver walk instead of the SoA fast path.
-  /// Rates are bit-identical either way (see sim/maxmin.hpp); this exists so
-  /// the scale benchmark can measure the scalar baseline in place.  Both
-  /// walks solve the same flow-class view.
-  void setReferenceSolver(bool enabled) { referenceSolver_ = enabled; }
-
   /// Attach an observer *alongside* any already installed: the first
   /// observer occupies the slot directly (zero fan-out overhead); a second
   /// one promotes the slot to an internally-owned ObserverHub that fans
@@ -478,7 +472,6 @@ class FluidSimulator {
   bool resolvePending_ = false;
   bool pendingAllDirty_ = false;
   bool solverCheck_ = false;
-  bool referenceSolver_ = false;
   double epsilon_ = 0.0;
   Seconds resolveInterval_ = 0.0;
   std::optional<EventId> wakeup_;

@@ -13,11 +13,8 @@
 // dictates completion time); the same abstraction covers storage-side
 // service capacity in Scenario 2.
 //
-// Two entry points:
+// Two entry points over one progressive-filling walk:
 //
-//   * solveMaxMin(resources, flows) -- the original self-contained call,
-//     kept for existing callers and as the reference implementation for the
-//     differential check mode (BEESIM_SOLVER_CHECK).
 //   * SolverWorkspace::solveSubset -- the allocation-free core used by the
 //     fluid simulator's incremental resolver.  The caller owns the problem
 //     in flat CSR-style arrays (one shared adjacency arena, per-flow
@@ -25,17 +22,8 @@
 //     flows (one connected component at a time).  All scratch state lives in
 //     the workspace and is reused across solves, so a steady-state resolve
 //     performs zero heap allocations.
-//
-// Layout: solveSubset compacts the named subset into dense structure-of-
-// arrays vectors (per-flow weight/cap/rate, per-resource residual/active
-// weight, locally renumbered adjacency) so the progressive-filling inner
-// loops -- the delta scan, the uniform increment and the residual update --
-// run branch-free over contiguous memory and auto-vectorize.  The compaction
-// produces bit-identical rates to the scalar reference walk
-// (solveSubsetReference, the pre-SoA implementation kept for differential
-// testing): every floating-point operation is performed on the same values
-// in the same order, frozen flows merely receive `+= delta * 0.0` instead of
-// being skipped.
+//   * solveMaxMin(resources, flows) -- a self-contained call that flattens a
+//     vector-of-structs problem into the CSR view and runs the same walk.
 //
 // Degenerate inputs are well-defined:
 //   * a flow crossing a zero-capacity resource receives rate 0 (it never
@@ -111,18 +99,9 @@ class SolverWorkspace {
   /// The subset must be self-contained (a union of connected components):
   /// rates are computed as if no other flow existed.  Flows crossing a
   /// zero-capacity resource receive rate 0.  Returns the number of filling
-  /// iterations.  This is the SoA fast path; it produces bit-identical
-  /// rates to solveSubsetReference.
+  /// iterations.
   std::size_t solveSubset(const SolverView& view, std::span<const std::uint32_t> flows,
                           std::span<double> rates);
-
-  /// The pre-SoA scalar implementation (gather/scatter through the CSR view
-  /// per iteration).  Kept as the reference for differential tests pinning
-  /// the SoA layout, and as the baseline leg of the scale benchmark.
-  /// Identical contract and bit-identical results.
-  std::size_t solveSubsetReference(const SolverView& view,
-                                   std::span<const std::uint32_t> flows,
-                                   std::span<double> rates);
 
  private:
   void ensureResourceCapacity(std::size_t resourceCount);
@@ -138,32 +117,6 @@ class SolverWorkspace {
   // Compact per-solve lists (reused capacity).
   std::vector<std::uint32_t> touchedRes_;
   std::vector<std::uint32_t> activeFlows_;
-
-  // --- Dense SoA state (solveSubset fast path; reused capacity) ---------
-  // Global resource index -> dense id, valid when resStamp_ == stamp_.
-  std::vector<std::uint32_t> resDense_;
-  // Per dense resource.
-  std::vector<double> rCapacity_;
-  std::vector<double> rResidual_;
-  std::vector<double> rActiveWeight_;
-  std::vector<std::uint32_t> rActiveCount_;
-  std::vector<char> rSaturated_;
-  // Per dense flow.  fActiveW holds the weight while the flow is filling and
-  // exactly 0.0 once frozen (so the increment loop is branch-free); fCapOrInf
-  // holds the rate cap while the flow is filling *and* capped, +inf
-  // otherwise (so the cap scan is branch-free and frozen flows never
-  // re-tighten delta).
-  // fLoad holds multiplicity · weight, the slot's share of each resource.
-  std::vector<std::uint32_t> fSlot_;
-  std::vector<double> fWeight_;
-  std::vector<double> fLoad_;
-  std::vector<double> fActiveW_;
-  std::vector<double> fCapOrInf_;
-  std::vector<double> fRate_;
-  std::vector<std::uint32_t> fAdjOffset_;
-  std::vector<std::uint32_t> fAdjLen_;
-  std::vector<std::uint32_t> denseAdj_;
-  std::vector<std::uint32_t> activeList_;
 };
 
 /// Computes the max-min fair allocation.

@@ -17,6 +17,80 @@ namespace {
 // the epsilon only guards stalled-but-populated resources against
 // floating-point residue being counted as busy time.
 constexpr double kBusyEpsMiBps = 1e-9;
+
+constexpr const char* kChromeHeader =
+    "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+    "\"args\":{\"name\":\"beesim\"}}";
+constexpr const char* kChromeFooter = "\n]}\n";
+
+/// Chrome-trace timestamps are microseconds of *virtual* time.
+std::string chromeTs(SimTime t) { return util::fmt(t * 1e6, 3); }
+
+// Start/complete/cancel lines are rendered the same by FlowTracer and
+// RingTraceSink; only their rate events differ.
+void appendFlowJsonl(std::string& out, const TraceEvent& event) {
+  switch (event.kind) {
+    case TraceEvent::Kind::kStart:
+      out += "{\"ev\":\"start\",\"t\":" + util::fmt(event.time, 6) +
+             ",\"flow\":" + std::to_string(event.flow) +
+             ",\"bytes\":" + std::to_string(event.bytes) + "}\n";
+      break;
+    case TraceEvent::Kind::kComplete:
+      out += "{\"ev\":\"complete\",\"t\":" + util::fmt(event.time, 6) +
+             ",\"flow\":" + std::to_string(event.flow) +
+             ",\"bytes\":" + std::to_string(event.bytes) +
+             ",\"mean_mibps\":" + util::fmt(event.meanRate, 3) + "}\n";
+      break;
+    case TraceEvent::Kind::kCancel:
+      out += "{\"ev\":\"cancel\",\"t\":" + util::fmt(event.time, 6) +
+             ",\"flow\":" + std::to_string(event.flow) +
+             ",\"bytes_left\":" + std::to_string(event.bytes) + "}\n";
+      break;
+    case TraceEvent::Kind::kRates:
+      return;
+  }
+}
+
+void appendFlowChrome(std::string& out, const TraceEvent& event) {
+  std::string args;
+  switch (event.kind) {
+    case TraceEvent::Kind::kStart:
+      args = "\"bytes\":" + std::to_string(event.bytes);
+      break;
+    case TraceEvent::Kind::kComplete:
+      args = "\"mean_mibps\":" + util::fmt(event.meanRate, 3);
+      break;
+    case TraceEvent::Kind::kCancel:
+      args = "\"cancelled\":true,\"bytes_left\":" + std::to_string(event.bytes);
+      break;
+    case TraceEvent::Kind::kRates:
+      return;
+  }
+  const char* phase = event.kind == TraceEvent::Kind::kStart ? "b" : "e";
+  out += ",\n{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"" + std::string(phase) +
+         "\",\"id\":" + std::to_string(event.flow) + ",\"pid\":1,\"tid\":1,\"ts\":" +
+         chromeTs(event.time) + ",\"args\":{" + args + "}}";
+}
+
+/// A ring record's start/complete/cancel event in TraceEvent form.
+TraceEvent flowEvent(const RingRecord& r) {
+  TraceEvent event;
+  event.kind = static_cast<TraceEvent::Kind>(r.kind);
+  event.time = r.time;
+  event.flow = r.flow;
+  event.bytes = r.bytes;
+  event.meanRate = r.value;
+  return event;
+}
+
+void writeFile(const std::filesystem::path& path, const std::string& what,
+               const std::string& text) {
+  std::ofstream out(path);
+  if (!out) throw util::IoError("cannot write " + what + " file: " + path.string());
+  out << text;
+  if (!out) throw util::IoError("failed writing " + what + " file: " + path.string());
+}
 }  // namespace
 
 FlowTracer::FlowTracer(FluidSimulator& fluid) : fluid_(fluid) {
@@ -202,81 +276,40 @@ util::Seconds FlowTracer::resourceBusyTime(ResourceIndex resource) const {
 std::string FlowTracer::toJsonl() const {
   std::string out;
   for (const auto& event : events_) {
-    switch (event.kind) {
-      case TraceEvent::Kind::kStart:
-        out += "{\"ev\":\"start\",\"t\":" + util::fmt(event.time, 6) +
-               ",\"flow\":" + std::to_string(event.flow) +
-               ",\"bytes\":" + std::to_string(event.bytes) + "}\n";
-        break;
-      case TraceEvent::Kind::kRates:
-        out += "{\"ev\":\"rates\",\"t\":" + util::fmt(event.time, 6) +
-               ",\"active\":" + std::to_string(event.activeFlows) +
-               ",\"total_mibps\":" + util::fmt(event.totalRate, 3) + "}\n";
-        break;
-      case TraceEvent::Kind::kComplete:
-        out += "{\"ev\":\"complete\",\"t\":" + util::fmt(event.time, 6) +
-               ",\"flow\":" + std::to_string(event.flow) +
-               ",\"bytes\":" + std::to_string(event.bytes) +
-               ",\"mean_mibps\":" + util::fmt(event.meanRate, 3) + "}\n";
-        break;
-      case TraceEvent::Kind::kCancel:
-        out += "{\"ev\":\"cancel\",\"t\":" + util::fmt(event.time, 6) +
-               ",\"flow\":" + std::to_string(event.flow) +
-               ",\"bytes_left\":" + std::to_string(event.bytes) + "}\n";
-        break;
+    if (event.kind != TraceEvent::Kind::kRates) {
+      appendFlowJsonl(out, event);
+      continue;
     }
+    out += "{\"ev\":\"rates\",\"t\":" + util::fmt(event.time, 6) +
+           ",\"active\":" + std::to_string(event.activeFlows) +
+           ",\"total_mibps\":" + util::fmt(event.totalRate, 3) + "}\n";
   }
   return out;
 }
 
 void FlowTracer::writeJsonl(const std::filesystem::path& path) const {
-  std::ofstream out(path);
-  if (!out) throw util::IoError("cannot write trace file: " + path.string());
-  out << toJsonl();
-  if (!out) throw util::IoError("failed writing trace file: " + path.string());
+  writeFile(path, "trace", toJsonl());
 }
 
 std::string FlowTracer::toChromeTrace() const {
-  // Timestamps are microseconds (the Chrome trace unit) of *virtual* time.
-  const auto ts = [](SimTime t) { return util::fmt(t * 1e6, 3); };
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-         "\"args\":{\"name\":\"beesim\"}}";
+  std::string out = kChromeHeader;
   for (const auto& event : events_) {
-    switch (event.kind) {
-      case TraceEvent::Kind::kStart:
-        out += ",\n{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"b\",\"id\":" +
-               std::to_string(event.flow) + ",\"pid\":1,\"tid\":1,\"ts\":" +
-               ts(event.time) + ",\"args\":{\"bytes\":" + std::to_string(event.bytes) +
-               "}}";
-        break;
-      case TraceEvent::Kind::kComplete:
-        out += ",\n{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"e\",\"id\":" +
-               std::to_string(event.flow) + ",\"pid\":1,\"tid\":1,\"ts\":" +
-               ts(event.time) + ",\"args\":{\"mean_mibps\":" +
-               util::fmt(event.meanRate, 3) + "}}";
-        break;
-      case TraceEvent::Kind::kCancel:
-        out += ",\n{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"e\",\"id\":" +
-               std::to_string(event.flow) + ",\"pid\":1,\"tid\":1,\"ts\":" +
-               ts(event.time) + ",\"args\":{\"cancelled\":true,\"bytes_left\":" +
-               std::to_string(event.bytes) + "}}";
-        break;
-      case TraceEvent::Kind::kRates:
-        out += ",\n{\"name\":\"aggregate_mibps\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
-               ts(event.time) + ",\"args\":{\"mibps\":" + util::fmt(event.totalRate, 3) +
-               "}}";
-        out += ",\n{\"name\":\"active_flows\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
-               ts(event.time) + ",\"args\":{\"flows\":" +
-               std::to_string(event.activeFlows) + "}}";
-        break;
+    if (event.kind != TraceEvent::Kind::kRates) {
+      appendFlowChrome(out, event);
+      continue;
     }
+    out += ",\n{\"name\":\"aggregate_mibps\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
+           chromeTs(event.time) + ",\"args\":{\"mibps\":" +
+           util::fmt(event.totalRate, 3) + "}}";
+    out += ",\n{\"name\":\"active_flows\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
+           chromeTs(event.time) + ",\"args\":{\"flows\":" +
+           std::to_string(event.activeFlows) + "}}";
   }
   // Tracked-link counter tracks from the metrics series (if sampling).
   for (const auto& sample : samples_) {
     if (!sample.linkRates.empty()) {
       out += ",\n{\"name\":\"link_mibps\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
-             ts(sample.time) + ",\"args\":{";
+             chromeTs(sample.time) + ",\"args\":{";
       for (std::size_t i = 0; i < sample.linkRates.size(); ++i) {
         if (i > 0) out += ",";
         out += util::JsonValue(linkNames_[i]).dump() + ":" +
@@ -284,19 +317,16 @@ std::string FlowTracer::toChromeTrace() const {
       }
       out += "}}";
       out += ",\n{\"name\":\"link_imbalance\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
-             ts(sample.time) + ",\"args\":{\"imbalance\":" +
+             chromeTs(sample.time) + ",\"args\":{\"imbalance\":" +
              util::fmt(sample.linkImbalance, 4) + "}}";
     }
   }
-  out += "\n]}\n";
+  out += kChromeFooter;
   return out;
 }
 
 void FlowTracer::writeChromeTrace(const std::filesystem::path& path) const {
-  std::ofstream out(path);
-  if (!out) throw util::IoError("cannot write trace file: " + path.string());
-  out << toChromeTrace();
-  if (!out) throw util::IoError("failed writing trace file: " + path.string());
+  writeFile(path, "trace", toChromeTrace());
 }
 
 std::string FlowTracer::metricsCsv() const {
@@ -319,10 +349,7 @@ std::string FlowTracer::metricsCsv() const {
 }
 
 void FlowTracer::writeMetricsCsv(const std::filesystem::path& path) const {
-  std::ofstream out(path);
-  if (!out) throw util::IoError("cannot write metrics file: " + path.string());
-  out << metricsCsv();
-  if (!out) throw util::IoError("failed writing metrics file: " + path.string());
+  writeFile(path, "metrics", metricsCsv());
 }
 
 // --- RingTraceSink -----------------------------------------------------
@@ -411,81 +438,40 @@ std::string RingTraceSink::toJsonl() const {
     out += "{\"ev\":\"drops\",\"count\":" + std::to_string(dropped()) + "}\n";
   }
   for (const auto& r : snapshot()) {
-    switch (static_cast<TraceEvent::Kind>(r.kind)) {
-      case TraceEvent::Kind::kStart:
-        out += "{\"ev\":\"start\",\"t\":" + util::fmt(r.time, 6) +
-               ",\"flow\":" + std::to_string(r.flow) +
-               ",\"bytes\":" + std::to_string(r.bytes) + "}\n";
-        break;
-      case TraceEvent::Kind::kRates:
-        out += "{\"ev\":\"rates\",\"t\":" + util::fmt(r.time, 6) +
-               ",\"active\":" + std::to_string(r.bytes) +
-               ",\"solved\":" + std::to_string(r.aux) +
-               ",\"solved_mibps\":" + util::fmt(r.value, 3) + "}\n";
-        break;
-      case TraceEvent::Kind::kComplete:
-        out += "{\"ev\":\"complete\",\"t\":" + util::fmt(r.time, 6) +
-               ",\"flow\":" + std::to_string(r.flow) +
-               ",\"bytes\":" + std::to_string(r.bytes) +
-               ",\"mean_mibps\":" + util::fmt(r.value, 3) + "}\n";
-        break;
-      case TraceEvent::Kind::kCancel:
-        out += "{\"ev\":\"cancel\",\"t\":" + util::fmt(r.time, 6) +
-               ",\"flow\":" + std::to_string(r.flow) +
-               ",\"bytes_left\":" + std::to_string(r.bytes) + "}\n";
-        break;
+    if (static_cast<TraceEvent::Kind>(r.kind) != TraceEvent::Kind::kRates) {
+      appendFlowJsonl(out, flowEvent(r));
+      continue;
     }
+    out += "{\"ev\":\"rates\",\"t\":" + util::fmt(r.time, 6) +
+           ",\"active\":" + std::to_string(r.bytes) +
+           ",\"solved\":" + std::to_string(r.aux) +
+           ",\"solved_mibps\":" + util::fmt(r.value, 3) + "}\n";
   }
   return out;
 }
 
 void RingTraceSink::writeJsonl(const std::filesystem::path& path) const {
-  std::ofstream out(path);
-  if (!out) throw util::IoError("cannot write trace file: " + path.string());
-  out << toJsonl();
-  if (!out) throw util::IoError("failed writing trace file: " + path.string());
+  writeFile(path, "trace", toJsonl());
 }
 
 std::string RingTraceSink::toChromeTrace() const {
-  const auto ts = [](SimTime t) { return util::fmt(t * 1e6, 3); };
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-         "\"args\":{\"name\":\"beesim\"}}";
+  std::string out = kChromeHeader;
   for (const auto& r : snapshot()) {
-    switch (static_cast<TraceEvent::Kind>(r.kind)) {
-      case TraceEvent::Kind::kStart:
-        out += ",\n{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"b\",\"id\":" +
-               std::to_string(r.flow) + ",\"pid\":1,\"tid\":1,\"ts\":" + ts(r.time) +
-               ",\"args\":{\"bytes\":" + std::to_string(r.bytes) + "}}";
-        break;
-      case TraceEvent::Kind::kComplete:
-        out += ",\n{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"e\",\"id\":" +
-               std::to_string(r.flow) + ",\"pid\":1,\"tid\":1,\"ts\":" + ts(r.time) +
-               ",\"args\":{\"mean_mibps\":" + util::fmt(r.value, 3) + "}}";
-        break;
-      case TraceEvent::Kind::kCancel:
-        out += ",\n{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"e\",\"id\":" +
-               std::to_string(r.flow) + ",\"pid\":1,\"tid\":1,\"ts\":" + ts(r.time) +
-               ",\"args\":{\"cancelled\":true,\"bytes_left\":" +
-               std::to_string(r.bytes) + "}}";
-        break;
-      case TraceEvent::Kind::kRates:
-        out += ",\n{\"name\":\"solved_mibps\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
-               ts(r.time) + ",\"args\":{\"mibps\":" + util::fmt(r.value, 3) + "}}";
-        out += ",\n{\"name\":\"active_flows\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
-               ts(r.time) + ",\"args\":{\"flows\":" + std::to_string(r.bytes) + "}}";
-        break;
+    if (static_cast<TraceEvent::Kind>(r.kind) != TraceEvent::Kind::kRates) {
+      appendFlowChrome(out, flowEvent(r));
+      continue;
     }
+    out += ",\n{\"name\":\"solved_mibps\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
+           chromeTs(r.time) + ",\"args\":{\"mibps\":" + util::fmt(r.value, 3) + "}}";
+    out += ",\n{\"name\":\"active_flows\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
+           chromeTs(r.time) + ",\"args\":{\"flows\":" + std::to_string(r.bytes) + "}}";
   }
-  out += "\n]}\n";
+  out += kChromeFooter;
   return out;
 }
 
 void RingTraceSink::writeChromeTrace(const std::filesystem::path& path) const {
-  std::ofstream out(path);
-  if (!out) throw util::IoError("cannot write trace file: " + path.string());
-  out << toChromeTrace();
-  if (!out) throw util::IoError("failed writing trace file: " + path.string());
+  writeFile(path, "trace", toChromeTrace());
 }
 
 }  // namespace beesim::sim

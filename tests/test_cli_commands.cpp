@@ -198,6 +198,38 @@ TEST(Cli, RunExportsChromeTraceAndMetrics) {
   EXPECT_NE(bad.err.find("--metrics-dt must be > 0"), std::string::npos) << bad.err;
 }
 
+TEST(Cli, MetricsDtRequiresASampledExport) {
+  // Only --metrics-out and a full-format --trace-out sample the run, so
+  // --metrics-dt without either used to be accepted and silently ignored.
+  const auto tracePath =
+      (std::filesystem::temp_directory_path() / "beesim_cli_ring.json").string();
+  const auto base = std::vector<std::string>{"run", "--cluster", "plafrim1", "--nodes",
+                                             "2",   "--reps",    "1",        "--total",
+                                             "1GiB", "--metrics-dt", "0.05"};
+  const auto with = [&](std::initializer_list<std::string> extra) {
+    auto argv = base;
+    argv.insert(argv.end(), extra);
+    return run(argv);
+  };
+  for (const auto& result :
+       {with({}), with({"--trace-out", tracePath, "--trace-format", "ring"})}) {
+    EXPECT_EQ(result.code, 1);
+    EXPECT_NE(result.err.find("--metrics-dt requires --metrics-out or a full-format --trace-out"),
+              std::string::npos)
+        << result.err;
+  }
+  const auto full = with({"--trace-out", tracePath});
+  std::filesystem::remove(tracePath);
+  EXPECT_EQ(full.code, 0) << full.err;
+}
+
+TEST(Cli, DescribeRejectsSeed) {
+  // describe draws nothing at random, so --seed would be silently ignored.
+  const auto result = run({"describe", "--cluster", "plafrim1", "--seed", "5"});
+  EXPECT_EQ(result.code, 1);
+  EXPECT_NE(result.err.find("unknown flag(s): --seed"), std::string::npos) << result.err;
+}
+
 TEST(Cli, TraceReplaysTheCampaignsFirstPlannedRun) {
   // The traced run is the campaign's own first planned run -- same seed,
   // start time and fault plan -- not a separate run without the faults.

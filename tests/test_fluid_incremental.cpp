@@ -486,67 +486,64 @@ class ClassOracle : public FluidObserver {
 TEST(FlowClasses, RatesMatchPerFlowSolveUnderChurn) {
   // Seeded property test: paths, weights and caps come from small pools, so
   // classes have 1..k members; starts, cancels, completions and capacity
-  // wobble interleave.  Both solver walks run on the class view.
+  // wobble interleave.
   const std::vector<std::vector<std::uint32_t>> pathPool{
       {0, 1}, {1, 0}, {0, 2, 3}, {3}, {4, 5}, {2, 4}, {5}};
   const std::vector<double> weightPool{1.0, 2.0, 0.375};
   const std::vector<double> capPool{0.0, 0.0, 40.0};
   constexpr std::size_t kResources = 6;
-  for (const bool reference : {false, true}) {
-    for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
-      util::Rng rng(seed);
-      std::vector<double> base(kResources);
-      for (auto& b : base) b = rng.uniform(60.0, 400.0);
-      const auto capacityAt = [base](std::size_t r, SimTime t) {
-        return r % 2 == 0 ? base[r] * (1.0 + 0.2 * std::sin(3.0 * t)) : base[r];
-      };
-      FluidSimulator fluid;
-      fluid.setReferenceSolver(reference);
-      fluid.setResolveInterval(0.1);
-      std::vector<ResourceIndex> res;
-      for (std::size_t r = 0; r < kResources; ++r) {
-        res.push_back(fluid.addResource(ResourceSpec{
-            "r" + std::to_string(r),
-            [capacityAt, r](const ResourceLoad& load) { return capacityAt(r, load.time); }}));
-      }
-      ClassOracle oracle(fluid, capacityAt, kResources);
-      fluid.addObserver(&oracle);
-
-      std::size_t started = 0;
-      std::size_t cancelled = 0;
-      const auto pick = [&rng](std::size_t n) {
-        return static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
-      };
-      for (std::size_t f = 0; f < 60; ++f) {
-        const auto& path = pathPool[pick(pathPool.size())];
-        const double weight = weightPool[pick(weightPool.size())];
-        const double cap = capPool[pick(capPool.size())];
-        const auto bytes = static_cast<util::Bytes>(rng.uniformInt(5, 120)) * 1_MiB;
-        fluid.engine().schedule(rng.uniform(0.0, 3.0), [&, path, weight, cap, bytes] {
-          FlowSpec spec{.path = {}, .bytes = bytes, .queueWeight = weight, .rateCap = cap,
-                        .onComplete = nullptr};
-          for (const auto r : path) spec.path.push_back(res[r]);
-          const auto id = fluid.startFlow(std::move(spec));
-          oracle.live.emplace(id.value, ClassKey{path, weight, cap});
-          ++started;
-        });
-      }
-      for (std::size_t c = 0; c < 15; ++c) {
-        fluid.engine().schedule(rng.uniform(0.0, 3.0), [&] {
-          if (oracle.live.empty()) return;
-          auto it = oracle.live.begin();
-          std::advance(it, static_cast<std::ptrdiff_t>(pick(oracle.live.size())));
-          ASSERT_TRUE(fluid.cancelFlow(FlowId{it->first}).has_value());
-          ++cancelled;
-        });
-      }
-      fluid.run();
-      EXPECT_EQ(started, 60u);
-      EXPECT_GT(cancelled, 0u) << "seed " << seed;
-      EXPECT_GT(oracle.checks, 20u) << "seed " << seed;
-      EXPECT_TRUE(oracle.live.empty());
-      EXPECT_EQ(fluid.flowClassCount(), 0u) << "the class table must drain with the flows";
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
+    util::Rng rng(seed);
+    std::vector<double> base(kResources);
+    for (auto& b : base) b = rng.uniform(60.0, 400.0);
+    const auto capacityAt = [base](std::size_t r, SimTime t) {
+      return r % 2 == 0 ? base[r] * (1.0 + 0.2 * std::sin(3.0 * t)) : base[r];
+    };
+    FluidSimulator fluid;
+    fluid.setResolveInterval(0.1);
+    std::vector<ResourceIndex> res;
+    for (std::size_t r = 0; r < kResources; ++r) {
+      res.push_back(fluid.addResource(ResourceSpec{
+          "r" + std::to_string(r),
+          [capacityAt, r](const ResourceLoad& load) { return capacityAt(r, load.time); }}));
     }
+    ClassOracle oracle(fluid, capacityAt, kResources);
+    fluid.addObserver(&oracle);
+
+    std::size_t started = 0;
+    std::size_t cancelled = 0;
+    const auto pick = [&rng](std::size_t n) {
+      return static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+    };
+    for (std::size_t f = 0; f < 60; ++f) {
+      const auto& path = pathPool[pick(pathPool.size())];
+      const double weight = weightPool[pick(weightPool.size())];
+      const double cap = capPool[pick(capPool.size())];
+      const auto bytes = static_cast<util::Bytes>(rng.uniformInt(5, 120)) * 1_MiB;
+      fluid.engine().schedule(rng.uniform(0.0, 3.0), [&, path, weight, cap, bytes] {
+        FlowSpec spec{.path = {}, .bytes = bytes, .queueWeight = weight, .rateCap = cap,
+                      .onComplete = nullptr};
+        for (const auto r : path) spec.path.push_back(res[r]);
+        const auto id = fluid.startFlow(std::move(spec));
+        oracle.live.emplace(id.value, ClassKey{path, weight, cap});
+        ++started;
+      });
+    }
+    for (std::size_t c = 0; c < 15; ++c) {
+      fluid.engine().schedule(rng.uniform(0.0, 3.0), [&] {
+        if (oracle.live.empty()) return;
+        auto it = oracle.live.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(pick(oracle.live.size())));
+        ASSERT_TRUE(fluid.cancelFlow(FlowId{it->first}).has_value());
+        ++cancelled;
+      });
+    }
+    fluid.run();
+    EXPECT_EQ(started, 60u);
+    EXPECT_GT(cancelled, 0u) << "seed " << seed;
+    EXPECT_GT(oracle.checks, 20u) << "seed " << seed;
+    EXPECT_TRUE(oracle.live.empty());
+    EXPECT_EQ(fluid.flowClassCount(), 0u) << "the class table must drain with the flows";
   }
 }
 

@@ -1,7 +1,6 @@
 // Property tests for the ε-bounded incremental resolution (DESIGN.md §2.7):
 //
-//   * ε = 0 is the exact path -- bitwise identical, rate for rate and
-//     completion for completion, to the reference (pre-SoA) solver;
+//   * ε = 0 is the exact path: it never defers a resolve;
 //   * ε > 0 never lets a flow's simulated rate deviate from the exact
 //     max-min solution by more than ε MiB/s;
 //   * capacity drift accumulates across skipped resolves, so slow trends
@@ -14,98 +13,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "sim/fluid.hpp"
-#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace beesim::sim {
 namespace {
 
 using namespace beesim::util::literals;
-
-struct Completion {
-  std::uint64_t flow;
-  double endTime;
-  double meanRate;
-  bool operator==(const Completion&) const = default;
-};
-
-/// Build the same randomized multi-component scenario (wobbling capacities,
-/// staggered starts, weights, rate caps) in `fluid`, recording completions.
-void buildScenario(FluidSimulator& fluid, std::uint64_t seed,
-                   std::vector<Completion>* completions) {
-  util::Rng rng(seed);
-  fluid.setResolveInterval(0.05);
-  const std::size_t nGroups = 2 + seed % 3;
-  constexpr std::size_t kGroupSize = 5;
-  std::vector<ResourceIndex> resources;
-  for (std::size_t g = 0; g < nGroups; ++g) {
-    for (std::size_t r = 0; r < kGroupSize; ++r) {
-      const double base = rng.uniform(50.0, 500.0);
-      std::string name = "r";
-      name += std::to_string(g);
-      name += '_';
-      name += std::to_string(r);
-      if (r % 2 == 0) {
-        resources.push_back(fluid.addResource(ResourceSpec{
-            std::move(name), [base](const ResourceLoad& load) {
-              return base * (1.0 + 0.2 * std::sin(3.0 * load.time));
-            }}));
-      } else {
-        resources.push_back(
-            fluid.addResource(ResourceSpec{std::move(name), constantCapacity(base)}));
-      }
-    }
-  }
-  constexpr std::size_t kFlows = 30;
-  for (std::size_t f = 0; f < kFlows; ++f) {
-    const auto group = static_cast<std::size_t>(
-        rng.uniformInt(0, static_cast<std::int64_t>(nGroups) - 1));
-    FlowSpec spec;
-    const auto pathLen = static_cast<std::size_t>(1 + rng.uniformInt(0, 2));
-    for (const auto r : rng.sampleWithoutReplacement(kGroupSize, pathLen)) {
-      spec.path.push_back(resources[group * kGroupSize + r]);
-    }
-    spec.bytes = static_cast<util::Bytes>(rng.uniformInt(10, 200)) * 1_MiB;
-    spec.queueWeight = rng.uniform(0.5, 4.0);
-    spec.rateCap = rng.uniform(0.0, 1.0) < 0.3 ? rng.uniform(20.0, 100.0) : 0.0;
-    spec.onComplete = [completions](const FlowStats& s) {
-      completions->push_back(
-          Completion{s.id.value, s.endTime, s.meanRate()});
-    };
-    fluid.startFlowAt(rng.uniform(0.0, 2.0), std::move(spec));
-  }
-}
-
-TEST(FluidScale, EpsilonZeroMatchesReferenceSolverBitwise) {
-  // The SoA fast path performs the same floating-point operations in the
-  // same order as the reference walk (frozen flows add delta * 0.0, min is
-  // order-independent), so at ε = 0 every completion time and mean rate must
-  // be *exactly* equal -- not just close.
-  for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
-    FluidSimulator reference;
-    reference.setReferenceSolver(true);
-    std::vector<Completion> refCompletions;
-    buildScenario(reference, seed, &refCompletions);
-    reference.run();
-
-    FluidSimulator soa;
-    std::vector<Completion> soaCompletions;
-    buildScenario(soa, seed, &soaCompletions);
-    soa.run();
-
-    ASSERT_EQ(refCompletions.size(), soaCompletions.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < refCompletions.size(); ++i) {
-      EXPECT_EQ(refCompletions[i], soaCompletions[i])
-          << "seed " << seed << " completion " << i;
-    }
-    EXPECT_EQ(soa.deferredResolves(), 0u);
-  }
-}
 
 TEST(FluidScale, EpsilonBoundsSimulatedRateDeviation) {
   // Lockstep an exact simulator against an ε-bounded one on a wobbling

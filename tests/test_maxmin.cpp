@@ -208,7 +208,7 @@ TEST_P(MaxMinPropertyTest, FeasibleAndMaxMinOptimal) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, MaxMinPropertyTest, ::testing::Range(0, 25));
 
-// --- SoA fast path vs reference walk -----------------------------------
+// --- SolverWorkspace over a CSR view ------------------------------------
 
 /// A random CSR problem plus the flat arrays SolverWorkspace consumes.
 struct CsrProblem {
@@ -256,32 +256,41 @@ CsrProblem randomCsrProblem(std::uint64_t seed, bool classes = false) {
   return p;
 }
 
-TEST(SolverSoA, MatchesReferenceBitwiseOnRandomProblems) {
-  // The SoA compaction performs the same floating-point operations in the
-  // same order as the reference walk (weights accumulate in flow-then-
-  // adjacency order, min over delta candidates is order-independent, frozen
-  // flows add delta * 0.0), so the two paths must agree bit for bit -- not
-  // within a tolerance.  This equality is what lets ε = 0 runs keep their
-  // golden CSV bytes across the layout change.  Slots standing for flow
-  // classes (multiplicity > 1) must agree bit for bit as well.
+TEST(SolverWorkspace, MultiplicityMatchesExpandedFlows) {
+  // The SolverView contract: a slot of multiplicity k loads each crossed
+  // resource with k·weight and solves to the rate each of its k members gets
+  // in the per-flow problem.  Expand every slot into k single-flow slots
+  // with the same path, weight and cap, and compare.
   for (std::uint64_t seed = 500; seed < 580; ++seed) {
-    const auto p = randomCsrProblem(seed, seed >= 540);
-    SolverWorkspace fast;
-    SolverWorkspace reference;
-    std::vector<double> fastRates(p.subset.size(), -1.0);
-    std::vector<double> referenceRates(p.subset.size(), -1.0);
-    const auto fastIters = fast.solveSubset(p.view(), p.subset, fastRates);
-    const auto refIters =
-        reference.solveSubsetReference(p.view(), p.subset, referenceRates);
-    EXPECT_EQ(fastIters, refIters) << "seed " << seed;
-    for (std::size_t f = 0; f < fastRates.size(); ++f) {
-      EXPECT_EQ(fastRates[f], referenceRates[f])
-          << "seed " << seed << " flow " << f << " diverged";
+    const auto p = randomCsrProblem(seed, true);
+    CsrProblem expanded;
+    expanded.capacity = p.capacity;
+    std::vector<std::uint32_t> owner;  // expanded slot -> class slot
+    for (const auto f : p.subset) {
+      for (std::uint32_t m = 0; m < p.multiplicity[f]; ++m) {
+        expanded.adjOffset.push_back(p.adjOffset[f]);
+        expanded.adjLen.push_back(p.adjLen[f]);
+        expanded.weight.push_back(p.weight[f]);
+        expanded.rateCap.push_back(p.rateCap[f]);
+        expanded.subset.push_back(static_cast<std::uint32_t>(owner.size()));
+        owner.push_back(f);
+      }
+    }
+    expanded.adjacency = p.adjacency;  // offsets index the shared arena
+    SolverWorkspace workspace;
+    std::vector<double> classRates(p.subset.size(), -1.0);
+    std::vector<double> flowRates(expanded.subset.size(), -1.0);
+    workspace.solveSubset(p.view(), p.subset, classRates);
+    workspace.solveSubset(expanded.view(), expanded.subset, flowRates);
+    for (std::size_t e = 0; e < flowRates.size(); ++e) {
+      const double expect = flowRates[e];
+      EXPECT_NEAR(classRates[owner[e]], expect, 1e-9 * std::max(1.0, std::abs(expect)))
+          << "seed " << seed << " slot " << owner[e];
     }
   }
 }
 
-TEST(SolverSoA, WorkspaceReuseDoesNotLeakStateAcrossSolves) {
+TEST(SolverWorkspace, WorkspaceReuseDoesNotLeakStateAcrossSolves) {
   // One workspace solving many unrelated problems back to back must give the
   // same answers as fresh workspaces (the stamp discipline, not clearing,
   // isolates solves).
@@ -297,7 +306,7 @@ TEST(SolverSoA, WorkspaceReuseDoesNotLeakStateAcrossSolves) {
   }
 }
 
-TEST(SolverSoA, ZeroCapacityFlowsAreDeadAndReleaseTheirShare) {
+TEST(SolverWorkspace, ZeroCapacityFlowsAreDeadAndReleaseTheirShare) {
   // Degenerate-input semantics (documented on solveSubset): a flow crossing
   // a zero-capacity resource gets rate 0 and contributes no weight anywhere,
   // so survivors split the healthy capacity as if the dead flow were absent.
@@ -317,7 +326,7 @@ TEST(SolverSoA, ZeroCapacityFlowsAreDeadAndReleaseTheirShare) {
   EXPECT_NEAR(rates[2], 80.0, 1e-9);
 }
 
-TEST(SolverSoA, EmptySubsetSolvesNothing) {
+TEST(SolverWorkspace, EmptySubsetSolvesNothing) {
   const std::vector<double> capacity{100.0};
   const std::vector<std::uint32_t> adjacency{0};
   const std::vector<std::uint32_t> adjOffset{0};
@@ -331,7 +340,7 @@ TEST(SolverSoA, EmptySubsetSolvesNothing) {
   EXPECT_DOUBLE_EQ(rates[0], -1.0) << "rates outside the subset are untouched";
 }
 
-TEST(SolverSoA, AllDeadSubsetTerminatesWithZeroRates) {
+TEST(SolverWorkspace, AllDeadSubsetTerminatesWithZeroRates) {
   const std::vector<double> capacity{0.0};
   const std::vector<std::uint32_t> adjacency{0, 0};
   const std::vector<std::uint32_t> adjOffset{0, 1};
@@ -347,7 +356,7 @@ TEST(SolverSoA, AllDeadSubsetTerminatesWithZeroRates) {
   EXPECT_DOUBLE_EQ(rates[1], 0.0);
 }
 
-TEST(SolverSoA, InvalidFlowsAreRejected) {
+TEST(SolverWorkspace, InvalidFlowsAreRejected) {
   const std::vector<double> capacity{100.0};
   const std::vector<std::uint32_t> adjacency{0, 7};
   const std::vector<std::uint32_t> adjOffset{0, 1};
