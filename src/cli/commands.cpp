@@ -28,13 +28,18 @@ namespace {
 
 using namespace beesim::util::literals;
 
+/// A count flag that must be >= 1 (--nodes, --reps, ...).  getUnsigned
+/// rejects negatives, so "--nodes=-1" cannot wrap to a huge size_t.
+std::size_t getCount(const Args& args, const std::string& name, std::size_t fallback) {
+  const auto value = args.getUnsigned(name, fallback);
+  if (value == 0) throw util::ConfigError("--" + name + " must be >= 1");
+  return value;
+}
+
 /// Resolve the --cluster flag: a factory name or a JSON file path.
 topo::ClusterConfig resolveCluster(const Args& args) {
   const auto name = args.getString("cluster", "plafrim2");
-  // getUnsigned rejects negatives; "--nodes=-1" used to wrap to a huge
-  // size_t in the cast and allocate accordingly.
-  const auto nodes = args.getUnsigned("nodes", 16);
-  if (nodes == 0) throw util::ConfigError("--nodes must be >= 1");
+  const auto nodes = getCount(args, "nodes", 16);
   if (name == "plafrim1") return topo::makePlafrim(topo::Scenario::kEthernet10G, nodes);
   if (name == "plafrim2") return topo::makePlafrim(topo::Scenario::kOmniPath100G, nodes);
   if (name == "catalyst") return topo::makeCatalystLike(nodes);
@@ -269,7 +274,7 @@ int cmdRun(const Args& args, std::ostream& out) {
   const auto stripe = static_cast<unsigned>(
       args.getInt("stripe", 4, 1, static_cast<long>(cluster.targetCount())));
   const auto total = args.getBytes("total", 32_GiB);
-  const auto reps = args.getUnsigned("reps", 10);
+  const auto reps = getCount(args, "reps", 10);
   const auto seed = static_cast<std::uint64_t>(args.getUnsigned("seed", 2022));
   const auto pattern = args.getString("pattern", "n1");
   const auto op = args.getString("op", "write");
@@ -539,7 +544,7 @@ int cmdRun(const Args& args, std::ostream& out) {
 int cmdSweep(const Args& args, std::ostream& out) {
   const auto cluster = resolveCluster(args);
   const auto ppn = static_cast<int>(args.getInt("ppn", 8, 1, 1 << 20));
-  const auto reps = args.getUnsigned("reps", 30);
+  const auto reps = getCount(args, "reps", 30);
   const auto seed = static_cast<std::uint64_t>(args.getUnsigned("seed", 2022));
   const auto total = args.getBytes("total", 32_GiB);
   auto config = baseConfig(args, cluster);
@@ -589,9 +594,8 @@ int cmdSweep(const Args& args, std::ostream& out) {
 }
 
 int cmdConcurrent(const Args& args, std::ostream& out) {
-  const auto apps = args.getUnsigned("apps", 2);
-  const auto nodesPerApp = args.getUnsigned("nodes-per-app", 8);
-  if (apps < 1) throw util::ConfigError("--apps must be >= 1");
+  const auto apps = getCount(args, "apps", 2);
+  const auto nodesPerApp = getCount(args, "nodes-per-app", 8);
 
   topo::ClusterConfig cluster = [&] {
     if (args.get("nodes")) return resolveCluster(args);
@@ -611,7 +615,7 @@ int cmdConcurrent(const Args& args, std::ostream& out) {
       args.getInt("stripe", 4, 1, static_cast<long>(cluster.targetCount())));
   const auto ppn = static_cast<int>(args.getInt("ppn", 8, 1, 1 << 20));
   const auto total = args.getBytes("total", 32_GiB);
-  const auto reps = args.getUnsigned("reps", 10);
+  const auto reps = getCount(args, "reps", 10);
   const auto seed = static_cast<std::uint64_t>(args.getUnsigned("seed", 2022));
   auto base = baseConfig(args, cluster);
   base.rebalance = rebalancePolicy(args);

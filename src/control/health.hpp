@@ -5,8 +5,8 @@
 // client watchdog, and silently destroys the balance the paper shows
 // dominates I/O performance.  This monitor closes the detection gap:
 //
-//   * sense -- a private FlowTracer (attached through the observer hub, so
-//     it composes with run-level observability) samples every server NIC's
+//   * sense -- a private FlowTracer (attached through addObserver, so it
+//     composes with run-level observability) samples every server NIC's
 //     rate at `sampleInterval`; per server the monitor keeps an EWMA of the
 //     observed rate;
 //   * score -- each *busy* server is compared against the median EWMA of its

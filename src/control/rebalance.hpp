@@ -77,7 +77,7 @@ struct RebalanceStats {
 class RebalanceController {
  public:
   /// Attaches a private FlowTracer to the filesystem's fluid simulator (via
-  /// the observer hub -- composes with run-level observability) tracking
+  /// addObserver -- composes with run-level observability) tracking
   /// every server NIC.  When `policy.retarget` is set, wraps the
   /// filesystem's chooser in a WeightedChooser (invisible until weights
   /// skew).  `policy.enabled` must be true.
@@ -94,9 +94,6 @@ class RebalanceController {
 
   /// Currently inside an engagement (imbalance above the hysteresis band)?
   bool engaged() const { return engaged_; }
-
-  /// Number of migration flows currently streaming.
-  std::size_t activeMigrations() const { return migrations_.size(); }
 
   /// Stop reacting to samples and reset the host weights to uniform.  Called
   /// when the foreground job completes: in-flight migrations finish (their

@@ -1,12 +1,10 @@
 #include "harness/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <exception>
 #include <mutex>
-#include <thread>
+#include <optional>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -31,8 +29,8 @@ std::string describeFactors(const CampaignEntry& entry) {
   return out.empty() ? "(single config)" : out;
 }
 
-/// Build the row exactly as the serial executor always has: entry factors +
-/// "rep", standard metrics, then the annotator.
+/// Build a run's row: entry factors + "rep", standard metrics, then the
+/// annotator.
 ResultRow makeRow(const CampaignEntry& entry, const PlannedRun& planned,
                   const RunRecord& record, const RowAnnotator& annotate) {
   ResultRow row;
@@ -132,7 +130,7 @@ ResultRow makeRow(const CampaignEntry& entry, const PlannedRun& planned,
 }
 
 /// Per-run timing + progress aggregation; all calls happen in commit (= plan)
-/// order on the committing thread.
+/// order, serialized under the executor's commit mutex.
 class ProgressTracker {
  public:
   ProgressTracker(std::size_t total, const ExecutorOptions& exec,
@@ -184,94 +182,6 @@ RunRecord runPlanned(const CampaignEntry& entry, const PlannedRun& planned) {
   return runOnce(config, planned.seed);
 }
 
-/// The legacy serial path: run and commit one planned run at a time.
-ResultStore executeSerial(const std::vector<CampaignEntry>& entries,
-                          const std::vector<PlannedRun>& plan, const RowAnnotator& annotate,
-                          ProgressTracker& tracker) {
-  ResultStore store;
-  for (const auto& planned : plan) {
-    const auto record = runPlanned(entries[planned.configIndex], planned);
-    store.add(makeRow(entries[planned.configIndex], planned, record, annotate));
-    tracker.committed(planned, record);
-  }
-  return store;
-}
-
-/// Parallel path: a worker pool pulls planned indices off an atomic counter
-/// and buffers each RunRecord in its slot; the calling thread commits slots
-/// strictly in plan order, so the ResultStore and the annotator observe the
-/// exact serial sequence.  All per-run randomness derives from planned.seed
-/// inside runOnce -- workers share no RNG, no simulator, no mutable state.
-ResultStore executeParallel(const std::vector<CampaignEntry>& entries,
-                            const std::vector<PlannedRun>& plan, const RowAnnotator& annotate,
-                            ProgressTracker& tracker, std::size_t jobs) {
-  struct Slot {
-    RunRecord record;
-    bool done = false;
-  };
-  std::vector<Slot> slots(plan.size());
-  std::mutex mutex;
-  std::condition_variable slotReady;
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr workerError;
-
-  const auto work = [&] {
-    while (!failed.load(std::memory_order_relaxed)) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= plan.size()) return;
-      try {
-        RunRecord record = runPlanned(entries[plan[i].configIndex], plan[i]);
-        {
-          const std::lock_guard<std::mutex> lock(mutex);
-          slots[i].record = std::move(record);
-          slots[i].done = true;
-        }
-        slotReady.notify_one();
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(mutex);
-          if (!workerError) workerError = std::current_exception();
-        }
-        failed.store(true, std::memory_order_relaxed);
-        slotReady.notify_one();
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (std::size_t w = 0; w < jobs; ++w) pool.emplace_back(work);
-
-  ResultStore store;
-  std::exception_ptr commitError;
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      slotReady.wait(lock, [&] {
-        return slots[i].done || failed.load(std::memory_order_relaxed);
-      });
-      if (!slots[i].done) break;  // a worker failed before producing slot i
-      Slot slot = std::move(slots[i]);
-      lock.unlock();
-      try {
-        store.add(makeRow(entries[plan[i].configIndex], plan[i], slot.record, annotate));
-        tracker.committed(plan[i], slot.record);
-      } catch (...) {
-        commitError = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-      }
-      lock.lock();
-      if (commitError) break;
-    }
-  }
-  for (auto& thread : pool) thread.join();
-  if (commitError) std::rethrow_exception(commitError);
-  if (workerError) std::rethrow_exception(workerError);
-  return store;
-}
-
 }  // namespace
 
 ResultStore executeCampaign(const std::vector<CampaignEntry>& entries,
@@ -282,10 +192,31 @@ ResultStore executeCampaign(const std::vector<CampaignEntry>& entries,
   util::Rng rng(seed);
   const auto plan = buildProtocolPlan(entries.size(), options, rng);
 
+  // Runs execute on up to exec.jobs threads, but rows are committed in plan
+  // order: each finished run parks its record under its plan index, then the
+  // thread that completes the next uncommitted index commits it and every
+  // consecutive finished one after it, under the mutex.  All per-run
+  // randomness derives from planned.seed, so the store is independent of
+  // scheduling.  A failed run or commit leaves its index empty, so nothing
+  // after it is committed; parallelFor rethrows the first exception.
   ProgressTracker tracker(plan.size(), exec, entries);
-  const std::size_t jobs = std::min(resolveJobs(exec.jobs), plan.size());
-  if (jobs <= 1) return executeSerial(entries, plan, annotate, tracker);
-  return executeParallel(entries, plan, annotate, tracker, jobs);
+  ResultStore store;
+  std::vector<std::optional<RunRecord>> finished(plan.size());
+  std::size_t nextCommit = 0;
+  std::mutex commitMutex;
+  parallelFor(plan.size(), exec.jobs, [&](std::size_t i) {
+    RunRecord record = runPlanned(entries[plan[i].configIndex], plan[i]);
+    const std::lock_guard<std::mutex> lock(commitMutex);
+    finished[i] = std::move(record);
+    while (nextCommit < plan.size() && finished[nextCommit]) {
+      const RunRecord done = *std::exchange(finished[nextCommit], std::nullopt);
+      const auto& planned = plan[nextCommit];
+      store.add(makeRow(entries[planned.configIndex], planned, done, annotate));
+      tracker.committed(planned, done);
+      ++nextCommit;
+    }
+  });
+  return store;
 }
 
 }  // namespace beesim::harness

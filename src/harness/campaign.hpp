@@ -35,10 +35,12 @@ using RowAnnotator = std::function<void(const RunRecord&, ResultRow&)>;
 /// "bandwidth_mibps", "meta_seconds", "env_network", "env_storage".
 ///
 /// Deterministic given `seed` -- including across `exec.jobs`: runs execute
-/// concurrently on a worker pool, but every run's randomness derives from its
-/// planned seed and rows are committed (and the annotator invoked) strictly
-/// in plan order on the calling thread, so the returned store is bitwise
-/// identical to serial execution.  jobs=1 is the exact legacy serial path.
+/// concurrently through parallelFor, but every run's randomness derives from
+/// its planned seed and rows are committed (and the annotator and progress
+/// invoked) strictly in plan order, one at a time, so the returned store is
+/// bitwise identical to serial execution.  At jobs > 1 the annotator may run
+/// on a worker thread.  The first exception from a run or the annotator
+/// propagates; no row after the failed one is committed.
 ResultStore executeCampaign(const std::vector<CampaignEntry>& entries,
                             const ProtocolOptions& options, std::uint64_t seed,
                             const RowAnnotator& annotate = nullptr,

@@ -20,8 +20,8 @@ namespace beesim::harness {
 namespace {
 
 /// The run's observability sinks (ObservabilityOptions).  They attach
-/// through the observer hub and only read events, so an observed run stays
-/// bitwise identical to the unobserved one.
+/// through FluidSimulator::addObserver and only read events, so an observed
+/// run stays bitwise identical to the unobserved one.
 struct RunObservers {
   RunObservers(const ObservabilityOptions& options, beegfs::Deployment& deployment)
       : observe(options),
@@ -154,7 +154,7 @@ ConcurrentResult runConcurrent(const RunConfig& base, const std::vector<AppSpec>
   const RunObservers observers(base.observe, deployment);
   if (base.observe.profile) fluid.setProfiling(true);
 
-  // The controllers attach their own tracers through the same observer hub.
+  // The controllers attach their own tracers to the same observer list.
   std::optional<control::RebalanceController> rebalance;
   if (base.rebalance.enabled) rebalance.emplace(fs, base.rebalance);
   std::optional<control::HealthMonitor> health;

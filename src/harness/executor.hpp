@@ -6,8 +6,8 @@
 // across worker threads without any sharing.  The contract everything here
 // upholds: the observable result is *bitwise identical* to serial execution
 // -- work is distributed dynamically, but results are committed strictly in
-// plan/index order on the calling thread, so ResultStores, annotator state
-// and reductions never see thread scheduling.
+// plan/index order, one at a time, so ResultStores, annotator state and
+// reductions never see thread scheduling.
 //
 // No external dependencies: std::thread plus an atomic work index.
 #pragma once
@@ -21,7 +21,7 @@ namespace beesim::harness {
 
 /// Worker-thread count used when the caller does not specify one: the
 /// BEESIM_JOBS environment variable if set (0 = all hardware threads),
-/// otherwise 1 (serial, the legacy behaviour).
+/// otherwise 1 (serial).
 std::size_t defaultJobs();
 
 /// Resolve a jobs request: 0 means "all hardware threads", anything else is
@@ -39,8 +39,9 @@ struct CampaignProgress {
   std::string slowestConfig;       ///< factor labels of that slowest run
 };
 
-/// Progress callback.  Always invoked from the committing (calling) thread,
-/// never concurrently; the final call (completed == total) always fires.
+/// Progress callback.  Invoked in commit (= plan) order and never
+/// concurrently, but at jobs > 1 possibly from a worker thread; the final
+/// call (completed == total) always fires.
 using ProgressFn = std::function<void(const CampaignProgress&)>;
 
 /// Aggregate profiling counters of a whole campaign, accumulated in commit
@@ -62,8 +63,9 @@ struct CampaignTotals {
 
 /// Execution knobs threaded from --jobs / BEESIM_JOBS.
 struct ExecutorOptions {
-  /// Worker threads: 1 = the exact legacy serial path (no pool, no buffering),
-  /// 0 = all hardware threads, N = a pool of N workers.
+  /// Worker threads: 1 = every run inline on the calling thread, 0 = all
+  /// hardware threads, N = up to N workers.  Rows, annotator and progress
+  /// calls stay serialized and in plan order either way.
   std::size_t jobs = defaultJobs();
   /// Optional progress reporting (see ProgressFn).  nullptr disables.
   ProgressFn onProgress;

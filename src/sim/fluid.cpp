@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "sim/observer_hub.hpp"
 #include "util/error.hpp"
 
 namespace beesim::sim {
@@ -226,36 +225,30 @@ FluidSimulator::FluidSimulator() {
   }
 }
 
-FluidSimulator::~FluidSimulator() = default;  // out of line for the hub's type
-
 void FluidSimulator::addObserver(FluidObserver* observer) {
   BEESIM_ASSERT(observer != nullptr, "addObserver needs an observer");
-  if (observer_ == nullptr) {
-    observer_ = observer;
-    return;
-  }
-  if (observer_ == observer) return;
-  if (hub_ != nullptr && observer_ == hub_.get()) {
-    hub_->add(observer);
-    return;
-  }
-  // A second distinct observer: promote the slot to the hub, preserving the
-  // currently installed one ahead of the newcomer.
-  if (hub_ == nullptr) hub_ = std::make_unique<ObserverHub>();
-  hub_->add(observer_);
-  hub_->add(observer);
-  observer_ = hub_.get();
+  if (std::find(observers_.begin(), observers_.end(), observer) != observers_.end()) return;
+  observers_.push_back(observer);
 }
 
 void FluidSimulator::removeObserver(FluidObserver* observer) {
-  if (observer == nullptr) return;
-  if (observer_ == observer) {
-    observer_ = nullptr;
-    return;
-  }
-  if (hub_ != nullptr && observer_ == hub_.get()) {
-    hub_->remove(observer);
-    if (hub_->empty()) observer_ = nullptr;
+  const auto it = std::find(observers_.begin(), observers_.end(), observer);
+  if (it == observers_.end()) return;
+  // Erasing at or before the cursor of a running dispatch shifts the
+  // not-yet-visited observers one slot left; pull the cursor back so none
+  // of them is skipped for the current event.
+  if (static_cast<std::size_t>(it - observers_.begin()) <= dispatchIndex_) --dispatchIndex_;
+  observers_.erase(it);
+}
+
+// The loop re-reads size() every step so observers may detach mid-dispatch
+// (see removeObserver).  Callbacks never nest -- every dispatch runs from the
+// single event loop, and observers defer any reaction through the engine --
+// so one cursor suffices.
+template <typename Fn>
+void FluidSimulator::notify(Fn&& fn) {
+  for (dispatchIndex_ = 0; dispatchIndex_ < observers_.size(); ++dispatchIndex_) {
+    fn(*observers_[dispatchIndex_]);
   }
 }
 
@@ -406,13 +399,11 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
     // Degenerate flow: completes instantly, never enters the solver.  The
     // observer still sees the full start/complete lifecycle so trace-derived
     // flow counts agree with the callers' view.
-    if (observer_ != nullptr) {
-      observer_->onFlowStarted(id, spec.path, 0, t);
-    }
-    if (observer_ != nullptr || spec.onComplete) {
+    notify([&](FluidObserver& o) { o.onFlowStarted(id, spec.path, 0, t); });
+    if (!observers_.empty() || spec.onComplete) {
       FlowStats stats{id, t, t, 0};
       engine_.scheduleAfter(0.0, [this, cb = std::move(spec.onComplete), stats] {
-        if (observer_ != nullptr) observer_->onFlowCompleted(stats);
+        notify([&](FluidObserver& o) { o.onFlowCompleted(stats); });
         if (cb) cb(stats);
       });
     }
@@ -432,14 +423,12 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
     // The slot's previous arena region is too small; claim a fresh one at
     // the end.  Slots recycled for same-shaped flows reuse their region, so
     // the arena stops growing once the workload's shapes have been seen.
-    pathOffset_[slot] = static_cast<std::uint32_t>(pathArena_.size());
+    pathOffset_[slot] = static_cast<std::uint32_t>(adjacencyArena_.size());
     pathCap_[slot] = len;
-    pathArena_.resize(pathArena_.size() + len);
     adjacencyArena_.resize(adjacencyArena_.size() + len);
   }
   pathLen_[slot] = len;
   for (std::uint32_t i = 0; i < len; ++i) {
-    pathArena_[pathOffset_[slot] + i] = spec.path[i];
     adjacencyArena_[pathOffset_[slot] + i] = spec.path[i].value;
   }
 
@@ -485,11 +474,7 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
   markDirty(root);
   listComponent(root);
 
-  if (observer_ != nullptr) {
-    observer_->onFlowStarted(
-        id, std::span<const ResourceIndex>(pathArena_.data() + pathOffset_[slot], len),
-        spec.bytes, t);
-  }
+  notify([&](FluidObserver& o) { o.onFlowStarted(id, spec.path, spec.bytes, t); });
   idMap_.insert(id.value, slot);
   ++activeCount_;
   ++rateEpoch_;
@@ -525,9 +510,8 @@ std::optional<util::Bytes> FluidSimulator::cancelFlow(FlowId id) {
   const auto remaining = static_cast<util::Bytes>(
       std::min<double>(std::ceil(remainingMiB * static_cast<double>(util::kMiB)),
                        static_cast<double>(flowBytes_[slot])));
-  if (observer_ != nullptr) {
-    observer_->onFlowCancelled(FlowStats{id, flowStart_[slot], t, remaining});
-  }
+  const FlowStats cancelled{id, flowStart_[slot], t, remaining};
+  notify([&](FluidObserver& o) { o.onFlowCancelled(cancelled); });
 
   heapErase(c, pos);
   retireFlow(root, slot);
@@ -694,7 +678,7 @@ void FluidSimulator::resolveNow() {
     return a.stats.id.value < b.stats.id.value;
   });
   for (auto& entry : drain_) {
-    if (observer_ != nullptr) observer_->onFlowCompleted(entry.stats);
+    notify([&](FluidObserver& o) { o.onFlowCompleted(entry.stats); });
     if (entry.onComplete) entry.onComplete(entry.stats);
   }
   drain_.clear();
@@ -765,8 +749,7 @@ void FluidSimulator::resolveNow() {
   //    exact solve.
   solvedIds_.clear();
   solvedRates_.clear();
-  std::size_t solvedCount = 0;
-  const bool record = observer_ != nullptr;
+  const bool record = !observers_.empty();
   const SolverView view = classes_.view(resCapacity_);
   for (std::size_t i = 0; i < dirtyRoots_.size(); ++i) {
     const auto listed = dirtyRoots_[i];
@@ -789,7 +772,6 @@ void FluidSimulator::resolveNow() {
     subsetClasses_.clear();
     for (auto c = compHead_[r]; c != kNone; c = classes_.next(c)) subsetClasses_.push_back(c);
     solverIterations_ += workspace_.solveSubset(view, subsetClasses_, classes_.rates());
-    solvedCount += compFlowCount_[r];
     double horizon = kInf;
     for (const auto c : subsetClasses_) {
       const double rate = classes_.rate(c);
@@ -808,13 +790,12 @@ void FluidSimulator::resolveNow() {
     compNextCompletion_[r] = std::isfinite(horizon) ? t + horizon : kInf;
   }
   dirtyRoots_.clear();
-  lastSolvedFlows_ = solvedCount;
   ++rateEpoch_;  // step 5 rewrote rates that step 2's callbacks could read
 
   if (solverCheck_) runSolverCheck();
 
-  if (observer_ != nullptr && !solvedIds_.empty()) {
-    observer_->onRatesSolved(t, solvedIds_, solvedRates_, activeCount_);
+  if (!solvedIds_.empty()) {
+    notify([&](FluidObserver& o) { o.onRatesSolved(t, solvedIds_, solvedRates_, activeCount_); });
   }
   scheduleNextWakeup();
 }

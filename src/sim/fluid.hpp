@@ -140,7 +140,7 @@ struct FlowSpec {
 
 /// Observer of fluid-simulation events (see sim/trace.hpp for the standard
 /// implementation).  All callbacks fire from inside the event loop.  Spans
-/// are views into simulator-owned storage, valid only for the call.
+/// are views valid only for the call.
 class FluidObserver {
  public:
   virtual ~FluidObserver() = default;
@@ -165,12 +165,9 @@ class FluidObserver {
   virtual void onFlowCancelled(const FlowStats& stats) { (void)stats; }
 };
 
-class ObserverHub;
-
 class FluidSimulator {
  public:
   FluidSimulator();
-  ~FluidSimulator();
 
   FluidSimulator(const FluidSimulator&) = delete;
   FluidSimulator& operator=(const FluidSimulator&) = delete;
@@ -237,20 +234,17 @@ class FluidSimulator {
   /// Resolves skipped under the ε bound (diagnostics / scale bench).
   std::size_t deferredResolves() const { return deferredResolves_; }
 
-  /// Attach an observer *alongside* any already installed: the first
-  /// observer occupies the slot directly (zero fan-out overhead); a second
-  /// one promotes the slot to an internally-owned ObserverHub that fans
-  /// every event out in attachment order.  The caller keeps ownership.
+  /// Attach an observer *alongside* any already attached: every event goes
+  /// to every observer in attachment order.  Attaching one twice is a no-op.
+  /// The caller keeps ownership.
   void addObserver(FluidObserver* observer);
 
-  /// Detach an observer attached via addObserver (or occupying the slot
-  /// directly).  No-op when it is not attached -- in particular it never
-  /// detaches a *different* observer installed after this one, which is the
-  /// contract observer destructors rely on.
+  /// Detach an observer.  No-op when it is not attached -- in particular it
+  /// never detaches a *different* observer attached after this one, which is
+  /// the contract observer destructors rely on.  Safe from inside a callback:
+  /// an observer may detach itself or an earlier one mid-dispatch, and every
+  /// later observer still receives the event.
   void removeObserver(FluidObserver* observer);
-
-  /// The currently dispatched observer (the hub once promoted).
-  const FluidObserver* observer() const { return observer_; }
 
   /// Enable/disable the differential solver check (also via the
   /// BEESIM_SOLVER_CHECK environment variable): every resolve additionally
@@ -267,7 +261,6 @@ class FluidSimulator {
   // Diagnostics (micro-benchmark / tests).
   std::size_t resolveCount() const { return resolveCount_; }
   std::size_t solverIterations() const { return solverIterations_; }
-  std::size_t lastSolvedFlows() const { return lastSolvedFlows_; }
   /// Live flow classes (see the header comment); 0 once the system drains.
   std::size_t flowClassCount() const { return classes_.size(); }
 
@@ -396,6 +389,10 @@ class FluidSimulator {
   void heapPlace(std::vector<Member>& heap, std::uint32_t pos, Member m);
   void heapErase(std::uint32_t c, std::uint32_t pos);
 
+  /// Call fn(observer) for every attached observer, in attachment order.
+  template <typename Fn>
+  void notify(Fn&& fn);
+
   void scheduleResolve();
   void resolveNow();
   void scheduleNextWakeup();
@@ -444,8 +441,7 @@ class FluidSimulator {
   std::vector<std::uint32_t> pathOffset_;
   std::vector<std::uint32_t> pathLen_;
   std::vector<std::uint32_t> pathCap_;
-  std::vector<ResourceIndex> pathArena_;       // observer-facing path storage
-  std::vector<std::uint32_t> adjacencyArena_;  // same data, solver-facing
+  std::vector<std::uint32_t> adjacencyArena_;
   std::vector<std::uint32_t> freeFlowSlots_;
   IdMap idMap_;
   ClassTable classes_;
@@ -475,13 +471,15 @@ class FluidSimulator {
   double epsilon_ = 0.0;
   Seconds resolveInterval_ = 0.0;
   std::optional<EventId> wakeup_;
-  FluidObserver* observer_ = nullptr;
-  std::unique_ptr<ObserverHub> hub_;  // owned fan-out, created on demand
+  std::vector<FluidObserver*> observers_;  // attachment order
+  /// Cursor of the dispatch loop in notify(); removeObserver pulls it back
+  /// when erasing at or before it.  (Unsigned wrap on removing index 0
+  /// mid-dispatch is intended: the loop's ++ brings it back to 0.)
+  std::size_t dispatchIndex_ = 0;
 
   std::uint64_t rateEpoch_ = 0;
   std::size_t resolveCount_ = 0;
   std::size_t solverIterations_ = 0;
-  std::size_t lastSolvedFlows_ = 0;
   std::size_t deferredResolves_ = 0;
   bool profiling_ = false;
   double solveSeconds_ = 0.0;

@@ -21,7 +21,7 @@
 //
 // The tracer is exact, not sampled: it banks rate * dt on every re-solve.
 // It attaches through FluidSimulator::addObserver, so it composes with any
-// other observer instead of clobbering the slot (see sim/observer_hub.hpp).
+// other observer: every event reaches all of them in attachment order.
 //
 // For cluster-scale runs the FlowTracer's per-event map lookups and O(path)
 // delta accounting dominate: tracing can cost tens of percent of wall time.
@@ -115,7 +115,6 @@ class FlowTracer final : public FluidObserver {
   void trackLink(ResourceIndex link, std::string name);
 
   const std::vector<MetricsSample>& samples() const { return samples_; }
-  const std::vector<std::string>& trackedLinkNames() const { return linkNames_; }
 
   /// Invoked synchronously after each metrics sample is recorded (virtual
   /// time, inside observer dispatch).  Consumers that react by mutating the

@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "faults/schedule.hpp"
 #include "harness/campaign.hpp"
@@ -269,6 +271,50 @@ TEST(Cli, TraceReplaysTheCampaignsFirstPlannedRun) {
                         " seed=" + std::to_string(first.seed) +
                         " bandwidth=" + util::fmt(row.ior.bandwidth, 1) +
                         " MiB/s failovers=" + std::to_string(row.ior.faults.failovers));
+}
+
+TEST(Cli, RejectsZeroCountsBeforeAnyOutput) {
+  // A zero count used to surface an internal contract violation (after
+  // concurrent had already printed its header), or name --nodes, a flag the
+  // user never passed.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases{
+      {{"run", "--cluster", "plafrim1", "--nodes", "2", "--reps", "0"}, "--reps must be >= 1"},
+      {{"sweep", "--cluster", "plafrim1", "--nodes", "2", "--reps", "0"}, "--reps must be >= 1"},
+      {{"concurrent", "--apps", "2", "--nodes-per-app", "2", "--reps", "0"},
+       "--reps must be >= 1"},
+      {{"concurrent", "--apps", "2", "--nodes-per-app", "0"}, "--nodes-per-app must be >= 1"},
+  };
+  for (const auto& [argv, message] : cases) {
+    const auto result = run(argv);
+    EXPECT_EQ(result.code, 1) << argv[0];
+    EXPECT_EQ(result.out, "") << argv[0];
+    EXPECT_NE(result.err.find("error: " + message), std::string::npos) << result.err;
+  }
+}
+
+TEST(Cli, OutputIndependentOfJobs) {
+  // Rows, annotators (the allocation tally, the stripe-count advisor) and
+  // per-rep folds all commit in plan order, whichever thread runs them.
+  const std::vector<std::vector<std::string>> commands{
+      {"run", "--cluster", "plafrim1", "--nodes", "4", "--reps", "6", "--total", "2GiB",
+       "--chooser", "random"},
+      {"sweep", "--cluster", "plafrim1", "--nodes", "2", "--reps", "3", "--total", "1GiB"},
+      {"concurrent", "--apps", "2", "--nodes-per-app", "2", "--reps", "4", "--total",
+       "1GiB"},
+  };
+  for (const auto& argv : commands) {
+    const auto at = [&](const std::string& jobs) {
+      auto withJobs = argv;
+      withJobs.insert(withJobs.end(), {"--jobs", jobs});
+      return run(withJobs);
+    };
+    const auto serial = at("1");
+    const auto parallel = at("4");
+    EXPECT_EQ(serial.code, 0) << serial.err;
+    EXPECT_EQ(parallel.code, 0) << parallel.err;
+    EXPECT_FALSE(serial.out.empty()) << argv[0];
+    EXPECT_EQ(serial.out, parallel.out) << argv[0];
+  }
 }
 
 TEST(Cli, ErrorsAreReportedNotThrown) {

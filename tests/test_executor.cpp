@@ -113,6 +113,48 @@ TEST(Executor, ProgressReachesTotalAndReportsCommitOrder) {
   EXPECT_TRUE(std::is_sorted(completions.begin(), completions.end()));
 }
 
+TEST(Executor, ThrowingAnnotatorPropagatesAndStopsCommits) {
+  const auto entries = smallCampaign();
+  ProtocolOptions options;
+  options.repetitions = 4;
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    std::size_t calls = 0;
+    ExecutorOptions exec;
+    exec.jobs = jobs;
+    EXPECT_THROW(executeCampaign(
+                     entries, options, 3,
+                     [&](const RunRecord&, ResultRow&) {
+                       if (++calls == 5) throw std::runtime_error("annotator failed");
+                     },
+                     exec),
+                 std::runtime_error);
+    // Rows commit in plan order and nothing commits after the failed one.
+    EXPECT_EQ(calls, 5u);
+  }
+}
+
+TEST(Executor, ThrowingRunPropagatesAtAnyJobs) {
+  // The middle entry asks for more nodes than its cluster has, so each of
+  // its runs throws inside runOnce; no row of it may ever be committed.
+  auto entries = smallCampaign();
+  entries[1].config.job = ior::IorJob::onFirstNodes(3, 8);
+  ProtocolOptions options;
+  options.repetitions = 4;
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    std::vector<std::string> committed;
+    ExecutorOptions exec;
+    exec.jobs = jobs;
+    EXPECT_ANY_THROW(executeCampaign(
+        entries, options, 3,
+        [&](const RunRecord&, ResultRow& row) { committed.push_back(row.factors.at("count")); },
+        exec));
+    EXPECT_LT(committed.size(), 12u);
+    EXPECT_EQ(std::count(committed.begin(), committed.end(), "4"), 0);
+  }
+}
+
 TEST(Executor, ParallelMapFillsEverySlotByIndex) {
   for (const std::size_t jobs : {0u, 1u, 2u, 8u}) {
     const auto out = parallelMap<std::size_t>(

@@ -1,6 +1,7 @@
 // The run-level observability pipeline end to end: observer fan-out through
-// ObserverHub, the FlowTracer's metrics series and Chrome-trace export, and
-// the utilization/profiling data flowing up into campaign rows and totals.
+// FluidSimulator's observer list, the FlowTracer's metrics series and
+// Chrome-trace export, and the utilization/profiling data flowing up into
+// campaign rows and totals.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,7 +13,6 @@
 #include "harness/run.hpp"
 #include "ior/options.hpp"
 #include "sim/fluid.hpp"
-#include "sim/observer_hub.hpp"
 #include "sim/trace.hpp"
 #include "topology/plafrim.hpp"
 #include "util/json.hpp"
@@ -40,15 +40,16 @@ struct CountingObserver final : FluidObserver {
   void onFlowCancelled(const FlowStats&) override { ++cancelled; }
 };
 
-/// Removes itself from the simulator on the first flow start -- exercises
-/// mutation of the hub's observer list mid-dispatch.
+/// Removes `target` (itself by default) from the simulator on the first
+/// flow start -- exercises mutation of the observer list mid-dispatch.
 struct SelfRemovingObserver final : FluidObserver {
-  explicit SelfRemovingObserver(FluidSimulator& fluid) : fluid_(fluid) {}
+  explicit SelfRemovingObserver(FluidSimulator& fluid, FluidObserver* target = nullptr)
+      : fluid_(fluid), target_(target != nullptr ? target : this) {}
   int started = 0;
   void onFlowStarted(FlowId, std::span<const ResourceIndex>, util::Bytes,
                      SimTime) override {
     ++started;
-    fluid_.removeObserver(this);
+    fluid_.removeObserver(target_);
   }
   void onRatesSolved(SimTime, std::span<const FlowId>, std::span<const util::MiBps>,
                      std::size_t) override {}
@@ -56,6 +57,7 @@ struct SelfRemovingObserver final : FluidObserver {
 
  private:
   FluidSimulator& fluid_;
+  FluidObserver* target_;
 };
 
 void runOneFlow(FluidSimulator& fluid, ResourceIndex link) {
@@ -64,7 +66,7 @@ void runOneFlow(FluidSimulator& fluid, ResourceIndex link) {
   fluid.run();
 }
 
-TEST(ObserverHub, FansOutToEveryObserverInAttachmentOrder) {
+TEST(Observers, FansOutToEveryObserverInAttachmentOrder) {
   FluidSimulator fluid;
   const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
   CountingObserver a;
@@ -81,7 +83,7 @@ TEST(ObserverHub, FansOutToEveryObserverInAttachmentOrder) {
   EXPECT_EQ(a.solved, b.solved);
 }
 
-TEST(ObserverHub, RemoveDetachesOnlyThatObserver) {
+TEST(Observers, RemoveDetachesOnlyThatObserver) {
   FluidSimulator fluid;
   const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
   CountingObserver a;
@@ -98,20 +100,17 @@ TEST(ObserverHub, RemoveDetachesOnlyThatObserver) {
   EXPECT_EQ(b.started, 1);
 }
 
-TEST(ObserverHub, ComposesWithSetObserver) {
-  // An observer that already sits in the single slot (and has seen events
-  // there) keeps receiving them after a second addObserver promotes the slot
-  // to the hub mid-run.
+TEST(Observers, AttachedMidRunComposesWithResident) {
+  // An observer that is already attached (and has seen events) keeps
+  // receiving them after a second one attaches mid-run.
   FluidSimulator fluid;
   const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
   CountingObserver resident;
   CountingObserver added;
   fluid.addObserver(&resident);
   runOneFlow(fluid, link);
-  EXPECT_EQ(fluid.observer(), &resident);
 
   fluid.addObserver(&added);
-  EXPECT_NE(fluid.observer(), &resident);
   runOneFlow(fluid, link);
 
   EXPECT_EQ(resident.started, 2);
@@ -120,7 +119,7 @@ TEST(ObserverHub, ComposesWithSetObserver) {
   EXPECT_EQ(added.completed, 1);
 }
 
-TEST(ObserverHub, SelfRemovalDuringDispatchIsSafe) {
+TEST(Observers, SelfRemovalDuringDispatchIsSafe) {
   FluidSimulator fluid;
   const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
   SelfRemovingObserver quitter(fluid);
@@ -134,7 +133,27 @@ TEST(ObserverHub, SelfRemovalDuringDispatchIsSafe) {
   EXPECT_EQ(survivor.started, 2);
 }
 
-TEST(ObserverHub, DuplicateAddIsIgnored) {
+TEST(Observers, RemovingAnEarlierObserverMidDispatchSkipsNoLaterOne) {
+  // The middle observer detaches the first one while the start event is
+  // being dispatched; the shift must not make the dispatch skip the third.
+  FluidSimulator fluid;
+  const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
+  CountingObserver first;
+  SelfRemovingObserver remover(fluid, &first);
+  CountingObserver last;
+  fluid.addObserver(&first);
+  fluid.addObserver(&remover);
+  fluid.addObserver(&last);
+  runOneFlow(fluid, link);
+
+  EXPECT_EQ(first.started, 1);
+  EXPECT_EQ(first.completed, 0);  // detached before the flow finished
+  EXPECT_EQ(remover.started, 1);
+  EXPECT_EQ(last.started, 1);
+  EXPECT_EQ(last.completed, 1);
+}
+
+TEST(Observers, DuplicateAddIsIgnored) {
   FluidSimulator fluid;
   const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
   CountingObserver a;
