@@ -17,6 +17,14 @@ constexpr double kRemainderEpsMiB = 1e-9;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Relative margin of the slack certificate: a capacity change on a resource
+// that was not binding at its component's last walk skips the next walk when
+// the new capacity still exceeds the load the walk placed on it by more than
+// kSlackMargin · max(1, capacity).  Three orders of magnitude above the
+// walk's own saturation threshold, so rounding in the recorded load can
+// never carry the resource into saturation.
+constexpr double kSlackMargin = 1e3 * kSaturationEps;
+
 // splitmix64 finalizer: scrambles sequential keys before masking.
 std::uint64_t mix64(std::uint64_t x) {
   x ^= x >> 30;
@@ -270,7 +278,9 @@ ResourceIndex FluidSimulator::addResource(ResourceSpec spec) {
   compDirty_.push_back(0);
   compStructural_.push_back(0);
   compCapDrift_.push_back(0.0);
+  compNeedsWalk_.push_back(0);
   compListed_.push_back(0);
+  resWalkLoad_.push_back(0.0);
   return ResourceIndex{r};
 }
 
@@ -312,6 +322,7 @@ std::uint32_t FluidSimulator::unite(std::uint32_t a, std::uint32_t b, SimTime at
   // drift and structural flag now belong to the merged component.
   compCapDrift_[a] += compCapDrift_[b];
   if (compStructural_[b] != 0) compStructural_[a] = 1;
+  if (compNeedsWalk_[b] != 0) compNeedsWalk_[a] = 1;
   if (compDirty_[b] != 0 && compDirty_[a] == 0) markDirty(a, false);
   compHead_[b] = kNone;
   compTail_[b] = kNone;
@@ -320,12 +331,16 @@ std::uint32_t FluidSimulator::unite(std::uint32_t a, std::uint32_t b, SimTime at
   compDirty_[b] = 0;
   compStructural_[b] = 0;
   compCapDrift_[b] = 0.0;
+  compNeedsWalk_[b] = 0;
   listComponent(a);
   return a;
 }
 
 void FluidSimulator::markDirty(std::uint32_t root, bool structural) {
-  if (structural) compStructural_[root] = 1;
+  if (structural) {
+    compStructural_[root] = 1;
+    compNeedsWalk_[root] = 1;
+  }
   if (compDirty_[root] != 0) return;
   compDirty_[root] = 1;
   dirtyRoots_.push_back(root);
@@ -351,6 +366,7 @@ void FluidSimulator::resetComponents() {
     compDirty_[r] = 0;
     compStructural_[r] = 0;
     compCapDrift_[r] = 0.0;
+    compNeedsWalk_[r] = 0;
     compListed_[r] = 0;
     resLoaded_[r] = 0;
   }
@@ -698,7 +714,10 @@ void FluidSimulator::resolveNow() {
   //    flows), not O(cluster inventory).  Capacity-only changes are marked
   //    non-structural and feed the component's |Δcapacity| drift; a
   //    transition to or from exactly zero forces a structural (never
-  //    deferred) re-solve so stall/unstall is always observed.
+  //    deferred) re-solve so stall/unstall is always observed.  A change
+  //    that fails the slack test (the resource was binding at the last walk,
+  //    or its new capacity comes within kSlackMargin of the load the walk
+  //    placed on it) means the next re-solve must actually walk.
   if (pendingAllDirty_) {
     pendingAllDirty_ = false;
     for (std::size_t i = 0; i < activeRoots_.size();) {
@@ -731,6 +750,9 @@ void FluidSimulator::resolveNow() {
       const bool zeroEdge = cap == 0.0 || resCapacity_[r] == 0.0;
       resCapacity_[r] = cap;
       markDirty(root, zeroEdge);
+      if (!(cap - resWalkLoad_[r] > kSlackMargin * std::max(1.0, cap))) {
+        compNeedsWalk_[root] = 1;
+      }
     }
     ++i;
   }
@@ -746,7 +768,11 @@ void FluidSimulator::resolveNow() {
   //    components keep their simulated rates and completion horizons (both
   //    still describe the trajectory actually being integrated), and the
   //    drift carries over so repeated small wobbles eventually force an
-  //    exact solve.
+  //    exact solve.  A component re-solved without needing a walk (only
+  //    slack capacities moved since its last one) keeps its class rates:
+  //    the walk would reproduce them bit for bit (see the header comment),
+  //    so everything else -- progress, stamps, horizon, observer report --
+  //    runs as if it had.
   solvedIds_.clear();
   solvedRates_.clear();
   const bool record = !observers_.empty();
@@ -764,6 +790,8 @@ void FluidSimulator::resolveNow() {
     compDirty_[r] = 0;
     compStructural_[r] = 0;
     compCapDrift_[r] = 0.0;
+    const bool walk = compNeedsWalk_[r] != 0;
+    compNeedsWalk_[r] = 0;
     if (compFlowCount_[r] == 0) {
       compNextCompletion_[r] = kInf;
       continue;
@@ -771,7 +799,15 @@ void FluidSimulator::resolveNow() {
     advanceComponent(r, t);
     subsetClasses_.clear();
     for (auto c = compHead_[r]; c != kNone; c = classes_.next(c)) subsetClasses_.push_back(c);
-    solverIterations_ += workspace_.solveSubset(view, subsetClasses_, classes_.rates());
+    if (walk) {
+      solverIterations_ += workspace_.solveSubset(view, subsetClasses_, classes_.rates());
+      for (const auto res : workspace_.touchedResources()) {
+        resWalkLoad_[res] =
+            workspace_.saturated(res) ? kInf : resCapacity_[res] - workspace_.residual(res);
+      }
+    } else if (solverCheck_) {
+      checkSkippedWalk(r);
+    }
     double horizon = kInf;
     for (const auto c : subsetClasses_) {
       const double rate = classes_.rate(c);
@@ -838,6 +874,20 @@ void FluidSimulator::scheduleNextWakeup() {
     wakeup_.reset();
     resolveNow();
   });
+}
+
+void FluidSimulator::checkSkippedWalk(std::uint32_t root) {
+  // The certificate claims the walk would reproduce the kept rates exactly,
+  // so the oracle demands bit equality, not a tolerance.
+  checkRates_.resize(classes_.rates().size());
+  checkWorkspace_.solveSubset(classes_.view(resCapacity_), subsetClasses_, checkRates_);
+  for (const auto c : subsetClasses_) {
+    BEESIM_ASSERT(std::bit_cast<std::uint64_t>(checkRates_[c]) ==
+                      std::bit_cast<std::uint64_t>(classes_.rate(c)),
+                  "solver check: skipped walk of the component of " + resources_[root].name +
+                      " would move a class rate (" + std::to_string(classes_.rate(c)) +
+                      " kept vs " + std::to_string(checkRates_[c]) + " walked)");
+  }
 }
 
 void FluidSimulator::runSolverCheck() {

@@ -39,6 +39,21 @@
 // matter, and with ε = 0 (the default) behavior is bit-identical to the
 // always-exact path.
 //
+// Slack certificate (always on, exact): after every walk the simulator keeps,
+// per resource, the load the walk placed on it (capacity − final residual),
+// or +inf when it saturated (was binding).  A capacity change on a resource
+// that was not binding, whose new capacity still exceeds that load by more
+// than 1e3 · kSaturationEps · max(1, capacity), cannot change the walk: such
+// a resource is never the argmin of any filling step and never saturates, so
+// every floating-point operation that feeds the increments, the rates and
+// the freezes is the one the previous walk performed.  A component dirtied
+// only by such changes therefore keeps its class rates without walking --
+// progress, solve stamps, completion horizon and the observer report run as
+// after a walk -- and its rates are bit-identical to what the walk would
+// return.  Structural events and changes that fail the test set the
+// component's needs-walk bit.  ε deferral is decided first and is unchanged;
+// what ε still buys is deferring drift on *binding* resources.
+//
 // Flow classes: flows with the same (path, queueWeight, rateCap) -- the ranks
 // of one node writing to the same targets, say -- always receive identical
 // max-min rates, so the simulator groups them into classes as they start and
@@ -57,7 +72,9 @@
 // flows, one solver slot per flow (no classes), and asserts the incremental
 // rates match to 1e-9 relative; it also integrates every flow's remaining
 // MiB per flow from the rates it checked and asserts the class progress
-// agrees to 1e-9 of the flow size.
+// agrees to 1e-9 of the flow size.  Every component whose walk the slack
+// certificate skipped is re-walked as well, and its class rates must be
+// bit-equal to the kept ones.
 #pragma once
 
 #include <cstdint>
@@ -252,6 +269,8 @@ class FluidSimulator {
   /// asserts the incremental class rates match to 1e-9 relative, that the
   /// class progress matches a per-flow integration of those rates, and that
   /// the incremental load and class accounting agrees with an exact recount.
+  /// A component re-solved without a walk (slack certificate) is re-walked
+  /// and must keep bit-equal class rates.
   void setSolverCheck(bool enabled) { solverCheck_ = enabled; }
 
   /// Run until all events *and* flows drain.  Throws ContractError if flows
@@ -397,6 +416,10 @@ class FluidSimulator {
   void resolveNow();
   void scheduleNextWakeup();
   void runSolverCheck();
+  /// Solver-check oracle for a component whose walk the slack certificate
+  /// skipped: re-walks subsetClasses_ in the check workspace and asserts
+  /// every class rate is bit-equal to the kept one.
+  void checkSkippedWalk(std::uint32_t root);
 
   std::uint32_t allocateFlowSlot();
   void freeFlowSlot(std::uint32_t slot);
@@ -409,6 +432,10 @@ class FluidSimulator {
   std::vector<std::uint32_t> resFlowCount_;
   std::vector<double> resQueueDepth_;
   std::vector<char> resLoaded_;          // member of loadedRes_
+  // Slack certificate, per resource, as of its component's last walk: the
+  // load the walk placed on it (capacity − final residual), or +inf when it
+  // saturated there (was binding), so that no new capacity clears it.
+  std::vector<double> resWalkLoad_;
   mutable std::vector<std::uint32_t> ufParent_;  // path compression in findRoot
   std::vector<std::uint32_t> ufSize_;
   /// Resources with at least one crossing flow (lazily compacted): the
@@ -425,6 +452,9 @@ class FluidSimulator {
   std::vector<char> compDirty_;
   std::vector<char> compStructural_;  // dirtiness includes a membership change
   std::vector<double> compCapDrift_;  // Σ|Δcapacity| since the last exact solve
+  /// The next re-solve must walk: set by every structural markDirty and by
+  /// any capacity change that fails the slack test; cleared by a re-solve.
+  std::vector<char> compNeedsWalk_;
   std::vector<char> compListed_;
   std::vector<std::uint32_t> activeRoots_;  // lazily filtered
   std::vector<std::uint32_t> dirtyRoots_;
@@ -453,6 +483,8 @@ class FluidSimulator {
   std::vector<util::MiBps> solvedRates_;
   std::vector<DrainEntry> drain_;
   SolverWorkspace checkWorkspace_;
+  // Check-workspace rates: per flow slot in runSolverCheck, per class slot
+  // in checkSkippedWalk.
   std::vector<double> checkRates_;
   std::vector<std::uint32_t> checkSlots_;
   // Solver-check progress shadow, per flow slot: remaining MiB integrated

@@ -8,11 +8,6 @@
 namespace beesim::sim {
 
 namespace {
-// Relative tolerance used to decide that a resource is saturated.  Rates are
-// MiB/s magnitudes (1e0..1e5), so an absolute epsilon scaled to the capacity
-// is robust.
-constexpr double kEps = 1e-9;
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Slot f's share of each crossed resource: multiplicity · weight.  k = 1
@@ -69,6 +64,7 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
   // weight is reset to exactly 0.0 (repeated subtraction of doubles can
   // leave a ~1e-16 ghost that would stall the filling with delta == 0).
   activeFlows_.clear();
+  bool anyCapped = false;
   for (const auto f : flows) {
     const auto* adj = view.adjacency.data() + view.adjOffset[f];
     bool dead = false;
@@ -83,6 +79,16 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
       ++activeCount_[adj[i]];
     }
     activeFlows_.push_back(f);
+    if (view.rateCap[f] > 0.0) anyCapped = true;
+  }
+
+  // Only resources with filling weight enter the scans below: for the rest,
+  // delta * 0 never moves the residual, and they can be neither the argmin
+  // nor newly saturated.  Keeping touched order keeps every min() and every
+  // residual update bit for bit what a scan over all touched resources does.
+  activeRes_.clear();
+  for (const auto r : touchedRes_) {
+    if (activeWeight_[r] > 0.0) activeRes_.push_back(r);
   }
 
   std::size_t iterations = 0;
@@ -92,25 +98,25 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
     // The largest uniform *normalized* increment (rate per unit weight)
     // every active flow can absorb.
     double delta = kInf;
-    for (const auto r : touchedRes_) {
-      if (activeWeight_[r] <= 0.0) continue;
+    for (const auto r : activeRes_) {
       delta = std::min(delta, residual_[r] / activeWeight_[r]);
     }
-    for (const auto f : activeFlows_) {
-      if (view.rateCap[f] <= 0.0) continue;
-      delta = std::min(delta, (view.rateCap[f] - rates[f]) / view.weight[f]);
+    if (anyCapped) {
+      for (const auto f : activeFlows_) {
+        if (view.rateCap[f] <= 0.0) continue;
+        delta = std::min(delta, (view.rateCap[f] - rates[f]) / view.weight[f]);
+      }
     }
     BEESIM_ASSERT(delta < kInf, "progressive filling found no bottleneck");
     delta = std::max(delta, 0.0);
 
     // Apply the increment.
     for (const auto f : activeFlows_) rates[f] += delta * view.weight[f];
-    for (const auto r : touchedRes_) residual_[r] -= delta * activeWeight_[r];
+    for (const auto r : activeRes_) residual_[r] -= delta * activeWeight_[r];
 
     // Freeze flows bottlenecked by a saturated resource or by their own cap.
-    for (const auto r : touchedRes_) {
-      if (activeWeight_[r] > 0.0 &&
-          residual_[r] <= kEps * std::max(1.0, view.capacity[r])) {
+    for (const auto r : activeRes_) {
+      if (residual_[r] <= kSaturationEps * std::max(1.0, view.capacity[r])) {
         saturated_[r] = 1;
         residual_[r] = std::max(residual_[r], 0.0);
       }
@@ -128,7 +134,7 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
         }
       }
       if (!stop && view.rateCap[f] > 0.0 &&
-          rates[f] >= view.rateCap[f] - kEps * std::max(1.0, view.rateCap[f])) {
+          rates[f] >= view.rateCap[f] - kSaturationEps * std::max(1.0, view.rateCap[f])) {
         stop = true;
       }
       if (stop) {
@@ -148,6 +154,7 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
     // Progress guarantee: every iteration freezes at least one flow (delta was
     // chosen as the tightest constraint).
     BEESIM_ASSERT(newlyFrozen > 0, "progressive filling made no progress");
+    std::erase_if(activeRes_, [this](std::uint32_t r) { return activeWeight_[r] <= 0.0; });
   }
 
   return iterations;

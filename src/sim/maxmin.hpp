@@ -42,6 +42,13 @@
 
 namespace beesim::sim {
 
+/// Relative tolerance of the filling walk: a resource is saturated once its
+/// residual falls to kSaturationEps · max(1, capacity), and a capped flow is
+/// frozen within the same fraction of its cap.  Rates are MiB/s magnitudes
+/// (1e0..1e5), so an epsilon scaled to the capacity is robust.  The fluid
+/// core's slack certificate (fluid.hpp) sizes its margin from this value.
+inline constexpr double kSaturationEps = 1e-9;
+
 /// Solver input: one resource with an effective capacity for this solve.
 struct SolverResource {
   util::MiBps capacity = 0.0;
@@ -103,6 +110,19 @@ class SolverWorkspace {
   std::size_t solveSubset(const SolverView& view, std::span<const std::uint32_t> flows,
                           std::span<double> rates);
 
+  // Post-walk state of the last solveSubset, valid until the next call.
+  // The fluid core reads it to certify that a later capacity change cannot
+  // alter the walk (see the slack certificate in fluid.hpp).
+
+  /// Every resource crossed by a flow of the last subset, in first-touch
+  /// order.
+  std::span<const std::uint32_t> touchedResources() const { return touchedRes_; }
+  /// Capacity left on a touched resource when the walk ended (the capacity
+  /// itself if no filling flow crossed it; clamped at 0 once saturated).
+  double residual(std::uint32_t r) const { return residual_[r]; }
+  /// Whether a touched resource saturated, i.e. froze the flows crossing it.
+  bool saturated(std::uint32_t r) const { return saturated_[r] != 0; }
+
  private:
   void ensureResourceCapacity(std::size_t resourceCount);
 
@@ -114,8 +134,11 @@ class SolverWorkspace {
   std::vector<char> saturated_;
   std::uint64_t stamp_ = 0;
 
-  // Compact per-solve lists (reused capacity).
+  // Compact per-solve lists (reused capacity).  activeRes_ is the
+  // touched-resource order restricted to resources still carrying filling
+  // weight; it is compacted after every freeze.
   std::vector<std::uint32_t> touchedRes_;
+  std::vector<std::uint32_t> activeRes_;
   std::vector<std::uint32_t> activeFlows_;
 };
 

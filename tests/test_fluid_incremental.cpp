@@ -21,9 +21,12 @@
 #include <utility>
 #include <vector>
 
+#include "harness/run.hpp"
+#include "ior/options.hpp"
 #include "sim/fluid.hpp"
 #include "sim/maxmin.hpp"
 #include "sim/trace.hpp"
+#include "topology/plafrim.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -428,6 +431,192 @@ TEST(FluidIncremental, ClusterScaleResolveIsAllocationFree) {
       EXPECT_EQ(fluid.deferredResolves(), 0u);
     }
   }
+}
+
+// --- Slack certificate ---------------------------------------------------
+//
+// A capacity change on a resource that was not binding at its component's
+// last walk, and that stays clear of the load the walk placed on it, skips
+// the walk; the kept rates must be exactly what the walk would return.  Every
+// case runs under the solver check, which re-walks each skipped component and
+// demands bit-equal class rates.
+
+/// Three flows of weights 1, 1, 2 through a slack link and a 100 MiB/s
+/// bottleneck; returns their ids (sizes 100, 200 and 300 MiB).
+std::vector<FlowId> startSlackTrio(FluidSimulator& fluid, ResourceIndex slack,
+                                   ResourceIndex bottleneck) {
+  std::vector<FlowId> ids;
+  const double weights[] = {1.0, 1.0, 2.0};
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(fluid.startFlow(FlowSpec{.path = {slack, bottleneck},
+                                           .bytes = static_cast<util::Bytes>(i + 1) * 100_MiB,
+                                           .queueWeight = weights[i],
+                                           .rateCap = 0.0,
+                                           .onComplete = nullptr}));
+  }
+  return ids;
+}
+
+/// Records every reported rate with its instant, and every completion
+/// instant, as bits.
+class RateLog : public FluidObserver {
+ public:
+  void onFlowStarted(FlowId, std::span<const ResourceIndex>, util::Bytes, SimTime) override {}
+  void onRatesSolved(SimTime at, std::span<const FlowId> ids,
+                     std::span<const util::MiBps> rates, std::size_t) override {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      entries.emplace_back(at, ids[i].value, std::bit_cast<std::uint64_t>(rates[i]));
+    }
+  }
+  void onFlowCompleted(const FlowStats& stats) override {
+    ends.emplace_back(stats.id.value, std::bit_cast<std::uint64_t>(stats.endTime));
+  }
+
+  std::vector<std::tuple<SimTime, std::uint64_t, std::uint64_t>> entries;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ends;
+};
+
+TEST(SlackCertificate, SlackDriftSkipsTheWalkAndKeepsEveryBit) {
+  // Two runs whose slack link drifts along different curves, never near the
+  // 100 MiB/s the bottleneck lets through: each refresh dirties the
+  // component, but no walk runs between structural events, and both runs
+  // report the same rates and completion instants bit for bit.
+  struct Outcome {
+    std::size_t refreshResolves;
+    std::size_t refreshIterations;
+    RateLog log;
+  };
+  const auto runWith = [](std::function<double(SimTime)> slackCap) {
+    FluidSimulator fluid;
+    fluid.setSolverCheck(true);
+    fluid.setResolveInterval(0.1);
+    const auto slack = fluid.addResource(ResourceSpec{
+        "slack", [slackCap](const ResourceLoad& load) { return slackCap(load.time); }});
+    const auto bottleneck = addLink(fluid, "bottleneck", 100.0);
+    Outcome out{0, 0, {}};
+    fluid.addObserver(&out.log);
+    startSlackTrio(fluid, slack, bottleneck);
+    fluid.engine().runUntil(0.05);  // the starts' walk
+    const auto resolves = fluid.resolveCount();
+    const auto iterations = fluid.solverIterations();
+    fluid.engine().runUntil(3.5);  // the first completion is at t = 4
+    out.refreshResolves = fluid.resolveCount() - resolves;
+    out.refreshIterations = fluid.solverIterations() - iterations;
+    fluid.run();
+    fluid.removeObserver(&out.log);
+    return out;
+  };
+  const auto a = runWith([](SimTime t) { return 1000.0 + 10.0 * std::sin(t); });
+  const auto b = runWith([](SimTime t) { return 2000.0 + 300.0 * std::cos(3.0 * t); });
+  for (const auto* run : {&a, &b}) {
+    EXPECT_GE(run->refreshResolves, 30u);
+    EXPECT_EQ(run->refreshIterations, 0u) << "slack drift must not walk";
+    ASSERT_EQ(run->log.ends.size(), 3u);
+  }
+  EXPECT_EQ(a.log.entries, b.log.entries) << "reported rates must not see slack drift";
+  EXPECT_EQ(a.log.ends, b.log.ends) << "completion instants must not see slack drift";
+  // Rates 25/25/50 until t = 4, so the first flow ends there exactly.
+  EXPECT_NEAR(std::bit_cast<double>(a.log.ends[0].second), 4.0, 1e-9);
+}
+
+TEST(SlackCertificate, BindingDriftWalksAndRatesFollow) {
+  // The same wobble on the bottleneck itself: every refresh walks, and each
+  // reported rate is the weighted share of the capacity at that instant.
+  FluidSimulator fluid;
+  fluid.setSolverCheck(true);
+  fluid.setResolveInterval(0.1);
+  const auto capAt = [](SimTime t) { return 100.0 + 10.0 * std::sin(t); };
+  const auto slack = addLink(fluid, "slack", 1000.0);
+  const auto bottleneck = fluid.addResource(ResourceSpec{
+      "bottleneck", [capAt](const ResourceLoad& load) { return capAt(load.time); }});
+  RateLog log;
+  fluid.addObserver(&log);
+  const auto ids = startSlackTrio(fluid, slack, bottleneck);
+  fluid.engine().runUntil(0.05);
+  const auto resolves = fluid.resolveCount();
+  const auto iterations = fluid.solverIterations();
+  fluid.engine().runUntil(3.0);
+  const auto refreshes = fluid.resolveCount() - resolves;
+  EXPECT_GE(refreshes, 25u);
+  EXPECT_GE(fluid.solverIterations() - iterations, refreshes)
+      << "every refresh of a binding capacity must walk";
+  std::size_t checked = 0;
+  for (const auto& [at, id, bits] : log.entries) {
+    const double weight = id == ids[2].value ? 2.0 : 1.0;
+    const double expect = capAt(at) * weight / 4.0;
+    EXPECT_NEAR(std::bit_cast<double>(bits), expect, 1e-9 * expect)
+        << "flow #" << id << " at " << at;
+    ++checked;
+  }
+  EXPECT_GE(checked, 3 * refreshes);
+  fluid.removeObserver(&log);
+}
+
+TEST(SlackCertificate, DriftIntoTheMarginWalksAndBelowTheLoadBinds) {
+  // The slack link carries the bottleneck's 100 MiB/s.  Squeezed to within
+  // the certificate's margin of that load it must walk (and stay slack);
+  // just outside the margin it skips; squeezed below the load it binds.
+  FluidSimulator fluid;
+  fluid.setSolverCheck(true);
+  double slackCap = 1000.0;
+  const auto slack = fluid.addResource(
+      ResourceSpec{"slack", [&slackCap](const ResourceLoad&) { return slackCap; }});
+  const auto bottleneck = addLink(fluid, "bottleneck", 100.0);
+  const auto ids = startSlackTrio(fluid, slack, bottleneck);
+  const auto squeezeTo = [&](double cap) {
+    slackCap = cap;
+    fluid.invalidateCapacities();
+    const auto iterations = fluid.solverIterations();
+    fluid.engine().runUntil(fluid.now());  // the +0 resolve
+    return fluid.solverIterations() - iterations;
+  };
+  fluid.engine().runUntil(0.0);
+  const auto rateBits = [&] {
+    std::vector<std::uint64_t> bits;
+    for (const auto id : ids) bits.push_back(std::bit_cast<std::uint64_t>(fluid.flowRate(id)));
+    return bits;
+  };
+  const auto before = rateBits();
+  EXPECT_DOUBLE_EQ(fluid.flowRate(ids[2]), 50.0);
+
+  // Inside the margin: 5e-7 relative above the load, under the 1e-6 margin.
+  EXPECT_GT(squeezeTo(100.0 * (1.0 + 5e-7)), 0u) << "a change inside the margin must walk";
+  EXPECT_EQ(rateBits(), before) << "inside the margin the link is still slack";
+  // Outside it: 2e-6 relative above the load.
+  EXPECT_EQ(squeezeTo(100.0 * (1.0 + 2e-6)), 0u) << "a change clear of the margin skips";
+  EXPECT_EQ(rateBits(), before);
+  // Below the load: the slack link becomes the bottleneck.
+  EXPECT_GT(squeezeTo(80.0), 0u);
+  EXPECT_NEAR(fluid.flowRate(ids[0]), 20.0, 1e-9);
+  EXPECT_NEAR(fluid.flowRate(ids[2]), 40.0, 1e-9);
+  // Now binding: even a rise that clears the old load by far must walk.
+  EXPECT_GT(squeezeTo(90.0), 0u);
+  EXPECT_NEAR(fluid.flowRate(ids[2]), 45.0, 1e-9);
+  fluid.run();
+  EXPECT_EQ(fluid.activeFlows(), 0u);
+}
+
+TEST(SlackCertificate, ScenarioOneRunWalksLessThanOncePerResolve) {
+  // Fig. 8's shape: Scenario 1, 16 x 8 N-1, stripe 8.  The periodic client
+  // ramp refresh moves only slack client capacities, so most resolves keep
+  // their rates without a walk.  Runs under the solver check, which
+  // re-walks every skipped component.
+  const char* previous = std::getenv("BEESIM_SOLVER_CHECK");
+  const std::string saved = previous != nullptr ? previous : "";
+  ::setenv("BEESIM_SOLVER_CHECK", "1", 1);
+  harness::RunConfig config;
+  config.cluster = topo::makePlafrim(topo::Scenario::kEthernet10G, 16);
+  config.fs.defaultStripe.stripeCount = 8;
+  config.job = ior::IorJob::onFirstNodes(16, 8);
+  config.ior.blockSize = ior::blockSizeForTotal(32_GiB, config.job.ranks());
+  const auto record = harness::runOnce(config, 7);
+  if (previous != nullptr) {
+    ::setenv("BEESIM_SOLVER_CHECK", saved.c_str(), 1);
+  } else {
+    ::unsetenv("BEESIM_SOLVER_CHECK");
+  }
+  EXPECT_GT(record.resolves, 50u);
+  EXPECT_LT(record.solverIterations, record.resolves);
 }
 
 // --- Flow classes --------------------------------------------------------
@@ -835,6 +1024,33 @@ TEST(SolverWorkspaceTest, IgnoresSlotsOutsideTheSubset) {
   EXPECT_NEAR(rates[2], 75.0, 1e-9);
   EXPECT_DOUBLE_EQ(rates[1], -7.0);  // untouched
   EXPECT_DOUBLE_EQ(rates[3], -7.0);
+}
+
+TEST(SolverWorkspaceTest, ExposesPostWalkResidualsAndSaturation) {
+  // One flow through a 100 and a 300 MiB/s resource: the first saturates
+  // (residual clamped to 0), the second keeps 200 of slack.  A resource no
+  // filling flow crosses keeps its capacity as the residual.
+  const std::vector<double> capacity{100.0, 300.0, 0.0, 50.0};
+  const std::vector<std::uint32_t> adjacency{0, 1, 2, 3};
+  const std::vector<std::uint32_t> adjOffset{0, 2};
+  const std::vector<std::uint32_t> adjLen{2, 2};  // slot 1 is dead (zero capacity)
+  const std::vector<double> weight{1.0, 1.0};
+  const std::vector<double> rateCap{0.0, 0.0};
+  const SolverView view{capacity, adjacency, adjOffset, adjLen, weight, rateCap};
+  SolverWorkspace workspace;
+  std::vector<double> rates(2, -1.0);
+  const std::vector<std::uint32_t> subset{0, 1};
+  workspace.solveSubset(view, subset, rates);
+  EXPECT_EQ(std::vector<std::uint32_t>(workspace.touchedResources().begin(),
+                                       workspace.touchedResources().end()),
+            (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(workspace.saturated(0));
+  EXPECT_EQ(workspace.residual(0), 0.0);
+  EXPECT_FALSE(workspace.saturated(1));
+  EXPECT_DOUBLE_EQ(workspace.residual(1), 200.0);
+  EXPECT_FALSE(workspace.saturated(3));
+  EXPECT_EQ(workspace.residual(3), 50.0);
+  EXPECT_EQ(rates[1], 0.0);
 }
 
 }  // namespace
