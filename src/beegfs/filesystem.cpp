@@ -325,6 +325,8 @@ void FileSystem::issueAdmitted(const OpPtr& op) {
   if (hedged) {
     op->hedges = 0;
     op->tried.assign(1, target);
+    BEESIM_ASSERT(op->hedgeSlot == kUntracked, "hedged op tracked twice");
+    op->hedgeSlot = hedged_.size();
     hedged_.push_back(op);
     ++trackEpoch_;
   }
@@ -384,12 +386,20 @@ void FileSystem::cancelLegs(ChunkOp& op) {
 }
 
 void FileSystem::untrack(const OpPtr& op) {
-  if (op->rule == Completion::kOne) return;
-  auto& index = op->rule == Completion::kAll ? inflightMirror_[op->group] : hedged_;
-  const auto it = std::find(index.begin(), index.end(), op);
-  if (it == index.end()) return;
-  index.erase(it);
-  if (op->rule == Completion::kFirst) ++trackEpoch_;
+  if (op->rule == Completion::kAll) {
+    // Ordered: switchover re-sends walk the group's ops in issue order.
+    auto& index = inflightMirror_[op->group];
+    const auto it = std::find(index.begin(), index.end(), op);
+    if (it != index.end()) index.erase(it);
+    return;
+  }
+  if (op->hedgeSlot == kUntracked) return;
+  // Swap-remove: the peer snapshot built from hedged_ is sorted anyway.
+  hedged_.back()->hedgeSlot = op->hedgeSlot;
+  std::swap(hedged_[op->hedgeSlot], hedged_.back());
+  hedged_.pop_back();
+  op->hedgeSlot = kUntracked;
+  ++trackEpoch_;
 }
 
 void FileSystem::markFailed(ChunkOp& op) {

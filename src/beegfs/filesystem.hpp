@@ -185,6 +185,7 @@ class FileSystem {
     kFirst,  ///< hedged chunk: the first of original and hedge leg to land
   };
 
+  static constexpr std::size_t kUntracked = static_cast<std::size_t>(-1);  ///< not in hedged_
   /// One chunk from admission to resolution (DESIGN.md §2.3): survives
   /// timeouts, retries, failovers and switchovers, each of which re-issues
   /// its legs.
@@ -201,6 +202,7 @@ class FileSystem {
     util::Bytes debt = 0;            ///< resync debt it added to `group`
     int hedges = 0;                  ///< hedge legs issued (kFirst)
     std::vector<std::size_t> tried;  ///< targets already given a leg (kFirst)
+    std::size_t hedgeSlot = kUntracked;  ///< index in hedged_ while tracked
     bool resolved = false;
   };
   using OpPtr = std::shared_ptr<ChunkOp>;
@@ -281,7 +283,7 @@ class FileSystem {
   HedgeStats hedgeStats_;
   /// Live chunk ops (issued and not yet resolved).
   std::size_t liveOps_ = 0;
-  /// Unresolved hedged ops (also the peer set for the lag median).
+  /// Unresolved hedged ops (also the peer set for the lag median), unordered.
   std::vector<OpPtr> hedged_;
   /// Bumped whenever hedged_ gains or loses an op or an op's legs change.
   std::uint64_t trackEpoch_ = 1;

@@ -96,11 +96,6 @@ void ManagementService::setHostWeight(std::size_t host, double weight) {
   hostWeights_[host] = weight;
 }
 
-double ManagementService::hostWeight(std::size_t host) const {
-  BEESIM_ASSERT(host < hostWeights_.size(), "unknown host");
-  return hostWeights_[host];
-}
-
 void ManagementService::resetHostWeights() {
   std::fill(hostWeights_.begin(), hostWeights_.end(), 1.0);
 }
@@ -113,12 +108,6 @@ void ManagementService::setHostHealth(std::size_t host, HostHealth state) {
 HostHealth ManagementService::hostHealth(std::size_t host) const {
   BEESIM_ASSERT(host < hostHealth_.size(), "unknown host");
   return hostHealth_[host];
-}
-
-bool ManagementService::anyHostQuarantined() const {
-  return std::any_of(hostHealth_.begin(), hostHealth_.end(), [](HostHealth h) {
-    return h == HostHealth::kQuarantined;
-  });
 }
 
 std::size_t ManagementService::registerMirrorGroup(std::size_t primary,

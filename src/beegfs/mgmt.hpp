@@ -110,7 +110,6 @@ class ManagementService {
   /// All 1.0 by default (uniform = chooser behaves exactly as unwrapped).
   /// Throws ContractError on negative or non-finite weights.
   void setHostWeight(std::size_t host, double weight);
-  double hostWeight(std::size_t host) const;
   const std::vector<double>& hostWeights() const { return hostWeights_; }
 
   /// Back to uniform weights (controller disengaging).
@@ -122,10 +121,6 @@ class ManagementService {
   /// HealthMonitor writes these.
   void setHostHealth(std::size_t host, HostHealth state);
   HostHealth hostHealth(std::size_t host) const;
-
-  /// True when any host is currently quarantined (cheap gate for the
-  /// hedging picker's health-aware path).
-  bool anyHostQuarantined() const;
 
   /// Register a buddy-mirror group.  Throws ConfigError unless both targets
   /// exist, sit on distinct hosts and belong to no other group.  Returns the

@@ -6,47 +6,42 @@
 
 namespace beesim::control {
 
+namespace {
+constexpr util::Seconds kSampleInterval = 0.25;  // server NIC sampling period
+constexpr double kEwmaAlpha = 0.3;               // per-sample EWMA weight (1 = raw)
+constexpr double kDrainWeight = 0.05;  // quarantined create weight; > 0 stays choosable
+constexpr double kProbeWeight = 0.5;             // create weight during probation
+constexpr util::Seconds kRecoverPatience = 1.0;  // clean probation before re-admission
+}  // namespace
+
 HealthMonitor::HealthMonitor(beegfs::FileSystem& fs, const HealthPolicy& policy)
-    : fs_(fs), policy_(policy), tracer_(fs.deployment().fluid()) {
+    : fs_(fs), policy_(policy), sampler_(fs.deployment().fluid()) {
   BEESIM_ASSERT(policy_.enabled, "constructing a disabled health monitor");
   BEESIM_ASSERT(policy_.suspectRatio > 0.0 && policy_.suspectRatio < 1.0,
                 "suspect ratio must lie in (0, 1)");
   BEESIM_ASSERT(policy_.suspectPatience > 0.0, "suspect patience must be > 0");
-  BEESIM_ASSERT(policy_.sampleInterval > 0.0, "health sample interval must be > 0");
-  BEESIM_ASSERT(policy_.ewmaAlpha > 0.0 && policy_.ewmaAlpha <= 1.0,
-                "EWMA alpha must lie in (0, 1]");
-  BEESIM_ASSERT(policy_.drainWeight >= 0.0, "drain weight must be >= 0");
-  BEESIM_ASSERT(policy_.probeWeight >= 0.0, "probe weight must be >= 0");
   BEESIM_ASSERT(policy_.probationDelay >= 0.0, "probation delay must be >= 0");
-  BEESIM_ASSERT(policy_.recoverPatience >= 0.0, "recover patience must be >= 0");
 
   auto& deployment = fs_.deployment();
   const auto& cluster = deployment.cluster();
   hosts_.resize(cluster.hosts.size());
-  tracer_.setMetricsInterval(policy_.sampleInterval);
+  sampler_.setMetricsInterval(kSampleInterval);
   for (std::size_t h = 0; h < cluster.hosts.size(); ++h) {
-    tracer_.trackLink(deployment.serverNicResource(h), cluster.hosts[h].name);
+    sampler_.trackLink(deployment.serverNicResource(h));
   }
   fs_.enableWeightedChooser();
-  tracer_.setSampleListener([this](const sim::MetricsSample& s) { onSample(s); });
-}
-
-HealthMonitor::~HealthMonitor() = default;
-
-beegfs::HostHealth HealthMonitor::state(std::size_t host) const {
-  BEESIM_ASSERT(host < hosts_.size(), "unknown host");
-  return hosts_[host].health;
+  sampler_.setSampleListener([this](const sim::MetricsSample& s) { onSample(s); });
 }
 
 void HealthMonitor::disarm() {
   // Weights return to uniform so tail traffic (resync, migrations) is not
   // steered; the registry keeps the final verdict for post-run inspection.
   disarmed_ = true;
+  fs_.deployment().fluid().removeObserver(&sampler_);
   fs_.deployment().mgmt().resetHostWeights();
 }
 
 void HealthMonitor::onSample(const sim::MetricsSample& sample) {
-  if (disarmed_) return;
   ++stats_.samples;
   const util::Seconds now = sample.time;
 
@@ -61,16 +56,17 @@ void HealthMonitor::onSample(const sim::MetricsSample& sample) {
     auto& host = hosts_[h];
     host.ewma = host.ewma < 0.0
                     ? rate
-                    : policy_.ewmaAlpha * rate + (1.0 - policy_.ewmaAlpha) * host.ewma;
+                    : kEwmaAlpha * rate + (1.0 - kEwmaAlpha) * host.ewma;
   }
 
+  std::vector<double> peers;
+  peers.reserve(hosts_.size());
   for (std::size_t h = 0; h < hosts_.size(); ++h) {
     auto& host = hosts_[h];
     // Only a server with traffic can testify against itself: an idle NIC is
     // no evidence (the host may legitimately serve no chunk of this job).
     const bool busy = sample.linkFlows[h] > 0;
-    std::vector<double> peers;
-    peers.reserve(hosts_.size());
+    peers.clear();
     for (std::size_t p = 0; p < hosts_.size(); ++p) {
       // A peer testifies with its EWMA whether or not it is busy this very
       // sample: the retained last-known rate is exactly the reference needed
@@ -110,7 +106,7 @@ void HealthMonitor::onSample(const sim::MetricsSample& sample) {
         if (below) {
           ++stats_.relapses;
           quarantine(h, now);
-        } else if (now - host.cleanSince >= policy_.recoverPatience) {
+        } else if (now - host.cleanSince >= kRecoverPatience) {
           readmit(h);
         }
         break;
@@ -129,7 +125,7 @@ void HealthMonitor::quarantine(std::size_t host, util::Seconds /*now*/) {
   // The drain lever: new creates avoid the host through the WeightedChooser;
   // weight updates are pure registry state, so they are safe inside observer
   // dispatch (unlike flow mutations).
-  mgmt.setHostWeight(host, policy_.drainWeight);
+  mgmt.setHostWeight(host, kDrainWeight);
   const std::uint64_t epoch = ++state.probationEpoch;
   fs_.deployment().fluid().engine().scheduleAfter(
       policy_.probationDelay, [this, host, epoch] { enterProbation(host, epoch); });
@@ -155,7 +151,7 @@ void HealthMonitor::enterProbation(std::size_t host, std::uint64_t epoch) {
   ++stats_.probations;
   auto& mgmt = fs_.deployment().mgmt();
   mgmt.setHostHealth(host, state.health);
-  mgmt.setHostWeight(host, policy_.probeWeight);
+  mgmt.setHostWeight(host, kProbeWeight);
 }
 
 void HealthMonitor::readmit(std::size_t host) {

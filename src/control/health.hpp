@@ -5,10 +5,10 @@
 // client watchdog, and silently destroys the balance the paper shows
 // dominates I/O performance.  This monitor closes the detection gap:
 //
-//   * sense -- a private FlowTracer (attached through addObserver, so it
+//   * sense -- a sim::RateSampler (attached through addObserver, so it
 //     composes with run-level observability) samples every server NIC's
-//     rate at `sampleInterval`; per server the monitor keeps an EWMA of the
-//     observed rate;
+//     rate every 0.25 s of virtual time; per server the monitor keeps an
+//     EWMA (alpha 0.3) of the observed rate;
 //   * score -- each *busy* server is compared against the median EWMA of its
 //     busy peers.  A server below `suspectRatio` x peer-median is suspect.
 //     The score is peer-relative on purpose: a whole-cluster slowdown (noise
@@ -16,10 +16,10 @@
 //     false-positives nothing;
 //   * act -- a suspect that stays below the ratio for `suspectPatience`
 //     seconds is quarantined: its registry HostHealth flips (mgmt.hpp), its
-//     create weight drops to `drainWeight` through the WeightedChooser path
+//     create weight drops to a 0.05 drain through the WeightedChooser path
 //     (new files avoid it) and the hedging picker shuns it as a destination.
-//     After `probationDelay` the host enters probation at `probeWeight`; a
-//     clean `recoverPatience` re-admits it, a relapse re-quarantines it.
+//     After `probationDelay` the host enters probation at weight 0.5; one
+//     clean second re-admits it, a relapse re-quarantines it.
 //
 // The monitor draws no randomness and acts only on rate history, so runs
 // with identical histories take identical actions -- campaigns stay
@@ -45,24 +45,13 @@ struct HealthPolicy {
   double suspectRatio = 0.5;
   /// Seconds a server must stay suspect before it is quarantined.
   util::Seconds suspectPatience = 1.0;
-  /// Virtual-time sampling interval of the private tracer.
-  util::Seconds sampleInterval = 0.25;
-  /// Per-sample EWMA smoothing factor in (0, 1]; 1 = raw rates.
-  double ewmaAlpha = 0.3;
-  /// Create weight published for a quarantined host (drain; > 0 keeps the
-  /// host choosable when every other host is also degraded).
-  double drainWeight = 0.05;
   /// Quarantine dwell time before the probation probe re-admits traffic.
   util::Seconds probationDelay = 5.0;
-  /// Create weight during probation (partial re-admission).
-  double probeWeight = 0.5;
-  /// Seconds of clean probation before full re-admission.
-  util::Seconds recoverPatience = 1.0;
 };
 
 /// What the monitor observed/did during a run (exported as gray_* columns).
 struct HealthStats {
-  std::size_t samples = 0;       ///< metrics samples observed
+  std::size_t samples = 0;       ///< grid points while armed, idle prefix included
   std::size_t suspects = 0;      ///< healthy -> suspect transitions
   std::size_t quarantines = 0;   ///< suspect -> quarantined transitions
   std::size_t probations = 0;    ///< quarantined -> probation transitions
@@ -74,25 +63,25 @@ struct HealthStats {
 
 class HealthMonitor {
  public:
-  /// Attaches a private FlowTracer tracking every server NIC and wraps the
+  /// Attaches a RateSampler over every server NIC and wraps the
   /// filesystem's chooser in a WeightedChooser (invisible until a drain
   /// skews the weights).  `policy.enabled` must be true.
   HealthMonitor(beegfs::FileSystem& fs, const HealthPolicy& policy);
-  ~HealthMonitor();
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-  const HealthPolicy& policy() const { return policy_; }
-  const HealthStats& stats() const { return stats_; }
-
-  /// Current state of one host (mirror of the registry entry).
-  beegfs::HostHealth state(std::size_t host) const;
+  /// Samples include the idle prefix the sampler only counts (no-op samples).
+  HealthStats stats() const {
+    HealthStats stats = stats_;
+    stats.samples += sampler_.idleSamples();
+    return stats;
+  }
 
   /// Stop reacting to samples and restore uniform weights; the registry
   /// keeps the final health verdicts for post-run inspection.  Called when
   /// the foreground job completes so migration/resync tails cannot trip the
-  /// detector against their own traffic.
+  /// detector against their own traffic; the sampler detaches.
   void disarm();
 
  private:
@@ -111,7 +100,7 @@ class HealthMonitor {
 
   beegfs::FileSystem& fs_;
   HealthPolicy policy_;
-  sim::FlowTracer tracer_;
+  sim::RateSampler sampler_;
   HealthStats stats_;
   std::vector<HostState> hosts_;
   bool disarmed_ = false;

@@ -7,46 +7,44 @@
 
 namespace beesim::control {
 
+namespace {
+constexpr util::Seconds kSampleInterval = 0.1;  // server NIC sampling period
+constexpr double kMigrationQueueWeight = 0.25;  // the resync default: yields to foreground I/O
+}  // namespace
+
 RebalanceController::RebalanceController(beegfs::FileSystem& fs,
                                          const RebalancePolicy& policy)
-    : fs_(fs), policy_(policy), tracer_(fs.deployment().fluid()) {
+    : fs_(fs), policy_(policy), sampler_(fs.deployment().fluid()) {
   BEESIM_ASSERT(policy_.enabled, "constructing a disabled rebalance controller");
   BEESIM_ASSERT(policy_.threshold > 1.0, "rebalance threshold must exceed 1 (balanced)");
   BEESIM_ASSERT(policy_.exitMargin >= 0.0 && policy_.exitMargin < policy_.threshold - 1.0 + 1e-12,
                 "hysteresis exit margin must keep the exit point above 1");
   BEESIM_ASSERT(policy_.patience >= 1, "rebalance patience must be >= 1");
-  BEESIM_ASSERT(policy_.sampleInterval > 0.0, "rebalance sample interval must be > 0");
   BEESIM_ASSERT(policy_.migrationRate >= 0.0, "migration rate cap must be >= 0");
-  BEESIM_ASSERT(policy_.migrationQueueWeight > 0.0, "migration queue weight must be > 0");
   BEESIM_ASSERT(policy_.maxConcurrentMigrations >= 0, "migration concurrency must be >= 0");
 
   auto& deployment = fs_.deployment();
-  tracer_.setMetricsInterval(policy_.sampleInterval);
-  const auto& cluster = deployment.cluster();
-  for (std::size_t h = 0; h < cluster.hosts.size(); ++h) {
-    tracer_.trackLink(deployment.serverNicResource(h), cluster.hosts[h].name);
+  sampler_.setMetricsInterval(kSampleInterval);
+  for (std::size_t h = 0; h < deployment.cluster().hosts.size(); ++h) {
+    sampler_.trackLink(deployment.serverNicResource(h));
   }
-  if (policy_.retarget) fs_.enableWeightedChooser();
-  tracer_.setSampleListener([this](const sim::MetricsSample& s) { onSample(s); });
+  fs_.enableWeightedChooser();
+  sampler_.setSampleListener([this](const sim::MetricsSample& s) { onSample(s); });
 }
 
-RebalanceController::~RebalanceController() { cancel(); }
+RebalanceController::~RebalanceController() {
+  for (const auto& [key, flow] : migrations_) fs_.deployment().fluid().cancelFlow(flow);
+}
 
 void RebalanceController::disarm() {
   disarmed_ = true;
   engaged_ = false;
   strikes_ = 0;
+  fs_.deployment().fluid().removeObserver(&sampler_);
   fs_.deployment().mgmt().resetHostWeights();
 }
 
-void RebalanceController::cancel() {
-  auto& fluid = fs_.deployment().fluid();
-  for (const auto& [key, migration] : migrations_) fluid.cancelFlow(migration.flow);
-  migrations_.clear();
-}
-
 void RebalanceController::onSample(const sim::MetricsSample& sample) {
-  if (disarmed_) return;
   ++stats_.samples;
   stats_.peakImbalance = std::max(stats_.peakImbalance, sample.linkImbalance);
   const double imbalance = sample.linkImbalance;
@@ -72,16 +70,16 @@ void RebalanceController::onSample(const sim::MetricsSample& sample) {
     // Below the hysteresis band: stand down and stop biasing creates.
     engaged_ = false;
     strikes_ = 0;
-    if (policy_.retarget) fs_.deployment().mgmt().resetHostWeights();
+    fs_.deployment().mgmt().resetHostWeights();
     return;
   }
   scheduleAct(sample);
 }
 
 void RebalanceController::scheduleAct(const sim::MetricsSample& sample) {
-  // The listener runs inside FlowTracer's observer dispatch; mutating the
+  // The listener runs inside the sampler's observer dispatch; mutating the
   // flow set there would recursively re-solve rates.  Defer to a fresh
-  // engine event at the same virtual time.
+  // engine event at the same virtual time, with a copy of the reused rates.
   fs_.deployment().fluid().engine().scheduleAfter(
       0.0, [this, rates = sample.linkRates] {
         if (disarmed_ || !engaged_) return;
@@ -98,8 +96,8 @@ void RebalanceController::act(const std::vector<util::MiBps>& rates) {
     const auto& entry = mgmt.target(t);
     if (entry.online && entry.host < hostUsable.size()) hostUsable[entry.host] = true;
   }
-  if (policy_.retarget) updateWeights(rates, hostUsable);
-  if (policy_.restripe) maybeMigrate(rates, hostUsable);
+  updateWeights(rates, hostUsable);
+  maybeMigrate(rates, hostUsable);
 }
 
 void RebalanceController::updateWeights(const std::vector<util::MiBps>& rates,
@@ -179,17 +177,15 @@ void RebalanceController::maybeMigrate(const std::vector<util::MiBps>& rates,
   if (dest >= mgmt.targetCount()) return;
 
   const SlotKey key{bestFile.value, bestSlot};
-  Migration migration;
-  migration.bytes = bestBytes;
-  migration.flow = fs_.migrateSlot(
-      bestFile, bestSlot, dest, policy_.migrationQueueWeight, policy_.migrationRate,
+  const auto flow = fs_.migrateSlot(
+      bestFile, bestSlot, dest, kMigrationQueueWeight, policy_.migrationRate,
       [this, key](const sim::FlowStats& stats) {
         migrations_.erase(key);
         ++stats_.migrations;
         stats_.bytesMigrated += stats.bytes;
         stats_.migrationSeconds += stats.endTime - stats.startTime;
       });
-  migrations_.emplace(key, migration);
+  migrations_.emplace(key, flow);
 }
 
 }  // namespace beesim::control

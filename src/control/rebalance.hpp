@@ -1,12 +1,12 @@
 // Closed-loop rebalancing controller (DESIGN.md §2.6).
 //
 // The paper's Lesson #4 is that *where* a file's chunks land dominates its
-// I/O bandwidth; PR 5 added the observability to watch the per-server rate
-// vector in virtual time.  This controller closes the loop: it subscribes to
-// the FlowTracer metrics series and, when the live link-imbalance index
-// (core::linkImbalance over the server NIC rates -- the same definition the
-// tracer, the run table and campaign CSVs report) stays above a threshold
-// for `patience` consecutive samples, it acts on two levers:
+// I/O bandwidth.  This controller closes the loop over the per-server rate
+// vector: a sim::RateSampler samples every server NIC every 0.1 s of
+// virtual time and, when the live link-imbalance index (core::linkImbalance
+// over the server NIC rates -- the same definition the tracer, the run
+// table and campaign CSVs report) stays above a threshold for `patience`
+// consecutive samples, it pulls two levers:
 //
 //   * retarget -- publish per-host weights through the management service so
 //     the WeightedChooser biases *new* file creates toward under-loaded
@@ -46,24 +46,15 @@ struct RebalancePolicy {
   double exitMargin = 0.1;
   /// Consecutive over-threshold samples required to engage.
   int patience = 3;
-  /// Virtual-time metrics sampling interval (seconds).
-  util::Seconds sampleInterval = 0.1;
   /// Per-migration-flow rate cap in MiB/s (0 = unlimited).
   util::MiBps migrationRate = 0.0;
-  /// Outstanding-request weight of a migration flow; matches the resync
-  /// model's default so background streams yield to foreground I/O.
-  double migrationQueueWeight = 0.25;
   /// Concurrent background migrations allowed.
   int maxConcurrentMigrations = 2;
-  /// Enable the create-bias lever (WeightedChooser + mgmtd host weights).
-  bool retarget = true;
-  /// Enable the chunk-migration lever.
-  bool restripe = true;
 };
 
 /// What the controller did during a run (exported as rebal_* columns).
 struct RebalanceStats {
-  std::size_t samples = 0;          ///< metrics samples observed
+  std::size_t samples = 0;          ///< grid points while armed, idle prefix included
   std::size_t triggers = 0;         ///< distinct engagements
   std::size_t retargets = 0;        ///< host-weight updates published
   std::size_t migrations = 0;       ///< background migrations completed
@@ -76,42 +67,34 @@ struct RebalanceStats {
 
 class RebalanceController {
  public:
-  /// Attaches a private FlowTracer to the filesystem's fluid simulator (via
-  /// addObserver -- composes with run-level observability) tracking
-  /// every server NIC.  When `policy.retarget` is set, wraps the
-  /// filesystem's chooser in a WeightedChooser (invisible until weights
-  /// skew).  `policy.enabled` must be true.
+  /// Attaches a RateSampler over every server NIC to the filesystem's fluid
+  /// simulator (via addObserver -- composes with run-level observability)
+  /// and wraps the filesystem's chooser in a WeightedChooser (invisible
+  /// until weights skew).  `policy.enabled` must be true.
   RebalanceController(beegfs::FileSystem& fs, const RebalancePolicy& policy);
 
-  /// Cancels outstanding migrations and detaches the tracer.
+  /// Cancels outstanding migrations (not counted as completed).
   ~RebalanceController();
 
   RebalanceController(const RebalanceController&) = delete;
   RebalanceController& operator=(const RebalanceController&) = delete;
 
-  const RebalancePolicy& policy() const { return policy_; }
-  const RebalanceStats& stats() const { return stats_; }
-
-  /// Currently inside an engagement (imbalance above the hysteresis band)?
-  bool engaged() const { return engaged_; }
+  /// Samples include the idle prefix the sampler only counts (no-op samples).
+  RebalanceStats stats() const {
+    RebalanceStats stats = stats_;
+    stats.samples += sampler_.idleSamples();
+    return stats;
+  }
 
   /// Stop reacting to samples and reset the host weights to uniform.  Called
   /// when the foreground job completes: in-flight migrations finish (their
   /// completions still count), but no new action is taken, so migration
-  /// traffic cannot re-trigger the controller after the job ends.
+  /// traffic cannot re-trigger the controller after the job ends.  The
+  /// sampler detaches.
   void disarm();
-
-  /// Cancel all in-flight migration flows (end-of-run cleanup; cancelled
-  /// migrations do not count as completed).
-  void cancel();
 
  private:
   using SlotKey = std::pair<std::size_t, std::size_t>;  // (file, slot)
-
-  struct Migration {
-    sim::FlowId flow{};
-    util::Bytes bytes = 0;
-  };
 
   void onSample(const sim::MetricsSample& sample);
   /// Defer `act` through the engine: the sample listener fires inside
@@ -125,12 +108,12 @@ class RebalanceController {
 
   beegfs::FileSystem& fs_;
   RebalancePolicy policy_;
-  sim::FlowTracer tracer_;
+  sim::RateSampler sampler_;
   RebalanceStats stats_;
   bool engaged_ = false;
   bool disarmed_ = false;
   int strikes_ = 0;
-  std::map<SlotKey, Migration> migrations_;
+  std::map<SlotKey, sim::FlowId> migrations_;  ///< in-flight copies
 };
 
 }  // namespace beesim::control

@@ -154,7 +154,7 @@ ConcurrentResult runConcurrent(const RunConfig& base, const std::vector<AppSpec>
   const RunObservers observers(base.observe, deployment);
   if (base.observe.profile) fluid.setProfiling(true);
 
-  // The controllers attach their own tracers to the same observer list.
+  // The controllers attach their own rate samplers to the same observer list.
   std::optional<control::RebalanceController> rebalance;
   if (base.rebalance.enabled) rebalance.emplace(fs, base.rebalance);
   std::optional<control::HealthMonitor> health;

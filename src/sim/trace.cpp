@@ -1,7 +1,9 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 
 #include "core/metrics.hpp"
 #include "util/error.hpp"
@@ -93,97 +95,102 @@ void writeFile(const std::filesystem::path& path, const std::string& what,
 }
 }  // namespace
 
-FlowTracer::FlowTracer(FluidSimulator& fluid) : fluid_(fluid) {
+// --- RateSampler -------------------------------------------------------
+
+RateSampler::RateSampler(FluidSimulator& fluid, bool buildIdlePrefix)
+    : fluid_(fluid), buildIdlePrefix_(buildIdlePrefix), lastEventTime_(fluid.now()) {
   fluid_.addObserver(this);
-  lastBankTime_ = fluid_.now();
-  // Size the accounting from the deployment's resource inventory up front so
-  // idle resources get zero rows in resourceUsage() (resources added after
-  // attach grow the vectors on first use).
-  ensureResourceCapacity(fluid_.resourceCount());
 }
 
-FlowTracer::~FlowTracer() { fluid_.removeObserver(this); }
+RateSampler::~RateSampler() { fluid_.removeObserver(this); }
 
-void FlowTracer::ensureResourceCapacity(std::size_t count) {
-  if (count <= resourceMiB_.size()) return;
-  resourceMiB_.resize(count, 0.0);
-  resourceBusy_.resize(count, 0.0);
-  resourcePeak_.resize(count, 0.0);
+void RateSampler::ensureResourceCapacity(std::size_t count) {
+  if (count <= resourceRate_.size()) return;
   resourceRate_.resize(count, 0.0);
   resourceFlows_.resize(count, 0);
 }
 
-void FlowTracer::setMetricsInterval(util::Seconds dt) {
+void RateSampler::setMetricsInterval(util::Seconds dt) {
   metricsDt_ = dt;
-  if (dt > 0.0) nextSampleTime_ = lastBankTime_ + dt;
+  if (dt > 0.0) nextSampleTime_ = lastEventTime_ + dt;
 }
 
-void FlowTracer::trackLink(ResourceIndex link, std::string name) {
+void RateSampler::trackLink(ResourceIndex link) {
   ensureResourceCapacity(static_cast<std::size_t>(link.value) + 1);
   trackedLinks_.push_back(link);
-  linkNames_.push_back(std::move(name));
+  sample_.linkRates.push_back(0.0);
+  sample_.linkFlows.push_back(0);
 }
 
-void FlowTracer::recordSample(SimTime at) {
-  MetricsSample sample;
-  sample.time = at;
-  sample.activeFlows = live_.size();
-  sample.aggregateRate = totalRate_;
-  sample.linkRates.reserve(trackedLinks_.size());
-  sample.linkFlows.reserve(trackedLinks_.size());
-  for (const auto link : trackedLinks_) {
-    sample.linkRates.push_back(resourceRate_[link.value]);
-    sample.linkFlows.push_back(resourceFlows_[link.value]);
+void RateSampler::emitSample(SimTime at) {
+  sample_.time = at;
+  sample_.activeFlows = live_.size();
+  sample_.aggregateRate = totalRate_;
+  for (std::size_t i = 0; i < trackedLinks_.size(); ++i) {
+    sample_.linkRates[i] = resourceRate_[trackedLinks_[i].value];
+    sample_.linkFlows[i] = resourceFlows_[trackedLinks_[i].value];
   }
-  sample.linkImbalance = core::linkImbalance(sample.linkRates);
-  samples_.push_back(std::move(sample));
-  if (sampleListener_) sampleListener_(samples_.back());
+  sample_.linkImbalance = core::linkImbalance(sample_.linkRates);
+  recordSample(sample_);
+  if (sampleListener_) sampleListener_(sample_);
 }
 
-void FlowTracer::bankInterval(SimTime until) {
-  // Rates are piecewise-constant: the stored per-resource rates hold over
-  // (lastBankTime_, until], so samples due inside the window read them
-  // directly before the caller applies the event's changes.
-  if (metricsDt_ > 0.0) {
-    while (nextSampleTime_ <= until) {
-      recordSample(nextSampleTime_);
+void RateSampler::countIdlePrefix(SimTime until) {
+  // The count must be that of advance()'s repeated += dt.  Inside one binade
+  // [2^e, 2^(e+1)) the doubles are the multiples of ulp = 2^(e-52), so
+  // t += dt rounds to t + step, `step` being the multiple of ulp nearest to
+  // dt -- the same every time unless dt lies exactly halfway (round-half-even
+  // then alternates).  While t + dt stays below 2^(e+1), k additions thus
+  // land exactly on t + k * step; four steps of margin absorb the rounding
+  // of the bound, and the points near a binade edge take single steps.
+  while (nextSampleTime_ <= until) {
+    const SimTime t = nextSampleTime_;
+    const int e = std::ilogb(t);
+    const double ulp = std::ldexp(1.0, e - (std::numeric_limits<double>::digits - 1));
+    const double q = metricsDt_ / ulp;  // exact: scaling by a power of two
+    const double step = std::round(q) * ulp;
+    const double bound = std::min(until, std::ldexp(1.0, e + 1) - metricsDt_);
+    const double k = q - std::floor(q) == 0.5 || step <= 0.0
+                         ? 0.0
+                         : std::floor((bound - t) / step) - 4.0;
+    if (k >= 1.0) {
+      idleSamples_ += static_cast<std::size_t>(k);
+      nextSampleTime_ = t + k * step;
+    } else {
+      ++idleSamples_;
       nextSampleTime_ += metricsDt_;
     }
   }
-  const double dt = until - lastBankTime_;
-  if (dt > 0.0) {
-    for (std::size_t r = 0; r < resourceRate_.size(); ++r) {
-      const double rate = resourceRate_[r];
-      if (rate > kBusyEpsMiBps) {
-        resourceMiB_[r] += rate * dt;
-        resourceBusy_[r] += dt;
-        resourcePeak_[r] = std::max(resourcePeak_[r], rate);
-      }
-    }
-  }
-  lastBankTime_ = until;
 }
 
-void FlowTracer::onFlowStarted(FlowId id, std::span<const ResourceIndex> path,
-                               util::Bytes bytes, SimTime at) {
-  bankInterval(at);
+void RateSampler::advance(SimTime until) {
+  // Rates are piecewise-constant: the stored per-resource rates hold over
+  // (lastEventTime_, until], so samples due inside the window read them
+  // directly before the caller applies the event's changes.
+  if (metricsDt_ > 0.0) {
+    if (!sawFlow_ && !buildIdlePrefix_) countIdlePrefix(until);
+    for (; nextSampleTime_ <= until; nextSampleTime_ += metricsDt_) emitSample(nextSampleTime_);
+  }
+  bankInterval(lastEventTime_, until);
+  lastEventTime_ = until;
+}
+
+void RateSampler::onFlowStarted(FlowId id, std::span<const ResourceIndex> path,
+                                util::Bytes bytes, SimTime at) {
+  advance(at);
+  sawFlow_ = true;
   std::uint32_t maxIndex = 0;
   for (const auto r : path) maxIndex = std::max(maxIndex, r.value);
   ensureResourceCapacity(static_cast<std::size_t>(maxIndex) + 1);
   for (const auto r : path) ++resourceFlows_[r.value];
   live_[id.value] = LiveFlow{{path.begin(), path.end()}, 0.0};
-  TraceEvent event;
-  event.kind = TraceEvent::Kind::kStart;
-  event.time = at;
-  event.flow = id.value;
-  event.bytes = bytes;
-  events_.push_back(event);
+  logEvent({.kind = TraceEvent::Kind::kStart, .time = at, .flow = id.value, .bytes = bytes});
 }
 
-void FlowTracer::onRatesSolved(SimTime at, std::span<const FlowId> ids,
-                               std::span<const util::MiBps> rates,
-                               std::size_t activeFlows) {
-  bankInterval(at);
+void RateSampler::onRatesSolved(SimTime at, std::span<const FlowId> ids,
+                                std::span<const util::MiBps> rates,
+                                std::size_t activeFlows) {
+  advance(at);
   // The solver reports only the re-solved components; flows elsewhere keep
   // their previous rate, so the per-resource and total aggregates are
   // maintained by applying each reported flow's rate delta along its path.
@@ -197,80 +204,68 @@ void FlowTracer::onRatesSolved(SimTime at, std::span<const FlowId> ids,
       it->second.rate = rates[i];
     }
   }
-  TraceEvent event;
-  event.kind = TraceEvent::Kind::kRates;
-  event.time = at;
-  event.activeFlows = activeFlows;
-  event.totalRate = totalRate_;
-  events_.push_back(event);
+  logEvent({.kind = TraceEvent::Kind::kRates, .time = at, .activeFlows = activeFlows,
+            .totalRate = totalRate_});
 }
 
-void FlowTracer::dropFlow(std::uint64_t id, SimTime at) {
-  bankInterval(at);
-  const auto it = live_.find(id);
-  if (it == live_.end()) return;
-  for (const auto r : it->second.path) {
-    resourceRate_[r.value] -= it->second.rate;
-    // Snap to exactly zero when the resource empties so +/- residue cannot
-    // accumulate into phantom busy time.
-    if (--resourceFlows_[r.value] == 0) resourceRate_[r.value] = 0.0;
+void RateSampler::dropFlow(const FlowStats& stats, TraceEvent::Kind kind) {
+  advance(stats.endTime);
+  if (const auto it = live_.find(stats.id.value); it != live_.end()) {
+    for (const auto r : it->second.path) {
+      resourceRate_[r.value] -= it->second.rate;
+      // Snap to exactly zero when the resource empties so +/- residue cannot
+      // accumulate into phantom busy time.
+      if (--resourceFlows_[r.value] == 0) resourceRate_[r.value] = 0.0;
+    }
+    totalRate_ -= it->second.rate;
+    live_.erase(it);
+    if (live_.empty()) totalRate_ = 0.0;
   }
-  totalRate_ -= it->second.rate;
-  live_.erase(it);
-  if (live_.empty()) totalRate_ = 0.0;
+  // A cancelled flow's bytes are those NOT transferred (see FluidObserver).
+  const bool done = kind == TraceEvent::Kind::kComplete;
+  logEvent({.kind = kind, .time = stats.endTime, .flow = stats.id.value, .bytes = stats.bytes,
+            .meanRate = done ? stats.meanRate() : 0.0});
 }
 
-void FlowTracer::onFlowCompleted(const FlowStats& stats) {
-  dropFlow(stats.id.value, stats.endTime);
-  TraceEvent event;
-  event.kind = TraceEvent::Kind::kComplete;
-  event.time = stats.endTime;
-  event.flow = stats.id.value;
-  event.bytes = stats.bytes;
-  event.meanRate = stats.meanRate();
-  events_.push_back(event);
+// --- FlowTracer --------------------------------------------------------
+
+void FlowTracer::trackLink(ResourceIndex link, std::string name) {
+  RateSampler::trackLink(link);
+  linkNames_.push_back(std::move(name));
 }
 
-void FlowTracer::onFlowCancelled(const FlowStats& stats) {
-  dropFlow(stats.id.value, stats.endTime);
-  TraceEvent event;
-  event.kind = TraceEvent::Kind::kCancel;
-  event.time = stats.endTime;
-  event.flow = stats.id.value;
-  event.bytes = stats.bytes;  // bytes NOT transferred (see FluidObserver)
-  events_.push_back(event);
+void FlowTracer::bankInterval(SimTime from, SimTime until) {
+  if (usage_.size() < resourceRate_.size()) usage_.resize(resourceRate_.size());
+  const double dt = until - from;
+  if (dt <= 0.0) return;
+  for (std::size_t r = 0; r < resourceRate_.size(); ++r) {
+    const double rate = resourceRate_[r];
+    if (rate > kBusyEpsMiBps) {
+      usage_[r].mib += rate * dt;
+      usage_[r].busyTime += dt;
+      usage_[r].peakRate = std::max(usage_[r].peakRate, rate);
+    }
+  }
 }
 
 std::vector<ResourceUsage> FlowTracer::resourceUsage() const {
   // Cover the simulator's full resource inventory: idle resources emit zero
   // rows, so the report's length always matches resourceCount() and
   // per-server aggregations can index it directly.
-  const std::size_t count = std::max(fluid_.resourceCount(), resourceMiB_.size());
-  std::vector<ResourceUsage> usage;
-  usage.reserve(count);
-  for (std::size_t r = 0; r < count; ++r) {
-    ResourceUsage u;
-    if (r < fluid_.resourceCount()) {
-      u.name = fluid_.resourceName(ResourceIndex{static_cast<std::uint32_t>(r)});
-    }
-    if (r < resourceMiB_.size()) {
-      u.mib = resourceMiB_[r];
-      u.busyTime = resourceBusy_[r];
-      u.peakRate = resourcePeak_[r];
-    }
-    usage.push_back(std::move(u));
+  auto usage = usage_;
+  usage.resize(std::max(fluid_.resourceCount(), usage.size()));
+  for (std::size_t r = 0; r < fluid_.resourceCount(); ++r) {
+    usage[r].name = fluid_.resourceName(ResourceIndex{static_cast<std::uint32_t>(r)});
   }
   return usage;
 }
 
 double FlowTracer::resourceMiB(ResourceIndex resource) const {
-  if (resource.value >= resourceMiB_.size()) return 0.0;
-  return resourceMiB_[resource.value];
+  return resource.value < usage_.size() ? usage_[resource.value].mib : 0.0;
 }
 
 util::Seconds FlowTracer::resourceBusyTime(ResourceIndex resource) const {
-  if (resource.value >= resourceBusy_.size()) return 0.0;
-  return resourceBusy_[resource.value];
+  return resource.value < usage_.size() ? usage_[resource.value].busyTime : 0.0;
 }
 
 std::string FlowTracer::toJsonl() const {

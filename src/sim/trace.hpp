@@ -1,7 +1,13 @@
 // Flow tracing, resource utilization accounting and metrics export -- the
 // run-level observability layer over the fluid core.
 //
-// A FlowTracer observes a FluidSimulator and produces four artefacts:
+// A RateSampler keeps each resource's live rate and crossing-flow count and
+// can sample them on a virtual-time grid (setMetricsInterval): at every
+// multiple of dt, the aggregate rate, each tracked link's rate and a live
+// link-imbalance index -- the time-resolved view of the paper's (min,max)
+// balance story.  It keeps no history, so the closed-loop controllers
+// (src/control) sense through it.  A FlowTracer is a RateSampler that also
+// produces:
 //
 //   * an event log (flow start / rate change / completion / cancellation)
 //     exportable as JSONL -- one JSON object per line, loadable into pandas
@@ -11,16 +17,12 @@
 //     its bottleneck resource, these integrals give exact link/OST/OSS
 //     traffic decompositions ("how much of the run went through server 1's
 //     link?") that the bandwidth summary alone cannot answer;
-//   * an optional virtual-time metrics series (setMetricsInterval): at every
-//     multiple of dt the tracer samples the aggregate rate, each tracked
-//     link's rate and a live link-imbalance index -- the time-resolved view
-//     of the paper's (min,max) balance story;
-//   * a Chrome-trace/Perfetto export (toChromeTrace): flows as async b/e
-//     events plus counter tracks, loadable into chrome://tracing or
-//     https://ui.perfetto.dev.
+//   * the metrics series as CSV, and a Chrome-trace/Perfetto export
+//     (toChromeTrace): flows as async b/e events plus counter tracks,
+//     loadable into chrome://tracing or https://ui.perfetto.dev.
 //
-// The tracer is exact, not sampled: it banks rate * dt on every re-solve.
-// It attaches through FluidSimulator::addObserver, so it composes with any
+// Both are exact, not sampled: the tracer banks rate * dt on every event.
+// They attach through FluidSimulator::addObserver, so they compose with any
 // other observer: every event reaches all of them in attachment order.
 //
 // For cluster-scale runs the FlowTracer's per-event map lookups and O(path)
@@ -84,46 +86,112 @@ struct MetricsSample {
   double linkImbalance = 0.0;
 };
 
-class FlowTracer final : public FluidObserver {
+/// Live per-resource rates and the virtual-time sample grid over them;
+/// grid points are sampled when the next event arrives, from the rates that
+/// held before it.
+class RateSampler : public FluidObserver {
  public:
   /// Attaches to `fluid` via addObserver (composes with other observers);
   /// detaches itself -- and only itself -- on destruction.
-  explicit FlowTracer(FluidSimulator& fluid);
-  ~FlowTracer() override;
+  explicit RateSampler(FluidSimulator& fluid) : RateSampler(fluid, false) {}
+  ~RateSampler() override;
 
-  FlowTracer(const FlowTracer&) = delete;
-  FlowTracer& operator=(const FlowTracer&) = delete;
+  RateSampler(const RateSampler&) = delete;
+  RateSampler& operator=(const RateSampler&) = delete;
 
   // FluidObserver:
   void onFlowStarted(FlowId id, std::span<const ResourceIndex> path, util::Bytes bytes,
                      SimTime at) override;
   void onRatesSolved(SimTime at, std::span<const FlowId> ids,
                      std::span<const util::MiBps> rates, std::size_t activeFlows) override;
-  void onFlowCompleted(const FlowStats& stats) override;
-  void onFlowCancelled(const FlowStats& stats) override;
+  void onFlowCompleted(const FlowStats& stats) override {
+    dropFlow(stats, TraceEvent::Kind::kComplete);
+  }
+  void onFlowCancelled(const FlowStats& stats) override {
+    dropFlow(stats, TraceEvent::Kind::kCancel);
+  }
+
+  /// Sample every `dt` virtual seconds (first sample at attach time + dt).
+  /// <= 0 disables (the default).
+  void setMetricsInterval(util::Seconds dt);
+
+  /// Add a link (any resource) to the per-sample rate breakdown and the
+  /// imbalance index.
+  void trackLink(ResourceIndex link);
+
+  /// Invoked synchronously with each sample (virtual time, inside observer
+  /// dispatch); the sample buffer is reused, so it is valid only during the
+  /// call.  Consumers that react by mutating the simulation -- e.g. the
+  /// rebalance controller starting migration flows -- must defer their
+  /// action via the engine (scheduleAfter) instead of calling into
+  /// FluidSimulator from the callback.
+  void setSampleListener(std::function<void(const MetricsSample&)> listener) {
+    sampleListener_ = std::move(listener);
+  }
+
+  /// Grid points due before the first flow: all idle, so only counted (a
+  /// run starting late in virtual time does not pay for its idle prefix).
+  std::size_t idleSamples() const { return idleSamples_; }
+
+ protected:
+  /// `buildIdlePrefix`: build the idle-prefix samples too (FlowTracer).
+  RateSampler(FluidSimulator& fluid, bool buildIdlePrefix);
+
+  // Hooks for FlowTracer, per event: the interval (from, until] it ends,
+  // while resourceRate_ still holds that interval's rates; then the event,
+  // once applied.  And every built sample, before the listener sees it.
+  virtual void bankInterval(SimTime /*from*/, SimTime /*until*/) {}
+  virtual void logEvent(const TraceEvent& /*event*/) {}
+  virtual void recordSample(const MetricsSample& /*sample*/) {}
+
+  FluidSimulator& fluid_;
+  /// Current aggregate rate per resource, in resource-index order.
+  std::vector<util::MiBps> resourceRate_;
+
+ private:
+  void ensureResourceCapacity(std::size_t count);
+  /// Take the grid points up to `until` from the current rates.
+  void advance(SimTime until);
+  void countIdlePrefix(SimTime until);
+  void emitSample(SimTime at);
+  void dropFlow(const FlowStats& stats, TraceEvent::Kind kind);
+
+  const bool buildIdlePrefix_;
+  bool sawFlow_ = false;
+  util::MiBps totalRate_ = 0.0;
+  SimTime lastEventTime_ = 0.0;  ///< attach time before the first event
+  /// Flow -> (path, current rate); alive flows only.  Looked up, inserted,
+  /// erased and sized, never iterated, so hash order cannot leak into output.
+  struct LiveFlow {
+    std::vector<ResourceIndex> path;
+    util::MiBps rate = 0.0;
+  };
+  std::unordered_map<std::uint64_t, LiveFlow> live_;
+  /// Crossing flows per resource; like resourceRate_, maintained per event
+  /// and grown to the highest resource a tracked link or flow uses.
+  std::vector<std::uint32_t> resourceFlows_;
+
+  util::Seconds metricsDt_ = 0.0;
+  SimTime nextSampleTime_ = 0.0;
+  std::size_t idleSamples_ = 0;
+  std::vector<ResourceIndex> trackedLinks_;
+  MetricsSample sample_;
+  std::function<void(const MetricsSample&)> sampleListener_;
+};
+
+class FlowTracer final : public RateSampler {
+ public:
+  explicit FlowTracer(FluidSimulator& fluid) : RateSampler(fluid, true) {}
 
   const std::vector<TraceEvent>& events() const { return events_; }
 
   // -- Metrics series ----------------------------------------------------
 
-  /// Sample the metrics series every `dt` virtual seconds (first sample at
-  /// attach time + dt).  <= 0 disables (the default).
-  void setMetricsInterval(util::Seconds dt);
-
-  /// Add a link (any resource) to the per-sample rate breakdown and the
-  /// imbalance index; `name` labels its CSV column / counter track.
+  /// RateSampler::trackLink; `name` labels its CSV column / counter track.
   void trackLink(ResourceIndex link, std::string name);
 
+  /// Every sample since attach, idle prefix included.
   const std::vector<MetricsSample>& samples() const { return samples_; }
-
-  /// Invoked synchronously after each metrics sample is recorded (virtual
-  /// time, inside observer dispatch).  Consumers that react by mutating the
-  /// simulation -- e.g. the rebalance controller starting migration flows --
-  /// must defer their action via the engine (scheduleAfter) instead of
-  /// calling into FluidSimulator from the callback.
-  void setSampleListener(std::function<void(const MetricsSample&)> listener) {
-    sampleListener_ = std::move(listener);
-  }
 
   /// Metrics series as CSV: t,active_flows,aggregate_mibps,link_imbalance
   /// plus one column per tracked link.
@@ -161,40 +229,17 @@ class FlowTracer final : public FluidObserver {
   void writeChromeTrace(const std::filesystem::path& path) const;
 
  private:
-  void ensureResourceCapacity(std::size_t count);
-  void bankInterval(SimTime until);
-  void recordSample(SimTime at);
-  void dropFlow(std::uint64_t id, SimTime at);
+  /// Bank every resource's rate * (until - from).
+  void bankInterval(SimTime from, SimTime until) override;
+  void logEvent(const TraceEvent& event) override { events_.push_back(event); }
+  void recordSample(const MetricsSample& sample) override { samples_.push_back(sample); }
 
-  FluidSimulator& fluid_;
   std::vector<TraceEvent> events_;
-  /// Flow -> (path, current rate); alive flows only.  Looked up, inserted,
-  /// erased and sized, never iterated, so hash order cannot leak into output.
-  struct LiveFlow {
-    std::vector<ResourceIndex> path;
-    util::MiBps rate = 0.0;
-  };
-  std::unordered_map<std::uint64_t, LiveFlow> live_;
-
-  // Per-resource accounting, sized from fluid_.resourceCount() at attach
-  // time (and grown if resources are added later).  resourceRate_ and
-  // resourceFlows_ are maintained incrementally per event, so banking an
-  // interval costs O(resources) with zero allocations.
-  std::vector<double> resourceMiB_;
-  std::vector<util::Seconds> resourceBusy_;
-  std::vector<util::MiBps> resourcePeak_;
-  std::vector<util::MiBps> resourceRate_;
-  std::vector<std::uint32_t> resourceFlows_;
-  util::MiBps totalRate_ = 0.0;
-  SimTime lastBankTime_ = 0.0;
-
-  // Metrics series state.
-  util::Seconds metricsDt_ = 0.0;
-  SimTime nextSampleTime_ = 0.0;
   std::vector<MetricsSample> samples_;
-  std::vector<ResourceIndex> trackedLinks_;
   std::vector<std::string> linkNames_;
-  std::function<void(const MetricsSample&)> sampleListener_;
+  /// Per-resource totals (names unset), grown to resourceRate_'s size when
+  /// banking.
+  std::vector<ResourceUsage> usage_;
 };
 
 /// One fixed-width binary trace record.  Exactly 40 bytes and trivially

@@ -1,9 +1,11 @@
 // The run-level observability pipeline end to end: observer fan-out through
-// FluidSimulator's observer list, the FlowTracer's metrics series and
-// Chrome-trace export, and the utilization/profiling data flowing up into
-// campaign rows and totals.
+// FluidSimulator's observer list, the RateSampler's rates and sample grid,
+// the FlowTracer's metrics series and Chrome-trace export, and the
+// utilization/profiling data flowing up into campaign rows and totals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -320,6 +322,175 @@ TEST(Tracer, WriteChromeTraceAndMetricsToFiles) {
   EXPECT_TRUE(util::parseJson(buffer.str()).isObject());
   std::filesystem::remove(tracePath);
   std::filesystem::remove(metricsPath);
+}
+
+// -- RateSampler: the rate layer the controllers sense through -------------
+
+TEST(RateSampler, LinkRatesMatchTheFluidUnderChurn) {
+  // Oracle: at every grid point the sampled per-link rate is the sum of
+  // flowRate over the live flows crossing the link, read from the fluid
+  // itself by a probe event at the same virtual time.
+  FluidSimulator fluid;
+  const std::vector<ResourceIndex> nics = {
+      fluid.addResource(ResourceSpec{"srv0", constantCapacity(150.0)}),
+      fluid.addResource(ResourceSpec{"srv1", constantCapacity(170.0)})};
+  const std::vector<ResourceIndex> clients = {
+      fluid.addResource(ResourceSpec{"cli0", constantCapacity(120.0)}),
+      fluid.addResource(ResourceSpec{"cli1", constantCapacity(90.0)}),
+      fluid.addResource(ResourceSpec{"cli2", constantCapacity(200.0)})};
+  RateSampler sampler(fluid);
+  constexpr util::Seconds kDt = 0.25;
+  sampler.setMetricsInterval(kDt);
+  for (const auto nic : nics) sampler.trackLink(nic);
+  std::vector<MetricsSample> samples;
+  sampler.setSampleListener([&samples](const MetricsSample& s) { samples.push_back(s); });
+
+  struct Started {
+    FlowId id;
+    std::vector<ResourceIndex> path;
+  };
+  std::vector<Started> flows;
+  const auto start = [&](SimTime at, std::vector<ResourceIndex> path, util::Bytes bytes,
+                         double queueWeight, SimTime cancelAt) {
+    fluid.engine().scheduleAfter(at, [&, path, bytes, queueWeight, cancelAt, at] {
+      const auto id = fluid.startFlow(FlowSpec{.path = path, .bytes = bytes,
+                                               .queueWeight = queueWeight, .rateCap = 0.0,
+                                               .onComplete = nullptr});
+      flows.push_back({id, path});
+      if (cancelAt > at) {
+        fluid.engine().scheduleAfter(cancelAt - at, [&fluid, id] { fluid.cancelFlow(id); });
+      }
+    });
+  };
+  // Client writes onto both servers; every third is cancelled mid-flight.
+  for (int i = 0; i < 12; ++i) {
+    const SimTime at = 0.11 + 0.43 * i;  // never on the 0.25 s grid
+    const SimTime cancelAt = i % 3 == 2 ? at + 0.61 : 0.0;
+    start(at, {clients[i % 3], nics[i % 2]}, (50 + 37 * i) * 1_MiB, 1.0, cancelAt);
+  }
+  // A low-weight migration crossing both server NICs.
+  start(1.09, {nics[0], nics[1]}, 150_MiB, 0.25, 0.0);
+
+  struct Probe {
+    SimTime time = 0.0;
+    std::size_t active = 0;
+    std::vector<double> rates;
+    std::vector<std::uint32_t> counts;
+  };
+  std::vector<Probe> probes;
+  SimTime t = kDt;  // the sampler's grid: attach time 0, repeated += dt
+  for (int k = 0; k < 80; ++k, t += kDt) {
+    fluid.engine().scheduleAfter(t, [&, t] {
+      Probe probe{t, 0, std::vector<double>(nics.size(), 0.0),
+                  std::vector<std::uint32_t>(nics.size(), 0)};
+      for (const auto& flow : flows) {
+        if (!fluid.flowActive(flow.id)) continue;
+        ++probe.active;
+        for (std::size_t l = 0; l < nics.size(); ++l) {
+          const auto crosses = [&](ResourceIndex r) { return r.value == nics[l].value; };
+          if (std::none_of(flow.path.begin(), flow.path.end(), crosses)) continue;
+          probe.rates[l] += fluid.flowRate(flow.id);
+          ++probe.counts[l];
+        }
+      }
+      probes.push_back(std::move(probe));
+    });
+  }
+  fluid.run();
+
+  ASSERT_GE(samples.size(), 20u);
+  ASSERT_LE(samples.size(), probes.size());
+  bool sawMigrationOverlap = false;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const auto& sample = samples[i];
+    const auto& probe = probes[i];
+    ASSERT_EQ(sample.time, probe.time);
+    EXPECT_EQ(sample.activeFlows, probe.active) << "t=" << sample.time;
+    for (std::size_t l = 0; l < nics.size(); ++l) {
+      EXPECT_EQ(sample.linkFlows[l], probe.counts[l]) << "t=" << sample.time;
+      EXPECT_NEAR(sample.linkRates[l], probe.rates[l], 1e-9) << "t=" << sample.time;
+    }
+    sawMigrationOverlap |= sample.linkFlows[0] > 1 && sample.linkFlows[1] > 1;
+  }
+  EXPECT_TRUE(sawMigrationOverlap);
+  EXPECT_EQ(sampler.idleSamples(), 0u);
+}
+
+TEST(RateSampler, IdlePrefixIsCountedNotDispatched) {
+  // A run that starts late in virtual time: the grid points before its first
+  // flow are counted, never built or dispatched, and the first dispatched
+  // sample is the one a full series (FlowTracer) takes after that flow.
+  FluidSimulator fluid;
+  const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
+  constexpr util::Seconds kDt = 0.25;
+  constexpr SimTime kStart = 1e4;
+  FlowTracer tracer(fluid);
+  tracer.setMetricsInterval(kDt);
+  tracer.trackLink(link, "link");
+  RateSampler sampler(fluid);
+  sampler.setMetricsInterval(kDt);
+  sampler.trackLink(link);
+  bool started = false;
+  std::vector<SimTime> times;
+  sampler.setSampleListener([&](const MetricsSample& s) {
+    EXPECT_TRUE(started) << "sample at t=" << s.time << " before the first flow";
+    times.push_back(s.time);
+  });
+  fluid.engine().scheduleAfter(kStart, [&] {
+    started = true;
+    fluid.startFlow(FlowSpec{.path = {link}, .bytes = 50_MiB, .queueWeight = 1.0,
+                             .rateCap = 0.0, .onComplete = nullptr});
+  });
+  fluid.run();
+
+  std::size_t gridPoints = 0;
+  SimTime next = kDt;
+  while (next <= kStart) {
+    ++gridPoints;
+    next += kDt;
+  }
+  EXPECT_EQ(sampler.idleSamples(), gridPoints);
+  EXPECT_EQ(tracer.idleSamples(), 0u);
+  ASSERT_FALSE(times.empty());
+  EXPECT_EQ(times.front(), next);
+  ASSERT_EQ(tracer.samples().size(), gridPoints + times.size());
+  EXPECT_EQ(tracer.samples()[gridPoints].time, times.front());
+  EXPECT_EQ(tracer.samples().back().time, times.back());
+}
+
+TEST(RateSampler, IdlePrefixCountFollowsTheRoundedGrid) {
+  // The idle prefix is skipped in closed form per binade; the count and the
+  // first sample time must still be those of the repeated += dt, including
+  // intervals that are not binary fractions and binades where dt rounds
+  // half-way: 0.1 and 0.3 have one below 1 s, and 0.5 + 2^-40 rounds
+  // half-way at every step of [8192, 16384).
+  for (const double dt : {0.1, 0.3, 1.0 / 3.0, 0.05, 0.25, 1.7, 0.5 + std::ldexp(1.0, -40)}) {
+    for (const SimTime first : {0.6, 1e4 + 0.0123, 98765.4321}) {
+      FluidSimulator fluid;
+      const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
+      RateSampler sampler(fluid);
+      sampler.setMetricsInterval(dt);
+      sampler.trackLink(link);
+      SimTime firstSample = -1.0;
+      sampler.setSampleListener([&firstSample](const MetricsSample& s) {
+        if (firstSample < 0.0) firstSample = s.time;
+      });
+      fluid.engine().scheduleAfter(first, [&] {
+        fluid.startFlow(FlowSpec{.path = {link}, .bytes = 1000_MiB, .queueWeight = 1.0,
+                                 .rateCap = 0.0, .onComplete = nullptr});
+      });
+      fluid.run();
+
+      std::size_t gridPoints = 0;
+      SimTime next = dt;
+      while (next <= first) {
+        ++gridPoints;
+        next += dt;
+      }
+      EXPECT_EQ(sampler.idleSamples(), gridPoints) << "dt=" << dt << " first=" << first;
+      EXPECT_EQ(firstSample, next) << "dt=" << dt << " first=" << first;
+    }
+  }
 }
 
 }  // namespace

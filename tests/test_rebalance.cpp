@@ -58,13 +58,13 @@ TEST(LinkImbalance, DefinitionMatchesFig8Splits) {
 
 TEST(LinkImbalance, TracerSamplesUseTheSharedDefinition) {
   Fixture f;
-  sim::FlowTracer tracer(f.fluid);
-  tracer.setMetricsInterval(0.05);
+  sim::RateSampler sampler(f.fluid);
+  sampler.setMetricsInterval(0.05);
   for (std::size_t h = 0; h < f.cluster.hosts.size(); ++h) {
-    tracer.trackLink(f.deployment.serverNicResource(h), f.cluster.hosts[h].name);
+    sampler.trackLink(f.deployment.serverNicResource(h));
   }
   std::vector<sim::MetricsSample> samples;
-  tracer.setSampleListener([&samples](const sim::MetricsSample& s) { samples.push_back(s); });
+  sampler.setSampleListener([&samples](const sim::MetricsSample& s) { samples.push_back(s); });
 
   const auto handle = f.fs.createPinned("/skewed", {0, 4, 5, 6}, 512_KiB);
   f.fs.writeAsync(0, handle, 0, 256_MiB, 1.0, [](util::Seconds) {});
