@@ -1,6 +1,7 @@
 #include "beegfs/filesystem.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 
@@ -322,15 +323,15 @@ void FileSystem::issueAdmitted(const OpPtr& op) {
   // wins); everything else needs its one leg.
   const bool hedged = deployment_.params().hedge.enabled && transfer.isWrite;
   op->rule = hedged ? Completion::kFirst : Completion::kOne;
+  startLeg(op, 0, target, deployment_.writePath(transfer.node, target), op->bytes);
   if (hedged) {
     op->hedges = 0;
     op->tried.assign(1, target);
     BEESIM_ASSERT(op->hedgeSlot == kUntracked, "hedged op tracked twice");
     op->hedgeSlot = hedged_.size();
     hedged_.push_back(op);
-    ++trackEpoch_;
+    addPeerRate(*op);
   }
-  startLeg(op, 0, target, deployment_.writePath(transfer.node, target), op->bytes);
   if (policy.mode != ClientFaultPolicy::Mode::kNone) armWatchdog(op, op->legs[0].flow);
   if (hedged) armHedge(op);
 }
@@ -394,12 +395,12 @@ void FileSystem::untrack(const OpPtr& op) {
     return;
   }
   if (op->hedgeSlot == kUntracked) return;
-  // Swap-remove: the peer snapshot built from hedged_ is sorted anyway.
+  dropPeerRate(*op);
+  // Swap-remove: peerBest_ keeps the order, hedged_ needs none.
   hedged_.back()->hedgeSlot = op->hedgeSlot;
   std::swap(hedged_[op->hedgeSlot], hedged_.back());
   hedged_.pop_back();
   op->hedgeSlot = kUntracked;
-  ++trackEpoch_;
 }
 
 void FileSystem::markFailed(ChunkOp& op) {
@@ -508,6 +509,7 @@ void FileSystem::hedgeCheck(const OpPtr& op, sim::FlowId flow) {
   bool lagging = best <= 0.0;
   if (!lagging) {
     refreshPeerSnapshot();
+    if (deployment_.fluid().solverCheck()) checkPeerSnapshot();
     if (const auto median = lowerMedianExcludingSelf(peerBest_, best)) {
       lagging = *median > 0.0 && best < policy.lagRatio * *median;
     }
@@ -530,7 +532,6 @@ void FileSystem::hedgeCheck(const OpPtr& op, sim::FlowId flow) {
   if (lagging && pickHedgeTarget(*op, alt)) {
     // A dead previous hedge leg is abandoned before the replacement starts.
     cancelLeg(op->legs[1]);
-    ++trackEpoch_;
     op->tried.push_back(alt);
     ++op->hedges;
     ++hedgeStats_.hedgesIssued;
@@ -540,6 +541,8 @@ void FileSystem::hedgeCheck(const OpPtr& op, sim::FlowId flow) {
     // the chunk's tokens were spent when it was first admitted.
     deployment_.mgmt().recordUsage(alt, op->bytes);
     startLeg(op, 1, alt, deployment_.writePath(op->transfer->node, alt), op->bytes);
+    dropPeerRate(*op);  // its best leg may have been the one just replaced
+    addPeerRate(*op);
   }
   armHedge(op);
 }
@@ -551,14 +554,46 @@ util::MiBps FileSystem::bestLegRate(const ChunkOp& op) const {
                                     : primary;
 }
 
+// The snapshot is exact at every check: between walks a tracked op's best-leg
+// rate moves only when its own legs change (a new leg reads 0 until the next
+// walk, a finished or cancelled one 0 forever), and each such change re-reads
+// the op or untracks it.
+void FileSystem::addPeerRate(ChunkOp& op) {
+  op.peerRate = bestLegRate(op);
+  peerBest_.insert(std::upper_bound(peerBest_.begin(), peerBest_.end(), op.peerRate),
+                   op.peerRate);
+}
+
+void FileSystem::dropPeerRate(const ChunkOp& op) {
+  const auto entry = std::lower_bound(peerBest_.begin(), peerBest_.end(), op.peerRate);
+  BEESIM_ASSERT(entry != peerBest_.end() && *entry == op.peerRate,
+                "peer snapshot lost a tracked op's rate");
+  peerBest_.erase(entry);
+}
+
 void FileSystem::refreshPeerSnapshot() {
-  const auto epoch = deployment_.fluid().rateEpoch();
-  if (peerRateEpoch_ == epoch && peerTrackEpoch_ == trackEpoch_) return;
+  const auto epoch = deployment_.fluid().walkEpoch();
+  if (peerWalkEpoch_ == epoch) return;
+  peerWalkEpoch_ = epoch;
   peerBest_.clear();
-  for (const auto& other : hedged_) peerBest_.push_back(bestLegRate(*other));
+  for (const auto& other : hedged_) {
+    other->peerRate = bestLegRate(*other);
+    peerBest_.push_back(other->peerRate);
+  }
   std::sort(peerBest_.begin(), peerBest_.end());
-  peerRateEpoch_ = epoch;
-  peerTrackEpoch_ = trackEpoch_;
+}
+
+void FileSystem::checkPeerSnapshot() const {
+  std::vector<util::MiBps> rebuilt;
+  for (const auto& other : hedged_) rebuilt.push_back(bestLegRate(*other));
+  std::sort(rebuilt.begin(), rebuilt.end());
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  BEESIM_ASSERT(rebuilt.size() == peerBest_.size() &&
+                    std::equal(rebuilt.begin(), rebuilt.end(), peerBest_.begin(),
+                               [&](double a, double b) { return bits(a) == bits(b); }),
+                "solver check: the hedge peer snapshot (" + std::to_string(peerBest_.size()) +
+                    " rates) differs from a sorted rebuild (" + std::to_string(rebuilt.size()) +
+                    " rates)");
 }
 
 bool FileSystem::pickHedgeTarget(const ChunkOp& op, std::size_t& out) const {

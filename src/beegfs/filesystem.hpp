@@ -203,6 +203,7 @@ class FileSystem {
     int hedges = 0;                  ///< hedge legs issued (kFirst)
     std::vector<std::size_t> tried;  ///< targets already given a leg (kFirst)
     std::size_t hedgeSlot = kUntracked;  ///< index in hedged_ while tracked
+    util::MiBps peerRate = 0.0;          ///< its entry in peerBest_ while tracked
     bool resolved = false;
   };
   using OpPtr = std::shared_ptr<ChunkOp>;
@@ -254,9 +255,15 @@ class FileSystem {
   void hedgeCheck(const OpPtr& op, sim::FlowId flow);
   /// Current rate of the op's faster leg (0 when both are gone).
   util::MiBps bestLegRate(const ChunkOp& op) const;
-  /// Re-sort peerBest_ if the fluid rate epoch or the tracked set moved
-  /// since it was taken.
+  /// Read a tracked op's best-leg rate into its peerRate and peerBest_.
+  void addPeerRate(ChunkOp& op);
+  /// Erase a tracked op's peerRate from peerBest_.
+  void dropPeerRate(const ChunkOp& op);
+  /// Re-read every tracked op and re-sort peerBest_ if a walk rewrote rates
+  /// since the last refresh.
   void refreshPeerSnapshot();
+  /// Solver-check oracle: peerBest_ must equal a sorted rebuild, bit for bit.
+  void checkPeerSnapshot() const;
   /// Deterministic alternate-target choice: prefers the original target's
   /// host (unless quarantined), then other non-quarantined hosts, then any
   /// online target; within a class lowest (used, index).  Zero randomness.
@@ -285,13 +292,11 @@ class FileSystem {
   std::size_t liveOps_ = 0;
   /// Unresolved hedged ops (also the peer set for the lag median), unordered.
   std::vector<OpPtr> hedged_;
-  /// Bumped whenever hedged_ gains or loses an op or an op's legs change.
-  std::uint64_t trackEpoch_ = 1;
-  /// Every hedged_ op's bestLegRate, ascending, as of the stamps below
-  /// (peerTrackEpoch_ starts behind trackEpoch_, so the first check builds it).
+  /// Every hedged_ op's peerRate, ascending.  Ops enter and leave it one
+  /// sorted insert or erase at a time; a walk re-reads them all.
   std::vector<util::MiBps> peerBest_;
-  std::uint64_t peerRateEpoch_ = 0;
-  std::uint64_t peerTrackEpoch_ = 0;
+  /// The fluid walk epoch peerBest_ was last re-read at.
+  std::uint64_t peerWalkEpoch_ = 0;
   /// EWMA of completed winning legs' mean rates: the lag reference when the
   /// in-flight peer set is itself sick (e.g. only the chunks behind a
   /// stuttering link remain, so their median cannot expose them).

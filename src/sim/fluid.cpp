@@ -493,7 +493,6 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
   notify([&](FluidObserver& o) { o.onFlowStarted(id, spec.path, spec.bytes, t); });
   idMap_.insert(id.value, slot);
   ++activeCount_;
-  ++rateEpoch_;
   scheduleResolve();
   return id;
 }
@@ -531,7 +530,6 @@ std::optional<util::Bytes> FluidSimulator::cancelFlow(FlowId id) {
 
   heapErase(c, pos);
   retireFlow(root, slot);
-  ++rateEpoch_;
   markDirty(root);
   scheduleResolve();
   return remaining;
@@ -666,7 +664,6 @@ void FluidSimulator::resolveNow() {
 
   const SimTime t = engine_.now();
   ++resolveCount_;
-  ++rateEpoch_;  // step 1 may retire flows
 
   // 1. Components whose next completion is due: bank progress and move the
   //    finished flows out.  A due component is re-solved regardless, so its
@@ -801,6 +798,8 @@ void FluidSimulator::resolveNow() {
     for (auto c = compHead_[r]; c != kNone; c = classes_.next(c)) subsetClasses_.push_back(c);
     if (walk) {
       solverIterations_ += workspace_.solveSubset(view, subsetClasses_, classes_.rates());
+      ++walkEpoch_;
+      if (solverCheck_) checkWalk(view, r);
       for (const auto res : workspace_.touchedResources()) {
         resWalkLoad_[res] =
             workspace_.saturated(res) ? kInf : resCapacity_[res] - workspace_.residual(res);
@@ -826,7 +825,6 @@ void FluidSimulator::resolveNow() {
     compNextCompletion_[r] = std::isfinite(horizon) ? t + horizon : kInf;
   }
   dirtyRoots_.clear();
-  ++rateEpoch_;  // step 5 rewrote rates that step 2's callbacks could read
 
   if (solverCheck_) runSolverCheck();
 
@@ -874,6 +872,13 @@ void FluidSimulator::scheduleNextWakeup() {
     wakeup_.reset();
     resolveNow();
   });
+}
+
+void FluidSimulator::checkWalk(const SolverView& view, std::uint32_t root) {
+  const auto violation = maxMinViolation(view, subsetClasses_, classes_.rates());
+  BEESIM_ASSERT(violation.empty(), "solver check: the walk of the component of " +
+                                       resources_[root].name + " is not max-min fair: " +
+                                       violation);
 }
 
 void FluidSimulator::checkSkippedWalk(std::uint32_t root) {

@@ -74,7 +74,9 @@
 // MiB per flow from the rates it checked and asserts the class progress
 // agrees to 1e-9 of the flow size.  Every component whose walk the slack
 // certificate skipped is re-walked as well, and its class rates must be
-// bit-equal to the kept ones.
+// bit-equal to the kept ones.  Every walk's class rates must also pass the
+// max-min certificate (maxMinViolation), which does not share the walk's
+// code, so a walk bug cannot hide behind the re-solve that re-runs it.
 #pragma once
 
 #include <cstdint>
@@ -223,13 +225,16 @@ class FluidSimulator {
   /// Number of unfinished flows.
   std::size_t activeFlows() const { return activeCount_; }
 
-  /// Rate epoch: a counter that moves whenever a flowRate()/flowActive()
-  /// answer may have changed -- on every startFlow of a non-empty flow, every
-  /// successful cancelFlow, and on entry to and after the rate writes of
-  /// every resolve (completions included).  Nothing else changes rates, so
-  /// a cache of per-flow rates stamped with this value stays valid while the
-  /// value is unchanged.  Only equality is meaningful.
-  std::uint64_t rateEpoch() const { return rateEpoch_; }
+  /// Walk epoch: a counter that moves whenever a resolve walks a component,
+  /// i.e. rewrites class rates.  Nothing else can change the flowRate() of a
+  /// live flow that has been solved: every start, cancel, due completion,
+  /// merge and zero-capacity edge forces a walk, and a re-solve the slack
+  /// certificate skips keeps every rate bit.  A flow that started since the
+  /// last walk reads 0 until the next one; a flow that left reads 0 forever.
+  /// So a cache of live, solved flows' rates stamped with this value stays
+  /// valid while the value is unchanged, provided the cache itself handles
+  /// flows joining and leaving.  Only equality is meaningful.
+  std::uint64_t walkEpoch() const { return walkEpoch_; }
 
   /// Re-solve rates periodically (every `interval` seconds) while flows are
   /// active, so load-dependent/noisy capacities are refreshed even between
@@ -271,7 +276,12 @@ class FluidSimulator {
   /// the incremental load and class accounting agrees with an exact recount.
   /// A component re-solved without a walk (slack certificate) is re-walked
   /// and must keep bit-equal class rates.
+  /// Every walk is also checked against the max-min certificate
+  /// (maxMinViolation), which does not share the walk's code.
   void setSolverCheck(bool enabled) { solverCheck_ = enabled; }
+  /// Whether the differential check is on; layers above the fluid core key
+  /// their own invariant checks on it.
+  bool solverCheck() const { return solverCheck_; }
 
   /// Run until all events *and* flows drain.  Throws ContractError if flows
   /// remain but cannot make progress (all rates zero with no future events).
@@ -416,6 +426,9 @@ class FluidSimulator {
   void resolveNow();
   void scheduleNextWakeup();
   void runSolverCheck();
+  /// Solver-check oracle for a walk of subsetClasses_: the max-min
+  /// certificate must accept the class rates it wrote.
+  void checkWalk(const SolverView& view, std::uint32_t root);
   /// Solver-check oracle for a component whose walk the slack certificate
   /// skipped: re-walks subsetClasses_ in the check workspace and asserts
   /// every class rate is bit-equal to the kept one.
@@ -509,7 +522,7 @@ class FluidSimulator {
   /// mid-dispatch is intended: the loop's ++ brings it back to 0.)
   std::size_t dispatchIndex_ = 0;
 
-  std::uint64_t rateEpoch_ = 0;
+  std::uint64_t walkEpoch_ = 0;
   std::size_t resolveCount_ = 0;
   std::size_t solverIterations_ = 0;
   std::size_t deferredResolves_ = 0;

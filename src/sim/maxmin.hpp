@@ -25,6 +25,12 @@
 //   * solveMaxMin(resources, flows) -- a self-contained call that flattens a
 //     vector-of-structs problem into the CSR view and runs the same walk.
 //
+// maxMinViolation checks a solution without running the walk: feasibility,
+// plus the bottleneck characterization of max-min fairness (Bertsekas &
+// Gallager) -- every flow below its cap crosses a saturated resource on which
+// no flow has a larger normalized rate.  The fluid core's solver check runs
+// it on every walk, so a walk bug cannot hide behind a re-run of itself.
+//
 // Degenerate inputs are well-defined:
 //   * a flow crossing a zero-capacity resource receives rate 0 (it never
 //     enters the filling and contributes no weight anywhere);
@@ -36,6 +42,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "util/units.hpp"
@@ -141,6 +148,22 @@ class SolverWorkspace {
   std::vector<std::uint32_t> activeRes_;
   std::vector<std::uint32_t> activeFlows_;
 };
+
+/// Relative tolerance of maxMinViolation: two orders of magnitude above the
+/// walk's own saturation threshold, far below any step of the filling.
+inline constexpr double kCertificateTol = 1e2 * kSaturationEps;
+
+/// Walk-independent certificate of `rates` over the subset `flows` of `view`
+/// (one rate per slot, as solveSubset writes them).  Returns an empty string
+/// when the rates are max-min fair to within kCertificateTol, relative:
+///   * feasible -- every rate is >= 0 and within its cap, and no resource
+///     carries more than its capacity (a slot loads each of its resources
+///     with multiplicity · rate);
+///   * optimal -- every slot below its cap crosses a saturated resource on
+///     which no slot of the subset has a larger rate / weight.
+/// Otherwise describes the first violation.  Allocates; meant for checks.
+std::string maxMinViolation(const SolverView& view, std::span<const std::uint32_t> flows,
+                            std::span<const double> rates);
 
 /// Computes the max-min fair allocation.
 ///

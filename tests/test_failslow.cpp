@@ -441,6 +441,54 @@ TEST(FailSlowHedge, GrayRunHedgeDecisionsArePinned) {
   }
 }
 
+TEST(FailSlowHedge, PeerSnapshotMatchesASortedRebuildAtEveryCheck) {
+  // The lag check keeps its peer-rate snapshot sorted incrementally and
+  // re-reads it only after a walk.  Under the solver check every lag check
+  // compares it against a sorted rebuild, bit for bit.  Gray runs as above,
+  // plus target crashes: the watchdog then untracks hedged ops, and with
+  // ioTimeout equal to the hedge deadline their peers' checks land at the
+  // same instants, before the walk that follows the cancels.
+  const char* previous = std::getenv("BEESIM_SOLVER_CHECK");
+  const std::string saved = previous != nullptr ? previous : "";
+  ::setenv("BEESIM_SOLVER_CHECK", "1", 1);
+  beegfs::HedgeStats total;
+  std::size_t timeouts = 0;
+  for (const std::uint64_t seed : {2, 3}) {
+    harness::RunConfig config;
+    config.cluster = topo::makePlafrim(topo::Scenario::kEthernet10G, 8);
+    config.fs.defaultStripe.stripeCount = 8;
+    config.fs.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+    config.fs.faults.ioTimeout = 0.5;
+    config.fs.faults.backoffBase = 0.25;
+    config.fs.faults.maxRetries = 1;
+    config.fs.hedge.enabled = true;
+    config.fs.hedge.deadline = 0.5;
+    config.health.enabled = true;
+    faults::StochasticFaultSpec slow;
+    slow.targetMttf = 4.0;
+    slow.targetMttr = 0.75;
+    slow.degradeMttf = 5.0;
+    slow.degradeMttr = 0.5;
+    slow.degradeCeiling = 0.25;
+    slow.horizon = 120.0;
+    config.faults.stochastic = slow;
+    config.job = ior::IorJob::onFirstNodes(8, 8);
+    config.ior.blockSize = ior::blockSizeForTotal(4_GiB, 64);
+    const auto record = harness::runOnce(config, seed);  // asserts at every check
+    total.hedgesIssued += record.ior.hedge.hedgesIssued;
+    total.hedgeWins += record.ior.hedge.hedgeWins;
+    timeouts += record.ior.faults.timeouts;
+  }
+  if (previous != nullptr) {
+    ::setenv("BEESIM_SOLVER_CHECK", saved.c_str(), 1);
+  } else {
+    ::unsetenv("BEESIM_SOLVER_CHECK");
+  }
+  EXPECT_GT(total.hedgesIssued, 0u);
+  EXPECT_GT(total.hedgeWins, 0u);
+  EXPECT_GT(timeouts, 0u);
+}
+
 // -- HealthMonitor ------------------------------------------------------------
 
 harness::RunConfig monitorConfig(util::Bytes total = 2_GiB) {

@@ -356,65 +356,6 @@ TEST(Fluid, FlowRateStaysConsistentAcrossCompletions) {
   for (const auto id : ids) EXPECT_DOUBLE_EQ(fluid.flowRate(id), 0.0);
 }
 
-TEST(FluidSimulator, RateEpochAdvancesOnEveryRateChange) {
-  // Caches of per-flow rates (the hedge lag check's peer snapshot) are keyed
-  // on rateEpoch(), so it must move whenever a flowRate()/flowActive()
-  // answer can change -- and only equality matters, so staying put is what
-  // lets such a cache be reused.
-  FluidSimulator fluid;
-  const auto link1 = addLink(fluid, "link1", 100.0);
-  const auto link2 = addLink(fluid, "link2", 100.0);
-  auto& engine = fluid.engine();
-  auto epoch = fluid.rateEpoch();
-  const auto moved = [&] {
-    const bool changed = fluid.rateEpoch() != epoch;
-    epoch = fluid.rateEpoch();
-    return changed;
-  };
-  const auto start = [&](ResourceIndex link, util::Bytes bytes) {
-    return fluid.startFlow(FlowSpec{
-        .path = {link}, .bytes = bytes, .queueWeight = 1.0, .rateCap = 0.0, .onComplete = nullptr});
-  };
-
-  const auto a = start(link1, 100_MiB);
-  EXPECT_TRUE(moved());
-  const auto b = start(link1, 300_MiB);
-  EXPECT_TRUE(moved());
-  const auto c = start(link2, 1_GiB);  // its own component throughout
-  EXPECT_TRUE(moved());
-
-  ASSERT_TRUE(engine.step());  // the +0 resolve
-  EXPECT_TRUE(moved());
-  EXPECT_DOUBLE_EQ(fluid.flowRate(a), 50.0);
-
-  // An engine event that touches no flow leaves the epoch alone.
-  engine.scheduleAfter(0.5, [] {});
-  ASSERT_TRUE(engine.step());
-  EXPECT_DOUBLE_EQ(fluid.now(), 0.5);
-  EXPECT_FALSE(moved());
-
-  ASSERT_TRUE(fluid.cancelFlow(b).has_value());
-  EXPECT_TRUE(moved());
-  EXPECT_FALSE(fluid.cancelFlow(b).has_value());  // unknown id: nothing changed
-  EXPECT_FALSE(moved());
-
-  ASSERT_TRUE(engine.step());  // re-solve after the cancel: a speeds up
-  EXPECT_TRUE(moved());
-  EXPECT_DOUBLE_EQ(fluid.flowRate(a), 100.0);
-
-  // a's last 75 MiB land at t = 1.25.  That resolve only retires a: c's
-  // component is clean and keeps its rate, yet flowActive(a) flipped.
-  ASSERT_TRUE(engine.step());
-  EXPECT_NEAR(fluid.now(), 1.25, 1e-9);
-  EXPECT_FALSE(fluid.flowActive(a));
-  EXPECT_DOUBLE_EQ(fluid.flowRate(c), 100.0);
-  EXPECT_TRUE(moved());
-
-  fluid.run();  // c completes and the system drains
-  EXPECT_FALSE(fluid.flowActive(c));
-  EXPECT_TRUE(moved());
-}
-
 TEST(FluidCancel, CancelledFlowReleasesCapacityToSurvivor) {
   FluidSimulator fluid;
   const auto link = addLink(fluid, "link", 100.0);

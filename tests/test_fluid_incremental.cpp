@@ -619,6 +619,69 @@ TEST(SlackCertificate, ScenarioOneRunWalksLessThanOncePerResolve) {
   EXPECT_LT(record.solverIterations, record.resolves);
 }
 
+TEST(FluidSimulator, WalkEpochMovesOnlyWhenAResolveWalks) {
+  // The hedge lag check re-reads its peer-rate snapshot only when
+  // walkEpoch() moves, so the epoch must move on every walk; staying put
+  // everywhere else is what lets the snapshot be reused.
+  FluidSimulator fluid;
+  fluid.setSolverCheck(true);
+  double slackCap = 1000.0;
+  const auto slack = fluid.addResource(
+      ResourceSpec{"slack", [&slackCap](const ResourceLoad&) { return slackCap; }});
+  const auto bottleneck = addLink(fluid, "bottleneck", 100.0);
+  const auto side = addLink(fluid, "side", 100.0);
+  auto& engine = fluid.engine();
+  auto epoch = fluid.walkEpoch();
+  const auto moved = [&] {
+    const bool changed = fluid.walkEpoch() != epoch;
+    epoch = fluid.walkEpoch();
+    return changed;
+  };
+
+  const auto trio = startSlackTrio(fluid, slack, bottleneck);
+  EXPECT_FALSE(moved()) << "a start before its resolve";
+  EXPECT_DOUBLE_EQ(fluid.flowRate(trio[2]), 0.0);
+  ASSERT_TRUE(engine.step());  // the +0 resolve walks
+  EXPECT_TRUE(moved());
+  EXPECT_DOUBLE_EQ(fluid.flowRate(trio[2]), 50.0);
+
+  engine.scheduleAfter(0.5, [] {});
+  ASSERT_TRUE(engine.step());
+  EXPECT_DOUBLE_EQ(fluid.now(), 0.5);
+  EXPECT_FALSE(moved()) << "an engine event that touches no flow";
+
+  // Only the slack link moved: the re-solve keeps every rate without a walk.
+  slackCap = 2000.0;
+  fluid.invalidateCapacities();
+  const auto resolves = fluid.resolveCount();
+  ASSERT_TRUE(engine.step());
+  EXPECT_EQ(fluid.resolveCount(), resolves + 1);
+  EXPECT_FALSE(moved()) << "a re-solve where only slack capacities moved";
+
+  // A flow on its own link walks when it starts; the resolve that retires
+  // it, its component's last flow, walks nothing.
+  const auto alone = fluid.startFlow(FlowSpec{
+      .path = {side}, .bytes = 10_MiB, .queueWeight = 1.0, .rateCap = 0.0, .onComplete = nullptr});
+  EXPECT_FALSE(moved());
+  ASSERT_TRUE(engine.step());
+  EXPECT_TRUE(moved());
+  ASSERT_TRUE(engine.step());
+  EXPECT_NEAR(fluid.now(), 0.6, 1e-9);
+  EXPECT_FALSE(fluid.flowActive(alone));
+  EXPECT_FALSE(moved()) << "a resolve that only retires a component's last flow";
+  EXPECT_DOUBLE_EQ(fluid.flowRate(trio[2]), 50.0);
+
+  // A cancel changes no live flow's rate until the resolve after it walks.
+  ASSERT_TRUE(fluid.cancelFlow(trio[1]).has_value());
+  EXPECT_FALSE(moved());
+  EXPECT_DOUBLE_EQ(fluid.flowRate(trio[0]), 25.0);
+  ASSERT_TRUE(engine.step());
+  EXPECT_TRUE(moved());
+  EXPECT_DOUBLE_EQ(fluid.flowRate(trio[0]), 100.0 / 3.0);
+  fluid.run();
+  EXPECT_EQ(fluid.activeFlows(), 0u);
+}
+
 // --- Flow classes --------------------------------------------------------
 
 /// (path, weight, cap) as the caller specified it: the flow-class key.

@@ -136,78 +136,6 @@ TEST(MaxMin, ScenarioOneShape) {
   EXPECT_NEAR(result.rates[1], kLinkB / 24.0, 1e-6);  // hot
 }
 
-/// Property suite on random instances: the solution must be feasible and
-/// max-min optimal (every flow is blocked by a saturated resource where it
-/// has the maximal rate, or by its own cap).
-class MaxMinPropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(MaxMinPropertyTest, FeasibleAndMaxMinOptimal) {
-  util::Rng rng(1000 + GetParam());
-  const auto nRes = static_cast<std::size_t>(rng.uniformInt(1, 8));
-  const auto nFlows = static_cast<std::size_t>(rng.uniformInt(1, 40));
-
-  std::vector<SolverResource> res(nRes);
-  for (auto& r : res) r.capacity = rng.uniform(10.0, 1000.0);
-
-  std::vector<SolverFlow> flows(nFlows);
-  for (auto& f : flows) {
-    const auto pathLen = static_cast<std::size_t>(
-        rng.uniformInt(1, static_cast<std::int64_t>(nRes)));
-    for (const auto r : rng.sampleWithoutReplacement(nRes, pathLen)) {
-      f.resources.push_back(static_cast<std::uint32_t>(r));
-    }
-    if (rng.bernoulli(0.3)) f.rateCap = rng.uniform(1.0, 300.0);
-    f.weight = rng.uniform(0.5, 4.0);
-  }
-
-  const auto result = solveMaxMin(res, flows);
-  constexpr double kTol = 1e-6;
-
-  // Feasibility: no resource over capacity, no cap exceeded.
-  std::vector<double> used(nRes, 0.0);
-  for (std::size_t f = 0; f < nFlows; ++f) {
-    EXPECT_GE(result.rates[f], -kTol);
-    if (flows[f].rateCap > 0.0) {
-      EXPECT_LE(result.rates[f], flows[f].rateCap + kTol);
-    }
-    for (const auto r : flows[f].resources) used[r] += result.rates[f];
-  }
-  for (std::size_t r = 0; r < nRes; ++r) EXPECT_LE(used[r], res[r].capacity + kTol);
-
-  // Max-min optimality: every flow is limited by its cap or by a saturated
-  // resource on which no co-located flow has a strictly larger *normalized*
-  // rate (rate divided by weight).
-  for (std::size_t f = 0; f < nFlows; ++f) {
-    if (flows[f].rateCap > 0.0 && result.rates[f] >= flows[f].rateCap - kTol) continue;
-    bool blocked = false;
-    const double normF = result.rates[f] / flows[f].weight;
-    for (const auto r : flows[f].resources) {
-      if (used[r] >= res[r].capacity - kTol * std::max(1.0, res[r].capacity)) {
-        bool isMaxOnResource = true;
-        for (std::size_t g = 0; g < nFlows; ++g) {
-          if (g == f) continue;
-          const auto& gres = flows[g].resources;
-          if (std::find(gres.begin(), gres.end(), r) != gres.end() &&
-              result.rates[g] / flows[g].weight > normF + kTol) {
-            // A bigger flow on the same saturated resource is fine only if
-            // that flow is itself frozen elsewhere -- but then r is not
-            // flow f's max-min bottleneck.  Keep searching.
-            isMaxOnResource = false;
-            break;
-          }
-        }
-        if (isMaxOnResource) {
-          blocked = true;
-          break;
-        }
-      }
-    }
-    EXPECT_TRUE(blocked) << "flow " << f << " is not max-min blocked";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomInstances, MaxMinPropertyTest, ::testing::Range(0, 25));
-
 // --- SolverWorkspace over a CSR view ------------------------------------
 
 /// A random CSR problem plus the flat arrays SolverWorkspace consumes.
@@ -254,6 +182,68 @@ CsrProblem randomCsrProblem(std::uint64_t seed, bool classes = false) {
     }
   }
   return p;
+}
+
+/// Property suite on random instances (dead resources included, and flow
+/// classes in the odd ones): the walk's solution must pass the
+/// walk-independent certificate -- feasible, and every flow blocked by its
+/// cap or by a saturated resource where it has the largest normalized rate.
+class MaxMinPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MaxMinPropertyTest, FeasibleAndMaxMinOptimal) {
+  const auto p = randomCsrProblem(1000 + GetParam(), GetParam() % 2 == 1);
+  std::vector<double> rates(p.subset.size(), -1.0);
+  SolverWorkspace workspace;
+  workspace.solveSubset(p.view(), p.subset, rates);
+  EXPECT_EQ(maxMinViolation(p.view(), p.subset, rates), "");
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomInstances, MaxMinPropertyTest, ::testing::Range(0, 25));
+
+TEST(MaxMinCertificate, RejectsEveryOnePercentMove) {
+  // Raising a flow's rate overloads the resource that blocks it; lowering
+  // one leaves that resource unsaturated.  Either way the certificate names
+  // a violation, whichever uncapped flow moves.
+  std::size_t moved = 0;
+  for (std::uint64_t seed = 900; seed < 940; ++seed) {
+    const auto p = randomCsrProblem(seed, seed % 2 == 1);
+    std::vector<double> rates(p.subset.size(), 0.0);
+    SolverWorkspace workspace;
+    workspace.solveSubset(p.view(), p.subset, rates);
+    ASSERT_EQ(maxMinViolation(p.view(), p.subset, rates), "") << "seed " << seed;
+    for (const auto f : p.subset) {
+      if (p.rateCap[f] > 0.0 || rates[f] < 1e-3) continue;
+      for (const double factor : {1.01, 0.99}) {
+        auto perturbed = rates;
+        perturbed[f] *= factor;
+        EXPECT_NE(maxMinViolation(p.view(), p.subset, perturbed), "")
+            << "seed " << seed << " slot " << f << " x" << factor;
+        ++moved;
+      }
+    }
+  }
+  EXPECT_GT(moved, 100u);
+}
+
+TEST(MaxMinCertificate, NamesTheViolation) {
+  // Link 0 (100) is shared; flow 1 also crosses link 1 (30): 70 / 30.
+  const std::vector<double> capacity{100.0, 30.0};
+  const std::vector<std::uint32_t> adjacency{0, 0, 1};
+  const std::vector<std::uint32_t> offset{0, 1};
+  const std::vector<std::uint32_t> len{1, 2};
+  const std::vector<double> weight{1.0, 1.0};
+  const std::vector<double> cap{0.0, 0.0};
+  const SolverView view{capacity, adjacency, offset, len, weight, cap};
+  const std::vector<std::uint32_t> subset{0, 1};
+  EXPECT_EQ(maxMinViolation(view, subset, std::vector<double>{70.0, 30.0}), "");
+  // Flow 1 frozen one step late: it kept filling past link 1's saturation.
+  EXPECT_NE(maxMinViolation(view, subset, std::vector<double>{60.0, 40.0}).find("overloaded"),
+            std::string::npos);
+  // Flow 0 frozen a step early: link 0 has room left.
+  EXPECT_NE(maxMinViolation(view, subset, std::vector<double>{50.0, 30.0}).find("saturated"),
+            std::string::npos);
+  EXPECT_NE(maxMinViolation(view, subset, std::vector<double>{-1.0, 30.0}).find("rate"),
+            std::string::npos);
 }
 
 TEST(SolverWorkspace, MultiplicityMatchesExpandedFlows) {
