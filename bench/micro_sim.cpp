@@ -17,7 +17,6 @@
 #include <functional>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string_view>
 
 #include "beegfs/deployment.hpp"
@@ -311,30 +310,23 @@ void writeFluidCoreBench() {
             << "x, shared " << sharedHeadline << "x)\n";
 }
 
-// --- Cluster-scale fluid bench: ε-deferral, trace sinks -----------------
+// --- Cluster-scale fluid bench: exact resolves, trace sinks ------------
 //
 // The scale campaign behind results/BENCH_fluid_scale.json.  Three parts:
 //
-//   * a 10k-flow / 1k-resource wobbling-capacity scenario timed on two
-//     solver legs -- the exact path (ε=0) and ε-bounded deferral;
+//   * a 10k-flow / 1k-resource wobbling-capacity scenario, timed on the
+//     exact resolve path;
 //   * the same scenario untraced vs FlowTracer vs RingTraceSink, measuring
 //     tracing overhead as a percentage of untraced wall time;
 //   * a paper-topology campaign scaled ~1000x in rank count (the paper's
-//     Scenario-2 jobs are 4 nodes x 8 ppn = 32 ranks), run end to end
-//     through runOnce at ε=0 and ε>0.
+//     Scenario-2 jobs are 4 nodes x 8 ppn = 32 ranks), run once end to end
+//     through runOnce.
 //
-// Modes (environment-selected so ctest/CI reuse one binary):
+// Modes (environment-selected so ctest reuses one binary):
 //   BEESIM_BENCH_SMOKE=1   tiny sizes, seconds -- the tier-1 ctest smoke;
-//   BEESIM_BENCH_QUICK=1   reduced windows -- the CI perf-regression guard;
-//   (neither)              full sizes, written to BENCH_fluid_scale.json
+//   (unset)                full sizes, written to BENCH_fluid_scale.json
 //                          (override with BEESIM_SCALE_JSON).
-//
-// The guard (BEESIM_BENCH_BASELINE=<committed json>) compares *relative*
-// metrics -- the ε-leg's speedup over the in-process exact leg and the
-// ring sink's overhead percentage -- so it is meaningful across hosts of
-// different absolute speed.  It fails (exit 1) when the current speedup
-// falls more than BEESIM_BENCH_GUARD_PCT (default 20) percent below the
-// committed one, or when ring overhead exceeds the 10% acceptance bound.
+// End-to-end regressions are gated by bench/e2e_guard.py, not here.
 
 bool envFlag(const char* name) {
   const char* v = std::getenv(name);
@@ -352,19 +344,16 @@ struct ScaleLeg {
   double resolvesPerS = 0.0;
   double eventsPerS = 0.0;
   double wallPerSimSecond = 0.0;  // host seconds per simulated second
-  std::size_t deferred = 0;
 };
 
 /// Build the wobbling-capacity scenario and run it for `simWindow` virtual
 /// seconds per repetition until `minWall` host seconds elapsed.  Per-app
 /// resources are disjoint, so the solver sees `apps` independent components;
-/// every capacity wobbles each resolve tick, so at ε=0 every component
-/// re-solves on every tick (the worst case the ε bound exists to avoid).
+/// every capacity wobbles each resolve tick, so every component re-solves on
+/// every tick.
 template <typename Attach>
-ScaleLeg runScaleLeg(const ScaleShape& shape, double epsilon, double simWindow,
-                     Attach&& attach) {
+ScaleLeg runScaleLeg(const ScaleShape& shape, double simWindow, Attach&& attach) {
   sim::FluidSimulator fluid;
-  if (epsilon > 0.0) fluid.setSolverEpsilon(epsilon);
   fluid.setResolveInterval(0.01);
   std::vector<sim::ResourceIndex> links;
   const std::size_t nRes = shape.apps * shape.resPerApp;
@@ -391,9 +380,8 @@ ScaleLeg runScaleLeg(const ScaleShape& shape, double epsilon, double simWindow,
   }
   auto hold = attach(fluid);  // optional observer, kept alive for the run
   (void)hold;
-  fluid.engine().runUntil(0.5);  // warm-up: pools sized, first exact solves
+  fluid.engine().runUntil(0.5);  // warm-up: pools sized, first solves
   const auto resolves0 = fluid.resolveCount();
-  const auto deferred0 = fluid.deferredResolves();
   std::size_t events = 0;
   double simEnd = 0.5;
   const auto start = std::chrono::steady_clock::now();
@@ -408,7 +396,6 @@ ScaleLeg runScaleLeg(const ScaleShape& shape, double epsilon, double simWindow,
   leg.resolvesPerS = static_cast<double>(fluid.resolveCount() - resolves0) / elapsed;
   leg.eventsPerS = static_cast<double>(events) / elapsed;
   leg.wallPerSimSecond = elapsed / (simEnd - 0.5);
-  leg.deferred = fluid.deferredResolves() - deferred0;
   return leg;
 }
 
@@ -419,7 +406,7 @@ struct NoObserver {
 /// Scale-bench repetitions per leg (set by mode).  Each leg keeps its best
 /// (lowest wall-per-sim-second) repetition: transient noise -- scheduler
 /// preemption, frequency ramps -- only ever makes a run *slower*, so the
-/// minimum is the stable estimator the CI guard needs.
+/// minimum is the stable estimator.
 std::size_t gScaleRepeats = 1;
 
 /// Run a set of legs `gScaleRepeats` times round-robin and keep each leg's
@@ -441,14 +428,9 @@ std::vector<ScaleLeg> bestScaleLegs(
   return best;
 }
 
-util::JsonValue benchScaleSolver(const ScaleShape& shape, double epsilon,
-                                 double simWindow, double* speedupOut) {
-  const auto legs = bestScaleLegs({
-      [&] { return runScaleLeg(shape, 0.0, simWindow, NoObserver{}); },
-      [&] { return runScaleLeg(shape, epsilon, simWindow, NoObserver{}); },
-  });
-  const ScaleLeg& exact = legs[0];
-  const ScaleLeg& eps = legs[1];
+util::JsonValue benchScaleSolver(const ScaleShape& shape, double simWindow) {
+  const ScaleLeg leg =
+      bestScaleLegs({[&] { return runScaleLeg(shape, simWindow, NoObserver{}); }}).front();
 
   util::JsonObject entry;
   entry["name"] = "scale_" + std::to_string(shape.apps * shape.flowsPerApp) + "f_" +
@@ -456,32 +438,24 @@ util::JsonValue benchScaleSolver(const ScaleShape& shape, double epsilon,
   entry["flows"] = static_cast<double>(shape.apps * shape.flowsPerApp);
   entry["resources"] = static_cast<double>(shape.apps * shape.resPerApp);
   entry["components"] = static_cast<double>(shape.apps);
-  entry["epsilon_mibps"] = epsilon;
-  entry["exact_resolves_per_s"] = exact.resolvesPerS;
-  entry["exact_events_per_s"] = exact.eventsPerS;
-  entry["eps_resolves_per_s"] = eps.resolvesPerS;
-  entry["eps_events_per_s"] = eps.eventsPerS;
-  entry["eps_deferred_component_solves"] = static_cast<double>(eps.deferred);
-  const double speedup = exact.wallPerSimSecond / eps.wallPerSimSecond;
-  entry["eps_speedup"] = speedup;
-  if (speedupOut != nullptr) *speedupOut = speedup;
+  entry["resolves_per_s"] = leg.resolvesPerS;
+  entry["events_per_s"] = leg.eventsPerS;
   return util::JsonValue(std::move(entry));
 }
 
-util::JsonValue benchScaleTracing(const ScaleShape& shape, double simWindow,
-                                  double* ringOverheadOut) {
-  // All three legs run the exact (ε=0) path; only the attached observer
+util::JsonValue benchScaleTracing(const ScaleShape& shape, double simWindow) {
+  // All three legs run the same scenario; only the attached observer
   // differs, so the wall-time delta is tracing cost alone.
   std::uint64_t ringRecorded = 0;
   const auto legs = bestScaleLegs({
-      [&] { return runScaleLeg(shape, 0.0, simWindow, NoObserver{}); },
+      [&] { return runScaleLeg(shape, simWindow, NoObserver{}); },
       [&] {
-        return runScaleLeg(shape, 0.0, simWindow, [](sim::FluidSimulator& f) {
+        return runScaleLeg(shape, simWindow, [](sim::FluidSimulator& f) {
           return std::make_unique<sim::FlowTracer>(f);
         });
       },
       [&] {
-        return runScaleLeg(shape, 0.0, simWindow, [&](sim::FluidSimulator& f) {
+        return runScaleLeg(shape, simWindow, [&](sim::FluidSimulator& f) {
           struct Hold {
             sim::RingTraceSink sink;
             std::uint64_t* recorded;
@@ -508,11 +482,10 @@ util::JsonValue benchScaleTracing(const ScaleShape& shape, double simWindow,
   entry["full_tracer_overhead_pct"] = overheadPct(fullTraced);
   entry["ring_sink_overhead_pct"] = overheadPct(ringTraced);
   entry["ring_records"] = static_cast<double>(ringRecorded);
-  if (ringOverheadOut != nullptr) *ringOverheadOut = overheadPct(ringTraced);
   return util::JsonValue(std::move(entry));
 }
 
-util::JsonValue benchScaleCampaign(std::size_t nodes, double epsilon) {
+util::JsonValue benchScaleCampaign(std::size_t nodes) {
   // The paper's Scenario-2 jobs are 4 nodes x 8 ppn; `nodes` scales that
   // topology up while keeping the per-rank working set small enough that the
   // leg finishes in seconds.  runOnce builds the whole stack (deployment,
@@ -524,132 +497,66 @@ util::JsonValue benchScaleCampaign(std::size_t nodes, double epsilon) {
   config.job = ior::IorJob::onFirstNodes(nodes, 8);
   config.ior.blockSize = ior::blockSizeForTotal(
       static_cast<util::Bytes>(config.job.ranks()) * 4_MiB, config.job.ranks());
-  const auto exact = harness::runOnce(config, 42);
-  config.solverEpsilon = epsilon;
-  const auto bounded = harness::runOnce(config, 42);
+  const auto record = harness::runOnce(config, 42);
 
   util::JsonObject entry;
   entry["name"] = "paper_topology_x" + std::to_string(config.job.ranks() / 32);
   entry["nodes"] = static_cast<double>(nodes);
   entry["ranks"] = static_cast<double>(config.job.ranks());
-  entry["epsilon_mibps"] = epsilon;
-  entry["exact_wall_s"] = exact.wallSeconds;
-  entry["exact_resolves"] = static_cast<double>(exact.resolves);
-  entry["exact_bandwidth_mibps"] = exact.ior.bandwidth;
-  entry["eps_wall_s"] = bounded.wallSeconds;
-  entry["eps_resolves"] = static_cast<double>(bounded.resolves);
-  entry["eps_deferred"] = static_cast<double>(bounded.deferredResolves);
-  entry["eps_bandwidth_mibps"] = bounded.ior.bandwidth;
-  entry["eps_bandwidth_rel_err"] =
-      exact.ior.bandwidth > 0.0
-          ? std::abs(bounded.ior.bandwidth - exact.ior.bandwidth) / exact.ior.bandwidth
-          : 0.0;
+  entry["wall_s"] = record.wallSeconds;
+  entry["resolves"] = static_cast<double>(record.resolves);
+  entry["bandwidth_mibps"] = record.ior.bandwidth;
   return util::JsonValue(std::move(entry));
 }
 
-int runScaleBench(bool smoke, bool quick) {
-  constexpr double kEpsilon = 25.0;  // MiB/s; capacities wobble +-2 at ~500
-  ScaleShape shape;
+int runScaleBench(bool smoke) {
+  ScaleShape shape{100, 10, 100, 0.8};
   double simWindow = 1.0;
   std::size_t campaignNodes = 4096;  // 32768 ranks = 1024x the paper's 32
+  gScaleRepeats = 5;
   if (smoke) {
     shape = ScaleShape{4, 8, 25, 0.0};
     simWindow = 0.2;
     campaignNodes = 32;
     gScaleRepeats = 1;
-  } else if (quick) {
-    shape = ScaleShape{100, 10, 100, 0.4};
-    simWindow = 0.5;
-    campaignNodes = 512;
-    gScaleRepeats = 5;
-  } else {
-    shape = ScaleShape{100, 10, 100, 0.8};
-    gScaleRepeats = 5;
   }
 
-  double scaleSpeedup = 0.0;
-  double ringOverheadPct = 0.0;
   util::JsonArray scenarios;
-  scenarios.push_back(benchScaleSolver(shape, kEpsilon, simWindow, &scaleSpeedup));
-  util::JsonValue tracing = benchScaleTracing(shape, simWindow, &ringOverheadPct);
-  util::JsonValue campaign = benchScaleCampaign(campaignNodes, kEpsilon);
+  scenarios.push_back(benchScaleSolver(shape, simWindow));
+  util::JsonValue tracing = benchScaleTracing(shape, simWindow);
+  util::JsonValue campaign = benchScaleCampaign(campaignNodes);
 
   util::JsonObject headline;
-  headline["scale_speedup"] = scaleSpeedup;
-  headline["ring_overhead_pct"] = ringOverheadPct;
+  headline["scale_events_per_s"] = scenarios.front().at("events_per_s").asNumber();
+  headline["ring_overhead_pct"] = tracing.at("ring_sink_overhead_pct").asNumber();
   util::JsonObject doc;
   doc["benchmark"] = "fluid_scale";
-  doc["mode"] = smoke ? "smoke" : quick ? "quick" : "full";
+  doc["mode"] = smoke ? "smoke" : "full";
   doc["scenarios"] = util::JsonValue(std::move(scenarios));
   doc["tracing"] = std::move(tracing);
   doc["campaign"] = std::move(campaign);
   doc["headline"] = util::JsonValue(std::move(headline));
+  const util::JsonValue result(std::move(doc));
 
   const char* outEnv = std::getenv("BEESIM_SCALE_JSON");
-  const std::string path =
-      outEnv != nullptr && *outEnv != '\0'
-          ? outEnv
-          : (smoke || quick ? std::string() : std::string("BENCH_fluid_scale.json"));
+  const std::string path = outEnv != nullptr && *outEnv != '\0'
+                               ? outEnv
+                               : (smoke ? std::string() : std::string("BENCH_fluid_scale.json"));
   if (!path.empty()) {
     std::ofstream file(path);
-    file << util::JsonValue(doc).dump(2) << "\n";
+    file << result.dump(2) << "\n";
     std::cout << "fluid-scale campaign written to " << path << "\n";
   }
-  std::cout << "fluid-scale: eps-leg speedup " << scaleSpeedup
-            << "x over exact, ring tracing overhead " << ringOverheadPct
-            << "% (full tracer "
-            << util::JsonValue(doc).at("tracing").at("full_tracer_overhead_pct").asNumber()
-            << "%)\n";
+  std::cout << "fluid-scale: " << result.at("headline").at("scale_events_per_s").asNumber()
+            << " exact resolve events/s, ring tracing overhead "
+            << result.at("headline").at("ring_overhead_pct").asNumber() << "% (full tracer "
+            << result.at("tracing").at("full_tracer_overhead_pct").asNumber() << "%)\n";
 
-  if (smoke) {
-    // ctest smoke: the numbers are too small to threshold, but the machinery
-    // must hold together -- deferral engaged and the ring recorded events.
-    const auto& s = util::JsonValue(doc).at("scenarios").asArray().front();
-    if (s.at("eps_deferred_component_solves").asNumber() <= 0.0) {
-      std::cerr << "scale smoke: epsilon deferral never engaged\n";
-      return 1;
-    }
-    if (util::JsonValue(doc).at("tracing").at("ring_records").asNumber() <= 0.0) {
-      std::cerr << "scale smoke: ring sink recorded nothing\n";
-      return 1;
-    }
-    return 0;
-  }
-
-  // Perf-regression guard against a committed baseline.
-  const char* baselinePath = std::getenv("BEESIM_BENCH_BASELINE");
-  if (baselinePath != nullptr && *baselinePath != '\0') {
-    std::ifstream in(baselinePath);
-    if (!in) {
-      std::cerr << "guard: cannot read baseline " << baselinePath << "\n";
-      return 1;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    const auto baseline = util::parseJson(text.str());
-    const double baseSpeedup = baseline.at("headline").at("scale_speedup").asNumber();
-    const char* pctEnv = std::getenv("BEESIM_BENCH_GUARD_PCT");
-    const double pct =
-        pctEnv != nullptr && *pctEnv != '\0' ? std::atof(pctEnv) : 20.0;
-    const double floor = baseSpeedup * (1.0 - pct / 100.0);
-    bool ok = true;
-    if (scaleSpeedup < floor) {
-      std::cerr << "guard FAIL: eps-leg speedup " << scaleSpeedup << "x fell below "
-                << floor << "x (baseline " << baseSpeedup << "x, tolerance " << pct
-                << "%)\n";
-      ok = false;
-    }
-    if (ringOverheadPct > 10.0) {
-      std::cerr << "guard FAIL: ring tracing overhead " << ringOverheadPct
-                << "% exceeds the 10% bound\n";
-      ok = false;
-    }
-    if (ok) {
-      std::cout << "guard PASS: speedup " << scaleSpeedup << "x (baseline "
-                << baseSpeedup << "x, floor " << floor << "x), ring overhead "
-                << ringOverheadPct << "% (bound 10%)\n";
-    }
-    return ok ? 0 : 1;
+  // ctest smoke: the numbers are too small to threshold, but the machinery
+  // must hold together -- the ring recorded events.
+  if (smoke && result.at("tracing").at("ring_records").asNumber() <= 0.0) {
+    std::cerr << "scale smoke: ring sink recorded nothing\n";
+    return 1;
   }
   return 0;
 }
@@ -657,11 +564,9 @@ int runScaleBench(bool smoke, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = envFlag("BEESIM_BENCH_SMOKE");
-  const bool quick = envFlag("BEESIM_BENCH_QUICK");
-  if (smoke || quick) return runScaleBench(smoke, quick);
+  if (envFlag("BEESIM_BENCH_SMOKE")) return runScaleBench(true);
   writeFluidCoreBench();
-  const int scaleRc = runScaleBench(false, false);
+  const int scaleRc = runScaleBench(false);
   if (scaleRc != 0) return scaleRc;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

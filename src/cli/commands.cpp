@@ -69,11 +69,6 @@ harness::RunConfig baseConfig(const Args& args, const topo::ClusterConfig& clust
   harness::RunConfig config;
   config.cluster = cluster;
   config.fs.chooser = chooserFromFlag(args.getString("chooser", "rr"));
-  const auto epsilon = args.getDouble("solver-epsilon", 0.0);
-  if (!std::isfinite(epsilon) || epsilon < 0.0) {
-    throw util::ConfigError("--solver-epsilon must be finite and >= 0 (MiB/s; 0 = exact)");
-  }
-  config.solverEpsilon = epsilon;
   return config;
 }
 
@@ -721,8 +716,6 @@ std::string usage() {
          "  --jobs N    worker threads for repetitions (default $BEESIM_JOBS, else 1;\n"
          "              0 = all hardware threads; results are identical for any N)\n"
          "  --progress  live status line on stderr (runs done, ETA, slowest config)\n"
-         "  --solver-epsilon E   defer component re-solves while rates provably stay\n"
-         "              within E MiB/s of exact (default 0 = exact, bit-identical)\n"
          "run flags:      --ppn --stripe --total --chooser --reps --pattern n1|nn\n"
          "                --op write|read --trace FILE.jsonl\n"
          "                --trace-out FILE.json   Chrome-trace/Perfetto export of one\n"

@@ -133,6 +133,9 @@ ConcurrentResult runConcurrent(const RunConfig& base, const std::vector<AppSpec>
       throw util::ConfigError("per-app QoS specs require an enabled base QoS policy");
     }
   }
+  if (base.solverEpsilon != 0.0) {
+    throw util::ConfigError("RunConfig::solverEpsilon must be 0: the fluid core is exact");
+  }
   if (base.mdtest && !base.fs.meta.queued) {
     throw util::ConfigError(
         "the mdtest metadata phase requires the queued metadata model "
@@ -148,7 +151,6 @@ ConcurrentResult runConcurrent(const RunConfig& base, const std::vector<AppSpec>
   env.storage = rng.logNormalMedian(1.0, base.noise.storageSigmaLog);
 
   sim::FluidSimulator fluid;
-  if (base.solverEpsilon > 0.0) fluid.setSolverEpsilon(base.solverEpsilon);
   beegfs::Deployment deployment(fluid, base.cluster, base.fs, rng.split(), env);
   beegfs::FileSystem fs(deployment, rng.split());
   const RunObservers observers(base.observe, deployment);
@@ -290,7 +292,6 @@ ConcurrentResult runConcurrent(const RunConfig& base, const std::vector<AppSpec>
       std::count_if(owners.begin(), owners.end(), [](const auto& kv) { return kv.second >= 2; }));
   result.resolves = fluid.resolveCount();
   result.solverIterations = fluid.solverIterations();
-  result.deferredResolves = fluid.deferredResolves();
   result.solveSeconds = fluid.solveSeconds();
   result.wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wallStart).count();

@@ -83,8 +83,6 @@ struct ConcurrentResult {
   TraceReport trace;
   std::size_t resolves = 0;
   std::size_t solverIterations = 0;
-  /// Component re-solves skipped under the ε bound (0 on the exact path).
-  std::size_t deferredResolves = 0;
   double wallSeconds = 0.0;
   /// Host wall time inside the solver; stays 0 unless base.observe.profile.
   double solveSeconds = 0.0;

@@ -32,7 +32,6 @@ RunRecord runOnce(const RunConfig& config, std::uint64_t seed) {
   record.ior.util = std::move(result.util);
   record.resolves = result.resolves;
   record.solverIterations = result.solverIterations;
-  record.deferredResolves = result.deferredResolves;
   record.wallSeconds = result.wallSeconds;
   record.solveSeconds = result.solveSeconds;
   record.trace = std::move(result.trace);

@@ -103,10 +103,7 @@ struct RunConfig {
   /// metadata model (fs.meta.queued).  Unset leaves the run bitwise
   /// identical to md-free builds.
   std::optional<ior::MdtestOptions> mdtest;
-  /// ε bound for the fluid core's deferred re-solves (DESIGN.md §2.7).
-  /// 0 (the default) is the exact path -- bitwise identical to pre-ε builds;
-  /// > 0 lets every flow's rate lag the exact max-min solution by at most
-  /// this many MiB/s between structural events.
+  /// Inert (runConcurrent rejects nonzero); the next benchmark change removes it.
   double solverEpsilon = 0.0;
 };
 
@@ -148,7 +145,7 @@ struct RunRecord {
   /// Solver work done by this run (counted whether or not profiled).
   std::size_t resolves = 0;
   std::size_t solverIterations = 0;
-  /// Component re-solves skipped under the ε bound (0 on the exact path).
+  /// Inert (always 0) for campaign_bench; the next benchmark change removes it.
   std::size_t deferredResolves = 0;
   /// Host wall-clock cost of the run; solveSeconds stays 0 unless
   /// observe.profile is on (the solver never reads the clock otherwise).

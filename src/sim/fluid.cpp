@@ -276,8 +276,6 @@ ResourceIndex FluidSimulator::addResource(ResourceSpec spec) {
   compLastProgress_.push_back(0.0);
   compNextCompletion_.push_back(kInf);
   compDirty_.push_back(0);
-  compStructural_.push_back(0);
-  compCapDrift_.push_back(0.0);
   compNeedsWalk_.push_back(0);
   compListed_.push_back(0);
   resWalkLoad_.push_back(0.0);
@@ -318,10 +316,6 @@ std::uint32_t FluidSimulator::unite(std::uint32_t a, std::uint32_t b, SimTime at
   }
   compFlowCount_[a] += compFlowCount_[b];
   compNextCompletion_[a] = std::min(compNextCompletion_[a], compNextCompletion_[b]);
-  // Carry the absorbed component's deferral state: its accumulated capacity
-  // drift and structural flag now belong to the merged component.
-  compCapDrift_[a] += compCapDrift_[b];
-  if (compStructural_[b] != 0) compStructural_[a] = 1;
   if (compNeedsWalk_[b] != 0) compNeedsWalk_[a] = 1;
   if (compDirty_[b] != 0 && compDirty_[a] == 0) markDirty(a, false);
   compHead_[b] = kNone;
@@ -329,21 +323,31 @@ std::uint32_t FluidSimulator::unite(std::uint32_t a, std::uint32_t b, SimTime at
   compFlowCount_[b] = 0;
   compNextCompletion_[b] = kInf;
   compDirty_[b] = 0;
-  compStructural_[b] = 0;
-  compCapDrift_[b] = 0.0;
   compNeedsWalk_[b] = 0;
   listComponent(a);
   return a;
 }
 
-void FluidSimulator::markDirty(std::uint32_t root, bool structural) {
-  if (structural) {
-    compStructural_[root] = 1;
-    compNeedsWalk_[root] = 1;
-  }
+void FluidSimulator::markDirty(std::uint32_t root, bool needsWalk) {
+  if (needsWalk) compNeedsWalk_[root] = 1;
   if (compDirty_[root] != 0) return;
   compDirty_[root] = 1;
   dirtyRoots_.push_back(root);
+}
+
+template <typename Fn>
+void FluidSimulator::forEachActiveRoot(Fn&& fn) {
+  for (std::size_t i = 0; i < activeRoots_.size();) {
+    const auto r = activeRoots_[i];
+    if (findRoot(r) != r || compFlowCount_[r] == 0) {
+      compListed_[r] = 0;
+      activeRoots_[i] = activeRoots_.back();
+      activeRoots_.pop_back();
+      continue;
+    }
+    fn(r);
+    ++i;
+  }
 }
 
 void FluidSimulator::listComponent(std::uint32_t root) {
@@ -364,8 +368,6 @@ void FluidSimulator::resetComponents() {
     compLastProgress_[r] = t;
     compNextCompletion_[r] = kInf;
     compDirty_[r] = 0;
-    compStructural_[r] = 0;
-    compCapDrift_[r] = 0.0;
     compNeedsWalk_[r] = 0;
     compListed_[r] = 0;
     resLoaded_[r] = 0;
@@ -541,9 +543,7 @@ void FluidSimulator::invalidateCapacities() {
 }
 
 void FluidSimulator::setSolverEpsilon(double epsilon) {
-  BEESIM_ASSERT(epsilon >= 0.0, "solver epsilon must be >= 0");
-  BEESIM_ASSERT(std::isfinite(epsilon), "solver epsilon must be finite");
-  epsilon_ = epsilon;
+  BEESIM_ASSERT(epsilon == 0.0, "solver epsilon must be 0: every resolve is exact");
 }
 
 void FluidSimulator::scheduleResolve() {
@@ -668,20 +668,12 @@ void FluidSimulator::resolveNow() {
   // 1. Components whose next completion is due: bank progress and move the
   //    finished flows out.  A due component is re-solved regardless, so its
   //    completion horizon is refreshed even when rounding left a sliver.
-  for (std::size_t i = 0; i < activeRoots_.size();) {
-    const auto r = activeRoots_[i];
-    if (findRoot(r) != r || compFlowCount_[r] == 0) {
-      compListed_[r] = 0;
-      activeRoots_[i] = activeRoots_.back();
-      activeRoots_.pop_back();
-      continue;
-    }
+  forEachActiveRoot([&](std::uint32_t r) {
     if (compNextCompletion_[r] <= t) {
       settleComponent(r, t);
       markDirty(r);
     }
-    ++i;
-  }
+  });
 
   // 2. Run the deferred completion callbacks, in ascending flow id.  These
   //    may start new flows (which merge/dirty components and queue another
@@ -708,26 +700,14 @@ void FluidSimulator::resolveNow() {
   //    identical rates) and dirty the component of any resource whose
   //    capacity moved.  The loaded list is compacted lazily so this loop --
   //    the only per-resolve full sweep left -- costs O(resources carrying
-  //    flows), not O(cluster inventory).  Capacity-only changes are marked
-  //    non-structural and feed the component's |Δcapacity| drift; a
-  //    transition to or from exactly zero forces a structural (never
-  //    deferred) re-solve so stall/unstall is always observed.  A change
-  //    that fails the slack test (the resource was binding at the last walk,
-  //    or its new capacity comes within kSlackMargin of the load the walk
-  //    placed on it) means the next re-solve must actually walk.
+  //    flows), not O(cluster inventory).  A transition to or from exactly
+  //    zero forces a walk so stall/unstall is always observed, and so does a
+  //    change that fails the slack test (the resource was binding at the
+  //    last walk, or its new capacity comes within kSlackMargin of the load
+  //    the walk placed on it).
   if (pendingAllDirty_) {
     pendingAllDirty_ = false;
-    for (std::size_t i = 0; i < activeRoots_.size();) {
-      const auto r = activeRoots_[i];
-      if (findRoot(r) != r || compFlowCount_[r] == 0) {
-        compListed_[r] = 0;
-        activeRoots_[i] = activeRoots_.back();
-        activeRoots_.pop_back();
-        continue;
-      }
-      markDirty(r, false);
-      ++i;
-    }
+    forEachActiveRoot([&](std::uint32_t r) { markDirty(r, false); });
   }
   for (std::size_t i = 0; i < loadedRes_.size();) {
     const auto r = loadedRes_[i];
@@ -742,14 +722,10 @@ void FluidSimulator::resolveNow() {
     BEESIM_ASSERT(cap >= 0.0,
                   "capacity model returned a negative rate for " + resources_[r].name);
     if (cap != resCapacity_[r]) {
-      const auto root = findRoot(r);
-      compCapDrift_[root] += std::abs(cap - resCapacity_[r]);
       const bool zeroEdge = cap == 0.0 || resCapacity_[r] == 0.0;
+      const bool slack = cap - resWalkLoad_[r] > kSlackMargin * std::max(1.0, cap);
       resCapacity_[r] = cap;
-      markDirty(root, zeroEdge);
-      if (!(cap - resWalkLoad_[r] > kSlackMargin * std::max(1.0, cap))) {
-        compNeedsWalk_[root] = 1;
-      }
+      markDirty(findRoot(r), zeroEdge || !slack);
     }
     ++i;
   }
@@ -758,18 +734,11 @@ void FluidSimulator::resolveNow() {
   //    exactly over connected components), one solver slot per flow class:
   //    the component's class list is solved with member counts as
   //    multiplicities, and each class's earliest member (its heap top) gives
-  //    the class's completion horizon.  A component whose dirtiness is
-  //    purely capacity drift bounded by ε may be *deferred*: weighted
-  //    max-min rates are 1-Lipschitz in each capacity and subadditive across
-  //    changes, so Σ|Δcapacity| bounds every flow's rate movement.  Skipped
-  //    components keep their simulated rates and completion horizons (both
-  //    still describe the trajectory actually being integrated), and the
-  //    drift carries over so repeated small wobbles eventually force an
-  //    exact solve.  A component re-solved without needing a walk (only
-  //    slack capacities moved since its last one) keeps its class rates:
-  //    the walk would reproduce them bit for bit (see the header comment),
-  //    so everything else -- progress, stamps, horizon, observer report --
-  //    runs as if it had.
+  //    the class's completion horizon.  A component re-solved without
+  //    needing a walk (only slack capacities moved since its last one) keeps
+  //    its class rates: the walk would reproduce them bit for bit (see the
+  //    header comment), so everything else -- progress, stamps, horizon,
+  //    observer report -- runs as if it had.
   solvedIds_.clear();
   solvedRates_.clear();
   const bool record = !observers_.empty();
@@ -778,15 +747,7 @@ void FluidSimulator::resolveNow() {
     const auto listed = dirtyRoots_[i];
     const auto r = findRoot(listed);
     if (compDirty_[r] == 0) continue;  // merged away or already solved
-    if (epsilon_ > 0.0 && compStructural_[r] == 0 && compCapDrift_[r] <= epsilon_ &&
-        compFlowCount_[r] != 0) {
-      compDirty_[r] = 0;
-      ++deferredResolves_;
-      continue;
-    }
     compDirty_[r] = 0;
-    compStructural_[r] = 0;
-    compCapDrift_[r] = 0.0;
     const bool walk = compNeedsWalk_[r] != 0;
     compNeedsWalk_[r] = 0;
     if (compFlowCount_[r] == 0) {
@@ -843,17 +804,8 @@ void FluidSimulator::scheduleNextWakeup() {
 
   const SimTime t = engine_.now();
   double horizon = kInf;
-  for (std::size_t i = 0; i < activeRoots_.size();) {
-    const auto r = activeRoots_[i];
-    if (findRoot(r) != r || compFlowCount_[r] == 0) {
-      compListed_[r] = 0;
-      activeRoots_[i] = activeRoots_.back();
-      activeRoots_.pop_back();
-      continue;
-    }
-    horizon = std::min(horizon, compNextCompletion_[r] - t);
-    ++i;
-  }
+  forEachActiveRoot(
+      [&](std::uint32_t r) { horizon = std::min(horizon, compNextCompletion_[r] - t); });
   if (resolveInterval_ > 0.0) horizon = std::min(horizon, resolveInterval_);
   if (!std::isfinite(horizon)) {
     // Every active flow is stalled (rate 0).  If no external event will ever
@@ -958,10 +910,7 @@ void FluidSimulator::runSolverCheck() {
                         pathLen_,     flowWeight_,     flowRateCap_};
   // The scratch solve is per flow (no classes, no multiplicities) over every
   // live flow at once, so it is an independent oracle for the class
-  // aggregation, the incremental components, per-class progress and
-  // ε-deferral.  With ε-deferral enabled the maintained rates may lag the
-  // exact solution by up to the configured bound, so the tolerance widens
-  // by ε.
+  // aggregation, the incremental components and per-class progress.
   checkWorkspace_.solveSubset(view, checkSlots_, checkRates_);
   const SimTime t = engine_.now();
   checkId_.resize(flowId_.size(), 0);
@@ -971,8 +920,7 @@ void FluidSimulator::runSolverCheck() {
     const FlowId id{flowId_[slot]};
     const double expect = checkRates_[slot];
     const double got = flowRate(id);
-    BEESIM_ASSERT(std::abs(got - expect) <=
-                      1e-9 * std::max(1.0, std::abs(expect)) + epsilon_,
+    BEESIM_ASSERT(std::abs(got - expect) <= 1e-9 * std::max(1.0, std::abs(expect)),
                   "solver check: incremental rate diverged for flow #" +
                       std::to_string(id.value) + " (" + std::to_string(got) +
                       " vs " + std::to_string(expect) + ")");

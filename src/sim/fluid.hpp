@@ -23,22 +23,6 @@
 // bookkeeping lives in flat slot-indexed arrays reused across the run; a
 // steady-state resolve performs zero heap allocations.
 //
-// ε-bounded resolution (setSolverEpsilon): on top of the exact component
-// decomposition, a component whose dirtiness stems *only* from capacity
-// drift may be deferred when the accumulated drift provably cannot move any
-// of its rates by more than ε.  The bound is the conservative slack
-// Σ_r |Δcapacity_r| over the component's resources since its last exact
-// solve (weighted max-min rates are 1-Lipschitz in each capacity, and
-// deviations are subadditive across changes), so skipped components keep
-// rates within ε MiB/s of the exact allocation.  Deferral composes with the
-// completion horizons: a deferred component's horizon stays valid because
-// its simulated rates are unchanged, and any structural event (flow start,
-// completion, cancellation, merge, capacity hitting or leaving zero) forces
-// an exact solve, which resets the drift.  The dirty-root list is thus the
-// propagation frontier: a rate change travels exactly as far as it can
-// matter, and with ε = 0 (the default) behavior is bit-identical to the
-// always-exact path.
-//
 // Slack certificate (always on, exact): after every walk the simulator keeps,
 // per resource, the load the walk placed on it (capacity − final residual),
 // or +inf when it saturated (was binding).  A capacity change on a resource
@@ -50,9 +34,9 @@
 // only by such changes therefore keeps its class rates without walking --
 // progress, solve stamps, completion horizon and the observer report run as
 // after a walk -- and its rates are bit-identical to what the walk would
-// return.  Structural events and changes that fail the test set the
-// component's needs-walk bit.  ε deferral is decided first and is unchanged;
-// what ε still buys is deferring drift on *binding* resources.
+// return.  Structural events (flow start, completion, cancellation, merge,
+// capacity hitting or leaving zero) and changes that fail the test set the
+// component's needs-walk bit.
 //
 // Flow classes: flows with the same (path, queueWeight, rateCap) -- the ranks
 // of one node writing to the same targets, say -- always receive identical
@@ -245,16 +229,10 @@ class FluidSimulator {
   /// time (e.g. after an external capacity change).
   void invalidateCapacities();
 
-  /// Tolerance (MiB/s) for ε-bounded resolution: a component dirtied only by
-  /// capacity drift is re-solved lazily, once the accumulated per-resource
-  /// capacity deltas could move some rate by more than ε (see the header
-  /// comment for the bound).  0 (the default) keeps every resolve exact --
-  /// and every golden byte identical.  Must be >= 0.
+  /// Inert (asserts ε == 0) for campaign_bench; the next benchmark change removes it.
   void setSolverEpsilon(double epsilon);
-  double solverEpsilon() const { return epsilon_; }
-
-  /// Resolves skipped under the ε bound (diagnostics / scale bench).
-  std::size_t deferredResolves() const { return deferredResolves_; }
+  /// Inert (always 0) for campaign_bench; the next benchmark change removes it.
+  std::size_t deferredResolves() const { return 0; }
 
   /// Attach an observer *alongside* any already attached: every event goes
   /// to every observer in attachment order.  Attaching one twice is a no-op.
@@ -397,10 +375,14 @@ class FluidSimulator {
   // Union-find over resources (merge-only; reset when the system drains).
   std::uint32_t findRoot(std::uint32_t r) const;
   std::uint32_t unite(std::uint32_t a, std::uint32_t b, SimTime at);
-  /// Mark a component for re-solve.  `structural` records membership changes
-  /// (start/completion/cancel/merge, zero-capacity transitions), which the
-  /// ε deferral must never skip; pure capacity drift may be deferred.
-  void markDirty(std::uint32_t root, bool structural = true);
+  /// Mark a component for re-solve.  `needsWalk` (membership changes,
+  /// zero-capacity edges, capacity changes that fail the slack test) makes
+  /// that re-solve walk; without it the slack certificate keeps the rates.
+  void markDirty(std::uint32_t root, bool needsWalk = true);
+  /// Drop merged-away and emptied components from activeRoots_, calling
+  /// fn(root) for every live one, in list order.
+  template <typename Fn>
+  void forEachActiveRoot(Fn&& fn);
   void listComponent(std::uint32_t root);
   void resetComponents();
 
@@ -463,10 +445,8 @@ class FluidSimulator {
   std::vector<SimTime> compLastProgress_;
   std::vector<SimTime> compNextCompletion_;  // absolute; +inf when unknown
   std::vector<char> compDirty_;
-  std::vector<char> compStructural_;  // dirtiness includes a membership change
-  std::vector<double> compCapDrift_;  // Σ|Δcapacity| since the last exact solve
-  /// The next re-solve must walk: set by every structural markDirty and by
-  /// any capacity change that fails the slack test; cleared by a re-solve.
+  /// The next re-solve must walk: set by markDirty(root, true); cleared by
+  /// a re-solve.
   std::vector<char> compNeedsWalk_;
   std::vector<char> compListed_;
   std::vector<std::uint32_t> activeRoots_;  // lazily filtered
@@ -513,7 +493,6 @@ class FluidSimulator {
   bool resolvePending_ = false;
   bool pendingAllDirty_ = false;
   bool solverCheck_ = false;
-  double epsilon_ = 0.0;
   Seconds resolveInterval_ = 0.0;
   std::optional<EventId> wakeup_;
   std::vector<FluidObserver*> observers_;  // attachment order
@@ -525,7 +504,6 @@ class FluidSimulator {
   std::uint64_t walkEpoch_ = 0;
   std::size_t resolveCount_ = 0;
   std::size_t solverIterations_ = 0;
-  std::size_t deferredResolves_ = 0;
   bool profiling_ = false;
   double solveSeconds_ = 0.0;
 };

@@ -232,6 +232,17 @@ TEST(Cli, DescribeRejectsSeed) {
   EXPECT_NE(result.err.find("unknown flag(s): --seed"), std::string::npos) << result.err;
 }
 
+TEST(Cli, SolverEpsilonIsAnUnknownFlag) {
+  // The fluid core has one exact resolve path; the old ε knob must fail
+  // loudly rather than be accepted and ignored.
+  for (const std::string command : {"run", "sweep", "concurrent"}) {
+    const auto result = run({command, "--cluster", "plafrim1", "--solver-epsilon", "25"});
+    EXPECT_NE(result.code, 0) << command;
+    EXPECT_NE(result.err.find("unknown flag(s): --solver-epsilon"), std::string::npos)
+        << command << ": " << result.err;
+  }
+}
+
 TEST(Cli, TraceReplaysTheCampaignsFirstPlannedRun) {
   // The traced run is the campaign's own first planned run -- same seed,
   // start time and fault plan -- not a separate run without the faults.

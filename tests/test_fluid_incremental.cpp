@@ -381,56 +381,43 @@ TEST(FluidIncremental, ClusterScaleResolveIsAllocationFree) {
   // The cluster-scale bar (DESIGN.md §2.7): 10k flows over 1k wobbling
   // resources in 100 disjoint components, with a ring trace sink attached --
   // and the warmed-up resolve path still performs zero heap allocations.
-  // Checked on both the exact path (ε = 0, every component re-solves every
-  // tick) and the ε-bounded path (deferral bookkeeping must be free too).
-  for (const double epsilon : {0.0, 25.0}) {
-    FluidSimulator fluid;
-    fluid.setSolverCheck(false);  // the differential check allocates by design
-    if (epsilon > 0.0) fluid.setSolverEpsilon(epsilon);
-    fluid.setResolveInterval(0.05);
-    constexpr std::size_t kApps = 100;
-    constexpr std::size_t kResPerApp = 10;
-    constexpr std::size_t kFlowsPerApp = 100;
-    std::vector<ResourceIndex> links;
-    for (std::size_t r = 0; r < kApps * kResPerApp; ++r) {
-      const double phase = 0.1 * static_cast<double>(r);
-      links.push_back(fluid.addResource(ResourceSpec{
-          "link" + std::to_string(r), [phase](const ResourceLoad& load) {
-            return 500.0 + 2.0 * std::sin(3.0 * load.time + phase);
-          }}));
-    }
-    util::Rng rng(20220714);
-    for (std::size_t a = 0; a < kApps; ++a) {
-      for (std::size_t f = 0; f < kFlowsPerApp; ++f) {
-        FlowSpec spec;
-        for (const auto r : rng.sampleWithoutReplacement(kResPerApp, 3)) {
-          spec.path.push_back(links[a * kResPerApp + r]);
-        }
-        spec.bytes = 1_TiB;  // nothing completes inside the window
-        spec.queueWeight = rng.uniform(0.5, 4.0);
-        fluid.startFlow(std::move(spec));
+  FluidSimulator fluid;
+  fluid.setSolverCheck(false);  // the differential check allocates by design
+  fluid.setResolveInterval(0.05);
+  constexpr std::size_t kApps = 100;
+  constexpr std::size_t kResPerApp = 10;
+  constexpr std::size_t kFlowsPerApp = 100;
+  std::vector<ResourceIndex> links;
+  for (std::size_t r = 0; r < kApps * kResPerApp; ++r) {
+    const double phase = 0.1 * static_cast<double>(r);
+    links.push_back(fluid.addResource(ResourceSpec{
+        "link" + std::to_string(r), [phase](const ResourceLoad& load) {
+          return 500.0 + 2.0 * std::sin(3.0 * load.time + phase);
+        }}));
+  }
+  util::Rng rng(20220714);
+  for (std::size_t a = 0; a < kApps; ++a) {
+    for (std::size_t f = 0; f < kFlowsPerApp; ++f) {
+      FlowSpec spec;
+      for (const auto r : rng.sampleWithoutReplacement(kResPerApp, 3)) {
+        spec.path.push_back(links[a * kResPerApp + r]);
       }
-    }
-    RingTraceSink ring(fluid, 1u << 16);
-    fluid.engine().runUntil(0.5);  // warm up pools, scratch and observer runs
-    const auto resolvesBefore = fluid.resolveCount();
-    {
-      AllocProbe probe;
-      fluid.engine().runUntil(1.0);
-      EXPECT_EQ(probe.count(), 0u)
-          << "cluster-scale steady-state resolves must not allocate (epsilon="
-          << epsilon << ")";
-    }
-    EXPECT_GE(fluid.resolveCount(), resolvesBefore + 9);
-    EXPECT_EQ(fluid.activeFlows(), kApps * kFlowsPerApp);
-    EXPECT_GT(ring.recorded(), 0u);
-    if (epsilon > 0.0) {
-      EXPECT_GT(fluid.deferredResolves(), 0u)
-          << "the wobble stays inside ε, so deferral must engage";
-    } else {
-      EXPECT_EQ(fluid.deferredResolves(), 0u);
+      spec.bytes = 1_TiB;  // nothing completes inside the window
+      spec.queueWeight = rng.uniform(0.5, 4.0);
+      fluid.startFlow(std::move(spec));
     }
   }
+  RingTraceSink ring(fluid, 1u << 16);
+  fluid.engine().runUntil(0.5);  // warm up pools, scratch and observer runs
+  const auto resolvesBefore = fluid.resolveCount();
+  {
+    AllocProbe probe;
+    fluid.engine().runUntil(1.0);
+    EXPECT_EQ(probe.count(), 0u) << "cluster-scale steady-state resolves must not allocate";
+  }
+  EXPECT_GE(fluid.resolveCount(), resolvesBefore + 9);
+  EXPECT_EQ(fluid.activeFlows(), kApps * kFlowsPerApp);
+  EXPECT_GT(ring.recorded(), 0u);
 }
 
 // --- Slack certificate ---------------------------------------------------

@@ -274,10 +274,9 @@ TEST(Concurrent, StaggeredStartsRespectOffsets) {
   EXPECT_DOUBLE_EQ(result.apps[1].start - result.apps[0].start, 3.0);
 }
 
-TEST(Concurrent, HonoursSolverEpsilonAndProfiling) {
-  // Regression: runConcurrent built its simulator without the solver ε and
-  // the profiling switch that runOnce applies, so `concurrent
-  // --solver-epsilon` was parsed, validated and then silently ignored.
+TEST(Concurrent, HonoursProfiling) {
+  // Regression: runConcurrent built its simulator without the profiling
+  // switch that runOnce applies, so solveSeconds stayed 0 under --profile.
   auto base = baseConfig(topo::Scenario::kEthernet10G, 16, 8, 8, 8_GiB);
   std::vector<AppSpec> apps(2);
   for (int a = 0; a < 2; ++a) {
@@ -285,17 +284,25 @@ TEST(Concurrent, HonoursSolverEpsilonAndProfiling) {
     for (std::size_t n = 0; n < 8; ++n) apps[a].job.nodeIds.push_back(a * 8 + n);
     apps[a].ior.blockSize = ior::blockSizeForTotal(8_GiB, apps[a].job.ranks());
   }
-  const auto exact = runConcurrent(base, apps, 11);
-  EXPECT_EQ(exact.deferredResolves, 0u);
-  EXPECT_EQ(exact.solveSeconds, 0.0);
+  const auto plain = runConcurrent(base, apps, 11);
+  EXPECT_EQ(plain.solveSeconds, 0.0);
 
-  base.solverEpsilon = 25.0;
   base.observe.profile = true;
-  const auto bounded = runConcurrent(base, apps, 11);
-  EXPECT_GT(bounded.deferredResolves, 0u);
-  EXPECT_GT(bounded.solveSeconds, 0.0);
-  EXPECT_GT(bounded.resolves, 0u);
-  EXPECT_GT(bounded.wallSeconds, 0.0);
+  const auto profiled = runConcurrent(base, apps, 11);
+  EXPECT_GT(profiled.solveSeconds, 0.0);
+  EXPECT_GT(profiled.resolves, 0u);
+  EXPECT_GT(profiled.wallSeconds, 0.0);
+}
+
+TEST(Concurrent, NonzeroSolverEpsilonRejected) {
+  // The fluid core is exact; the field survives only for source
+  // compatibility and must not silently do nothing.
+  auto base = baseConfig(topo::Scenario::kEthernet10G, 4, 8, 4, 1_GiB);
+  std::vector<AppSpec> apps(1);
+  apps[0].job = ior::IorJob::onFirstNodes(4, 8);
+  apps[0].ior.blockSize = ior::blockSizeForTotal(1_GiB, apps[0].job.ranks());
+  base.solverEpsilon = 25.0;
+  EXPECT_THROW(runConcurrent(base, apps, 12), util::ConfigError);
 }
 
 TEST(Interference, InjectorIssuesBursts) {

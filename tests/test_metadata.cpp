@@ -454,7 +454,6 @@ TEST(MetadataRun, MetaTimeAgreesBetweenRunAndConcurrent) {
     EXPECT_TRUE(once.qos == conc.qos);
     EXPECT_EQ(once.resolves, conc.resolves);
     EXPECT_EQ(once.solverIterations, conc.solverIterations);
-    EXPECT_EQ(once.deferredResolves, conc.deferredResolves);
   }
 }
 
