@@ -45,6 +45,13 @@ LEGS = [
     ("qos_concurrent",
      ["src/cli/beesim", "concurrent", "--apps", "4", "--nodes-per-app", "8",
       "--stripe", "8", "--qos", "--qos-rate", "400", "--qos-borrow"], {}),
+    # Stochastic fail-slow under the watchdog and the hedge lag check at one
+    # 0.5 s cadence: the only leg whose chunks run both checks.
+    ("gray_cli",
+     ["src/cli/beesim", "run", "--cluster", "plafrim1", "--nodes", "8", "--stripe", "8",
+      "--fail-slow", "5", "--fail-slow-mttr", "0.5", "--fault-mode", "degraded",
+      "--io-timeout", "0.5", "--hedge", "--hedge-deadline", "0.5",
+      "--suspect-ratio", "0.5", "--reps", "80"], {}),
     # The traced run replays the campaign's first run with the ring sink
     # attached and renders it to JSONL (131k records): about half the leg.
     ("ring_trace",

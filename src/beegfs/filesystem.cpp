@@ -14,6 +14,11 @@ namespace beesim::beegfs {
 
 namespace {
 
+constexpr util::Seconds kNever = HUGE_VAL;  // the due time of a check that is off
+constexpr double kBackoffFactor = 2.0;       // retry wait growth per attempt
+constexpr int kMaxHedges = 8;                // hedge legs per chunk: bounds duplicate bytes
+constexpr double kResyncQueueWeight = 0.25;  // resync yields to chunk flows (weight 1.0)
+
 /// Top `picked` up to `count` entries with members of `pool` it lacks, drawn
 /// uniformly from `rng` (a flat ascending fill would bias every repaired
 /// stripe toward the low-numbered targets of server 0).
@@ -324,6 +329,9 @@ void FileSystem::issueAdmitted(const OpPtr& op) {
   const bool hedged = deployment_.params().hedge.enabled && transfer.isWrite;
   op->rule = hedged ? Completion::kFirst : Completion::kOne;
   startLeg(op, 0, target, deployment_.writePath(transfer.node, target), op->bytes);
+  const util::Seconds now = deployment_.fluid().now();
+  op->watchdogAt = policy.mode != ClientFaultPolicy::Mode::kNone ? now + policy.ioTimeout : kNever;
+  op->hedgeAt = hedged ? now + deployment_.params().hedge.deadline : kNever;
   if (hedged) {
     op->hedges = 0;
     op->tried.assign(1, target);
@@ -332,8 +340,7 @@ void FileSystem::issueAdmitted(const OpPtr& op) {
     hedged_.push_back(op);
     addPeerRate(*op);
   }
-  if (policy.mode != ClientFaultPolicy::Mode::kNone) armWatchdog(op, op->legs[0].flow);
-  if (hedged) armHedge(op);
+  armChecks(op, op->legs[0].flow);
 }
 
 void FileSystem::startLeg(const OpPtr& op, std::size_t leg, std::size_t target,
@@ -423,34 +430,43 @@ void FileSystem::abortOp(const OpPtr& op) {
   finishOp(op);
 }
 
-void FileSystem::armWatchdog(const OpPtr& op, sim::FlowId flow) {
-  deployment_.fluid().engine().scheduleAfter(
-      deployment_.params().faults.ioTimeout, [this, op, flow] {
-        if (!deployment_.fluid().flowActive(flow)) return;  // leg ended meanwhile
-        if (deployment_.mgmt().target(op->legs[0].target).online) {
-          // Still making (possibly slow) progress on a live target.
-          armWatchdog(op, flow);
-          return;
-        }
-        // The chunk sat unfinished for a full ioTimeout and its target is
-        // registered offline: the client declares it failed.  The retry
-        // ladder owns the chunk from here; any hedge leg is torn down.
-        cancelLegs(*op);
-        untrack(op);
-        ++faultStats_.timeouts;
-        markFailed(*op);
-        if (deployment_.params().faults.mode == ClientFaultPolicy::Mode::kStrict) {
-          abortOp(op);
-          return;
-        }
-        scheduleRetry(op, /*attempt=*/0);
-      });
+void FileSystem::armChecks(const OpPtr& op, sim::FlowId flow) {
+  const util::Seconds at = std::min(op->watchdogAt, op->hedgeAt);
+  if (at == kNever) return;
+  deployment_.fluid().engine().schedule(at, [this, op, flow, at] {
+    // The op resolved, or its original leg is no longer the one armed for.
+    if (op->resolved || op->legs[0].flow != flow) return;
+    // Each check keeps its own grid of repeated `+ period` times.
+    if (op->watchdogAt == at) {
+      if (!watchdog(op)) return;
+      op->watchdogAt += deployment_.params().faults.ioTimeout;
+    }
+    if (op->hedgeAt == at) {
+      op->hedgeAt = hedgeCheck(op) ? at + deployment_.params().hedge.deadline : kNever;
+    }
+    armChecks(op, flow);
+  });
+}
+
+bool FileSystem::watchdog(const OpPtr& op) {
+  // Still making (possibly slow) progress on a live target.
+  if (deployment_.mgmt().target(op->legs[0].target).online) return true;
+  // The chunk sat unfinished for a full ioTimeout and its target is
+  // registered offline: the client declares it failed.  The retry ladder
+  // owns the chunk from here; any hedge leg is torn down.
+  cancelLegs(*op);
+  untrack(op);
+  ++faultStats_.timeouts;
+  markFailed(*op);
+  if (deployment_.params().faults.mode == ClientFaultPolicy::Mode::kStrict) abortOp(op);
+  else scheduleRetry(op, /*attempt=*/0);
+  return false;
 }
 
 void FileSystem::scheduleRetry(const OpPtr& op, int attempt) {
   const auto& policy = deployment_.params().faults;
   const util::Seconds wait =
-      policy.backoffBase * std::pow(policy.backoffFactor, static_cast<double>(attempt));
+      policy.backoffBase * std::pow(kBackoffFactor, static_cast<double>(attempt));
   deployment_.fluid().engine().scheduleAfter(wait, [this, op, attempt] {
     if (faultStats_.aborted) {
       finishOp(op);
@@ -490,15 +506,7 @@ void FileSystem::failOver(const OpPtr& op, bool rewrite) {
 
 // -- Hedged writes. ----------------------------------------------------------
 
-void FileSystem::armHedge(const OpPtr& op) {
-  deployment_.fluid().engine().scheduleAfter(
-      deployment_.params().hedge.deadline,
-      [this, op, flow = op->legs[0].flow] { hedgeCheck(op, flow); });
-}
-
-void FileSystem::hedgeCheck(const OpPtr& op, sim::FlowId flow) {
-  // Resolved, or the watchdog took the op over (its original leg changed).
-  if (op->resolved || op->legs[0].flow != flow) return;
+bool FileSystem::hedgeCheck(const OpPtr& op) {
   const auto& policy = deployment_.params().hedge;
   const double best = bestLegRate(*op);
 
@@ -522,7 +530,7 @@ void FileSystem::hedgeCheck(const OpPtr& op, sim::FlowId flow) {
     }
   }
 
-  if (lagging && op->hedges >= policy.maxHedges) return;  // budget spent; stop the timer
+  if (lagging && op->hedges >= kMaxHedges) return false;  // budget spent
   // A lagging live hedge leg is replaced like a dead one: it had a full
   // deadline to establish a rate, and `best` already folds it into the lag
   // verdict (a crawling same-host hedge must not pin the chunk to a host
@@ -544,7 +552,7 @@ void FileSystem::hedgeCheck(const OpPtr& op, sim::FlowId flow) {
     dropPeerRate(*op);  // its best leg may have been the one just replaced
     addPeerRate(*op);
   }
-  armHedge(op);
+  return true;
 }
 
 util::MiBps FileSystem::bestLegRate(const ChunkOp& op) const {
@@ -808,13 +816,12 @@ void FileSystem::maybeStartResync(std::size_t group) {
     return;
   }
   const util::Bytes delta = entry.resyncDebt;
-  const auto& mirror = deployment_.params().mirror;
   mgmt.recordUsage(entry.secondary, delta);
   resync_[group] = deployment_.fluid().startFlow(sim::FlowSpec{
       .path = deployment_.replicaPath(entry.primary, entry.secondary),
       .bytes = delta,
-      .queueWeight = mirror.resyncQueueWeight,
-      .rateCap = mirror.resyncRate,
+      .queueWeight = kResyncQueueWeight,
+      .rateCap = deployment_.params().mirror.resyncRate,
       .onComplete =
           [this, group, delta](const sim::FlowStats& stats) {
             resync_[group] = sim::FlowId{};

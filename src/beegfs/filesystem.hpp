@@ -87,9 +87,6 @@ class FileSystem {
   /// lets tests and read benchmarks materialize pre-existing files).
   void truncate(FileHandle handle, util::Bytes size);
 
-  /// The chooser in use (inspectable by tests).
-  TargetChooser& chooser() { return *chooser_; }
-
   // -- Rebalancing hooks (src/control/; see DESIGN.md §2.6). ---------------
 
   /// Wrap the configured chooser in a WeightedChooser consulting the mgmtd
@@ -156,7 +153,6 @@ class FileSystem {
   /// deferred issue; re-issues after a timeout/failover are never charged
   /// again).  Null detaches.  The manager must outlive all transfers.
   void setQosManager(qos::QosManager* qos) { qos_ = qos; }
-  qos::QosManager* qosManager() const { return qos_; }
 
  private:
   /// Shared bookkeeping of one writeAsync/readAsync call: the operation
@@ -204,6 +200,8 @@ class FileSystem {
     std::vector<std::size_t> tried;  ///< targets already given a leg (kFirst)
     std::size_t hedgeSlot = kUntracked;  ///< index in hedged_ while tracked
     util::MiBps peerRate = 0.0;          ///< its entry in peerBest_ while tracked
+    util::Seconds watchdogAt = 0.0;      ///< next watchdog check (+inf: off)
+    util::Seconds hedgeAt = 0.0;         ///< next lag check (+inf: off)
     bool resolved = false;
   };
   using OpPtr = std::shared_ptr<ChunkOp>;
@@ -236,10 +234,13 @@ class FileSystem {
   /// Abort the job and resolve the chunk without further I/O.
   void abortOp(const OpPtr& op);
 
-  /// Client I/O timeout on the op's original leg `flow`: re-armed while the
-  /// flow runs; on an offline target it cancels the legs and enters the
-  /// retry/failover ladder.
-  void armWatchdog(const OpPtr& op, sim::FlowId flow);
+  /// The op's one check timer, bound to its original leg `flow`: until the op
+  /// resolves or that leg changes, it runs the due watchdog, then the due lag
+  /// check, and re-arms at the earlier next due time.
+  void armChecks(const OpPtr& op, sim::FlowId flow);
+  /// Client I/O timeout: an op on an offline target is handed to the retry
+  /// ladder, or aborted in strict mode (false: the timer must stop).
+  bool watchdog(const OpPtr& op);
   /// Exponential-backoff wait number `attempt`; retries the original target
   /// if it recovered, else escalates and finally fails over.
   void scheduleRetry(const OpPtr& op, int attempt);
@@ -248,11 +249,9 @@ class FileSystem {
   /// `rewrite` charges the bytes to the rewritten counter.
   void failOver(const OpPtr& op, bool rewrite);
 
-  /// Periodic lag check of a hedged op (HedgePolicy::deadline cadence),
-  /// bound to the original leg it was armed for; a lagging op gets a hedge
-  /// leg.
-  void armHedge(const OpPtr& op);
-  void hedgeCheck(const OpPtr& op, sim::FlowId flow);
+  /// Lag check of a hedged op (HedgePolicy::deadline cadence): a lagging op
+  /// gets a hedge leg.  False once its hedge budget is spent.
+  bool hedgeCheck(const OpPtr& op);
   /// Current rate of the op's faster leg (0 when both are gone).
   util::MiBps bestLegRate(const ChunkOp& op) const;
   /// Read a tracked op's best-leg rate into its peerRate and peerBest_.

@@ -57,9 +57,6 @@ struct MirrorPolicy {
   std::vector<std::pair<std::size_t, std::size_t>> groups;
   /// Rate cap for background resync flows (<= 0: uncapped).
   util::MiBps resyncRate = 0.0;
-  /// Queue weight of resync flows relative to foreground chunk flows
-  /// (weight 1.0); < 1 makes resync yield bandwidth to applications.
-  double resyncQueueWeight = 0.25;
 };
 
 /// Cumulative mirroring/resync accounting (one FileSystem's view).
@@ -187,9 +184,8 @@ struct ClientFaultPolicy {
   /// Client I/O timeout: how long a chunk may sit unfinished before the
   /// client checks its target's registry state.
   util::Seconds ioTimeout = 5.0;
-  /// First retry backoff; doubles (backoffFactor) per attempt.
+  /// First retry backoff; doubles per attempt.
   util::Seconds backoffBase = 1.0;
-  double backoffFactor = 2.0;
   /// Same-target retry attempts before failing over.
   int maxRetries = 3;
 };
@@ -212,9 +208,6 @@ struct HedgePolicy {
   /// rate of its in-flight peers.  A fully stalled chunk (rate 0) is hedged
   /// regardless, peers or not.
   double lagRatio = 0.25;
-  /// Cap on hedge legs issued per chunk (bounds duplicate bytes and timers
-  /// when nearly everything is degraded).
-  int maxHedges = 8;
 };
 
 /// Cumulative hedging accounting (one FileSystem's view).

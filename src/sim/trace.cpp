@@ -350,22 +350,23 @@ void FlowTracer::writeMetricsCsv(const std::filesystem::path& path) const {
 // --- RingTraceSink -----------------------------------------------------
 
 RingTraceSink::RingTraceSink(FluidSimulator& fluid, std::size_t capacity)
-    : fluid_(fluid) {
+    : fluid_(fluid), capacity_(capacity) {
   BEESIM_ASSERT(capacity >= 1, "ring trace sink needs capacity >= 1 record");
-  records_.resize(capacity);  // the sink's only allocation
+  // The sink's only allocation.  Reserved, not resized: a short run never
+  // zero-fills (or touches) the unused tail of a large ring.
+  records_.reserve(capacity);
   fluid_.addObserver(this);
 }
 
 RingTraceSink::~RingTraceSink() { fluid_.removeObserver(this); }
 
 void RingTraceSink::push(const RingRecord& record) {
-  records_[static_cast<std::size_t>(written_ % records_.size())] = record;
+  if (records_.size() < capacity_) {
+    records_.push_back(record);
+  } else {
+    records_[static_cast<std::size_t>(written_ % capacity_)] = record;
+  }
   ++written_;
-}
-
-std::size_t RingTraceSink::size() const {
-  return static_cast<std::size_t>(
-      std::min<std::uint64_t>(written_, records_.size()));
 }
 
 std::uint64_t RingTraceSink::dropped() const { return written_ - size(); }
@@ -422,7 +423,7 @@ std::vector<RingRecord> RingTraceSink::snapshot() const {
   // Oldest retained record lives at written_ - n (mod capacity).
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(
-        records_[static_cast<std::size_t>((written_ - n + i) % records_.size())]);
+        records_[static_cast<std::size_t>((written_ - n + i) % capacity_)]);
   }
   return out;
 }

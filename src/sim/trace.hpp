@@ -286,9 +286,9 @@ class RingTraceSink final : public FluidObserver {
   void onFlowCompleted(const FlowStats& stats) override;
   void onFlowCancelled(const FlowStats& stats) override;
 
-  std::size_t capacity() const { return records_.size(); }
+  std::size_t capacity() const { return capacity_; }
   /// Records currently held (<= capacity()).
-  std::size_t size() const;
+  std::size_t size() const { return records_.size(); }
   /// Total records ever appended, including overwritten ones.
   std::uint64_t recorded() const { return written_; }
   /// Records lost to ring wrap-around (recorded() - size()).
@@ -313,7 +313,8 @@ class RingTraceSink final : public FluidObserver {
   void push(const RingRecord& record);
 
   FluidSimulator& fluid_;
-  std::vector<RingRecord> records_;  // fixed size; slot = written_ % capacity
+  const std::size_t capacity_;
+  std::vector<RingRecord> records_;  // grows to capacity_; slot = written_ % capacity_
   std::uint64_t written_ = 0;
 };
 

@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "beegfs/deployment.hpp"
@@ -274,6 +276,81 @@ TEST(FailSlowHedge, DeadButOnlineTargetIsHedgedNotStalled) {
   EXPECT_TRUE(done);
   EXPECT_GE(fs.hedgeStats().hedgesIssued, 1u);
   EXPECT_GE(fs.hedgeStats().hedgeWins, 1u);
+  EXPECT_EQ(fs.inFlightChunks(), 0u);
+}
+
+TEST(FailSlowHedge, WatchdogSharesTheLagCheckTimerAtEqualCadence) {
+  // A chunk op has one check timer for the watchdog and the lag check.  With
+  // ioTimeout equal to the hedge deadline both checks fall due at the same
+  // instants, so arming the watchdog adds no engine event and moves no hedge
+  // decision (target 0 crawls at 5% while staying online: hedged, never
+  // timed out).
+  const auto runHedged = [](beegfs::ClientFaultPolicy::Mode mode) {
+    sim::FluidSimulator fluid;
+    const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+    beegfs::BeegfsParams params;
+    params.faults.mode = mode;
+    params.faults.ioTimeout = 0.5;
+    params.hedge.enabled = true;
+    params.hedge.deadline = 0.5;
+    beegfs::Deployment deployment(fluid, cluster, params, util::Rng(1));
+    beegfs::FileSystem fs(deployment, util::Rng(2));
+    faults::FaultInjector injector(deployment, faults::parseSchedule("slow:t0@0=0.05"));
+    injector.arm();
+    const auto handle = fs.createPinned("/gray", {0, 4}, 512_KiB);
+    bool done = false;
+    fs.writeAsync(0, handle, 0, 2_GiB, 8.0, [&](util::Seconds) { done = true; });
+    const std::size_t events = fluid.engine().run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(fs.inFlightChunks(), 0u);
+    EXPECT_EQ(fs.faultStats().timeouts, 0u);
+    return std::pair{events, fs.hedgeStats()};
+  };
+  const auto [unwatchedEvents, unwatchedHedge] =
+      runHedged(beegfs::ClientFaultPolicy::Mode::kNone);
+  const auto [watchedEvents, watchedHedge] =
+      runHedged(beegfs::ClientFaultPolicy::Mode::kDegraded);
+  EXPECT_GE(unwatchedHedge.hedgesIssued, 1u);
+  EXPECT_EQ(watchedEvents, unwatchedEvents);
+  EXPECT_EQ(watchedHedge, unwatchedHedge);
+}
+
+TEST(FailSlowHedge, SharedTimerKeepsEachCheckOnItsOwnCadence) {
+  // Watchdog every 0.5 s, lag check every 0.3 s, both from the write's issue
+  // at t = 0.  Target 0 crashes at t = 0.1; target 4 serves at rate 0 while
+  // staying online.  Both stalled chunks are hedged by the first lag check
+  // at exactly 0.3, and the crash is detected by the first watchdog at
+  // exactly 0.5 -- not at a lag-check instant (0.3, 0.6).
+  sim::FluidSimulator fluid;
+  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+  beegfs::BeegfsParams params;
+  params.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+  params.faults.ioTimeout = 0.5;
+  params.hedge.enabled = true;
+  params.hedge.deadline = 0.3;
+  beegfs::Deployment deployment(fluid, cluster, params, util::Rng(1));
+  beegfs::FileSystem fs(deployment, util::Rng(2));
+  faults::FaultInjector injector(deployment,
+                                 faults::parseSchedule("off:t0@0.1;slow:t4@0=0"));
+  injector.arm();
+  const auto handle = fs.createPinned("/mixed", {0, 4}, 512_KiB);
+  bool done = false;
+  fs.writeAsync(0, handle, 0, 2_GiB, 8.0, [&](util::Seconds) { done = true; });
+
+  auto& engine = fluid.engine();
+  engine.runUntil(std::nextafter(0.3, 0.0));
+  EXPECT_EQ(fs.hedgeStats().hedgesIssued, 0u);
+  engine.runUntil(0.3);
+  EXPECT_EQ(fs.hedgeStats().hedgesIssued, 2u);
+  engine.runUntil(std::nextafter(0.5, 0.0));
+  EXPECT_EQ(fs.faultStats().timeouts, 0u);
+  engine.runUntil(0.5);
+  EXPECT_EQ(fs.faultStats().timeouts, 1u);
+  engine.runUntil(0.6);
+  EXPECT_EQ(fs.faultStats().timeouts, 1u);
+
+  fluid.run();
+  EXPECT_TRUE(done);
   EXPECT_EQ(fs.inFlightChunks(), 0u);
 }
 
@@ -827,11 +904,15 @@ TEST(Chaos, AllFeaturesTerminateConserveAndDrain) {
   };
   // [variant][seed index] for the first two soak seeds.  Mirrored files
   // hedge only through quarantine switchovers and none fires here, so both
-  // mirrored variants pin the same values.
+  // mirrored variants pin the same values.  plain+hedge at seed 2000 was
+  // re-recorded when the watchdog and the lag check came to share one timer
+  // per op: ioTimeout (0.5) differs from the deadline (0.4), so checks of
+  // several ops due at one instant now run op by op, not in scheduling
+  // order.  With the deadline at 0.5 every variant and seed was unchanged.
   const Pinned pinned[4][2] = {
       {{603.4825525573948, 0, 0, 0, 0, 13}, {562.05468380534705, 0, 0, 134217728, 0, 14}},
       {{603.4825525573948, 0, 0, 0, 0, 13}, {562.05468380534705, 0, 0, 134217728, 0, 14}},
-      {{555.32807231269726, 15, 10, 251658240, 199, 0},
+      {{529.48490358758295, 18, 10, 301989888, 199, 0},
        {464.71694515189461, 10, 6, 167772160, 149, 0}},
       {{514.34032067501812, 40, 16, 671088640, 0, 0},
        {421.07332303429638, 41, 22, 687865856, 0, 0}},
