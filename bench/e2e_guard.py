@@ -33,18 +33,18 @@ import tempfile
 import time
 
 # (name, argv relative to the build tree, extra environment).  Repetition
-# counts keep each leg near or under a second of host time on a 4-core
-# container; the QoS leg is a CLI campaign because ext_qos takes ~40 s even
-# at BEESIM_REPS=2.
+# counts keep each leg at 0.5-1 s of host time on a 4-core container:
+# much shorter legs miss the 20% gate by host noise alone.  The QoS leg is a
+# CLI campaign because ext_qos takes ~40 s even at BEESIM_REPS=2.
 LEGS = [
     ("fig08", ["bench/fig08_alloc_s1"], {"BEESIM_REPS": "100"}),
-    ("fig11", ["bench/fig11_nodes_stripes"], {"BEESIM_REPS": "50"}),
+    ("fig11", ["bench/fig11_nodes_stripes"], {"BEESIM_REPS": "100"}),
     ("fig12", ["bench/fig12_concurrent"], {"BEESIM_REPS": "20"}),
     ("ext_failslow", ["bench/ext_failslow"], {"BEESIM_REPS": "2"}),
     ("ext_rebalance", ["bench/ext_rebalance"], {"BEESIM_REPS": "10"}),
     ("qos_concurrent",
      ["src/cli/beesim", "concurrent", "--apps", "4", "--nodes-per-app", "8",
-      "--stripe", "8", "--qos", "--qos-rate", "400", "--qos-borrow"], {}),
+      "--stripe", "8", "--qos", "--qos-rate", "400", "--qos-borrow", "--reps", "40"], {}),
     # Stochastic fail-slow under the watchdog and the hedge lag check at one
     # 0.5 s cadence: the only leg whose chunks run both checks.
     ("gray_cli",
@@ -58,6 +58,12 @@ LEGS = [
      ["src/cli/beesim", "run", "--cluster", "plafrim2", "--nodes", "1024",
       "--stripe", "8", "--reps", "2", "--trace", "trace.jsonl",
       "--trace-format", "ring"], {}),
+    # The same run with the exact FlowTracer: its unbounded event log
+    # rendered to JSONL and Chrome trace, plus the metrics series.
+    ("full_trace",
+     ["src/cli/beesim", "run", "--cluster", "plafrim2", "--nodes", "1024",
+      "--stripe", "8", "--reps", "2", "--trace", "t.jsonl", "--trace-out", "t.json",
+      "--metrics-out", "m.csv"], {}),
 ]
 
 RUNS = 5  # per leg and side

@@ -461,7 +461,7 @@ util::JsonValue benchScaleTracing(const ScaleShape& shape, double simWindow) {
             std::uint64_t* recorded;
             Hold(sim::FluidSimulator& fluid, std::uint64_t* out)
                 : sink(fluid, 1u << 20), recorded(out) {}
-            ~Hold() { *recorded = sink.recorded(); }
+            ~Hold() { *recorded = sink.log().recorded(); }
           };
           return std::make_unique<Hold>(f, &ringRecorded);
         });

@@ -20,8 +20,8 @@ constexpr int kMaxHedges = 8;                // hedge legs per chunk: bounds dup
 constexpr double kResyncQueueWeight = 0.25;  // resync yields to chunk flows (weight 1.0)
 
 /// Top `picked` up to `count` entries with members of `pool` it lacks, drawn
-/// uniformly from `rng` (a flat ascending fill would bias every repaired
-/// stripe toward the low-numbered targets of server 0).
+/// uniformly from `rng` (a flat ascending fill would bias every topped-up
+/// stripe toward the low-numbered mirror groups).
 void topUpRandomly(std::vector<std::size_t>& picked, const std::vector<std::size_t>& pool,
                    std::size_t count, util::Rng& rng) {
   std::vector<std::size_t> candidates;
@@ -119,8 +119,7 @@ FileHandle FileSystem::create(const std::string& path) {
         groups.push_back(*gid);
       }
     }
-    // Fill up with random usable groups the picks did not cover (same
-    // repair idiom as the offline-target path below).
+    // Fill up with random usable groups the picks did not cover.
     topUpRandomly(groups, usableGroups, count, rng_);
     std::vector<std::size_t> targets;
     targets.reserve(groups.size());
@@ -142,14 +141,8 @@ FileHandle FileSystem::create(const std::string& path) {
   std::vector<std::size_t> targets = chooser_->choose(
       std::min<std::size_t>(count, cluster.targetCount()), cluster, rng_, isOnline);
 
-  // Safety net (now expected to be a no-op): replace any offline picks with
-  // random online targets not already used.  The replacements are sampled
-  // from rng_: a flat ascending fill would bias every repaired stripe toward
-  // the low-numbered targets of server 0.
-  if (!std::all_of(targets.begin(), targets.end(), isOnline)) {
-    std::erase_if(targets, [&](std::size_t t) { return !isOnline(t); });
-    topUpRandomly(targets, online, count, rng_);
-  }
+  BEESIM_ASSERT(std::all_of(targets.begin(), targets.end(), isOnline),
+                "the target chooser picked an offline target");
 
   files_.push_back(FileInfo{path, StripePattern(std::move(targets), settings.chunkSize), 0});
   return FileHandle{files_.size() - 1};

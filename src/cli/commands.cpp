@@ -278,7 +278,8 @@ int cmdRun(const Args& args, std::ostream& out) {
   trace.traceJsonl = args.getString("trace", "");
   trace.traceChrome = args.getString("trace-out", "");
   const auto traceFormat = args.getString("trace-format", "full");
-  trace.ringCapacity = args.getUnsigned("trace-ring-cap", trace.ringCapacity);
+  constexpr std::size_t kDefaultRingCapacity = std::size_t{1} << 20;
+  const auto ringCapacity = args.getUnsigned("trace-ring-cap", kDefaultRingCapacity);
   trace.metricsCsv = args.getString("metrics-out", "");
   trace.metricsDt = args.getDouble("metrics-dt", trace.metricsDt);
   const auto faultSpec = args.getString("faults", "");
@@ -329,21 +330,20 @@ int cmdRun(const Args& args, std::ostream& out) {
   if (traceFormat != "full" && traceFormat != "ring") {
     throw util::ConfigError("--trace-format must be full|ring");
   }
-  trace.traceRing = traceFormat == "ring";
+  const bool ring = traceFormat == "ring";
   if (args.get("trace-format") && trace.traceJsonl.empty() && trace.traceChrome.empty()) {
     throw util::ConfigError("--trace-format requires --trace and/or --trace-out");
   }
   // Only the metrics CSV and the full-format Chrome trace carry samples.
   if (args.get("metrics-dt") && trace.metricsCsv.empty() &&
-      (trace.traceChrome.empty() || trace.traceRing)) {
+      (trace.traceChrome.empty() || ring)) {
     throw util::ConfigError("--metrics-dt requires --metrics-out or a full-format --trace-out");
   }
   if (args.get("trace-ring-cap")) {
-    if (!trace.traceRing) {
-      throw util::ConfigError("--trace-ring-cap requires --trace-format=ring");
-    }
-    if (trace.ringCapacity == 0) throw util::ConfigError("--trace-ring-cap must be >= 1");
+    if (!ring) throw util::ConfigError("--trace-ring-cap requires --trace-format=ring");
+    if (ringCapacity == 0) throw util::ConfigError("--trace-ring-cap must be >= 1");
   }
+  trace.ringCapacity = ring ? ringCapacity : 0;
 
   config.fs.defaultStripe.stripeCount = stripe;
   config.job = ior::IorJob::onFirstNodes(cluster.nodes.size(), ppn);
@@ -497,15 +497,15 @@ int cmdRun(const Args& args, std::ostream& out) {
     out << "\n";
     const auto& report = record.trace;
     const auto events =
-        std::to_string(report.events) + (trace.traceRing ? " ring records" : " events");
+        std::to_string(report.events) + (ring ? " ring records" : " events");
     const auto dropped = std::to_string(report.dropped) + " dropped";
     if (!trace.traceJsonl.empty()) {
-      out << "trace: wrote " << events << (trace.traceRing ? " (" + dropped + ")" : "")
+      out << "trace: wrote " << events << (ring ? " (" + dropped + ")" : "")
           << " to " << trace.traceJsonl << "\n";
     }
     if (!trace.traceChrome.empty()) {
       out << "trace: wrote Chrome trace (" << events << ", "
-          << (trace.traceRing ? dropped : std::to_string(report.samples) + " samples")
+          << (ring ? dropped : std::to_string(report.samples) + " samples")
           << ") to " << trace.traceChrome << "\n";
     }
     if (!trace.metricsCsv.empty()) {

@@ -28,7 +28,9 @@ struct RunObservers {
         exports(!options.traceJsonl.empty() || !options.traceChrome.empty() ||
                 !options.metricsCsv.empty()) {
     const bool eventLog = !observe.traceJsonl.empty() || !observe.traceChrome.empty();
-    if (eventLog && observe.traceRing) ring.emplace(deployment.fluid(), observe.ringCapacity);
+    if (eventLog && observe.ringCapacity > 0) {
+      ring.emplace(deployment.fluid(), observe.ringCapacity);
+    }
     if (!observe.utilization && observe.metricsCsv.empty() && (ring || !eventLog)) return;
     tracer.emplace(deployment.fluid());
     if (!exports) return;
@@ -61,19 +63,14 @@ struct RunObservers {
       util.linkImbalance = core::linkImbalance(util.serverMiB);
     }
     if (!exports) return;
-    const auto writeLog = [this](const auto& log) {
-      if (!observe.traceJsonl.empty()) log.writeJsonl(observe.traceJsonl);
-      if (!observe.traceChrome.empty()) log.writeChromeTrace(observe.traceChrome);
-    };
-    auto& report = result.trace;
-    if (ring) {
-      writeLog(*ring);
-      report.events = ring->size();
-      report.dropped = ring->dropped();
-    } else {
-      writeLog(*tracer);
-      report.events = tracer->events().size();
+    const sim::EventLog& events = ring ? ring->log() : tracer->log();
+    if (!observe.traceJsonl.empty()) events.writeJsonl(observe.traceJsonl);
+    if (!observe.traceChrome.empty()) {
+      events.writeChromeTrace(observe.traceChrome, ring ? "" : tracer->linkCounterTracks());
     }
+    auto& report = result.trace;
+    report.events = events.size();
+    report.dropped = events.dropped();
     if (!tracer) return;
     if (!observe.metricsCsv.empty()) tracer->writeMetricsCsv(observe.metricsCsv);
     report.samples = tracer->samples().size();

@@ -50,16 +50,16 @@ struct ObservabilityOptions {
   std::string traceJsonl;
   std::string traceChrome;
   std::string metricsCsv;
-  /// Keep the event log in the bounded RingTraceSink (40-byte records).
-  bool traceRing = false;
-  std::size_t ringCapacity = std::size_t{1} << 20;
+  /// 0 keeps the exact event log of the FlowTracer; N keeps the newest N
+  /// records in a bounded RingTraceSink (40 bytes each) instead.
+  std::size_t ringCapacity = 0;
   /// Metrics-series sampling interval (virtual seconds).
   util::Seconds metricsDt = 0.1;
 };
 
 /// What a run's exports wrote (empty unless an export was requested).
 struct TraceReport {
-  std::size_t events = 0;    ///< FlowTracer events, or ring records held
+  std::size_t events = 0;    ///< event-log records held
   std::uint64_t dropped = 0; ///< ring records lost to wrap-around
   std::size_t samples = 0;   ///< metrics-series samples
   /// Per-resource traffic, in resource-index order (FlowTracer only).

@@ -29,61 +29,16 @@ constexpr const char* kChromeFooter = "\n]}\n";
 /// Chrome-trace timestamps are microseconds of *virtual* time.
 std::string chromeTs(SimTime t) { return util::fmt(t * 1e6, 3); }
 
-// Start/complete/cancel lines are rendered the same by FlowTracer and
-// RingTraceSink; only their rate events differ.
-void appendFlowJsonl(std::string& out, const TraceEvent& event) {
-  switch (event.kind) {
-    case TraceEvent::Kind::kStart:
-      out += "{\"ev\":\"start\",\"t\":" + util::fmt(event.time, 6) +
-             ",\"flow\":" + std::to_string(event.flow) +
-             ",\"bytes\":" + std::to_string(event.bytes) + "}\n";
-      break;
-    case TraceEvent::Kind::kComplete:
-      out += "{\"ev\":\"complete\",\"t\":" + util::fmt(event.time, 6) +
-             ",\"flow\":" + std::to_string(event.flow) +
-             ",\"bytes\":" + std::to_string(event.bytes) +
-             ",\"mean_mibps\":" + util::fmt(event.meanRate, 3) + "}\n";
-      break;
-    case TraceEvent::Kind::kCancel:
-      out += "{\"ev\":\"cancel\",\"t\":" + util::fmt(event.time, 6) +
-             ",\"flow\":" + std::to_string(event.flow) +
-             ",\"bytes_left\":" + std::to_string(event.bytes) + "}\n";
-      break;
-    case TraceEvent::Kind::kRates:
-      return;
-  }
+void appendCounter(std::string& out, const char* name, SimTime t, const std::string& args) {
+  out += ",\n{\"name\":\"" + std::string(name) + "\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
+         chromeTs(t) + ",\"args\":{" + args + "}}";
 }
 
-void appendFlowChrome(std::string& out, const TraceEvent& event) {
-  std::string args;
-  switch (event.kind) {
-    case TraceEvent::Kind::kStart:
-      args = "\"bytes\":" + std::to_string(event.bytes);
-      break;
-    case TraceEvent::Kind::kComplete:
-      args = "\"mean_mibps\":" + util::fmt(event.meanRate, 3);
-      break;
-    case TraceEvent::Kind::kCancel:
-      args = "\"cancelled\":true,\"bytes_left\":" + std::to_string(event.bytes);
-      break;
-    case TraceEvent::Kind::kRates:
-      return;
-  }
-  const char* phase = event.kind == TraceEvent::Kind::kStart ? "b" : "e";
+void appendFlowSpan(std::string& out, const char* phase, const TraceRecord& r,
+                    const std::string& args) {
   out += ",\n{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"" + std::string(phase) +
-         "\",\"id\":" + std::to_string(event.flow) + ",\"pid\":1,\"tid\":1,\"ts\":" +
-         chromeTs(event.time) + ",\"args\":{" + args + "}}";
-}
-
-/// A ring record's start/complete/cancel event in TraceEvent form.
-TraceEvent flowEvent(const RingRecord& r) {
-  TraceEvent event;
-  event.kind = static_cast<TraceEvent::Kind>(r.kind);
-  event.time = r.time;
-  event.flow = r.flow;
-  event.bytes = r.bytes;
-  event.meanRate = r.value;
-  return event;
+         "\",\"id\":" + std::to_string(r.flow) + ",\"pid\":1,\"tid\":1,\"ts\":" +
+         chromeTs(r.time) + ",\"args\":{" + args + "}}";
 }
 
 void writeFile(const std::filesystem::path& path, const std::string& what,
@@ -184,7 +139,8 @@ void RateSampler::onFlowStarted(FlowId id, std::span<const ResourceIndex> path,
   ensureResourceCapacity(static_cast<std::size_t>(maxIndex) + 1);
   for (const auto r : path) ++resourceFlows_[r.value];
   live_[id.value] = LiveFlow{{path.begin(), path.end()}, 0.0};
-  logEvent({.kind = TraceEvent::Kind::kStart, .time = at, .flow = id.value, .bytes = bytes});
+  logEvent({.time = at, .flow = id.value, .bytes = bytes, .kind = TraceRecord::Kind::kStart,
+            .aux = static_cast<std::uint32_t>(path.size())});
 }
 
 void RateSampler::onRatesSolved(SimTime at, std::span<const FlowId> ids,
@@ -204,11 +160,11 @@ void RateSampler::onRatesSolved(SimTime at, std::span<const FlowId> ids,
       it->second.rate = rates[i];
     }
   }
-  logEvent({.kind = TraceEvent::Kind::kRates, .time = at, .activeFlows = activeFlows,
-            .totalRate = totalRate_});
+  logEvent({.time = at, .bytes = activeFlows, .value = totalRate_,
+            .kind = TraceRecord::Kind::kRates});
 }
 
-void RateSampler::dropFlow(const FlowStats& stats, TraceEvent::Kind kind) {
+void RateSampler::dropFlow(const FlowStats& stats, TraceRecord::Kind kind) {
   advance(stats.endTime);
   if (const auto it = live_.find(stats.id.value); it != live_.end()) {
     for (const auto r : it->second.path) {
@@ -222,9 +178,9 @@ void RateSampler::dropFlow(const FlowStats& stats, TraceEvent::Kind kind) {
     if (live_.empty()) totalRate_ = 0.0;
   }
   // A cancelled flow's bytes are those NOT transferred (see FluidObserver).
-  const bool done = kind == TraceEvent::Kind::kComplete;
-  logEvent({.kind = kind, .time = stats.endTime, .flow = stats.id.value, .bytes = stats.bytes,
-            .meanRate = done ? stats.meanRate() : 0.0});
+  const bool done = kind == TraceRecord::Kind::kComplete;
+  logEvent({.time = stats.endTime, .flow = stats.id.value, .bytes = stats.bytes,
+            .value = done ? stats.meanRate() : 0.0, .kind = kind});
 }
 
 // --- FlowTracer --------------------------------------------------------
@@ -268,60 +224,20 @@ util::Seconds FlowTracer::resourceBusyTime(ResourceIndex resource) const {
   return resource.value < usage_.size() ? usage_[resource.value].busyTime : 0.0;
 }
 
-std::string FlowTracer::toJsonl() const {
+std::string FlowTracer::linkCounterTracks() const {
   std::string out;
-  for (const auto& event : events_) {
-    if (event.kind != TraceEvent::Kind::kRates) {
-      appendFlowJsonl(out, event);
-      continue;
-    }
-    out += "{\"ev\":\"rates\",\"t\":" + util::fmt(event.time, 6) +
-           ",\"active\":" + std::to_string(event.activeFlows) +
-           ",\"total_mibps\":" + util::fmt(event.totalRate, 3) + "}\n";
-  }
-  return out;
-}
-
-void FlowTracer::writeJsonl(const std::filesystem::path& path) const {
-  writeFile(path, "trace", toJsonl());
-}
-
-std::string FlowTracer::toChromeTrace() const {
-  std::string out = kChromeHeader;
-  for (const auto& event : events_) {
-    if (event.kind != TraceEvent::Kind::kRates) {
-      appendFlowChrome(out, event);
-      continue;
-    }
-    out += ",\n{\"name\":\"aggregate_mibps\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
-           chromeTs(event.time) + ",\"args\":{\"mibps\":" +
-           util::fmt(event.totalRate, 3) + "}}";
-    out += ",\n{\"name\":\"active_flows\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
-           chromeTs(event.time) + ",\"args\":{\"flows\":" +
-           std::to_string(event.activeFlows) + "}}";
-  }
-  // Tracked-link counter tracks from the metrics series (if sampling).
   for (const auto& sample : samples_) {
-    if (!sample.linkRates.empty()) {
-      out += ",\n{\"name\":\"link_mibps\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
-             chromeTs(sample.time) + ",\"args\":{";
-      for (std::size_t i = 0; i < sample.linkRates.size(); ++i) {
-        if (i > 0) out += ",";
-        out += util::JsonValue(linkNames_[i]).dump() + ":" +
-               util::fmt(sample.linkRates[i], 3);
-      }
-      out += "}}";
-      out += ",\n{\"name\":\"link_imbalance\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
-             chromeTs(sample.time) + ",\"args\":{\"imbalance\":" +
-             util::fmt(sample.linkImbalance, 4) + "}}";
+    if (sample.linkRates.empty()) continue;
+    std::string rates;
+    for (std::size_t i = 0; i < sample.linkRates.size(); ++i) {
+      if (i > 0) rates += ",";
+      rates += util::JsonValue(linkNames_[i]).dump() + ":" + util::fmt(sample.linkRates[i], 3);
     }
+    appendCounter(out, "link_mibps", sample.time, rates);
+    appendCounter(out, "link_imbalance", sample.time,
+                  "\"imbalance\":" + util::fmt(sample.linkImbalance, 4));
   }
-  out += kChromeFooter;
   return out;
-}
-
-void FlowTracer::writeChromeTrace(const std::filesystem::path& path) const {
-  writeFile(path, "trace", toChromeTrace());
 }
 
 std::string FlowTracer::metricsCsv() const {
@@ -347,127 +263,144 @@ void FlowTracer::writeMetricsCsv(const std::filesystem::path& path) const {
   writeFile(path, "metrics", metricsCsv());
 }
 
+// --- EventLog ----------------------------------------------------------
+
+EventLog::EventLog(std::size_t capacity) : capacity_(capacity) {
+  // A ring's only allocation.  Reserved, not resized: a short run never
+  // zero-fills (or touches) the unused tail of a large ring.
+  records_.reserve(capacity);
+}
+
+void EventLog::push(const TraceRecord& record) {
+  if (capacity_ == 0 || records_.size() < capacity_) {
+    records_.push_back(record);
+  } else {
+    records_[static_cast<std::size_t>(recorded_ % capacity_)] = record;
+  }
+  ++recorded_;
+}
+
+template <typename Visit>
+void EventLog::forEach(Visit&& visit) const {
+  // Once a ring has wrapped, its oldest record is the next one overwritten.
+  const auto oldest = records_.begin() + static_cast<std::ptrdiff_t>(
+                                             dropped() > 0 ? recorded_ % capacity_ : 0);
+  std::for_each(oldest, records_.end(), visit);
+  std::for_each(records_.begin(), oldest, visit);
+}
+
+std::vector<TraceRecord> EventLog::snapshot() const {
+  std::vector<TraceRecord> out;
+  out.reserve(size());
+  forEach([&](const TraceRecord& r) { out.push_back(r); });
+  return out;
+}
+
+std::string EventLog::toJsonl() const {
+  std::string out;
+  if (dropped() > 0) {
+    out += "{\"ev\":\"drops\",\"count\":" + std::to_string(dropped()) + "}\n";
+  }
+  forEach([&](const TraceRecord& r) {
+    const auto head = "\"t\":" + util::fmt(r.time, 6);
+    const auto flow = [&] { return head + ",\"flow\":" + std::to_string(r.flow); };
+    const auto bytes = std::to_string(r.bytes);
+    switch (r.kind) {
+      case TraceRecord::Kind::kStart:
+        out += "{\"ev\":\"start\"," + flow() + ",\"bytes\":" + bytes + "}\n";
+        break;
+      case TraceRecord::Kind::kRates:
+        out += "{\"ev\":\"rates\"," + head + ",\"active\":" + bytes +
+               ",\"total_mibps\":" + util::fmt(r.value, 3) + "}\n";
+        break;
+      case TraceRecord::Kind::kSolvedRates:
+        out += "{\"ev\":\"rates\"," + head + ",\"active\":" + bytes +
+               ",\"solved\":" + std::to_string(r.aux) +
+               ",\"solved_mibps\":" + util::fmt(r.value, 3) + "}\n";
+        break;
+      case TraceRecord::Kind::kComplete:
+        out += "{\"ev\":\"complete\"," + flow() + ",\"bytes\":" + bytes +
+               ",\"mean_mibps\":" + util::fmt(r.value, 3) + "}\n";
+        break;
+      case TraceRecord::Kind::kCancel:
+        out += "{\"ev\":\"cancel\"," + flow() + ",\"bytes_left\":" + bytes + "}\n";
+        break;
+    }
+  });
+  return out;
+}
+
+void EventLog::writeJsonl(const std::filesystem::path& path) const {
+  writeFile(path, "trace", toJsonl());
+}
+
+std::string EventLog::toChromeTrace(std::string_view counterTracks) const {
+  std::string out = kChromeHeader;
+  forEach([&](const TraceRecord& r) {
+    const auto bytes = std::to_string(r.bytes);
+    switch (r.kind) {
+      case TraceRecord::Kind::kStart:
+        appendFlowSpan(out, "b", r, "\"bytes\":" + bytes);
+        break;
+      case TraceRecord::Kind::kRates:
+      case TraceRecord::Kind::kSolvedRates:
+        appendCounter(out, r.kind == TraceRecord::Kind::kRates ? "aggregate_mibps" : "solved_mibps",
+                      r.time, "\"mibps\":" + util::fmt(r.value, 3));
+        appendCounter(out, "active_flows", r.time, "\"flows\":" + bytes);
+        break;
+      case TraceRecord::Kind::kComplete:
+        appendFlowSpan(out, "e", r, "\"mean_mibps\":" + util::fmt(r.value, 3));
+        break;
+      case TraceRecord::Kind::kCancel:
+        appendFlowSpan(out, "e", r, "\"cancelled\":true,\"bytes_left\":" + bytes);
+        break;
+    }
+  });
+  out += counterTracks;
+  out += kChromeFooter;
+  return out;
+}
+
+void EventLog::writeChromeTrace(const std::filesystem::path& path,
+                                std::string_view counterTracks) const {
+  writeFile(path, "trace", toChromeTrace(counterTracks));
+}
+
 // --- RingTraceSink -----------------------------------------------------
 
 RingTraceSink::RingTraceSink(FluidSimulator& fluid, std::size_t capacity)
-    : fluid_(fluid), capacity_(capacity) {
+    : fluid_(fluid), log_(capacity) {
   BEESIM_ASSERT(capacity >= 1, "ring trace sink needs capacity >= 1 record");
-  // The sink's only allocation.  Reserved, not resized: a short run never
-  // zero-fills (or touches) the unused tail of a large ring.
-  records_.reserve(capacity);
   fluid_.addObserver(this);
 }
 
 RingTraceSink::~RingTraceSink() { fluid_.removeObserver(this); }
 
-void RingTraceSink::push(const RingRecord& record) {
-  if (records_.size() < capacity_) {
-    records_.push_back(record);
-  } else {
-    records_[static_cast<std::size_t>(written_ % capacity_)] = record;
-  }
-  ++written_;
-}
-
-std::uint64_t RingTraceSink::dropped() const { return written_ - size(); }
-
 void RingTraceSink::onFlowStarted(FlowId id, std::span<const ResourceIndex> path,
                                   util::Bytes bytes, SimTime at) {
-  RingRecord r;
-  r.time = at;
-  r.flow = id.value;
-  r.bytes = bytes;
-  r.kind = static_cast<std::uint32_t>(TraceEvent::Kind::kStart);
-  r.aux = static_cast<std::uint32_t>(path.size());
-  push(r);
+  log_.push({.time = at, .flow = id.value, .bytes = bytes, .kind = TraceRecord::Kind::kStart,
+             .aux = static_cast<std::uint32_t>(path.size())});
 }
 
-void RingTraceSink::onRatesSolved(SimTime at, std::span<const FlowId> ids,
+void RingTraceSink::onRatesSolved(SimTime at, std::span<const FlowId> /*ids*/,
                                   std::span<const util::MiBps> rates,
                                   std::size_t activeFlows) {
-  (void)ids;
   double solved = 0.0;
   for (const auto rate : rates) solved += rate;
-  RingRecord r;
-  r.time = at;
-  r.bytes = activeFlows;
-  r.value = solved;
-  r.kind = static_cast<std::uint32_t>(TraceEvent::Kind::kRates);
-  r.aux = static_cast<std::uint32_t>(rates.size());
-  push(r);
+  log_.push({.time = at, .bytes = activeFlows, .value = solved,
+             .kind = TraceRecord::Kind::kSolvedRates,
+             .aux = static_cast<std::uint32_t>(rates.size())});
 }
 
 void RingTraceSink::onFlowCompleted(const FlowStats& stats) {
-  RingRecord r;
-  r.time = stats.endTime;
-  r.flow = stats.id.value;
-  r.bytes = stats.bytes;
-  r.value = stats.meanRate();
-  r.kind = static_cast<std::uint32_t>(TraceEvent::Kind::kComplete);
-  push(r);
+  log_.push({.time = stats.endTime, .flow = stats.id.value, .bytes = stats.bytes,
+             .value = stats.meanRate(), .kind = TraceRecord::Kind::kComplete});
 }
 
 void RingTraceSink::onFlowCancelled(const FlowStats& stats) {
-  RingRecord r;
-  r.time = stats.endTime;
-  r.flow = stats.id.value;
-  r.bytes = stats.bytes;  // bytes NOT transferred (see FluidObserver)
-  r.kind = static_cast<std::uint32_t>(TraceEvent::Kind::kCancel);
-  push(r);
-}
-
-std::vector<RingRecord> RingTraceSink::snapshot() const {
-  const std::size_t n = size();
-  std::vector<RingRecord> out;
-  out.reserve(n);
-  // Oldest retained record lives at written_ - n (mod capacity).
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(
-        records_[static_cast<std::size_t>((written_ - n + i) % capacity_)]);
-  }
-  return out;
-}
-
-std::string RingTraceSink::toJsonl() const {
-  std::string out;
-  if (dropped() > 0) {
-    out += "{\"ev\":\"drops\",\"count\":" + std::to_string(dropped()) + "}\n";
-  }
-  for (const auto& r : snapshot()) {
-    if (static_cast<TraceEvent::Kind>(r.kind) != TraceEvent::Kind::kRates) {
-      appendFlowJsonl(out, flowEvent(r));
-      continue;
-    }
-    out += "{\"ev\":\"rates\",\"t\":" + util::fmt(r.time, 6) +
-           ",\"active\":" + std::to_string(r.bytes) +
-           ",\"solved\":" + std::to_string(r.aux) +
-           ",\"solved_mibps\":" + util::fmt(r.value, 3) + "}\n";
-  }
-  return out;
-}
-
-void RingTraceSink::writeJsonl(const std::filesystem::path& path) const {
-  writeFile(path, "trace", toJsonl());
-}
-
-std::string RingTraceSink::toChromeTrace() const {
-  std::string out = kChromeHeader;
-  for (const auto& r : snapshot()) {
-    if (static_cast<TraceEvent::Kind>(r.kind) != TraceEvent::Kind::kRates) {
-      appendFlowChrome(out, flowEvent(r));
-      continue;
-    }
-    out += ",\n{\"name\":\"solved_mibps\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
-           chromeTs(r.time) + ",\"args\":{\"mibps\":" + util::fmt(r.value, 3) + "}}";
-    out += ",\n{\"name\":\"active_flows\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
-           chromeTs(r.time) + ",\"args\":{\"flows\":" + std::to_string(r.bytes) + "}}";
-  }
-  out += kChromeFooter;
-  return out;
-}
-
-void RingTraceSink::writeChromeTrace(const std::filesystem::path& path) const {
-  writeFile(path, "trace", toChromeTrace());
+  // bytes NOT transferred (see FluidObserver)
+  log_.push({.time = stats.endTime, .flow = stats.id.value, .bytes = stats.bytes,
+             .kind = TraceRecord::Kind::kCancel});
 }
 
 }  // namespace beesim::sim

@@ -9,17 +9,14 @@
 // (src/control) sense through it.  A FlowTracer is a RateSampler that also
 // produces:
 //
-//   * an event log (flow start / rate change / completion / cancellation)
-//     exportable as JSONL -- one JSON object per line, loadable into pandas
-//     or jq for post-mortem timeline analysis of a run;
+//   * an event log (flow start / rate change / completion / cancellation);
 //   * per-resource utilization: bytes carried and busy time, integrated
 //     from the piecewise-constant rate vector.  Because every flow crosses
 //     its bottleneck resource, these integrals give exact link/OST/OSS
 //     traffic decompositions ("how much of the run went through server 1's
 //     link?") that the bandwidth summary alone cannot answer;
-//   * the metrics series as CSV, and a Chrome-trace/Perfetto export
-//     (toChromeTrace): flows as async b/e events plus counter tracks,
-//     loadable into chrome://tracing or https://ui.perfetto.dev.
+//   * the metrics series as CSV, and its tracked links as Chrome-trace
+//     counter tracks.
 //
 // Both are exact, not sampled: the tracer banks rate * dt on every event.
 // They attach through FluidSimulator::addObserver, so they compose with any
@@ -28,17 +25,24 @@
 // For cluster-scale runs the FlowTracer's per-event map lookups and O(path)
 // delta accounting dominate: tracing can cost tens of percent of wall time.
 // RingTraceSink is the cheap alternative (--trace-format=ring): every
-// observer callback appends one fixed-width 40-byte binary record to a
-// preallocated ring buffer -- no map, no per-resource state, no allocation,
-// no formatting -- and the ring is rendered to JSONL / Chrome-trace only on
-// flush.  When the ring wraps, the oldest records are overwritten and
-// counted (dropped()), so memory stays bounded no matter how long the run.
+// observer callback appends one record to a bounded log -- no map, no
+// per-resource state, no allocation, no formatting.
+//
+// Both sinks keep their events in one EventLog of fixed-width 40-byte
+// TraceRecords, unbounded for the FlowTracer and a ring for the sink, and
+// render them only on export: as JSONL (one JSON object per line, loadable
+// into pandas or jq) and as a Chrome-trace/Perfetto JSON (flows as async
+// b/e events plus counter tracks, loadable into chrome://tracing or
+// https://ui.perfetto.dev).  When the ring wraps, the oldest records are
+// overwritten and counted (dropped()), so memory stays bounded no matter how
+// long the run.
 #pragma once
 
 #include <filesystem>
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -46,16 +50,77 @@
 
 namespace beesim::sim {
 
-/// One recorded event (kept binary-compact; rendered to JSON on export).
-struct TraceEvent {
-  enum class Kind { kStart, kRates, kComplete, kCancel };
+/// One fixed-width binary trace record.  Exactly 40 bytes and trivially
+/// copyable, so a log of them is a single flat allocation and an append is
+/// one struct store.  Field meaning by kind:
+///   kStart:       flow = id, bytes = size,   aux = path length
+///   kRates:       bytes = active flow count, value = sum of every live
+///                 flow's rate (MiB/s; FlowTracer)
+///   kSolvedRates: bytes = active flow count, value = sum of the re-solved
+///                 flows' rates (MiB/s; RingTraceSink), aux = flows re-solved
+///   kComplete:    flow = id, bytes = moved,  value = mean MiB/s
+///   kCancel:      flow = id, bytes = bytes left untransferred
+struct TraceRecord {
+  enum class Kind : std::uint32_t { kStart, kRates, kSolvedRates, kComplete, kCancel };
+  double time = 0.0;
+  std::uint64_t flow = 0;
+  std::uint64_t bytes = 0;
+  double value = 0.0;
   Kind kind = Kind::kStart;
-  SimTime time = 0.0;
-  std::uint64_t flow = 0;      // kStart/kComplete/kCancel
-  util::Bytes bytes = 0;       // kStart: size; kComplete: moved; kCancel: left
-  util::MiBps meanRate = 0.0;  // kComplete
-  std::size_t activeFlows = 0; // kRates
-  util::MiBps totalRate = 0.0; // kRates: sum over flows
+  std::uint32_t aux = 0;
+};
+static_assert(sizeof(TraceRecord) == 40, "trace record layout is part of the format");
+
+/// An append-only log of trace records and its renderers.  Capacity 0 keeps
+/// every record; capacity N keeps the newest N in a ring, overwriting the
+/// oldest (counted in dropped()).  The ring is reserved up front, so a
+/// bounded log never allocates after construction.
+class EventLog {
+ public:
+  explicit EventLog(std::size_t capacity = 0);
+
+  void push(const TraceRecord& record);
+
+  /// 0 when unbounded.
+  std::size_t capacity() const { return capacity_; }
+  /// Records currently held.
+  std::size_t size() const { return records_.size(); }
+  /// Total records ever pushed, including overwritten ones.
+  std::uint64_t recorded() const { return recorded_; }
+  /// Records lost to ring wrap-around (recorded() - size()).
+  std::uint64_t dropped() const { return recorded_ - records_.size(); }
+
+  /// The held records, oldest first (the ring's physical order wraps).
+  std::vector<TraceRecord> snapshot() const;
+
+  /// One JSON object per line:
+  ///   {"ev":"start","t":...,"flow":...,"bytes":...}
+  ///   {"ev":"rates","t":...,"active":...,"total_mibps":...}
+  ///   {"ev":"rates","t":...,"active":...,"solved":...,"solved_mibps":...}
+  ///   {"ev":"complete","t":...,"flow":...,"bytes":...,"mean_mibps":...}
+  ///   {"ev":"cancel","t":...,"flow":...,"bytes_left":...}
+  /// When records were dropped, the first line is {"ev":"drops","count":N}.
+  std::string toJsonl() const;
+  void writeJsonl(const std::filesystem::path& path) const;
+
+  /// A Chrome-trace JSON object (chrome://tracing, Perfetto): flows as async
+  /// "b"/"e" events (id = flow id), rate records as aggregate_mibps or
+  /// solved_mibps plus active_flows counter tracks, then `counterTracks`
+  /// (pre-rendered events, each led by ",\n"; see
+  /// FlowTracer::linkCounterTracks).  Timestamps are in microseconds of
+  /// virtual time.
+  std::string toChromeTrace(std::string_view counterTracks = {}) const;
+  void writeChromeTrace(const std::filesystem::path& path,
+                        std::string_view counterTracks = {}) const;
+
+ private:
+  /// Visit the held records oldest first.
+  template <typename Visit>
+  void forEach(Visit&& visit) const;
+
+  std::size_t capacity_;
+  std::vector<TraceRecord> records_;  // a full ring's slot = recorded_ % capacity_
+  std::uint64_t recorded_ = 0;
 };
 
 /// Aggregated per-resource counters.
@@ -105,10 +170,10 @@ class RateSampler : public FluidObserver {
   void onRatesSolved(SimTime at, std::span<const FlowId> ids,
                      std::span<const util::MiBps> rates, std::size_t activeFlows) override;
   void onFlowCompleted(const FlowStats& stats) override {
-    dropFlow(stats, TraceEvent::Kind::kComplete);
+    dropFlow(stats, TraceRecord::Kind::kComplete);
   }
   void onFlowCancelled(const FlowStats& stats) override {
-    dropFlow(stats, TraceEvent::Kind::kCancel);
+    dropFlow(stats, TraceRecord::Kind::kCancel);
   }
 
   /// Sample every `dt` virtual seconds (first sample at attach time + dt).
@@ -141,7 +206,7 @@ class RateSampler : public FluidObserver {
   // while resourceRate_ still holds that interval's rates; then the event,
   // once applied.  And every built sample, before the listener sees it.
   virtual void bankInterval(SimTime /*from*/, SimTime /*until*/) {}
-  virtual void logEvent(const TraceEvent& /*event*/) {}
+  virtual void logEvent(const TraceRecord& /*record*/) {}
   virtual void recordSample(const MetricsSample& /*sample*/) {}
 
   FluidSimulator& fluid_;
@@ -154,7 +219,7 @@ class RateSampler : public FluidObserver {
   void advance(SimTime until);
   void countIdlePrefix(SimTime until);
   void emitSample(SimTime at);
-  void dropFlow(const FlowStats& stats, TraceEvent::Kind kind);
+  void dropFlow(const FlowStats& stats, TraceRecord::Kind kind);
 
   const bool buildIdlePrefix_;
   bool sawFlow_ = false;
@@ -183,7 +248,8 @@ class FlowTracer final : public RateSampler {
  public:
   explicit FlowTracer(FluidSimulator& fluid) : RateSampler(fluid, true) {}
 
-  const std::vector<TraceEvent>& events() const { return events_; }
+  /// Every flow event since attach (unbounded; kRates carry the total).
+  const EventLog& log() const { return log_; }
 
   // -- Metrics series ----------------------------------------------------
 
@@ -211,30 +277,17 @@ class FlowTracer final : public RateSampler {
   /// Virtual time during which `resource` had at least one active flow.
   util::Seconds resourceBusyTime(ResourceIndex resource) const;
 
-  // -- Exports -----------------------------------------------------------
-
-  /// Export the event log as JSONL.  Each line is one event object:
-  ///   {"ev":"start","t":...,"flow":...,"bytes":...}
-  ///   {"ev":"rates","t":...,"active":...,"total_mibps":...}
-  ///   {"ev":"complete","t":...,"flow":...,"bytes":...,"mean_mibps":...}
-  ///   {"ev":"cancel","t":...,"flow":...,"bytes_left":...}
-  std::string toJsonl() const;
-  void writeJsonl(const std::filesystem::path& path) const;
-
-  /// Export as a Chrome-trace JSON object (chrome://tracing, Perfetto):
-  /// flows as async "b"/"e" events (id = flow id), aggregate rate, active
-  /// flows and tracked-link rates as counter tracks.  Timestamps are in
-  /// microseconds of virtual time.
-  std::string toChromeTrace() const;
-  void writeChromeTrace(const std::filesystem::path& path) const;
+  /// The tracked links' rates and imbalance index, one counter event each
+  /// per metrics sample, for EventLog::toChromeTrace.
+  std::string linkCounterTracks() const;
 
  private:
   /// Bank every resource's rate * (until - from).
   void bankInterval(SimTime from, SimTime until) override;
-  void logEvent(const TraceEvent& event) override { events_.push_back(event); }
+  void logEvent(const TraceRecord& record) override { log_.push(record); }
   void recordSample(const MetricsSample& sample) override { samples_.push_back(sample); }
 
-  std::vector<TraceEvent> events_;
+  EventLog log_;
   std::vector<MetricsSample> samples_;
   std::vector<std::string> linkNames_;
   /// Per-resource totals (names unset), grown to resourceRate_'s size when
@@ -242,36 +295,17 @@ class FlowTracer final : public RateSampler {
   std::vector<ResourceUsage> usage_;
 };
 
-/// One fixed-width binary trace record.  Exactly 40 bytes and trivially
-/// copyable, so a ring of them is a single flat allocation and an append is
-/// one struct store.  Field meaning by kind (TraceEvent::Kind values):
-///   kStart:    flow = id, bytes = size,              aux = path length
-///   kRates:    flow = 0,  bytes = active flow count, value = sum of the
-///              re-solved flows' rates (MiB/s),       aux = flows re-solved
-///   kComplete: flow = id, bytes = moved, value = mean MiB/s
-///   kCancel:   flow = id, bytes = bytes left untransferred
-struct RingRecord {
-  double time = 0.0;
-  std::uint64_t flow = 0;
-  std::uint64_t bytes = 0;
-  double value = 0.0;
-  std::uint32_t kind = 0;  // static_cast<uint32_t>(TraceEvent::Kind)
-  std::uint32_t aux = 0;
-};
-static_assert(sizeof(RingRecord) == 40, "ring record layout is part of the format");
-
 /// Bounded-memory, allocation-free event sink (--trace-format=ring).
 ///
 /// Attaches through addObserver like FlowTracer and records the same flow
 /// lifecycle, but keeps no per-flow or per-resource state: each callback
-/// writes one RingRecord into a preallocated ring.  Rate events therefore
-/// carry the *re-solved components'* aggregate rate, not the global total
-/// (maintaining the global total is exactly the per-flow bookkeeping this
-/// sink exists to avoid); the JSONL drain labels it `solved_mibps`.
+/// pushes one record into a bounded EventLog.  Rate records therefore carry
+/// the *re-solved components'* aggregate rate (kSolvedRates), not the global
+/// total (maintaining the global total is exactly the per-flow bookkeeping
+/// this sink exists to avoid).
 class RingTraceSink final : public FluidObserver {
  public:
-  /// `capacity` is the ring size in records (40 bytes each); once exceeded,
-  /// the oldest records are overwritten and counted in dropped().
+  /// `capacity` is the ring size in records (40 bytes each, >= 1).
   RingTraceSink(FluidSimulator& fluid, std::size_t capacity);
   ~RingTraceSink() override;
 
@@ -286,36 +320,11 @@ class RingTraceSink final : public FluidObserver {
   void onFlowCompleted(const FlowStats& stats) override;
   void onFlowCancelled(const FlowStats& stats) override;
 
-  std::size_t capacity() const { return capacity_; }
-  /// Records currently held (<= capacity()).
-  std::size_t size() const { return records_.size(); }
-  /// Total records ever appended, including overwritten ones.
-  std::uint64_t recorded() const { return written_; }
-  /// Records lost to ring wrap-around (recorded() - size()).
-  std::uint64_t dropped() const;
-
-  /// The retained records, oldest first (copies out of the ring; the live
-  /// ring is never exposed because its physical order wraps).
-  std::vector<RingRecord> snapshot() const;
-
-  /// Render the retained records as JSONL (same event vocabulary as
-  /// FlowTracer::toJsonl; rates lines carry `solved_mibps`).  When records
-  /// were dropped, the first line is {"ev":"drops","count":N}.
-  std::string toJsonl() const;
-  void writeJsonl(const std::filesystem::path& path) const;
-
-  /// Render as Chrome-trace JSON: flows as async b/e events plus
-  /// solved_mibps / active_flows counter tracks.
-  std::string toChromeTrace() const;
-  void writeChromeTrace(const std::filesystem::path& path) const;
+  const EventLog& log() const { return log_; }
 
  private:
-  void push(const RingRecord& record);
-
   FluidSimulator& fluid_;
-  const std::size_t capacity_;
-  std::vector<RingRecord> records_;  // grows to capacity_; slot = written_ % capacity_
-  std::uint64_t written_ = 0;
+  EventLog log_;
 };
 
 }  // namespace beesim::sim

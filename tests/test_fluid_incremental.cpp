@@ -417,7 +417,7 @@ TEST(FluidIncremental, ClusterScaleResolveIsAllocationFree) {
   }
   EXPECT_GE(fluid.resolveCount(), resolvesBefore + 9);
   EXPECT_EQ(fluid.activeFlows(), kApps * kFlowsPerApp);
-  EXPECT_GT(ring.recorded(), 0u);
+  EXPECT_GT(ring.log().recorded(), 0u);
 }
 
 // --- Slack certificate ---------------------------------------------------

@@ -24,11 +24,12 @@ TEST(Trace, RecordsStartRatesComplete) {
                            .rateCap = 0.0, .onComplete = nullptr});
   fluid.run();
 
-  ASSERT_GE(tracer.events().size(), 3u);
-  EXPECT_EQ(tracer.events().front().kind, TraceEvent::Kind::kStart);
-  EXPECT_EQ(tracer.events().back().kind, TraceEvent::Kind::kComplete);
-  EXPECT_EQ(tracer.events().back().bytes, 100_MiB);
-  EXPECT_NEAR(tracer.events().back().meanRate, 100.0, 1e-6);
+  const auto events = tracer.log().snapshot();
+  ASSERT_GE(events.size(), 3u);
+  EXPECT_EQ(events.front().kind, TraceRecord::Kind::kStart);
+  EXPECT_EQ(events.back().kind, TraceRecord::Kind::kComplete);
+  EXPECT_EQ(events.back().bytes, 100_MiB);
+  EXPECT_NEAR(events.back().value, 100.0, 1e-6);
 }
 
 TEST(Trace, ResourceUsageBanksExactBytes) {
@@ -60,7 +61,7 @@ TEST(Trace, JsonlLinesAreValidJson) {
                            .rateCap = 0.0, .onComplete = nullptr});
   fluid.run();
 
-  const auto jsonl = tracer.toJsonl();
+  const auto jsonl = tracer.log().toJsonl();
   int lines = 0;
   for (const auto& line : util::split(jsonl, '\n')) {
     if (line.empty()) continue;
@@ -113,14 +114,15 @@ TEST(Trace, RecordsCancelledFlows) {
   fluid.engine().schedule(0.5, [&] { fluid.cancelFlow(id); });
   fluid.run();
 
-  ASSERT_FALSE(tracer.events().empty());
-  const auto& last = tracer.events().back();
-  EXPECT_EQ(last.kind, TraceEvent::Kind::kCancel);
+  const auto events = tracer.log().snapshot();
+  ASSERT_FALSE(events.empty());
+  const auto& last = events.back();
+  EXPECT_EQ(last.kind, TraceRecord::Kind::kCancel);
   EXPECT_EQ(last.flow, id.value);
   EXPECT_EQ(last.bytes, 50_MiB);  // bytes left at cancel
   // Progress up to the cancel is banked; nothing after.
   EXPECT_NEAR(tracer.resourceMiB(link), 50.0, 1e-6);
-  EXPECT_NE(tracer.toJsonl().find("\"ev\":\"cancel\""), std::string::npos);
+  EXPECT_NE(tracer.log().toJsonl().find("\"ev\":\"cancel\""), std::string::npos);
 }
 
 TEST(Trace, WriteJsonlToFile) {
@@ -131,7 +133,7 @@ TEST(Trace, WriteJsonlToFile) {
                            .rateCap = 0.0, .onComplete = nullptr});
   fluid.run();
   const auto path = std::filesystem::temp_directory_path() / "beesim_trace_test.jsonl";
-  tracer.writeJsonl(path);
+  tracer.log().writeJsonl(path);
   EXPECT_GT(std::filesystem::file_size(path), 0u);
   std::filesystem::remove(path);
 }
@@ -161,18 +163,18 @@ TEST(RingTrace, RecordsFlowLifecycle) {
                                            .onComplete = nullptr});
   fluid.run();
 
-  EXPECT_EQ(ring.capacity(), 64u);
-  EXPECT_EQ(ring.dropped(), 0u);
-  EXPECT_EQ(ring.recorded(), ring.size());
-  const auto records = ring.snapshot();
+  EXPECT_EQ(ring.log().capacity(), 64u);
+  EXPECT_EQ(ring.log().dropped(), 0u);
+  EXPECT_EQ(ring.log().recorded(), ring.log().size());
+  const auto records = ring.log().snapshot();
   ASSERT_GE(records.size(), 3u);
   EXPECT_EQ(records.front().kind,
-            static_cast<std::uint32_t>(TraceEvent::Kind::kStart));
+            TraceRecord::Kind::kStart);
   EXPECT_EQ(records.front().flow, id.value);
   EXPECT_EQ(records.front().bytes, 100_MiB);
   EXPECT_EQ(records.front().aux, 2u) << "kStart aux carries the path length";
   EXPECT_EQ(records.back().kind,
-            static_cast<std::uint32_t>(TraceEvent::Kind::kComplete));
+            TraceRecord::Kind::kComplete);
   EXPECT_EQ(records.back().bytes, 100_MiB);
   EXPECT_NEAR(records.back().value, 100.0, 1e-6) << "kComplete value = mean MiB/s";
   // Snapshot is oldest first and time-sorted.
@@ -192,23 +194,23 @@ TEST(RingTrace, WrapOverwritesOldestAndCountsDrops) {
   }
   fluid.run();
 
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_GT(ring.recorded(), 4u);
-  EXPECT_EQ(ring.dropped(), ring.recorded() - 4u);
-  const auto records = ring.snapshot();
+  EXPECT_EQ(ring.log().size(), 4u);
+  EXPECT_GT(ring.log().recorded(), 4u);
+  EXPECT_EQ(ring.log().dropped(), ring.log().recorded() - 4u);
+  const auto records = ring.log().snapshot();
   ASSERT_EQ(records.size(), 4u);
   // The retained window is the *newest* records, oldest first.
   for (std::size_t i = 1; i < records.size(); ++i) {
     EXPECT_LE(records[i - 1].time, records[i].time);
   }
   EXPECT_EQ(records.back().kind,
-            static_cast<std::uint32_t>(TraceEvent::Kind::kComplete));
+            TraceRecord::Kind::kComplete);
   // The drain announces the loss up front.
-  const auto jsonl = ring.toJsonl();
+  const auto jsonl = ring.log().toJsonl();
   const auto firstLine = jsonl.substr(0, jsonl.find('\n'));
   const auto doc = util::parseJson(firstLine);
   EXPECT_EQ(doc.at("ev").asString(), "drops");
-  EXPECT_EQ(static_cast<std::uint64_t>(doc.at("count").asNumber()), ring.dropped());
+  EXPECT_EQ(static_cast<std::uint64_t>(doc.at("count").asNumber()), ring.log().dropped());
 }
 
 TEST(RingTrace, JsonlLinesAreValidJson) {
@@ -223,7 +225,7 @@ TEST(RingTrace, JsonlLinesAreValidJson) {
 
   int lines = 0;
   bool sawCancel = false;
-  for (const auto& line : util::split(ring.toJsonl(), '\n')) {
+  for (const auto& line : util::split(ring.log().toJsonl(), '\n')) {
     if (line.empty()) continue;
     ++lines;
     const auto doc = util::parseJson(line);
@@ -243,7 +245,7 @@ TEST(RingTrace, ChromeTraceIsValidJson) {
                            .rateCap = 0.0, .onComplete = nullptr});
   fluid.run();
 
-  const auto doc = util::parseJson(ring.toChromeTrace());
+  const auto doc = util::parseJson(ring.log().toChromeTrace());
   ASSERT_TRUE(doc.isObject());
   ASSERT_TRUE(doc.has("traceEvents"));
   EXPECT_GT(doc.at("traceEvents").asArray().size(), 0u);
@@ -257,7 +259,7 @@ TEST(RingTrace, WritesJsonlToFile) {
                            .rateCap = 0.0, .onComplete = nullptr});
   fluid.run();
   const auto path = std::filesystem::temp_directory_path() / "beesim_ring_test.jsonl";
-  ring.writeJsonl(path);
+  ring.log().writeJsonl(path);
   EXPECT_GT(std::filesystem::file_size(path), 0u);
   std::filesystem::remove(path);
 }
@@ -285,7 +287,84 @@ TEST(RingTrace, ComposesWithFlowTracer) {
                            .rateCap = 0.0, .onComplete = nullptr});
   fluid.run();
   EXPECT_NEAR(tracer.resourceMiB(link), 50.0, 1e-6);
-  EXPECT_GE(ring.size(), 3u);
+  EXPECT_GE(ring.log().size(), 3u);
+}
+
+// --- Export bytes --------------------------------------------------------
+
+// Both sinks' renderings of one small run, byte for byte: two disjoint
+// links, a rate-capped flow joining the first, a cancel and two completions.
+// The tracer samples every 0.5 s and tracks srv0; the 6-record ring wraps.
+TEST(TraceExport, BothSinksRenderPinnedBytes) {
+  FluidSimulator fluid;
+  FlowTracer tracer(fluid);
+  RingTraceSink ring(fluid, 6);
+  const auto link = fluid.addResource(ResourceSpec{"srv0", constantCapacity(100.0)});
+  const auto other = fluid.addResource(ResourceSpec{"srv1", constantCapacity(40.0)});
+  tracer.setMetricsInterval(0.5);
+  tracer.trackLink(link, "srv0");
+  const auto cancelled = fluid.startFlow(FlowSpec{.path = {link}, .bytes = 100_MiB,
+                                                  .queueWeight = 1.0, .rateCap = 0.0,
+                                                  .onComplete = nullptr});
+  fluid.startFlow(FlowSpec{.path = {other}, .bytes = 60_MiB, .queueWeight = 1.0,
+                           .rateCap = 0.0, .onComplete = nullptr});
+  fluid.startFlowAt(0.25, FlowSpec{.path = {link}, .bytes = 30_MiB, .queueWeight = 1.0,
+                                   .rateCap = 20.0, .onComplete = nullptr});
+  fluid.engine().schedule(1.0, [&] { fluid.cancelFlow(cancelled); });
+  fluid.run();
+
+  EXPECT_EQ(tracer.log().toJsonl(), R"({"ev":"start","t":0.000000,"flow":1,"bytes":104857600}
+{"ev":"start","t":0.000000,"flow":2,"bytes":62914560}
+{"ev":"rates","t":0.000000,"active":2,"total_mibps":140.000}
+{"ev":"start","t":0.250000,"flow":3,"bytes":31457280}
+{"ev":"rates","t":0.250000,"active":3,"total_mibps":140.000}
+{"ev":"cancel","t":1.000000,"flow":1,"bytes_left":15728640}
+{"ev":"rates","t":1.000000,"active":2,"total_mibps":60.000}
+{"ev":"complete","t":1.500000,"flow":2,"bytes":62914560,"mean_mibps":40.000}
+{"ev":"complete","t":1.750000,"flow":3,"bytes":31457280,"mean_mibps":20.000}
+)");
+  EXPECT_EQ(tracer.log().toChromeTrace(tracer.linkCounterTracks()), R"({"displayTimeUnit":"ms","traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"beesim"}},
+{"name":"flow","cat":"flow","ph":"b","id":1,"pid":1,"tid":1,"ts":0.000,"args":{"bytes":104857600}},
+{"name":"flow","cat":"flow","ph":"b","id":2,"pid":1,"tid":1,"ts":0.000,"args":{"bytes":62914560}},
+{"name":"aggregate_mibps","ph":"C","pid":1,"ts":0.000,"args":{"mibps":140.000}},
+{"name":"active_flows","ph":"C","pid":1,"ts":0.000,"args":{"flows":2}},
+{"name":"flow","cat":"flow","ph":"b","id":3,"pid":1,"tid":1,"ts":250000.000,"args":{"bytes":31457280}},
+{"name":"aggregate_mibps","ph":"C","pid":1,"ts":250000.000,"args":{"mibps":140.000}},
+{"name":"active_flows","ph":"C","pid":1,"ts":250000.000,"args":{"flows":3}},
+{"name":"flow","cat":"flow","ph":"e","id":1,"pid":1,"tid":1,"ts":1000000.000,"args":{"cancelled":true,"bytes_left":15728640}},
+{"name":"aggregate_mibps","ph":"C","pid":1,"ts":1000000.000,"args":{"mibps":60.000}},
+{"name":"active_flows","ph":"C","pid":1,"ts":1000000.000,"args":{"flows":2}},
+{"name":"flow","cat":"flow","ph":"e","id":2,"pid":1,"tid":1,"ts":1500000.000,"args":{"mean_mibps":40.000}},
+{"name":"flow","cat":"flow","ph":"e","id":3,"pid":1,"tid":1,"ts":1750000.000,"args":{"mean_mibps":20.000}},
+{"name":"link_mibps","ph":"C","pid":1,"ts":500000.000,"args":{"srv0":100.000}},
+{"name":"link_imbalance","ph":"C","pid":1,"ts":500000.000,"args":{"imbalance":1.0000}},
+{"name":"link_mibps","ph":"C","pid":1,"ts":1000000.000,"args":{"srv0":100.000}},
+{"name":"link_imbalance","ph":"C","pid":1,"ts":1000000.000,"args":{"imbalance":1.0000}},
+{"name":"link_mibps","ph":"C","pid":1,"ts":1500000.000,"args":{"srv0":20.000}},
+{"name":"link_imbalance","ph":"C","pid":1,"ts":1500000.000,"args":{"imbalance":1.0000}}
+]}
+)");
+  EXPECT_EQ(ring.log().toJsonl(), R"({"ev":"drops","count":3}
+{"ev":"start","t":0.250000,"flow":3,"bytes":31457280}
+{"ev":"rates","t":0.250000,"active":3,"solved":2,"solved_mibps":100.000}
+{"ev":"cancel","t":1.000000,"flow":1,"bytes_left":15728640}
+{"ev":"rates","t":1.000000,"active":2,"solved":1,"solved_mibps":20.000}
+{"ev":"complete","t":1.500000,"flow":2,"bytes":62914560,"mean_mibps":40.000}
+{"ev":"complete","t":1.750000,"flow":3,"bytes":31457280,"mean_mibps":20.000}
+)");
+  EXPECT_EQ(ring.log().toChromeTrace(), R"({"displayTimeUnit":"ms","traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"beesim"}},
+{"name":"flow","cat":"flow","ph":"b","id":3,"pid":1,"tid":1,"ts":250000.000,"args":{"bytes":31457280}},
+{"name":"solved_mibps","ph":"C","pid":1,"ts":250000.000,"args":{"mibps":100.000}},
+{"name":"active_flows","ph":"C","pid":1,"ts":250000.000,"args":{"flows":3}},
+{"name":"flow","cat":"flow","ph":"e","id":1,"pid":1,"tid":1,"ts":1000000.000,"args":{"cancelled":true,"bytes_left":15728640}},
+{"name":"solved_mibps","ph":"C","pid":1,"ts":1000000.000,"args":{"mibps":20.000}},
+{"name":"active_flows","ph":"C","pid":1,"ts":1000000.000,"args":{"flows":2}},
+{"name":"flow","cat":"flow","ph":"e","id":2,"pid":1,"tid":1,"ts":1500000.000,"args":{"mean_mibps":40.000}},
+{"name":"flow","cat":"flow","ph":"e","id":3,"pid":1,"tid":1,"ts":1750000.000,"args":{"mean_mibps":20.000}}
+]}
+)");
 }
 
 }  // namespace
