@@ -64,6 +64,11 @@ LEGS = [
      ["src/cli/beesim", "run", "--cluster", "plafrim2", "--nodes", "1024",
       "--stripe", "8", "--reps", "2", "--trace", "t.jsonl", "--trace-out", "t.json",
       "--metrics-out", "m.csv"], {}),
+    # The queued metadata path: an mdtest phase on four hash-sharded MDTs
+    # after each IOR run, one MDT flow (and one rate lookup) per op.
+    ("metadata_cli",
+     ["src/cli/beesim", "run", "--cluster", "plafrim2", "--nodes", "16", "--stripe", "4",
+      "--mdts", "4", "--meta-rate", "5000", "--md-ops", "64", "--reps", "30"], {}),
 ]
 
 RUNS = 5  # per leg and side

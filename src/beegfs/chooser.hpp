@@ -74,7 +74,7 @@ class RoundRobinChooser final : public TargetChooser {
   /// On a production system the pointer has been advanced by every file any
   /// user ever created, so an application observes an arbitrary phase; the
   /// stride encodes that the bulk of those creates used the system default
-  /// stripe width (see BeegfsParams::rrPointerPhaseStride).  Reproduces the
+  /// stripe width (see FileSystem's kRrPointerPhaseStride).  Reproduces the
   /// paper's observed per-count allocation sets (e.g. count 4 is *always*
   /// (1,3), count 2 alternates between (1,1) and (0,2)).
   void randomizePhase(util::Rng& rng, std::size_t stride);

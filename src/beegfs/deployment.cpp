@@ -10,6 +10,29 @@ namespace beesim::beegfs {
 namespace {
 /// Usable capacity attributed to one PlaFRIM-class OST (131 TB over 8 OSTs).
 constexpr util::Bytes kDefaultTargetCapacity = 16 * util::kTiB;
+/// Virtual-time window over which one device-noise factor applies.
+constexpr util::Seconds kNoiseEpoch = 3.0;
+/// Fluid re-solve cadence (refreshes time-dependent capacities: client
+/// ramp-up, noise epochs).
+constexpr util::Seconds kResolveInterval = 0.25;
+/// Client worker threads servicing RPCs per mounted node; they bound a
+/// node's outstanding chunk requests, which is why the storage-side queue
+/// depth scales with the number of *nodes* rather than processes (Lessons
+/// #1/#3).
+constexpr int kWorkerThreads = 8;
+/// Outstanding requests one process keeps in flight (write-behind).
+constexpr int kInflightPerProcess = 8;
+/// Throughput penalty when more processes than workers share a node
+/// (intra-node contention, Fig. 5b): effective inflight is divided by
+/// (1 + penalty * (ppn - workers) / workers) for ppn > workers.  Calibrated
+/// to the paper's "slight degradation" at 16 ppn.
+constexpr double kOversubscriptionPenalty = 0.08;
+/// A node's ramp starts at this fraction of its ceiling (ClientParams::rampTau).
+constexpr double kRampInitialFraction = 0.35;
+/// Per-job log-normal jitter on the ramp's time constant and starting
+/// fraction (connection establishment and slow-start vary run to run); the
+/// dominant noise source for small transfers (Fig. 2's left side).
+constexpr double kRampJitterSigmaLog = 0.4;
 }  // namespace
 
 std::unique_ptr<storage::VariabilityModel> makeVariability(const topo::VariabilitySpec& spec) {
@@ -42,7 +65,7 @@ Deployment::Deployment(sim::FluidSimulator& fluid, topo::ClusterConfig cluster,
   BEESIM_ASSERT(environment_.network > 0.0, "network environment factor must be > 0");
   BEESIM_ASSERT(environment_.storage > 0.0, "storage environment factor must be > 0");
 
-  fluid_.setResolveInterval(params_.resolveInterval);
+  fluid_.setResolveInterval(kResolveInterval);
 
   // -- Backbone switch (optional). --------------------------------------
   if (cluster_.network.backboneBandwidth > 0.0) {
@@ -101,7 +124,7 @@ Deployment::Deployment(sim::FluidSimulator& fluid, topo::ClusterConfig cluster,
                                                        environment_.network),
         std::make_unique<storage::LogNormalVariability>(
             cluster_.network.serverLinkNoiseSigmaLog),
-        deviceRng.split(), params_.noiseEpoch));
+        deviceRng.split(), kNoiseEpoch));
     storage::NoisyDevice* link = linkNoise_.back().get();
     const double* linkHealth = &hostLinkHealth_[h];
     serverNicRes_.push_back(fluid_.addResource(sim::ResourceSpec{
@@ -123,7 +146,7 @@ Deployment::Deployment(sim::FluidSimulator& fluid, topo::ClusterConfig cluster,
       const auto& targetCfg = host.targets[t];
       devices_.push_back(std::make_unique<storage::NoisyDevice>(
           std::make_shared<storage::HddRaidModel>(targetCfg.device),
-          makeVariability(targetCfg.variability), deviceRng.split(), params_.noiseEpoch));
+          makeVariability(targetCfg.variability), deviceRng.split(), kNoiseEpoch));
       storage::NoisyDevice* device = devices_.back().get();
       const double storageFactor = environment_.storage;
       const double* health = &targetHealth_[flatTarget++];
@@ -183,21 +206,19 @@ double Deployment::hostLinkHealth(std::size_t host) const {
 }
 
 double Deployment::clientContentionFactor(int processes) const {
-  const auto& client = params_.client;
-  if (processes <= client.workerThreads) return 1.0;
-  const double excess = static_cast<double>(processes - client.workerThreads) /
-                        static_cast<double>(client.workerThreads);
-  return 1.0 / (1.0 + client.oversubscriptionPenalty * excess);
+  if (processes <= kWorkerThreads) return 1.0;
+  const double excess = static_cast<double>(processes - kWorkerThreads) /
+                        static_cast<double>(kWorkerThreads);
+  return 1.0 / (1.0 + kOversubscriptionPenalty * excess);
 }
 
 double Deployment::clientRampFactor(const NodeState& state, util::Seconds now) const {
   if (state.jobStart < 0.0) return 1.0;
-  const auto& client = params_.client;
-  if (client.rampTau <= 0.0) return 1.0;
+  const util::Seconds tau = params_.client.rampTau;
+  if (tau <= 0.0) return 1.0;
   const double dt = std::max(0.0, now - state.jobStart);
-  const double r0 =
-      std::clamp(client.rampInitialFraction * state.rampR0Factor, 0.05, 0.95);
-  return 1.0 - (1.0 - r0) * std::exp(-dt / (client.rampTau * state.rampTauFactor));
+  const double r0 = std::clamp(kRampInitialFraction * state.rampR0Factor, 0.05, 0.95);
+  return 1.0 - (1.0 - r0) * std::exp(-dt / (tau * state.rampTauFactor));
 }
 
 std::vector<sim::ResourceIndex> Deployment::writePath(std::size_t node,
@@ -249,10 +270,8 @@ void Deployment::markNodeJobStart(std::size_t node, util::Seconds at) {
   if (state.jobStart < 0.0) {
     // First job on this node: sample its slow-start jitter (both the time
     // constant and the starting fraction vary between connections).
-    state.rampTauFactor =
-        clientRng_.logNormalMedian(1.0, params_.client.rampJitterSigmaLog);
-    state.rampR0Factor =
-        clientRng_.logNormalMedian(1.0, params_.client.rampJitterSigmaLog);
+    state.rampTauFactor = clientRng_.logNormalMedian(1.0, kRampJitterSigmaLog);
+    state.rampR0Factor = clientRng_.logNormalMedian(1.0, kRampJitterSigmaLog);
   }
   if (state.jobStart < 0.0 || at < state.jobStart) state.jobStart = at;
 }
@@ -265,9 +284,8 @@ void Deployment::resetNode(std::size_t node) {
 double Deployment::nodeEffectiveInflight(std::size_t node, int ppn) const {
   BEESIM_ASSERT(node < nodeStates_.size(), "unknown compute node");
   BEESIM_ASSERT(ppn >= 1, "ppn must be >= 1");
-  const auto& client = params_.client;
-  const double raw = std::min<double>(static_cast<double>(ppn) * client.inflightPerProcess,
-                                      static_cast<double>(client.workerThreads));
+  const double raw = std::min<double>(static_cast<double>(ppn) * kInflightPerProcess,
+                                      static_cast<double>(kWorkerThreads));
   return raw * clientContentionFactor(ppn);
 }
 

@@ -16,7 +16,14 @@ namespace {
 
 constexpr util::Seconds kNever = HUGE_VAL;  // the due time of a check that is off
 constexpr double kBackoffFactor = 2.0;       // retry wait growth per attempt
-constexpr int kMaxHedges = 8;                // hedge legs per chunk: bounds duplicate bytes
+constexpr std::size_t kMaxHedges = 8;        // hedge legs per chunk: bounds duplicate bytes
+/// The round-robin pointer's phase when an application arrives is set by all
+/// the creates other users performed before; each mount observes an
+/// arbitrary phase that is (mostly) a multiple of the common create
+/// granularity.  Stride 2 reproduces the allocation sets the paper observed
+/// for every stripe count (count 4 always (1,3), count 2 split between
+/// (1,1)/(0,2), count 6 between (3,3)/(2,4), ...).
+constexpr std::size_t kRrPointerPhaseStride = 2;
 constexpr double kResyncQueueWeight = 0.25;  // resync yields to chunk flows (weight 1.0)
 
 /// Top `picked` up to `count` entries with members of `pool` it lacks, drawn
@@ -44,9 +51,9 @@ FileSystem::FileSystem(Deployment& deployment, util::Rng chooserRng)
       chooser_(makeChooser(deployment.params(), deployment.cluster())) {
   directories_["/"] = deployment.params().defaultStripe;
   // A freshly-mounted client observes the round-robin pointer wherever the
-  // production system's create history left it (see params.hpp).
+  // production system's create history left it.
   if (auto* rr = dynamic_cast<RoundRobinChooser*>(chooser_.get())) {
-    rr->randomizePhase(rng_, deployment.params().rrPointerPhaseStride);
+    rr->randomizePhase(rng_, kRrPointerPhaseStride);
   }
   if (const std::size_t groups = deployment.mgmt().mirrorGroupCount(); groups > 0) {
     inflightMirror_.resize(groups);
@@ -217,15 +224,6 @@ sim::FlowId FileSystem::migrateSlot(FileHandle handle, std::size_t slot,
   });
 }
 
-std::map<std::size_t, std::size_t> FileSystem::degradedSlots(FileHandle handle) const {
-  BEESIM_ASSERT(handle.value < files_.size(), "unknown file handle");
-  std::map<std::size_t, std::size_t> slots;
-  for (const auto& [key, target] : substitutes_) {
-    if (key.first == handle.value) slots[key.second] = target;
-  }
-  return slots;
-}
-
 void FileSystem::transferAsync(std::size_t node, FileHandle handle, util::Bytes offset,
                                util::Bytes length, double queueWeight, bool isWrite,
                                std::function<void(util::Seconds)> done) {
@@ -326,7 +324,6 @@ void FileSystem::issueAdmitted(const OpPtr& op) {
   op->watchdogAt = policy.mode != ClientFaultPolicy::Mode::kNone ? now + policy.ioTimeout : kNever;
   op->hedgeAt = hedged ? now + deployment_.params().hedge.deadline : kNever;
   if (hedged) {
-    op->hedges = 0;
     op->tried.assign(1, target);
     BEESIM_ASSERT(op->hedgeSlot == kUntracked, "hedged op tracked twice");
     op->hedgeSlot = hedged_.size();
@@ -368,7 +365,7 @@ void FileSystem::legDone(const OpPtr& op, std::size_t leg, const sim::FlowStats&
       // Re-home the slot: later segments address the winner directly
       // instead of re-fighting the gray target chunk by chunk.
       substitutes_[{op->transfer->handleValue, op->slot}] = op->legs[1].target;
-    } else if (op->hedges > 0) {
+    } else if (op->tried.size() > 1) {
       ++hedgeStats_.primaryWins;
     }
     cancelLeg(op->legs[1 - leg]);
@@ -523,7 +520,7 @@ bool FileSystem::hedgeCheck(const OpPtr& op) {
     }
   }
 
-  if (lagging && op->hedges >= kMaxHedges) return false;  // budget spent
+  if (lagging && op->tried.size() > kMaxHedges) return false;  // budget spent
   // A lagging live hedge leg is replaced like a dead one: it had a full
   // deadline to establish a rate, and `best` already folds it into the lag
   // verdict (a crawling same-host hedge must not pin the chunk to a host
@@ -534,7 +531,6 @@ bool FileSystem::hedgeCheck(const OpPtr& op) {
     // A dead previous hedge leg is abandoned before the replacement starts.
     cancelLeg(op->legs[1]);
     op->tried.push_back(alt);
-    ++op->hedges;
     ++hedgeStats_.hedgesIssued;
     hedgeStats_.bytesHedged += op->bytes;
     // The duplicate send charges usage like a rewrite (the loser's bytes
@@ -628,11 +624,6 @@ bool FileSystem::pickHedgeTarget(const ChunkOp& op, std::size_t& out) const {
 }
 
 // -- Buddy mirroring. --------------------------------------------------------
-
-bool FileSystem::resyncActive(std::size_t id) const {
-  BEESIM_ASSERT(id < resync_.size(), "unknown mirror group");
-  return resync_[id].value != 0;
-}
 
 void FileSystem::issueMirrored(const OpPtr& op, std::size_t group) {
   auto& mgmt = deployment_.mgmt();
@@ -802,7 +793,7 @@ void FileSystem::maybeStartResync(std::size_t group) {
   auto& mgmt = deployment_.mgmt();
   const auto& entry = mgmt.mirrorGroup(group);
   if (entry.state != MirrorState::kNeedsResync) return;
-  if (resyncActive(group)) return;
+  if (resync_[group].value != 0) return;  // a resync is already streaming
   if (!mgmt.target(entry.primary).online || !mgmt.target(entry.secondary).online) return;
   if (entry.resyncDebt == 0) {
     mgmt.setMirrorState(group, MirrorState::kGood);

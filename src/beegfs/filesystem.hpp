@@ -120,17 +120,10 @@ class FileSystem {
   /// mode with no surviving target).  Runners stop issuing new work.
   bool faultsAborted() const { return faultStats_.aborted; }
 
-  /// Substitute target a stripe slot of `handle` failed over to, if any
-  /// (inspectable by tests; keyed by slot index within the stripe pattern).
-  std::map<std::size_t, std::size_t> degradedSlots(FileHandle handle) const;
-
   // -- Buddy mirroring (MirrorPolicy; see DESIGN.md §2.4). -----------------
 
   /// Cumulative mirroring/resync accounting across all transfers.
   const MirrorStats& mirrorStats() const { return mirrorStats_; }
-
-  /// True while a background resync flow is streaming group `id`'s delta.
-  bool resyncActive(std::size_t id) const;
 
   // -- Hedged writes (HedgePolicy; see DESIGN.md §2.9). --------------------
 
@@ -196,8 +189,9 @@ class FileSystem {
     Leg legs[2];
     std::size_t group = 0;           ///< mirror group (kAll)
     util::Bytes debt = 0;            ///< resync debt it added to `group`
-    int hedges = 0;                  ///< hedge legs issued (kFirst)
-    std::vector<std::size_t> tried;  ///< targets already given a leg (kFirst)
+    /// Targets already given a leg (kFirst): the original, then one per
+    /// hedge leg issued.
+    std::vector<std::size_t> tried;
     std::size_t hedgeSlot = kUntracked;  ///< index in hedged_ while tracked
     util::MiBps peerRate = 0.0;          ///< its entry in peerBest_ while tracked
     util::Seconds watchdogAt = 0.0;      ///< next watchdog check (+inf: off)

@@ -33,11 +33,13 @@ MetaService::MetaService(const MetaParams& params, util::Rng rng)
   BEESIM_ASSERT(params.unlinkLatency >= 0.0, "unlink latency must be >= 0");
   BEESIM_ASSERT(params.jitterSigmaLog >= 0.0, "jitter sigma must be >= 0");
   BEESIM_ASSERT(params.mdtCount >= 1, "need at least one MDT");
+  // The create rate is configured; the other kinds keep the default
+  // profile's ratios to it.
+  const double scale = params.createRate / MetaParams::kDefaultCreateRate;
+  rates_ = {params.createRate, MetaParams::kDefaultOpenRate * scale,
+            MetaParams::kDefaultStatRate * scale, MetaParams::kDefaultUnlinkRate * scale};
   if (params.queued) {
     BEESIM_ASSERT(params.createRate > 0.0, "create rate must be > 0 ops/s");
-    BEESIM_ASSERT(params.openRate > 0.0, "open rate must be > 0 ops/s");
-    BEESIM_ASSERT(params.statRate > 0.0, "stat rate must be > 0 ops/s");
-    BEESIM_ASSERT(params.unlinkRate > 0.0, "unlink rate must be > 0 ops/s");
     BEESIM_ASSERT(params.saturationDepth >= 1.0, "saturation depth must be >= 1");
     // Per-MDT jitter substreams are derived order-independently from the
     // service's own seed (splitNamed does not draw from the engine), so
@@ -91,21 +93,6 @@ void MetaService::attach(sim::FluidSimulator& fluid,
 
 std::size_t MetaService::shardOf(std::string_view path) {
   return shards_.shardOf(path);
-}
-
-double MetaService::rateFor(MetaOpKind kind) const {
-  switch (kind) {
-    case MetaOpKind::kCreate:
-      return params_.createRate;
-    case MetaOpKind::kOpen:
-      return params_.openRate;
-    case MetaOpKind::kStat:
-      return params_.statRate;
-    case MetaOpKind::kUnlink:
-      return params_.unlinkRate;
-  }
-  BEESIM_ASSERT(false, "unknown metadata op kind");
-  return 0.0;  // unreachable
 }
 
 double MetaService::rampFactor(double queueDepth) const {

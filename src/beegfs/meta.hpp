@@ -18,6 +18,7 @@
 //     expose the shard balance.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string_view>
@@ -84,8 +85,9 @@ class MetaService {
   std::size_t opAsync(MetaOpKind kind, std::string_view path,
                       std::function<void(util::Seconds)> done);
 
-  /// Per-MDT saturation throughput of `kind` in ops/s.
-  double rateFor(MetaOpKind kind) const;
+  /// Per-MDT saturation throughput of `kind` in ops/s: MetaParams::createRate
+  /// for creates, the default profile scaled by createRate for the others.
+  double rateFor(MetaOpKind kind) const { return rates_[static_cast<std::size_t>(kind)]; }
 
   /// Concurrency ramp of one MDT: fraction of the saturation throughput
   /// reached at `queueDepth` outstanding operations (Hill-type curve; a
@@ -107,6 +109,7 @@ class MetaService {
   util::Seconds jittered(util::Seconds base);
 
   MetaParams params_;
+  std::array<double, 4> rates_;  ///< rateFor, indexed by MetaOpKind
   util::Rng rng_;
   MdShardChooser shards_;
   /// Per-MDT jitter substreams.  Derived order-independently from the

@@ -2,8 +2,10 @@
 //
 // Hardware lives in topo::ClusterConfig; everything here corresponds to
 // things a BeeGFS administrator (or the client mount) controls: striping
-// defaults, the target-choice heuristic, client worker threads, metadata
-// costs.  PlaFRIM's production values (stripe count 4, chunk 512 KiB,
+// defaults, the target-choice heuristic, client ramp-up, metadata costs.
+// Calibration constants no run varies (client worker threads, noise epoch,
+// re-solve cadence, round-robin phase stride) sit next to their readers.
+// PlaFRIM's production values (stripe count 4, chunk 512 KiB,
 // round-robin choice) are the defaults, per Section III-A of the paper.
 #pragma once
 
@@ -80,28 +82,14 @@ struct MirrorStats {
   bool operator==(const MirrorStats&) const = default;
 };
 
-/// Client kernel-module model.
+/// Client kernel-module model.  Worker threads, write-behind depth, the
+/// oversubscription penalty and the ramp's starting point and jitter are
+/// calibrated constants next to their reader (deployment.cpp).
 struct ClientParams {
-  /// Worker threads servicing RPCs per mounted node; bounds a node's
-  /// outstanding chunk requests.  This is why the storage-side queue depth
-  /// scales with the number of *nodes* rather than processes (Lessons #1/#3).
-  int workerThreads = 8;
-  /// Outstanding requests a single process can keep in flight (write-behind).
-  int inflightPerProcess = 8;
-  /// Throughput penalty when more processes than workers share a node
-  /// (intra-node contention, Fig. 5b): effective inflight is divided by
-  /// (1 + penalty * (ppn - workers) / workers) for ppn > workers.
-  /// Calibrated to the paper's "slight degradation" at 16 ppn.
-  double oversubscriptionPenalty = 0.08;
-  /// Connection/writeback ramp-up: a node starts at `rampInitialFraction` of
-  /// its ceiling and approaches 1 with time constant `rampTau`.  This is the
-  /// latency effect that penalizes small total data sizes (Fig. 2).
-  double rampInitialFraction = 0.35;
+  /// Connection/writeback ramp-up: a node starts at a fraction of its
+  /// ceiling and approaches 1 with this time constant (0 = no ramp).  This is
+  /// the latency effect that penalizes small total data sizes (Fig. 2).
   util::Seconds rampTau = 0.8;
-  /// Per-job log-normal jitter on the ramp time constant (connection
-  /// establishment and slow-start vary run to run); the dominant noise
-  /// source for small transfers (Fig. 2's left side).
-  double rampJitterSigmaLog = 0.4;
 };
 
 /// How directories map onto metadata targets when several MDTs exist
@@ -124,8 +112,8 @@ const char* mdShardName(MdShardKind kind);
 /// jittered latency per operation (createLatency/openLatency/...).  The
 /// *queued* model (DESIGN.md §2.10, off by default) instead runs every
 /// operation as a flow through a per-MDT fluid resource with a concurrency
-/// ramp, so metadata ops contend observably in virtual time; the *Rate
-/// fields are per-MDT saturation throughputs in ops/s.
+/// ramp, so metadata ops contend observably in virtual time; createRate
+/// sets the per-MDT saturation throughputs in ops/s.
 struct MetaParams {
   /// File create (rank 0) latency.
   util::Seconds createLatency = 0.004;
@@ -143,14 +131,17 @@ struct MetaParams {
   bool queued = false;
   /// Number of metadata targets the namespace shards across (>= 1).
   unsigned mdtCount = 1;
-  /// Per-MDT saturation throughput per operation kind, in ops/s.  An SSD
-  /// MDT needs a deep queue to reach these (see saturationDepth); the
-  /// defaults keep the single-op create latency near the scalar model's
-  /// createLatency.
-  double createRate = 2500.0;
-  double openRate = 10000.0;
-  double statRate = 20000.0;
-  double unlinkRate = 4000.0;
+  /// Default per-MDT saturation throughput per operation kind, in ops/s.  An
+  /// SSD MDT needs a deep queue to reach these (see saturationDepth); the
+  /// create default keeps the single-op create latency near the scalar
+  /// model's createLatency.
+  static constexpr double kDefaultCreateRate = 2500.0;
+  static constexpr double kDefaultOpenRate = 10000.0;
+  static constexpr double kDefaultStatRate = 20000.0;
+  static constexpr double kDefaultUnlinkRate = 4000.0;
+  /// Per-MDT create throughput (ops/s).  The other kinds keep the default
+  /// profile's ratios to it (MetaService::rateFor).
+  double createRate = kDefaultCreateRate;
   /// Concurrency ramp: an MDT at queue depth d serves at
   /// d / (d + saturationDepth - 1) of its saturation throughput, so a
   /// single isolated op takes saturationDepth/rate seconds and a deep
@@ -252,23 +243,11 @@ struct BeegfsParams {
   ChooserKind chooser = ChooserKind::kRoundRobin;
   ClientParams client;
   MetaParams meta;
-  /// Virtual-time window over which one device-noise factor applies.
-  util::Seconds noiseEpoch = 3.0;
-  /// Fluid re-solve cadence (refreshes time-dependent capacities: client
-  /// ramp-up, noise epochs).
-  util::Seconds resolveInterval = 0.25;
   /// Probability that a file create does *not* advance the round-robin
   /// pointer before a concurrent create reads it (create race).  Calibrated
   /// to the paper's Fig. 13 observation that two concurrent count-4 creates
   /// shared all four targets in ~1/3 of repetitions.
   double rrCreateRaceProbability = 1.0 / 3.0;
-  /// The round-robin pointer's phase when an application arrives is set by
-  /// all the creates other users performed before; each mount observes an
-  /// arbitrary phase that is (mostly) a multiple of the common create
-  /// granularity.  Stride 2 reproduces the allocation sets the paper
-  /// observed for every stripe count (count 4 always (1,3), count 2 split
-  /// between (1,1)/(0,2), count 6 between (3,3)/(2,4), ...).
-  std::size_t rrPointerPhaseStride = 2;
   /// Client failure semantics for mid-run target faults (default: none, the
   /// exact legacy behaviour).
   ClientFaultPolicy faults;

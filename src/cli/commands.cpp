@@ -97,8 +97,6 @@ control::RebalancePolicy rebalancePolicy(const Args& args) {
         "--rebalance-rate must be > 0 (omit the flag for uncapped migrations)");
   }
   policy.threshold = threshold;
-  // Keep the hysteresis exit point above 1 for tight thresholds.
-  policy.exitMargin = std::min(policy.exitMargin, (threshold - 1.0) / 2.0);
   policy.migrationRate = rate;
   policy.patience = patience;
   return policy;
@@ -194,13 +192,9 @@ void applyMetadataFlags(const Args& args, harness::RunConfig& config) {
   if (!std::isfinite(rate) || rate <= 0.0) {
     throw util::ConfigError("--meta-rate must be finite and > 0 (create ops/s per MDT)");
   }
-  // --meta-rate scales the whole service-rate profile, preserving the
-  // create:open:stat:unlink ratios of the defaults.
-  const double scale = rate / meta.createRate;
+  // The service keeps the default create:open:stat:unlink ratios, so
+  // --meta-rate scales the whole profile.
   meta.createRate = rate;
-  meta.openRate *= scale;
-  meta.statRate *= scale;
-  meta.unlinkRate *= scale;
   const auto shard = args.getString("md-shard", "hash");
   if (shard == "hash") {
     meta.shard = beegfs::MdShardKind::kHashDir;

@@ -17,8 +17,6 @@ RebalanceController::RebalanceController(beegfs::FileSystem& fs,
     : fs_(fs), policy_(policy), sampler_(fs.deployment().fluid()) {
   BEESIM_ASSERT(policy_.enabled, "constructing a disabled rebalance controller");
   BEESIM_ASSERT(policy_.threshold > 1.0, "rebalance threshold must exceed 1 (balanced)");
-  BEESIM_ASSERT(policy_.exitMargin >= 0.0 && policy_.exitMargin < policy_.threshold - 1.0 + 1e-12,
-                "hysteresis exit margin must keep the exit point above 1");
   BEESIM_ASSERT(policy_.patience >= 1, "rebalance patience must be >= 1");
   BEESIM_ASSERT(policy_.migrationRate >= 0.0, "migration rate cap must be >= 0");
   BEESIM_ASSERT(policy_.maxConcurrentMigrations >= 0, "migration concurrency must be >= 0");
@@ -66,7 +64,7 @@ void RebalanceController::onSample(const sim::MetricsSample& sample) {
     }
     return;
   }
-  if (imbalance < policy_.threshold - policy_.exitMargin) {
+  if (imbalance < policy_.threshold - std::min(0.1, (policy_.threshold - 1.0) / 2.0)) {
     // Below the hysteresis band: stand down and stop biasing creates.
     engaged_ = false;
     strikes_ = 0;

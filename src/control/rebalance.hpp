@@ -16,9 +16,10 @@
 //     server-to-server replica path (the resync flow model), re-homing the
 //     slot immediately so subsequent writes follow.
 //
-// Hysteresis (threshold - exitMargin) keeps the controller from flapping on
-// the boundary; `disarm()` freezes it when the foreground job completes so
-// migration tails cannot re-trigger it against their own traffic.  The
+// Hysteresis (stand down only below threshold - min(0.1, (threshold - 1) /
+// 2), an exit point that stays above 1) keeps the controller from flapping
+// on the boundary; `disarm()` freezes it when the foreground job completes
+// so migration tails cannot re-trigger it against their own traffic.  The
 // controller draws no randomness: identical rate histories produce identical
 // actions, preserving the harness's jobs-invariance.
 #pragma once
@@ -40,10 +41,9 @@ struct RebalancePolicy {
   /// controller, so untouched runs stay bitwise-identical.
   bool enabled = false;
   /// Engage when link imbalance (max/mean over server NIC rates, >= 1 when
-  /// traffic flows) reaches this value...
+  /// traffic flows) reaches this value, and disengage only below
+  /// threshold - min(0.1, (threshold - 1) / 2) (hysteresis band).
   double threshold = 1.25;
-  /// ...and disengage only below threshold - exitMargin (hysteresis band).
-  double exitMargin = 0.1;
   /// Consecutive over-threshold samples required to engage.
   int patience = 3;
   /// Per-migration-flow rate cap in MiB/s (0 = unlimited).

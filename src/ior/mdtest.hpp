@@ -25,7 +25,7 @@ struct MdtestOptions {
   /// Files each rank creates/stats/unlinks (mdtest -n).
   std::size_t filesPerRank = 64;
   /// Outstanding metadata ops a rank pipelines (client-side write-behind for
-  /// metadata; mirrors ClientParams::inflightPerProcess).
+  /// metadata; mirrors the client write-behind depth in deployment.cpp).
   int inflightPerRank = 8;
   /// Phase switches (mdtest -C/-T/-r).  Stat and unlink run over the files
   /// the create phase made, in the same order.

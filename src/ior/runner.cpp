@@ -49,10 +49,6 @@ struct RunState {
   std::vector<double> rankQueueWeight;
   /// Fault-counter snapshot at launch; the result reports the delta.
   beegfs::ClientFaultStats faultBaseline;
-  /// Mirror-counter snapshot at launch.
-  beegfs::MirrorStats mirrorBaseline;
-  /// Hedge-counter snapshot at launch.
-  beegfs::HedgeStats hedgeBaseline;
 };
 
 /// Counter delta `now` - `base` (aborted is the file system's current state:
@@ -69,31 +65,6 @@ beegfs::ClientFaultStats faultDelta(const beegfs::ClientFaultStats& now,
   return d;
 }
 
-beegfs::HedgeStats hedgeDelta(const beegfs::HedgeStats& now,
-                              const beegfs::HedgeStats& base) {
-  beegfs::HedgeStats d;
-  d.hedgesIssued = now.hedgesIssued - base.hedgesIssued;
-  d.hedgeWins = now.hedgeWins - base.hedgeWins;
-  d.primaryWins = now.primaryWins - base.primaryWins;
-  d.mirrorSwitchovers = now.mirrorSwitchovers - base.mirrorSwitchovers;
-  d.bytesHedged = now.bytesHedged - base.bytesHedged;
-  return d;
-}
-
-beegfs::MirrorStats mirrorDelta(const beegfs::MirrorStats& now,
-                                const beegfs::MirrorStats& base) {
-  beegfs::MirrorStats d;
-  d.replicaFlows = now.replicaFlows - base.replicaFlows;
-  d.bytesReplicated = now.bytesReplicated - base.bytesReplicated;
-  d.failovers = now.failovers - base.failovers;
-  d.bytesResent = now.bytesResent - base.bytesResent;
-  d.bytesLost = now.bytesLost - base.bytesLost;
-  d.resyncJobs = now.resyncJobs - base.resyncJobs;
-  d.bytesResynced = now.bytesResynced - base.bytesResynced;
-  d.resyncSeconds = now.resyncSeconds - base.resyncSeconds;
-  return d;
-}
-
 /// Issue segment `segment` of `rank`, chaining to the next segment on
 /// completion (IOR writes a rank's segments sequentially).
 void issueSegment(const std::shared_ptr<RunState>& state, int rank, int segment) {
@@ -106,8 +77,6 @@ void issueSegment(const std::shared_ptr<RunState>& state, int rank, int segment)
       auto& result = state->result;
       result.end = state->fs->deployment().fluid().now();
       result.faults = faultDelta(state->fs->faultStats(), state->faultBaseline);
-      result.mirror = mirrorDelta(state->fs->mirrorStats(), state->mirrorBaseline);
-      result.hedge = hedgeDelta(state->fs->hedgeStats(), state->hedgeBaseline);
       result.failed = result.faults.aborted;
       result.bandwidth =
           result.failed ? 0.0
@@ -161,8 +130,6 @@ void launchIor(beegfs::FileSystem& fs, const IorJob& job, const IorOptions& opti
 
     state->result.start = deployment.fluid().now();
     state->faultBaseline = fs.faultStats();
-    state->mirrorBaseline = fs.mirrorStats();
-    state->hedgeBaseline = fs.hedgeStats();
 
     // Metadata phase: rank 0 creates the file(s); then every rank opens.
     // Placement happens identically under both metadata models (the chooser

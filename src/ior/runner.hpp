@@ -70,13 +70,13 @@ struct IorResult {
   /// system's counters between launch and completion).  All-zero for healthy
   /// runs or when no fault policy is armed.
   beegfs::ClientFaultStats faults;
-  /// Mirroring/resync accounting attributable to this run (delta between
-  /// launch and completion).  Background resync that outlives the job keeps
-  /// counting in the file system's totals; the harness re-snapshots after
-  /// the simulation drains (see harness::runConcurrent).
+  /// Mirroring/resync totals of the whole run, including resyncs that
+  /// outlive the job: harness::runOnce fills them from the file system after
+  /// the drain (all-zero unless MirrorPolicy::enabled; launchIor leaves them
+  /// zero).
   beegfs::MirrorStats mirror;
-  /// Hedged-write accounting attributable to this run (delta between launch
-  /// and completion; all-zero unless HedgePolicy::enabled).
+  /// Hedged-write totals of the whole run, filled by harness::runOnce the
+  /// same way (all-zero unless HedgePolicy::enabled).
   beegfs::HedgeStats hedge;
   /// True when the run was aborted by the fault policy (strict mode, or
   /// degraded mode with no surviving target).  `bandwidth` is reported as 0

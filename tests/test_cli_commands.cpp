@@ -120,6 +120,37 @@ TEST(Cli, RunWithMirrorReportsReplicationTotals) {
   EXPECT_NE(result.out.find("lost=0.0 MiB"), std::string::npos);
 }
 
+TEST(CliCommands, MetadataAndRebalanceTotalsArePinned) {
+  // --meta-rate sets the create rate and scales open/stat/unlink with it;
+  // --rebalance-threshold narrows the hysteresis band to half the distance
+  // from 1 when that is below 0.1 (here 1.1 exits below 1.05, not 1.0).
+  // Both runs' full stdout is pinned, so either derivation changing fails.
+  const auto metadata = run({"run", "--cluster", "plafrim1", "--nodes", "4", "--stripe", "4",
+                             "--reps", "2", "--mdts", "2", "--meta-rate", "5000", "--md-ops",
+                             "8"});
+  EXPECT_EQ(metadata.code, 0) << metadata.err;
+  EXPECT_EQ(metadata.out,
+            "ior -a POSIX -w -b 1 GiB -t 1 MiB -s 1 -o /beegfs/ior.dat  (32 ranks on 4 "
+            "nodes, 2 repetitions)\n"
+            "bandwidth: n=2 mean=1474.7 sd=60.1 min=1432.2 q1=1453.5 med=1474.7 q3=1496.0 "
+            "max=1517.2 MiB/s\n"
+            "allocations: (1,3) x2  \n"
+            "metadata (totals over 2 reps): ops=1536 md_time=0.12 s mean_ops_s=13146 "
+            "peak_mdt_imbalance=1.000\n");
+
+  const auto rebalance = run({"run", "--cluster", "plafrim1", "--nodes", "4", "--stripe", "2",
+                              "--reps", "4", "--rebalance", "--rebalance-threshold", "1.1"});
+  EXPECT_EQ(rebalance.code, 0) << rebalance.err;
+  EXPECT_EQ(rebalance.out,
+            "ior -a POSIX -w -b 1 GiB -t 1 MiB -s 1 -o /beegfs/ior.dat  (32 ranks on 4 "
+            "nodes, 4 repetitions)\n"
+            "bandwidth: n=4 mean=1121.1 sd=34.4 min=1085.5 q1=1103.4 med=1115.7 q3=1133.4 "
+            "max=1167.4 MiB/s\n"
+            "allocations: (0,2) x2  (1,1) x2  \n"
+            "rebalance (totals over 4 reps): triggers=6 retargets=628 migrations=7 "
+            "migrated=114688.0 MiB migration_time=1082.33 s peak_imbalance=2.000\n");
+}
+
 TEST(Cli, RejectsNonPositiveFaultAndMirrorDurations) {
   // Satellite: a non-positive duration/rate silently disables or degrades
   // the feature it configures; each is rejected with a pointed message.

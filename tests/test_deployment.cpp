@@ -55,12 +55,9 @@ TEST(Deployment, BackboneResourceWhenConfigured) {
 
 TEST(Deployment, EffectiveInflightIsBoundedByWorkers) {
   Fixture f;
-  const auto& client = f.deployment.params().client;
   // 8 workers, 8 inflight/process: 1 process already saturates the workers.
-  EXPECT_DOUBLE_EQ(f.deployment.nodeEffectiveInflight(0, 1),
-                   static_cast<double>(client.workerThreads));
-  EXPECT_DOUBLE_EQ(f.deployment.nodeEffectiveInflight(0, 8),
-                   static_cast<double>(client.workerThreads));
+  EXPECT_DOUBLE_EQ(f.deployment.nodeEffectiveInflight(0, 1), 8.0);
+  EXPECT_DOUBLE_EQ(f.deployment.nodeEffectiveInflight(0, 8), 8.0);
 }
 
 TEST(Deployment, OversubscriptionErodesInflight) {

@@ -223,12 +223,12 @@ TEST(FaultInjector, MidRunTargetFailureFailsOverAndCompletes) {
   EXPECT_GT(stats.degradedTime, 0.0);
   EXPECT_GT(doneAt, 0.0);
 
-  // The stripe is degraded: slot 1 moved to a surviving target.
-  const auto degraded = system.fs.degradedSlots(handle);
-  ASSERT_EQ(degraded.size(), 1u);
-  ASSERT_TRUE(degraded.count(1));
-  EXPECT_NE(degraded.at(1), 4u);
-  EXPECT_TRUE(system.deployment.mgmt().target(degraded.at(1)).online);
+  // The stripe is degraded: slot 1, and only slot 1, moved to a surviving
+  // target.
+  EXPECT_EQ(system.fs.effectiveTarget(handle, 0), 0u);
+  const auto substitute = system.fs.effectiveTarget(handle, 1);
+  EXPECT_NE(substitute, 4u);
+  EXPECT_TRUE(system.deployment.mgmt().target(substitute).online);
 }
 
 TEST(FaultInjector, RetrySucceedsWhenTargetRecovers) {
@@ -250,7 +250,8 @@ TEST(FaultInjector, RetrySucceedsWhenTargetRecovers) {
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.failovers, 0u);  // same-target retry, no degraded stripe
   EXPECT_EQ(stats.bytesRewritten, 512_MiB);
-  EXPECT_TRUE(system.fs.degradedSlots(handle).empty());
+  EXPECT_EQ(system.fs.effectiveTarget(handle, 0), 0u);
+  EXPECT_EQ(system.fs.effectiveTarget(handle, 1), 4u);
 }
 
 TEST(FaultInjector, StrictModeAbortsTheJob) {

@@ -8,7 +8,6 @@
 
 #include "harness/campaign.hpp"
 #include "harness/concurrent.hpp"
-#include "harness/interference.hpp"
 #include "harness/protocol.hpp"
 #include "harness/run.hpp"
 #include "harness/store.hpp"
@@ -303,42 +302,6 @@ TEST(Concurrent, NonzeroSolverEpsilonRejected) {
   apps[0].ior.blockSize = ior::blockSizeForTotal(1_GiB, apps[0].job.ranks());
   base.solverEpsilon = 25.0;
   EXPECT_THROW(runConcurrent(base, apps, 12), util::ConfigError);
-}
-
-TEST(Interference, InjectorIssuesBursts) {
-  sim::FluidSimulator fluid;
-  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 2);
-  beegfs::Deployment deployment(fluid, cluster, beegfs::BeegfsParams{}, util::Rng(1));
-  beegfs::FileSystem fs(deployment, util::Rng(2));
-
-  InterferenceSpec spec;
-  spec.node = 1;
-  spec.targets = {0, 4};
-  spec.meanBurstBytes = 256_MiB;
-  spec.meanIdle = 2.0;
-  spec.start = 0.0;
-  spec.end = 60.0;
-  const auto stats = injectInterference(fs, spec, util::Rng(3));
-  fluid.run();
-  EXPECT_GT(stats->burstsIssued, 5u);
-  EXPECT_GT(stats->bytesIssued, 0u);
-}
-
-TEST(Interference, InvalidSpecsThrow) {
-  sim::FluidSimulator fluid;
-  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 2);
-  beegfs::Deployment deployment(fluid, cluster, beegfs::BeegfsParams{}, util::Rng(1));
-  beegfs::FileSystem fs(deployment, util::Rng(2));
-  InterferenceSpec spec;
-  spec.targets = {};
-  EXPECT_THROW(injectInterference(fs, spec, util::Rng(3)), util::ContractError);
-  spec.targets = {0};
-  spec.node = 99;
-  EXPECT_THROW(injectInterference(fs, spec, util::Rng(3)), util::ContractError);
-  spec.node = 0;
-  spec.start = 10.0;
-  spec.end = 5.0;
-  EXPECT_THROW(injectInterference(fs, spec, util::Rng(3)), util::ContractError);
 }
 
 // Regression (PR 8): all apps with zero duration used to trip the

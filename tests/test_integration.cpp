@@ -9,7 +9,6 @@
 #include "core/analyzer.hpp"
 #include "core/sharing.hpp"
 #include "harness/concurrent.hpp"
-#include "harness/interference.hpp"
 #include "harness/run.hpp"
 #include "stats/bimodal.hpp"
 #include "stats/summary.hpp"
@@ -171,40 +170,29 @@ TEST(Integration, ConcurrentAggregateMatchesBigSingleApplication) {
 }
 
 TEST(Integration, InterferenceSlowsTheForegroundRun) {
-  // The injector exists so the protocol can be stress-tested.  Scenario 1
-  // with the foreground already saturating the two server links (balanced
-  // (1,1) from 8 nodes): background bursts on the same targets must take a
-  // weighted share of the links and slow the foreground.  (A *shallow*
-  // foreground can even speed up under interference -- the competing queue
-  // depth pushes the OST arrays up their service ramp; see
-  // storage/device.hpp.)
-  auto runWith = [&](bool interfered) {
-    sim::FluidSimulator fluid;
-    auto cluster = topo::makePlafrim(topo::Scenario::kEthernet10G, 9);
-    cluster.network.serverLinkNoiseSigmaLog = 0.0;
-    for (auto& host : cluster.hosts) {
-      for (auto& target : host.targets) target.variability = topo::VariabilitySpec{};
-    }
-    beegfs::Deployment deployment(fluid, cluster, beegfs::BeegfsParams{}, util::Rng(10));
-    beegfs::FileSystem fs(deployment, util::Rng(11));
-    std::shared_ptr<harness::InterferenceStats> stats;
-    if (interfered) {
-      harness::InterferenceSpec spec;
-      spec.node = 8;  // not used by the foreground job
-      spec.targets = {0, 4};
-      spec.meanBurstBytes = 8_GiB;  // sustained pressure on both links
-      spec.meanIdle = 0.2;
-      spec.end = 600.0;
-      spec.queueWeight = 8.0;
-      stats = harness::injectInterference(fs, spec, util::Rng(12));
-    }
-    ior::IorOptions options;
-    options.blockSize = ior::blockSizeForTotal(16_GiB, 64);
-    const auto result = ior::runIor(fs, ior::IorJob::onFirstNodes(8, 8), options,
-                                    std::vector<std::size_t>{0, 4});
-    return result.bandwidth;
-  };
-  EXPECT_LT(runWith(true), 0.95 * runWith(false));
+  // The protocol must cope with other users' I/O.  Scenario 1 with the
+  // foreground already saturating the two server links (balanced (1,1) from
+  // 8 nodes): a background application on a ninth node, pinned to the same
+  // targets, must take a weighted share of the links and slow the
+  // foreground.  (A *shallow* foreground can even speed up under
+  // interference -- the competing queue depth pushes the OST arrays up their
+  // service ramp; see storage/device.hpp.)
+  auto config = plafrimConfig(topo::Scenario::kEthernet10G, 9, 8, 2, 9_GiB);
+  config.cluster.network.serverLinkNoiseSigmaLog = 0.0;
+  for (auto& host : config.cluster.hosts) {
+    for (auto& target : host.targets) target.variability = topo::VariabilitySpec{};
+  }
+  config.noise = harness::NoiseSpec{0.0, 0.0};
+  harness::AppSpec foreground;
+  foreground.job = ior::IorJob::onFirstNodes(8, 8);
+  foreground.ior.blockSize = ior::blockSizeForTotal(16_GiB, 64);
+  foreground.pinnedTargets = std::vector<std::size_t>{0, 4};
+  harness::AppSpec background = foreground;
+  background.job = ior::IorJob{{8}, 8};  // not used by the foreground job
+  background.ior.blockSize = ior::blockSizeForTotal(16_GiB, 8);
+  const auto alone = harness::runConcurrent(config, {foreground}, 12);
+  const auto contended = harness::runConcurrent(config, {foreground, background}, 12);
+  EXPECT_LT(contended.apps[0].bandwidth, 0.95 * alone.apps[0].bandwidth);
 }
 
 TEST(Integration, AllocationAnalyzerRecoversCauseOfBimodality) {

@@ -230,7 +230,7 @@ TEST(MirrorFileSystem, PrimaryFailoverLosesNothingAndResyncs) {
   EXPECT_EQ(system.fs.faultStats().bytesRewritten, 0u);
   EXPECT_EQ(system.fs.faultStats().failovers, 0u);
   EXPECT_EQ(system.fs.faultStats().timeouts, 0u);
-  EXPECT_TRUE(system.fs.degradedSlots(handle).empty());
+  EXPECT_EQ(system.fs.effectiveTarget(handle, 0), 0u);
 
   // After the old primary returned, the background resync drained the debt.
   const auto& group = system.deployment.mgmt().mirrorGroup(0);
@@ -325,7 +325,7 @@ TEST(MirrorFileSystem, DoubleFailureCountsLostBytesAndRecovers) {
   EXPECT_EQ(stats.resyncJobs, 0u);     // the debt died with the group
   // The in-flight chunk fell back to the degraded-stripe ladder.
   EXPECT_EQ(system.fs.faultStats().bytesRewritten, 1_GiB);
-  EXPECT_FALSE(system.fs.degradedSlots(handle).empty());
+  EXPECT_NE(system.fs.effectiveTarget(handle, 0), 0u);
 
   const auto& group = system.deployment.mgmt().mirrorGroup(0);
   EXPECT_EQ(group.state, MirrorState::kGood);
