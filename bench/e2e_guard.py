@@ -2,18 +2,20 @@
 """End-to-end performance guard: compare two beesim build trees.
 
 Runs every leg (a paper-figure bench, an extension campaign or a CLI
-campaign) the same number of times on a base and a head build tree,
-alternating which side goes first so slow drift on the host cannot favour
-either one, and prints host wall time per leg and side as
-min / mean +- sd / max.  The guard fails when, on any leg,
+campaign) in alternating base/head pairs, swapping which side goes first
+each pair so slow drift on the host cannot favour either one.  Per leg and
+side it prints host wall time as min / mean +- sd / max and the median of
+the run's CPU time (user + sys of the child, from its rusage).  The guard
+fails when, on any leg,
 
-  * the head's fastest run is more than 20% slower than the base's
-    fastest run, or
+  * the head's median CPU time is more than 20% above the base's, or
   * the head's exit statuses differ from the base's (a leg that starts
     failing, or stops failing, is a behaviour change, not a speed change).
 
-The minimum is the statistic because host noise (preemption, frequency
-ramps) only ever makes a run slower.
+CPU time is the statistic because on a shared host wall time also counts
+the time a run waits for a core: a wall-time minimum over 5 runs moved by
+up to 35% between guard runs of the same pair of builds, while the median
+CPU time over 10 pairs stayed within 0.90-1.12 of the base on every leg.
 
 Usage:
   python3 bench/e2e_guard.py BASE_BUILD HEAD_BUILD
@@ -30,12 +32,14 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 # (name, argv relative to the build tree, extra environment).  Repetition
 # counts keep each leg at 0.5-1 s of host time on a 4-core container:
-# much shorter legs miss the 20% gate by host noise alone.  The QoS leg is a
-# CLI campaign because ext_qos takes ~40 s even at BEESIM_REPS=2.
+# much shorter legs are dominated by start-up and timer resolution.  The
+# QoS leg is a CLI campaign because ext_qos takes ~40 s even at
+# BEESIM_REPS=2.
 LEGS = [
     ("fig08", ["bench/fig08_alloc_s1"], {"BEESIM_REPS": "100"}),
     ("fig11", ["bench/fig11_nodes_stripes"], {"BEESIM_REPS": "100"}),
@@ -71,19 +75,25 @@ LEGS = [
       "--mdts", "4", "--meta-rate", "5000", "--md-ops", "64", "--reps", "30"], {}),
 ]
 
-RUNS = 5  # per leg and side
-TOLERANCE = 0.20  # allowed slowdown of the head minimum
-TIMEOUT = 600.0  # seconds before one run counts as hung
+PAIRS = 10  # alternating base/head pairs per leg
+TOLERANCE = 0.20  # allowed rise of the head's median CPU time
+TIMEOUT = 600.0  # seconds before one run is killed as hung
 
 
 def run_once(build, argv, env):
-    """Run one leg in a scratch directory; return (seconds, exit status)."""
+    """Run one leg in a scratch directory; return (wall s, CPU s, exit status)."""
     exe = os.path.join(os.path.abspath(build), argv[0])
     with tempfile.TemporaryDirectory(prefix="e2e_guard_") as cwd:
         start = time.perf_counter()
-        proc = subprocess.run([exe] + argv[1:], cwd=cwd, env=env, timeout=TIMEOUT,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        return time.perf_counter() - start, proc.returncode
+        proc = subprocess.Popen([exe] + argv[1:], cwd=cwd, env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        timer = threading.Timer(TIMEOUT, proc.kill)
+        timer.start()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        timer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        return wall, usage.ru_utime + usage.ru_stime, proc.returncode
 
 
 def summary(times):
@@ -104,26 +114,30 @@ def main():
 
     sides = {"base": args.base, "head": args.head}
     failed = []
-    print(f"{'leg':<15} {'side':<5} {'min / mean +- sd / max (s)':>40}  exit")
+    print(f"{'leg':<15} {'side':<5} {'wall min / mean +- sd / max (s)':>40}  "
+          f"{'CPU median (s)':>14}  exit")
     for name, argv, extra in LEGS:
         env = dict(os.environ, BEESIM_JOBS="1", **extra)
-        times = {"base": [], "head": []}
+        walls = {"base": [], "head": []}
+        cpus = {"base": [], "head": []}
         codes = {"base": set(), "head": set()}
-        for i in range(RUNS):
+        for i in range(PAIRS):
             for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-                seconds, code = run_once(sides[side], argv, env)
-                times[side].append(seconds)
+                wall, cpu, code = run_once(sides[side], argv, env)
+                walls[side].append(wall)
+                cpus[side].append(cpu)
                 codes[side].add(code)
         for side in ("base", "head"):
-            print(f"{name:<15} {side:<5} {summary(times[side]):>40}  "
+            print(f"{name:<15} {side:<5} {summary(walls[side]):>40}  "
+                  f"{statistics.median(cpus[side]):14.3f}  "
                   f"{','.join(map(str, sorted(codes[side])))}")
-        ratio = min(times["head"]) / min(times["base"])
+        ratio = statistics.median(cpus["head"]) / statistics.median(cpus["base"])
         verdict = "ok"
         if codes["head"] != codes["base"]:
             verdict = "FAIL: exit status differs"
         elif ratio > 1.0 + TOLERANCE:
-            verdict = f"FAIL: head min is {100 * (ratio - 1):.1f}% slower"
-        print(f"{name:<15} head/base min {ratio:.3f}  {verdict}")
+            verdict = f"FAIL: head median CPU is {100 * (ratio - 1):.1f}% higher"
+        print(f"{name:<15} head/base median CPU {ratio:.3f}  {verdict}")
         if verdict != "ok":
             failed.append(name)
     if failed:

@@ -33,7 +33,7 @@ double fluidNetworkBound(std::size_t nodes) {
     }
   }
   config.fs.client.rampTau = 0.0;  // no client ramp-up
-  config.fs.meta = beegfs::MetaParams{0.0, 0.0, 0.0, 0.0};
+  config.fs.meta = beegfs::MetaParams{0.0, 0.0};
   config.noise = harness::NoiseSpec{0.0, 0.0};
   config.pinnedTargets = std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7};
   return harness::runOnce(config, 1).ior.bandwidth;

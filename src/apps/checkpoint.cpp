@@ -28,7 +28,7 @@ void startCheckpoint(const std::shared_ptr<AppState>& state) {
   // One fresh file per checkpoint, as checkpoint libraries do; each create
   // re-consults the chooser (so targets can differ between iterations).
   const auto name = spec.filePrefix + "." + std::to_string(state->iteration);
-  const auto chunk = fs.settingsFor(name).chunkSize;
+  const auto chunk = fs.deployment().params().defaultStripe.chunkSize;
   const auto handle = spec.pinnedTargets.empty()
                           ? fs.create(name)
                           : fs.createPinned(name, spec.pinnedTargets, chunk);

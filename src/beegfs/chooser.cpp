@@ -9,16 +9,6 @@
 
 namespace beesim::beegfs {
 
-const char* chooserName(ChooserKind kind) {
-  switch (kind) {
-    case ChooserKind::kRoundRobin: return "round-robin";
-    case ChooserKind::kRandom: return "random";
-    case ChooserKind::kRoundRobinInterleaved: return "round-robin-interleaved";
-    case ChooserKind::kBalanced: return "balanced";
-  }
-  return "unknown";
-}
-
 namespace {
 
 void checkCount(std::size_t count, const topo::ClusterConfig& cluster,
@@ -60,8 +50,6 @@ RoundRobinChooser::RoundRobinChooser(std::vector<std::size_t> order, double race
   BEESIM_ASSERT(raceProbability_ >= 0.0 && raceProbability_ <= 1.0,
                 "race probability must be in [0, 1]");
 }
-
-void RoundRobinChooser::setPointer(std::size_t p) { pointer_ = p % order_.size(); }
 
 void RoundRobinChooser::randomizePhase(util::Rng& rng, std::size_t stride) {
   BEESIM_ASSERT(stride >= 1, "phase stride must be >= 1");

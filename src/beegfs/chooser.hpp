@@ -68,7 +68,6 @@ class RoundRobinChooser final : public TargetChooser {
   ChooserKind kind() const override { return kind_; }
 
   std::size_t pointer() const { return pointer_; }
-  void setPointer(std::size_t p);
 
   /// Randomize the initial pointer phase to `stride * k` for a uniform k.
   /// On a production system the pointer has been advanced by every file any
@@ -126,8 +125,6 @@ class WeightedChooser final : public TargetChooser {
                                   util::Rng& rng, const TargetFilter& eligible) override;
   /// Reports the inner chooser's kind: the wrapper is a bias, not a policy.
   ChooserKind kind() const override { return inner_->kind(); }
-
-  const TargetChooser& inner() const { return *inner_; }
 
  private:
   std::unique_ptr<TargetChooser> inner_;

@@ -276,11 +276,6 @@ void Deployment::markNodeJobStart(std::size_t node, util::Seconds at) {
   if (state.jobStart < 0.0 || at < state.jobStart) state.jobStart = at;
 }
 
-void Deployment::resetNode(std::size_t node) {
-  BEESIM_ASSERT(node < nodeStates_.size(), "unknown compute node");
-  *nodeStates_[node] = NodeState{};
-}
-
 double Deployment::nodeEffectiveInflight(std::size_t node, int ppn) const {
   BEESIM_ASSERT(node < nodeStates_.size(), "unknown compute node");
   BEESIM_ASSERT(ppn >= 1, "ppn must be >= 1");

@@ -66,9 +66,6 @@ class Deployment {
   /// ramp-up curve is anchored there.  Idempotent (keeps the earliest).
   void markNodeJobStart(std::size_t node, util::Seconds at);
 
-  /// Clear per-node job state (between repetitions when reusing a system).
-  void resetNode(std::size_t node);
-
   /// Effective outstanding-request budget of one node given `ppn` processes
   /// (worker threads bound it; oversubscription erodes it).  This is the
   /// queue weight budget the IOR runner splits across a rank's flows.

@@ -8,7 +8,6 @@
 #include "beegfs/peer_median.hpp"
 #include "qos/manager.hpp"
 #include "util/error.hpp"
-#include "util/string_util.hpp"
 
 namespace beesim::beegfs {
 
@@ -49,7 +48,6 @@ FileSystem::FileSystem(Deployment& deployment, util::Rng chooserRng)
     : deployment_(deployment),
       rng_(chooserRng),
       chooser_(makeChooser(deployment.params(), deployment.cluster())) {
-  directories_["/"] = deployment.params().defaultStripe;
   // A freshly-mounted client observes the round-robin pointer wherever the
   // production system's create history left it.
   if (auto* rr = dynamic_cast<RoundRobinChooser*>(chooser_.get())) {
@@ -65,33 +63,9 @@ FileSystem::FileSystem(Deployment& deployment, util::Rng chooserRng)
   }
 }
 
-void FileSystem::mkdir(const std::string& path, const StripeSettings& settings) {
-  BEESIM_ASSERT(!path.empty() && path.front() == '/', "directory paths must be absolute");
-  BEESIM_ASSERT(settings.stripeCount >= 1, "stripe count must be >= 1");
-  BEESIM_ASSERT(settings.chunkSize > 0, "chunk size must be > 0");
-  directories_[path] = settings;
-}
-
-StripeSettings FileSystem::settingsFor(const std::string& path) const {
-  // Deepest directory whose path is a prefix (on '/' boundaries) wins.
-  StripeSettings best = deployment_.params().defaultStripe;
-  std::size_t bestLen = 0;
-  for (const auto& [dir, settings] : directories_) {
-    const bool isPrefix =
-        dir == "/" ? true
-                   : util::startsWith(path, dir) &&
-                         (path.size() == dir.size() || path[dir.size()] == '/');
-    if (isPrefix && dir.size() >= bestLen) {
-      best = settings;
-      bestLen = dir.size();
-    }
-  }
-  return best;
-}
-
 FileHandle FileSystem::create(const std::string& path) {
   BEESIM_ASSERT(!path.empty() && path.front() == '/', "file paths must be absolute");
-  const auto settings = settingsFor(path);
+  const auto& settings = deployment_.params().defaultStripe;
   const auto& cluster = deployment_.cluster();
 
   if (settings.mirror) {
@@ -162,7 +136,7 @@ FileHandle FileSystem::createPinned(const std::string& path, std::vector<std::si
     BEESIM_ASSERT(t < deployment_.cluster().targetCount(), "pinned target out of range");
   }
   const bool mirrored =
-      settingsFor(path).mirror && deployment_.mgmt().mirrorGroupCount() > 0;
+      deployment_.params().defaultStripe.mirror && deployment_.mgmt().mirrorGroupCount() > 0;
   files_.push_back(
       FileInfo{path, StripePattern(std::move(targets), chunkSize), 0, mirrored});
   return FileHandle{files_.size() - 1};

@@ -1,9 +1,10 @@
 // FileSystem facade: the client-visible API of the simulated BeeGFS.
 //
-// Mirrors what an application (or IOR) sees: directories carry striping
-// settings (stripe count + chunk size, set per folder by the administrator,
-// Section II); creating a file picks its targets with the configured
-// heuristic; writes are asynchronous fluid flows.
+// Mirrors what an application (or IOR) sees: every file takes the
+// deployment's one stripe setting (BeegfsParams::defaultStripe: stripe
+// count, chunk size, mirroring; BeeGFS sets these per folder, Section II, but
+// every experiment fixes one per run); creating a file picks its targets with
+// the configured heuristic; writes are asynchronous fluid flows.
 #pragma once
 
 #include <cstdint>
@@ -47,16 +48,9 @@ class FileSystem {
 
   Deployment& deployment() { return deployment_; }
 
-  /// Create/replace a directory with explicit striping settings.  Parent
-  /// directories are not required to exist (flat namespace keyed by path).
-  void mkdir(const std::string& path, const StripeSettings& settings);
-
-  /// Striping settings a file created under `path` would receive (deepest
-  /// matching directory prefix; falls back to the deployment default).
-  StripeSettings settingsFor(const std::string& path) const;
-
-  /// Create a file; its targets are chosen by the configured heuristic.
-  /// The stripe count is clamped to the number of online targets.
+  /// Create a file striped per BeegfsParams::defaultStripe; its targets are
+  /// chosen by the configured heuristic.  The stripe count is clamped to the
+  /// number of online targets.
   FileHandle create(const std::string& path);
 
   /// Create a file with an explicitly pinned target list (used by benches
@@ -274,7 +268,6 @@ class FileSystem {
   Deployment& deployment_;
   util::Rng rng_;
   std::unique_ptr<TargetChooser> chooser_;
-  std::map<std::string, StripeSettings> directories_;
   std::vector<FileInfo> files_;
   ClientFaultStats faultStats_;
   /// (file handle, stripe slot) -> substitute target after a failover.

@@ -4,17 +4,6 @@
 
 namespace beesim::beegfs {
 
-const char* mdShardName(MdShardKind kind) {
-  switch (kind) {
-    case MdShardKind::kHashDir:
-      return "hash";
-    case MdShardKind::kRoundRobin:
-      return "rr";
-  }
-  BEESIM_ASSERT(false, "unknown shard kind");
-  return "?";  // unreachable
-}
-
 std::uint64_t mdPathHash(std::string_view text) {
   std::uint64_t h = 14695981039346656037ull;  // FNV offset basis
   for (const char c : text) {

@@ -7,21 +7,6 @@
 
 namespace beesim::beegfs {
 
-const char* metaOpName(MetaOpKind kind) {
-  switch (kind) {
-    case MetaOpKind::kCreate:
-      return "create";
-    case MetaOpKind::kOpen:
-      return "open";
-    case MetaOpKind::kStat:
-      return "stat";
-    case MetaOpKind::kUnlink:
-      return "unlink";
-  }
-  BEESIM_ASSERT(false, "unknown metadata op kind");
-  return "?";  // unreachable
-}
-
 MetaService::MetaService(const MetaParams& params, util::Rng rng)
     : params_(params),
       rng_(rng),
@@ -29,8 +14,6 @@ MetaService::MetaService(const MetaParams& params, util::Rng rng)
       mdtOps_(params.mdtCount >= 1 ? params.mdtCount : 1, 0) {
   BEESIM_ASSERT(params.createLatency >= 0.0, "create latency must be >= 0");
   BEESIM_ASSERT(params.openLatency >= 0.0, "open latency must be >= 0");
-  BEESIM_ASSERT(params.statLatency >= 0.0, "stat latency must be >= 0");
-  BEESIM_ASSERT(params.unlinkLatency >= 0.0, "unlink latency must be >= 0");
   BEESIM_ASSERT(params.jitterSigmaLog >= 0.0, "jitter sigma must be >= 0");
   BEESIM_ASSERT(params.mdtCount >= 1, "need at least one MDT");
   // The create rate is configured; the other kinds keep the default
@@ -40,7 +23,6 @@ MetaService::MetaService(const MetaParams& params, util::Rng rng)
             MetaParams::kDefaultStatRate * scale, MetaParams::kDefaultUnlinkRate * scale};
   if (params.queued) {
     BEESIM_ASSERT(params.createRate > 0.0, "create rate must be > 0 ops/s");
-    BEESIM_ASSERT(params.saturationDepth >= 1.0, "saturation depth must be >= 1");
     // Per-MDT jitter substreams are derived order-independently from the
     // service's own seed (splitNamed does not draw from the engine), so
     // wiring the queued model leaves the scalar stream untouched.
@@ -72,16 +54,6 @@ util::Seconds MetaService::openAllCost(std::size_t concurrentRanks) {
   return jittered(params_.openLatency) * pileUp;
 }
 
-util::Seconds MetaService::statCost() {
-  ++ops_;
-  return jittered(params_.statLatency);
-}
-
-util::Seconds MetaService::unlinkCost() {
-  ++ops_;
-  return jittered(params_.unlinkLatency);
-}
-
 void MetaService::attach(sim::FluidSimulator& fluid,
                          std::vector<sim::ResourceIndex> mdtRes) {
   BEESIM_ASSERT(params_.queued, "attach() requires the queued metadata model");
@@ -97,7 +69,7 @@ std::size_t MetaService::shardOf(std::string_view path) {
 
 double MetaService::rampFactor(double queueDepth) const {
   const double d = std::max(queueDepth, 1.0);
-  return d / (d + params_.saturationDepth - 1.0);
+  return d / (d + kSaturationDepth - 1.0);
 }
 
 sim::ResourceIndex MetaService::mdtResource(std::size_t shard) const {
@@ -113,7 +85,7 @@ std::size_t MetaService::opAsync(MetaOpKind kind, std::string_view path,
   ++mdtOps_[shard];
   // One op is a flow of kSaturationMiBps/rate MiB: a saturated MDT
   // (rampFactor -> 1, capacity kSaturationMiBps) then completes `rate` ops
-  // per second, and a lone op takes saturationDepth/rate seconds.
+  // per second, and a lone op takes kSaturationDepth/rate seconds.
   const double opMiB =
       kSaturationMiBps / rateFor(kind) *
       mdtRng_[shard].logNormalMedian(1.0, params_.jitterSigmaLog);

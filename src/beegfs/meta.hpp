@@ -6,16 +6,17 @@
 // counts the metadata path dominates end-to-end performance outright (the
 // IO500's md phases).  Two models live here:
 //
-//   * The legacy *scalar* model: each operation costs a jittered latency
-//     (createCost/openAllCost/statCost/unlinkCost).  This is the default
-//     and keeps historical runs bitwise identical.
+//   * The legacy *scalar* model: IOR's create and open each cost a jittered
+//     latency (createCost/openAllCost).  This is the default and keeps
+//     historical runs bitwise identical.
 //
 //   * The *queued* model (MetaParams::queued, DESIGN.md §2.10): every MDT
 //     is a fluid resource with a concurrency ramp, and each operation is a
 //     flow sized so the MDT saturates at the configured ops/s.  Metadata
 //     ops then contend observably in virtual time, multiple MDTs shard the
 //     namespace per directory (MdShardChooser), and per-MDT op counters
-//     expose the shard balance.
+//     expose the shard balance.  mdtest's create/stat/unlink phases run
+//     only on this model.
 #pragma once
 
 #include <array>
@@ -35,14 +36,17 @@ namespace beesim::beegfs {
 /// Metadata operation kinds served by the queued model.
 enum class MetaOpKind { kCreate, kOpen, kStat, kUnlink };
 
-const char* metaOpName(MetaOpKind kind);
-
 class MetaService {
  public:
   /// Capacity of a saturated MDT in the fluid model's MiB/s unit.  One
   /// operation of kind k is a flow of kSaturationMiBps/rate_k MiB, so the
   /// unit cancels: a saturated MDT completes rate_k ops/s regardless.
   static constexpr double kSaturationMiBps = 1024.0;
+  /// Queue depth of the concurrency ramp: an MDT at depth d serves at
+  /// d / (d + kSaturationDepth - 1) of its saturation throughput, so a lone
+  /// op takes kSaturationDepth/rate seconds and a deep queue approaches the
+  /// full rate.
+  static constexpr double kSaturationDepth = 16.0;
 
   MetaService(const MetaParams& params, util::Rng rng);
 
@@ -57,12 +61,6 @@ class MetaService {
   /// logarithmic pile-up, SSD MDTs handle deep queues well).  Counts one
   /// served operation per rank.
   util::Seconds openAllCost(std::size_t concurrentRanks);
-
-  /// Latency of one stat.
-  util::Seconds statCost();
-
-  /// Latency of one unlink.
-  util::Seconds unlinkCost();
 
   // -- Queued model (MetaParams::queued). ---------------------------------
 
@@ -91,7 +89,7 @@ class MetaService {
 
   /// Concurrency ramp of one MDT: fraction of the saturation throughput
   /// reached at `queueDepth` outstanding operations (Hill-type curve; a
-  /// single op runs at 1/saturationDepth of the rate).
+  /// single op runs at 1/kSaturationDepth of the rate).
   double rampFactor(double queueDepth) const;
 
   /// The fluid resource of MDT `shard` (attached queued model only).

@@ -11,25 +11,6 @@ namespace {
 constexpr std::size_t kNoGroup = std::numeric_limits<std::size_t>::max();
 }  // namespace
 
-const char* hostHealthName(HostHealth state) {
-  switch (state) {
-    case HostHealth::kHealthy: return "healthy";
-    case HostHealth::kSuspect: return "suspect";
-    case HostHealth::kQuarantined: return "quarantined";
-    case HostHealth::kProbation: return "probation";
-  }
-  return "?";
-}
-
-const char* mirrorStateName(MirrorState state) {
-  switch (state) {
-    case MirrorState::kGood: return "good";
-    case MirrorState::kNeedsResync: return "needs-resync";
-    case MirrorState::kBad: return "bad";
-  }
-  return "?";
-}
-
 ManagementService::ManagementService(const topo::ClusterConfig& cluster,
                                      util::Bytes targetCapacity) {
   hostTargetCount_.resize(cluster.hosts.size());

@@ -44,8 +44,6 @@ enum class HostHealth {
   kProbation,    ///< partially re-admitted, watched for a relapse
 };
 
-const char* hostHealthName(HostHealth state);
-
 /// Consistency state of a buddy-mirror group (beegfs-ctl --listmirrorgroups
 /// reports the same three states per target).
 enum class MirrorState {
@@ -60,8 +58,6 @@ enum class MirrorState {
   /// returns.
   kBad,
 };
-
-const char* mirrorStateName(MirrorState state);
 
 /// One storage buddy-mirror group: a primary/secondary target pair on
 /// distinct hosts.  `primary`/`secondary` are flat target indices and swap

@@ -34,9 +34,9 @@ enum class ChooserKind {
   kBalanced,
 };
 
-const char* chooserName(ChooserKind kind);
-
-/// Per-directory striping configuration (BeeGFS sets striping per folder).
+/// Striping configuration of every file a FileSystem creates
+/// (BeegfsParams::defaultStripe).  BeeGFS sets striping per folder; every
+/// experiment here fixes one setting per run.
 struct StripeSettings {
   /// Number of targets to stripe across (clamped to the deployment size).
   unsigned stripeCount = 4;
@@ -104,12 +104,10 @@ enum class MdShardKind {
   kRoundRobin,
 };
 
-const char* mdShardName(MdShardKind kind);
-
 /// Metadata service cost model (MDS backed by an SSD MDT).
 ///
 /// Two models share this struct.  The legacy *scalar* model charges a
-/// jittered latency per operation (createLatency/openLatency/...).  The
+/// jittered latency per create and open (createLatency/openLatency).  The
 /// *queued* model (DESIGN.md §2.10, off by default) instead runs every
 /// operation as a flow through a per-MDT fluid resource with a concurrency
 /// ramp, so metadata ops contend observably in virtual time; createRate
@@ -120,9 +118,6 @@ struct MetaParams {
   /// Per-rank open latency (paid once per rank before I/O starts; ranks open
   /// concurrently, so the job pays ~one openLatency, with jitter).
   util::Seconds openLatency = 0.0015;
-  util::Seconds statLatency = 0.0008;
-  /// Unlink latency (mdtest-style cleanup phases).
-  util::Seconds unlinkLatency = 0.002;
   /// Log-normal jitter applied to each operation (log-space sigma).
   double jitterSigmaLog = 0.25;
 
@@ -132,8 +127,8 @@ struct MetaParams {
   /// Number of metadata targets the namespace shards across (>= 1).
   unsigned mdtCount = 1;
   /// Default per-MDT saturation throughput per operation kind, in ops/s.  An
-  /// SSD MDT needs a deep queue to reach these (see saturationDepth); the
-  /// create default keeps the single-op create latency near the scalar
+  /// SSD MDT needs a deep queue to reach these (MetaService::kSaturationDepth);
+  /// the create default keeps the single-op create latency near the scalar
   /// model's createLatency.
   static constexpr double kDefaultCreateRate = 2500.0;
   static constexpr double kDefaultOpenRate = 10000.0;
@@ -142,11 +137,6 @@ struct MetaParams {
   /// Per-MDT create throughput (ops/s).  The other kinds keep the default
   /// profile's ratios to it (MetaService::rateFor).
   double createRate = kDefaultCreateRate;
-  /// Concurrency ramp: an MDT at queue depth d serves at
-  /// d / (d + saturationDepth - 1) of its saturation throughput, so a
-  /// single isolated op takes saturationDepth/rate seconds and a deep
-  /// queue approaches the full rate.
-  double saturationDepth = 16.0;
   /// Directory -> MDT placement policy.
   MdShardKind shard = MdShardKind::kHashDir;
 };

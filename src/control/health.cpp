@@ -12,6 +12,7 @@ constexpr double kEwmaAlpha = 0.3;               // per-sample EWMA weight (1 = 
 constexpr double kDrainWeight = 0.05;  // quarantined create weight; > 0 stays choosable
 constexpr double kProbeWeight = 0.5;             // create weight during probation
 constexpr util::Seconds kRecoverPatience = 1.0;  // clean probation before re-admission
+constexpr util::Seconds kProbationDelay = 5.0;   // quarantine dwell before the probe
 }  // namespace
 
 HealthMonitor::HealthMonitor(beegfs::FileSystem& fs, const HealthPolicy& policy)
@@ -20,7 +21,6 @@ HealthMonitor::HealthMonitor(beegfs::FileSystem& fs, const HealthPolicy& policy)
   BEESIM_ASSERT(policy_.suspectRatio > 0.0 && policy_.suspectRatio < 1.0,
                 "suspect ratio must lie in (0, 1)");
   BEESIM_ASSERT(policy_.suspectPatience > 0.0, "suspect patience must be > 0");
-  BEESIM_ASSERT(policy_.probationDelay >= 0.0, "probation delay must be >= 0");
 
   auto& deployment = fs_.deployment();
   const auto& cluster = deployment.cluster();
@@ -128,7 +128,7 @@ void HealthMonitor::quarantine(std::size_t host, util::Seconds /*now*/) {
   mgmt.setHostWeight(host, kDrainWeight);
   const std::uint64_t epoch = ++state.probationEpoch;
   fs_.deployment().fluid().engine().scheduleAfter(
-      policy_.probationDelay, [this, host, epoch] { enterProbation(host, epoch); });
+      kProbationDelay, [this, host, epoch] { enterProbation(host, epoch); });
   // Mirrored files escape a gray primary by registry switchover (the
   // mirrored equivalent of a hedge).  Switching moves flows, so it is
   // deferred out of observer dispatch; gated on HedgePolicy::enabled so

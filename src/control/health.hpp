@@ -45,8 +45,6 @@ struct HealthPolicy {
   double suspectRatio = 0.5;
   /// Seconds a server must stay suspect before it is quarantined.
   util::Seconds suspectPatience = 1.0;
-  /// Quarantine dwell time before the probation probe re-admits traffic.
-  util::Seconds probationDelay = 5.0;
 };
 
 /// What the monitor observed/did during a run (exported as gray_* columns).

@@ -48,7 +48,6 @@ class FaultInjector {
   void arm(util::Seconds origin = 0.0);
 
   const InjectorStats& stats() const { return stats_; }
-  const FaultSchedule& schedule() const { return schedule_; }
 
  private:
   void apply(const FaultEvent& event);

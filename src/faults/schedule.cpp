@@ -8,25 +8,6 @@
 
 namespace beesim::faults {
 
-const char* faultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kTargetFail:
-      return "target-fail";
-    case FaultKind::kTargetRecover:
-      return "target-recover";
-    case FaultKind::kHostFail:
-      return "host-fail";
-    case FaultKind::kHostRecover:
-      return "host-recover";
-    case FaultKind::kLinkDegrade:
-      return "link-degrade";
-    case FaultKind::kTargetDegrade:
-      return "target-degrade";
-  }
-  BEESIM_ASSERT(false, "unknown fault kind");
-  return "?";  // unreachable
-}
-
 bool FaultSchedule::hasFailures() const {
   return std::any_of(events.begin(), events.end(), [](const FaultEvent& e) {
     return e.kind == FaultKind::kTargetFail || e.kind == FaultKind::kHostFail;
@@ -254,41 +235,6 @@ FaultSchedule parseSchedule(const std::string& text) {
     schedule.events.push_back(FaultEvent{when, kind, index, fraction});
   }
   return schedule;
-}
-
-std::string describeSchedule(const FaultSchedule& schedule) {
-  std::ostringstream out;
-  bool first = true;
-  for (const auto& e : schedule.events) {
-    if (!first) out << ';';
-    first = false;
-    const char scope = (e.kind == FaultKind::kTargetFail ||
-                        e.kind == FaultKind::kTargetRecover ||
-                        e.kind == FaultKind::kTargetDegrade)
-                           ? 't'
-                           : 'h';
-    switch (e.kind) {
-      case FaultKind::kTargetFail:
-      case FaultKind::kHostFail:
-        out << "off:";
-        break;
-      case FaultKind::kTargetRecover:
-      case FaultKind::kHostRecover:
-        out << "on:";
-        break;
-      case FaultKind::kLinkDegrade:
-        out << "link:";
-        break;
-      case FaultKind::kTargetDegrade:
-        out << "slow:";
-        break;
-    }
-    out << scope << e.index << '@' << e.at;
-    if (e.kind == FaultKind::kLinkDegrade || e.kind == FaultKind::kTargetDegrade) {
-      out << '=' << e.fraction;
-    }
-  }
-  return out.str();
 }
 
 }  // namespace beesim::faults

@@ -29,8 +29,6 @@ enum class FaultKind {
                   // staying registered online (1 = repaired)
 };
 
-const char* faultKindName(FaultKind kind);
-
 struct FaultEvent {
   /// Virtual time relative to the run's start.
   util::Seconds at = 0.0;
@@ -120,10 +118,6 @@ FaultSchedule generateSchedule(const StochasticFaultSpec& spec, std::size_t targ
 /// Whitespace around tokens is ignored.  Throws util::ConfigError on syntax
 /// errors.  Bounds are checked later by FaultSchedule::normalize.
 FaultSchedule parseSchedule(const std::string& text);
-
-/// Render a schedule in the parseSchedule grammar (diagnostics; round-trips
-/// through parseSchedule).
-std::string describeSchedule(const FaultSchedule& schedule);
 
 /// A run's complete fault configuration: explicit events plus an optional
 /// stochastic generator whose events get appended (from a dedicated rng

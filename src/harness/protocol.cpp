@@ -10,9 +10,6 @@ std::vector<PlannedRun> buildProtocolPlan(std::size_t configCount, const Protoco
                                           util::Rng& rng) {
   BEESIM_ASSERT(configCount >= 1, "protocol needs at least one configuration");
   BEESIM_ASSERT(options.repetitions >= 1, "protocol needs at least one repetition");
-  BEESIM_ASSERT(options.blockSize >= 1, "protocol block size must be >= 1");
-  BEESIM_ASSERT(options.minWait >= 0.0 && options.maxWait >= options.minWait,
-                "protocol waits must satisfy 0 <= min <= max");
 
   // Step 1: the full run list, configuration-major.
   std::vector<PlannedRun> runs;
@@ -27,8 +24,8 @@ std::vector<PlannedRun> buildProtocolPlan(std::size_t configCount, const Protoco
     }
   }
 
-  // Step 2: blocks of `blockSize` consecutive runs.
-  const std::size_t blockCount = (runs.size() + options.blockSize - 1) / options.blockSize;
+  // Step 2: blocks of kProtocolBlockSize consecutive runs.
+  const std::size_t blockCount = (runs.size() + kProtocolBlockSize - 1) / kProtocolBlockSize;
   std::vector<std::size_t> blockOrder(blockCount);
   for (std::size_t b = 0; b < blockCount; ++b) blockOrder[b] = b;
 
@@ -40,13 +37,13 @@ std::vector<PlannedRun> buildProtocolPlan(std::size_t configCount, const Protoco
   plan.reserve(runs.size());
   util::Seconds clock = 0.0;
   for (std::size_t i = 0; i < blockOrder.size(); ++i) {
-    if (i > 0) clock += rng.uniform(options.minWait, options.maxWait);
-    const std::size_t begin = blockOrder[i] * options.blockSize;
-    const std::size_t end = std::min(begin + options.blockSize, runs.size());
+    if (i > 0) clock += rng.uniform(kProtocolMinWait, kProtocolMaxWait);
+    const std::size_t begin = blockOrder[i] * kProtocolBlockSize;
+    const std::size_t end = std::min(begin + kProtocolBlockSize, runs.size());
     for (std::size_t r = begin; r < end; ++r) {
       PlannedRun run = runs[r];
       run.systemTime = clock;
-      clock += options.nominalRunDuration;
+      clock += kNominalRunDuration;
       plan.push_back(run);
     }
   }

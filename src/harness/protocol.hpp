@@ -22,14 +22,17 @@
 
 namespace beesim::harness {
 
+/// Runs per block (step 2).
+inline constexpr std::size_t kProtocolBlockSize = 10;
+/// Bounds of the uniform wait between blocks (step 4): 1 to 30 minutes.
+inline constexpr util::Seconds kProtocolMinWait = 60.0;
+inline constexpr util::Seconds kProtocolMaxWait = 1800.0;
+/// Nominal duration budgeted per run when laying runs out in time (the
+/// paper's runs take tens of seconds; the exact value only phases noise).
+inline constexpr util::Seconds kNominalRunDuration = 60.0;
+
 struct ProtocolOptions {
   std::size_t repetitions = 100;
-  std::size_t blockSize = 10;
-  util::Seconds minWait = 60.0;     // 1 minute
-  util::Seconds maxWait = 1800.0;   // 30 minutes
-  /// Nominal duration budgeted per run when laying runs out in time (the
-  /// paper's runs take tens of seconds; the exact value only phases noise).
-  util::Seconds nominalRunDuration = 60.0;
 };
 
 /// One planned execution.

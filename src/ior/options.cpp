@@ -32,50 +32,8 @@ void IorOptions::validate() const {
   }
 }
 
-IorOptions IorOptions::parse(const std::vector<std::string>& args) {
-  IorOptions opts;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    auto value = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        throw util::ConfigError("IOR: flag " + flag + " needs a value");
-      }
-      return args[++i];
-    };
-    if (flag == "-b") {
-      opts.blockSize = util::parseBytes(value());
-    } else if (flag == "-t") {
-      opts.transferSize = util::parseBytes(value());
-    } else if (flag == "-s") {
-      opts.segments = std::stoi(value());
-    } else if (flag == "-o") {
-      opts.testFile = value();
-    } else if (flag == "-F") {
-      opts.pattern = AccessPattern::kFilePerProcess;
-    } else if (flag == "-w") {
-      opts.operation = Operation::kWrite;
-    } else if (flag == "-r") {
-      opts.operation = Operation::kRead;
-    } else if (flag == "-a") {
-      const std::string api = value();
-      if (api == "POSIX" || api == "posix") {
-        opts.api = Api::kPosix;
-      } else if (api == "MPIIO" || api == "mpiio") {
-        opts.api = Api::kMpiio;
-      } else {
-        throw util::ConfigError("IOR: unknown api '" + api + "'");
-      }
-    } else {
-      throw util::ConfigError("IOR: unknown flag '" + flag + "'");
-    }
-  }
-  opts.validate();
-  return opts;
-}
-
 std::string IorOptions::describe() const {
-  std::string out = "ior -a ";
-  out += api == Api::kPosix ? "POSIX" : "MPIIO";
+  std::string out = "ior -a POSIX";
   out += operation == Operation::kWrite ? " -w" : " -r";
   out += " -b " + util::formatBytes(blockSize);
   out += " -t " + util::formatBytes(transferSize);

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "util/units.hpp"
 
@@ -24,11 +23,6 @@ enum class AccessPattern {
   kFilePerProcess,  // N-N (-F; paper future work)
 };
 
-enum class Api {
-  kPosix,  // paper's choice
-  kMpiio,
-};
-
 enum class Operation { kWrite, kRead };
 
 struct IorOptions {
@@ -36,7 +30,6 @@ struct IorOptions {
   util::Bytes transferSize = util::kMiB;    // -t
   int segments = 1;                         // -s
   AccessPattern pattern = AccessPattern::kSharedFile;
-  Api api = Api::kPosix;
   Operation operation = Operation::kWrite;
   std::string testFile = "/beegfs/ior.dat";
 
@@ -51,11 +44,8 @@ struct IorOptions {
   /// dividing block, ...).
   void validate() const;
 
-  /// Parse IOR-like flags, e.g. {"-b","4g","-t","1m","-s","2","-F","-w"}.
-  /// Unknown flags throw ConfigError.  Starts from defaults.
-  static IorOptions parse(const std::vector<std::string>& args);
-
   /// Render as an IOR-like command-line string (for traces and tables).
+  /// The API is always POSIX, the paper's choice.
   std::string describe() const;
 };
 

@@ -137,7 +137,7 @@ void launchIor(beegfs::FileSystem& fs, const IorJob& job, const IorOptions& opti
     // leaves allocations byte-identical; only the *timing* of the phase
     // differs (scalar latency lookup vs. contended MDT flows).
     const bool queued = meta.queuedModel();
-    const auto chunk = fs.settingsFor(options.testFile).chunkSize;
+    const auto chunk = fs.deployment().params().defaultStripe.chunkSize;
     std::set<std::size_t> usedTargets;
     util::Seconds scalarMetaCost = 0.0;
     std::vector<std::string> paths;

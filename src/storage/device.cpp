@@ -3,20 +3,8 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/table.hpp"
 
 namespace beesim::storage {
-
-namespace {
-
-util::MiBps rampRate(util::MiBps peak, double qHalf, double queueDepth) {
-  BEESIM_ASSERT(queueDepth >= 0.0, "queue depth must be >= 0");
-  if (queueDepth <= 0.0) return 0.0;
-  if (qHalf <= 0.0) return peak;
-  return peak * queueDepth / (queueDepth + qHalf);
-}
-
-}  // namespace
 
 HddRaidModel::HddRaidModel(const HddRaidParams& params) : params_(params) {
   BEESIM_ASSERT(params.disks > 0, "array needs at least one disk");
@@ -47,36 +35,12 @@ util::MiBps HddRaidModel::serviceRate(double queueDepth) const {
   return peak_ * (params_.cacheFraction * cache + (1.0 - params_.cacheFraction) * stream);
 }
 
-std::string HddRaidModel::describe() const {
-  return "RAID HDD array: " + std::to_string(params_.disks) + " disks (" +
-         std::to_string(params_.parityDisks) + " parity), peak " +
-         util::formatBandwidth(peak_) + ", cache " + util::fmt(params_.cacheFraction, 2) +
-         "@qc" + util::fmt(params_.cacheQHalf, 1) + ", stream qs " +
-         util::fmt(params_.streamQHalf, 1);
-}
-
-SsdModel::SsdModel(const SsdParams& params) : params_(params) {
-  BEESIM_ASSERT(params.peak > 0.0, "SSD peak must be positive");
-}
-
-util::MiBps SsdModel::serviceRate(double queueDepth) const {
-  return rampRate(params_.peak, params_.qHalf, queueDepth);
-}
-
-std::string SsdModel::describe() const {
-  return "SSD target: peak " + util::formatBandwidth(params_.peak);
-}
-
 ConstantDeviceModel::ConstantDeviceModel(util::MiBps rate) : rate_(rate) {
   BEESIM_ASSERT(rate >= 0.0, "rate must be >= 0");
 }
 
 util::MiBps ConstantDeviceModel::serviceRate(double queueDepth) const {
   return queueDepth > 0.0 ? rate_ : 0.0;
-}
-
-std::string ConstantDeviceModel::describe() const {
-  return "constant-rate device: " + util::formatBandwidth(rate_);
 }
 
 }  // namespace beesim::storage

@@ -23,9 +23,6 @@
 // harmless").  OST queue depth scales with client inflight / stripe count.
 #pragma once
 
-#include <memory>
-#include <string>
-
 #include "util/units.hpp"
 
 namespace beesim::storage {
@@ -41,9 +38,6 @@ class DeviceModel {
 
   /// Asymptotic streaming rate (queueDepth -> infinity).
   virtual util::MiBps peakRate() const = 0;
-
-  /// Human-readable description for traces and docs.
-  virtual std::string describe() const = 0;
 };
 
 /// Parameters of a RAID array of rotating disks exposed as one target.
@@ -76,32 +70,12 @@ class HddRaidModel final : public DeviceModel {
 
   util::MiBps serviceRate(double queueDepth) const override;
   util::MiBps peakRate() const override { return peak_; }
-  std::string describe() const override;
 
   const HddRaidParams& params() const { return params_; }
 
  private:
   HddRaidParams params_;
   util::MiBps peak_;
-};
-
-/// Parameters of an SSD-backed target (used for metadata MDTs).
-struct SsdParams {
-  util::MiBps peak = 2000.0;
-  /// SSDs reach peak at shallow queues.
-  double qHalf = 0.5;
-};
-
-class SsdModel final : public DeviceModel {
- public:
-  explicit SsdModel(const SsdParams& params);
-
-  util::MiBps serviceRate(double queueDepth) const override;
-  util::MiBps peakRate() const override { return params_.peak; }
-  std::string describe() const override;
-
- private:
-  SsdParams params_;
 };
 
 /// Fixed-rate device (no ramp) -- useful for tests and analytic baselines.
@@ -111,7 +85,6 @@ class ConstantDeviceModel final : public DeviceModel {
 
   util::MiBps serviceRate(double queueDepth) const override;
   util::MiBps peakRate() const override { return rate_; }
-  std::string describe() const override;
 
  private:
   util::MiBps rate_;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/table.hpp"
 
 namespace beesim::storage {
 
@@ -36,10 +35,6 @@ std::unique_ptr<VariabilityModel> LogNormalVariability::clone() const {
   return std::make_unique<LogNormalVariability>(sigmaLog_);
 }
 
-std::string LogNormalVariability::describe() const {
-  return "log-normal(sigmaLog=" + util::fmt(sigmaLog_, 3) + ")";
-}
-
 GaussianVariability::GaussianVariability(double sigma, double floor, double ceil)
     : sigma_(sigma), floor_(floor), ceil_(ceil) {
   BEESIM_ASSERT(sigma >= 0.0, "sigma must be >= 0");
@@ -54,10 +49,6 @@ double GaussianVariability::sampleFactor(const util::Rng& deviceStream,
 
 std::unique_ptr<VariabilityModel> GaussianVariability::clone() const {
   return std::make_unique<GaussianVariability>(sigma_, floor_, ceil_);
-}
-
-std::string GaussianVariability::describe() const {
-  return "gaussian(sigma=" + util::fmt(sigma_, 3) + ")";
 }
 
 SlowPhaseVariability::SlowPhaseVariability(double pEnter, double pLeave, double slowFactor,
@@ -96,12 +87,6 @@ double SlowPhaseVariability::sampleFactor(const util::Rng& deviceStream,
 std::unique_ptr<VariabilityModel> SlowPhaseVariability::clone() const {
   return std::make_unique<SlowPhaseVariability>(pEnter_, pLeave_, slowFactor_, sigmaLog_,
                                                 windowEpochs_);
-}
-
-std::string SlowPhaseVariability::describe() const {
-  return "slow-phase(pEnter=" + util::fmt(pEnter_, 3) + ", pLeave=" + util::fmt(pLeave_, 3) +
-         ", slow=" + util::fmt(slowFactor_, 2) + ", sigmaLog=" + util::fmt(sigmaLog_, 3) +
-         ", window=" + std::to_string(windowEpochs_) + ")";
 }
 
 NoisyDevice::NoisyDevice(std::shared_ptr<const DeviceModel> model,

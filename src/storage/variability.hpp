@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <string>
 
 #include "storage/device.hpp"
 #include "util/rng.hpp"
@@ -45,14 +44,12 @@ class VariabilityModel {
   virtual double sampleFactor(const util::Rng& deviceStream, std::int64_t epoch) const = 0;
 
   virtual std::unique_ptr<VariabilityModel> clone() const = 0;
-  virtual std::string describe() const = 0;
 };
 
 class NoVariability final : public VariabilityModel {
  public:
   double sampleFactor(const util::Rng&, std::int64_t) const override { return 1.0; }
   std::unique_ptr<VariabilityModel> clone() const override;
-  std::string describe() const override { return "none"; }
 };
 
 class LogNormalVariability final : public VariabilityModel {
@@ -62,7 +59,6 @@ class LogNormalVariability final : public VariabilityModel {
 
   double sampleFactor(const util::Rng& deviceStream, std::int64_t epoch) const override;
   std::unique_ptr<VariabilityModel> clone() const override;
-  std::string describe() const override;
 
  private:
   double sigmaLog_;
@@ -75,7 +71,6 @@ class GaussianVariability final : public VariabilityModel {
 
   double sampleFactor(const util::Rng& deviceStream, std::int64_t epoch) const override;
   std::unique_ptr<VariabilityModel> clone() const override;
-  std::string describe() const override;
 
  private:
   double sigma_;
@@ -95,7 +90,6 @@ class SlowPhaseVariability final : public VariabilityModel {
 
   double sampleFactor(const util::Rng& deviceStream, std::int64_t epoch) const override;
   std::unique_ptr<VariabilityModel> clone() const override;
-  std::string describe() const override;
 
   double stationaryDegradedProbability() const;
 

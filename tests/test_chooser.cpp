@@ -93,13 +93,6 @@ TEST(RoundRobin, RaceKeepsPointerSometimes) {
   EXPECT_NEAR(static_cast<double>(repeats) / trials, 1.0 / 3.0, 0.04);
 }
 
-TEST(RoundRobin, SetPointerWraps) {
-  const auto cluster = plafrim();
-  RoundRobinChooser chooser(plafrimRoundRobinOrder(cluster), 0.0);
-  chooser.setPointer(11);
-  EXPECT_EQ(chooser.pointer(), 3u);
-}
-
 TEST(RoundRobin, InterleavedOrderGivesBalancedCount4) {
   // Ablation: had PlaFRIM's round-robin interleaved hosts, count 4 would be
   // the peak-performance (2,2).
@@ -201,12 +194,6 @@ TEST(Chooser, FactoryInstantiatesConfiguredKind) {
   EXPECT_EQ(makeChooser(params, cluster)->kind(), ChooserKind::kRoundRobin);
   params.chooser = ChooserKind::kRoundRobinInterleaved;
   EXPECT_EQ(makeChooser(params, cluster)->kind(), ChooserKind::kRoundRobinInterleaved);
-}
-
-TEST(Chooser, NamesAreStable) {
-  EXPECT_STREQ(chooserName(ChooserKind::kRoundRobin), "round-robin");
-  EXPECT_STREQ(chooserName(ChooserKind::kRandom), "random");
-  EXPECT_STREQ(chooserName(ChooserKind::kBalanced), "balanced");
 }
 
 }  // namespace

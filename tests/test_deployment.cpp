@@ -117,16 +117,6 @@ TEST(Deployment, RampFactorStartsLowAndRecovers) {
   EXPECT_GT(runWith(true), runWith(false));
 }
 
-TEST(Deployment, ResetNodeClearsJobState) {
-  Fixture f;
-  f.deployment.setNodeProcesses(1, 16);
-  f.deployment.markNodeJobStart(1, 5.0);
-  f.deployment.resetNode(1);
-  // After reset, behaves like a fresh node: verified indirectly via the
-  // inflight (process-count independent) and absence of contract errors.
-  EXPECT_DOUBLE_EQ(f.deployment.nodeEffectiveInflight(1, 8), 8.0);
-}
-
 TEST(Deployment, MarkJobStartKeepsEarliest) {
   Fixture f;
   f.deployment.markNodeJobStart(0, 10.0);

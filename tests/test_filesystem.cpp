@@ -26,27 +26,18 @@ struct Fixture {
 
 TEST(FileSystem, DefaultDirectoryUsesDeploymentDefaults) {
   Fixture f;
-  const auto settings = f.fs.settingsFor("/anything/file");
-  EXPECT_EQ(settings.stripeCount, 4u);        // PlaFRIM default
-  EXPECT_EQ(settings.chunkSize, 512_KiB);
-}
-
-TEST(FileSystem, MkdirOverridesByDeepestPrefix) {
-  Fixture f;
-  f.fs.mkdir("/data", StripeSettings{2, 1_MiB});
-  f.fs.mkdir("/data/wide", StripeSettings{8, 512_KiB});
-  EXPECT_EQ(f.fs.settingsFor("/data/file").stripeCount, 2u);
-  EXPECT_EQ(f.fs.settingsFor("/data/wide/file").stripeCount, 8u);
-  EXPECT_EQ(f.fs.settingsFor("/elsewhere/file").stripeCount, 4u);
-  // Prefix must respect path boundaries.
-  EXPECT_EQ(f.fs.settingsFor("/datafile").stripeCount, 4u);
+  const auto& pattern = f.fs.info(f.fs.create("/anything/file")).pattern;
+  EXPECT_EQ(pattern.stripeCount(), 4u);  // PlaFRIM default
+  EXPECT_EQ(pattern.chunkSize(), 512_KiB);
 }
 
 TEST(FileSystem, CreateUsesDirectoryStripeCount) {
-  Fixture f;
-  f.fs.mkdir("/wide", StripeSettings{8, 512_KiB});
+  BeegfsParams params;
+  params.defaultStripe = StripeSettings{8, 1_MiB};
+  Fixture f(params);
   const auto handle = f.fs.create("/wide/out.dat");
   EXPECT_EQ(f.fs.info(handle).pattern.stripeCount(), 8u);
+  EXPECT_EQ(f.fs.info(handle).pattern.chunkSize(), 1_MiB);
 }
 
 TEST(FileSystem, RoundRobinCreateAlwaysGives13OnPlafrim) {
@@ -149,7 +140,6 @@ TEST(FileSystem, ZeroLengthWriteCompletesViaEvent) {
 TEST(FileSystem, InvalidArgumentsThrow) {
   Fixture f;
   EXPECT_THROW(f.fs.create("relative/path"), util::ContractError);
-  EXPECT_THROW(f.fs.mkdir("relative", StripeSettings{}), util::ContractError);
   EXPECT_THROW(f.fs.info(FileHandle{42}), util::ContractError);
   const auto handle = f.fs.createPinned("/v", {0}, 512_KiB);
   EXPECT_THROW(f.fs.writeAsync(0, handle, 0, 1_MiB, 0.0, nullptr), util::ContractError);

@@ -88,14 +88,13 @@ TEST(Protocol, BlocksAreShuffledButInternallyOrdered) {
   util::Rng rng(3);
   ProtocolOptions options;
   options.repetitions = 40;  // 40 runs, 4 blocks for one config
-  options.blockSize = 10;
   const auto plan = buildProtocolPlan(1, options, rng);
-  // Within a block of 10, repetitions are consecutive (the block was a
-  // contiguous slice); across blocks the order is shuffled.
+  // Within a block, repetitions are consecutive (the block was a contiguous
+  // slice); across blocks the order is shuffled.
   std::vector<std::size_t> blockStarts;
-  for (std::size_t i = 0; i < plan.size(); i += 10) {
+  for (std::size_t i = 0; i < plan.size(); i += kProtocolBlockSize) {
     blockStarts.push_back(plan[i].repetition);
-    for (std::size_t j = 1; j < 10; ++j) {
+    for (std::size_t j = 1; j < kProtocolBlockSize; ++j) {
       EXPECT_EQ(plan[i + j].repetition, plan[i].repetition + j);
     }
   }
@@ -106,18 +105,19 @@ TEST(Protocol, WaitsSeparateBlocksInTime) {
   util::Rng rng(4);
   ProtocolOptions options;
   options.repetitions = 20;
-  options.blockSize = 10;
-  options.minWait = 60.0;
-  options.maxWait = 1800.0;
-  options.nominalRunDuration = 30.0;
   const auto plan = buildProtocolPlan(1, options, rng);
+  ASSERT_EQ(kProtocolBlockSize, 10u);
   // Gap between the last run of block 1 and first of block 2 must include a
   // wait in [60, 1800] on top of the nominal duration.
   const double gap = plan[10].systemTime - plan[9].systemTime;
-  EXPECT_GE(gap, 30.0 + 60.0 - 1e-9);
-  EXPECT_LE(gap, 30.0 + 1800.0 + 1e-9);
+  EXPECT_GE(gap, kNominalRunDuration + kProtocolMinWait - 1e-9);
+  EXPECT_LE(gap, kNominalRunDuration + kProtocolMaxWait + 1e-9);
+  EXPECT_DOUBLE_EQ(kProtocolMinWait, 60.0);
+  EXPECT_DOUBLE_EQ(kProtocolMaxWait, 1800.0);
   // Within a block, runs are spaced by the nominal duration exactly.
-  EXPECT_DOUBLE_EQ(plan[1].systemTime - plan[0].systemTime, 30.0);
+  for (std::size_t i = 1; i < 10; ++i) {
+    EXPECT_DOUBLE_EQ(plan[i].systemTime - plan[i - 1].systemTime, kNominalRunDuration);
+  }
 }
 
 TEST(Protocol, DeterministicGivenRngState) {
@@ -137,13 +137,6 @@ TEST(Protocol, InvalidOptionsThrow) {
   util::Rng rng(6);
   ProtocolOptions options;
   options.repetitions = 0;
-  EXPECT_THROW(buildProtocolPlan(1, options, rng), util::ContractError);
-  options = ProtocolOptions{};
-  options.blockSize = 0;
-  EXPECT_THROW(buildProtocolPlan(1, options, rng), util::ContractError);
-  options = ProtocolOptions{};
-  options.maxWait = 1.0;
-  options.minWait = 2.0;
   EXPECT_THROW(buildProtocolPlan(1, options, rng), util::ContractError);
   EXPECT_THROW(buildProtocolPlan(0, ProtocolOptions{}, rng), util::ContractError);
 }

@@ -13,7 +13,6 @@ TEST(IorOptions, DefaultsMatchThePaper) {
   const IorOptions opts;
   EXPECT_EQ(opts.transferSize, 1_MiB);
   EXPECT_EQ(opts.pattern, AccessPattern::kSharedFile);
-  EXPECT_EQ(opts.api, Api::kPosix);
   EXPECT_EQ(opts.operation, Operation::kWrite);
   EXPECT_NO_THROW(opts.validate());
 }
@@ -66,28 +65,6 @@ TEST(IorOptions, ValidateCatchesNonsense) {
   opts = IorOptions{};
   opts.testFile = "relative.dat";
   EXPECT_THROW(opts.validate(), util::ConfigError);
-}
-
-TEST(IorOptions, ParseIorStyleFlags) {
-  const auto opts = IorOptions::parse(
-      {"-a", "POSIX", "-w", "-b", "4g", "-t", "1m", "-s", "2", "-o", "/beegfs/test"});
-  EXPECT_EQ(opts.blockSize, 4_GiB);
-  EXPECT_EQ(opts.transferSize, 1_MiB);
-  EXPECT_EQ(opts.segments, 2);
-  EXPECT_EQ(opts.testFile, "/beegfs/test");
-}
-
-TEST(IorOptions, ParseFilePerProcessAndRead) {
-  const auto opts = IorOptions::parse({"-F", "-r", "-b", "256m"});
-  EXPECT_EQ(opts.pattern, AccessPattern::kFilePerProcess);
-  EXPECT_EQ(opts.operation, Operation::kRead);
-}
-
-TEST(IorOptions, ParseRejectsUnknownOrIncomplete) {
-  EXPECT_THROW(IorOptions::parse({"-q"}), util::ConfigError);
-  EXPECT_THROW(IorOptions::parse({"-b"}), util::ConfigError);
-  EXPECT_THROW(IorOptions::parse({"-a", "HDF5"}), util::ConfigError);
-  EXPECT_THROW(IorOptions::parse({"-b", "banana"}), util::ConfigError);
 }
 
 TEST(IorOptions, DescribeRoundTripsKeyFlags) {

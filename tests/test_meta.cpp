@@ -13,21 +13,18 @@ TEST(Meta, CostsArePositiveWithDefaults) {
   MetaService meta(MetaParams{}, util::Rng(1));
   EXPECT_GT(meta.createCost(), 0.0);
   EXPECT_GT(meta.openAllCost(8), 0.0);
-  EXPECT_GT(meta.statCost(), 0.0);
-  // create (1) + openAll over 8 ranks (8) + stat (1): openAllCost serves one
-  // open per concurrent rank, so the counter moves by the rank count.
-  EXPECT_EQ(meta.opsServed(), 10u);
+  // create (1) + openAll over 8 ranks (8): openAllCost serves one open per
+  // concurrent rank, so the counter moves by the rank count.
+  EXPECT_EQ(meta.opsServed(), 9u);
 }
 
 TEST(Meta, ZeroLatencyMeansZeroCost) {
   MetaParams params;
   params.createLatency = 0.0;
   params.openLatency = 0.0;
-  params.statLatency = 0.0;
   MetaService meta(params, util::Rng(2));
   EXPECT_DOUBLE_EQ(meta.createCost(), 0.0);
   EXPECT_DOUBLE_EQ(meta.openAllCost(64), 0.0);
-  EXPECT_DOUBLE_EQ(meta.statCost(), 0.0);
 }
 
 TEST(Meta, OpenPileUpGrowsLogarithmically) {

@@ -43,23 +43,16 @@ TEST(MetaAccounting, OpenAllCountsOneOpPerRank) {
   // the counter exactly once.
   meta.openAllCost(8);
   EXPECT_EQ(meta.opsServed(), 9u);
-  meta.statCost();
-  meta.unlinkCost();
-  EXPECT_EQ(meta.opsServed(), 11u);
 }
 
 TEST(MetaAccounting, ZeroLatenciesCostNothingButStillCount) {
   beegfs::MetaParams params;
   params.createLatency = 0.0;
   params.openLatency = 0.0;
-  params.statLatency = 0.0;
-  params.unlinkLatency = 0.0;
   beegfs::MetaService meta(params, util::Rng(2));
   EXPECT_DOUBLE_EQ(meta.createCost(), 0.0);
   EXPECT_DOUBLE_EQ(meta.openAllCost(64), 0.0);
-  EXPECT_DOUBLE_EQ(meta.statCost(), 0.0);
-  EXPECT_DOUBLE_EQ(meta.unlinkCost(), 0.0);
-  EXPECT_EQ(meta.opsServed(), 67u);
+  EXPECT_EQ(meta.opsServed(), 65u);
 }
 
 TEST(MetaAccounting, ZeroSigmaIsDeterministic) {
@@ -69,8 +62,6 @@ TEST(MetaAccounting, ZeroSigmaIsDeterministic) {
   beegfs::MetaService b(params, util::Rng(4));  // different seed, same costs
   EXPECT_DOUBLE_EQ(a.createCost(), params.createLatency);
   EXPECT_DOUBLE_EQ(a.createCost(), b.createCost());
-  EXPECT_DOUBLE_EQ(a.statCost(), params.statLatency);
-  EXPECT_DOUBLE_EQ(a.unlinkCost(), params.unlinkLatency);
 }
 
 TEST(MetaAccounting, OpenAllCostIsMonotoneInRankCount) {
@@ -82,17 +73,6 @@ TEST(MetaAccounting, OpenAllCostIsMonotoneInRankCount) {
     const double cost = meta.openAllCost(ranks);
     EXPECT_GT(cost, previous) << "ranks=" << ranks;
     previous = cost;
-  }
-}
-
-TEST(MetaAccounting, UnlinkCostIsJitteredAroundItsLatency) {
-  beegfs::MetaParams params;
-  params.unlinkLatency = 0.002;
-  beegfs::MetaService meta(params, util::Rng(6));
-  for (int i = 0; i < 64; ++i) {
-    const double cost = meta.unlinkCost();
-    EXPECT_GT(cost, 0.0);
-    EXPECT_LT(cost, 0.1);  // log-normal jitter around 2 ms stays far below
   }
 }
 
@@ -157,10 +137,10 @@ TEST(MetaQueued, LoneOpLatencyIsSaturationDepthOverRate) {
   meta.opAsync(beegfs::MetaOpKind::kCreate, "/beegfs/f",
                [&](util::Seconds at) { createEnd = at; });
   fluid.run();
-  // A lone op sees rampFactor(1) = 1/saturationDepth of the saturation
-  // capacity, so its latency is saturationDepth/rate (6.4 ms with defaults,
+  // A lone op sees rampFactor(1) = 1/kSaturationDepth of the saturation
+  // capacity, so its latency is kSaturationDepth/rate (6.4 ms with defaults,
   // deliberately in the ballpark of the scalar model's 4 ms create).
-  const double expected = params.meta.saturationDepth / params.meta.createRate;
+  const double expected = beegfs::MetaService::kSaturationDepth / params.meta.createRate;
   EXPECT_NEAR(createEnd, expected, 1e-4 * expected);
 }
 
@@ -183,7 +163,7 @@ TEST(MetaQueued, SaturatedMdtServesTheConfiguredRate) {
   ASSERT_EQ(completed, ops);
   // 256 identical concurrent ops share the MDT at rampFactor(256) of the
   // saturation rate and all finish together.
-  const double ramp = 256.0 / (256.0 + params.meta.saturationDepth - 1.0);
+  const double ramp = 256.0 / (256.0 + beegfs::MetaService::kSaturationDepth - 1.0);
   const double expected = ops / (meta.rateFor(beegfs::MetaOpKind::kStat) * ramp);
   EXPECT_NEAR(lastEnd, expected, 0.01 * expected);
   EXPECT_EQ(meta.opsServed(), static_cast<std::uint64_t>(ops));
@@ -223,10 +203,6 @@ TEST(MetaQueued, InvalidQueuedParametersThrow) {
   const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
   auto params = queuedParams(1);
   params.meta.createRate = 0.0;
-  EXPECT_THROW(beegfs::Deployment(fluid, cluster, params, util::Rng(1)),
-               util::ContractError);
-  params = queuedParams(1);
-  params.meta.saturationDepth = 0.5;
   EXPECT_THROW(beegfs::Deployment(fluid, cluster, params, util::Rng(1)),
                util::ContractError);
 }
