@@ -16,6 +16,10 @@ CPU time is the statistic because on a shared host wall time also counts
 the time a run waits for a core: a wall-time minimum over 5 runs moved by
 up to 35% between guard runs of the same pair of builds, while the median
 CPU time over 10 pairs stayed within 0.90-1.12 of the base on every leg.
+Next to each leg's head/base ratio the guard prints the base side's own
+spread (interquartile range of its CPU times over their median), so a leg
+near the gate can be read against its noise.  CPU time still moves with
+load from other processes, so run the guard on an otherwise idle host.
 
 Usage:
   python3 bench/e2e_guard.py BASE_BUILD HEAD_BUILD
@@ -131,13 +135,17 @@ def main():
             print(f"{name:<15} {side:<5} {summary(walls[side]):>40}  "
                   f"{statistics.median(cpus[side]):14.3f}  "
                   f"{','.join(map(str, sorted(codes[side])))}")
-        ratio = statistics.median(cpus["head"]) / statistics.median(cpus["base"])
+        base_median = statistics.median(cpus["base"])
+        ratio = statistics.median(cpus["head"]) / base_median
+        q1, _, q3 = statistics.quantiles(cpus["base"], n=4)
+        spread = (q3 - q1) / base_median
         verdict = "ok"
         if codes["head"] != codes["base"]:
             verdict = "FAIL: exit status differs"
         elif ratio > 1.0 + TOLERANCE:
             verdict = f"FAIL: head median CPU is {100 * (ratio - 1):.1f}% higher"
-        print(f"{name:<15} head/base median CPU {ratio:.3f}  {verdict}")
+        print(f"{name:<15} head/base median CPU {ratio:.3f}  "
+              f"base IQR/median {spread:.3f}  {verdict}")
         if verdict != "ok":
             failed.append(name)
     if failed:

@@ -1,6 +1,5 @@
 #include "cli/commands.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -395,8 +394,8 @@ int cmdRun(const Args& args, std::ostream& out) {
   harness::ProtocolOptions protocol;
   protocol.repetitions = reps;
 
-  // Each feature's counters reach the totals through the campaign columns
-  // makeRow fills; only the allocation tally needs the raw record.
+  // Each feature's counters reach the totals through its campaign columns;
+  // only the allocation tally needs the raw record.
   std::map<std::string, std::size_t> allocationCounts;
   const auto store = harness::executeCampaign(
       entries, protocol, seed,
@@ -404,15 +403,6 @@ int cmdRun(const Args& args, std::ostream& out) {
         ++allocationCounts[core::Allocation(record.ior.targetsUsed, cluster).key()];
       },
       exec);
-  const auto sum = [&store](const std::string& metric) {
-    double total = 0.0;
-    for (const double v : store.metric(metric)) total += v;
-    return total;
-  };
-  const auto count = [&sum](const std::string& metric) { return util::fmt(sum(metric), 0); };
-  const auto peak = [&store](const std::string& metric) {
-    return stats::summarize(store.metric(metric)).max;
-  };
 
   const auto summary = stats::summarize(store.metric("bandwidth_mibps"));
   out << config.ior.describe() << "  (" << config.job.ranks() << " ranks on "
@@ -421,59 +411,7 @@ int cmdRun(const Args& args, std::ostream& out) {
   out << "allocations: ";
   for (const auto& [key, n] : allocationCounts) out << key << " x" << n << "  ";
   out << "\n";
-  const std::string totals = " (totals over " + std::to_string(reps) + " reps): ";
-  if (!config.faults.empty()) {
-    out << "faults" << totals << "timeouts=" << count("fault_timeouts")
-        << " retries=" << count("fault_retries") << " failovers=" << count("fault_failovers")
-        << " rewritten=" << util::fmt(sum("fault_rewritten_mib"), 1)
-        << " MiB degraded=" << util::fmt(sum("fault_degraded_seconds"), 2)
-        << " s aborted_runs=" << count("fault_aborted") << "\n";
-  }
-  if (mirror) {
-    out << "mirror" << totals << "replicated=" << util::fmt(sum("mirror_replica_mib"), 1)
-        << " MiB failovers=" << count("mirror_failovers")
-        << " resent=" << util::fmt(sum("mirror_resent_mib"), 1)
-        << " MiB lost=" << util::fmt(sum("mirror_lost_mib"), 1)
-        << " MiB resyncs=" << count("resync_jobs")
-        << " resynced=" << util::fmt(sum("resync_mib"), 1)
-        << " MiB resync_time=" << util::fmt(sum("resync_seconds"), 2) << " s\n";
-  }
-  if (config.rebalance.enabled) {
-    out << "rebalance" << totals << "triggers=" << count("rebal_triggers")
-        << " retargets=" << count("rebal_retargets")
-        << " migrations=" << count("rebal_migrations")
-        << " migrated=" << util::fmt(sum("rebal_migrated_mib"), 1)
-        << " MiB migration_time=" << util::fmt(sum("rebal_migration_seconds"), 2)
-        << " s peak_imbalance=" << util::fmt(peak("rebal_peak_imbalance"), 3) << "\n";
-  }
-  if (config.health.enabled) {
-    out << "health" << totals << "samples=" << count("gray_samples")
-        << " suspects=" << count("gray_suspects")
-        << " quarantines=" << count("gray_quarantines")
-        << " probations=" << count("gray_probations")
-        << " readmissions=" << count("gray_readmissions")
-        << " relapses=" << count("gray_relapses") << "\n";
-  }
-  if (config.fs.hedge.enabled) {
-    out << "hedge" << totals << "issued=" << count("hedge_issued")
-        << " wins=" << count("hedge_wins") << " primary_wins=" << count("hedge_primary_wins")
-        << " mirror_switchovers=" << count("hedge_mirror_switchovers")
-        << " hedged=" << util::fmt(sum("hedge_mib"), 1) << " MiB\n";
-  }
-  if (config.qos.enabled) {
-    out << "qos" << totals << "issued=" << util::fmt(sum("qos_issued_mib"), 1)
-        << " MiB borrowed=" << util::fmt(sum("qos_borrowed_mib"), 1)
-        << " MiB reclaimed=" << util::fmt(sum("qos_reclaimed_mib"), 1)
-        << " MiB deferrals=" << count("qos_deferrals")
-        << " throttle=" << util::fmt(sum("qos_throttle_seconds"), 2)
-        << " s slo_violations=" << count("qos_slo_violations") << "\n";
-  }
-  if (config.mdtest) {
-    out << "metadata" << totals << "ops=" << count("md_total_ops")
-        << " md_time=" << util::fmt(sum("md_seconds"), 2)
-        << " s mean_ops_s=" << util::fmt(sum("md_ops_s") / reps, 0)
-        << " peak_mdt_imbalance=" << util::fmt(peak("md_mdt_imbalance"), 3) << "\n";
-  }
+  harness::writeFeatureTotals(out, config, store, std::to_string(reps) + " reps");
 
   if (!trace.traceJsonl.empty() || !trace.traceChrome.empty() || !trace.metricsCsv.empty()) {
     // Replay the campaign's first planned run (same seed, start time and run
@@ -579,6 +517,7 @@ int cmdSweep(const Args& args, std::ostream& out) {
   plot.yLabel = "MiB/s";
   out << stats::renderCategoryScatter(cats, plot) << "\n";
   out << advisor.recommend().rationale << "\n";
+  harness::writeFeatureTotals(out, config, store, std::to_string(store.size()) + " runs");
   return 0;
 }
 
@@ -634,23 +573,14 @@ int cmdConcurrent(const Args& args, std::ostream& out) {
   std::vector<double> aggregates;
   std::vector<double> perApp;
   std::size_t sharedTargetRuns = 0;
-  qos::QosStats qosTotals;
-  std::uint64_t mdOpsTotal = 0;
-  double mdOpsPerSecSum = 0.0;
-  double mdPeakImbalance = 0.0;
+  harness::ResultStore featureRows;
   for (const auto& result : results) {
     aggregates.push_back(result.aggregateBandwidth);
     for (const auto& app : result.apps) perApp.push_back(app.bandwidth);
     if (result.sharedTargets > 0) ++sharedTargetRuns;
-    mdOpsTotal += result.md.totalOps;
-    mdOpsPerSecSum += result.md.opsPerSec;
-    mdPeakImbalance = std::max(mdPeakImbalance, result.md.mdtImbalance);
-    qosTotals.tokensIssued += result.qos.tokensIssued;
-    qosTotals.tokensBorrowed += result.qos.tokensBorrowed;
-    qosTotals.tokensReclaimed += result.qos.tokensReclaimed;
-    qosTotals.deferrals += result.qos.deferrals;
-    qosTotals.throttleSeconds += result.qos.throttleSeconds;
-    qosTotals.sloViolations += result.qos.sloViolations;
+    harness::ResultRow row;
+    harness::addFeatureColumns(base, result, row);
+    featureRows.add(std::move(row));
   }
 
   out << apps << " concurrent applications x " << nodesPerApp << " nodes x " << ppn
@@ -659,22 +589,7 @@ int cmdConcurrent(const Args& args, std::ostream& out) {
   out << "aggregate (Eq. 1): " << stats::summarize(aggregates).describe() << " MiB/s\n";
   out << "per application:   " << stats::summarize(perApp).describe() << " MiB/s\n";
   out << "runs with target sharing: " << sharedTargetRuns << "/" << reps << "\n";
-  if (base.qos.enabled) {
-    out << "qos (totals over " << reps << " reps): issued="
-        << util::fmt(qosTotals.tokensIssued / static_cast<double>(util::kMiB), 1)
-        << " MiB borrowed="
-        << util::fmt(qosTotals.tokensBorrowed / static_cast<double>(util::kMiB), 1)
-        << " MiB reclaimed="
-        << util::fmt(qosTotals.tokensReclaimed / static_cast<double>(util::kMiB), 1)
-        << " MiB deferrals=" << qosTotals.deferrals
-        << " throttle=" << util::fmt(qosTotals.throttleSeconds, 2)
-        << " s slo_violations=" << qosTotals.sloViolations << "\n";
-  }
-  if (base.mdtest) {
-    out << "metadata (totals over " << reps << " reps): ops=" << mdOpsTotal
-        << " mean_ops_s=" << util::fmt(mdOpsPerSecSum / reps, 0)
-        << " peak_mdt_imbalance=" << util::fmt(mdPeakImbalance, 3) << "\n";
-  }
+  harness::writeFeatureTotals(out, base, featureRows, std::to_string(reps) + " reps");
   return 0;
 }
 

@@ -8,6 +8,8 @@
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/table.hpp"
+#include "util/units.hpp"
 
 namespace beesim::harness {
 
@@ -19,6 +21,36 @@ double secondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+using R = ConcurrentResult;
+using Faults = beegfs::ClientFaultStats;
+using enum Fold;
+
+double n(std::size_t count) { return static_cast<double>(count); }
+double mib(double bytes) { return bytes / static_cast<double>(util::kMiB); }
+constexpr FeatureTotal mibs(const char* label) { return {label, kSum, 1, " MiB"}; }
+constexpr FeatureTotal secs(const char* label) { return {label, kSum, 2, " s"}; }
+
+/// Fault counters live on each application's own IorResult: summed over the
+/// experiment's applications (a campaign run has one).
+template <typename T>
+double appFaults(const R& r, T Faults::*field) {
+  double sum = 0.0;
+  for (const auto& app : r.apps) sum += static_cast<double>(app.faults.*field);
+  return sum;
+}
+
+double failedApps(const R& r) {
+  return static_cast<double>(
+      std::count_if(r.apps.begin(), r.apps.end(), [](const auto& app) { return app.failed; }));
+}
+
+double fold(Fold rule, const std::vector<double>& values) {
+  if (rule == kMax) return *std::max_element(values.begin(), values.end());
+  double sum = 0.0;
+  for (const double v : values) sum += v;
+  return rule == kMean ? sum / static_cast<double>(values.size()) : sum;
+}
+
 /// Render an entry's factor labels for progress reporting ("count=4 nodes=8").
 std::string describeFactors(const CampaignEntry& entry) {
   std::string out;
@@ -27,106 +59,6 @@ std::string describeFactors(const CampaignEntry& entry) {
     out += name + "=" + value;
   }
   return out.empty() ? "(single config)" : out;
-}
-
-/// Build a run's row: entry factors + "rep", standard metrics, then the
-/// annotator.
-ResultRow makeRow(const CampaignEntry& entry, const PlannedRun& planned,
-                  const RunRecord& record, const RowAnnotator& annotate) {
-  ResultRow row;
-  row.factors = entry.factors;
-  row.factors["rep"] = std::to_string(planned.repetition);
-  row.metrics["bandwidth_mibps"] = record.ior.bandwidth;
-  row.metrics["meta_seconds"] = record.ior.metaTime;
-  row.metrics["env_network"] = record.environment.network;
-  row.metrics["env_storage"] = record.environment.storage;
-  if (record.faultsActive) {
-    // Only fault-armed runs carry these columns, so campaigns with an empty
-    // plan keep emitting byte-identical CSVs to pre-fault-model builds.
-    row.metrics["fault_events"] = static_cast<double>(record.injected.total());
-    row.metrics["fault_timeouts"] = static_cast<double>(record.ior.faults.timeouts);
-    row.metrics["fault_retries"] = static_cast<double>(record.ior.faults.retries);
-    row.metrics["fault_failovers"] = static_cast<double>(record.ior.faults.failovers);
-    row.metrics["fault_rewritten_mib"] = util::toMiB(record.ior.faults.bytesRewritten);
-    row.metrics["fault_degraded_seconds"] = record.ior.faults.degradedTime;
-    row.metrics["fault_aborted"] = record.ior.failed ? 1.0 : 0.0;
-  }
-  if (record.mirrorActive) {
-    // Same contract as fault_*: only mirrored runs carry these columns.
-    row.metrics["mirror_failovers"] = static_cast<double>(record.ior.mirror.failovers);
-    row.metrics["mirror_replica_mib"] = util::toMiB(record.ior.mirror.bytesReplicated);
-    row.metrics["mirror_resent_mib"] = util::toMiB(record.ior.mirror.bytesResent);
-    row.metrics["mirror_lost_mib"] = util::toMiB(record.ior.mirror.bytesLost);
-    row.metrics["resync_jobs"] = static_cast<double>(record.ior.mirror.resyncJobs);
-    row.metrics["resync_mib"] = util::toMiB(record.ior.mirror.bytesResynced);
-    row.metrics["resync_seconds"] = record.ior.mirror.resyncSeconds;
-  }
-  if (record.rebalanceActive) {
-    // Same contract as fault_*: only controller-armed runs carry these
-    // columns, so campaigns with rebalancing off keep their exact bytes.
-    row.metrics["rebal_samples"] = static_cast<double>(record.rebalance.samples);
-    row.metrics["rebal_triggers"] = static_cast<double>(record.rebalance.triggers);
-    row.metrics["rebal_retargets"] = static_cast<double>(record.rebalance.retargets);
-    row.metrics["rebal_migrations"] = static_cast<double>(record.rebalance.migrations);
-    row.metrics["rebal_migrated_mib"] = util::toMiB(record.rebalance.bytesMigrated);
-    row.metrics["rebal_migration_seconds"] = record.rebalance.migrationSeconds;
-    row.metrics["rebal_peak_imbalance"] = record.rebalance.peakImbalance;
-  }
-  if (record.healthActive) {
-    // Same contract as fault_*: only monitor-armed runs carry these columns,
-    // so campaigns with gray-failure detection off keep their exact bytes.
-    row.metrics["gray_samples"] = static_cast<double>(record.health.samples);
-    row.metrics["gray_suspects"] = static_cast<double>(record.health.suspects);
-    row.metrics["gray_quarantines"] = static_cast<double>(record.health.quarantines);
-    row.metrics["gray_probations"] = static_cast<double>(record.health.probations);
-    row.metrics["gray_readmissions"] = static_cast<double>(record.health.readmissions);
-    row.metrics["gray_relapses"] = static_cast<double>(record.health.relapses);
-  }
-  if (record.hedgeActive) {
-    // Same contract as fault_*: only hedge-armed runs carry these columns.
-    row.metrics["hedge_issued"] = static_cast<double>(record.ior.hedge.hedgesIssued);
-    row.metrics["hedge_wins"] = static_cast<double>(record.ior.hedge.hedgeWins);
-    row.metrics["hedge_primary_wins"] =
-        static_cast<double>(record.ior.hedge.primaryWins);
-    row.metrics["hedge_mirror_switchovers"] =
-        static_cast<double>(record.ior.hedge.mirrorSwitchovers);
-    row.metrics["hedge_mib"] = util::toMiB(record.ior.hedge.bytesHedged);
-  }
-  if (record.mdActive) {
-    // Same contract as fault_*: only runs with an mdtest phase carry these
-    // columns, so campaigns without it keep their exact bytes.
-    row.metrics["md_seconds"] = record.md.end - record.md.start;
-    row.metrics["md_total_ops"] = static_cast<double>(record.md.totalOps);
-    row.metrics["md_ops_s"] = record.md.opsPerSec;
-    row.metrics["md_create_ops_s"] = record.md.create.opsPerSec;
-    row.metrics["md_stat_ops_s"] = record.md.stat.opsPerSec;
-    row.metrics["md_unlink_ops_s"] = record.md.unlink.opsPerSec;
-    row.metrics["md_mdt_imbalance"] = record.md.mdtImbalance;
-  }
-  if (record.qosActive) {
-    // Same contract as fault_*: only QoS-managed runs carry these columns,
-    // so campaigns with QoS off keep their exact bytes.
-    row.metrics["qos_issued_mib"] = record.qos.tokensIssued / static_cast<double>(util::kMiB);
-    row.metrics["qos_borrowed_mib"] =
-        record.qos.tokensBorrowed / static_cast<double>(util::kMiB);
-    row.metrics["qos_reclaimed_mib"] =
-        record.qos.tokensReclaimed / static_cast<double>(util::kMiB);
-    row.metrics["qos_deferrals"] = static_cast<double>(record.qos.deferrals);
-    row.metrics["qos_throttle_seconds"] = record.qos.throttleSeconds;
-    row.metrics["qos_slo_violations"] = static_cast<double>(record.qos.sloViolations);
-  }
-  if (record.ior.util.active) {
-    // Same contract again: only utilization-observed runs carry the
-    // per-server traffic split, so default campaigns keep their exact bytes.
-    for (std::size_t k = 0; k < record.ior.util.serverMiB.size(); ++k) {
-      const std::string srv = "srv" + std::to_string(k);
-      row.metrics[srv + "_mib"] = record.ior.util.serverMiB[k];
-      row.metrics[srv + "_busy_frac"] = record.ior.util.serverBusyFrac[k];
-    }
-    row.metrics["link_imbalance"] = record.ior.util.linkImbalance;
-  }
-  if (annotate) annotate(record, row);
-  return row;
 }
 
 /// Per-run timing + progress aggregation; all calls happen in commit (= plan)
@@ -176,13 +108,144 @@ class ProgressTracker {
   double lastReport_ = 0.0;
 };
 
-RunRecord runPlanned(const CampaignEntry& entry, const PlannedRun& planned) {
+/// A finished run parked until its commit: its row before the annotator,
+/// and its result projected onto the annotator's RunRecord.
+struct FinishedRun {
+  ResultRow row;
+  RunRecord record;
+};
+
+/// Run one planned repetition and build its row: entry factors + "rep", the
+/// standard metrics, the columns of each feature the config switches on,
+/// and the per-server split of utilization-observed runs.
+FinishedRun runPlanned(const CampaignEntry& entry, const PlannedRun& planned) {
   RunConfig config = entry.config;
   config.startAt = planned.systemTime;
-  return runOnce(config, planned.seed);
+  auto result = runSingle(config, planned.seed);
+  FinishedRun run;
+  auto& row = run.row;
+  row.factors = entry.factors;
+  row.factors["rep"] = std::to_string(planned.repetition);
+  row.metrics["bandwidth_mibps"] = result.apps.front().bandwidth;
+  row.metrics["meta_seconds"] = result.apps.front().metaTime;
+  row.metrics["env_network"] = result.environment.network;
+  row.metrics["env_storage"] = result.environment.storage;
+  addFeatureColumns(config, result, row);
+  if (result.util.active) {
+    // Only utilization-observed runs carry the per-server traffic split, so
+    // default campaigns keep their exact bytes.
+    for (std::size_t k = 0; k < result.util.serverMiB.size(); ++k) {
+      const std::string srv = "srv" + std::to_string(k);
+      row.metrics[srv + "_mib"] = result.util.serverMiB[k];
+      row.metrics[srv + "_busy_frac"] = result.util.serverBusyFrac[k];
+    }
+    row.metrics["link_imbalance"] = result.util.linkImbalance;
+  }
+  run.record = projectRun(std::move(result));
+  return run;
 }
 
 }  // namespace
+
+const std::vector<Feature>& features() {
+  static const std::vector<Feature> table = {
+      {"faults", [](const RunConfig& c) { return !c.faults.empty(); },
+       {{"fault_events", [](const R& r) { return n(r.injected.total()); }},
+        {"fault_timeouts", [](const R& r) { return appFaults(r, &Faults::timeouts); },
+         {"timeouts"}},
+        {"fault_retries", [](const R& r) { return appFaults(r, &Faults::retries); }, {"retries"}},
+        {"fault_failovers", [](const R& r) { return appFaults(r, &Faults::failovers); },
+         {"failovers"}},
+        {"fault_rewritten_mib",
+         [](const R& r) { return mib(appFaults(r, &Faults::bytesRewritten)); },
+         mibs("rewritten")},
+        {"fault_degraded_seconds", [](const R& r) { return appFaults(r, &Faults::degradedTime); },
+         secs("degraded")},
+        {"fault_aborted", failedApps, {"aborted_runs"}}}},
+      {"mirror", [](const RunConfig& c) { return c.fs.mirror.enabled; },
+       {{"mirror_replica_mib", [](const R& r) { return mib(r.mirror.bytesReplicated); },
+         mibs("replicated")},
+        {"mirror_failovers", [](const R& r) { return n(r.mirror.failovers); }, {"failovers"}},
+        {"mirror_resent_mib", [](const R& r) { return mib(r.mirror.bytesResent); }, mibs("resent")},
+        {"mirror_lost_mib", [](const R& r) { return mib(r.mirror.bytesLost); }, mibs("lost")},
+        {"resync_jobs", [](const R& r) { return n(r.mirror.resyncJobs); }, {"resyncs"}},
+        {"resync_mib", [](const R& r) { return mib(r.mirror.bytesResynced); }, mibs("resynced")},
+        {"resync_seconds", [](const R& r) { return r.mirror.resyncSeconds; },
+         secs("resync_time")}}},
+      {"rebalance", [](const RunConfig& c) { return c.rebalance.enabled; },
+       {{"rebal_samples", [](const R& r) { return n(r.rebalance.samples); }},
+        {"rebal_triggers", [](const R& r) { return n(r.rebalance.triggers); }, {"triggers"}},
+        {"rebal_retargets", [](const R& r) { return n(r.rebalance.retargets); }, {"retargets"}},
+        {"rebal_migrations", [](const R& r) { return n(r.rebalance.migrations); }, {"migrations"}},
+        {"rebal_migrated_mib", [](const R& r) { return mib(r.rebalance.bytesMigrated); },
+         mibs("migrated")},
+        {"rebal_migration_seconds", [](const R& r) { return r.rebalance.migrationSeconds; },
+         secs("migration_time")},
+        {"rebal_peak_imbalance", [](const R& r) { return r.rebalance.peakImbalance; },
+         {"peak_imbalance", kMax, 3}}}},
+      {"health", [](const RunConfig& c) { return c.health.enabled; },
+       {{"gray_samples", [](const R& r) { return n(r.health.samples); }, {"samples"}},
+        {"gray_suspects", [](const R& r) { return n(r.health.suspects); }, {"suspects"}},
+        {"gray_quarantines", [](const R& r) { return n(r.health.quarantines); }, {"quarantines"}},
+        {"gray_probations", [](const R& r) { return n(r.health.probations); }, {"probations"}},
+        {"gray_readmissions", [](const R& r) { return n(r.health.readmissions); },
+         {"readmissions"}},
+        {"gray_relapses", [](const R& r) { return n(r.health.relapses); }, {"relapses"}}}},
+      {"hedge", [](const RunConfig& c) { return c.fs.hedge.enabled; },
+       {{"hedge_issued", [](const R& r) { return n(r.hedge.hedgesIssued); }, {"issued"}},
+        {"hedge_wins", [](const R& r) { return n(r.hedge.hedgeWins); }, {"wins"}},
+        {"hedge_primary_wins", [](const R& r) { return n(r.hedge.primaryWins); },
+         {"primary_wins"}},
+        {"hedge_mirror_switchovers", [](const R& r) { return n(r.hedge.mirrorSwitchovers); },
+         {"mirror_switchovers"}},
+        {"hedge_mib", [](const R& r) { return mib(r.hedge.bytesHedged); }, mibs("hedged")}}},
+      {"qos", [](const RunConfig& c) { return c.qos.enabled; },
+       {{"qos_issued_mib", [](const R& r) { return mib(r.qos.tokensIssued); }, mibs("issued")},
+        {"qos_borrowed_mib", [](const R& r) { return mib(r.qos.tokensBorrowed); },
+         mibs("borrowed")},
+        {"qos_reclaimed_mib", [](const R& r) { return mib(r.qos.tokensReclaimed); },
+         mibs("reclaimed")},
+        {"qos_deferrals", [](const R& r) { return n(r.qos.deferrals); }, {"deferrals"}},
+        {"qos_throttle_seconds", [](const R& r) { return r.qos.throttleSeconds; },
+         secs("throttle")},
+        {"qos_slo_violations", [](const R& r) { return n(r.qos.sloViolations); },
+         {"slo_violations"}}}},
+      {"metadata", [](const RunConfig& c) { return c.mdtest.has_value(); },
+       {{"md_total_ops", [](const R& r) { return n(r.md.totalOps); }, {"ops"}},
+        {"md_seconds", [](const R& r) { return r.md.end - r.md.start; }, secs("md_time")},
+        {"md_ops_s", [](const R& r) { return r.md.opsPerSec; }, {"mean_ops_s", kMean}},
+        {"md_create_ops_s", [](const R& r) { return r.md.create.opsPerSec; }},
+        {"md_stat_ops_s", [](const R& r) { return r.md.stat.opsPerSec; }},
+        {"md_unlink_ops_s", [](const R& r) { return r.md.unlink.opsPerSec; }},
+        {"md_mdt_imbalance", [](const R& r) { return r.md.mdtImbalance; },
+         {"peak_mdt_imbalance", kMax, 3}}}},
+  };
+  return table;
+}
+
+void addFeatureColumns(const RunConfig& config, const ConcurrentResult& result,
+                       ResultRow& row) {
+  for (const auto& feature : features()) {
+    if (!feature.gate(config)) continue;
+    for (const auto& column : feature.columns) row.metrics[column.name] = column.get(result);
+  }
+}
+
+void writeFeatureTotals(std::ostream& out, const RunConfig& config, const ResultStore& store,
+                        const std::string& scope) {
+  for (const auto& feature : features()) {
+    if (!feature.gate(config)) continue;
+    out << feature.name << " (totals over " << scope << "):";
+    for (const auto& column : feature.columns) {
+      const auto& total = column.total;
+      if (total.label == nullptr) continue;
+      out << ' ' << total.label << '='
+          << util::fmt(fold(total.fold, store.metric(column.name)), total.decimals)
+          << total.suffix;
+    }
+    out << '\n';
+  }
+}
 
 ResultStore executeCampaign(const std::vector<CampaignEntry>& entries,
                             const ProtocolOptions& options, std::uint64_t seed,
@@ -201,18 +264,18 @@ ResultStore executeCampaign(const std::vector<CampaignEntry>& entries,
   // after it is committed; parallelFor rethrows the first exception.
   ProgressTracker tracker(plan.size(), exec, entries);
   ResultStore store;
-  std::vector<std::optional<RunRecord>> finished(plan.size());
+  std::vector<std::optional<FinishedRun>> finished(plan.size());
   std::size_t nextCommit = 0;
   std::mutex commitMutex;
   parallelFor(plan.size(), exec.jobs, [&](std::size_t i) {
-    RunRecord record = runPlanned(entries[plan[i].configIndex], plan[i]);
+    FinishedRun run = runPlanned(entries[plan[i].configIndex], plan[i]);
     const std::lock_guard<std::mutex> lock(commitMutex);
-    finished[i] = std::move(record);
+    finished[i] = std::move(run);
     while (nextCommit < plan.size() && finished[nextCommit]) {
-      const RunRecord done = *std::exchange(finished[nextCommit], std::nullopt);
-      const auto& planned = plan[nextCommit];
-      store.add(makeRow(entries[planned.configIndex], planned, done, annotate));
-      tracker.committed(planned, done);
+      FinishedRun done = *std::exchange(finished[nextCommit], std::nullopt);
+      if (annotate) annotate(done.record, done.row);
+      store.add(std::move(done.row));
+      tracker.committed(plan[nextCommit], done.record);
       ++nextCommit;
     }
   });

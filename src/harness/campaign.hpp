@@ -8,9 +8,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "harness/concurrent.hpp"
 #include "harness/executor.hpp"
 #include "harness/protocol.hpp"
 #include "harness/run.hpp"
@@ -45,5 +47,42 @@ ResultStore executeCampaign(const std::vector<CampaignEntry>& entries,
                             const ProtocolOptions& options, std::uint64_t seed,
                             const RowAnnotator& annotate = nullptr,
                             const ExecutorOptions& exec = {});
+
+/// How a feature column folds over a campaign's rows in its totals line.
+enum class Fold { kSum, kMax, kMean };
+
+/// One "label=value[suffix]" item of a totals line; no label, no item.
+struct FeatureTotal {
+  const char* label = nullptr;
+  Fold fold = Fold::kSum;
+  int decimals = 0;
+  const char* suffix = "";  ///< "", " MiB" or " s"
+};
+
+/// An optional feature's campaign columns and CLI totals, declared once.
+/// The gate is the RunConfig switch that makes runConcurrent build the
+/// subsystem; gated off, the feature adds no column (CSV bytes unchanged).
+struct Feature {
+  struct Column {
+    const char* name;
+    double (*get)(const ConcurrentResult&);
+    FeatureTotal total = {};
+  };
+  const char* name;  ///< totals-line label
+  bool (*gate)(const RunConfig&);
+  std::vector<Column> columns;
+};
+
+/// The seven features in totals-line order: faults, mirror, rebalance,
+/// health, hedge, qos, metadata.  A new counter is one line of this table.
+const std::vector<Feature>& features();
+
+/// Set the columns of every feature `config` switches on, read from `result`.
+void addFeatureColumns(const RunConfig& config, const ConcurrentResult& result, ResultRow& row);
+
+/// One "<feature> (totals over <scope>): ..." line per feature `config`
+/// switches on, folded over every row of `store`.
+void writeFeatureTotals(std::ostream& out, const RunConfig& config, const ResultStore& store,
+                        const std::string& scope);
 
 }  // namespace beesim::harness

@@ -199,7 +199,6 @@ ConcurrentResult runConcurrent(const RunConfig& base, const std::vector<AppSpec>
     }
     injector.emplace(deployment, std::move(schedule));
     injector->arm(base.startAt);
-    result.faultsActive = true;
   }
 
   std::size_t remaining = apps.size();
@@ -251,18 +250,9 @@ ConcurrentResult runConcurrent(const RunConfig& base, const std::vector<AppSpec>
     result.md = ior::aggregateMdtest(result.appMd);
   }
   if (base.fs.mirror.enabled) result.mirror = fs.mirrorStats();
-  if (rebalance) {
-    result.rebalanceActive = true;
-    result.rebalance = rebalance->stats();
-  }
-  if (health) {
-    result.healthActive = true;
-    result.health = health->stats();
-  }
-  if (base.fs.hedge.enabled) {
-    result.hedgeActive = true;
-    result.hedge = fs.hedgeStats();
-  }
+  if (rebalance) result.rebalance = rebalance->stats();
+  if (health) result.health = health->stats();
+  if (base.fs.hedge.enabled) result.hedge = fs.hedgeStats();
   if (injector) result.injected = injector->stats();
   if (qosManager) {
     result.qosActive = true;

@@ -47,21 +47,13 @@ struct ConcurrentResult {
   std::size_t distinctTargets = 0;
   beegfs::EnvironmentFactors environment;
   std::uint64_t seed = 0;
-  /// True when the rebalance controller ran for this experiment.
-  bool rebalanceActive = false;
-  /// What the controller did (zeroed when !rebalanceActive).
+  /// What the controller did (zeroed unless base.rebalance.enabled).
   control::RebalanceStats rebalance;
-  /// True when a fault plan was armed (base.faults non-empty).
-  bool faultsActive = false;
-  /// What the injector fired (zeroed when !faultsActive).
+  /// What the injector fired (zeroed unless base.faults is non-empty).
   faults::InjectorStats injected;
-  /// True when the gray-failure health monitor ran for this experiment.
-  bool healthActive = false;
-  /// What the monitor observed/did (zeroed when !healthActive).
+  /// What the monitor observed/did (zeroed unless base.health.enabled).
   control::HealthStats health;
-  /// True when hedged writes were enabled (base.fs.hedge.enabled).
-  bool hedgeActive = false;
-  /// Experiment-wide hedging accounting (zeroed when !hedgeActive).
+  /// Experiment-wide hedging accounting (zeroed unless base.fs.hedge.enabled).
   beegfs::HedgeStats hedge;
   /// True when every application ran an mdtest metadata phase
   /// (base.mdtest set; phases contend on the shared MDTs).
@@ -96,6 +88,13 @@ struct ConcurrentResult {
 /// (inputs, seed).
 ConcurrentResult runConcurrent(const RunConfig& base, const std::vector<AppSpec>& apps,
                                std::uint64_t seed);
+
+/// runConcurrent with the one app (config.job, config.ior, config.pinnedTargets).
+ConcurrentResult runSingle(const RunConfig& config, std::uint64_t seed);
+
+/// Move a one-app result into a RunRecord; its IorResult takes the
+/// experiment's mirror, hedge and utilization accounting.
+RunRecord projectRun(ConcurrentResult&& result);
 
 /// Paper Equation 1 over per-app (start, end, bytes) triples.  A zero-length
 /// window (every app had zero duration, e.g. all-zero-byte jobs) yields 0.

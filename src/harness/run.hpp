@@ -107,38 +107,25 @@ struct RunConfig {
   double solverEpsilon = 0.0;
 };
 
+/// One run's record: the one-application ConcurrentResult projected onto
+/// the app's IorResult plus the experiment's counters (concurrent.hpp).
+/// Which features ran is a property of the RunConfig (features(),
+/// campaign.hpp).
 struct RunRecord {
   ior::IorResult ior;
   beegfs::EnvironmentFactors environment;
   std::uint64_t seed = 0;
-  /// True when this run had a fault plan armed (campaign rows then carry the
-  /// fault_* metric columns).
-  bool faultsActive = false;
-  /// True when the run used storage mirroring (campaign rows then carry the
-  /// mirror_* / resync_* metric columns).
-  bool mirrorActive = false;
-  /// What the injector fired (zeroed when !faultsActive).
+  /// What the injector fired (zeroed unless the config armed a fault plan).
   faults::InjectorStats injected;
-  /// True when the rebalance controller ran (campaign rows then carry the
-  /// rebal_* metric columns).
-  bool rebalanceActive = false;
-  /// What the controller did (zeroed when !rebalanceActive).
+  /// What the controller did (zeroed unless config.rebalance.enabled).
   control::RebalanceStats rebalance;
-  /// True when the gray-failure health monitor ran (campaign rows then
-  /// carry the gray_* metric columns).
-  bool healthActive = false;
-  /// What the monitor observed/did (zeroed when !healthActive).
+  /// What the monitor observed/did (zeroed unless config.health.enabled).
   control::HealthStats health;
-  /// True when hedged writes were enabled (campaign rows then carry the
-  /// hedge_* metric columns; the counters live in ior.hedge).
-  bool hedgeActive = false;
-  /// True when an mdtest metadata phase ran (campaign rows then carry the
-  /// md_* metric columns).
+  /// True when an mdtest metadata phase ran (config.mdtest set).
   bool mdActive = false;
   /// What the metadata phase measured (zeroed when !mdActive).
   ior::MdtestResult md;
-  /// True when the QoS manager ran (campaign rows then carry the qos_*
-  /// metric columns).
+  /// True when the QoS manager ran (config.qos.enabled).
   bool qosActive = false;
   /// What the QoS layer did (zeroed when !qosActive).
   qos::QosStats qos;
@@ -154,9 +141,8 @@ struct RunRecord {
   TraceReport trace;
 };
 
-/// Execute one run to completion: runConcurrent with the one application
-/// (config.job, config.ior, config.pinnedTargets), projected onto a
-/// RunRecord.  Deterministic given (config, seed).
+/// Execute one run to completion: projectRun(runSingle(config, seed))
+/// (concurrent.hpp).  Deterministic given (config, seed).
 RunRecord runOnce(const RunConfig& config, std::uint64_t seed);
 
 }  // namespace beesim::harness

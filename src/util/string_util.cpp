@@ -36,10 +36,6 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep) 
   return out;
 }
 
-bool startsWith(const std::string& text, const std::string& prefix) {
-  return text.size() >= prefix.size() && text.compare(0, prefix.size(), prefix) == 0;
-}
-
 std::string toLower(std::string text) {
   for (auto& c : text) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return text;

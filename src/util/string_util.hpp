@@ -15,9 +15,6 @@ std::string trim(const std::string& text);
 /// Join with a separator.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
 
-/// True if `text` begins with `prefix`.
-bool startsWith(const std::string& text, const std::string& prefix);
-
 /// Lower-case ASCII copy.
 std::string toLower(std::string text);
 

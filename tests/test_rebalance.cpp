@@ -328,14 +328,12 @@ TEST(RebalanceController, InvalidPoliciesAreRejected) {
 TEST(RebalanceController, RecoversSkewedAllocationBandwidth) {
   const auto config = skewedRunConfig();
   const auto baseline = harness::runOnce(config, 321);
-  EXPECT_FALSE(baseline.rebalanceActive);
 
   auto controlled = config;
   controlled.rebalance.enabled = true;
   controlled.rebalance.maxConcurrentMigrations = 1;
   const auto record = harness::runOnce(controlled, 321);
 
-  ASSERT_TRUE(record.rebalanceActive);
   EXPECT_GE(record.rebalance.samples, 1u);
   EXPECT_GE(record.rebalance.triggers, 1u);
   EXPECT_GE(record.rebalance.migrations, 1u);
@@ -355,7 +353,6 @@ TEST(RebalanceController, StaysQuietOnBalancedLoad) {
   controlled.rebalance.enabled = true;
   const auto record = harness::runOnce(controlled, 654);
 
-  ASSERT_TRUE(record.rebalanceActive);
   EXPECT_GE(record.rebalance.samples, 1u);
   EXPECT_EQ(record.rebalance.triggers, 0u);
   EXPECT_EQ(record.rebalance.migrations, 0u);

@@ -27,12 +27,6 @@ TEST(StringUtil, JoinInvertsSplit) {
   EXPECT_EQ(join({}, ","), "");
 }
 
-TEST(StringUtil, StartsWith) {
-  EXPECT_TRUE(startsWith("/beegfs/dir/file", "/beegfs"));
-  EXPECT_FALSE(startsWith("/bee", "/beegfs"));
-  EXPECT_TRUE(startsWith("anything", ""));
-}
-
 TEST(StringUtil, ToLower) {
   EXPECT_EQ(toLower("MiB/S"), "mib/s");
   EXPECT_EQ(toLower("already"), "already");
