@@ -1,8 +1,10 @@
 #include "sim/maxmin.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "util/error.hpp"
 
@@ -10,6 +12,13 @@ namespace beesim::sim {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// The cap limit of an uncapped class: no rate compares >= a NaN.
+constexpr double kUncapped = std::numeric_limits<double>::quiet_NaN();
+
+/// A resource's bit in a path signature: its touch index modulo 64.
+constexpr std::uint64_t signatureBit(std::uint32_t touchIndex) {
+  return std::uint64_t{1} << (touchIndex & 63);
+}
 
 /// Slot f's share of each crossed resource: multiplicity · weight.  k = 1
 /// (and an empty multiplicity span) yields the weight itself, bit for bit.
@@ -21,12 +30,21 @@ double loadOf(const SolverView& view, std::uint32_t f) {
 }  // namespace
 
 void SolverWorkspace::ensureResourceCapacity(std::size_t resourceCount) {
-  if (resStamp_.size() >= resourceCount) return;
-  resStamp_.resize(resourceCount, 0);
-  residual_.resize(resourceCount, 0.0);
-  activeWeight_.resize(resourceCount, 0.0);
-  activeCount_.resize(resourceCount, 0);
-  saturated_.resize(resourceCount, 0);
+  if (res_.size() >= resourceCount) return;
+  res_.resize(resourceCount);
+  // A subset touches each resource at most once.
+  touchedRes_.reserve(resourceCount);
+  activeRes_.resize(resourceCount);
+}
+
+std::uint32_t SolverWorkspace::groupOf(double weight) {
+  const auto bits = std::bit_cast<std::uint64_t>(weight);
+  auto& slot = groupTable_[(bits * 0x9E3779B97F4A7C15ULL) >> (64 - kGroupTableBits)];
+  if (slot.stamp != stamp_ || slot.bits != bits) {
+    slot = GroupSlot{bits, stamp_, static_cast<std::uint32_t>(groups_.size())};
+    groups_.push_back(WeightGroup{weight, 0.0, 0, slot.group});
+  }
+  return slot.group;
 }
 
 std::size_t SolverWorkspace::solveSubset(const SolverView& view,
@@ -36,126 +54,183 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
   ensureResourceCapacity(view.capacity.size());
   ++stamp_;
 
-  // Initialize the touched-resource scratch exactly once per resource: the
-  // stamp makes the arrays self-clearing, so solve cost scales with the
-  // subset, not with the global resource count.
+  // One set-up pass per class.  The stamp makes the per-resource state
+  // self-clearing, so each resource is initialised on first touch and solve
+  // cost scales with the subset, not with the global resource count.  A live
+  // class loads its resources right away: every resource is initialised
+  // before its first add, and the adds run in class order, then path order.
+  //
+  // activeWeight: total load of the still-filling classes crossing a
+  // resource.  activeCount tracks the same set exactly; when it reaches zero
+  // the weight is reset to exactly 0.0 (repeated subtraction of doubles can
+  // leave a ~1e-16 ghost that would stall the filling with delta == 0).
   touchedRes_.clear();
+  active_.clear();
+  groups_.clear();
+  active_.reserve(flows.size());
+  groups_.reserve(flows.size());
+  frozen_.reserve(flows.size());
+  bool anyCapped = false;
+  std::uint64_t lastBits = 0;  // no positive weight has these bits
+  std::uint32_t lastGroup = 0;
   for (const auto f : flows) {
     BEESIM_ASSERT(view.adjLen[f] > 0, "every flow must cross >= 1 resource");
     BEESIM_ASSERT(view.weight[f] > 0.0, "flow weight must be positive");
     BEESIM_ASSERT(view.multiplicity.empty() || view.multiplicity[f] > 0,
                   "flow multiplicity must be positive");
     const auto* adj = view.adjacency.data() + view.adjOffset[f];
-    for (std::uint32_t i = 0; i < view.adjLen[f]; ++i) {
+    const auto len = view.adjLen[f];
+    bool dead = false;
+    std::uint64_t signature = 0;
+    for (std::uint32_t i = 0; i < len; ++i) {
       const auto r = adj[i];
       BEESIM_ASSERT(r < view.capacity.size(), "flow references an unknown resource");
-      if (resStamp_[r] != stamp_) {
-        resStamp_[r] = stamp_;
+      auto& state = res_[r];
+      if (state.stamp != stamp_) {
+        state = ResourceState{stamp_,
+                              view.capacity[r],
+                              0.0,
+                              kSaturationEps * std::max(1.0, view.capacity[r]),
+                              0,
+                              static_cast<std::uint32_t>(touchedRes_.size()),
+                              false};
         touchedRes_.push_back(r);
-        residual_[r] = view.capacity[r];
-        activeWeight_[r] = 0.0;
-        activeCount_[r] = 0;
-        saturated_[r] = 0;
       }
+      if (state.residual <= 0.0) dead = true;  // the capacity, until the walk starts
+      signature |= signatureBit(state.touchIndex);
     }
-  }
-
-  // activeWeight_[r]: total weight of still-filling flows crossing r.
-  // activeCount_[r] tracks the same set exactly; when it reaches zero the
-  // weight is reset to exactly 0.0 (repeated subtraction of doubles can
-  // leave a ~1e-16 ghost that would stall the filling with delta == 0).
-  activeFlows_.clear();
-  bool anyCapped = false;
-  for (const auto f : flows) {
-    const auto* adj = view.adjacency.data() + view.adjOffset[f];
-    bool dead = false;
-    for (std::uint32_t i = 0; i < view.adjLen[f]; ++i) {
-      if (view.capacity[adj[i]] <= 0.0) dead = true;
+    if (dead) {
+      rates[f] = 0.0;
+      continue;
     }
-    rates[f] = 0.0;
-    if (dead) continue;  // rate stays 0
     const double load = loadOf(view, f);
-    for (std::uint32_t i = 0; i < view.adjLen[f]; ++i) {
-      activeWeight_[adj[i]] += load;
-      ++activeCount_[adj[i]];
+    for (std::uint32_t i = 0; i < len; ++i) {
+      auto& state = res_[adj[i]];
+      state.activeWeight += load;
+      ++state.activeCount;
     }
-    activeFlows_.push_back(f);
-    if (view.rateCap[f] > 0.0) anyCapped = true;
+    const auto bits = std::bit_cast<std::uint64_t>(view.weight[f]);
+    if (bits != lastBits) {
+      lastBits = bits;
+      lastGroup = groupOf(view.weight[f]);
+    }
+    ++groups_[lastGroup].active;
+    const double cap = view.rateCap[f];
+    const bool capped = cap > 0.0;
+    anyCapped = anyCapped || capped;
+    active_.push_back(ActiveClass{
+        signature, capped ? cap - kSaturationEps * std::max(1.0, cap) : kUncapped, f, lastGroup});
   }
+  // Every group holds a live class, so all start active.
+  activeGroups_.resize(groups_.size());
+  std::iota(activeGroups_.begin(), activeGroups_.end(), std::uint32_t{0});
 
   // Only resources with filling weight enter the scans below: for the rest,
   // delta * 0 never moves the residual, and they can be neither the argmin
   // nor newly saturated.  Keeping touched order keeps every min() and every
   // residual update bit for bit what a scan over all touched resources does.
-  activeRes_.clear();
-  for (const auto r : touchedRes_) {
-    if (activeWeight_[r] > 0.0) activeRes_.push_back(r);
-  }
-
+  // The first delta scan filters touchedRes_ into activeRes_; each later one
+  // compacts activeRes_ in place, dropping what the last freeze emptied.
+  const bool exactSignatures = touchedRes_.size() <= 64;
+  const std::uint32_t* scanFrom = touchedRes_.data();
+  std::size_t scanCount = touchedRes_.size();
   std::size_t iterations = 0;
-  while (!activeFlows_.empty()) {
+  while (!active_.empty()) {
     ++iterations;
 
     // The largest uniform *normalized* increment (rate per unit weight)
-    // every active flow can absorb.
+    // every active class can absorb.
     double delta = kInf;
-    for (const auto r : activeRes_) {
-      delta = std::min(delta, residual_[r] / activeWeight_[r]);
+    std::size_t nActiveRes = 0;
+    for (std::size_t i = 0; i < scanCount; ++i) {
+      const auto r = scanFrom[i];
+      const auto& state = res_[r];
+      if (state.activeWeight <= 0.0) continue;
+      activeRes_[nActiveRes++] = r;
+      delta = std::min(delta, state.residual / state.activeWeight);
     }
+    scanFrom = activeRes_.data();
+    scanCount = nActiveRes;
     if (anyCapped) {
-      for (const auto f : activeFlows_) {
-        if (view.rateCap[f] <= 0.0) continue;
-        delta = std::min(delta, (view.rateCap[f] - rates[f]) / view.weight[f]);
+      for (const auto& c : active_) {
+        const double cap = view.rateCap[c.slot];
+        if (cap <= 0.0) continue;
+        const auto& g = groups_[c.group];
+        delta = std::min(delta, (cap - g.rate) / g.weight);
       }
     }
     BEESIM_ASSERT(delta < kInf, "progressive filling found no bottleneck");
     delta = std::max(delta, 0.0);
 
-    // Apply the increment.
-    for (const auto f : activeFlows_) rates[f] += delta * view.weight[f];
-    for (const auto r : activeRes_) residual_[r] -= delta * activeWeight_[r];
+    // Apply the increment: once per weight group for the rates, then per
+    // resource, testing saturation in the same pass and collecting this
+    // iteration's saturation signature.
+    for (const auto g : activeGroups_) groups_[g].rate += delta * groups_[g].weight;
+    std::uint64_t satSignature = 0;
+    for (std::size_t i = 0; i < nActiveRes; ++i) {
+      const auto r = activeRes_[i];
+      auto& state = res_[r];
+      state.residual -= delta * state.activeWeight;
+      if (state.residual <= state.saturationLimit) {
+        state.saturated = true;
+        state.residual = std::max(state.residual, 0.0);
+        satSignature |= signatureBit(state.touchIndex);
+      }
+    }
 
-    // Freeze flows bottlenecked by a saturated resource or by their own cap.
-    for (const auto r : activeRes_) {
-      if (residual_[r] <= kSaturationEps * std::max(1.0, view.capacity[r])) {
-        saturated_[r] = 1;
-        residual_[r] = std::max(residual_[r], 0.0);
-      }
-    }
-    std::size_t newlyFrozen = 0;
+    // Freeze classes bottlenecked by a saturated resource or by their own
+    // cap.  A resource saturated in an earlier iteration has no active class
+    // left on it, so a class crosses a saturated resource only if its
+    // signature meets this iteration's.  With at most 64 touched resources
+    // every bit names one resource and the test is exact; beyond that, bits
+    // alias and the path scan decides.
+    const auto crossesSaturated = [&](const ActiveClass& c) {
+      if ((c.signature & satSignature) == 0) return false;
+      if (exactSignatures) return true;
+      const auto* adj = view.adjacency.data() + view.adjOffset[c.slot];
+      return std::any_of(adj, adj + view.adjLen[c.slot],
+                         [this](std::uint32_t r) { return res_[r].saturated; });
+    };
+    frozen_.clear();
     std::size_t i = 0;
-    while (i < activeFlows_.size()) {
-      const auto f = activeFlows_[i];
-      const auto* adj = view.adjacency.data() + view.adjOffset[f];
-      bool stop = false;
-      for (std::uint32_t k = 0; k < view.adjLen[f]; ++k) {
-        if (saturated_[adj[k]]) {
-          stop = true;
-          break;
-        }
-      }
-      if (!stop && view.rateCap[f] > 0.0 &&
-          rates[f] >= view.rateCap[f] - kSaturationEps * std::max(1.0, view.rateCap[f])) {
-        stop = true;
-      }
-      if (stop) {
-        ++newlyFrozen;
-        const double load = loadOf(view, f);
-        for (std::uint32_t k = 0; k < view.adjLen[f]; ++k) {
-          const auto r = adj[k];
-          activeWeight_[r] -= load;
-          if (--activeCount_[r] == 0) activeWeight_[r] = 0.0;
-        }
-        activeFlows_[i] = activeFlows_.back();
-        activeFlows_.pop_back();
-      } else {
+    while (i < active_.size()) {
+      const auto& c = active_[i];
+      auto& g = groups_[c.group];
+      if (!crossesSaturated(c) && !(g.rate >= c.capLimit)) {
         ++i;
+        continue;
+      }
+      rates[c.slot] = g.rate;
+      if (--g.active == 0) {
+        // Swap-remove the emptied group from the per-iteration update.
+        const auto last = activeGroups_.back();
+        activeGroups_[g.position] = last;
+        groups_[last].position = g.position;
+        activeGroups_.pop_back();
+      }
+      frozen_.push_back(c.slot);
+      active_[i] = active_.back();
+      active_.pop_back();
+    }
+    // Progress guarantee: every iteration freezes at least one class (delta
+    // was chosen as the tightest constraint).
+    BEESIM_ASSERT(!frozen_.empty(), "progressive filling made no progress");
+    if (active_.empty()) break;
+
+    // Release the frozen classes' loads, in the order they froze: nothing in
+    // the freeze loop reads activeWeight, so each resource sees the same
+    // subtractions in the same order as if they ran inside it.  After the
+    // last iteration nothing reads the weights, so that release is skipped.
+    for (const auto f : frozen_) {
+      const double load = loadOf(view, f);
+      const auto* adj = view.adjacency.data() + view.adjOffset[f];
+      for (std::uint32_t k = 0; k < view.adjLen[f]; ++k) {
+        const auto r = adj[k];
+        auto& state = res_[r];
+        state.activeWeight -= load;
+        if (--state.activeCount == 0) state.activeWeight = 0.0;
       }
     }
-    // Progress guarantee: every iteration freezes at least one flow (delta was
-    // chosen as the tightest constraint).
-    BEESIM_ASSERT(newlyFrozen > 0, "progressive filling made no progress");
-    std::erase_if(activeRes_, [this](std::uint32_t r) { return activeWeight_[r] <= 0.0; });
   }
 
   return iterations;

@@ -25,6 +25,32 @@
 //   * solveMaxMin(resources, flows) -- a self-contained call that flattens a
 //     vector-of-structs problem into the CSR view and runs the same walk.
 //
+// The walk makes one set-up pass per class, then per iteration:
+//   1. a delta scan over the resources still carrying filling weight
+//      (min of residual / weight, in first-touch order), which also drops
+//      the resources the last freeze emptied, then a scan of the caps;
+//   2. one rate update per *weight group*, then one pass over the resources
+//      that subtracts delta · weight and tests saturation, collecting the
+//      iteration's saturation signature;
+//   3. a freeze scan over the active classes, which tests a class's path only
+//      when its signature meets the saturation signature;
+//   4. the frozen classes' loads leave their resources, in freeze order
+//      (skipped after the last iteration, when nothing reads them).
+// Every floating-point operation that feeds delta, a residual, a resource
+// weight or a rate is the one the textbook walk performs, on the same
+// operands in the same order; only the bookkeeping around them is shared.
+// Two shortcuts make that possible:
+//   * every live class fills from the first iteration until it freezes, so
+//     its rate is 0 + δ1·w + δ2·w + ... -- the same sum for every class of
+//     the same weight bits.  The walk keeps that sum once per weight and
+//     copies it into a class's rate when the class freezes;
+//   * a path signature ORs bit (touch index mod 64) of each crossed
+//     resource.  A resource saturated in an earlier iteration has no active
+//     class left on it, so a class can cross a saturated resource only if
+//     its signature meets this iteration's.  With at most 64 touched
+//     resources the bits are distinct and the test is exact; beyond that,
+//     the path scan decides.
+//
 // maxMinViolation checks a solution without running the walk: feasibility,
 // plus the bottleneck characterization of max-min fairness (Bertsekas &
 // Gallager) -- every flow below its cap crosses a saturated resource on which
@@ -40,6 +66,7 @@
 //     positive for the weighted allocation to be defined.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -126,27 +153,66 @@ class SolverWorkspace {
   std::span<const std::uint32_t> touchedResources() const { return touchedRes_; }
   /// Capacity left on a touched resource when the walk ended (the capacity
   /// itself if no filling flow crossed it; clamped at 0 once saturated).
-  double residual(std::uint32_t r) const { return residual_[r]; }
+  double residual(std::uint32_t r) const { return res_[r].residual; }
   /// Whether a touched resource saturated, i.e. froze the flows crossing it.
-  bool saturated(std::uint32_t r) const { return saturated_[r] != 0; }
+  bool saturated(std::uint32_t r) const { return res_[r].saturated; }
 
  private:
+  // A still-filling class: the signature of its path (one bit per crossed
+  // resource, see solveSubset), the rate at which its cap freezes it (cap -
+  // kSaturationEps * max(1, cap); NaN when uncapped), its slot and its
+  // weight group.
+  struct ActiveClass {
+    std::uint64_t signature;
+    double capLimit;
+    std::uint32_t slot;
+    std::uint32_t group;
+  };
+  // The classes of one weight (bit for bit) share one rate: each has grown
+  // by delta * weight in every iteration since the first.
+  struct WeightGroup {
+    double weight;
+    double rate;
+    std::uint32_t active;    // classes of the group still filling
+    std::uint32_t position;  // index in activeGroups_ while active > 0
+  };
+  // Direct-mapped cache entry from weight bits to a group, stamped per solve.
+  // A collision evicts the older weight, whose next class opens a second
+  // group of the same weight: both sums then see the same operations.
+  static constexpr int kGroupTableBits = 6;
+  struct GroupSlot {
+    std::uint64_t bits = 0;
+    std::uint64_t stamp = 0;
+    std::uint32_t group = 0;
+  };
+
   void ensureResourceCapacity(std::size_t resourceCount);
+  std::uint32_t groupOf(double weight);
 
   // Per-resource scratch, stamped per solve so nothing needs clearing.
-  std::vector<std::uint64_t> resStamp_;
-  std::vector<double> residual_;
-  std::vector<double> activeWeight_;
-  std::vector<std::uint32_t> activeCount_;
-  std::vector<char> saturated_;
+  struct ResourceState {
+    std::uint64_t stamp = 0;
+    double residual = 0.0;
+    double activeWeight = 0.0;     // load of the still-filling classes crossing it
+    double saturationLimit = 0.0;  // kSaturationEps * max(1, capacity)
+    std::uint32_t activeCount = 0;  // the number of those classes
+    std::uint32_t touchIndex = 0;   // position in touchedRes_
+    bool saturated = false;
+  };
+  std::vector<ResourceState> res_;
   std::uint64_t stamp_ = 0;
 
-  // Compact per-solve lists (reused capacity).  activeRes_ is the
+  // Compact per-solve lists (reused capacity).  activeRes_ holds the
   // touched-resource order restricted to resources still carrying filling
-  // weight; it is compacted after every freeze.
+  // weight (its live prefix is compacted by every delta scan); frozen_ the
+  // slots frozen by the current iteration, in freeze order.
   std::vector<std::uint32_t> touchedRes_;
   std::vector<std::uint32_t> activeRes_;
-  std::vector<std::uint32_t> activeFlows_;
+  std::vector<ActiveClass> active_;
+  std::vector<std::uint32_t> frozen_;
+  std::vector<WeightGroup> groups_;
+  std::vector<std::uint32_t> activeGroups_;  // groups with an active class
+  std::array<GroupSlot, std::size_t{1} << kGroupTableBits> groupTable_{};
 };
 
 /// Relative tolerance of maxMinViolation: two orders of magnitude above the

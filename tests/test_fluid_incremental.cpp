@@ -743,7 +743,7 @@ TEST(FlowClasses, RatesMatchPerFlowSolveUnderChurn) {
     std::vector<ResourceIndex> res;
     for (std::size_t r = 0; r < kResources; ++r) {
       res.push_back(fluid.addResource(ResourceSpec{
-          "r" + std::to_string(r),
+          std::string("r").append(std::to_string(r)),
           [capacityAt, r](const ResourceLoad& load) { return capacityAt(r, load.time); }}));
     }
     ClassOracle oracle(fluid, capacityAt, kResources);
