@@ -21,6 +21,11 @@ spread (interquartile range of its CPU times over their median), so a leg
 near the gate can be read against its noise.  CPU time still moves with
 load from other processes, so run the guard on an otherwise idle host.
 
+Per leg the guard also reports whether the head's stdout is byte-identical
+to the base's ("varies" when the base's own runs disagree).  That line is
+informational: a change may mean to alter output, so it never fails the
+guard.
+
 Usage:
   python3 bench/e2e_guard.py BASE_BUILD HEAD_BUILD
 
@@ -31,6 +36,7 @@ near either tree.  Exit status: 0 pass, 1 fail, 2 usage error.
 """
 
 import argparse
+import hashlib
 import os
 import statistics
 import subprocess
@@ -73,7 +79,8 @@ LEGS = [
       "--stripe", "8", "--reps", "2", "--trace", "t.jsonl", "--trace-out", "t.json",
       "--metrics-out", "m.csv"], {}),
     # The queued metadata path: an mdtest phase on four hash-sharded MDTs
-    # after each IOR run, one MDT flow (and one rate lookup) per op.
+    # after each IOR run, one MDT flow per op whose start, completion
+    # callback and next issue allocate nothing once warm.
     ("metadata_cli",
      ["src/cli/beesim", "run", "--cluster", "plafrim2", "--nodes", "16", "--stripe", "4",
       "--mdts", "4", "--meta-rate", "5000", "--md-ops", "64", "--reps", "30"], {}),
@@ -85,19 +92,25 @@ TIMEOUT = 600.0  # seconds before one run is killed as hung
 
 
 def run_once(build, argv, env):
-    """Run one leg in a scratch directory; return (wall s, CPU s, exit status)."""
+    """Run one leg in a scratch directory.
+
+    Returns (wall s, CPU s, exit status, SHA-256 of its stdout).
+    """
     exe = os.path.join(os.path.abspath(build), argv[0])
-    with tempfile.TemporaryDirectory(prefix="e2e_guard_") as cwd:
+    with tempfile.TemporaryDirectory(prefix="e2e_guard_") as cwd, \
+            tempfile.TemporaryFile() as out:
         start = time.perf_counter()
         proc = subprocess.Popen([exe] + argv[1:], cwd=cwd, env=env,
-                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                                stdout=out, stderr=subprocess.DEVNULL)
         timer = threading.Timer(TIMEOUT, proc.kill)
         timer.start()
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
         timer.cancel()
         proc.returncode = os.waitstatus_to_exitcode(status)
-        return wall, usage.ru_utime + usage.ru_stime, proc.returncode
+        out.seek(0)
+        digest = hashlib.sha256(out.read()).hexdigest()
+        return wall, usage.ru_utime + usage.ru_stime, proc.returncode, digest
 
 
 def summary(times):
@@ -125,12 +138,14 @@ def main():
         walls = {"base": [], "head": []}
         cpus = {"base": [], "head": []}
         codes = {"base": set(), "head": set()}
+        stdouts = {"base": set(), "head": set()}
         for i in range(PAIRS):
             for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-                wall, cpu, code = run_once(sides[side], argv, env)
+                wall, cpu, code, digest = run_once(sides[side], argv, env)
                 walls[side].append(wall)
                 cpus[side].append(cpu)
                 codes[side].add(code)
+                stdouts[side].add(digest)
         for side in ("base", "head"):
             print(f"{name:<15} {side:<5} {summary(walls[side]):>40}  "
                   f"{statistics.median(cpus[side]):14.3f}  "
@@ -144,8 +159,14 @@ def main():
             verdict = "FAIL: exit status differs"
         elif ratio > 1.0 + TOLERANCE:
             verdict = f"FAIL: head median CPU is {100 * (ratio - 1):.1f}% higher"
+        if len(stdouts["base"]) > 1:
+            stdout = "varies"
+        elif stdouts["head"] == stdouts["base"]:
+            stdout = "identical"
+        else:
+            stdout = "differs"
         print(f"{name:<15} head/base median CPU {ratio:.3f}  "
-              f"base IQR/median {spread:.3f}  {verdict}")
+              f"base IQR/median {spread:.3f}  stdout {stdout}  {verdict}")
         if verdict != "ok":
             failed.append(name)
     if failed:

@@ -1,6 +1,7 @@
 // Micro-benchmarks of the simulator core (google-benchmark): the max-min
-// solver at various flow populations, the event queue, and one full IOR run
-// per scenario -- the numbers that bound how fast campaigns execute.
+// solver at various flow populations, the event queue, one full IOR run per
+// scenario and one mdtest run on the queued metadata path -- the numbers
+// that bound how fast campaigns execute.
 //
 // Before the google-benchmark suite runs, main() measures the fluid-core
 // resolve throughput -- the pre-change baseline (full allocating rebuild +
@@ -22,6 +23,7 @@
 #include "beegfs/deployment.hpp"
 #include "beegfs/filesystem.hpp"
 #include "harness/run.hpp"
+#include "ior/mdtest.hpp"
 #include "ior/runner.hpp"
 #include "sim/fluid.hpp"
 #include "sim/maxmin.hpp"
@@ -38,19 +40,32 @@ using namespace beesim;
 using namespace beesim::util::literals;
 
 void BM_MaxMinSolver(benchmark::State& state) {
+  // The walk alone: the CSR view is built once and one workspace is reused
+  // across iterations, as the fluid core does, so no iteration allocates.
   const auto nFlows = static_cast<std::size_t>(state.range(0));
   util::Rng rng(1);
-  std::vector<sim::SolverResource> resources(24);
-  for (auto& r : resources) r.capacity = rng.uniform(100.0, 2000.0);
-  std::vector<sim::SolverFlow> flows(nFlows);
-  for (auto& f : flows) {
-    for (const auto r : rng.sampleWithoutReplacement(resources.size(), 5)) {
-      f.resources.push_back(static_cast<std::uint32_t>(r));
+  std::vector<double> capacity(24);
+  for (auto& c : capacity) c = rng.uniform(100.0, 2000.0);
+  std::vector<std::uint32_t> adjacency;
+  std::vector<std::uint32_t> adjOffset(nFlows);
+  std::vector<std::uint32_t> adjLen(nFlows, 5);
+  std::vector<double> weight(nFlows);
+  const std::vector<double> rateCap(nFlows, 0.0);
+  std::vector<std::uint32_t> subset(nFlows);
+  for (std::size_t f = 0; f < nFlows; ++f) {
+    adjOffset[f] = static_cast<std::uint32_t>(adjacency.size());
+    for (const auto r : rng.sampleWithoutReplacement(capacity.size(), 5)) {
+      adjacency.push_back(static_cast<std::uint32_t>(r));
     }
-    f.weight = rng.uniform(0.5, 4.0);
+    weight[f] = rng.uniform(0.5, 4.0);
+    subset[f] = static_cast<std::uint32_t>(f);
   }
+  const sim::SolverView view{capacity, adjacency, adjOffset, adjLen, weight, rateCap};
+  sim::SolverWorkspace workspace;
+  std::vector<double> rates(nFlows, 0.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::solveMaxMin(resources, flows));
+    benchmark::DoNotOptimize(workspace.solveSubset(view, subset, rates));
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(nFlows));
@@ -84,6 +99,31 @@ void BM_FullIorRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullIorRun)->Arg(4)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
+
+void BM_MetadataOps(benchmark::State& state) {
+  // The queued metadata path (DESIGN.md §2.10) end to end: one mdtest run,
+  // 16 ranks x 256 files through create, stat and unlink, on four
+  // hash-sharded MDTs (set-up included).  ops_per_s is metadata ops per
+  // host CPU second.
+  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 2);
+  beegfs::BeegfsParams params;
+  params.meta.queued = true;
+  params.meta.mdtCount = 4;
+  const auto job = ior::IorJob::onFirstNodes(2, 8);
+  ior::MdtestOptions options;
+  options.filesPerRank = 256;
+  std::uint64_t ops = 0;
+  for (auto _ : state) {
+    sim::FluidSimulator fluid;
+    util::Rng rng(42);
+    beegfs::Deployment deployment(fluid, cluster, params, rng.split());
+    beegfs::FileSystem fs(deployment, rng.split());
+    ops += ior::runMdtest(fs, job, options).totalOps;
+  }
+  state.counters["ops_per_s"] =
+      benchmark::Counter(static_cast<double>(ops), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_MetadataOps)->Unit(benchmark::kMillisecond);
 
 void BM_StripeByteMath(benchmark::State& state) {
   const beegfs::StripePattern pattern({0, 1, 2, 3, 4, 5, 6, 7}, 512_KiB);

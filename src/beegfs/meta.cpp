@@ -1,5 +1,6 @@
 #include "beegfs/meta.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -78,7 +79,7 @@ sim::ResourceIndex MetaService::mdtResource(std::size_t shard) const {
 }
 
 std::size_t MetaService::opAsync(MetaOpKind kind, std::string_view path,
-                                 std::function<void(util::Seconds)> done) {
+                                 sim::FlowCallback done) {
   BEESIM_ASSERT(fluid_ != nullptr, "queued metadata model not attached");
   const std::size_t shard = shardOf(path);
   ++ops_;
@@ -89,17 +90,21 @@ std::size_t MetaService::opAsync(MetaOpKind kind, std::string_view path,
   const double opMiB =
       kSaturationMiBps / rateFor(kind) *
       mdtRng_[shard].logNormalMedian(1.0, params_.jitterSigmaLog);
-  sim::FlowSpec flow;
-  flow.path = {mdtRes_[shard]};
-  flow.bytes = static_cast<util::Bytes>(std::llround(opMiB * util::kMiB));
-  flow.queueWeight = 1.0;
-  if (done) {
-    flow.onComplete = [done = std::move(done)](const sim::FlowStats& stats) {
-      done(stats.endTime);
-    };
-  }
-  fluid_->startFlow(std::move(flow));
+  const sim::ResourceIndex mdt[] = {mdtRes_[shard]};
+  fluid_->startFlow(mdt, static_cast<util::Bytes>(std::llround(opMiB * util::kMiB)),
+                    /*queueWeight=*/1.0, /*rateCap=*/0.0, std::move(done));
   return shard;
+}
+
+void MetaService::hold(std::shared_ptr<void> state) { held_.push_back(std::move(state)); }
+
+std::shared_ptr<void> MetaService::release(const void* state) {
+  const auto it = std::find_if(held_.begin(), held_.end(),
+                               [state](const auto& held) { return held.get() == state; });
+  BEESIM_ASSERT(it != held_.end(), "released state is not held");
+  auto owner = std::move(*it);
+  held_.erase(it);
+  return owner;
 }
 
 }  // namespace beesim::beegfs

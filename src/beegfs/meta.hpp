@@ -21,7 +21,7 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -73,15 +73,26 @@ class MetaService {
   void attach(sim::FluidSimulator& fluid, std::vector<sim::ResourceIndex> mdtRes);
 
   /// MDT owning `path` (hash of the parent directory, or round-robin; see
-  /// MdShardKind).
+  /// MdShardKind).  Only the parent directory is read, so a directory
+  /// prefix ending in '/' ("/beegfs/d/") shards like any entry of it.
   std::size_t shardOf(std::string_view path);
 
-  /// Serve one operation against the MDT owning `path`; `done(at)` fires
-  /// from inside the event loop when the operation completes.  Returns the
-  /// shard the op landed on (callers account per-MDT work without a second
-  /// chooser consultation).  Requires the queued model to be attached.
-  std::size_t opAsync(MetaOpKind kind, std::string_view path,
-                      std::function<void(util::Seconds)> done);
+  /// Serve one operation against the MDT owning `path` (consulting the
+  /// chooser once); `done` fires from inside the event loop when the
+  /// operation's flow completes, with its FlowStats (endTime is the
+  /// completion time).  Returns the shard the op landed on (callers account
+  /// per-MDT work without a second chooser consultation).  Requires the
+  /// queued model to be attached.  Allocates nothing once the fluid's flow
+  /// slots are warm, provided `done` fits std::function's inline buffer.
+  std::size_t opAsync(MetaOpKind kind, std::string_view path, sim::FlowCallback done);
+
+  /// Owner slot for the state of a client run whose op callbacks hold only a
+  /// raw pointer to it (so that they fit std::function's inline buffer).
+  /// hold() keeps `state` alive; release() takes it back when the run
+  /// closes, and returns it so the caller can finish with it.  State a run
+  /// torn down early leaves here is freed with the service.
+  void hold(std::shared_ptr<void> state);
+  std::shared_ptr<void> release(const void* state);
 
   /// Per-MDT saturation throughput of `kind` in ops/s: MetaParams::createRate
   /// for creates, the default profile scaled by createRate for the others.
@@ -119,6 +130,7 @@ class MetaService {
   std::vector<sim::ResourceIndex> mdtRes_;
   std::vector<std::uint64_t> mdtOps_;
   std::uint64_t ops_ = 0;
+  std::vector<std::shared_ptr<void>> held_;
 };
 
 }  // namespace beesim::beegfs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "beegfs/deployment.hpp"
 #include "beegfs/meta.hpp"
@@ -38,7 +39,10 @@ double mdtImbalanceOf(const std::vector<std::uint64_t>& ops) {
   return static_cast<double>(peak) / mean;
 }
 
-/// Shared mutable state of one in-flight mdtest run.
+/// Mutable state of one in-flight mdtest run.  The queued metadata service
+/// holds its owner (MetaService::hold) from launch until the run closes, so
+/// every op callback captures just {state pointer, rank} and fits inside its
+/// std::function: a steady-state op allocates nothing.
 struct MdState {
   beegfs::FileSystem* fs = nullptr;
   IorJob job;
@@ -46,6 +50,11 @@ struct MdState {
   MdtestResult result;
   std::function<void(const MdtestResult&)> done;
 
+  /// Each rank's directory as a shard key: "<dir>/rank<r>/" with unique
+  /// directories (mdtest -u), "<dir>/" when they share one.  Built once at
+  /// launch; MetaService::shardOf reads only the parent directory, which is
+  /// the one every file "<key>f..." of the rank has.
+  std::vector<std::string> rankDir;
   /// Enabled phases, in mdtest order (create -> stat -> unlink).
   std::vector<beegfs::MetaOpKind> phases;
   std::size_t phaseIndex = 0;
@@ -54,16 +63,6 @@ struct MdState {
   std::vector<std::size_t> completedFiles;
   int ranksRemaining = 0;
 };
-
-std::string filePath(const MdState& state, int rank, std::size_t index) {
-  // Unique per-rank directories (mdtest -u) give hash sharding something to
-  // spread; a shared directory funnels every op onto one MDT.
-  if (state.options.uniqueDirPerRank) {
-    return state.options.dir + "/rank" + std::to_string(rank) + "/f" +
-           std::to_string(index);
-  }
-  return state.options.dir + "/f" + std::to_string(rank) + "." + std::to_string(index);
-}
 
 MdtestPhase& phaseSlot(MdState& state, beegfs::MetaOpKind kind) {
   switch (kind) {
@@ -80,60 +79,62 @@ MdtestPhase& phaseSlot(MdState& state, beegfs::MetaOpKind kind) {
   return state.result.create;  // unreachable
 }
 
-void startPhase(const std::shared_ptr<MdState>& state);
+void startPhase(MdState* st);
 
-void issueOp(const std::shared_ptr<MdState>& state, int rank) {
-  auto& meta = state->fs->deployment().meta();
-  const auto kind = state->phases[state->phaseIndex];
-  const auto index = state->nextFile[static_cast<std::size_t>(rank)]++;
-  const auto shard = meta.opAsync(kind, filePath(*state, rank, index),
-                                  [state, rank](util::Seconds at) {
+void issueOp(MdState* st, int rank) {
+  auto& meta = st->fs->deployment().meta();
+  const auto r = static_cast<std::size_t>(rank);
+  ++st->nextFile[r];
+  const auto shard = meta.opAsync(st->phases[st->phaseIndex], st->rankDir[r],
+                                  [st, rank](const sim::FlowStats& stats) {
     const auto r = static_cast<std::size_t>(rank);
-    ++state->completedFiles[r];
-    if (state->nextFile[r] < state->options.filesPerRank) {
-      issueOp(state, rank);
+    ++st->completedFiles[r];
+    if (st->nextFile[r] < st->options.filesPerRank) {
+      issueOp(st, rank);
       return;
     }
-    if (state->completedFiles[r] < state->options.filesPerRank) return;
+    if (st->completedFiles[r] < st->options.filesPerRank) return;
     // Rank finished the phase; the phase barrier falls with the last rank.
-    if (--state->ranksRemaining > 0) return;
-    auto& phase = phaseSlot(*state, state->phases[state->phaseIndex]);
-    phase.end = at;
+    if (--st->ranksRemaining > 0) return;
+    auto& phase = phaseSlot(*st, st->phases[st->phaseIndex]);
+    phase.end = stats.endTime;
     phase.opsPerSec = phase.end > phase.start
                           ? static_cast<double>(phase.ops) / (phase.end - phase.start)
                           : 0.0;
-    ++state->phaseIndex;
-    startPhase(state);
+    ++st->phaseIndex;
+    startPhase(st);
   });
-  ++state->result.mdtOps[shard];
+  ++st->result.mdtOps[shard];
 }
 
-void startPhase(const std::shared_ptr<MdState>& state) {
-  auto& fluid = state->fs->deployment().fluid();
-  if (state->phaseIndex >= state->phases.size()) {
-    // All phases drained: close the run.
-    auto& result = state->result;
+void startPhase(MdState* st) {
+  auto& fluid = st->fs->deployment().fluid();
+  if (st->phaseIndex >= st->phases.size()) {
+    // All phases drained: close the run.  The owner taken back from the
+    // service keeps the state alive through `done` and frees it after.
+    const auto owner = st->fs->deployment().meta().release(st);
+    auto& result = st->result;
     result.end = fluid.now();
     result.totalOps = result.create.ops + result.stat.ops + result.unlink.ops;
     result.opsPerSec = result.end > result.start
                            ? static_cast<double>(result.totalOps) / (result.end - result.start)
                            : 0.0;
     result.mdtImbalance = mdtImbalanceOf(result.mdtOps);
-    if (state->done) state->done(result);
+    if (st->done) st->done(result);
     return;
   }
-  const auto kind = state->phases[state->phaseIndex];
-  auto& phase = phaseSlot(*state, kind);
+  const auto kind = st->phases[st->phaseIndex];
+  auto& phase = phaseSlot(*st, kind);
   phase.start = fluid.now();
-  phase.ops = state->options.phaseOps(state->job.ranks());
-  const auto ranks = static_cast<std::size_t>(state->job.ranks());
-  state->nextFile.assign(ranks, 0);
-  state->completedFiles.assign(ranks, 0);
-  state->ranksRemaining = state->job.ranks();
+  phase.ops = st->options.phaseOps(st->job.ranks());
+  const auto ranks = static_cast<std::size_t>(st->job.ranks());
+  st->nextFile.assign(ranks, 0);
+  st->completedFiles.assign(ranks, 0);
+  st->ranksRemaining = st->job.ranks();
   const auto pipeline = std::min<std::size_t>(
-      static_cast<std::size_t>(state->options.inflightPerRank), state->options.filesPerRank);
-  for (int r = 0; r < state->job.ranks(); ++r) {
-    for (std::size_t k = 0; k < pipeline; ++k) issueOp(state, r);
+      static_cast<std::size_t>(st->options.inflightPerRank), st->options.filesPerRank);
+  for (int r = 0; r < st->job.ranks(); ++r) {
+    for (std::size_t k = 0; k < pipeline; ++k) issueOp(st, r);
   }
 }
 
@@ -151,18 +152,27 @@ void launchMdtest(beegfs::FileSystem& fs, const IorJob& job, const MdtestOptions
   }
 
   auto state = std::make_shared<MdState>();
-  state->fs = &fs;
-  state->job = job;
-  state->options = options;
-  state->done = std::move(done);
-  state->result.mdtOps.assign(deployment.meta().mdtCount(), 0);
-  if (options.createPhase) state->phases.push_back(beegfs::MetaOpKind::kCreate);
-  if (options.statPhase) state->phases.push_back(beegfs::MetaOpKind::kStat);
-  if (options.unlinkPhase) state->phases.push_back(beegfs::MetaOpKind::kUnlink);
+  MdState* const st = state.get();
+  st->fs = &fs;
+  st->job = job;
+  st->options = options;
+  st->done = std::move(done);
+  st->result.mdtOps.assign(deployment.meta().mdtCount(), 0);
+  // Unique per-rank directories (mdtest -u) give hash sharding something to
+  // spread; a shared directory funnels every op onto one MDT.
+  for (int r = 0; r < job.ranks(); ++r) {
+    st->rankDir.push_back(options.uniqueDirPerRank
+                              ? options.dir + "/rank" + std::to_string(r) + "/"
+                              : options.dir + "/");
+  }
+  if (options.createPhase) st->phases.push_back(beegfs::MetaOpKind::kCreate);
+  if (options.statPhase) st->phases.push_back(beegfs::MetaOpKind::kStat);
+  if (options.unlinkPhase) st->phases.push_back(beegfs::MetaOpKind::kUnlink);
+  deployment.meta().hold(std::move(state));
 
-  deployment.fluid().engine().schedule(startAt, [state] {
-    state->result.start = state->fs->deployment().fluid().now();
-    startPhase(state);
+  deployment.fluid().engine().schedule(startAt, [st] {
+    st->result.start = st->fs->deployment().fluid().now();
+    startPhase(st);
   });
 }
 

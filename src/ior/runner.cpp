@@ -229,7 +229,7 @@ void launchIor(beegfs::FileSystem& fs, const IorJob& job, const IorOptions& opti
     for (const auto& path : *sharedPaths) {
       meta.opAsync(
           beegfs::MetaOpKind::kCreate, path,
-          [state, sharedPaths, pendingCreates, sharedFile, beginIo](util::Seconds) {
+          [state, sharedPaths, pendingCreates, sharedFile, beginIo](const sim::FlowStats&) {
             if (--*pendingCreates != 0) return;
             auto& meta = state->fs->deployment().meta();
             const auto pendingOpens =
@@ -239,8 +239,9 @@ void launchIor(beegfs::FileSystem& fs, const IorJob& job, const IorOptions& opti
                   sharedFile ? sharedPaths->front()
                              : (*sharedPaths)[static_cast<std::size_t>(r)];
               meta.opAsync(beegfs::MetaOpKind::kOpen, path,
-                           [state, sharedPaths, pendingOpens, beginIo](util::Seconds at) {
-                             if (--*pendingOpens == 0) beginIo(at);
+                           [state, sharedPaths, pendingOpens,
+                            beginIo](const sim::FlowStats& stats) {
+                             if (--*pendingOpens == 0) beginIo(stats.endTime);
                            });
             }
           });

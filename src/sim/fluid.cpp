@@ -405,22 +405,24 @@ void FluidSimulator::freeFlowSlot(std::uint32_t slot) {
   freeFlowSlots_.push_back(slot);
 }
 
-FlowId FluidSimulator::startFlow(FlowSpec spec) {
-  BEESIM_ASSERT(!spec.path.empty(), "flow path must not be empty");
-  for (const auto r : spec.path) {
+FlowId FluidSimulator::startFlow(std::span<const ResourceIndex> path, util::Bytes bytes,
+                                 double queueWeight, util::MiBps rateCap,
+                                 FlowCallback&& onComplete) {
+  BEESIM_ASSERT(!path.empty(), "flow path must not be empty");
+  for (const auto r : path) {
     BEESIM_ASSERT(r.value < resources_.size(), "flow crosses an unknown resource");
   }
   const FlowId id{nextFlowId_++};
   const SimTime t = engine_.now();
 
-  if (spec.bytes == 0) {
+  if (bytes == 0) {
     // Degenerate flow: completes instantly, never enters the solver.  The
     // observer still sees the full start/complete lifecycle so trace-derived
     // flow counts agree with the callers' view.
-    notify([&](FluidObserver& o) { o.onFlowStarted(id, spec.path, 0, t); });
-    if (!observers_.empty() || spec.onComplete) {
+    notify([&](FluidObserver& o) { o.onFlowStarted(id, path, 0, t); });
+    if (!observers_.empty() || onComplete) {
       FlowStats stats{id, t, t, 0};
-      engine_.scheduleAfter(0.0, [this, cb = std::move(spec.onComplete), stats] {
+      engine_.scheduleAfter(0.0, [this, cb = std::move(onComplete), stats] {
         notify([&](FluidObserver& o) { o.onFlowCompleted(stats); });
         if (cb) cb(stats);
       });
@@ -430,13 +432,13 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
 
   const auto slot = allocateFlowSlot();
   flowId_[slot] = id.value;
-  flowWeight_[slot] = spec.queueWeight;
-  flowRateCap_[slot] = spec.rateCap;
+  flowWeight_[slot] = queueWeight;
+  flowRateCap_[slot] = rateCap;
   flowStart_[slot] = t;
-  flowBytes_[slot] = spec.bytes;
-  flowOnComplete_[slot] = std::move(spec.onComplete);
+  flowBytes_[slot] = bytes;
+  flowOnComplete_[slot] = std::move(onComplete);
 
-  const auto len = static_cast<std::uint32_t>(spec.path.size());
+  const auto len = static_cast<std::uint32_t>(path.size());
   if (pathCap_[slot] < len) {
     // The slot's previous arena region is too small; claim a fresh one at
     // the end.  Slots recycled for same-shaped flows reuse their region, so
@@ -447,16 +449,16 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
   }
   pathLen_[slot] = len;
   for (std::uint32_t i = 0; i < len; ++i) {
-    adjacencyArena_[pathOffset_[slot] + i] = spec.path[i].value;
+    adjacencyArena_[pathOffset_[slot] + i] = path[i].value;
   }
 
   // Settle and merge the components the path touches.  Banking each
   // component's progress *before* membership changes keeps the piecewise
   // integration exact: old rates applied up to t, new rates from t on.
-  std::uint32_t root = findRoot(spec.path[0].value);
+  std::uint32_t root = findRoot(path[0].value);
   advanceComponent(root, t);
   for (std::uint32_t i = 1; i < len; ++i) {
-    const auto rr = findRoot(spec.path[i].value);
+    const auto rr = findRoot(path[i].value);
     if (rr == root) continue;
     advanceComponent(rr, t);
     root = unite(root, rr, t);
@@ -465,7 +467,7 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
   // Join the class after the merge: its served counter is current at t, so
   // the target counts only progress from t on.
   const auto c = classes_.join(adjacencyArena_.data() + pathOffset_[slot], len,
-                               spec.queueWeight, spec.rateCap);
+                               queueWeight, rateCap);
   if (classes_.members(c) == 1) {  // new class: append to the component list
     classes_.prev(c) = compTail_[root];
     if (compTail_[root] == kNone) {
@@ -477,22 +479,22 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
   }
   flowClass_[slot] = c;
   auto& heap = classes_.heap(c);
-  heap.push_back(Member{classes_.served(c) + util::toMiB(spec.bytes), id.value, slot});
+  heap.push_back(Member{classes_.served(c) + util::toMiB(bytes), id.value, slot});
   heapPlace(heap, static_cast<std::uint32_t>(heap.size() - 1), heap.back());
   ++compFlowCount_[root];
   for (std::uint32_t i = 0; i < len; ++i) {
-    const auto r = spec.path[i].value;
+    const auto r = path[i].value;
     if (resLoaded_[r] == 0) {
       resLoaded_[r] = 1;
       loadedRes_.push_back(r);
     }
     ++resFlowCount_[r];
-    resQueueDepth_[r] += spec.queueWeight;
+    resQueueDepth_[r] += queueWeight;
   }
   markDirty(root);
   listComponent(root);
 
-  notify([&](FluidObserver& o) { o.onFlowStarted(id, spec.path, spec.bytes, t); });
+  notify([&](FluidObserver& o) { o.onFlowStarted(id, path, bytes, t); });
   idMap_.insert(id.value, slot);
   ++activeCount_;
   scheduleResolve();

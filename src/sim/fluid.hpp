@@ -70,6 +70,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/maxmin.hpp"
@@ -124,6 +125,12 @@ struct FlowStats {
   }
 };
 
+/// Completion callback of a flow.  Invoked from inside the event loop.  A
+/// callable of at most 16 trivially copyable bytes (a pointer and an index,
+/// say) is stored inside the std::function, so starting the flow does not
+/// allocate for it.
+using FlowCallback = std::function<void(const FlowStats&)>;
+
 struct FlowSpec {
   /// Resources the flow crosses (e.g. client -> node NIC -> server NIC ->
   /// service -> device).  Must be non-empty.
@@ -138,7 +145,7 @@ struct FlowSpec {
   /// Per-flow rate cap in MiB/s (<= 0: uncapped).
   util::MiBps rateCap = 0.0;
   /// Invoked (from inside the event loop) when the flow finishes.
-  std::function<void(const FlowStats&)> onComplete;
+  FlowCallback onComplete;
 };
 
 /// Observer of fluid-simulation events (see sim/trace.hpp for the standard
@@ -185,8 +192,19 @@ class FluidSimulator {
   std::size_t resourceCount() const { return resources_.size(); }
   const std::string& resourceName(ResourceIndex idx) const;
 
-  /// Start a flow at the current virtual time.  Returns its id.
-  FlowId startFlow(FlowSpec spec);
+  /// Start a flow at the current virtual time.  Returns its id.  The span
+  /// form is the one implementation: `path` (non-empty) is copied into the
+  /// simulator's own arena before the call returns, so a caller may pass a
+  /// stack array, and the remaining arguments mean what the FlowSpec fields
+  /// of the same names do.  Once the simulator's slots and scratch are warm
+  /// it allocates nothing for an inline-sized `onComplete`.  The FlowSpec
+  /// form forwards to it.
+  FlowId startFlow(std::span<const ResourceIndex> path, util::Bytes bytes,
+                   double queueWeight, util::MiBps rateCap, FlowCallback&& onComplete);
+  FlowId startFlow(FlowSpec spec) {
+    return startFlow(spec.path, spec.bytes, spec.queueWeight, spec.rateCap,
+                     std::move(spec.onComplete));
+  }
 
   /// Schedule a flow to start at a later virtual time.
   void startFlowAt(SimTime at, FlowSpec spec);
@@ -367,7 +385,7 @@ class FluidSimulator {
 
   struct DrainEntry {
     FlowStats stats;
-    std::function<void(const FlowStats&)> onComplete;
+    FlowCallback onComplete;
   };
 
   using Seconds = util::Seconds;
@@ -458,7 +476,7 @@ class FluidSimulator {
   std::vector<double> flowRateCap_;
   std::vector<SimTime> flowStart_;
   std::vector<util::Bytes> flowBytes_;
-  std::vector<std::function<void(const FlowStats&)>> flowOnComplete_;
+  std::vector<FlowCallback> flowOnComplete_;
   std::vector<std::uint32_t> flowClass_;
   std::vector<std::uint32_t> flowHeapPos_;  // index in its class heap
   std::vector<std::uint32_t> pathOffset_;

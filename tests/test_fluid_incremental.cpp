@@ -6,14 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <iterator>
 #include <map>
-#include <new>
 #include <optional>
 #include <set>
 #include <string>
@@ -21,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_probe.hpp"
 #include "harness/run.hpp"
 #include "ior/options.hpp"
 #include "sim/fluid.hpp"
@@ -30,65 +29,6 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
-
-// --- Global allocation probe -------------------------------------------
-//
-// The test binary replaces the global allocator with a counting wrapper.
-// The counter only ticks while a test arms it, so the rest of the suite is
-// unaffected (beyond a predictable malloc passthrough).
-namespace {
-std::atomic<std::uint64_t> gAllocCount{0};
-std::atomic<bool> gAllocProbeArmed{false};
-
-struct AllocProbe {
-  AllocProbe() {
-    gAllocCount.store(0, std::memory_order_relaxed);
-    gAllocProbeArmed.store(true, std::memory_order_relaxed);
-  }
-  ~AllocProbe() { gAllocProbeArmed.store(false, std::memory_order_relaxed); }
-  std::uint64_t count() const { return gAllocCount.load(std::memory_order_relaxed); }
-};
-}  // namespace
-
-// GCC's allocator-pairing analysis cannot see that these replacements keep
-// new/delete consistent (both sides are malloc/free underneath).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-void* countingAlloc(std::size_t size) {
-  if (gAllocProbeArmed.load(std::memory_order_relaxed)) {
-    gAllocCount.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return countingAlloc(size); }
-void* operator new[](std::size_t size) { return countingAlloc(size); }
-// The nothrow forms must be replaced alongside the throwing ones: libstdc++'s
-// std::get_temporary_buffer (std::stable_sort) allocates through nothrow new
-// but releases through plain operator delete, so a partial replacement pairs
-// the default allocator with std::free.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  if (gAllocProbeArmed.load(std::memory_order_relaxed)) {
-    gAllocCount.fetch_add(1, std::memory_order_relaxed);
-  }
-  return std::malloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return operator new(size, std::nothrow);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-
-#pragma GCC diagnostic pop
 
 namespace beesim::sim {
 namespace {
@@ -364,7 +304,7 @@ TEST(FluidIncremental, SteadyStateResolveIsAllocationFree) {
   const auto iterationsBefore = fluid.solverIterations();
   const auto ticksBefore = tick;
   {
-    AllocProbe probe;
+    test::AllocProbe probe;
     fluid.engine().runUntil(2.0);
     EXPECT_EQ(probe.count(), 0u)
         << "steady-state resolves and class churn must not allocate";
@@ -411,7 +351,7 @@ TEST(FluidIncremental, ClusterScaleResolveIsAllocationFree) {
   fluid.engine().runUntil(0.5);  // warm up pools, scratch and observer runs
   const auto resolvesBefore = fluid.resolveCount();
   {
-    AllocProbe probe;
+    test::AllocProbe probe;
     fluid.engine().runUntil(1.0);
     EXPECT_EQ(probe.count(), 0u) << "cluster-scale steady-state resolves must not allocate";
   }

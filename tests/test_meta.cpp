@@ -4,6 +4,12 @@
 
 #include <cmath>
 
+#include "alloc_probe.hpp"
+#include "beegfs/deployment.hpp"
+#include "beegfs/filesystem.hpp"
+#include "ior/mdtest.hpp"
+#include "sim/fluid.hpp"
+#include "topology/plafrim.hpp"
 #include "util/error.hpp"
 
 namespace beesim::beegfs {
@@ -64,6 +70,41 @@ TEST(Meta, InvalidParamsThrow) {
 TEST(Meta, OpenAllNeedsARank) {
   MetaService meta(MetaParams{}, util::Rng(7));
   EXPECT_THROW(meta.openAllCost(0), util::ContractError);
+}
+
+TEST(Meta, SteadyStateMdtestOpAllocatesNothing) {
+  // A warmed-up mdtest op -- chooser call, jitter draw, MDT flow start, its
+  // completion and the rank's next issue -- makes no heap allocation.
+  sim::FluidSimulator fluid;
+  fluid.setSolverCheck(false);  // the differential check allocates by design
+  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+  BeegfsParams params;
+  params.meta.queued = true;
+  params.meta.mdtCount = 4;
+  util::Rng rng(31);
+  Deployment deployment(fluid, cluster, params, rng.split());
+  FileSystem fs(deployment, rng.split());
+  ior::MdtestOptions options;
+  options.filesPerRank = 512;  // 4096 ops per phase over 8 ranks
+  bool finished = false;
+  ior::launchMdtest(fs, ior::IorJob{{0, 1}, 4}, options, 0.0,
+                    [&finished](const ior::MdtestResult&) { finished = true; });
+  auto& meta = deployment.meta();
+  const auto stepUntilOps = [&](std::uint64_t ops) {
+    while (meta.opsServed() < ops && fluid.engine().step()) {
+    }
+  };
+  // Warm up flow slots, classes, event slots, free lists and the drain list.
+  stepUntilOps(2048);
+  const auto opsBefore = meta.opsServed();
+  {
+    test::AllocProbe probe;
+    stepUntilOps(opsBefore + 512);  // inside the create phase
+    EXPECT_EQ(probe.count(), 0u) << "a steady-state metadata op must not allocate";
+  }
+  EXPECT_GE(meta.opsServed(), opsBefore + 512);
+  fluid.run();
+  EXPECT_TRUE(finished);
 }
 
 }  // namespace

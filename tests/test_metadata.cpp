@@ -6,8 +6,12 @@
 
 #include <cmath>
 #include <functional>
+#include <map>
+#include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "beegfs/deployment.hpp"
@@ -135,7 +139,7 @@ TEST(MetaQueued, LoneOpLatencyIsSaturationDepthOverRate) {
   ASSERT_TRUE(meta.queuedModel());
   util::Seconds createEnd = -1.0;
   meta.opAsync(beegfs::MetaOpKind::kCreate, "/beegfs/f",
-               [&](util::Seconds at) { createEnd = at; });
+               [&](const sim::FlowStats& stats) { createEnd = stats.endTime; });
   fluid.run();
   // A lone op sees rampFactor(1) = 1/kSaturationDepth of the saturation
   // capacity, so its latency is kSaturationDepth/rate (6.4 ms with defaults,
@@ -154,9 +158,9 @@ TEST(MetaQueued, SaturatedMdtServesTheConfiguredRate) {
   int completed = 0;
   util::Seconds lastEnd = 0.0;
   for (int i = 0; i < ops; ++i) {
-    meta.opAsync(beegfs::MetaOpKind::kStat, "/beegfs/dir/f", [&](util::Seconds at) {
+    meta.opAsync(beegfs::MetaOpKind::kStat, "/beegfs/dir/f", [&](const sim::FlowStats& stats) {
       ++completed;
-      lastEnd = at;
+      lastEnd = stats.endTime;
     });
   }
   fluid.run();
@@ -261,6 +265,159 @@ TEST(Mdtest, SharedDirectoryFunnelsOntoOneMdt) {
   // metadata throughput.
   EXPECT_LT(unique.mdtImbalance, shared.mdtImbalance);
   EXPECT_GT(unique.opsPerSec, shared.opsPerSec);
+}
+
+/// The per-rank MDT sequence of an mdtest run, read off the fluid's event
+/// stream.  Ranks are recovered from the issue order: the starts one
+/// completion callback makes are the completed op's rank issuing its next
+/// file when there is one start, and otherwise a phase barrier issuing
+/// `pipeline` ops per rank in rank order (the launch is such a barrier).
+class RankShardRecorder : public sim::FluidObserver {
+ public:
+  RankShardRecorder(const beegfs::MetaService& meta, int ranks, std::size_t pipeline)
+      : pipeline_(pipeline), shards_(static_cast<std::size_t>(ranks)) {
+    for (std::size_t k = 0; k < meta.mdtCount(); ++k) {
+      shardOfResource_[meta.mdtResource(k).value] = k;
+    }
+  }
+
+  void onFlowStarted(sim::FlowId id, std::span<const sim::ResourceIndex> path, util::Bytes,
+                     sim::SimTime) override {
+    segment_.emplace_back(id.value, shardOfResource_.at(path[0].value));
+  }
+  void onRatesSolved(sim::SimTime, std::span<const sim::FlowId>,
+                     std::span<const util::MiBps>, std::size_t) override {}
+  void onFlowCompleted(const sim::FlowStats& stats) override {
+    closeSegment();
+    completedRank_ = rankOf_.at(stats.id.value);
+  }
+
+  /// Per rank, the MDT of each op in issue order (all phases).
+  const std::vector<std::vector<std::size_t>>& shards() {
+    closeSegment();
+    return shards_;
+  }
+  /// The rank of every op, in global issue order.
+  const std::vector<int>& issueOrder() {
+    closeSegment();
+    return order_;
+  }
+
+ private:
+  void closeSegment() {
+    for (std::size_t k = 0; k < segment_.size(); ++k) {
+      const int rank = segment_.size() == 1 && completedRank_ >= 0
+                           ? completedRank_
+                           : static_cast<int>(k / pipeline_);
+      rankOf_[segment_[k].first] = rank;
+      shards_.at(static_cast<std::size_t>(rank)).push_back(segment_[k].second);
+      order_.push_back(rank);
+    }
+    segment_.clear();
+  }
+
+  std::size_t pipeline_;
+  std::map<std::uint32_t, std::size_t> shardOfResource_;
+  std::map<std::uint64_t, int> rankOf_;
+  std::vector<std::pair<std::uint64_t, std::size_t>> segment_;
+  int completedRank_ = -1;
+  std::vector<std::vector<std::size_t>> shards_;
+  std::vector<int> order_;
+};
+
+/// The file path mdtest names op `index` of `rank` by: "<dir>/rank<r>/f<i>"
+/// with unique directories, "<dir>/f<r>.<i>" in a shared one.
+std::string mdtestFilePath(const ior::MdtestOptions& options, int rank, std::size_t index) {
+  if (options.uniqueDirPerRank) {
+    return options.dir + "/rank" + std::to_string(rank) + "/f" + std::to_string(index);
+  }
+  return options.dir + "/f" + std::to_string(rank) + "." + std::to_string(index);
+}
+
+TEST(Mdtest, ShardPlacementFollowsEachFilePath) {
+  // Every op lands on the MDT the chooser assigns its file path, one chooser
+  // call per op in issue order: hash sharding with per-rank and with shared
+  // directories, and round-robin.
+  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+  const auto job = smallJob();
+  const std::size_t files = 8;
+  const int inflight = 3;  // below `files`, so completions issue single ops
+  struct Case {
+    beegfs::MdShardKind kind;
+    bool uniqueDirs;
+  };
+  for (const auto& c : {Case{beegfs::MdShardKind::kHashDir, true},
+                        Case{beegfs::MdShardKind::kHashDir, false},
+                        Case{beegfs::MdShardKind::kRoundRobin, true}}) {
+    SCOPED_TRACE(::testing::Message() << "round-robin=" << (c.kind != beegfs::MdShardKind::kHashDir)
+                                      << " unique=" << c.uniqueDirs);
+    sim::FluidSimulator fluid;
+    util::Rng rng(14);
+    auto params = queuedParams(4, 0.25);
+    params.meta.shard = c.kind;
+    beegfs::Deployment deployment(fluid, cluster, params, rng.split());
+    beegfs::FileSystem fs(deployment, rng.split());
+    ior::MdtestOptions options;
+    options.filesPerRank = files;
+    options.inflightPerRank = inflight;
+    options.uniqueDirPerRank = c.uniqueDirs;
+    RankShardRecorder recorder(deployment.meta(), job.ranks(), inflight);
+    fluid.addObserver(&recorder);
+    ior::runMdtest(fs, job, options);
+
+    // The expected sequence, from the file paths, through a fresh chooser
+    // called in the recorded global issue order.
+    beegfs::MdShardChooser chooser(c.kind, 4);
+    std::vector<std::vector<std::size_t>> expected(static_cast<std::size_t>(job.ranks()));
+    std::vector<std::size_t> issued(expected.size(), 0);
+    for (const int rank : recorder.issueOrder()) {
+      const auto r = static_cast<std::size_t>(rank);
+      expected[r].push_back(chooser.shardOf(mdtestFilePath(options, rank, issued[r]++ % files)));
+    }
+    EXPECT_EQ(recorder.shards(), expected);
+    std::set<std::size_t> used;
+    for (const auto& rank : recorder.shards()) {
+      EXPECT_EQ(rank.size(), 3 * files);  // create, stat, unlink
+      used.insert(rank.begin(), rank.end());
+    }
+    if (c.uniqueDirs) {
+      EXPECT_GT(used.size(), 1u);
+    } else {
+      EXPECT_EQ(used.size(), 1u);
+    }
+  }
+}
+
+TEST(Mdtest, TwoRankRunPinsItsMdtOps) {
+  sim::FluidSimulator fluid;
+  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+  util::Rng rng(15);
+  beegfs::Deployment deployment(fluid, cluster, queuedParams(4, 0.25), rng.split());
+  beegfs::FileSystem fs(deployment, rng.split());
+  ior::MdtestOptions options;
+  options.filesPerRank = 8;
+  const auto result = ior::runMdtest(fs, ior::IorJob{{0}, 2}, options);
+  EXPECT_EQ(result.mdtOps, (std::vector<std::uint64_t>{0, 24, 24, 0}));
+}
+
+TEST(Mdtest, TeardownWithOpsInFlightFreesTheRun) {
+  // A run abandoned mid-phase (its simulator and deployment destroyed with
+  // ops in flight) frees its state, `done` included.
+  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+  const auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  {
+    sim::FluidSimulator fluid;
+    util::Rng rng(16);
+    beegfs::Deployment deployment(fluid, cluster, queuedParams(4), rng.split());
+    beegfs::FileSystem fs(deployment, rng.split());
+    ior::launchMdtest(fs, smallJob(), ior::MdtestOptions{}, 0.0,
+                      [keep = sentinel](const ior::MdtestResult&) {});
+    while (deployment.meta().opsServed() < 100 && fluid.engine().step()) {
+    }
+    ASSERT_GT(fluid.activeFlows(), 0u);
+  }
+  EXPECT_EQ(watch.use_count(), 1);  // only `sentinel` itself is left
 }
 
 TEST(Mdtest, RequiresTheQueuedModel) {
