@@ -45,45 +45,50 @@ import tempfile
 import threading
 import time
 
+# Every gated leg pins one campaign thread: CPU time is compared per leg,
+# and a default job count above 1 would add thread start-up and cache
+# sharing to what the gate reads.
+SERIAL = {"BEESIM_JOBS": "1"}
+
 # (name, argv relative to the build tree, extra environment).  Repetition
 # counts keep each leg at 0.5-1 s of host time on a 4-core container:
 # much shorter legs are dominated by start-up and timer resolution.  The
 # QoS leg is a CLI campaign because ext_qos takes ~40 s even at
 # BEESIM_REPS=2.
 LEGS = [
-    ("fig08", ["bench/fig08_alloc_s1"], {"BEESIM_REPS": "100"}),
-    ("fig11", ["bench/fig11_nodes_stripes"], {"BEESIM_REPS": "100"}),
-    ("fig12", ["bench/fig12_concurrent"], {"BEESIM_REPS": "20"}),
-    ("ext_failslow", ["bench/ext_failslow"], {"BEESIM_REPS": "2"}),
-    ("ext_rebalance", ["bench/ext_rebalance"], {"BEESIM_REPS": "10"}),
+    ("fig08", ["bench/fig08_alloc_s1"], {**SERIAL, "BEESIM_REPS": "100"}),
+    ("fig11", ["bench/fig11_nodes_stripes"], {**SERIAL, "BEESIM_REPS": "100"}),
+    ("fig12", ["bench/fig12_concurrent"], {**SERIAL, "BEESIM_REPS": "20"}),
+    ("ext_failslow", ["bench/ext_failslow"], {**SERIAL, "BEESIM_REPS": "2"}),
+    ("ext_rebalance", ["bench/ext_rebalance"], {**SERIAL, "BEESIM_REPS": "10"}),
     ("qos_concurrent",
      ["src/cli/beesim", "concurrent", "--apps", "4", "--nodes-per-app", "8",
-      "--stripe", "8", "--qos", "--qos-rate", "400", "--qos-borrow", "--reps", "40"], {}),
+      "--stripe", "8", "--qos", "--qos-rate", "400", "--qos-borrow", "--reps", "40"], SERIAL),
     # Stochastic fail-slow under the watchdog and the hedge lag check at one
     # 0.5 s cadence: the only leg whose chunks run both checks.
     ("gray_cli",
      ["src/cli/beesim", "run", "--cluster", "plafrim1", "--nodes", "8", "--stripe", "8",
       "--fail-slow", "5", "--fail-slow-mttr", "0.5", "--fault-mode", "degraded",
       "--io-timeout", "0.5", "--hedge", "--hedge-deadline", "0.5",
-      "--suspect-ratio", "0.5", "--reps", "80"], {}),
+      "--suspect-ratio", "0.5", "--reps", "160"], SERIAL),
     # The traced run replays the campaign's first run with the ring sink
     # attached and renders it to JSONL (131k records): about half the leg.
     ("ring_trace",
      ["src/cli/beesim", "run", "--cluster", "plafrim2", "--nodes", "1024",
       "--stripe", "8", "--reps", "2", "--trace", "trace.jsonl",
-      "--trace-format", "ring"], {}),
+      "--trace-format", "ring"], SERIAL),
     # The same run with the exact FlowTracer: its unbounded event log
     # rendered to JSONL and Chrome trace, plus the metrics series.
     ("full_trace",
      ["src/cli/beesim", "run", "--cluster", "plafrim2", "--nodes", "1024",
       "--stripe", "8", "--reps", "2", "--trace", "t.jsonl", "--trace-out", "t.json",
-      "--metrics-out", "m.csv"], {}),
+      "--metrics-out", "m.csv"], SERIAL),
     # The queued metadata path: an mdtest phase on four hash-sharded MDTs
     # after each IOR run, one MDT flow per op whose start, completion
     # callback and next issue allocate nothing once warm.
     ("metadata_cli",
      ["src/cli/beesim", "run", "--cluster", "plafrim2", "--nodes", "16", "--stripe", "4",
-      "--mdts", "4", "--meta-rate", "5000", "--md-ops", "64", "--reps", "30"], {}),
+      "--mdts", "4", "--meta-rate", "5000", "--md-ops", "64", "--reps", "30"], SERIAL),
 ]
 
 PAIRS = 10  # alternating base/head pairs per leg
@@ -134,7 +139,7 @@ def main():
     print(f"{'leg':<15} {'side':<5} {'wall min / mean +- sd / max (s)':>40}  "
           f"{'CPU median (s)':>14}  exit")
     for name, argv, extra in LEGS:
-        env = dict(os.environ, BEESIM_JOBS="1", **extra)
+        env = dict(os.environ, **extra)
         walls = {"base": [], "head": []}
         cpus = {"base": [], "head": []}
         codes = {"base": set(), "head": set()}

@@ -397,19 +397,45 @@ void FileSystem::abortOp(const OpPtr& op) {
 void FileSystem::armChecks(const OpPtr& op, sim::FlowId flow) {
   const util::Seconds at = std::min(op->watchdogAt, op->hedgeAt);
   if (at == kNever) return;
-  deployment_.fluid().engine().schedule(at, [this, op, flow, at] {
+  auto& engine = deployment_.fluid().engine();
+  if (openCheckBatch_ == kNoBatch || checkBatches_[openCheckBatch_].at != at ||
+      engine.nextSequence() != openCheckSequence_) {
+    if (freeCheckBatches_.empty()) {
+      openCheckBatch_ = checkBatches_.size();
+      checkBatches_.emplace_back();
+    } else {
+      openCheckBatch_ = freeCheckBatches_.back();
+      freeCheckBatches_.pop_back();
+    }
+    checkBatches_[openCheckBatch_].at = at;
+    engine.schedule(at, [this, batch = openCheckBatch_] { runChecks(batch); });
+  }
+  checkBatches_[openCheckBatch_].entries.push_back(CheckEntry{op, flow});
+  openCheckSequence_ = engine.nextSequence();
+}
+
+void FileSystem::runChecks(std::size_t batch) {
+  if (openCheckBatch_ == batch) openCheckBatch_ = kNoBatch;
+  const util::Seconds at = checkBatches_[batch].at;
+  // Index the pool on every pass: re-arms may grow it.
+  for (std::size_t i = 0; i < checkBatches_[batch].entries.size(); ++i) {
+    CheckEntry& entry = checkBatches_[batch].entries[i];
+    const OpPtr op = std::move(entry.op);
+    const sim::FlowId flow = entry.flow;
     // The op resolved, or its original leg is no longer the one armed for.
-    if (op->resolved || op->legs[0].flow != flow) return;
+    if (op->resolved || op->legs[0].flow != flow) continue;
     // Each check keeps its own grid of repeated `+ period` times.
     if (op->watchdogAt == at) {
-      if (!watchdog(op)) return;
+      if (!watchdog(op)) continue;
       op->watchdogAt += deployment_.params().faults.ioTimeout;
     }
     if (op->hedgeAt == at) {
       op->hedgeAt = hedgeCheck(op) ? at + deployment_.params().hedge.deadline : kNever;
     }
     armChecks(op, flow);
-  });
+  }
+  checkBatches_[batch].entries.clear();
+  freeCheckBatches_.push_back(batch);
 }
 
 bool FileSystem::watchdog(const OpPtr& op) {

@@ -194,6 +194,20 @@ class FileSystem {
   };
   using OpPtr = std::shared_ptr<ChunkOp>;
 
+  /// One armed check timer.
+  struct CheckEntry {
+    OpPtr op;
+    sim::FlowId flow;
+  };
+  /// Check timers due at `at` that share one engine event; the entries would
+  /// have had consecutive sequence numbers as events of their own, so no
+  /// other event can dispatch between them.
+  struct CheckBatch {
+    util::Seconds at = 0.0;
+    std::vector<CheckEntry> entries;
+  };
+  static constexpr std::size_t kNoBatch = static_cast<std::size_t>(-1);
+
   void transferAsync(std::size_t node, FileHandle handle, util::Bytes offset,
                      util::Bytes length, double queueWeight, bool isWrite,
                      std::function<void(util::Seconds)> done);
@@ -224,8 +238,14 @@ class FileSystem {
 
   /// The op's one check timer, bound to its original leg `flow`: until the op
   /// resolves or that leg changes, it runs the due watchdog, then the due lag
-  /// check, and re-arms at the earlier next due time.
+  /// check, and re-arms at the earlier next due time.  The timer joins the
+  /// open check batch when its event would have dispatched right after that
+  /// batch's last entry (same due time, no event scheduled in between);
+  /// otherwise it opens a batch with one engine event of its own.
   void armChecks(const OpPtr& op, sim::FlowId flow);
+  /// Check batch `batch` fell due: run each entry's checks in arm order,
+  /// then return the batch to the pool.
+  void runChecks(std::size_t batch);
   /// Client I/O timeout: an op on an offline target is handed to the retry
   /// ladder, or aborted in strict mode (false: the timer must stop).
   bool watchdog(const OpPtr& op);
@@ -287,6 +307,14 @@ class FileSystem {
   /// in-flight peer set is itself sick (e.g. only the chunks behind a
   /// stuttering link remain, so their median cannot expose them).
   util::MiBps hedgeRefRate_ = 0.0;
+  /// Check batch pool (index == the batch's engine event capture) and the
+  /// indices of its idle batches.
+  std::vector<CheckBatch> checkBatches_;
+  std::vector<std::size_t> freeCheckBatches_;
+  /// The batch the next arm may join, and the engine's next sequence number
+  /// right after that batch's last arm.
+  std::size_t openCheckBatch_ = kNoBatch;
+  std::uint64_t openCheckSequence_ = 0;
   /// In-flight mirrored ops per group (index == group id).
   std::vector<std::vector<OpPtr>> inflightMirror_;
   /// Active background resync flow per group (id 0 == none).

@@ -13,11 +13,9 @@ constexpr std::size_t kNoGroup = std::numeric_limits<std::size_t>::max();
 
 ManagementService::ManagementService(const topo::ClusterConfig& cluster,
                                      util::Bytes targetCapacity) {
-  hostTargetCount_.resize(cluster.hosts.size());
   hostWeights_.assign(cluster.hosts.size(), 1.0);
   hostHealth_.assign(cluster.hosts.size(), HostHealth::kHealthy);
   for (std::size_t h = 0; h < cluster.hosts.size(); ++h) {
-    hostTargetCount_[h] = cluster.hosts[h].targets.size();
     for (std::size_t t = 0; t < cluster.hosts[h].targets.size(); ++t) {
       TargetEntry entry;
       entry.flatIndex = cluster.flatTargetIndex(h, t);
@@ -63,11 +61,6 @@ void ManagementService::recordUsage(std::size_t flatIndex, util::Bytes bytes) {
     throw util::ConfigError("target " + entry.name + " is full");
   }
   entry.used += bytes;
-}
-
-std::size_t ManagementService::targetsOnHost(std::size_t host) const {
-  BEESIM_ASSERT(host < hostTargetCount_.size(), "unknown host");
-  return hostTargetCount_[host];
 }
 
 void ManagementService::setHostWeight(std::size_t host, double weight) {

@@ -94,10 +94,7 @@ class ManagementService {
   void recordUsage(std::size_t flatIndex, util::Bytes bytes);
 
   /// Number of storage hosts in the registry.
-  std::size_t hostCount() const { return hostTargetCount_.size(); }
-
-  /// Targets per host (registry view).
-  std::size_t targetsOnHost(std::size_t host) const;
+  std::size_t hostCount() const { return hostWeights_.size(); }
 
   // -- Per-host chooser weights (rebalance retarget lever). ----------------
 
@@ -152,7 +149,6 @@ class ManagementService {
   MirrorGroup& mutableGroup(std::size_t id);
 
   std::vector<TargetEntry> targets_;
-  std::vector<std::size_t> hostTargetCount_;
   std::vector<double> hostWeights_;
   std::vector<HostHealth> hostHealth_;
   std::vector<MirrorGroup> groups_;

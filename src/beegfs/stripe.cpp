@@ -22,10 +22,6 @@ std::size_t StripePattern::targetForChunk(std::uint64_t chunk) const {
   return targets_[chunk % targets_.size()];
 }
 
-std::size_t StripePattern::targetForOffset(util::Bytes offset) const {
-  return targetForChunk(offset / chunkSize_);
-}
-
 std::uint64_t countCongruent(std::uint64_t first, std::uint64_t last, std::uint64_t modulus,
                              std::uint64_t residue) {
   BEESIM_ASSERT(modulus > 0, "modulus must be positive");

@@ -27,9 +27,6 @@ class StripePattern {
   /// Target (flat index) storing chunk number `chunk`.
   std::size_t targetForChunk(std::uint64_t chunk) const;
 
-  /// Target storing the byte at `offset`.
-  std::size_t targetForOffset(util::Bytes offset) const;
-
   /// Bytes of [offset, offset+length) stored on each pattern slot
   /// (result[i] belongs to targets()[i]).  Sum equals length.
   std::vector<util::Bytes> bytesPerTarget(util::Bytes offset, util::Bytes length) const;

@@ -540,6 +540,10 @@ std::optional<util::Bytes> FluidSimulator::cancelFlow(FlowId id) {
 }
 
 void FluidSimulator::invalidateCapacities() {
+  // Nothing flows and no resolve is queued: that resolve would only reset
+  // the already-reset components.  Capacity models are pure in (load, time)
+  // and the next flow's resolve evaluates every loaded resource afresh.
+  if (activeCount_ == 0 && !resolvePending_) return;
   pendingAllDirty_ = true;
   scheduleResolve();
 }

@@ -244,7 +244,9 @@ class FluidSimulator {
   void setResolveInterval(util::Seconds interval) { resolveInterval_ = interval; }
 
   /// Force capacities to be re-evaluated and rates re-solved at the current
-  /// time (e.g. after an external capacity change).
+  /// time (e.g. after an external capacity change).  While no flow is live
+  /// and no resolve is queued this schedules nothing: the next flow's start
+  /// resolve evaluates every loaded capacity anyway.
   void invalidateCapacities();
 
   /// Inert (asserts ε == 0) for campaign_bench; the next benchmark change removes it.

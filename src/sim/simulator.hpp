@@ -75,6 +75,12 @@ class Simulator {
   /// guard for the unbounded-growth bug).
   std::size_t cancelledBacklog() const { return cancelledCount_; }
 
+  /// Sequence number the next scheduled event will get.  Only schedule()
+  /// advances it, so an unchanged value means no event was scheduled in
+  /// between (callers use this to coalesce events that would have been
+  /// adjacent in dispatch order).
+  std::uint64_t nextSequence() const { return nextSequence_; }
+
  private:
   struct QueuedEvent {
     SimTime at;

@@ -351,6 +351,79 @@ TEST(FailSlowHedge, SharedTimerKeepsEachCheckOnItsOwnCadence) {
   EXPECT_EQ(fs.inFlightChunks(), 0u);
 }
 
+TEST(FailSlowHedge, ChecksDueTogetherShareOneEngineEvent) {
+  // One write over 8 healthy, noise-free targets issues its 8 chunk ops at
+  // once, so their check timers fall due at the same instants and would
+  // have been adjacent engine events: they share one check batch, and every
+  // check instant dispatches exactly one event besides the fluid's
+  // resolves, not one per op.
+  sim::FluidSimulator fluid;
+  auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+  cluster.network.serverLinkNoiseSigmaLog = 0.0;
+  for (auto& host : cluster.hosts) {
+    for (auto& target : host.targets) target.variability = topo::VariabilitySpec{};
+  }
+  beegfs::BeegfsParams params;
+  params.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+  params.faults.ioTimeout = 0.5;
+  params.hedge.enabled = true;
+  params.hedge.deadline = 0.5;
+  beegfs::Deployment deployment(fluid, cluster, params, util::Rng(1));
+  beegfs::FileSystem fs(deployment, util::Rng(2));
+  const auto handle = fs.createPinned("/wide", {0, 1, 2, 3, 4, 5, 6, 7}, 512_KiB);
+  bool done = false;
+  fs.writeAsync(0, handle, 0, 4_GiB, 8.0, [&](util::Seconds) { done = true; });
+
+  auto& engine = fluid.engine();
+  std::size_t instants = 0;
+  for (double at = 0.5; fs.inFlightChunks() == 8; at += 0.5) {
+    engine.runUntil(std::nextafter(at, 0.0));
+    if (fs.inFlightChunks() != 8) break;
+    const auto resolves = fluid.resolveCount();
+    const auto events = engine.runUntil(at);
+    EXPECT_EQ(events - (fluid.resolveCount() - resolves), 1u) << "check instant t = " << at;
+    ++instants;
+  }
+  EXPECT_GE(instants, 2u);
+  fluid.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(fs.hedgeStats().hedgesIssued, 0u);
+  EXPECT_EQ(fs.faultStats().timeouts, 0u);
+}
+
+TEST(FailSlowWatchdog, CheckBatchKeepsDispatchOrder) {
+  // Writes A and B both go to target 0, which crashes after their issue.
+  // Their watchdogs fall due at the same instant, but a probe scheduled
+  // between the two writeAsync calls sits between them in dispatch order,
+  // so A and B may not share a check batch: the probe sees A's timeout and
+  // not yet B's.
+  sim::FluidSimulator fluid;
+  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+  beegfs::BeegfsParams params;
+  params.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+  params.faults.ioTimeout = 0.5;
+  beegfs::Deployment deployment(fluid, cluster, params, util::Rng(1));
+  beegfs::FileSystem fs(deployment, util::Rng(2));
+  faults::FaultInjector injector(deployment, faults::parseSchedule("off:t0@0.1"));
+  injector.arm();
+  const auto a = fs.createPinned("/a", {0}, 512_KiB);
+  const auto b = fs.createPinned("/b", {0}, 512_KiB);
+  std::size_t done = 0;
+  fs.writeAsync(0, a, 0, 1_GiB, 4.0, [&](util::Seconds) { ++done; });
+  std::optional<std::size_t> seen;
+  fluid.engine().schedule(params.faults.ioTimeout,
+                          [&] { seen = fs.faultStats().timeouts; });
+  fs.writeAsync(1, b, 0, 1_GiB, 4.0, [&](util::Seconds) { ++done; });
+
+  fluid.engine().runUntil(params.faults.ioTimeout);
+  ASSERT_TRUE(seen.has_value());
+  EXPECT_EQ(*seen, 1u);
+  EXPECT_EQ(fs.faultStats().timeouts, 2u);
+  fluid.run();
+  EXPECT_EQ(done, 2u);
+  EXPECT_EQ(fs.inFlightChunks(), 0u);
+}
+
 TEST(FailSlowHedge, NearZeroLinkDegradeCompletesUnderWatchdogAndHedge) {
   // PR satellite: watchdog + near-zero kLinkDegrade must terminate.  Host
   // 1's link drops to ~0 while everything stays online; chunks homed there

@@ -107,6 +107,63 @@ TEST(FluidIncremental, CompletionCallbackMayInvalidateCapacities) {
   EXPECT_TRUE(done);
 }
 
+TEST(FluidIncremental, IdleCapacityChangeSchedulesNoResolve) {
+  // With no live flow and no resolve queued, an invalidation would only
+  // reset components that the last flow's departure already reset, so it
+  // schedules nothing.  A flow started afterwards still sees the changed
+  // capacity: its rates equal a fresh simulator's, bit for bit.
+  double sharedCap = 100.0;
+  const auto build = [&sharedCap](FluidSimulator& fluid) {
+    const auto shared = fluid.addResource(ResourceSpec{
+        "shared", [&sharedCap](const ResourceLoad& load) {
+          return sharedCap / (1.0 + 0.1 * load.queueDepth);
+        }});
+    return std::vector<ResourceIndex>{addLink(fluid, "left", 30.0),
+                                      addLink(fluid, "right", 70.0), shared};
+  };
+  const auto startTrio = [](FluidSimulator& fluid, const std::vector<ResourceIndex>& r) {
+    const std::vector<ResourceIndex> paths[] = {{r[0], r[2]}, {r[1], r[2]}, {r[2]}};
+    std::vector<FlowId> ids;
+    for (std::size_t i = 0; i < 3; ++i) {
+      ids.push_back(fluid.startFlow(FlowSpec{.path = paths[i],
+                                             .bytes = (i + 1) * 64_MiB,
+                                             .queueWeight = 1.0 + static_cast<double>(i),
+                                             .rateCap = 0.0,
+                                             .onComplete = nullptr}));
+    }
+    return ids;
+  };
+
+  FluidSimulator fluid;
+  const auto resources = build(fluid);
+  startTrio(fluid, resources);
+  fluid.run();
+  ASSERT_EQ(fluid.activeFlows(), 0u);
+
+  sharedCap = 37.5;
+  const auto resolves = fluid.resolveCount();
+  fluid.invalidateCapacities();
+  EXPECT_EQ(fluid.resolveCount(), resolves);
+  EXPECT_EQ(fluid.engine().pending(), 0u);
+  fluid.engine().runUntil(fluid.now() + 2.0);
+  EXPECT_EQ(fluid.resolveCount(), resolves);
+
+  FluidSimulator fresh;
+  const auto freshResources = build(fresh);
+  const auto ids = startTrio(fluid, resources);
+  const auto freshIds = startTrio(fresh, freshResources);
+  ASSERT_TRUE(fluid.engine().step());
+  ASSERT_TRUE(fresh.engine().step());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_GT(fluid.flowRate(ids[i]), 0.0) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fluid.flowRate(ids[i])),
+              std::bit_cast<std::uint64_t>(fresh.flowRate(freshIds[i])))
+        << "flow " << i;
+  }
+  fluid.run();
+  EXPECT_EQ(fluid.activeFlows(), 0u);
+}
+
 TEST(FluidIncremental, DisjointComponentsAreNotResolved) {
   // Two flows on disjoint links: starting the second must re-solve only its
   // own component; the first flow's (clean) component is left untouched.

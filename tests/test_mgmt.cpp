@@ -19,7 +19,6 @@ TEST(Mgmt, RegistersAllTargets) {
   const auto mgmt = makeMgmt();
   EXPECT_EQ(mgmt.targetCount(), 8u);
   EXPECT_EQ(mgmt.hostCount(), 2u);
-  EXPECT_EQ(mgmt.targetsOnHost(0), 4u);
 }
 
 TEST(Mgmt, EntriesCarryPaperNumbering) {
@@ -74,7 +73,6 @@ TEST(Mgmt, UnknownTargetThrows) {
   EXPECT_THROW(mgmt.target(99), util::ContractError);
   EXPECT_THROW(mgmt.setTargetOnline(99, false), util::ContractError);
   EXPECT_THROW(mgmt.recordUsage(99, 1), util::ContractError);
-  EXPECT_THROW(mgmt.targetsOnHost(5), util::ContractError);
 }
 
 }  // namespace

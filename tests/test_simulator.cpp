@@ -102,6 +102,24 @@ TEST(Simulator, CancelUnknownIdIsHarmless) {
   EXPECT_TRUE(ran);
 }
 
+TEST(Simulator, NextSequenceCountsScheduledEvents) {
+  // Only scheduling advances the sequence: callers compare two reads to
+  // learn whether any event was scheduled in between.
+  Simulator sim;
+  const auto first = sim.nextSequence();
+  const auto id = sim.schedule(1.0, [] {});
+  sim.scheduleAfter(0.5, [] {});
+  EXPECT_EQ(sim.nextSequence(), first + 2);
+  sim.cancel(id);
+  ASSERT_TRUE(sim.step());
+  EXPECT_FALSE(sim.step());
+  sim.runUntil(3.0);
+  EXPECT_EQ(sim.nextSequence(), first + 2);
+  sim.schedule(3.0, [&sim] { sim.scheduleAfter(0.0, [] {}); });
+  sim.run();
+  EXPECT_EQ(sim.nextSequence(), first + 4);
+}
+
 TEST(Simulator, RunUntilStopsAtLimit) {
   Simulator sim;
   std::vector<double> fired;

@@ -78,13 +78,11 @@ TEST(Stripe, ZeroLengthIsAllZeros) {
   EXPECT_EQ(per[1], 0u);
 }
 
-TEST(Stripe, TargetForChunkAndOffset) {
+TEST(Stripe, TargetForChunk) {
   const StripePattern pattern({7, 3, 9}, 1_MiB);
   EXPECT_EQ(pattern.targetForChunk(0), 7u);
   EXPECT_EQ(pattern.targetForChunk(1), 3u);
   EXPECT_EQ(pattern.targetForChunk(5), 9u);
-  EXPECT_EQ(pattern.targetForOffset(0), 7u);
-  EXPECT_EQ(pattern.targetForOffset(2_MiB + 5), 9u);
 }
 
 TEST(Stripe, InvalidConstructionThrows) {
