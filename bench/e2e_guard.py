@@ -26,6 +26,12 @@ to the base's ("varies" when the base's own runs disagree).  That line is
 informational: a change may mean to alter output, so it never fails the
 guard.
 
+The legs named in SCALED also run at BEESIM_JOBS=4 next to each serial
+run, on both sides.  Per side the guard prints the wall-time speedup
+(median serial wall / median 4-job wall), the child-CPU ratio (median
+4-job CPU / median serial CPU) and whether the 4-job stdout is
+byte-identical to the serial one.  These numbers never affect the verdict.
+
 Usage:
   python3 bench/e2e_guard.py BASE_BUILD HEAD_BUILD
 
@@ -91,6 +97,10 @@ LEGS = [
       "--mdts", "4", "--meta-rate", "5000", "--md-ops", "64", "--reps", "30"], SERIAL),
 ]
 
+# Legs also run at this job count to report campaign scaling (never gated).
+SCALED = {"fig12", "ext_failslow"}
+SCALED_ENV = {"BEESIM_JOBS": "4"}
+
 PAIRS = 10  # alternating base/head pairs per leg
 TOLERANCE = 0.20  # allowed rise of the head's median CPU time
 TIMEOUT = 600.0  # seconds before one run is killed as hung
@@ -116,6 +126,13 @@ def run_once(build, argv, env):
         out.seek(0)
         digest = hashlib.sha256(out.read()).hexdigest()
         return wall, usage.ru_utime + usage.ru_stime, proc.returncode, digest
+
+
+def stdout_verdict(digests, reference):
+    """'identical' when one stdout matches the reference set, else why not."""
+    if len(reference) > 1:
+        return "varies"
+    return "identical" if digests == reference else "differs"
 
 
 def summary(times):
@@ -144,6 +161,7 @@ def main():
         cpus = {"base": [], "head": []}
         codes = {"base": set(), "head": set()}
         stdouts = {"base": set(), "head": set()}
+        scaled = {side: {"walls": [], "cpus": [], "stdouts": set()} for side in sides}
         for i in range(PAIRS):
             for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
                 wall, cpu, code, digest = run_once(sides[side], argv, env)
@@ -151,6 +169,12 @@ def main():
                 cpus[side].append(cpu)
                 codes[side].add(code)
                 stdouts[side].add(digest)
+                if name in SCALED:
+                    wall, cpu, _, digest = run_once(sides[side], argv,
+                                                    dict(env, **SCALED_ENV))
+                    scaled[side]["walls"].append(wall)
+                    scaled[side]["cpus"].append(cpu)
+                    scaled[side]["stdouts"].add(digest)
         for side in ("base", "head"):
             print(f"{name:<15} {side:<5} {summary(walls[side]):>40}  "
                   f"{statistics.median(cpus[side]):14.3f}  "
@@ -164,14 +188,18 @@ def main():
             verdict = "FAIL: exit status differs"
         elif ratio > 1.0 + TOLERANCE:
             verdict = f"FAIL: head median CPU is {100 * (ratio - 1):.1f}% higher"
-        if len(stdouts["base"]) > 1:
-            stdout = "varies"
-        elif stdouts["head"] == stdouts["base"]:
-            stdout = "identical"
-        else:
-            stdout = "differs"
+        stdout = stdout_verdict(stdouts["head"], stdouts["base"])
         print(f"{name:<15} head/base median CPU {ratio:.3f}  "
               f"base IQR/median {spread:.3f}  stdout {stdout}  {verdict}")
+        if name in SCALED:
+            jobs = SCALED_ENV["BEESIM_JOBS"]
+            for side in ("base", "head"):
+                run = scaled[side]
+                speedup = statistics.median(walls[side]) / statistics.median(run["walls"])
+                cpu_ratio = statistics.median(run["cpus"]) / statistics.median(cpus[side])
+                print(f"{name:<15} {side:<5} jobs={jobs} wall speedup {speedup:.2f}x  "
+                      f"CPU ratio {cpu_ratio:.2f}  stdout vs jobs=1 "
+                      f"{stdout_verdict(run['stdouts'], stdouts[side])}")
         if verdict != "ok":
             failed.append(name)
     if failed:

@@ -18,10 +18,6 @@ StripePattern::StripePattern(std::vector<std::size_t> targets, util::Bytes chunk
                 "stripe pattern targets must be distinct");
 }
 
-std::size_t StripePattern::targetForChunk(std::uint64_t chunk) const {
-  return targets_[chunk % targets_.size()];
-}
-
 std::uint64_t countCongruent(std::uint64_t first, std::uint64_t last, std::uint64_t modulus,
                              std::uint64_t residue) {
   BEESIM_ASSERT(modulus > 0, "modulus must be positive");
@@ -70,17 +66,6 @@ std::vector<util::Bytes> StripePattern::bytesPerTarget(util::Bytes offset,
     }
   }
   return perTarget;
-}
-
-std::string StripePattern::describe() const {
-  std::string out = "stripe[count=" + std::to_string(targets_.size()) +
-                    ", chunk=" + util::formatBytes(chunkSize_) + ", targets=";
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (i) out += ',';
-    out += std::to_string(targets_[i]);
-  }
-  out += ']';
-  return out;
 }
 
 }  // namespace beesim::beegfs

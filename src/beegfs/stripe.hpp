@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "util/units.hpp"
@@ -24,14 +24,9 @@ class StripePattern {
   util::Bytes chunkSize() const { return chunkSize_; }
   const std::vector<std::size_t>& targets() const { return targets_; }
 
-  /// Target (flat index) storing chunk number `chunk`.
-  std::size_t targetForChunk(std::uint64_t chunk) const;
-
   /// Bytes of [offset, offset+length) stored on each pattern slot
   /// (result[i] belongs to targets()[i]).  Sum equals length.
   std::vector<util::Bytes> bytesPerTarget(util::Bytes offset, util::Bytes length) const;
-
-  std::string describe() const;
 
  private:
   std::vector<std::size_t> targets_;

@@ -380,6 +380,20 @@ int cmdRun(const Args& args, std::ostream& out) {
     throw util::ConfigError("--fault-mode must be strict|degraded|none");
   }
   config.fs.faults.ioTimeout = ioTimeout;
+  // A tuning flag whose feature is off would be parsed and then ignored.
+  if (args.get("mttr") && mttf <= 0.0) throw util::ConfigError("--mttr requires --mttf");
+  if (args.get("fault-horizon") && mttf <= 0.0 && failSlow <= 0.0) {
+    throw util::ConfigError("--fault-horizon requires --mttf or --fail-slow");
+  }
+  if (args.get("resync-rate") && !mirror) {
+    throw util::ConfigError("--resync-rate requires --mirror");
+  }
+  if (args.get("io-timeout") &&
+      config.fs.faults.mode == beegfs::ClientFaultPolicy::Mode::kNone) {
+    throw util::ConfigError(
+        "--io-timeout requires a fault mode (--faults, --mttf, --fail-slow or "
+        "--fault-mode strict|degraded)");
+  }
 
   // Storage buddy mirroring: default cross-host pairing, mirrored striping
   // for every file the run creates.
@@ -642,7 +656,9 @@ std::string usage() {
          "                            (slow:tN@T=F degrades target N to fraction F of its\n"
          "                            service rate while it stays registered online)\n"
          "                --fault-mode strict|degraded (default degraded with --faults)\n"
-         "                --io-timeout S --mttf S --mttr S --fault-horizon S\n"
+         "                --io-timeout S (needs a fault mode) --mttf S\n"
+         "                --mttr S (needs --mttf) --fault-horizon S (needs --mttf or\n"
+         "                            --fail-slow)\n"
          "                --fail-slow S         stochastic gray failures: mean seconds\n"
          "                            between fail-slow episodes per target\n"
          "                --fail-slow-mttr S    mean episode duration (default fail-slow/10)\n"
@@ -650,7 +666,8 @@ std::string usage() {
          "                            episode, in [0,1] (default 0.25; 0 = dead-but-online)\n"
          "                --mirror    stripe over buddy-mirror groups (synchronous\n"
          "                            cross-host replication with automatic failover)\n"
-         "                --resync-rate MiBps   cap background resync flows (default uncapped)\n"
+         "                --resync-rate MiBps   cap background resync flows (needs --mirror;\n"
+         "                            default uncapped)\n"
          "                --rebalance           closed-loop rebalancing: watch per-server\n"
          "                            rates, bias new creates toward cold servers and\n"
          "                            migrate hot chunks when imbalance persists\n"

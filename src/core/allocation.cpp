@@ -53,10 +53,6 @@ double Allocation::balanceRatio() const {
   return static_cast<double>(minPerHost()) / static_cast<double>(max);
 }
 
-bool Allocation::isBalanced() const {
-  return minPerHost() == maxPerHost() && minPerHost() > 0;
-}
-
 double Allocation::hotHostFraction() const {
   return static_cast<double>(maxPerHost()) / static_cast<double>(totalTargets());
 }

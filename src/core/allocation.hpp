@@ -40,9 +40,6 @@ class Allocation {
   /// with this ratio (Fig. 8).
   double balanceRatio() const;
 
-  /// True when every *used* count is equal and every host is used.
-  bool isBalanced() const;
-
   /// Largest fraction of the data carried by a single host
   /// (max / total).  Scenario-1 steady-state bandwidth is
   /// linkBandwidth / hotHostFraction (see analytic.hpp).

@@ -21,12 +21,6 @@ util::MiBps networkLimitedBandwidth(const Allocation& allocation, util::MiBps li
   return linkBandwidth / allocation.hotHostFraction();
 }
 
-util::Seconds networkLimitedWriteTime(util::Bytes volume, const Allocation& allocation,
-                                      util::MiBps linkBandwidth) {
-  BEESIM_ASSERT(volume > 0, "volume must be positive");
-  return util::toMiB(volume) / networkLimitedBandwidth(allocation, linkBandwidth);
-}
-
 std::vector<RateSegment> twoTargetTimeline(util::Bytes volume, bool balanced,
                                            util::MiBps linkBandwidth) {
   BEESIM_ASSERT(volume > 0, "volume must be positive");

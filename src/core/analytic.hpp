@@ -25,14 +25,10 @@ namespace beesim::core {
 /// servers with per-link bandwidth B.
 util::MiBps networkBound(std::size_t clientNodes, std::size_t servers, util::MiBps linkBandwidth);
 
-/// Completion time of writing `volume` over `allocation` when each storage
-/// host is reached through one link of `linkBandwidth` (Scenario 1 steady
-/// state; Fig. 9 generalized).
-util::Seconds networkLimitedWriteTime(util::Bytes volume, const Allocation& allocation,
-                                      util::MiBps linkBandwidth);
-
-/// The corresponding steady-state bandwidth:
-/// linkBandwidth / hotHostFraction == linkBandwidth * total / max_h.
+/// Steady-state bandwidth of writing over `allocation` when each storage
+/// host is reached through one link of `linkBandwidth` (Scenario 1; Fig. 9
+/// generalized): linkBandwidth / hotHostFraction == linkBandwidth * total /
+/// max_h.
 util::MiBps networkLimitedBandwidth(const Allocation& allocation, util::MiBps linkBandwidth);
 
 /// Fig. 9's time series: per-server instantaneous bandwidth over time for a

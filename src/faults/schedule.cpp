@@ -100,18 +100,18 @@ void generateRenewal(std::vector<FaultEvent>& out, FaultKind fail, FaultKind rec
 }
 
 /// Fail-slow renewal: like generateRenewal, but the "fail" side is a degrade
-/// event of the same kind with a severity drawn uniformly from [floor,
-/// ceiling] and the "recover" side restores fraction 1.  The severity draw
+/// event of the same kind with a severity drawn uniformly from [0, ceiling]
+/// and the "recover" side restores fraction 1.  The severity draw
 /// happens inside the per-entity stream, so the whole schedule stays a pure
 /// function of the rng state.
 void generateDegradeRenewal(std::vector<FaultEvent>& out, FaultKind kind, std::size_t count,
-                            util::Seconds mttf, util::Seconds mttr, double floor,
-                            double ceiling, util::Seconds horizon, util::Rng& rng) {
+                            util::Seconds mttf, util::Seconds mttr, double ceiling,
+                            util::Seconds horizon, util::Rng& rng) {
   if (mttf <= 0.0 || mttr <= 0.0) return;
   for (std::size_t i = 0; i < count; ++i) {
     util::Seconds t = rng.exponential(mttf);
     while (t < horizon) {
-      out.push_back(FaultEvent{t, kind, i, rng.uniform(floor, ceiling)});
+      out.push_back(FaultEvent{t, kind, i, rng.uniform(0.0, ceiling)});
       t += rng.exponential(mttr);
       if (t >= horizon) break;  // stays degraded past the horizon
       out.push_back(FaultEvent{t, kind, i, 1.0});
@@ -129,9 +129,8 @@ FaultSchedule generateSchedule(const StochasticFaultSpec& spec, std::size_t targ
        spec.linkStutterMttf > 0.0)) {
     throw util::ConfigError("stochastic fault spec needs a horizon > 0");
   }
-  if (spec.degradeFloor < 0.0 || spec.degradeCeiling > 1.0 ||
-      spec.degradeFloor > spec.degradeCeiling) {
-    throw util::ConfigError("degrade severity range must satisfy 0 <= floor <= ceiling <= 1");
+  if (spec.degradeCeiling < 0.0 || spec.degradeCeiling > 1.0) {
+    throw util::ConfigError("degrade severity ceiling must lie in [0, 1]");
   }
   FaultSchedule schedule;
   generateRenewal(schedule.events, FaultKind::kTargetFail, FaultKind::kTargetRecover,
@@ -141,11 +140,11 @@ FaultSchedule generateSchedule(const StochasticFaultSpec& spec, std::size_t targ
   // Fail-slow streams draw *after* the crash streams, so enabling them never
   // perturbs the crash schedule an existing seed produced.
   generateDegradeRenewal(schedule.events, FaultKind::kTargetDegrade, targetCount,
-                         spec.degradeMttf, spec.degradeMttr, spec.degradeFloor,
-                         spec.degradeCeiling, spec.horizon, rng);
+                         spec.degradeMttf, spec.degradeMttr, spec.degradeCeiling,
+                         spec.horizon, rng);
   generateDegradeRenewal(schedule.events, FaultKind::kLinkDegrade, hostCount,
-                         spec.linkStutterMttf, spec.linkStutterMttr, spec.degradeFloor,
-                         spec.degradeCeiling, spec.horizon, rng);
+                         spec.linkStutterMttf, spec.linkStutterMttr, spec.degradeCeiling,
+                         spec.horizon, rng);
   // generateRenewal already stops at the horizon, but the boundary case (an
   // event at exactly t == horizon) must follow the documented half-open
   // contract regardless of how the events were produced.

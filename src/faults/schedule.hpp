@@ -78,17 +78,16 @@ struct StochasticFaultSpec {
   util::Seconds hostMttr = 0.0;
   /// Fail-slow (gray) episodes: each target alternates healthy/degraded with
   /// these means; a degrade onset carries a service-rate multiplier drawn
-  /// uniformly from [degradeFloor, degradeCeiling] (deterministically from
-  /// the campaign rng stream), the matching recovery restores fraction 1.
+  /// uniformly from [0, degradeCeiling] (deterministically from the
+  /// campaign rng stream), the matching recovery restores fraction 1.
   util::Seconds degradeMttf = 0.0;
   util::Seconds degradeMttr = 0.0;
   /// Link stutters: same renewal shape per host link (kLinkDegrade events
   /// with a drawn fraction, repaired back to 1).
   util::Seconds linkStutterMttf = 0.0;
   util::Seconds linkStutterMttr = 0.0;
-  /// Severity range for drawn degrade/stutter multipliers.  The floor may be
-  /// 0 (dead-but-online, see FaultEvent::fraction).
-  double degradeFloor = 0.0;
+  /// Worst-case (largest) drawn degrade/stutter multiplier, in [0, 1].  The
+  /// draw's floor is 0 (dead-but-online, see FaultEvent::fraction).
   double degradeCeiling = 0.25;
   /// Events are generated in the half-open window [0, horizon): an event
   /// landing exactly on the horizon is dropped, failures and recoveries

@@ -1,6 +1,7 @@
 #include "ior/mdtest.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <string>
 
@@ -17,13 +18,14 @@ std::uint64_t MdtestOptions::phaseOps(int ranks) const {
 void MdtestOptions::validate() const {
   if (filesPerRank < 1) throw util::ConfigError("mdtest needs files-per-rank >= 1");
   if (inflightPerRank < 1) throw util::ConfigError("mdtest needs inflight-per-rank >= 1");
-  if (!createPhase && !statPhase && !unlinkPhase) {
-    throw util::ConfigError("mdtest needs at least one enabled phase");
-  }
   if (dir.empty()) throw util::ConfigError("mdtest needs a working directory");
 }
 
 namespace {
+
+/// mdtest's phase order, each phase behind a barrier.
+constexpr std::array<beegfs::MetaOpKind, 3> kPhases{
+    beegfs::MetaOpKind::kCreate, beegfs::MetaOpKind::kStat, beegfs::MetaOpKind::kUnlink};
 
 /// max/mean over per-MDT op counts (1 = perfectly sharded).
 double mdtImbalanceOf(const std::vector<std::uint64_t>& ops) {
@@ -55,8 +57,7 @@ struct MdState {
   /// launch; MetaService::shardOf reads only the parent directory, which is
   /// the one every file "<key>f..." of the rank has.
   std::vector<std::string> rankDir;
-  /// Enabled phases, in mdtest order (create -> stat -> unlink).
-  std::vector<beegfs::MetaOpKind> phases;
+  /// Index into kPhases of the phase in flight.
   std::size_t phaseIndex = 0;
   /// Per-rank cursors of the current phase.
   std::vector<std::size_t> nextFile;
@@ -85,7 +86,7 @@ void issueOp(MdState* st, int rank) {
   auto& meta = st->fs->deployment().meta();
   const auto r = static_cast<std::size_t>(rank);
   ++st->nextFile[r];
-  const auto shard = meta.opAsync(st->phases[st->phaseIndex], st->rankDir[r],
+  const auto shard = meta.opAsync(kPhases[st->phaseIndex], st->rankDir[r],
                                   [st, rank](const sim::FlowStats& stats) {
     const auto r = static_cast<std::size_t>(rank);
     ++st->completedFiles[r];
@@ -96,7 +97,7 @@ void issueOp(MdState* st, int rank) {
     if (st->completedFiles[r] < st->options.filesPerRank) return;
     // Rank finished the phase; the phase barrier falls with the last rank.
     if (--st->ranksRemaining > 0) return;
-    auto& phase = phaseSlot(*st, st->phases[st->phaseIndex]);
+    auto& phase = phaseSlot(*st, kPhases[st->phaseIndex]);
     phase.end = stats.endTime;
     phase.opsPerSec = phase.end > phase.start
                           ? static_cast<double>(phase.ops) / (phase.end - phase.start)
@@ -109,7 +110,7 @@ void issueOp(MdState* st, int rank) {
 
 void startPhase(MdState* st) {
   auto& fluid = st->fs->deployment().fluid();
-  if (st->phaseIndex >= st->phases.size()) {
+  if (st->phaseIndex >= kPhases.size()) {
     // All phases drained: close the run.  The owner taken back from the
     // service keeps the state alive through `done` and frees it after.
     const auto owner = st->fs->deployment().meta().release(st);
@@ -123,7 +124,7 @@ void startPhase(MdState* st) {
     if (st->done) st->done(result);
     return;
   }
-  const auto kind = st->phases[st->phaseIndex];
+  const auto kind = kPhases[st->phaseIndex];
   auto& phase = phaseSlot(*st, kind);
   phase.start = fluid.now();
   phase.ops = st->options.phaseOps(st->job.ranks());
@@ -165,9 +166,6 @@ void launchMdtest(beegfs::FileSystem& fs, const IorJob& job, const MdtestOptions
                               ? options.dir + "/rank" + std::to_string(r) + "/"
                               : options.dir + "/");
   }
-  if (options.createPhase) st->phases.push_back(beegfs::MetaOpKind::kCreate);
-  if (options.statPhase) st->phases.push_back(beegfs::MetaOpKind::kStat);
-  if (options.unlinkPhase) st->phases.push_back(beegfs::MetaOpKind::kUnlink);
   deployment.meta().hold(std::move(state));
 
   deployment.fluid().engine().schedule(startAt, [st] {

@@ -3,12 +3,14 @@
 // mdtest is the IO500's metadata workhorse: every rank works on its own set
 // of files (N-N), and the benchmark runs phased create -> stat -> unlink
 // sweeps with barriers between phases, reporting each phase's throughput in
-// ops/s.  This driver reproduces that shape on the queued MDS/MDT model
-// (DESIGN.md §2.10): each rank keeps a bounded number of metadata ops in
-// flight, ops contend on the sharded MDTs as fluid flows, and the result
-// carries per-phase and per-MDT accounting.  Pure metadata: no data bytes
-// move and the placement chooser is never consulted, so an mdtest phase
-// appended to an IOR run leaves the data-path rng streams untouched.
+// ops/s.  Every run makes all three sweeps (mdtest -C -T -r); stat and
+// unlink visit the files create made, in the same order.  This driver
+// reproduces that shape on the queued MDS/MDT model (DESIGN.md §2.10): each
+// rank keeps a bounded number of metadata ops in flight, ops contend on the
+// sharded MDTs as fluid flows, and the result carries per-phase and per-MDT
+// accounting.  Pure metadata: no data bytes move and the placement chooser
+// is never consulted, so an mdtest phase appended to an IOR run leaves the
+// data-path rng streams untouched.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +29,6 @@ struct MdtestOptions {
   /// Outstanding metadata ops a rank pipelines (client-side write-behind for
   /// metadata; mirrors the client write-behind depth in deployment.cpp).
   int inflightPerRank = 8;
-  /// Phase switches (mdtest -C/-T/-r).  Stat and unlink run over the files
-  /// the create phase made, in the same order.
-  bool createPhase = true;
-  bool statPhase = true;
-  bool unlinkPhase = true;
   /// Every rank works in its own subdirectory (mdtest -u).  With hash
   /// sharding this spreads ranks across MDTs; without it all ops pile onto
   /// the single MDT owning the shared directory.
@@ -39,7 +36,7 @@ struct MdtestOptions {
   /// Working directory of the run.
   std::string dir = "/beegfs/mdtest";
 
-  /// Total ops per enabled phase = ranks * filesPerRank.
+  /// Total ops per phase = ranks * filesPerRank.
   std::uint64_t phaseOps(int ranks) const;
 
   void validate() const;
@@ -50,7 +47,7 @@ struct MdtestPhase {
   util::Seconds start = 0.0;
   util::Seconds end = 0.0;
   std::uint64_t ops = 0;
-  /// ops / (end - start); 0 for disabled phases.
+  /// ops / (end - start); 0 for a phase that took no virtual time.
   double opsPerSec = 0.0;
 
   bool operator==(const MdtestPhase&) const = default;
@@ -74,7 +71,7 @@ struct MdtestResult {
 };
 
 /// Launch an mdtest run at virtual time `startAt`; `done` fires when the
-/// last enabled phase drains.  Requires the queued metadata model
+/// unlink phase drains.  Requires the queued metadata model
 /// (MetaParams::queued) -- the scalar model has no contention to measure.
 void launchMdtest(beegfs::FileSystem& fs, const IorJob& job, const MdtestOptions& options,
                   util::Seconds startAt, std::function<void(const MdtestResult&)> done);

@@ -501,10 +501,6 @@ FlowId FluidSimulator::startFlow(std::span<const ResourceIndex> path, util::Byte
   return id;
 }
 
-void FluidSimulator::startFlowAt(SimTime at, FlowSpec spec) {
-  engine_.schedule(at, [this, spec = std::move(spec)]() mutable { startFlow(std::move(spec)); });
-}
-
 util::MiBps FluidSimulator::flowRate(FlowId id) const {
   const auto slot = idMap_.find(id.value);
   if (slot == kNone) return 0.0;

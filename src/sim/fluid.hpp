@@ -6,7 +6,9 @@
 // capacity changes, rates are re-solved.  Virtual time then advances directly
 // to the next interesting instant (a flow completion or a scheduled capacity
 // refresh), so a 100-repetition IOR campaign that takes hours of wall-clock
-// on a real cluster simulates in milliseconds.
+// on a real cluster simulates in milliseconds.  A flow starts at the
+// engine's current time; a later start is an engine event that calls
+// startFlow.
 //
 // Resources may have *load-dependent* capacities: the capacity callback
 // receives the number of crossing flows and their aggregate queue weight.
@@ -182,8 +184,8 @@ class FluidSimulator {
   FluidSimulator(const FluidSimulator&) = delete;
   FluidSimulator& operator=(const FluidSimulator&) = delete;
 
-  /// The underlying event engine (for scheduling waits, staggered app starts,
-  /// interference, ...).
+  /// The underlying event engine (for timers, staggered app starts and
+  /// delayed flow starts).
   Simulator& engine() { return engine_; }
   SimTime now() const { return engine_.now(); }
 
@@ -205,9 +207,6 @@ class FluidSimulator {
     return startFlow(spec.path, spec.bytes, spec.queueWeight, spec.rateCap,
                      std::move(spec.onComplete));
   }
-
-  /// Schedule a flow to start at a later virtual time.
-  void startFlowAt(SimTime at, FlowSpec spec);
 
   /// Current max-min rate of an active flow (0 if finished/unknown, and 0
   /// until the flow's class has been re-solved after the flow joined).

@@ -43,33 +43,4 @@ KsResult ksNormalTestFitted(std::span<const double> sample) {
   return ksNormalTest(sample, s.mean, s.sd);
 }
 
-KsResult ksTwoSampleTest(std::span<const double> a, std::span<const double> b) {
-  BEESIM_ASSERT(!a.empty() && !b.empty(), "two-sample KS needs non-empty samples");
-  std::vector<double> sa(a.begin(), a.end());
-  std::vector<double> sb(b.begin(), b.end());
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
-
-  double d = 0.0;
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia < sa.size() && ib < sb.size()) {
-    const double x = std::min(sa[ia], sb[ib]);
-    while (ia < sa.size() && sa[ia] <= x) ++ia;
-    while (ib < sb.size() && sb[ib] <= x) ++ib;
-    const double fa = static_cast<double>(ia) / static_cast<double>(sa.size());
-    const double fb = static_cast<double>(ib) / static_cast<double>(sb.size());
-    d = std::max(d, std::fabs(fa - fb));
-  }
-
-  const double na = static_cast<double>(sa.size());
-  const double nb = static_cast<double>(sb.size());
-  const double effectiveN = std::sqrt(na * nb / (na + nb));
-
-  KsResult result;
-  result.statistic = d;
-  result.pValue = kolmogorovQ((effectiveN + 0.12 + 0.11 / effectiveN) * d);
-  return result;
-}
-
 }  // namespace beesim::stats

@@ -2,8 +2,7 @@
 //
 // The paper checks normality with a KS test before applying Welch's t-test
 // (Section IV-D).  We provide the one-sample test against a Normal(mu,
-// sigma) and the two-sample test (useful to compare bandwidth distributions
-// across allocations), both with the asymptotic Kolmogorov p-value.
+// sigma), with the asymptotic Kolmogorov p-value.
 #pragma once
 
 #include <span>
@@ -26,8 +25,5 @@ KsResult ksNormalTest(std::span<const double> sample, double mean, double sd);
 /// setting; p-value is the conservative asymptotic one, as R's ks.test
 /// reports when parameters are supplied).
 KsResult ksNormalTestFitted(std::span<const double> sample);
-
-/// Two-sample KS test.
-KsResult ksTwoSampleTest(std::span<const double> a, std::span<const double> b);
 
 }  // namespace beesim::stats

@@ -66,14 +66,6 @@ double incompleteBeta(double a, double b, double x) {
   return 1.0 - bt * betaContinuedFraction(b, a, 1.0 - x) / b;
 }
 
-double studentTCdf(double t, double df) {
-  BEESIM_ASSERT(df > 0.0, "degrees of freedom must be > 0");
-  if (!std::isfinite(t)) return t > 0 ? 1.0 : 0.0;
-  const double x = df / (df + t * t);
-  const double p = 0.5 * incompleteBeta(df / 2.0, 0.5, x);
-  return t >= 0.0 ? 1.0 - p : p;
-}
-
 double studentTTwoSidedP(double t, double df) {
   const double x = df / (df + t * t);
   return incompleteBeta(df / 2.0, 0.5, x);

@@ -1,5 +1,5 @@
 // Special functions needed by the hypothesis tests: regularized incomplete
-// beta (Student-t CDF), error function wrappers (normal CDF), and the
+// beta (Student-t tail), error function wrappers (normal CDF), and the
 // Kolmogorov distribution tail.  Implemented from scratch (Lentz continued
 // fractions / series) so the library has no numerical dependencies; accuracy
 // is validated against known values in the tests.
@@ -12,9 +12,6 @@ double logGamma(double x);
 
 /// Regularized incomplete beta function I_x(a, b), for a,b > 0, x in [0,1].
 double incompleteBeta(double a, double b, double x);
-
-/// CDF of Student's t distribution with `df` degrees of freedom (df > 0).
-double studentTCdf(double t, double df);
 
 /// Two-sided p-value of a t statistic with `df` degrees of freedom.
 double studentTTwoSidedP(double t, double df);

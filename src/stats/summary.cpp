@@ -10,9 +10,9 @@ namespace beesim::stats {
 
 namespace {
 
-/// Quantile over an already-sorted sample (R type-7).  summarize/boxPlot
-/// need three quantiles each; sorting once and reusing it turns their
-/// O(3 n log n) into O(n log n), which matters for campaign-sized samples.
+/// Linear-interpolated quantile (R type-7, matching numpy/pandas defaults)
+/// over an already-sorted sample.  summarize/boxPlot need three quantiles
+/// each and sort once for all of them.
 double quantileSorted(std::span<const double> sorted, double q) {
   if (sorted.size() == 1) return sorted.front();
   const double h = q * static_cast<double>(sorted.size() - 1);
@@ -29,12 +29,6 @@ std::vector<double> sortedCopy(std::span<const double> values) {
 }
 
 }  // namespace
-
-double quantile(std::span<const double> values, double q) {
-  BEESIM_ASSERT(!values.empty(), "quantile of empty sample");
-  BEESIM_ASSERT(q >= 0.0 && q <= 1.0, "quantile fraction must be in [0, 1]");
-  return quantileSorted(sortedCopy(values), q);
-}
 
 double jainIndex(std::span<const double> values) {
   BEESIM_ASSERT(!values.empty(), "Jain index of empty sample");

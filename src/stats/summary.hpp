@@ -16,6 +16,7 @@ struct Summary {
   double sd = 0.0;
   double min = 0.0;
   double max = 0.0;
+  /// Quartiles are linear-interpolated (R type-7, numpy's default).
   double median = 0.0;
   double q1 = 0.0;  // 25th percentile
   double q3 = 0.0;  // 75th percentile
@@ -28,10 +29,6 @@ struct Summary {
 
 /// Compute a summary.  Precondition: values non-empty.
 Summary summarize(std::span<const double> values);
-
-/// Linear-interpolated quantile (R type-7, matching numpy/pandas defaults).
-/// Precondition: values non-empty, 0 <= q <= 1.
-double quantile(std::span<const double> values, double q);
 
 /// Jain's fairness index: (Σx)² / (n·Σx²).  1 = perfectly fair, 1/n = one
 /// user takes everything.  Precondition: values non-empty, all >= 0.  An

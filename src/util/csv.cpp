@@ -1,7 +1,5 @@
 #include "util/csv.hpp"
 
-#include <sstream>
-
 #include "util/error.hpp"
 
 namespace beesim::util {
@@ -45,94 +43,6 @@ std::string CsvWriter::escape(const std::string& field) {
   }
   quoted += '"';
   return quoted;
-}
-
-std::size_t CsvData::column(const std::string& name) const {
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return i;
-  }
-  throw IoError("CSV column not found: " + name);
-}
-
-namespace {
-
-/// Splits one logical CSV record that is already known to end at a record
-/// boundary.  Handles RFC 4180 quoting.
-std::vector<std::string> splitRecord(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool inQuotes = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (inQuotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          inQuotes = false;
-        }
-      } else {
-        field += c;
-      }
-    } else if (c == '"') {
-      inQuotes = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else if (c == '\r') {
-      // ignore
-    } else {
-      field += c;
-    }
-  }
-  fields.push_back(std::move(field));
-  return fields;
-}
-
-}  // namespace
-
-CsvData parseCsv(const std::string& text) {
-  // Split the input into logical records first: a newline inside a quoted
-  // field is data, not a record boundary (RFC 4180).  Naively splitting on
-  // '\n' would tear such records apart -- exactly what quoted fields written
-  // by CsvWriter::escape contain after a round trip.
-  CsvData data;
-  bool first = true;
-  std::string record;
-  bool inQuotes = false;
-  const auto flush = [&] {
-    if (!record.empty() && record.back() == '\r') record.pop_back();
-    if (!record.empty()) {
-      auto fields = splitRecord(record);
-      if (first) {
-        data.header = std::move(fields);
-        first = false;
-      } else {
-        data.rows.push_back(std::move(fields));
-      }
-    }
-    record.clear();
-  };
-  for (const char c : text) {
-    if (c == '\n' && !inQuotes) {
-      flush();
-      continue;
-    }
-    if (c == '"') inQuotes = !inQuotes;
-    record += c;
-  }
-  if (inQuotes) throw IoError("CSV text ends inside a quoted field");
-  flush();
-  return data;
-}
-
-CsvData readCsv(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) throw IoError("cannot open CSV file for reading: " + path.string());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parseCsv(buffer.str());
 }
 
 }  // namespace beesim::util

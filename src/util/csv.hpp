@@ -1,8 +1,8 @@
-// Minimal CSV writing/reading for experiment results.
+// Minimal CSV writing for experiment results.
 //
 // The paper publishes all raw results as CSV in its companion repository;
 // our harness does the same so downstream analysis (R, pandas) can consume
-// the regenerated data directly.
+// the regenerated data directly.  Nothing in the simulator reads CSV back.
 #pragma once
 
 #include <filesystem>
@@ -41,20 +41,5 @@ class CsvWriter {
   std::size_t columns_;
   std::size_t rows_ = 0;
 };
-
-/// In-memory CSV parse result.
-struct CsvData {
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
-
-  /// Index of a header column; throws IoError if absent.
-  std::size_t column(const std::string& name) const;
-};
-
-/// Reads a whole CSV file (RFC 4180 quoting).  Throws IoError on failure.
-CsvData readCsv(const std::filesystem::path& path);
-
-/// Parses CSV text (used by tests to avoid touching the filesystem).
-CsvData parseCsv(const std::string& text);
 
 }  // namespace beesim::util

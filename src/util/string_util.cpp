@@ -27,15 +27,6 @@ std::string trim(const std::string& text) {
   return text.substr(begin, end - begin);
 }
 
-std::string join(const std::vector<std::string>& parts, const std::string& sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string toLower(std::string text) {
   for (auto& c : text) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return text;

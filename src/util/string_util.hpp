@@ -12,9 +12,6 @@ std::vector<std::string> split(const std::string& text, char delim);
 /// Trim ASCII whitespace from both ends.
 std::string trim(const std::string& text);
 
-/// Join with a separator.
-std::string join(const std::vector<std::string>& parts, const std::string& sep);
-
 /// Lower-case ASCII copy.
 std::string toLower(std::string text);
 

@@ -13,11 +13,6 @@ MiBps bandwidth(Bytes bytes, Seconds elapsed) {
   return toMiB(bytes) / elapsed;
 }
 
-Seconds transferTime(Bytes bytes, MiBps rate) {
-  BEESIM_ASSERT(rate > 0.0, "transferTime() needs a positive rate");
-  return toMiB(bytes) / rate;
-}
-
 namespace {
 
 std::string formatWithSuffix(double value, const char* suffix) {

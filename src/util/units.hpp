@@ -46,9 +46,6 @@ constexpr double toGiB(Bytes b) { return static_cast<double>(b) / static_cast<do
 /// Precondition: elapsed > 0.
 MiBps bandwidth(Bytes bytes, Seconds elapsed);
 
-/// Time to move `bytes` at `rate` MiB/s.  Precondition: rate > 0.
-Seconds transferTime(Bytes bytes, MiBps rate);
-
 /// Render a byte count with a binary suffix ("32 GiB", "512 KiB", "17.5 MiB").
 std::string formatBytes(Bytes b);
 

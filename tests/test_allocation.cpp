@@ -34,12 +34,10 @@ TEST(Allocation, BalanceMetrics) {
   const auto cluster = plafrim();
   const Allocation balanced({0, 1, 4, 5}, cluster);  // (2,2)
   EXPECT_DOUBLE_EQ(balanced.balanceRatio(), 1.0);
-  EXPECT_TRUE(balanced.isBalanced());
   EXPECT_DOUBLE_EQ(balanced.hotHostFraction(), 0.5);
 
   const Allocation skewed({4, 5, 6}, cluster);  // (0,3)
   EXPECT_DOUBLE_EQ(skewed.balanceRatio(), 0.0);
-  EXPECT_FALSE(skewed.isBalanced());
   EXPECT_DOUBLE_EQ(skewed.hotHostFraction(), 1.0);
 
   const Allocation thirteen({0, 4, 5, 6}, cluster);  // (1,3)
@@ -49,7 +47,7 @@ TEST(Allocation, BalanceMetrics) {
 
 TEST(Allocation, DirectPerHostConstruction) {
   const Allocation alloc(std::vector<std::size_t>{2, 2});
-  EXPECT_TRUE(alloc.isBalanced());
+  EXPECT_DOUBLE_EQ(alloc.balanceRatio(), 1.0);
   EXPECT_EQ(alloc.key(), "(2,2)");
 }
 

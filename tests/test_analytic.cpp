@@ -51,13 +51,6 @@ TEST(NetworkLimited, PaperOrderingOfFig8Reproduced) {
   EXPECT_DOUBLE_EQ(bw(1, 1), bw(4, 4));
 }
 
-TEST(NetworkLimited, WriteTimeInvertsBandwidth) {
-  const Allocation alloc(std::vector<std::size_t>{1, 3});
-  const double time = networkLimitedWriteTime(32_GiB, alloc, 1100.0);
-  EXPECT_NEAR(util::toMiB(32_GiB) / time, 1100.0 * 4.0 / 3.0, 1e-6);
-  EXPECT_THROW(networkLimitedWriteTime(0, alloc, 1100.0), util::ContractError);
-}
-
 TEST(TwoTargetTimeline, Fig9BalancedHalvesTheTime) {
   const auto balanced = twoTargetTimeline(32_GiB, true, 1100.0);
   const auto unbalanced = twoTargetTimeline(32_GiB, false, 1100.0);

@@ -155,7 +155,7 @@ TEST_P(BalancedChooserTest, SpreadIsEven) {
     const core::Allocation alloc(picks, cluster);
     EXPECT_LE(alloc.maxPerHost() - alloc.minPerHost(), 1u) << "count=" << count;
     if (count % cluster.hosts.size() == 0) {
-      EXPECT_TRUE(alloc.isBalanced()) << "count=" << count;
+      EXPECT_DOUBLE_EQ(alloc.balanceRatio(), 1.0) << "count=" << count;
     }
     std::set<std::size_t> distinct(picks.begin(), picks.end());
     EXPECT_EQ(distinct.size(), count);

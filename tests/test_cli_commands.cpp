@@ -266,6 +266,41 @@ TEST(Cli, RejectsNonFiniteDurations) {
   }
 }
 
+TEST(Cli, RejectsTuningFlagsWithoutTheirFeature) {
+  // Each of these flags tunes a feature that is off unless another flag
+  // turns it on; alone it used to be parsed, validated and then ignored.
+  const auto base = std::vector<std::string>{"run", "--cluster", "plafrim1", "--nodes",
+                                             "2",   "--reps",    "1",        "--total",
+                                             "1GiB"};
+  const auto with = [&](const std::vector<std::string>& extra) {
+    auto argv = base;
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    return run(argv);
+  };
+  for (const auto& [extra, message] :
+       std::vector<std::pair<std::vector<std::string>, std::string>>{
+           {{"--resync-rate", "100"}, "--resync-rate requires --mirror"},
+           {{"--mttr", "3"}, "--mttr requires --mttf"},
+           {{"--fault-horizon", "50"}, "--fault-horizon requires --mttf or --fail-slow"},
+           {{"--io-timeout", "2"}, "--io-timeout requires a fault mode"},
+           {{"--io-timeout", "2", "--fault-mode", "none"}, "--io-timeout requires a fault mode"},
+       }) {
+    const auto result = with(extra);
+    EXPECT_EQ(result.code, 1) << extra[0];
+    EXPECT_TRUE(result.out.empty()) << extra[0];
+    EXPECT_NE(result.err.find(message), std::string::npos) << extra[0] << ": " << result.err;
+  }
+  // With their feature on, the same flags are accepted.
+  EXPECT_EQ(with({"--mirror", "--resync-rate", "200"}).code, 0);
+  EXPECT_EQ(with({"--mttf", "60", "--mttr", "3"}).code, 0);
+  EXPECT_EQ(with({"--mttf", "60", "--fault-horizon", "30"}).code, 0);
+  EXPECT_EQ(with({"--fail-slow", "5", "--fault-horizon", "30"}).code, 0);
+  EXPECT_EQ(with({"--fail-slow", "5", "--fault-mode", "degraded", "--io-timeout", "0.5"}).code,
+            0);
+  EXPECT_EQ(with({"--fault-mode", "strict", "--io-timeout", "2"}).code, 0);
+  EXPECT_EQ(with({"--faults", "off:t1@0.5;on:t1@2", "--io-timeout", "0.5"}).code, 0);
+}
+
 TEST(Cli, RejectsMistypedBooleanValue) {
   // Satellite bugfix: --mirror=tru used to silently disable mirroring.
   const auto result = run({"run", "--cluster", "plafrim1", "--nodes", "2", "--reps", "1",

@@ -107,7 +107,6 @@ TEST(FailSlowSchedule, DegradeRenewalIsDeterministicAndLeavesCrashStreamAlone) {
   auto withDegrades = crashOnly;
   withDegrades.degradeMttf = 30.0;
   withDegrades.degradeMttr = 6.0;
-  withDegrades.degradeFloor = 0.0;
   withDegrades.degradeCeiling = 0.25;
 
   util::Rng rngA(77);
@@ -154,6 +153,23 @@ TEST(FailSlowSchedule, DegradeRenewalIsDeterministicAndLeavesCrashStreamAlone) {
     EXPECT_LT(e.at, withDegrades.horizon);
   }
   EXPECT_GT(onsets, 0u);
+}
+
+TEST(FailSlowSchedule, SeverityCeilingMustLieInUnitInterval) {
+  faults::StochasticFaultSpec spec;
+  spec.degradeMttf = 30.0;
+  spec.degradeMttr = 6.0;
+  spec.horizon = 100.0;
+  for (const double ceiling : {0.0, 1.0}) {
+    spec.degradeCeiling = ceiling;
+    util::Rng rng(5);
+    EXPECT_NO_THROW(faults::generateSchedule(spec, 4, 2, rng)) << ceiling;
+  }
+  for (const double ceiling : {-0.1, 1.1}) {
+    spec.degradeCeiling = ceiling;
+    util::Rng rng(5);
+    EXPECT_THROW(faults::generateSchedule(spec, 4, 2, rng), util::ConfigError) << ceiling;
+  }
 }
 
 // -- Injector cause-tracking (PR satellite: recovery clobbering) -------------
@@ -899,8 +915,7 @@ TEST(FailSlowChaos, RandomizedFailSlowNeverStallsOrDoubleSpends) {
     faults::StochasticFaultSpec spec;
     spec.degradeMttf = 6.0;
     spec.degradeMttr = 3.0;
-    spec.degradeFloor = 0.0;  // includes dead-but-online episodes
-    spec.degradeCeiling = 0.3;
+    spec.degradeCeiling = 0.3;  // draws from [0, 0.3]: includes dead-but-online
     spec.linkStutterMttf = 10.0;
     spec.linkStutterMttr = 2.0;
     spec.horizon = 60.0;
@@ -945,7 +960,6 @@ harness::RunConfig allFeaturesConfig(bool mirrored, bool hedge) {
   spec.hostMttr = 0.4;
   spec.degradeMttf = 3.0;
   spec.degradeMttr = 1.5;
-  spec.degradeFloor = 0.0;
   spec.degradeCeiling = 0.3;
   spec.linkStutterMttf = 5.0;
   spec.linkStutterMttr = 1.0;

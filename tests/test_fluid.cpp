@@ -117,11 +117,13 @@ TEST(Fluid, DelayedStartViaStartFlowAt) {
   FluidSimulator fluid;
   const auto link = addLink(fluid, "link", 100.0);
   FlowStats stats;
-  fluid.startFlowAt(5.0, FlowSpec{.path = {link},
-                                  .bytes = 100_MiB,
-                                  .queueWeight = 1.0,
-                                  .rateCap = 0.0,
-                                  .onComplete = [&](const FlowStats& s) { stats = s; }});
+  fluid.engine().schedule(5.0, [&] {
+    fluid.startFlow(FlowSpec{.path = {link},
+                             .bytes = 100_MiB,
+                             .queueWeight = 1.0,
+                             .rateCap = 0.0,
+                             .onComplete = [&](const FlowStats& s) { stats = s; }});
+  });
   fluid.run();
   EXPECT_NEAR(stats.startTime, 5.0, 1e-9);
   EXPECT_NEAR(stats.endTime, 6.0, 1e-6);
@@ -220,14 +222,16 @@ TEST(Fluid, TimeAdvancesAtLargeVirtualTimes) {
   FluidSimulator fluid;
   const auto link = addLink(fluid, "link", 1000.0);
   bool done = false;
-  fluid.startFlowAt(2.0e5, FlowSpec{.path = {link},
-                                    .bytes = 100_MiB,
-                                    .queueWeight = 1.0,
-                                    .rateCap = 0.0,
-                                    .onComplete = [&](const FlowStats& s) {
-                                      done = true;
-                                      EXPECT_NEAR(s.endTime, 2.0e5 + 0.1, 1e-3);
-                                    }});
+  fluid.engine().schedule(2.0e5, [&] {
+    fluid.startFlow(FlowSpec{.path = {link},
+                             .bytes = 100_MiB,
+                             .queueWeight = 1.0,
+                             .rateCap = 0.0,
+                             .onComplete = [&](const FlowStats& s) {
+                               done = true;
+                               EXPECT_NEAR(s.endTime, 2.0e5 + 0.1, 1e-3);
+                             }});
+  });
   fluid.setResolveInterval(0.25);
   fluid.run();
   EXPECT_TRUE(done);

@@ -289,7 +289,9 @@ TEST(FluidIncremental, RandomizedIncrementalMatchesScratchSolve) {
       spec.queueWeight = rng.uniform(0.5, 4.0);
       spec.rateCap = rng.uniform(0.0, 1.0) < 0.5 ? rng.uniform(20.0, 100.0) : 0.0;
       spec.onComplete = [&completed](const FlowStats&) { ++completed; };
-      fluid.startFlowAt(rng.uniform(0.0, 2.0), std::move(spec));
+      fluid.engine().schedule(rng.uniform(0.0, 2.0), [&fluid, spec = std::move(spec)]() mutable {
+        fluid.startFlow(std::move(spec));
+      });
     }
     fluid.run();
     EXPECT_EQ(completed, kFlows) << "seed " << seed;

@@ -437,9 +437,6 @@ TEST(Mdtest, OptionValidationRejectsDegenerateRuns) {
   options.inflightPerRank = 0;
   EXPECT_THROW(options.validate(), util::ConfigError);
   options = {};
-  options.createPhase = options.statPhase = options.unlinkPhase = false;
-  EXPECT_THROW(options.validate(), util::ConfigError);
-  options = {};
   options.dir.clear();
   EXPECT_THROW(options.validate(), util::ConfigError);
 }

@@ -47,17 +47,6 @@ TEST(IncompleteBeta, InvalidArgumentsThrow) {
   EXPECT_THROW(incompleteBeta(1.0, 1.0, 1.1), util::ContractError);
 }
 
-TEST(StudentT, CdfKnownValues) {
-  // t = 0 is always the median.
-  EXPECT_NEAR(studentTCdf(0.0, 5.0), 0.5, 1e-12);
-  // df=1 (Cauchy): CDF(1) = 0.75.
-  EXPECT_NEAR(studentTCdf(1.0, 1.0), 0.75, 1e-8);
-  // Large df approaches the normal: CDF(1.96, 1e6) ~ 0.975.
-  EXPECT_NEAR(studentTCdf(1.96, 1e6), 0.975, 5e-4);
-  // Symmetry.
-  EXPECT_NEAR(studentTCdf(-2.0, 7.0) + studentTCdf(2.0, 7.0), 1.0, 1e-10);
-}
-
 TEST(StudentT, TwoSidedPValues) {
   // R: 2*pt(-2.0, df=10) = 0.07339.
   EXPECT_NEAR(studentTTwoSidedP(2.0, 10.0), 0.07339, 2e-4);

@@ -103,24 +103,6 @@ TEST(Ks, StatisticBoundsAndDegenerateArgs) {
   EXPECT_THROW(ksNormalTest(std::vector<double>{}, 0.0, 1.0), util::ContractError);
 }
 
-TEST(Ks, TwoSampleSameDistributionPasses) {
-  util::Rng rng(6);
-  std::vector<double> a(150);
-  std::vector<double> b(150);
-  for (auto& v : a) v = rng.normal(0.0, 1.0);
-  for (auto& v : b) v = rng.normal(0.0, 1.0);
-  EXPECT_GT(ksTwoSampleTest(a, b).pValue, 0.05);
-}
-
-TEST(Ks, TwoSampleShiftDetected) {
-  util::Rng rng(7);
-  std::vector<double> a(150);
-  std::vector<double> b(150);
-  for (auto& v : a) v = rng.normal(0.0, 1.0);
-  for (auto& v : b) v = rng.normal(1.5, 1.0);
-  EXPECT_LT(ksTwoSampleTest(a, b).pValue, 1e-6);
-}
-
 TEST(Regression, ExactLineIsRecovered) {
   const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
   const std::vector<double> y{5.0, 7.0, 9.0, 11.0};

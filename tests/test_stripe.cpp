@@ -78,24 +78,10 @@ TEST(Stripe, ZeroLengthIsAllZeros) {
   EXPECT_EQ(per[1], 0u);
 }
 
-TEST(Stripe, TargetForChunk) {
-  const StripePattern pattern({7, 3, 9}, 1_MiB);
-  EXPECT_EQ(pattern.targetForChunk(0), 7u);
-  EXPECT_EQ(pattern.targetForChunk(1), 3u);
-  EXPECT_EQ(pattern.targetForChunk(5), 9u);
-}
-
 TEST(Stripe, InvalidConstructionThrows) {
   EXPECT_THROW(StripePattern({}, 512_KiB), util::ContractError);
   EXPECT_THROW(StripePattern({0, 1}, 0), util::ContractError);
   EXPECT_THROW(StripePattern({0, 1, 0}, 512_KiB), util::ContractError);  // duplicate
-}
-
-TEST(Stripe, DescribeListsTargets) {
-  const StripePattern pattern({4, 5}, 512_KiB);
-  const auto text = pattern.describe();
-  EXPECT_NE(text.find("count=2"), std::string::npos);
-  EXPECT_NE(text.find("4,5"), std::string::npos);
 }
 
 TEST(CountCongruent, KnownValues) {

@@ -188,9 +188,10 @@ TEST(RingTrace, WrapOverwritesOldestAndCountsDrops) {
   RingTraceSink ring(fluid, 4);
   const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
   for (int i = 0; i < 6; ++i) {
-    fluid.startFlowAt(static_cast<double>(i), FlowSpec{
-        .path = {link}, .bytes = 10_MiB, .queueWeight = 1.0, .rateCap = 0.0,
-        .onComplete = nullptr});
+    fluid.engine().schedule(static_cast<double>(i), [&fluid, link] {
+      fluid.startFlow(FlowSpec{.path = {link}, .bytes = 10_MiB, .queueWeight = 1.0,
+                               .rateCap = 0.0, .onComplete = nullptr});
+    });
   }
   fluid.run();
 
@@ -308,8 +309,10 @@ TEST(TraceExport, BothSinksRenderPinnedBytes) {
                                                   .onComplete = nullptr});
   fluid.startFlow(FlowSpec{.path = {other}, .bytes = 60_MiB, .queueWeight = 1.0,
                            .rateCap = 0.0, .onComplete = nullptr});
-  fluid.startFlowAt(0.25, FlowSpec{.path = {link}, .bytes = 30_MiB, .queueWeight = 1.0,
-                                   .rateCap = 20.0, .onComplete = nullptr});
+  fluid.engine().schedule(0.25, [&fluid, link] {
+    fluid.startFlow(FlowSpec{.path = {link}, .bytes = 30_MiB, .queueWeight = 1.0,
+                             .rateCap = 20.0, .onComplete = nullptr});
+  });
   fluid.engine().schedule(1.0, [&] { fluid.cancelFlow(cancelled); });
   fluid.run();
 

@@ -36,20 +36,6 @@ TEST(Units, BandwidthRejectsNonPositiveTime) {
   EXPECT_THROW(bandwidth(1_MiB, -1.0), ContractError);
 }
 
-TEST(Units, TransferTimeInvertsBandwidth) {
-  EXPECT_DOUBLE_EQ(transferTime(1_GiB, 1024.0), 1.0);
-  EXPECT_DOUBLE_EQ(transferTime(32_GiB, 2048.0), 16.0);
-  EXPECT_THROW(transferTime(1_MiB, 0.0), ContractError);
-}
-
-TEST(Units, BandwidthTransferTimeRoundTrip) {
-  for (const Bytes b : {1_MiB, 37_MiB, 32_GiB}) {
-    for (const double rate : {1.0, 880.0, 2200.0, 8064.0}) {
-      EXPECT_NEAR(bandwidth(b, transferTime(b, rate)), rate, 1e-9 * rate);
-    }
-  }
-}
-
 TEST(Units, FormatBytesPicksBinarySuffix) {
   EXPECT_EQ(formatBytes(32_GiB), "32 GiB");
   EXPECT_EQ(formatBytes(512_KiB), "512 KiB");
