@@ -1,7 +1,8 @@
 // Micro-benchmarks of the simulator core (google-benchmark): the max-min
 // solver at various flow populations, the event queue, one full IOR run per
-// scenario and one mdtest run on the queued metadata path -- the numbers
-// that bound how fast campaigns execute.
+// scenario, one mdtest run on the queued metadata path and one IOR write on
+// the client chunk path -- the numbers that bound how fast campaigns
+// execute.
 //
 // Before the google-benchmark suite runs, main() measures the fluid-core
 // resolve throughput -- the pre-change baseline (full allocating rebuild +
@@ -124,6 +125,38 @@ void BM_MetadataOps(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(ops), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MetadataOps)->Unit(benchmark::kMillisecond);
+
+void BM_ChunkOps(benchmark::State& state) {
+  // The client chunk path (DESIGN.md §2.3) end to end: one N-1 IOR write,
+  // 16 ranks x 256 segments of 1 MiB over 4 targets in 512 KiB chunks
+  // (8192 chunk ops, set-up included), plain (arg 0) or on the hedged path
+  // with its lag checks (arg 1).  chunk_ops_per_s is chunk ops per host CPU
+  // second.
+  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 2);
+  beegfs::BeegfsParams params;
+  params.hedge.enabled = state.range(0) == 1;
+  params.hedge.deadline = 0.05;
+  const auto job = ior::IorJob::onFirstNodes(2, 8);
+  ior::IorOptions options;
+  options.transferSize = 1_MiB;
+  options.blockSize = 1_MiB;
+  options.segments = 256;
+  const auto opsPerRun = static_cast<std::uint64_t>(job.ranks()) *
+                         static_cast<std::uint64_t>(options.segments) *
+                         (options.blockSize / params.defaultStripe.chunkSize);
+  std::uint64_t ops = 0;
+  for (auto _ : state) {
+    sim::FluidSimulator fluid;
+    util::Rng rng(42);
+    beegfs::Deployment deployment(fluid, cluster, params, rng.split());
+    beegfs::FileSystem fs(deployment, rng.split());
+    benchmark::DoNotOptimize(ior::runIor(fs, job, options).bandwidth);
+    ops += opsPerRun;
+  }
+  state.counters["chunk_ops_per_s"] =
+      benchmark::Counter(static_cast<double>(ops), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ChunkOps)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_StripeByteMath(benchmark::State& state) {
   const beegfs::StripePattern pattern({0, 1, 2, 3, 4, 5, 6, 7}, 512_KiB);

@@ -221,26 +221,23 @@ double Deployment::clientRampFactor(const NodeState& state, util::Seconds now) c
   return 1.0 - (1.0 - r0) * std::exp(-dt / (tau * state.rampTauFactor));
 }
 
-std::vector<sim::ResourceIndex> Deployment::writePath(std::size_t node,
-                                                      std::size_t flatTarget) const {
+Route Deployment::writePath(std::size_t node, std::size_t flatTarget) const {
   BEESIM_ASSERT(node < cluster_.nodes.size(), "unknown compute node");
   BEESIM_ASSERT(flatTarget < ostRes_.size(), "unknown storage target");
   const auto [host, indexInHost] = cluster_.targetLocation(flatTarget);
   (void)indexInHost;
 
-  std::vector<sim::ResourceIndex> path;
-  path.reserve(6);
-  path.push_back(clientRes_[node]);
-  path.push_back(nodeNicRes_[node]);
-  if (backbone_) path.push_back(*backbone_);
-  path.push_back(serverNicRes_[host]);
-  if (ossRes_[host]) path.push_back(*ossRes_[host]);
-  path.push_back(ostRes_[flatTarget]);
+  Route path;
+  path.push(clientRes_[node]);
+  path.push(nodeNicRes_[node]);
+  if (backbone_) path.push(*backbone_);
+  path.push(serverNicRes_[host]);
+  if (ossRes_[host]) path.push(*ossRes_[host]);
+  path.push(ostRes_[flatTarget]);
   return path;
 }
 
-std::vector<sim::ResourceIndex> Deployment::replicaPath(std::size_t fromTarget,
-                                                        std::size_t toTarget) const {
+Route Deployment::replicaPath(std::size_t fromTarget, std::size_t toTarget) const {
   BEESIM_ASSERT(fromTarget < ostRes_.size(), "unknown storage target");
   BEESIM_ASSERT(toTarget < ostRes_.size(), "unknown storage target");
   const auto [fromHost, fromIdx] = cluster_.targetLocation(fromTarget);
@@ -249,12 +246,11 @@ std::vector<sim::ResourceIndex> Deployment::replicaPath(std::size_t fromTarget,
   (void)toIdx;
   BEESIM_ASSERT(fromHost != toHost, "replica path within one host");
 
-  std::vector<sim::ResourceIndex> path;
-  path.reserve(4);
-  if (backbone_) path.push_back(*backbone_);
-  path.push_back(serverNicRes_[toHost]);
-  if (ossRes_[toHost]) path.push_back(*ossRes_[toHost]);
-  path.push_back(ostRes_[toTarget]);
+  Route path;
+  if (backbone_) path.push(*backbone_);
+  path.push(serverNicRes_[toHost]);
+  if (ossRes_[toHost]) path.push(*ossRes_[toHost]);
+  path.push(ostRes_[toTarget]);
   return path;
 }
 

@@ -12,8 +12,11 @@
 // between runs.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "beegfs/meta.hpp"
@@ -25,6 +28,23 @@
 #include "util/rng.hpp"
 
 namespace beesim::beegfs {
+
+/// A resource path held inline: client, node NIC, backbone, server NIC, OSS,
+/// OST at most.  It converts to the span the fluid's startFlow takes, so a
+/// chunk leg starts without a heap path.
+class Route {
+ public:
+  static constexpr std::size_t kMaxHops = 6;
+
+  void push(sim::ResourceIndex hop) { hops_[size_++] = hop; }
+  std::size_t size() const { return size_; }
+  sim::ResourceIndex operator[](std::size_t i) const { return hops_[i]; }
+  operator std::span<const sim::ResourceIndex>() const { return {hops_.data(), size_}; }
+
+ private:
+  std::array<sim::ResourceIndex, kMaxHops> hops_{};
+  std::size_t size_ = 0;
+};
 
 class Deployment {
  public:
@@ -46,15 +66,14 @@ class Deployment {
   MetaService& meta() { return meta_; }
 
   /// Resource path a write from `node` to `flatTarget` crosses.
-  std::vector<sim::ResourceIndex> writePath(std::size_t node, std::size_t flatTarget) const;
+  Route writePath(std::size_t node, std::size_t flatTarget) const;
 
   /// Resource path of a server-side forward from `fromTarget`'s host to
   /// `toTarget` (mirror replication and background resync).  Server NICs are
   /// full duplex: the transmit direction on the source host does not contend
   /// with the client traffic it receives, so the forward leg only crosses
   /// the backbone and the *receiving* host's NIC/OSS/OST.
-  std::vector<sim::ResourceIndex> replicaPath(std::size_t fromTarget,
-                                              std::size_t toTarget) const;
+  Route replicaPath(std::size_t fromTarget, std::size_t toTarget) const;
 
   // -- Client-state hooks used by the IOR runner. ------------------------
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <type_traits>
 
 #include "beegfs/peer_median.hpp"
 #include "qos/manager.hpp"
@@ -15,7 +16,6 @@ namespace {
 
 constexpr util::Seconds kNever = HUGE_VAL;  // the due time of a check that is off
 constexpr double kBackoffFactor = 2.0;       // retry wait growth per attempt
-constexpr std::size_t kMaxHedges = 8;        // hedge legs per chunk: bounds duplicate bytes
 /// The round-robin pointer's phase when an application arrives is set by all
 /// the creates other users performed before; each mount observes an
 /// arbitrary phase that is (mostly) a multiple of the common create
@@ -41,6 +41,11 @@ void topUpRandomly(std::vector<std::size_t>& picked, const std::vector<std::size
     candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(pick));
   }
 }
+
+/// Callbacks on the chunk path capture at most 16 trivially copyable bytes,
+/// so std::function stores them inline: issuing a chunk allocates nothing.
+template <class F>
+constexpr bool kFitsInline = sizeof(F) <= 16 && std::is_trivially_copyable_v<F>;
 
 }  // namespace
 
@@ -166,8 +171,7 @@ util::Bytes FileSystem::slotBytes(FileHandle handle, std::size_t slot) const {
   BEESIM_ASSERT(handle.value < files_.size(), "unknown file handle");
   const auto& file = files_[handle.value];
   BEESIM_ASSERT(slot < file.pattern.targets().size(), "stripe slot out of range");
-  if (file.size == 0) return 0;
-  return file.pattern.bytesPerTarget(0, file.size)[slot];
+  return file.pattern.bytesOnSlot(0, file.size, slot);
 }
 
 sim::FlowId FileSystem::migrateSlot(FileHandle handle, std::size_t slot,
@@ -189,13 +193,8 @@ sim::FlowId FileSystem::migrateSlot(FileHandle handle, std::size_t slot,
   // Bytes on the old target leak until an offline cleanup, like rewrites.
   substitutes_[{handle.value, slot}] = newTarget;
   deployment_.mgmt().recordUsage(newTarget, bytes);
-  return deployment_.fluid().startFlow(sim::FlowSpec{
-      .path = deployment_.replicaPath(oldTarget, newTarget),
-      .bytes = bytes,
-      .queueWeight = queueWeight,
-      .rateCap = rateCap,
-      .onComplete = std::move(done),
-  });
+  return deployment_.fluid().startFlow(deployment_.replicaPath(oldTarget, newTarget), bytes,
+                                       queueWeight, rateCap, std::move(done));
 }
 
 void FileSystem::transferAsync(std::size_t node, FileHandle handle, util::Bytes offset,
@@ -213,54 +212,65 @@ void FileSystem::transferAsync(std::size_t node, FileHandle handle, util::Bytes 
     return;
   }
 
-  const auto perTarget = file.pattern.bytesPerTarget(offset, length);
   if (isWrite) {
     file.size = std::max(file.size, offset + length);
   }
 
   // One chunk (fluid flow) per touched target; the operation completes when
-  // every chunk resolved (possibly after retries/failovers).
-  std::size_t flowsToStart = 0;
-  for (const auto bytes : perTarget) {
-    if (bytes > 0) ++flowsToStart;
-  }
-  BEESIM_ASSERT(flowsToStart > 0, "transfer touched no target");
+  // every chunk resolved (possibly after retries/failovers).  A range of n
+  // chunks touches min(n, stripe count) slots.
+  const StripePattern& pattern = file.pattern;
+  const std::uint64_t chunks =
+      (offset + length - 1) / pattern.chunkSize() - offset / pattern.chunkSize() + 1;
+  const std::size_t flowsToStart =
+      static_cast<std::size_t>(std::min<std::uint64_t>(chunks, pattern.stripeCount()));
 
-  auto transfer = std::make_shared<TransferState>();
-  transfer->node = node;
-  transfer->handleValue = handle.value;
-  transfer->isWrite = isWrite;
-  transfer->queueWeight = queueWeight;
-  transfer->pendingChunks = flowsToStart;
-  transfer->done = std::move(done);
-  for (std::size_t slot = 0; slot < perTarget.size(); ++slot) {
-    if (perTarget[slot] == 0) continue;
-    auto op = std::make_shared<ChunkOp>();
-    op->transfer = transfer;
-    op->slot = slot;
-    op->bytes = perTarget[slot];
+  const auto transferRef = transfers_.acquire();
+  auto& transfer = transfers_[transferRef.index];
+  transfer.node = node;
+  transfer.handleValue = handle.value;
+  transfer.isWrite = isWrite;
+  transfer.queueWeight = queueWeight;
+  transfer.pendingChunks = flowsToStart;
+  transfer.done = std::move(done);
+  // The last issue may resolve the transfer synchronously (an aborted job)
+  // and its `done` may start the next transfer, so nothing of `file` or
+  // `transfer` is read after it.
+  std::size_t issued = 0;
+  for (std::size_t slot = 0; issued < flowsToStart; ++slot) {
+    const util::Bytes bytes = pattern.bytesOnSlot(offset, length, slot);
+    if (bytes == 0) continue;
+    const OpRef ref = ops_.acquire();
+    ChunkOp& op = ops_[ref.index];
+    op.self = ref;
+    op.transfer = transferRef.index;
+    op.slot = slot;
+    op.bytes = bytes;
     ++liveOps_;
+    ++issued;
     issue(op);
   }
 }
 
 // -- The chunk lifecycle (DESIGN.md §2.3). -----------------------------------
 
-void FileSystem::issue(const OpPtr& op) {
+void FileSystem::issue(ChunkOp& op) {
   // QoS admission gates the write path only, and only first issues: a
   // re-issue after a timeout/failover carries bytes whose tokens were spent
   // at the original admission, so the retry ladder can never double-spend.
-  if (qos_ != nullptr && op->transfer->isWrite && op->failedAt < 0.0) {
-    const bool admitted =
-        qos_->admitChunk(op->transfer->node, op->bytes, [this, op] { issueAdmitted(op); });
-    if (!admitted) return;  // deferred; the manager resumes it
+  const auto& transfer = transfers_[op.transfer];
+  if (qos_ != nullptr && transfer.isWrite && op.failedAt < 0.0) {
+    // A deferred op stays unresolved until the manager resumes it.
+    const auto resume = [this, ref = op.self] { issueAdmitted(ops_.live(ref)); };
+    static_assert(kFitsInline<decltype(resume)>);
+    if (!qos_->admitChunk(transfer.node, op.bytes, resume)) return;
   }
   issueAdmitted(op);
 }
 
-void FileSystem::issueAdmitted(const OpPtr& op) {
+void FileSystem::issueAdmitted(ChunkOp& op) {
   const auto& policy = deployment_.params().faults;
-  const auto& transfer = *op->transfer;
+  const auto& transfer = transfers_[op.transfer];
 
   if (faultStats_.aborted) {
     // The job already gave up; resolve the chunk without doing I/O.
@@ -268,7 +278,7 @@ void FileSystem::issueAdmitted(const OpPtr& op) {
     return;
   }
 
-  const std::size_t target = effectiveTarget(FileHandle{transfer.handleValue}, op->slot);
+  const std::size_t target = effectiveTarget(FileHandle{transfer.handleValue}, op.slot);
   if (files_[transfer.handleValue].mirrored) {
     if (const auto gid = deployment_.mgmt().mirrorGroupOf(target)) {
       issueMirrored(op, *gid);
@@ -287,47 +297,53 @@ void FileSystem::issueAdmitted(const OpPtr& op) {
 
   // Rewrites charge usage again: the blocks written before the failure are
   // not reclaimed by the model (they leak until an offline cleanup).
-  if (transfer.isWrite) deployment_.mgmt().recordUsage(target, op->bytes);
+  if (transfer.isWrite) deployment_.mgmt().recordUsage(target, op.bytes);
 
   // Hedged writes race the original leg against later hedge legs (first
   // wins); everything else needs its one leg.
   const bool hedged = deployment_.params().hedge.enabled && transfer.isWrite;
-  op->rule = hedged ? Completion::kFirst : Completion::kOne;
-  startLeg(op, 0, target, deployment_.writePath(transfer.node, target), op->bytes);
+  op.rule = hedged ? Completion::kFirst : Completion::kOne;
+  startLeg(op, 0, target, deployment_.writePath(transfer.node, target), op.bytes);
   const util::Seconds now = deployment_.fluid().now();
-  op->watchdogAt = policy.mode != ClientFaultPolicy::Mode::kNone ? now + policy.ioTimeout : kNever;
-  op->hedgeAt = hedged ? now + deployment_.params().hedge.deadline : kNever;
+  op.watchdogAt = policy.mode != ClientFaultPolicy::Mode::kNone ? now + policy.ioTimeout : kNever;
+  op.hedgeAt = hedged ? now + deployment_.params().hedge.deadline : kNever;
   if (hedged) {
-    op->tried.assign(1, target);
-    BEESIM_ASSERT(op->hedgeSlot == kUntracked, "hedged op tracked twice");
-    op->hedgeSlot = hedged_.size();
-    hedged_.push_back(op);
-    addPeerRate(*op);
+    op.tried[0] = static_cast<std::uint32_t>(target);
+    op.triedCount = 1;
+    BEESIM_ASSERT(op.hedgeSlot == kUntracked, "hedged op tracked twice");
+    op.hedgeSlot = hedged_.size();
+    hedged_.push_back(op.self);
+    addPeerRate(op);
   }
-  armChecks(op, op->legs[0].flow);
+  armChecks(op, op.legs[0].flow);
 }
 
-void FileSystem::startLeg(const OpPtr& op, std::size_t leg, std::size_t target,
-                          std::vector<sim::ResourceIndex> path, util::Bytes bytes) {
-  op->legs[leg] = Leg{
-      deployment_.fluid().startFlow(sim::FlowSpec{
-          .path = std::move(path),
-          .bytes = bytes,
-          .queueWeight = op->transfer->queueWeight,
-          .rateCap = 0.0,
-          .onComplete = [this, op, leg](const sim::FlowStats& s) { legDone(op, leg, s); },
-      }),
-      target};
+void FileSystem::startLeg(ChunkOp& op, std::size_t leg, std::size_t target, const Route& path,
+                          util::Bytes bytes) {
+  BEESIM_ASSERT(op.self.index < (std::uint32_t{1} << 31), "chunk op index overflow");
+  const auto onLanded = [this, ref = LegRef{op.self.index << 1 | static_cast<std::uint32_t>(leg),
+                                            op.self.generation}](const sim::FlowStats& s) {
+    legDone(ref, s);
+  };
+  static_assert(kFitsInline<decltype(onLanded)>);
+  op.legs[leg] = Leg{deployment_.fluid().startFlow(path, bytes,
+                                                   transfers_[op.transfer].queueWeight,
+                                                   /*rateCap=*/0.0, onLanded),
+                     target};
 }
 
-void FileSystem::legDone(const OpPtr& op, std::size_t leg, const sim::FlowStats& stats) {
-  if (op->rule == Completion::kAll) {
-    op->legs[leg].flow = sim::FlowId{};
+void FileSystem::legDone(LegRef ref, const sim::FlowStats& stats) {
+  // Both legs of a kFirst op may land in the same resolve; the first
+  // resolves and frees the op, so the second finds it stale.
+  ChunkOp* const found = ops_.find(OpRef{ref.indexLeg >> 1, ref.generation});
+  if (found == nullptr) return;
+  ChunkOp& op = *found;
+  const std::size_t leg = ref.indexLeg & 1;
+  if (op.rule == Completion::kAll) {
+    op.legs[leg].flow = sim::FlowId{};
     // The other copy is still landing.
-    if (op->legs[0].flow.value != 0 || op->legs[1].flow.value != 0) return;
-  } else if (op->rule == Completion::kFirst) {
-    // Both legs may land in the same resolve; the second is a no-op.
-    if (op->resolved) return;
+    if (op.legs[0].flow.value != 0 || op.legs[1].flow.value != 0) return;
+  } else if (op.rule == Completion::kFirst) {
     // Winning legs feed the lag reference (same alpha as the HealthMonitor's
     // EWMA).  Cancelled legs never complete, so a stalled primary cannot
     // drag the reference down.
@@ -338,11 +354,11 @@ void FileSystem::legDone(const OpPtr& op, std::size_t leg, const sim::FlowStats&
       ++hedgeStats_.hedgeWins;
       // Re-home the slot: later segments address the winner directly
       // instead of re-fighting the gray target chunk by chunk.
-      substitutes_[{op->transfer->handleValue, op->slot}] = op->legs[1].target;
-    } else if (op->tried.size() > 1) {
+      substitutes_[{transfers_[op.transfer].handleValue, op.slot}] = op.legs[1].target;
+    } else if (op.triedCount > 1) {
       ++hedgeStats_.primaryWins;
     }
-    cancelLeg(op->legs[1 - leg]);
+    cancelLeg(op.legs[1 - leg]);
   }
   finishOp(op);
 }
@@ -357,45 +373,50 @@ void FileSystem::cancelLegs(ChunkOp& op) {
   for (auto& leg : op.legs) cancelLeg(leg);
 }
 
-void FileSystem::untrack(const OpPtr& op) {
-  if (op->rule == Completion::kAll) {
+void FileSystem::untrack(ChunkOp& op) {
+  if (op.rule == Completion::kAll) {
     // Ordered: switchover re-sends walk the group's ops in issue order.
-    auto& index = inflightMirror_[op->group];
-    const auto it = std::find(index.begin(), index.end(), op);
+    auto& index = inflightMirror_[op.group];
+    const auto it = std::find(index.begin(), index.end(), op.self);
     if (it != index.end()) index.erase(it);
     return;
   }
-  if (op->hedgeSlot == kUntracked) return;
-  dropPeerRate(*op);
+  if (op.hedgeSlot == kUntracked) return;
+  dropPeerRate(op);
   // Swap-remove: peerBest_ keeps the order, hedged_ needs none.
-  hedged_.back()->hedgeSlot = op->hedgeSlot;
-  std::swap(hedged_[op->hedgeSlot], hedged_.back());
+  ops_.live(hedged_.back()).hedgeSlot = op.hedgeSlot;
+  std::swap(hedged_[op.hedgeSlot], hedged_.back());
   hedged_.pop_back();
-  op->hedgeSlot = kUntracked;
+  op.hedgeSlot = kUntracked;
 }
 
 void FileSystem::markFailed(ChunkOp& op) {
   if (op.failedAt < 0.0) op.failedAt = deployment_.fluid().now();
 }
 
-void FileSystem::finishOp(const OpPtr& op) {
+void FileSystem::finishOp(ChunkOp& op) {
   const util::Seconds now = deployment_.fluid().now();
-  op->resolved = true;
-  if (op->failedAt >= 0.0) faultStats_.degradedTime += now - op->failedAt;
+  if (op.failedAt >= 0.0) faultStats_.degradedTime += now - op.failedAt;
   untrack(op);
   --liveOps_;
-  auto& transfer = *op->transfer;
+  const std::uint32_t transferIndex = op.transfer;
+  ops_.release(op.self.index);
+  auto& transfer = transfers_[transferIndex];
   BEESIM_ASSERT(transfer.pendingChunks > 0, "transfer completion underflow");
-  if (--transfer.pendingChunks == 0 && transfer.done) transfer.done(now);
+  if (--transfer.pendingChunks != 0) return;
+  // `done` may start the next transfer in this slot: take it out first.
+  const auto done = std::move(transfer.done);
+  transfers_.release(transferIndex);
+  if (done) done(now);
 }
 
-void FileSystem::abortOp(const OpPtr& op) {
+void FileSystem::abortOp(ChunkOp& op) {
   faultStats_.aborted = true;
   finishOp(op);
 }
 
-void FileSystem::armChecks(const OpPtr& op, sim::FlowId flow) {
-  const util::Seconds at = std::min(op->watchdogAt, op->hedgeAt);
+void FileSystem::armChecks(const ChunkOp& op, sim::FlowId flow) {
+  const util::Seconds at = std::min(op.watchdogAt, op.hedgeAt);
   if (at == kNever) return;
   auto& engine = deployment_.fluid().engine();
   if (openCheckBatch_ == kNoBatch || checkBatches_[openCheckBatch_].at != at ||
@@ -408,9 +429,11 @@ void FileSystem::armChecks(const OpPtr& op, sim::FlowId flow) {
       freeCheckBatches_.pop_back();
     }
     checkBatches_[openCheckBatch_].at = at;
-    engine.schedule(at, [this, batch = openCheckBatch_] { runChecks(batch); });
+    const auto fire = [this, batch = openCheckBatch_] { runChecks(batch); };
+    static_assert(kFitsInline<decltype(fire)>);
+    engine.schedule(at, fire);
   }
-  checkBatches_[openCheckBatch_].entries.push_back(CheckEntry{op, flow});
+  checkBatches_[openCheckBatch_].entries.push_back(CheckEntry{op.self, flow});
   openCheckSequence_ = engine.nextSequence();
 }
 
@@ -419,67 +442,73 @@ void FileSystem::runChecks(std::size_t batch) {
   const util::Seconds at = checkBatches_[batch].at;
   // Index the pool on every pass: re-arms may grow it.
   for (std::size_t i = 0; i < checkBatches_[batch].entries.size(); ++i) {
-    CheckEntry& entry = checkBatches_[batch].entries[i];
-    const OpPtr op = std::move(entry.op);
-    const sim::FlowId flow = entry.flow;
-    // The op resolved, or its original leg is no longer the one armed for.
-    if (op->resolved || op->legs[0].flow != flow) continue;
+    const CheckEntry entry = checkBatches_[batch].entries[i];
+    // The op resolved (its reference went stale), or its original leg is no
+    // longer the one armed for.
+    ChunkOp* const op = ops_.find(entry.op);
+    if (op == nullptr || op->legs[0].flow != entry.flow) continue;
     // Each check keeps its own grid of repeated `+ period` times.
     if (op->watchdogAt == at) {
-      if (!watchdog(op)) continue;
+      if (!watchdog(*op)) continue;
       op->watchdogAt += deployment_.params().faults.ioTimeout;
     }
     if (op->hedgeAt == at) {
-      op->hedgeAt = hedgeCheck(op) ? at + deployment_.params().hedge.deadline : kNever;
+      op->hedgeAt = hedgeCheck(*op) ? at + deployment_.params().hedge.deadline : kNever;
     }
-    armChecks(op, flow);
+    armChecks(*op, entry.flow);
   }
   checkBatches_[batch].entries.clear();
   freeCheckBatches_.push_back(batch);
 }
 
-bool FileSystem::watchdog(const OpPtr& op) {
+bool FileSystem::watchdog(ChunkOp& op) {
   // Still making (possibly slow) progress on a live target.
-  if (deployment_.mgmt().target(op->legs[0].target).online) return true;
+  if (deployment_.mgmt().target(op.legs[0].target).online) return true;
   // The chunk sat unfinished for a full ioTimeout and its target is
   // registered offline: the client declares it failed.  The retry ladder
   // owns the chunk from here; any hedge leg is torn down.
-  cancelLegs(*op);
+  cancelLegs(op);
   untrack(op);
   ++faultStats_.timeouts;
-  markFailed(*op);
+  markFailed(op);
   if (deployment_.params().faults.mode == ClientFaultPolicy::Mode::kStrict) abortOp(op);
   else scheduleRetry(op, /*attempt=*/0);
   return false;
 }
 
-void FileSystem::scheduleRetry(const OpPtr& op, int attempt) {
+void FileSystem::scheduleRetry(ChunkOp& op, int attempt) {
   const auto& policy = deployment_.params().faults;
   const util::Seconds wait =
       policy.backoffBase * std::pow(kBackoffFactor, static_cast<double>(attempt));
-  deployment_.fluid().engine().scheduleAfter(wait, [this, op, attempt] {
+  op.retryAttempt = attempt;
+  // The waiting op is owned by this event alone: its legs are torn down and
+  // it is in no in-flight index.
+  const auto retry = [this, ref = op.self] {
+    ChunkOp& waiting = ops_.live(ref);
     if (faultStats_.aborted) {
-      finishOp(op);
+      finishOp(waiting);
       return;
     }
-    if (deployment_.mgmt().target(op->legs[0].target).online) {
+    if (deployment_.mgmt().target(waiting.legs[0].target).online) {
       // The target came back: re-send the whole chunk to it (nothing
       // written during the failure window is trusted).
       ++faultStats_.retries;
-      faultStats_.bytesRewritten += op->bytes;
-      issue(op);
+      faultStats_.bytesRewritten += waiting.bytes;
+      issue(waiting);
       return;
     }
-    if (attempt + 1 < deployment_.params().faults.maxRetries) {
-      scheduleRetry(op, attempt + 1);
+    if (waiting.retryAttempt + 1 < deployment_.params().faults.maxRetries) {
+      scheduleRetry(waiting, waiting.retryAttempt + 1);
       return;
     }
-    failOver(op, /*rewrite=*/true);
-  });
+    failOver(waiting, /*rewrite=*/true);
+  };
+  static_assert(kFitsInline<decltype(retry)>);
+  deployment_.fluid().engine().scheduleAfter(wait, retry);
 }
 
-void FileSystem::failOver(const OpPtr& op, bool rewrite) {
-  markFailed(*op);
+void FileSystem::failOver(ChunkOp& op, bool rewrite) {
+  markFailed(op);
   const auto online = deployment_.mgmt().onlineTargets();
   if (deployment_.params().faults.mode == ClientFaultPolicy::Mode::kStrict || online.empty()) {
     // Strict mode, or nowhere left to put the chunk: give up.
@@ -488,17 +517,17 @@ void FileSystem::failOver(const OpPtr& op, bool rewrite) {
   }
   const auto pick = online[static_cast<std::size_t>(
       rng_.uniformInt(0, static_cast<std::int64_t>(online.size()) - 1))];
-  substitutes_[{op->transfer->handleValue, op->slot}] = pick;
+  substitutes_[{transfers_[op.transfer].handleValue, op.slot}] = pick;
   ++faultStats_.failovers;
-  if (rewrite) faultStats_.bytesRewritten += op->bytes;
+  if (rewrite) faultStats_.bytesRewritten += op.bytes;
   issue(op);
 }
 
 // -- Hedged writes. ----------------------------------------------------------
 
-bool FileSystem::hedgeCheck(const OpPtr& op) {
+bool FileSystem::hedgeCheck(ChunkOp& op) {
   const auto& policy = deployment_.params().hedge;
-  const double best = bestLegRate(*op);
+  const double best = bestLegRate(op);
 
   // Peer-relative lag: compare against the median best-leg rate of the
   // other hedged in-flight chunks.  Like the HealthMonitor's score this is
@@ -520,26 +549,26 @@ bool FileSystem::hedgeCheck(const OpPtr& op) {
     }
   }
 
-  if (lagging && op->tried.size() > kMaxHedges) return false;  // budget spent
+  if (lagging && op.triedCount > kMaxHedges) return false;  // budget spent
   // A lagging live hedge leg is replaced like a dead one: it had a full
   // deadline to establish a rate, and `best` already folds it into the lag
   // verdict (a crawling same-host hedge must not pin the chunk to a host
   // whose link degraded after the leg was picked).  With no candidate yet
   // the check just re-arms; a repair may open one.
   std::size_t alt = 0;
-  if (lagging && pickHedgeTarget(*op, alt)) {
+  if (lagging && pickHedgeTarget(op, alt)) {
     // A dead previous hedge leg is abandoned before the replacement starts.
-    cancelLeg(op->legs[1]);
-    op->tried.push_back(alt);
+    cancelLeg(op.legs[1]);
+    op.tried[op.triedCount++] = static_cast<std::uint32_t>(alt);
     ++hedgeStats_.hedgesIssued;
-    hedgeStats_.bytesHedged += op->bytes;
+    hedgeStats_.bytesHedged += op.bytes;
     // The duplicate send charges usage like a rewrite (the loser's bytes
     // leak until an offline cleanup); it never passes QoS admission again --
     // the chunk's tokens were spent when it was first admitted.
-    deployment_.mgmt().recordUsage(alt, op->bytes);
-    startLeg(op, 1, alt, deployment_.writePath(op->transfer->node, alt), op->bytes);
-    dropPeerRate(*op);  // its best leg may have been the one just replaced
-    addPeerRate(*op);
+    deployment_.mgmt().recordUsage(alt, op.bytes);
+    startLeg(op, 1, alt, deployment_.writePath(transfers_[op.transfer].node, alt), op.bytes);
+    dropPeerRate(op);  // its best leg may have been the one just replaced
+    addPeerRate(op);
   }
   return true;
 }
@@ -573,16 +602,17 @@ void FileSystem::refreshPeerSnapshot() {
   if (peerWalkEpoch_ == epoch) return;
   peerWalkEpoch_ = epoch;
   peerBest_.clear();
-  for (const auto& other : hedged_) {
-    other->peerRate = bestLegRate(*other);
-    peerBest_.push_back(other->peerRate);
+  for (const auto ref : hedged_) {
+    ChunkOp& other = ops_.live(ref);
+    other.peerRate = bestLegRate(other);
+    peerBest_.push_back(other.peerRate);
   }
   std::sort(peerBest_.begin(), peerBest_.end());
 }
 
 void FileSystem::checkPeerSnapshot() const {
   std::vector<util::MiBps> rebuilt;
-  for (const auto& other : hedged_) rebuilt.push_back(bestLegRate(*other));
+  for (const auto ref : hedged_) rebuilt.push_back(bestLegRate(ops_.live(ref)));
   std::sort(rebuilt.begin(), rebuilt.end());
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   BEESIM_ASSERT(rebuilt.size() == peerBest_.size() &&
@@ -608,7 +638,7 @@ bool FileSystem::pickHedgeTarget(const ChunkOp& op, std::size_t& out) const {
   for (std::size_t t = 0; t < deployment_.cluster().targetCount(); ++t) {
     const auto& entry = mgmt.target(t);
     if (!entry.online) continue;
-    if (std::find(op.tried.begin(), op.tried.end(), t) != op.tried.end()) continue;
+    if (std::find(op.tried, op.tried + op.triedCount, t) != op.tried + op.triedCount) continue;
     const bool shunned =
         mgmt.hostHealth(entry.host) == HostHealth::kQuarantined;
     int cls = 2;
@@ -625,10 +655,10 @@ bool FileSystem::pickHedgeTarget(const ChunkOp& op, std::size_t& out) const {
 
 // -- Buddy mirroring. --------------------------------------------------------
 
-void FileSystem::issueMirrored(const OpPtr& op, std::size_t group) {
+void FileSystem::issueMirrored(ChunkOp& op, std::size_t group) {
   auto& mgmt = deployment_.mgmt();
   const auto& entry = mgmt.mirrorGroup(group);
-  const auto& transfer = *op->transfer;
+  const auto& transfer = transfers_[op.transfer];
 
   if (entry.state == MirrorState::kBad || !mgmt.target(entry.primary).online) {
     // No consistent copy reachable through this group: fall back to the
@@ -644,27 +674,27 @@ void FileSystem::issueMirrored(const OpPtr& op, std::size_t group) {
   // stale delta (the tracked debt) waits for the background stream, so the
   // debt is bounded by what accrued while the secondary was unreachable.
   const bool replicate = transfer.isWrite && mgmt.target(entry.secondary).online;
-  op->rule = Completion::kAll;
-  op->group = group;
-  op->debt = 0;
+  op.rule = Completion::kAll;
+  op.group = group;
+  op.debt = 0;
   if (transfer.isWrite) {
-    mgmt.recordUsage(entry.primary, op->bytes);
+    mgmt.recordUsage(entry.primary, op.bytes);
     // A degraded group keeps accepting writes single-copy; the secondary is
     // owed the chunk on resync.
     if (!replicate) {
-      mgmt.addResyncDebt(group, op->bytes);
-      op->debt = op->bytes;
+      mgmt.addResyncDebt(group, op.bytes);
+      op.debt = op.bytes;
     }
   }
-  inflightMirror_[group].push_back(op);
+  inflightMirror_[group].push_back(op.self);
   startLeg(op, 0, entry.primary, deployment_.writePath(transfer.node, entry.primary),
-           op->bytes);
+           op.bytes);
   if (replicate) {
-    mgmt.recordUsage(entry.secondary, op->bytes);
+    mgmt.recordUsage(entry.secondary, op.bytes);
     ++mirrorStats_.replicaFlows;
-    mirrorStats_.bytesReplicated += op->bytes;
+    mirrorStats_.bytesReplicated += op.bytes;
     startLeg(op, 1, entry.secondary, deployment_.replicaPath(entry.primary, entry.secondary),
-             op->bytes);
+             op.bytes);
   }
 }
 
@@ -695,11 +725,12 @@ void FileSystem::onMirrorTargetState(std::size_t target, bool online) {
       mgmt.setMirrorState(*gid, MirrorState::kNeedsResync);
     }
     const auto ops = inflightMirror_[*gid];  // snapshot: handlers mutate it
-    for (const auto& op : ops) {
-      if (!cancelLeg(op->legs[1])) continue;
-      mgmt.addResyncDebt(*gid, op->bytes);
-      op->debt += op->bytes;
-      if (op->legs[0].flow.value == 0) finishOp(op);  // the primary leg landed
+    for (const auto ref : ops) {
+      ChunkOp& op = ops_.live(ref);
+      if (!cancelLeg(op.legs[1])) continue;
+      mgmt.addResyncDebt(*gid, op.bytes);
+      op.debt += op.bytes;
+      if (op.legs[0].flow.value == 0) finishOp(op);  // the primary leg landed
     }
     return;
   }
@@ -715,7 +746,7 @@ void FileSystem::onMirrorTargetState(std::size_t target, bool online) {
   // debt also holds what in-flight ops owe; they never acked and are
   // rewritten below, so their share is not a loss.
   util::Bytes inflightDebt = 0;
-  for (const auto& op : inflightMirror_[*gid]) inflightDebt += op->debt;
+  for (const auto ref : inflightMirror_[*gid]) inflightDebt += ops_.live(ref).debt;
   mirrorStats_.bytesLost += entry.resyncDebt - std::min(entry.resyncDebt, inflightDebt);
   mgmt.settleResyncDebt(*gid, entry.resyncDebt);
   mgmt.setMirrorState(*gid, MirrorState::kBad);
@@ -725,16 +756,17 @@ void FileSystem::onMirrorTargetState(std::size_t target, bool online) {
   const bool survivorOnline = mgmt.target(entry.secondary).online;
   if (survivorOnline) mgmt.reviveMirrorGroup(*gid, entry.secondary);
   const auto ops = inflightMirror_[*gid];
-  for (const auto& op : ops) {
-    cancelLegs(*op);
+  for (const auto ref : ops) {
+    ChunkOp& op = ops_.live(ref);
+    cancelLegs(op);
     untrack(op);
-    markFailed(*op);
+    markFailed(op);
     if (!survivorOnline || deployment_.params().faults.mode == ClientFaultPolicy::Mode::kStrict) {
       failOver(op, /*rewrite=*/true);
       continue;
     }
     // Full rewrite: nothing the dead primary received is trusted.
-    if (op->transfer->isWrite) faultStats_.bytesRewritten += op->bytes;
+    if (transfers_[op.transfer].isWrite) faultStats_.bytesRewritten += op.bytes;
     issueMirrored(op, *gid);
   }
 }
@@ -749,16 +781,17 @@ void FileSystem::switchMirrorPrimary(std::size_t group) {
   ++mirrorStats_.failovers;
   const std::size_t newPrimary = mgmt.mirrorGroup(group).primary;
   const auto ops = inflightMirror_[group];  // snapshot: handlers mutate it
-  for (const auto& op : ops) {
-    cancelLeg(op->legs[0]);
-    const auto& transfer = *op->transfer;
-    util::Bytes resend = op->bytes;
+  for (const auto ref : ops) {
+    ChunkOp& op = ops_.live(ref);
+    cancelLeg(op.legs[0]);
+    const auto& transfer = transfers_[op.transfer];
+    util::Bytes resend = op.bytes;
     if (transfer.isWrite) {
       // The old primary's copy is stale whatever it received; the group
       // owes the whole chunk to it on resync.
-      mgmt.addResyncDebt(group, op->bytes);
-      op->debt += op->bytes;
-      resend = cancelLeg(op->legs[1]).value_or(0);
+      mgmt.addResyncDebt(group, op.bytes);
+      op.debt += op.bytes;
+      resend = cancelLeg(op.legs[1]).value_or(0);
       if (resend == 0) {
         // The replica already landed in full on the promoted target.
         finishOp(op);
@@ -801,24 +834,19 @@ void FileSystem::maybeStartResync(std::size_t group) {
   }
   const util::Bytes delta = entry.resyncDebt;
   mgmt.recordUsage(entry.secondary, delta);
-  resync_[group] = deployment_.fluid().startFlow(sim::FlowSpec{
-      .path = deployment_.replicaPath(entry.primary, entry.secondary),
-      .bytes = delta,
-      .queueWeight = kResyncQueueWeight,
-      .rateCap = deployment_.params().mirror.resyncRate,
-      .onComplete =
-          [this, group, delta](const sim::FlowStats& stats) {
-            resync_[group] = sim::FlowId{};
-            auto& mgmt = deployment_.mgmt();
-            ++mirrorStats_.resyncJobs;
-            mirrorStats_.bytesResynced += delta;
-            mirrorStats_.resyncSeconds += stats.endTime - stats.startTime;
-            mgmt.settleResyncDebt(group, delta);
-            // Writes issued during the round re-opened debt: chain another
-            // round until the delta drains, then the group is good again.
-            maybeStartResync(group);
-          },
-  });
+  resync_[group] = deployment_.fluid().startFlow(
+      deployment_.replicaPath(entry.primary, entry.secondary), delta, kResyncQueueWeight,
+      deployment_.params().mirror.resyncRate, [this, group, delta](const sim::FlowStats& stats) {
+        resync_[group] = sim::FlowId{};
+        auto& mgmt = deployment_.mgmt();
+        ++mirrorStats_.resyncJobs;
+        mirrorStats_.bytesResynced += delta;
+        mirrorStats_.resyncSeconds += stats.endTime - stats.startTime;
+        mgmt.settleResyncDebt(group, delta);
+        // Writes issued during the round re-opened debt: chain another
+        // round until the delta drains, then the group is good again.
+        maybeStartResync(group);
+      });
 }
 
 void FileSystem::writeAsync(std::size_t node, FileHandle handle, util::Bytes offset,
@@ -840,6 +868,23 @@ void FileSystem::readAsync(std::size_t node, FileHandle handle, util::Bytes offs
 void FileSystem::truncate(FileHandle handle, util::Bytes size) {
   BEESIM_ASSERT(handle.value < files_.size(), "unknown file handle");
   files_[handle.value].size = size;
+}
+
+void FileSystem::hold(std::shared_ptr<void> state) { held_.push_back(std::move(state)); }
+
+std::shared_ptr<void> FileSystem::release(const void* state) {
+  const auto it = std::find_if(held_.begin(), held_.end(),
+                               [state](const auto& held) { return held.get() == state; });
+  BEESIM_ASSERT(it != held_.end(), "released state is not held");
+  auto owner = std::move(*it);
+  held_.erase(it);
+  // A run closed with nothing in flight (between a run's phases, or after
+  // its last job): give the op slabs' memory back to later allocations.
+  if (liveOps_ == 0) {
+    ops_.trim();
+    transfers_.trim();
+  }
+  return owner;
 }
 
 }  // namespace beesim::beegfs

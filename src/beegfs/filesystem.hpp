@@ -18,6 +18,7 @@
 
 #include "beegfs/chooser.hpp"
 #include "beegfs/deployment.hpp"
+#include "beegfs/slab.hpp"
 #include "beegfs/stripe.hpp"
 
 namespace beesim::qos {
@@ -141,6 +142,18 @@ class FileSystem {
   /// again).  Null detaches.  The manager must outlive all transfers.
   void setQosManager(qos::QosManager* qos) { qos_ = qos; }
 
+  // -- Client runs (IOR, mdtest). ------------------------------------------
+
+  /// Owner slot for the state of a client run whose callbacks hold only a
+  /// raw pointer to it (so that they fit std::function's inline buffer).
+  /// hold() keeps `state` alive; release() takes it back when the run
+  /// closes, and returns it so the caller can finish with it.  State a run
+  /// torn down early leaves here is freed with the file system.  A release
+  /// with no chunk in flight also frees the chunk-op storage, so memory a
+  /// write phase used serves the phases after it.
+  void hold(std::shared_ptr<void> state);
+  std::shared_ptr<void> release(const void* state);
+
  private:
   /// Shared bookkeeping of one writeAsync/readAsync call: the operation
   /// completes when every chunk resolved (successfully or by abort).
@@ -169,34 +182,47 @@ class FileSystem {
   };
 
   static constexpr std::size_t kUntracked = static_cast<std::size_t>(-1);  ///< not in hedged_
+  static constexpr std::size_t kMaxHedges = 8;  ///< hedge legs per chunk: bounds duplicate bytes
+
+  struct ChunkOp;
+  using OpRef = Slab<ChunkOp>::Ref;
+
   /// One chunk from admission to resolution (DESIGN.md §2.3): survives
   /// timeouts, retries, failovers and switchovers, each of which re-issues
-  /// its legs.
+  /// its legs.  Lives in ops_ until finishOp frees it.
   struct ChunkOp {
-    std::shared_ptr<TransferState> transfer;
+    OpRef self;                  ///< its own reference (callbacks capture it)
+    std::uint32_t transfer = 0;  ///< index in transfers_
+    Completion rule = Completion::kOne;
     std::size_t slot = 0;
     util::Bytes bytes = 0;
     /// Virtual time the chunk's first failure was detected (< 0: none yet).
     util::Seconds failedAt = -1.0;
-    Completion rule = Completion::kOne;
     /// legs[0]: original (or mirror primary) leg; legs[1]: hedge or replica.
     Leg legs[2];
     std::size_t group = 0;           ///< mirror group (kAll)
     util::Bytes debt = 0;            ///< resync debt it added to `group`
     /// Targets already given a leg (kFirst): the original, then one per
     /// hedge leg issued.
-    std::vector<std::size_t> tried;
+    std::uint32_t tried[kMaxHedges + 1] = {};
+    std::uint32_t triedCount = 0;
     std::size_t hedgeSlot = kUntracked;  ///< index in hedged_ while tracked
     util::MiBps peerRate = 0.0;          ///< its entry in peerBest_ while tracked
     util::Seconds watchdogAt = 0.0;      ///< next watchdog check (+inf: off)
     util::Seconds hedgeAt = 0.0;         ///< next lag check (+inf: off)
-    bool resolved = false;
+    int retryAttempt = 0;                ///< backoff wait under way (retry ladder)
   };
-  using OpPtr = std::shared_ptr<ChunkOp>;
+
+  /// What a leg's completion callback carries: the op's reference with the
+  /// leg number in the index's low bit, so {this, LegRef} is 16 bytes.
+  struct LegRef {
+    std::uint32_t indexLeg = 0;
+    std::uint32_t generation = 0;
+  };
 
   /// One armed check timer.
   struct CheckEntry {
-    OpPtr op;
+    OpRef op;
     sim::FlowId flow;
   };
   /// Check timers due at `at` that share one engine event; the entries would
@@ -215,26 +241,30 @@ class FileSystem {
   /// Issue the op's legs.  With a QosManager attached, a write op's first
   /// issue passes token admission and may start later (deferred issue);
   /// re-issues carry bytes already paid for and bypass it.
-  void issue(const OpPtr& op);
+  void issue(ChunkOp& op);
   /// The post-admission half of issue (also a deferred op's resume target).
-  void issueAdmitted(const OpPtr& op);
-  void issueMirrored(const OpPtr& op, std::size_t group);
+  void issueAdmitted(ChunkOp& op);
+  void issueMirrored(ChunkOp& op, std::size_t group);
   /// Start leg `leg` of the op toward `target` over `path`.
-  void startLeg(const OpPtr& op, std::size_t leg, std::size_t target,
-                std::vector<sim::ResourceIndex> path, util::Bytes bytes);
-  /// A leg landed: apply the op's completion rule.
-  void legDone(const OpPtr& op, std::size_t leg, const sim::FlowStats& stats);
+  void startLeg(ChunkOp& op, std::size_t leg, std::size_t target, const Route& path,
+                util::Bytes bytes);
+  /// A leg landed: apply the op's completion rule.  A leg of an op that
+  /// already resolved (the second leg of a kFirst op landing in the same
+  /// resolve) names a freed op and is a no-op.
+  void legDone(LegRef ref, const sim::FlowStats& stats);
   /// Cancel one leg; the bytes it had not transferred, if it was live.
   std::optional<util::Bytes> cancelLeg(Leg& leg);
   void cancelLegs(ChunkOp& op);
   /// Drop the op from the hedge or mirror in-flight index (idempotent).
-  void untrack(const OpPtr& op);
+  void untrack(ChunkOp& op);
   /// Record the op's first failure detection (now) if it has none yet.
   void markFailed(ChunkOp& op);
-  /// Resolve the chunk: degraded-time accounting, untrack, transfer done.
-  void finishOp(const OpPtr& op);
+  /// Resolve the chunk: degraded-time accounting, untrack, free the op (every
+  /// reference to it goes stale), transfer done.  The op must not be touched
+  /// afterwards: the transfer's completion may reuse its slot.
+  void finishOp(ChunkOp& op);
   /// Abort the job and resolve the chunk without further I/O.
-  void abortOp(const OpPtr& op);
+  void abortOp(ChunkOp& op);
 
   /// The op's one check timer, bound to its original leg `flow`: until the op
   /// resolves or that leg changes, it runs the due watchdog, then the due lag
@@ -242,24 +272,24 @@ class FileSystem {
   /// open check batch when its event would have dispatched right after that
   /// batch's last entry (same due time, no event scheduled in between);
   /// otherwise it opens a batch with one engine event of its own.
-  void armChecks(const OpPtr& op, sim::FlowId flow);
+  void armChecks(const ChunkOp& op, sim::FlowId flow);
   /// Check batch `batch` fell due: run each entry's checks in arm order,
   /// then return the batch to the pool.
   void runChecks(std::size_t batch);
   /// Client I/O timeout: an op on an offline target is handed to the retry
   /// ladder, or aborted in strict mode (false: the timer must stop).
-  bool watchdog(const OpPtr& op);
-  /// Exponential-backoff wait number `attempt`; retries the original target
-  /// if it recovered, else escalates and finally fails over.
-  void scheduleRetry(const OpPtr& op, int attempt);
+  bool watchdog(ChunkOp& op);
+  /// Exponential-backoff wait number `attempt` (kept in the op); retries the
+  /// original target if it recovered, else escalates and finally fails over.
+  void scheduleRetry(ChunkOp& op, int attempt);
   /// The op's target failed: stamp the failure and move the op's slot to a
   /// surviving target (sampled from rng_); strict mode aborts instead.
   /// `rewrite` charges the bytes to the rewritten counter.
-  void failOver(const OpPtr& op, bool rewrite);
+  void failOver(ChunkOp& op, bool rewrite);
 
   /// Lag check of a hedged op (HedgePolicy::deadline cadence): a lagging op
   /// gets a hedge leg.  False once its hedge budget is spent.
-  bool hedgeCheck(const OpPtr& op);
+  bool hedgeCheck(ChunkOp& op);
   /// Current rate of the op's faster leg (0 when both are gone).
   util::MiBps bestLegRate(const ChunkOp& op) const;
   /// Read a tracked op's best-leg rate into its peerRate and peerBest_.
@@ -294,10 +324,14 @@ class FileSystem {
   std::map<std::pair<std::size_t, std::size_t>, std::size_t> substitutes_;
   MirrorStats mirrorStats_;
   HedgeStats hedgeStats_;
+  /// Chunk ops and transfers in flight; freed on resolution, so a warm run
+  /// reuses their slots and the slabs die with the file system.
+  Slab<ChunkOp> ops_;
+  Slab<TransferState> transfers_;
   /// Live chunk ops (issued and not yet resolved).
   std::size_t liveOps_ = 0;
   /// Unresolved hedged ops (also the peer set for the lag median), unordered.
-  std::vector<OpPtr> hedged_;
+  std::vector<OpRef> hedged_;
   /// Every hedged_ op's peerRate, ascending.  Ops enter and leave it one
   /// sorted insert or erase at a time; a walk re-reads them all.
   std::vector<util::MiBps> peerBest_;
@@ -316,11 +350,13 @@ class FileSystem {
   std::size_t openCheckBatch_ = kNoBatch;
   std::uint64_t openCheckSequence_ = 0;
   /// In-flight mirrored ops per group (index == group id).
-  std::vector<std::vector<OpPtr>> inflightMirror_;
+  std::vector<std::vector<OpRef>> inflightMirror_;
   /// Active background resync flow per group (id 0 == none).
   std::vector<sim::FlowId> resync_;
   /// Per-application write admission (null = unmanaged; see DESIGN.md §2.8).
   qos::QosManager* qos_ = nullptr;
+  /// Client run states held for their callbacks (see hold()).
+  std::vector<std::shared_ptr<void>> held_;
 };
 
 }  // namespace beesim::beegfs

@@ -96,15 +96,4 @@ std::size_t MetaService::opAsync(MetaOpKind kind, std::string_view path,
   return shard;
 }
 
-void MetaService::hold(std::shared_ptr<void> state) { held_.push_back(std::move(state)); }
-
-std::shared_ptr<void> MetaService::release(const void* state) {
-  const auto it = std::find_if(held_.begin(), held_.end(),
-                               [state](const auto& held) { return held.get() == state; });
-  BEESIM_ASSERT(it != held_.end(), "released state is not held");
-  auto owner = std::move(*it);
-  held_.erase(it);
-  return owner;
-}
-
 }  // namespace beesim::beegfs

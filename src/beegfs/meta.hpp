@@ -21,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -86,14 +85,6 @@ class MetaService {
   /// slots are warm, provided `done` fits std::function's inline buffer.
   std::size_t opAsync(MetaOpKind kind, std::string_view path, sim::FlowCallback done);
 
-  /// Owner slot for the state of a client run whose op callbacks hold only a
-  /// raw pointer to it (so that they fit std::function's inline buffer).
-  /// hold() keeps `state` alive; release() takes it back when the run
-  /// closes, and returns it so the caller can finish with it.  State a run
-  /// torn down early leaves here is freed with the service.
-  void hold(std::shared_ptr<void> state);
-  std::shared_ptr<void> release(const void* state);
-
   /// Per-MDT saturation throughput of `kind` in ops/s: MetaParams::createRate
   /// for creates, the default profile scaled by createRate for the others.
   double rateFor(MetaOpKind kind) const { return rates_[static_cast<std::size_t>(kind)]; }
@@ -130,7 +121,6 @@ class MetaService {
   std::vector<sim::ResourceIndex> mdtRes_;
   std::vector<std::uint64_t> mdtOps_;
   std::uint64_t ops_ = 0;
-  std::vector<std::shared_ptr<void>> held_;
 };
 
 }  // namespace beesim::beegfs

@@ -32,38 +32,35 @@ std::uint64_t countCongruent(std::uint64_t first, std::uint64_t last, std::uint6
   return upTo(last) - below;
 }
 
-std::vector<util::Bytes> StripePattern::bytesPerTarget(util::Bytes offset,
-                                                       util::Bytes length) const {
+util::Bytes StripePattern::bytesOnSlot(util::Bytes offset, util::Bytes length,
+                                       std::size_t slot) const {
   const std::size_t k = targets_.size();
-  std::vector<util::Bytes> perTarget(k, 0);
-  if (length == 0) return perTarget;
+  if (length == 0) return 0;
 
   const util::Bytes end = offset + length;
   const std::uint64_t firstChunk = offset / chunkSize_;
   const std::uint64_t lastChunk = (end - 1) / chunkSize_;
 
-  if (firstChunk == lastChunk) {
-    perTarget[firstChunk % k] = length;
-    return perTarget;
-  }
+  if (firstChunk == lastChunk) return firstChunk % k == slot ? length : 0;
 
+  util::Bytes bytes = 0;
   // Partial head chunk.
-  const util::Bytes headBytes = (firstChunk + 1) * chunkSize_ - offset;
-  perTarget[firstChunk % k] += headBytes;
+  if (firstChunk % k == slot) bytes += (firstChunk + 1) * chunkSize_ - offset;
   // Partial (or full) tail chunk.
-  const util::Bytes tailBytes = end - lastChunk * chunkSize_;
-  perTarget[lastChunk % k] += tailBytes;
-
-  // Full chunks strictly between head and tail, distributed by residue.
+  if (lastChunk % k == slot) bytes += end - lastChunk * chunkSize_;
+  // Full chunks strictly between head and tail.  BeeGFS maps chunk number c
+  // to pattern slot c % k, so the slot holds the chunks == slot (mod k).
   if (lastChunk > firstChunk + 1) {
-    const std::uint64_t a = firstChunk + 1;
-    const std::uint64_t b = lastChunk - 1;
-    for (std::size_t i = 0; i < k; ++i) {
-      // Residues cycle over chunk numbers; slot i holds chunks == i (mod k)
-      // only when the pattern starts at chunk 0 -- which it does: BeeGFS maps
-      // chunk number c to pattern slot c % k.
-      perTarget[i] += countCongruent(a, b, k, i) * chunkSize_;
-    }
+    bytes += countCongruent(firstChunk + 1, lastChunk - 1, k, slot) * chunkSize_;
+  }
+  return bytes;
+}
+
+std::vector<util::Bytes> StripePattern::bytesPerTarget(util::Bytes offset,
+                                                       util::Bytes length) const {
+  std::vector<util::Bytes> perTarget(targets_.size());
+  for (std::size_t i = 0; i < perTarget.size(); ++i) {
+    perTarget[i] = bytesOnSlot(offset, length, i);
   }
   return perTarget;
 }

@@ -24,8 +24,12 @@ class StripePattern {
   util::Bytes chunkSize() const { return chunkSize_; }
   const std::vector<std::size_t>& targets() const { return targets_; }
 
-  /// Bytes of [offset, offset+length) stored on each pattern slot
-  /// (result[i] belongs to targets()[i]).  Sum equals length.
+  /// Bytes of [offset, offset+length) stored on pattern slot `slot` (the
+  /// slot of targets()[slot]).  O(1), no allocation.
+  util::Bytes bytesOnSlot(util::Bytes offset, util::Bytes length, std::size_t slot) const;
+
+  /// bytesOnSlot for every slot (result[i] belongs to targets()[i]).  Sum
+  /// equals length.
   std::vector<util::Bytes> bytesPerTarget(util::Bytes offset, util::Bytes length) const;
 
  private:

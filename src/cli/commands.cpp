@@ -388,6 +388,13 @@ int cmdRun(const Args& args, std::ostream& out) {
   if (args.get("resync-rate") && !mirror) {
     throw util::ConfigError("--resync-rate requires --mirror");
   }
+  // Target and host failures strand chunks that only a client fault policy
+  // can recover; slow-only schedules stay legal without one.
+  if (faultMode == "none" && (mttf > 0.0 || config.faults.schedule.hasFailures())) {
+    throw util::ConfigError(
+        "--fault-mode none cannot recover from target/host failures (--mttf or off: "
+        "events in --faults); use --fault-mode strict|degraded");
+  }
   if (args.get("io-timeout") &&
       config.fs.faults.mode == beegfs::ClientFaultPolicy::Mode::kNone) {
     throw util::ConfigError(

@@ -17,8 +17,10 @@ FaultInjector::FaultInjector(beegfs::Deployment& deployment, FaultSchedule sched
 void FaultInjector::arm(util::Seconds origin) {
   auto& engine = deployment_.fluid().engine();
   BEESIM_ASSERT(origin >= engine.now(), "fault schedule origin lies in the past");
-  for (const auto& event : schedule_.events) {
-    engine.schedule(origin + event.at, [this, event] { apply(event); });
+  // The event is captured by index, so the callback fits std::function's
+  // inline buffer: arming allocates nothing per event.
+  for (std::size_t i = 0; i < schedule_.events.size(); ++i) {
+    engine.schedule(origin + schedule_.events[i].at, [this, i] { apply(schedule_.events[i]); });
   }
 }
 

@@ -41,8 +41,8 @@ double mdtImbalanceOf(const std::vector<std::uint64_t>& ops) {
   return static_cast<double>(peak) / mean;
 }
 
-/// Mutable state of one in-flight mdtest run.  The queued metadata service
-/// holds its owner (MetaService::hold) from launch until the run closes, so
+/// Mutable state of one in-flight mdtest run.  The file system holds its
+/// owner (FileSystem::hold) from launch until the run closes, so
 /// every op callback captures just {state pointer, rank} and fits inside its
 /// std::function: a steady-state op allocates nothing.
 struct MdState {
@@ -112,8 +112,8 @@ void startPhase(MdState* st) {
   auto& fluid = st->fs->deployment().fluid();
   if (st->phaseIndex >= kPhases.size()) {
     // All phases drained: close the run.  The owner taken back from the
-    // service keeps the state alive through `done` and frees it after.
-    const auto owner = st->fs->deployment().meta().release(st);
+    // file system keeps the state alive through `done` and frees it after.
+    const auto owner = st->fs->release(st);
     auto& result = st->result;
     result.end = fluid.now();
     result.totalOps = result.create.ops + result.stat.ops + result.unlink.ops;
@@ -166,7 +166,7 @@ void launchMdtest(beegfs::FileSystem& fs, const IorJob& job, const MdtestOptions
                               ? options.dir + "/rank" + std::to_string(r) + "/"
                               : options.dir + "/");
   }
-  deployment.meta().hold(std::move(state));
+  fs.hold(std::move(state));
 
   deployment.fluid().engine().schedule(startAt, [st] {
     st->result.start = st->fs->deployment().fluid().now();

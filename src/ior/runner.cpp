@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <type_traits>
 
 #include "util/error.hpp"
 
@@ -35,7 +36,10 @@ void IorJob::validate(std::size_t clusterNodes) const {
 
 namespace {
 
-/// Shared mutable state of one in-flight IOR run.
+/// Shared mutable state of one in-flight IOR run.  The file system holds its
+/// owner (FileSystem::hold) from the first segment until the run closes, so
+/// each segment's continuation captures just {state pointer, rank, segment}
+/// and fits inside its std::function.
 struct RunState {
   IorResult result;
   int ranksRemaining = 0;
@@ -67,13 +71,15 @@ beegfs::ClientFaultStats faultDelta(const beegfs::ClientFaultStats& now,
 
 /// Issue segment `segment` of `rank`, chaining to the next segment on
 /// completion (IOR writes a rank's segments sequentially).
-void issueSegment(const std::shared_ptr<RunState>& state, int rank, int segment) {
+void issueSegment(RunState* state, int rank, int segment) {
   const auto& options = state->options;
   // A fault-policy abort stops ranks at their next segment boundary.
   if (segment >= options.segments || state->fs->faultsAborted()) {
     // Rank done.
     state->result.rankEnd[rank] = state->fs->deployment().fluid().now();
     if (--state->ranksRemaining == 0) {
+      // The owner taken back keeps the state alive through `done`.
+      const auto owner = state->fs->release(state);
       auto& result = state->result;
       result.end = state->fs->deployment().fluid().now();
       result.faults = faultDelta(state->fs->faultStats(), state->faultBaseline);
@@ -90,6 +96,8 @@ void issueSegment(const std::shared_ptr<RunState>& state, int rank, int segment)
   const auto continuation = [state, rank, segment](util::Seconds) {
     issueSegment(state, rank, segment + 1);
   };
+  static_assert(sizeof(continuation) <= 16 && std::is_trivially_copyable_v<decltype(continuation)>,
+                "a segment continuation must fit std::function's inline buffer");
   if (options.operation == Operation::kWrite) {
     state->fs->writeAsync(node, state->rankFile[rank], offset, options.blockSize,
                           state->rankQueueWeight[rank], continuation);
@@ -211,8 +219,9 @@ void launchIor(beegfs::FileSystem& fs, const IorJob& job, const IorOptions& opti
             inflight / (static_cast<double>(job.ppn) * static_cast<double>(stripeCount));
       }
 
-      deployment.fluid().engine().schedule(ioStart, [state] {
-        for (int r = 0; r < state->job.ranks(); ++r) issueSegment(state, r, 0);
+      fs.hold(state);
+      deployment.fluid().engine().schedule(ioStart, [st = state.get()] {
+        for (int r = 0; r < st->job.ranks(); ++r) issueSegment(st, r, 0);
       });
     };
 

@@ -41,15 +41,15 @@ CapacityFn constantCapacity(util::MiBps capacity) {
   return [capacity](const ResourceLoad&) { return capacity; };
 }
 
-// --- IdMap -------------------------------------------------------------
+// --- FlowIdMap ---------------------------------------------------------
 
-std::size_t FluidSimulator::IdMap::bucketOf(std::uint64_t key, std::size_t mask) {
+std::size_t FlowIdMap::bucketOf(std::uint64_t key, std::size_t mask) {
   // Flow ids are sequential, so they need scrambling before masking or every
   // id would probe the same run of buckets.
   return static_cast<std::size_t>(mix64(key)) & mask;
 }
 
-void FluidSimulator::IdMap::grow() {
+void FlowIdMap::grow() {
   const std::size_t newSize = keys_.empty() ? 16 : keys_.size() * 2;
   std::vector<std::uint64_t> oldKeys = std::move(keys_);
   std::vector<std::uint32_t> oldSlots = std::move(slots_);
@@ -65,7 +65,7 @@ void FluidSimulator::IdMap::grow() {
   }
 }
 
-void FluidSimulator::IdMap::insert(std::uint64_t key, std::uint32_t slot) {
+void FlowIdMap::insert(std::uint64_t key, std::uint32_t slot) {
   // Keep the load factor under 0.7 so probe runs stay short; a stable flow
   // population reuses the table with no rehashing (and no allocation).
   if (keys_.empty() || (size_ + 1) * 10 > keys_.size() * 7) grow();
@@ -77,18 +77,18 @@ void FluidSimulator::IdMap::insert(std::uint64_t key, std::uint32_t slot) {
   ++size_;
 }
 
-std::uint32_t FluidSimulator::IdMap::find(std::uint64_t key) const {
-  if (keys_.empty()) return kNone;
+std::uint32_t FlowIdMap::find(std::uint64_t key) const {
+  if (keys_.empty()) return kAbsent;
   const std::size_t mask = keys_.size() - 1;
   std::size_t b = bucketOf(key, mask);
   while (keys_[b] != 0) {
     if (keys_[b] == key) return slots_[b];
     b = (b + 1) & mask;
   }
-  return kNone;
+  return kAbsent;
 }
 
-void FluidSimulator::IdMap::erase(std::uint64_t key) {
+void FlowIdMap::erase(std::uint64_t key) {
   if (keys_.empty()) return;
   const std::size_t mask = keys_.size() - 1;
   std::size_t b = bucketOf(key, mask);

@@ -177,6 +177,28 @@ class FluidObserver {
   virtual void onFlowCancelled(const FlowStats& stats) { (void)stats; }
 };
 
+/// Open-addressed FlowId value -> slot map (linear probing, backward-shift
+/// deletion).  Key 0 marks an empty bucket -- valid flow ids start at 1.  A
+/// stable population reuses the table with no rehashing (and no allocation).
+class FlowIdMap {
+ public:
+  static constexpr std::uint32_t kAbsent = 0xffffffffu;
+
+  void insert(std::uint64_t key, std::uint32_t slot);
+  void erase(std::uint64_t key);
+  /// Returns kAbsent when absent.
+  std::uint32_t find(std::uint64_t key) const;
+  std::size_t size() const { return size_; }
+
+ private:
+  static std::size_t bucketOf(std::uint64_t key, std::size_t mask);
+  void grow();
+
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> slots_;
+  std::size_t size_ = 0;
+};
+
 class FluidSimulator {
  public:
   FluidSimulator();
@@ -298,25 +320,6 @@ class FluidSimulator {
 
  private:
   static constexpr std::uint32_t kNone = 0xffffffffu;
-
-  /// Open-addressed FlowId -> slot map (linear probing, backward-shift
-  /// deletion).  Key 0 marks an empty bucket -- valid flow ids start at 1.
-  class IdMap {
-   public:
-    void insert(std::uint64_t key, std::uint32_t slot);
-    void erase(std::uint64_t key);
-    /// Returns kNone when absent.
-    std::uint32_t find(std::uint64_t key) const;
-    std::size_t size() const { return size_; }
-
-   private:
-    static std::size_t bucketOf(std::uint64_t key, std::size_t mask);
-    void grow();
-
-    std::vector<std::uint64_t> keys_;
-    std::vector<std::uint32_t> slots_;
-    std::size_t size_ = 0;
-  };
 
   /// One member of a class's min-heap.  It completes once the class has
   /// served `target` MiB (its served counter at join time plus its size).
@@ -485,7 +488,7 @@ class FluidSimulator {
   std::vector<std::uint32_t> pathCap_;
   std::vector<std::uint32_t> adjacencyArena_;
   std::vector<std::uint32_t> freeFlowSlots_;
-  IdMap idMap_;
+  FlowIdMap idMap_;
   ClassTable classes_;
 
   // --- Resolve scratch (reused; no steady-state allocations) ---

@@ -43,7 +43,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/fluid.hpp"
@@ -225,13 +224,24 @@ class RateSampler : public FluidObserver {
   bool sawFlow_ = false;
   util::MiBps totalRate_ = 0.0;
   SimTime lastEventTime_ = 0.0;  ///< attach time before the first event
-  /// Flow -> (path, current rate); alive flows only.  Looked up, inserted,
-  /// erased and sized, never iterated, so hash order cannot leak into output.
+  /// Flow -> slot of its (path, current rate); alive flows only.  Looked
+  /// up, inserted, erased and sized, never iterated, so hash order cannot
+  /// leak into output.  A slot's path region in livePaths_ stays with the
+  /// slot and is reused by the next flow whose path fits, so a steady flow
+  /// population allocates nothing.
   struct LiveFlow {
-    std::vector<ResourceIndex> path;
+    std::uint32_t offset = 0;    ///< path region in livePaths_
+    std::uint32_t length = 0;    ///< the flow's path length
+    std::uint32_t capacity = 0;  ///< the region's length
     util::MiBps rate = 0.0;
   };
-  std::unordered_map<std::uint64_t, LiveFlow> live_;
+  std::span<const ResourceIndex> livePath(const LiveFlow& flow) const {
+    return {livePaths_.data() + flow.offset, flow.length};
+  }
+  FlowIdMap liveIds_;
+  std::vector<LiveFlow> liveFlows_;
+  std::vector<std::uint32_t> freeLiveSlots_;
+  std::vector<ResourceIndex> livePaths_;
   /// Crossing flows per resource; like resourceRate_, maintained per event
   /// and grown to the highest resource a tracked link or flow uses.
   std::vector<std::uint32_t> resourceFlows_;

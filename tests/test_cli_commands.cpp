@@ -284,6 +284,12 @@ TEST(Cli, RejectsTuningFlagsWithoutTheirFeature) {
            {{"--fault-horizon", "50"}, "--fault-horizon requires --mttf or --fail-slow"},
            {{"--io-timeout", "2"}, "--io-timeout requires a fault mode"},
            {{"--io-timeout", "2", "--fault-mode", "none"}, "--io-timeout requires a fault mode"},
+           {{"--mttf", "60", "--fault-mode", "none"},
+            "--fault-mode none cannot recover from target/host failures"},
+           {{"--faults", "off:t1@1", "--fault-mode", "none"},
+            "--fault-mode none cannot recover from target/host failures"},
+           {{"--faults", "link:h0@0.5=0;off:h1@1", "--fault-mode", "none"},
+            "--fault-mode none cannot recover from target/host failures"},
        }) {
     const auto result = with(extra);
     EXPECT_EQ(result.code, 1) << extra[0];
@@ -299,6 +305,10 @@ TEST(Cli, RejectsTuningFlagsWithoutTheirFeature) {
             0);
   EXPECT_EQ(with({"--fault-mode", "strict", "--io-timeout", "2"}).code, 0);
   EXPECT_EQ(with({"--faults", "off:t1@0.5;on:t1@2", "--io-timeout", "0.5"}).code, 0);
+  // Schedules without target or host failures need no client fault policy.
+  EXPECT_EQ(with({"--faults", "slow:t1@0.5=0.5;link:h0@0.2=0.5", "--fault-mode", "none"}).code,
+            0);
+  EXPECT_EQ(with({"--fail-slow", "5", "--fault-mode", "none"}).code, 0);
 }
 
 TEST(Cli, RejectsMistypedBooleanValue) {

@@ -81,12 +81,9 @@ TEST(Deployment, EnvironmentFactorsScaleCapacities) {
     Deployment deployment(fluid, cluster, BeegfsParams{}, util::Rng(1),
                           EnvironmentFactors{networkFactor, 1.0});
     double end = 0.0;
-    fluid.startFlow(sim::FlowSpec{
-        .path = deployment.writePath(0, 0),
-        .bytes = 512ULL * 1024 * 1024,
-        .queueWeight = 64.0,  // deep queue: device ramp not the limiter
-        .rateCap = 0.0,
-        .onComplete = [&](const sim::FlowStats& s) { end = s.endTime; }});
+    fluid.startFlow(deployment.writePath(0, 0), 512ULL * 1024 * 1024,
+                    /*queueWeight=*/64.0,  // deep queue: device ramp not the limiter
+                    /*rateCap=*/0.0, [&](const sim::FlowStats& s) { end = s.endTime; });
     fluid.run();
     return end;
   };
@@ -105,12 +102,8 @@ TEST(Deployment, RampFactorStartsLowAndRecovers) {
     deployment.setNodeProcesses(0, 8);
     if (markStart) deployment.markNodeJobStart(0, 0.0);
     double end = 0.0;
-    fluid.startFlow(sim::FlowSpec{
-        .path = deployment.writePath(0, 0),
-        .bytes = 256ULL * 1024 * 1024,
-        .queueWeight = 64.0,
-        .rateCap = 0.0,
-        .onComplete = [&](const sim::FlowStats& s) { end = s.endTime; }});
+    fluid.startFlow(deployment.writePath(0, 0), 256ULL * 1024 * 1024, /*queueWeight=*/64.0,
+                    /*rateCap=*/0.0, [&](const sim::FlowStats& s) { end = s.endTime; });
     fluid.run();
     return end;
   };

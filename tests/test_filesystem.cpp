@@ -2,9 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <optional>
 #include <set>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "alloc_probe.hpp"
 #include "core/allocation.hpp"
+#include "faults/injector.hpp"
+#include "faults/schedule.hpp"
+#include "ior/runner.hpp"
 #include "topology/plafrim.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -175,6 +185,246 @@ TEST(FileSystem, FileCountTracksCreates) {
   f.fs.create("/a");
   f.fs.createPinned("/b", {1}, 512_KiB);
   EXPECT_EQ(f.fs.fileCount(), 2u);
+}
+
+// -- Allocation-free chunk ops and stale references. --------------------------
+
+/// Counts the flows that landed (chunk legs, here).
+class LandedFlows final : public sim::FluidObserver {
+ public:
+  void onFlowStarted(sim::FlowId, std::span<const sim::ResourceIndex>, util::Bytes,
+                     sim::SimTime) override {}
+  void onRatesSolved(sim::SimTime, std::span<const sim::FlowId>,
+                     std::span<const util::MiBps>, std::size_t) override {}
+  void onFlowCompleted(const sim::FlowStats&) override { ++count; }
+  std::size_t count = 0;
+};
+
+/// What a warmed-up window of an IOR write did.
+struct WarmWindow {
+  std::uint64_t allocations = 0;
+  std::size_t legsLanded = 0;
+  std::size_t hedgesIssued = 0;
+  std::size_t replicaFlows = 0;
+};
+
+/// Runs a 2-node x 4-rank N-1 IOR write of 1 MiB segments under `params`
+/// (after `prepare`, if any, set up the deployment), and counts the heap
+/// allocations of the events that land `window` chunk legs after `warmup`
+/// legs warmed every pool on the path.  `untilHedges`, when set, stretches
+/// the warm-up and the window until that many hedge legs were issued in each.
+WarmWindow measureWarmWindow(const BeegfsParams& params,
+                             const std::function<void(Deployment&)>& prepare,
+                             std::optional<std::vector<std::size_t>> pinned,
+                             std::size_t warmup, std::size_t window,
+                             std::size_t untilHedges = 0) {
+  sim::FluidSimulator fluid;
+  fluid.setSolverCheck(false);  // the differential check allocates by design
+  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+  Deployment deployment(fluid, cluster, params, util::Rng(1));
+  FileSystem fs(deployment, util::Rng(2));
+  if (prepare) prepare(deployment);
+  LandedFlows landed;
+  fluid.addObserver(&landed);
+  ior::IorOptions options;
+  options.transferSize = 1_MiB;
+  options.blockSize = 1_MiB;
+  options.segments = 1000;
+  bool finished = false;
+  ior::launchIor(fs, ior::IorJob{{0, 1}, 4}, options, 0.0,
+                 [&finished](const ior::IorResult&) { finished = true; }, std::move(pinned));
+  const auto stepUntil = [&](std::size_t legs, std::size_t hedges) {
+    while ((landed.count < legs || fs.hedgeStats().hedgesIssued < hedges) &&
+           fluid.engine().step()) {
+    }
+  };
+  stepUntil(warmup, untilHedges);
+  WarmWindow out;
+  const std::size_t legsBefore = landed.count;
+  const auto hedgesBefore = fs.hedgeStats().hedgesIssued;
+  const auto replicasBefore = fs.mirrorStats().replicaFlows;
+  {
+    test::AllocProbe probe;
+    stepUntil(legsBefore + window, hedgesBefore + untilHedges);
+    out.allocations = probe.count();
+  }
+  out.legsLanded = landed.count - legsBefore;
+  out.hedgesIssued = fs.hedgeStats().hedgesIssued - hedgesBefore;
+  out.replicaFlows = fs.mirrorStats().replicaFlows - replicasBefore;
+  EXPECT_FALSE(finished) << "the window must end inside the write";
+  fluid.run();
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(fs.inFlightChunks(), 0u);
+  fluid.removeObserver(&landed);
+  return out;
+}
+
+/// Targets 0 and 1 take turns at serving at rate 0 (while staying online),
+/// swapping every `period` seconds, `turnsLeft` times.
+struct TakingTurns {
+  Deployment* deployment = nullptr;
+  util::Seconds period = 0.05;
+  int turnsLeft = 40;
+  std::size_t dead = 1;
+
+  void take() {
+    deployment->setTargetHealth(dead, 1.0);
+    dead = 1 - dead;
+    deployment->setTargetHealth(dead, 0.0);
+    deployment->fluid().invalidateCapacities();
+    if (--turnsLeft > 0) deployment->fluid().engine().scheduleAfter(period, [this] { take(); });
+    else deployment->setTargetHealth(dead, 1.0);
+  }
+};
+
+TEST(FileSystem, SteadyStateChunkOpAllocatesNothing) {
+  // A warmed-up chunk op -- transfer and op slots, the stack route, the leg
+  // start and its 16-byte completion callback, check batches, and the IOR
+  // rank's next segment -- makes no heap allocation on the plain, mirrored
+  // and hedged paths.
+  {
+    BeegfsParams params;  // plain, with the watchdog's check batches running
+    params.faults.mode = ClientFaultPolicy::Mode::kDegraded;
+    params.faults.ioTimeout = 0.002;
+    const auto plain = measureWarmWindow(params, nullptr, std::nullopt, 2000, 1000);
+    EXPECT_EQ(plain.allocations, 0u) << "a steady-state plain chunk op must not allocate";
+    EXPECT_GE(plain.legsLanded, 1000u);
+  }
+  {
+    BeegfsParams params;
+    params.mirror.enabled = true;
+    params.defaultStripe.mirror = true;
+    const auto mirrored = measureWarmWindow(params, nullptr, std::nullopt, 2000, 1000);
+    EXPECT_EQ(mirrored.allocations, 0u) << "a steady-state mirrored chunk op must not allocate";
+    EXPECT_GE(mirrored.replicaFlows, 400u);
+  }
+  {
+    // Every chunk goes to slot 0.  Targets 0 and 1 (host 0) take turns at
+    // serving at rate 0 while staying online, and the others are offline,
+    // so each turn stalls the chunks homed on the dead one; they are hedged
+    // onto the other, whose win re-homes the slot, back and forth.  One
+    // self-rescheduling event drives the turns, so the engine's pending set
+    // stays the size the warm-up reached.
+    BeegfsParams params;
+    params.hedge.enabled = true;
+    params.hedge.deadline = 0.005;
+    TakingTurns turns;
+    const auto hedged = measureWarmWindow(
+        params,
+        [&turns](Deployment& deployment) {
+          for (std::size_t t = 2; t < 8; ++t) deployment.mgmt().setTargetOnline(t, false);
+          turns.deployment = &deployment;
+          turns.take();
+        },
+        std::vector<std::size_t>{0}, 200, 200, /*untilHedges=*/8);
+    EXPECT_EQ(hedged.allocations, 0u) << "a steady-state hedged chunk op must not allocate";
+    EXPECT_GE(hedged.hedgesIssued, 8u);
+  }
+}
+
+/// A noise-free 4-node PlaFRIM deployment whose targets serve identically.
+topo::ClusterConfig quietCluster() {
+  auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+  cluster.network.serverLinkNoiseSigmaLog = 0.0;
+  for (auto& host : cluster.hosts) {
+    for (auto& target : host.targets) target.variability = topo::VariabilitySpec{};
+  }
+  return cluster;
+}
+
+/// Records the end time of every flow that landed.
+class LandingTimes final : public sim::FluidObserver {
+ public:
+  void onFlowStarted(sim::FlowId, std::span<const sim::ResourceIndex>, util::Bytes,
+                     sim::SimTime) override {}
+  void onRatesSolved(sim::SimTime, std::span<const sim::FlowId>,
+                     std::span<const util::MiBps>, std::size_t) override {}
+  void onFlowCompleted(const sim::FlowStats& stats) override { ends.push_back(stats.endTime); }
+  std::vector<double> ends;
+};
+
+TEST(FileSystem, SecondHedgedLegLandingAfterSlotReuseIsANoOp) {
+  // Target 0 serves at rate 0 (online) until t = 0.3, so the write's one
+  // chunk is hedged onto target 1 by the lag check at 0.3.  Target 0
+  // recovers right after that check, so both legs have every byte left and
+  // move at the same rate: they land in the same resolve.  The first to land
+  // resolves the op, and the write's completion issues a second write whose
+  // op takes the freed slot; then the other leg's callback arrives with a
+  // stale reference and must leave the new op alone.
+  sim::FluidSimulator fluid;
+  BeegfsParams params;
+  params.hedge.enabled = true;
+  params.hedge.deadline = 0.3;
+  Deployment deployment(fluid, quietCluster(), params, util::Rng(1));
+  FileSystem fs(deployment, util::Rng(2));
+  for (std::size_t t = 2; t < 8; ++t) deployment.mgmt().setTargetOnline(t, false);
+  LandingTimes landings;
+  fluid.addObserver(&landings);
+  const auto handle = fs.createPinned("/reuse", {0}, 512_KiB);
+  std::vector<double> done;
+  fs.writeAsync(0, handle, 0, 512_KiB, 4.0, [&](util::Seconds first) {
+    done.push_back(first);
+    fs.writeAsync(0, handle, 512_KiB, 512_KiB, 4.0,
+                  [&](util::Seconds second) { done.push_back(second); });
+    EXPECT_EQ(fs.inFlightChunks(), 1u);
+  });
+  // Armed after the write, so the recovery at 0.3 follows the lag check.
+  faults::FaultInjector injector(deployment, faults::parseSchedule("slow:t0@0=0;slow:t0@0.3=1"));
+  injector.arm();
+  fluid.run();
+  fluid.removeObserver(&landings);
+
+  ASSERT_EQ(fs.hedgeStats().hedgesIssued, 1u);
+  ASSERT_GE(landings.ends.size(), 2u);
+  EXPECT_EQ(landings.ends[0], landings.ends[1]) << "both legs must land in one resolve";
+  ASSERT_EQ(done.size(), 2u);
+  // The stale leg neither resolved the second write early nor counted a
+  // second win.
+  EXPECT_GT(done[1], done[0]);
+  EXPECT_EQ(fs.hedgeStats().hedgeWins + fs.hedgeStats().primaryWins, 1u);
+  EXPECT_EQ(fs.inFlightChunks(), 0u);
+  EXPECT_EQ(fs.info(handle).size, 1_MiB);
+}
+
+TEST(FileSystem, CheckEntryOfAResolvedOpIsANoOpOnItsSlotsNextOccupant) {
+  // The first write's chunk lands long before its watchdog entry falls due
+  // at t = 0.5; its completion issues a second write whose op takes the
+  // freed slot.  Target 0 crashes at 0.1, so only the second op's own
+  // watchdog, one ioTimeout after its issue, may time it out: the stale
+  // entry at 0.5 must run no check on the new occupant and arm nothing.
+  sim::FluidSimulator fluid;
+  BeegfsParams params;
+  params.faults.mode = ClientFaultPolicy::Mode::kDegraded;
+  params.faults.ioTimeout = 0.5;
+  Deployment deployment(fluid, quietCluster(), params, util::Rng(1));
+  FileSystem fs(deployment, util::Rng(2));
+  faults::FaultInjector injector(deployment, faults::parseSchedule("off:t0@0.1"));
+  injector.arm();
+  const auto handle = fs.createPinned("/stale", {0}, 512_KiB);
+  double secondIssue = -1.0;
+  bool secondDone = false;
+  fs.writeAsync(0, handle, 0, 512_KiB, 4.0, [&](util::Seconds first) {
+    secondIssue = first;
+    // One 1 GiB chunk op: still in flight when target 0 crashes.
+    fs.writeAsync(0, handle, 512_KiB, 1_GiB, 4.0, [&](util::Seconds) { secondDone = true; });
+  });
+
+  auto& engine = fluid.engine();
+  engine.runUntil(std::nextafter(0.5, 0.0));
+  ASSERT_GT(secondIssue, 0.0);
+  ASSERT_LT(secondIssue, 0.1);
+  EXPECT_EQ(fs.inFlightChunks(), 1u);
+  const auto resolves = fluid.resolveCount();
+  const auto events = engine.runUntil(0.5);
+  EXPECT_EQ(events - (fluid.resolveCount() - resolves), 1u) << "only the stale batch fires";
+  EXPECT_EQ(fs.faultStats().timeouts, 0u);
+  engine.runUntil(std::nextafter(secondIssue + 0.5, 0.0));
+  EXPECT_EQ(fs.faultStats().timeouts, 0u);
+  engine.runUntil(secondIssue + 0.5);
+  EXPECT_EQ(fs.faultStats().timeouts, 1u);
+  fluid.run();
+  EXPECT_TRUE(secondDone);
+  EXPECT_EQ(fs.inFlightChunks(), 0u);
 }
 
 }  // namespace
