@@ -21,11 +21,11 @@ double fluidTime(const std::vector<std::size_t>& targets) {
     for (auto& target : host.targets) target.variability = topo::VariabilitySpec{};
   }
   config.fs.client.rampTau = 0.0;
-  config.fs.meta = beegfs::MetaParams{0.0, 0.0};
   config.noise = harness::NoiseSpec{0.0, 0.0};
   config.pinnedTargets = targets;
   const auto record = harness::runOnce(config, 1);
-  return record.ior.end - record.ior.start;
+  // The write alone: the create/open phase before it is not in the model.
+  return record.ior.end - record.ior.start - record.ior.metaTime;
 }
 
 }  // namespace

@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
   spec.nodeNic = spec.serverNic;
   spec.nodeClientCap = 1600.0;
   spec.serverServiceCap = 4500.0;
-  spec.targetVariability =
-      topo::VariabilitySpec{topo::VariabilitySpec::Kind::kLogNormal, 0.05, 0, 0, 1.0};
+  spec.targetVariability = topo::VariabilitySpec{.sigmaLog = 0.05};
 
   const auto cluster = topo::buildUniformCluster(spec);
   const storage::HddRaidModel ostModel(spec.targetDevice);

@@ -35,23 +35,6 @@ constexpr double kRampInitialFraction = 0.35;
 constexpr double kRampJitterSigmaLog = 0.4;
 }  // namespace
 
-std::unique_ptr<storage::VariabilityModel> makeVariability(const topo::VariabilitySpec& spec) {
-  using Kind = topo::VariabilitySpec::Kind;
-  switch (spec.kind) {
-    case Kind::kNone:
-      return std::make_unique<storage::NoVariability>();
-    case Kind::kLogNormal:
-      return std::make_unique<storage::LogNormalVariability>(spec.sigma);
-    case Kind::kGaussian:
-      return std::make_unique<storage::GaussianVariability>(spec.sigma);
-    case Kind::kSlowPhase:
-      return std::make_unique<storage::SlowPhaseVariability>(spec.pEnter, spec.pLeave,
-                                                             spec.slowFactor, spec.sigma);
-  }
-  BEESIM_ASSERT(false, "unknown variability kind");
-  return nullptr;  // unreachable
-}
-
 Deployment::Deployment(sim::FluidSimulator& fluid, topo::ClusterConfig cluster,
                        BeegfsParams params, util::Rng rng, EnvironmentFactors environment)
     : fluid_(fluid),
@@ -79,8 +62,7 @@ Deployment::Deployment(sim::FluidSimulator& fluid, topo::ClusterConfig cluster,
   // -- Compute nodes: client stack + NIC. --------------------------------
   nodeStates_.reserve(cluster_.nodes.size());
   for (std::size_t n = 0; n < cluster_.nodes.size(); ++n) {
-    nodeStates_.push_back(std::make_unique<NodeState>());
-    NodeState* state = nodeStates_.back().get();
+    NodeState* state = &nodeStates_.emplace_back();
     const auto cap = cluster_.nodes[n].clientThroughputCap;
 
     clientRes_.push_back(fluid_.addResource(sim::ResourceSpec{
@@ -111,27 +93,23 @@ Deployment::Deployment(sim::FluidSimulator& fluid, topo::ClusterConfig cluster,
   }
 
   // -- Storage hosts: server NIC, OSS service cap, OSTs. ------------------
-  targetHealth_.assign(cluster_.targetCount(), 1.0);
-  hostLinkHealth_.assign(cluster_.hosts.size(), 1.0);
+  targets_.reserve(cluster_.targetCount());
+  links_.reserve(cluster_.hosts.size());
   util::Rng deviceRng = rng.split();
-  std::size_t flatTarget = 0;
-  for (std::size_t h = 0; h < cluster_.hosts.size(); ++h) {
-    const auto& host = cluster_.hosts[h];
+  for (const auto& host : cluster_.hosts) {
     // Server links fluctuate per noise epoch (transient congestion); see
     // topo::NetworkCfg::serverLinkNoiseSigmaLog.
-    linkNoise_.push_back(std::make_unique<storage::NoisyDevice>(
-        std::make_shared<storage::ConstantDeviceModel>(host.nicBandwidth *
-                                                       environment_.network),
-        std::make_unique<storage::LogNormalVariability>(
-            cluster_.network.serverLinkNoiseSigmaLog),
-        deviceRng.split(), kNoiseEpoch));
-    storage::NoisyDevice* link = linkNoise_.back().get();
-    const double* linkHealth = &hostLinkHealth_[h];
+    LinkState* link = &links_.emplace_back(LinkState{
+        .rate = host.nicBandwidth * environment_.network,
+        .noise = storage::EpochNoise(cluster_.network.serverLinkNoiseSigmaLog,
+                                     deviceRng.split(), kNoiseEpoch),
+    });
     serverNicRes_.push_back(fluid_.addResource(sim::ResourceSpec{
         .name = host.name + "/nic",
         .capacity =
-            [link, linkHealth](const sim::ResourceLoad& load) {
-              return link->currentRate(load.queueDepth, load.time) * *linkHealth;
+            [link](const sim::ResourceLoad& load) {
+              const util::MiBps rate = load.queueDepth > 0.0 ? link->rate : 0.0;
+              return rate * link->noise.factorAt(load.time) * link->health;
             },
     }));
     if (host.serviceCap > 0.0) {
@@ -142,20 +120,19 @@ Deployment::Deployment(sim::FluidSimulator& fluid, topo::ClusterConfig cluster,
     } else {
       ossRes_.push_back(std::nullopt);
     }
-    for (std::size_t t = 0; t < host.targets.size(); ++t) {
-      const auto& targetCfg = host.targets[t];
-      devices_.push_back(std::make_unique<storage::NoisyDevice>(
-          std::make_shared<storage::HddRaidModel>(targetCfg.device),
-          makeVariability(targetCfg.variability), deviceRng.split(), kNoiseEpoch));
-      storage::NoisyDevice* device = devices_.back().get();
-      const double storageFactor = environment_.storage;
-      const double* health = &targetHealth_[flatTarget++];
+    for (const auto& targetCfg : host.targets) {
+      TargetState* target = &targets_.emplace_back(TargetState{
+          .device = {storage::HddRaidModel(targetCfg.device),
+                     storage::EpochNoise(targetCfg.variability.sigmaLog, deviceRng.split(),
+                                         kNoiseEpoch)},
+          .storageFactor = environment_.storage,
+      });
       ostRes_.push_back(fluid_.addResource(sim::ResourceSpec{
           .name = targetCfg.name,
           .capacity =
-              [device, storageFactor, health](const sim::ResourceLoad& load) {
-                return device->currentRate(load.queueDepth, load.time) * storageFactor *
-                       *health;
+              [target](const sim::ResourceLoad& load) {
+                return target->device.currentRate(load.queueDepth, load.time) *
+                       target->storageFactor * target->health;
               },
       }));
     }
@@ -184,25 +161,25 @@ Deployment::Deployment(sim::FluidSimulator& fluid, topo::ClusterConfig cluster,
 }
 
 void Deployment::setTargetHealth(std::size_t flatTarget, double factor) {
-  BEESIM_ASSERT(flatTarget < targetHealth_.size(), "unknown storage target");
+  BEESIM_ASSERT(flatTarget < targets_.size(), "unknown storage target");
   BEESIM_ASSERT(factor >= 0.0, "target health factor must be >= 0");
-  targetHealth_[flatTarget] = factor;
+  targets_[flatTarget].health = factor;
 }
 
 double Deployment::targetHealth(std::size_t flatTarget) const {
-  BEESIM_ASSERT(flatTarget < targetHealth_.size(), "unknown storage target");
-  return targetHealth_[flatTarget];
+  BEESIM_ASSERT(flatTarget < targets_.size(), "unknown storage target");
+  return targets_[flatTarget].health;
 }
 
 void Deployment::setHostLinkHealth(std::size_t host, double factor) {
-  BEESIM_ASSERT(host < hostLinkHealth_.size(), "unknown storage host");
+  BEESIM_ASSERT(host < links_.size(), "unknown storage host");
   BEESIM_ASSERT(factor >= 0.0, "host link health factor must be >= 0");
-  hostLinkHealth_[host] = factor;
+  links_[host].health = factor;
 }
 
 double Deployment::hostLinkHealth(std::size_t host) const {
-  BEESIM_ASSERT(host < hostLinkHealth_.size(), "unknown storage host");
-  return hostLinkHealth_[host];
+  BEESIM_ASSERT(host < links_.size(), "unknown storage host");
+  return links_[host].health;
 }
 
 double Deployment::clientContentionFactor(int processes) const {
@@ -257,12 +234,12 @@ Route Deployment::replicaPath(std::size_t fromTarget, std::size_t toTarget) cons
 void Deployment::setNodeProcesses(std::size_t node, int processes) {
   BEESIM_ASSERT(node < nodeStates_.size(), "unknown compute node");
   BEESIM_ASSERT(processes >= 0, "process count must be >= 0");
-  nodeStates_[node]->activeProcesses = processes;
+  nodeStates_[node].activeProcesses = processes;
 }
 
 void Deployment::markNodeJobStart(std::size_t node, util::Seconds at) {
   BEESIM_ASSERT(node < nodeStates_.size(), "unknown compute node");
-  auto& state = *nodeStates_[node];
+  auto& state = nodeStates_[node];
   if (state.jobStart < 0.0) {
     // First job on this node: sample its slow-start jitter (both the time
     // constant and the starting fraction vary between connections).

@@ -6,15 +6,14 @@
 //   client(node) -> node NIC -> [backbone] -> server NIC -> [OSS] -> OST
 //
 // and the stateful pieces: per-node client state (process count, ramp-up),
-// per-target noisy devices, the management registry and the metadata
-// service.  One Deployment == one booted file system; experiments build a
-// fresh one per repetition (the harness does this) so no state leaks
-// between runs.
+// per-target and per-server-link capacity state (curve or rate, epoch noise,
+// health), the management registry and the metadata service.  One
+// Deployment == one booted file system; experiments build a fresh one per
+// repetition (the harness does this) so no state leaks between runs.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -23,7 +22,7 @@
 #include "beegfs/mgmt.hpp"
 #include "beegfs/params.hpp"
 #include "sim/fluid.hpp"
-#include "storage/variability.hpp"
+#include "storage/device.hpp"
 #include "topology/cluster.hpp"
 #include "util/rng.hpp"
 
@@ -122,6 +121,18 @@ class Deployment {
     double rampTauFactor = 1.0;     // per-job slow-start jitter (duration)
     double rampR0Factor = 1.0;      // per-job slow-start jitter (floor)
   };
+  /// An OST's capacity: ((curve x noise) x storage factor) x health.
+  struct TargetState {
+    storage::NoisyDevice device;
+    double storageFactor;
+    double health = 1.0;  // fault-injection multiplier (1.0 = healthy)
+  };
+  /// A server link's capacity: (rate x noise) x health, 0 while idle.
+  struct LinkState {
+    util::MiBps rate;
+    storage::EpochNoise noise;
+    double health = 1.0;  // fault-injection multiplier (1.0 = healthy)
+  };
 
   double clientContentionFactor(int processes) const;
   double clientRampFactor(const NodeState& state, util::Seconds now) const;
@@ -134,16 +145,11 @@ class Deployment {
   MetaService meta_;
   util::Rng clientRng_;
 
-  // Stable storage for capacity callbacks (addresses must not move).
-  std::vector<std::unique_ptr<NodeState>> nodeStates_;
-  std::vector<std::unique_ptr<storage::NoisyDevice>> devices_;
-  std::vector<std::unique_ptr<storage::NoisyDevice>> linkNoise_;
-
-  // Fault-injection capacity multipliers (1.0 = healthy).  Addresses are
-  // captured by the capacity callbacks, so the vectors are sized once in the
-  // constructor and never resized.
-  std::vector<double> targetHealth_;
-  std::vector<double> hostLinkHealth_;
+  // Capacity callbacks point into these, so each is reserved once in the
+  // constructor and never grows past it.
+  std::vector<NodeState> nodeStates_;
+  std::vector<TargetState> targets_;
+  std::vector<LinkState> links_;
 
   std::vector<sim::ResourceIndex> clientRes_;
   std::vector<sim::ResourceIndex> nodeNicRes_;
@@ -153,8 +159,5 @@ class Deployment {
   std::vector<sim::ResourceIndex> mdtRes_;
   std::optional<sim::ResourceIndex> backbone_;
 };
-
-/// Instantiate the storage::VariabilityModel described by a topology spec.
-std::unique_ptr<storage::VariabilityModel> makeVariability(const topo::VariabilitySpec& spec);
 
 }  // namespace beesim::beegfs

@@ -8,13 +8,19 @@
 
 namespace beesim::beegfs {
 
+namespace {
+/// Scalar model: file create latency (rank 0 performs it).
+constexpr util::Seconds kCreateLatency = 0.004;
+/// Scalar model: per-rank open latency (paid once per rank before I/O
+/// starts; ranks open concurrently, so the job pays ~one open, with jitter).
+constexpr util::Seconds kOpenLatency = 0.0015;
+}  // namespace
+
 MetaService::MetaService(const MetaParams& params, util::Rng rng)
     : params_(params),
       rng_(rng),
       shards_(params.shard, params.mdtCount >= 1 ? params.mdtCount : 1),
       mdtOps_(params.mdtCount >= 1 ? params.mdtCount : 1, 0) {
-  BEESIM_ASSERT(params.createLatency >= 0.0, "create latency must be >= 0");
-  BEESIM_ASSERT(params.openLatency >= 0.0, "open latency must be >= 0");
   BEESIM_ASSERT(params.jitterSigmaLog >= 0.0, "jitter sigma must be >= 0");
   BEESIM_ASSERT(params.mdtCount >= 1, "need at least one MDT");
   // The create rate is configured; the other kinds keep the default
@@ -35,13 +41,12 @@ MetaService::MetaService(const MetaParams& params, util::Rng rng)
 }
 
 util::Seconds MetaService::jittered(util::Seconds base) {
-  if (base <= 0.0) return 0.0;
   return base * rng_.logNormalMedian(1.0, params_.jitterSigmaLog);
 }
 
 util::Seconds MetaService::createCost() {
   ++ops_;
-  return jittered(params_.createLatency);
+  return jittered(kCreateLatency);
 }
 
 util::Seconds MetaService::openAllCost(std::size_t concurrentRanks) {
@@ -50,9 +55,9 @@ util::Seconds MetaService::openAllCost(std::size_t concurrentRanks) {
   // one per call (the historical under-count).
   ops_ += concurrentRanks;
   // max of n i.i.d. latencies grows ~log(n); model that directly instead of
-  // sampling n draws (the constant is folded into openLatency).
+  // sampling n draws (the constant is folded into kOpenLatency).
   const double pileUp = 1.0 + std::log(static_cast<double>(concurrentRanks));
-  return jittered(params_.openLatency) * pileUp;
+  return jittered(kOpenLatency) * pileUp;
 }
 
 void MetaService::attach(sim::FluidSimulator& fluid,

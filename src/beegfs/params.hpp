@@ -107,17 +107,12 @@ enum class MdShardKind {
 /// Metadata service cost model (MDS backed by an SSD MDT).
 ///
 /// Two models share this struct.  The legacy *scalar* model charges a
-/// jittered latency per create and open (createLatency/openLatency).  The
+/// jittered latency per create and open (constants in meta.cpp).  The
 /// *queued* model (DESIGN.md §2.10, off by default) instead runs every
 /// operation as a flow through a per-MDT fluid resource with a concurrency
 /// ramp, so metadata ops contend observably in virtual time; createRate
 /// sets the per-MDT saturation throughputs in ops/s.
 struct MetaParams {
-  /// File create (rank 0) latency.
-  util::Seconds createLatency = 0.004;
-  /// Per-rank open latency (paid once per rank before I/O starts; ranks open
-  /// concurrently, so the job pays ~one openLatency, with jitter).
-  util::Seconds openLatency = 0.0015;
   /// Log-normal jitter applied to each operation (log-space sigma).
   double jitterSigmaLog = 0.25;
 
@@ -129,7 +124,7 @@ struct MetaParams {
   /// Default per-MDT saturation throughput per operation kind, in ops/s.  An
   /// SSD MDT needs a deep queue to reach these (MetaService::kSaturationDepth);
   /// the create default keeps the single-op create latency near the scalar
-  /// model's createLatency.
+  /// model's create latency.
   static constexpr double kDefaultCreateRate = 2500.0;
   static constexpr double kDefaultOpenRate = 10000.0;
   static constexpr double kDefaultStatRate = 20000.0;

@@ -1,6 +1,6 @@
-// Storage device service models.
+// Storage device service model and its performance variability.
 //
-// A device model maps an effective queue depth (number of outstanding
+// The device model maps an effective queue depth (number of outstanding
 // requests, possibly fractional in the fluid abstraction) to a service rate
 // in MiB/s.  The RAID-array model uses a two-component saturating curve:
 //
@@ -21,24 +21,27 @@
 // share OSTs push the shared targets deeper into their queue ramp, almost
 // exactly compensating the unused spindles (Fig. 13's "sharing is
 // harmless").  OST queue depth scales with client inflight / stripe count.
+//
+// Variability: the paper attributes the large Scenario-2 variance (sd +460%
+// when going from 1 to 8 OSTs) to "performance variation of the storage
+// devices", citing Cao et al. (FAST'17).  EpochNoise models that as a
+// median-1 log-normal factor on a deterministic rate, one factor per *epoch*
+// (a fixed virtual-time window), so a long transfer sees a slowly wandering
+// rate and two repetitions of an experiment see different device moods.
+// The factor of epoch E is drawn from a child stream derived with
+// Rng::splitNamed, so it does not depend on how often (or in which order)
+// the solver queried the device.  This keeps runs bit-reproducible under
+// the paper's randomized-block protocol, where runs are laid out at
+// arbitrary virtual times.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace beesim::storage {
-
-/// Abstract deterministic service model (noise is layered separately, see
-/// variability.hpp).
-class DeviceModel {
- public:
-  virtual ~DeviceModel() = default;
-
-  /// Service rate at the given effective queue depth (>= 0).
-  virtual util::MiBps serviceRate(double queueDepth) const = 0;
-
-  /// Asymptotic streaming rate (queueDepth -> infinity).
-  virtual util::MiBps peakRate() const = 0;
-};
 
 /// Parameters of a RAID array of rotating disks exposed as one target.
 struct HddRaidParams {
@@ -61,15 +64,21 @@ struct HddRaidParams {
   /// Hill exponent of the streaming ramp (steepness of the transition from
   /// seek-bound to streaming behaviour).
   double streamExponent = 4.0;
+
+  /// Why these values describe no array (e.g. "stream exponent must be
+  /// >= 1"), or nullptr when they are valid.
+  const char* invalidReason() const;
 };
 
 /// RAID array of HDDs with a saturating concurrency ramp.
-class HddRaidModel final : public DeviceModel {
+class HddRaidModel {
  public:
   explicit HddRaidModel(const HddRaidParams& params);
 
-  util::MiBps serviceRate(double queueDepth) const override;
-  util::MiBps peakRate() const override { return peak_; }
+  /// Service rate at the given effective queue depth (>= 0).
+  util::MiBps serviceRate(double queueDepth) const;
+  /// Asymptotic streaming rate (queueDepth -> infinity).
+  util::MiBps peakRate() const { return peak_; }
 
   const HddRaidParams& params() const { return params_; }
 
@@ -78,16 +87,35 @@ class HddRaidModel final : public DeviceModel {
   util::MiBps peak_;
 };
 
-/// Fixed-rate device (no ramp) -- useful for tests and analytic baselines.
-class ConstantDeviceModel final : public DeviceModel {
+/// Per-epoch median-1 log-normal performance factor of one device or link.
+/// Caches the factor of the most recent epoch, so one epoch sees one factor
+/// no matter how many solver passes query it.
+class EpochNoise {
  public:
-  explicit ConstantDeviceModel(util::MiBps rate);
+  /// `sigmaLog`: standard deviation in log space (0.08 ~= +-8% typical;
+  /// 0 = no noise, the factor is exactly 1).
+  EpochNoise(double sigmaLog, util::Rng rng, util::Seconds epochLength);
 
-  util::MiBps serviceRate(double queueDepth) const override;
-  util::MiBps peakRate() const override { return rate_; }
+  /// The factor in effect at `now`.
+  double factorAt(util::Seconds now);
 
  private:
-  util::MiBps rate_;
+  double sigmaLog_;
+  util::Rng rng_;
+  util::Seconds epochLength_;
+  std::int64_t cachedEpoch_ = std::numeric_limits<std::int64_t>::min();
+  double cachedFactor_ = 1.0;
+};
+
+/// A storage target's service: its HDD curve times its per-epoch noise.
+struct NoisyDevice {
+  HddRaidModel curve;
+  EpochNoise noise;
+
+  /// Effective service rate at `now` for the given queue depth.
+  util::MiBps currentRate(double queueDepth, util::Seconds now) {
+    return curve.serviceRate(queueDepth) * noise.factorAt(now);
+  }
 };
 
 }  // namespace beesim::storage

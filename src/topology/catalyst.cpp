@@ -26,10 +26,7 @@ ClusterConfig makeCatalystLike(std::size_t computeNodes, const CatalystCalibrati
       .streamQHalf = cal.targetStreamQHalf,
       .streamExponent = cal.targetStreamExponent,
   };
-  spec.targetVariability = VariabilitySpec{
-      .kind = VariabilitySpec::Kind::kLogNormal,
-      .sigma = cal.ostSigmaLog,
-  };
+  spec.targetVariability = VariabilitySpec{.sigmaLog = cal.ostSigmaLog};
   return buildUniformCluster(spec);
 }
 

@@ -1,5 +1,7 @@
 #include "topology/cluster.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 
 namespace beesim::topo {
@@ -54,9 +56,24 @@ void ClusterConfig::validate() const {
     if (host.targets.empty()) {
       throw util::ConfigError("host '" + host.name + "' has no storage targets");
     }
+    for (const auto& target : host.targets) {
+      if (const char* invalid = target.device.invalidReason()) {
+        throw util::ConfigError("target '" + target.name + "': " + invalid);
+      }
+      const double sigma = target.variability.sigmaLog;
+      if (!(std::isfinite(sigma) && sigma >= 0.0)) {
+        throw util::ConfigError("target '" + target.name +
+                                "' has a negative or non-finite variability sigma");
+      }
+    }
   }
   if (network.backboneBandwidth < 0.0) {
     throw util::ConfigError("cluster '" + name + "' has negative backbone bandwidth");
+  }
+  const double linkSigma = network.serverLinkNoiseSigmaLog;
+  if (!(std::isfinite(linkSigma) && linkSigma >= 0.0)) {
+    throw util::ConfigError("cluster '" + name +
+                            "' has a negative or non-finite server link noise sigma");
   }
 }
 

@@ -29,18 +29,11 @@ struct ComputeNodeCfg {
   util::MiBps clientThroughputCap = 900.0;
 };
 
-/// Specification of the variability applied to a target's device.
-/// (Kept as plain data so ClusterConfig stays copyable; the Deployment
-/// instantiates the matching storage::VariabilityModel per target.)
+/// Performance variability of a target's device: a median-1 log-normal
+/// factor per noise epoch (storage::EpochNoise).
 struct VariabilitySpec {
-  enum class Kind { kNone, kLogNormal, kGaussian, kSlowPhase };
-  Kind kind = Kind::kNone;
-  /// LogNormal/SlowPhase: sigma in log space.  Gaussian: sigma.
-  double sigma = 0.0;
-  /// SlowPhase only.
-  double pEnter = 0.0;
-  double pLeave = 0.0;
-  double slowFactor = 1.0;
+  /// Standard deviation in log space; 0 = no variability.
+  double sigmaLog = 0.0;
 };
 
 /// One storage target (OST): a device plus its variability.
@@ -92,8 +85,9 @@ struct ClusterConfig {
   /// (h+1)*100 + (t+1), e.g. 101..104 and 201..204 on PlaFRIM.
   int beegfsTargetNum(std::size_t flat) const;
 
-  /// Validate invariants (non-empty, positive capacities); throws
-  /// ConfigError with a message naming the offending entry.
+  /// Validate invariants (non-empty, positive capacities, valid device
+  /// curves, non-negative noise sigmas); throws ConfigError with a message
+  /// naming the offending entry.
   void validate() const;
 };
 

@@ -16,49 +16,21 @@ using util::JsonObject;
 using util::JsonValue;
 
 VariabilitySpec variabilityFromJson(const JsonValue& json) {
-  VariabilitySpec spec;
   const auto kind = util::toLower(json.stringOr("kind", "none"));
-  if (kind == "none") {
-    spec.kind = VariabilitySpec::Kind::kNone;
-  } else if (kind == "lognormal" || kind == "log-normal") {
-    spec.kind = VariabilitySpec::Kind::kLogNormal;
-    spec.sigma = json.numberOr("sigma", 0.05);
-  } else if (kind == "gaussian") {
-    spec.kind = VariabilitySpec::Kind::kGaussian;
-    spec.sigma = json.numberOr("sigma", 0.05);
-  } else if (kind == "slowphase" || kind == "slow-phase") {
-    spec.kind = VariabilitySpec::Kind::kSlowPhase;
-    spec.sigma = json.numberOr("sigma", 0.05);
-    spec.pEnter = json.numberOr("pEnter", 0.05);
-    spec.pLeave = json.numberOr("pLeave", 0.3);
-    spec.slowFactor = json.numberOr("slowFactor", 0.6);
-  } else {
-    throw util::ConfigError("cluster file: unknown variability kind '" + kind + "'");
+  if (kind == "none") return VariabilitySpec{};
+  if (kind == "lognormal" || kind == "log-normal") {
+    return VariabilitySpec{.sigmaLog = json.numberOr("sigma", 0.05)};
   }
-  return spec;
+  throw util::ConfigError("cluster file: unknown variability kind '" + kind + "'");
 }
 
 JsonValue variabilityToJson(const VariabilitySpec& spec) {
   JsonObject out;
-  switch (spec.kind) {
-    case VariabilitySpec::Kind::kNone:
-      out["kind"] = "none";
-      break;
-    case VariabilitySpec::Kind::kLogNormal:
-      out["kind"] = "lognormal";
-      out["sigma"] = spec.sigma;
-      break;
-    case VariabilitySpec::Kind::kGaussian:
-      out["kind"] = "gaussian";
-      out["sigma"] = spec.sigma;
-      break;
-    case VariabilitySpec::Kind::kSlowPhase:
-      out["kind"] = "slowphase";
-      out["sigma"] = spec.sigma;
-      out["pEnter"] = spec.pEnter;
-      out["pLeave"] = spec.pLeave;
-      out["slowFactor"] = spec.slowFactor;
-      break;
+  if (spec.sigmaLog == 0.0) {
+    out["kind"] = "none";
+  } else {
+    out["kind"] = "lognormal";
+    out["sigma"] = spec.sigmaLog;
   }
   return JsonValue(std::move(out));
 }

@@ -24,7 +24,8 @@
 //
 // "nodes" may alternatively be a JSON array of per-node objects.  A host's
 // "targets" may be given as {"count": N, ...sharedDeviceFields} to avoid
-// repeating identical devices.
+// repeating identical devices.  A target's "variability" kind is "none" or
+// "lognormal" (with its log-space "sigma").
 #pragma once
 
 #include <filesystem>

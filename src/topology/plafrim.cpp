@@ -30,10 +30,7 @@ ClusterConfig makePlafrim(Scenario scenario, std::size_t computeNodes,
       .streamQHalf = cal.targetStreamQHalf,
       .streamExponent = cal.targetStreamExponent,
   };
-  spec.targetVariability = VariabilitySpec{
-      .kind = VariabilitySpec::Kind::kLogNormal,
-      .sigma = cal.ostSigmaLog,
-  };
+  spec.targetVariability = VariabilitySpec{.sigmaLog = cal.ostSigmaLog};
 
   return buildUniformCluster(spec);
 }

@@ -137,14 +137,5 @@ TEST(Deployment, InvalidEnvironmentThrows) {
                util::ContractError);
 }
 
-TEST(MakeVariability, InstantiatesEveryKind) {
-  using Kind = topo::VariabilitySpec::Kind;
-  EXPECT_NE(makeVariability(topo::VariabilitySpec{Kind::kNone, 0, 0, 0, 1.0}), nullptr);
-  EXPECT_NE(makeVariability(topo::VariabilitySpec{Kind::kLogNormal, 0.1, 0, 0, 1.0}), nullptr);
-  EXPECT_NE(makeVariability(topo::VariabilitySpec{Kind::kGaussian, 0.1, 0, 0, 1.0}), nullptr);
-  EXPECT_NE(makeVariability(topo::VariabilitySpec{Kind::kSlowPhase, 0.1, 0.1, 0.5, 0.8}),
-            nullptr);
-}
-
 }  // namespace
 }  // namespace beesim::beegfs

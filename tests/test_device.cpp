@@ -75,10 +75,15 @@ TEST(HddRaid, InvalidParamsThrow) {
   p = HddRaidParams{};
   p.streamQHalf = -1.0;
   EXPECT_THROW(HddRaidModel{p}, util::ContractError);
+  p = HddRaidParams{};
+  p.streamExponent = 0.5;
+  EXPECT_THROW(HddRaidModel{p}, util::ContractError);
+  EXPECT_STREQ(p.invalidReason(), "stream exponent must be >= 1");
+  EXPECT_EQ(HddRaidParams{}.invalidReason(), nullptr);
 }
 
 /// Ramp monotonicity sweep: service rate is non-decreasing in queue depth
-/// for every model in the family.
+/// across the streaming half-point range.
 class RampMonotonicityTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(RampMonotonicityTest, NonDecreasingInQueueDepth) {
@@ -95,18 +100,6 @@ TEST_P(RampMonotonicityTest, NonDecreasingInQueueDepth) {
 
 INSTANTIATE_TEST_SUITE_P(QHalfSweep, RampMonotonicityTest,
                          ::testing::Values(0.0, 0.5, 2.0, 6.0, 17.0, 64.0));
-
-TEST(ConstantDevice, FlatAboveZeroQueue) {
-  const ConstantDeviceModel model(123.0);
-  EXPECT_DOUBLE_EQ(model.serviceRate(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(model.serviceRate(0.1), 123.0);
-  EXPECT_DOUBLE_EQ(model.serviceRate(100.0), 123.0);
-  EXPECT_DOUBLE_EQ(model.peakRate(), 123.0);
-}
-
-TEST(ConstantDevice, NegativeRateThrows) {
-  EXPECT_THROW(ConstantDeviceModel{-1.0}, util::ContractError);
-}
 
 }  // namespace
 }  // namespace beesim::storage

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "topology/plafrim.hpp"
 #include "util/error.hpp"
@@ -32,8 +33,8 @@ TEST(Loader, ParsesCompactForm) {
   EXPECT_EQ(cluster.hosts.size(), 2u);
   EXPECT_EQ(cluster.targetCount(), 8u);
   EXPECT_DOUBLE_EQ(cluster.network.serverLinkNoiseSigmaLog, 0.03);
-  EXPECT_EQ(cluster.hosts[0].targets[0].variability.kind,
-            VariabilitySpec::Kind::kLogNormal);
+  EXPECT_DOUBLE_EQ(cluster.hosts[0].targets[0].variability.sigmaLog, 0.05);
+  EXPECT_EQ(cluster.hosts[1].targets[0].variability.sigmaLog, 0.0);
   // Defaults fill unspecified device fields.
   EXPECT_DOUBLE_EQ(cluster.hosts[1].targets[0].device.writeEfficiency, 0.93);
   // Auto-generated names are distinct.
@@ -64,8 +65,8 @@ TEST(Loader, RoundTripsThroughJson) {
   EXPECT_DOUBLE_EQ(reloaded.hosts[1].serviceCap, original.hosts[1].serviceCap);
   EXPECT_DOUBLE_EQ(reloaded.hosts[0].targets[0].device.streamQHalf,
                    original.hosts[0].targets[0].device.streamQHalf);
-  EXPECT_EQ(reloaded.hosts[0].targets[0].variability.kind,
-            original.hosts[0].targets[0].variability.kind);
+  EXPECT_EQ(reloaded.hosts[0].targets[0].variability.sigmaLog,
+            original.hosts[0].targets[0].variability.sigmaLog);
   // Second round trip is byte-stable (canonical serialization).
   EXPECT_EQ(clusterToJson(reloaded), clusterToJson(original));
 }
@@ -95,6 +96,55 @@ TEST(Loader, SchemaViolationsThrow) {
     "hosts": [ {"targets": {"count": 1,
                 "variability": {"kind": "banana"}}} ] })"),
                util::ConfigError);
+  // Values the device curve and the noise cannot take are rejected as
+  // configuration errors naming the target, not as internal contract
+  // violations.
+  const auto withTarget = [](const std::string& fields) {
+    return R"({"nodes": {"count": 1},
+               "hosts": [ {"name": "oss0", "targets": [ {"name": "t0", )" +
+           fields + "} ] } ] }";
+  };
+  for (const char* fields :
+       {R"("disks": 0)", R"("parityDisks": 12)", R"("parityDisks": -1)",
+        R"("perDiskStream": -5)", R"("writeEfficiency": 1.2)", R"("cacheFraction": 1.5)",
+        R"("cacheQHalf": -1)", R"("streamQHalf": -1)", R"("streamExponent": 0.5)",
+        R"("variability": {"kind": "lognormal", "sigma": -0.5})"}) {
+    try {
+      clusterFromJson(withTarget(fields));
+      ADD_FAILURE() << "accepted " << fields;
+    } catch (const util::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("target 't0'"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW(clusterFromJson(R"({
+    "network": {"serverLinkNoiseSigmaLog": -0.1},
+    "nodes": {"count": 1},
+    "hosts": [ {"targets": {"count": 1}} ] })"),
+               util::ConfigError);
+}
+
+TEST(Loader, VariabilityKindsAreNoneOrLogNormal) {
+  const auto withKind = [](const std::string& variability) {
+    return R"({"nodes": {"count": 1},
+               "hosts": [ {"targets": {"count": 2, "variability": )" +
+           variability + "} } ] }";
+  };
+  EXPECT_THROW(clusterFromJson(withKind(R"({"kind": "gaussian", "sigma": 0.1})")),
+               util::ConfigError);
+  EXPECT_THROW(clusterFromJson(withKind(R"({"kind": "slowphase", "sigma": 0.1})")),
+               util::ConfigError);
+  for (const char* variability : {R"({"kind": "none"})", R"({"kind": "lognormal", "sigma": 0.07})",
+                                  R"({"kind": "log-normal", "sigma": 0.07})"}) {
+    const auto first = clusterToJson(clusterFromJson(withKind(variability)));
+    EXPECT_EQ(clusterToJson(clusterFromJson(first)), first) << variability;
+  }
+  const auto none = clusterToJson(clusterFromJson(withKind(R"({"kind": "none"})")));
+  EXPECT_NE(none.find(R"("kind": "none")"), std::string::npos) << none;
+  EXPECT_EQ(none.find("sigma\""), std::string::npos) << none;
+  const auto logNormal =
+      clusterToJson(clusterFromJson(withKind(R"({"kind": "LogNormal", "sigma": 0.07})")));
+  EXPECT_NE(logNormal.find(R"("kind": "lognormal")"), std::string::npos) << logNormal;
+  EXPECT_NE(logNormal.find(R"("sigma": 0.07)"), std::string::npos) << logNormal;
 }
 
 TEST(Loader, MissingFileThrows) {

@@ -24,15 +24,6 @@ TEST(Meta, CostsArePositiveWithDefaults) {
   EXPECT_EQ(meta.opsServed(), 9u);
 }
 
-TEST(Meta, ZeroLatencyMeansZeroCost) {
-  MetaParams params;
-  params.createLatency = 0.0;
-  params.openLatency = 0.0;
-  MetaService meta(params, util::Rng(2));
-  EXPECT_DOUBLE_EQ(meta.createCost(), 0.0);
-  EXPECT_DOUBLE_EQ(meta.openAllCost(64), 0.0);
-}
-
 TEST(Meta, OpenPileUpGrowsLogarithmically) {
   MetaParams params;
   params.jitterSigmaLog = 0.0;  // deterministic
@@ -60,10 +51,10 @@ TEST(Meta, DeterministicGivenSeed) {
 
 TEST(Meta, InvalidParamsThrow) {
   MetaParams params;
-  params.createLatency = -1.0;
+  params.jitterSigmaLog = -0.5;
   EXPECT_THROW(MetaService(params, util::Rng(6)), util::ContractError);
   params = MetaParams{};
-  params.jitterSigmaLog = -0.5;
+  params.mdtCount = 0;
   EXPECT_THROW(MetaService(params, util::Rng(6)), util::ContractError);
 }
 

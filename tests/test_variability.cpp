@@ -1,29 +1,20 @@
-#include "storage/variability.hpp"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 
+#include "storage/device.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace beesim::storage {
 namespace {
 
-TEST(Variability, NoVariabilityIsAlwaysOne) {
-  NoVariability model;
-  const util::Rng rng(1);
-  for (int e = 0; e < 10; ++e) EXPECT_DOUBLE_EQ(model.sampleFactor(rng, e), 1.0);
-}
-
 TEST(Variability, LogNormalFactorsArePositiveAndVary) {
-  LogNormalVariability model(0.1);
-  const util::Rng rng(2);
+  EpochNoise noise(0.1, util::Rng(2), 1.0);
   double minF = 1e9;
   double maxF = 0.0;
   for (int e = 0; e < 1000; ++e) {
-    const double f = model.sampleFactor(rng, e);
+    const double f = noise.factorAt(e + 0.5);
     EXPECT_GT(f, 0.0);
     minF = std::min(minF, f);
     maxF = std::max(maxF, f);
@@ -33,102 +24,57 @@ TEST(Variability, LogNormalFactorsArePositiveAndVary) {
 }
 
 TEST(Variability, LogNormalZeroSigmaIsDeterministic) {
-  LogNormalVariability model(0.0);
-  const util::Rng rng(3);
-  for (int e = 0; e < 10; ++e) EXPECT_DOUBLE_EQ(model.sampleFactor(rng, e), 1.0);
+  // sigma = 0 is "no variability": exactly 1.0 at every epoch, negative and
+  // far-off ones included, whatever the stream.
+  EpochNoise noise(0.0, util::Rng(3), 3.0);
+  for (int e = -50; e < 1000; ++e) EXPECT_EQ(noise.factorAt(3.0 * e + 1.0), 1.0) << e;
+  EXPECT_EQ(noise.factorAt(1e12), 1.0);
 }
 
 TEST(Variability, FactorsArePureFunctionsOfStreamAndEpoch) {
-  LogNormalVariability model(0.2);
-  const util::Rng rng(4);
+  EpochNoise noise(0.2, util::Rng(4), 1.0);
   // Same (stream, epoch) -> same factor, regardless of query order.
-  const double f7 = model.sampleFactor(rng, 7);
-  const double f3 = model.sampleFactor(rng, 3);
-  EXPECT_DOUBLE_EQ(model.sampleFactor(rng, 7), f7);
-  EXPECT_DOUBLE_EQ(model.sampleFactor(rng, 3), f3);
+  const double f7 = noise.factorAt(7.5);
+  const double f3 = noise.factorAt(3.5);
+  EXPECT_DOUBLE_EQ(noise.factorAt(7.5), f7);
+  EXPECT_DOUBLE_EQ(noise.factorAt(3.5), f3);
   EXPECT_NE(f3, f7);
-  // A different device stream sees different factors.
-  const util::Rng other(5);
-  EXPECT_NE(model.sampleFactor(other, 7), f7);
-}
-
-TEST(Variability, GaussianFactorsAreClamped) {
-  GaussianVariability model(2.0, 0.5, 1.2);  // huge sigma to hit the clamps
-  const util::Rng rng(6);
-  for (int e = 0; e < 1000; ++e) {
-    const double f = model.sampleFactor(rng, e);
-    EXPECT_GE(f, 0.5);
-    EXPECT_LE(f, 1.2);
-  }
-}
-
-TEST(Variability, SlowPhaseVisitsBothStatesAtStationaryRate) {
-  SlowPhaseVariability model(0.2, 0.3, 0.5, 0.0, 8);
-  EXPECT_NEAR(model.stationaryDegradedProbability(), 0.4, 1e-12);
-  const util::Rng rng(7);
-  int slow = 0;
-  const int epochs = 4000;
-  for (int e = 0; e < epochs; ++e) {
-    if (model.sampleFactor(rng, e) < 0.75) ++slow;
-  }
-  EXPECT_GT(slow, 0);
-  EXPECT_LT(slow, epochs);
-  EXPECT_NEAR(static_cast<double>(slow) / epochs, 0.4, 0.08);
-}
-
-TEST(Variability, SlowPhaseEpisodesSpanWholeWindows) {
-  SlowPhaseVariability model(0.3, 0.3, 0.5, 0.0, 8);
-  const util::Rng rng(8);
-  // Within one window, the state is constant.
-  for (int window = 0; window < 50; ++window) {
-    const bool degraded = model.sampleFactor(rng, window * 8) < 0.75;
-    for (int e = 1; e < 8; ++e) {
-      EXPECT_EQ(model.sampleFactor(rng, window * 8 + e) < 0.75, degraded);
-    }
-  }
+  // A different stream sees different factors.
+  EpochNoise other(0.2, util::Rng(5), 1.0);
+  EXPECT_NE(other.factorAt(7.5), f7);
+  // The factor of epoch E is the median-1 log-normal draw of the stream's
+  // child E*2+1.
+  EXPECT_EQ(f7, util::Rng(4).splitNamed(7 * 2 + 1).logNormalMedian(1.0, 0.2));
 }
 
 TEST(Variability, InvalidParametersThrow) {
-  EXPECT_THROW(LogNormalVariability(-0.1), util::ContractError);
-  EXPECT_THROW(GaussianVariability(-1.0), util::ContractError);
-  EXPECT_THROW(SlowPhaseVariability(1.5, 0.5, 0.5, 0.0), util::ContractError);
-  EXPECT_THROW(SlowPhaseVariability(0.5, 0.5, 0.0, 0.0), util::ContractError);
-  EXPECT_THROW(SlowPhaseVariability(0.0, 0.0, 0.5, 0.0), util::ContractError);
-  EXPECT_THROW(SlowPhaseVariability(0.5, 0.5, 0.5, 0.0, 0), util::ContractError);
-}
-
-TEST(Variability, CloneReproducesBehaviour) {
-  SlowPhaseVariability original(0.2, 0.4, 0.6, 0.1, 4);
-  const auto clone = original.clone();
-  const util::Rng rng(9);
-  for (int e = 0; e < 40; ++e) {
-    EXPECT_DOUBLE_EQ(original.sampleFactor(rng, e), clone->sampleFactor(rng, e));
-  }
+  EXPECT_THROW(EpochNoise(-0.1, util::Rng(1), 1.0), util::ContractError);
 }
 
 TEST(NoisyDevice, FactorIsCachedWithinAnEpoch) {
-  NoisyDevice device(std::make_shared<ConstantDeviceModel>(100.0),
-                     std::make_unique<LogNormalVariability>(0.3), util::Rng(10), 2.0);
-  const double f1 = device.factorAt(0.1);
-  const double f2 = device.factorAt(1.9);   // same epoch [0, 2)
-  const double f3 = device.factorAt(2.1);   // next epoch
+  EpochNoise noise(0.3, util::Rng(10), 2.0);
+  const double f1 = noise.factorAt(0.1);
+  const double f2 = noise.factorAt(1.9);  // same epoch [0, 2)
+  const double f3 = noise.factorAt(2.1);  // next epoch
   EXPECT_DOUBLE_EQ(f1, f2);
   EXPECT_NE(f1, f3);
 }
 
 TEST(NoisyDevice, CurrentRateMultipliesModelAndFactor) {
-  NoisyDevice device(std::make_shared<ConstantDeviceModel>(100.0),
-                     std::make_unique<NoVariability>(), util::Rng(11), 1.0);
-  EXPECT_DOUBLE_EQ(device.currentRate(5.0, 0.5), 100.0);
-  EXPECT_DOUBLE_EQ(device.currentRate(0.0, 0.5), 0.0);
+  const HddRaidParams params;
+  NoisyDevice device{HddRaidModel(params), EpochNoise(0.3, util::Rng(11), 1.0)};
+  EpochNoise noise(0.3, util::Rng(11), 1.0);
+  const HddRaidModel curve(params);
+  for (const double q : {0.5, 8.0, 40.0}) {
+    EXPECT_EQ(device.currentRate(q, 2.5), curve.serviceRate(q) * noise.factorAt(2.5)) << q;
+  }
+  EXPECT_EQ(device.currentRate(0.0, 2.5), 0.0);
 }
 
 TEST(NoisyDevice, FactorIndependentOfQueryPattern) {
   // Dense and sparse query patterns must agree (factors are epoch-keyed).
-  NoisyDevice dense(std::make_shared<ConstantDeviceModel>(1.0),
-                    std::make_unique<LogNormalVariability>(0.3), util::Rng(12), 1.0);
-  NoisyDevice sparse(std::make_shared<ConstantDeviceModel>(1.0),
-                     std::make_unique<LogNormalVariability>(0.3), util::Rng(12), 1.0);
+  EpochNoise dense(0.3, util::Rng(12), 1.0);
+  EpochNoise sparse(0.3, util::Rng(12), 1.0);
   double denseLast = 0.0;
   for (int e = 0; e < 10; ++e) denseLast = dense.factorAt(e + 0.5);
   EXPECT_DOUBLE_EQ(denseLast, sparse.factorAt(9.5));
@@ -137,13 +83,11 @@ TEST(NoisyDevice, FactorIndependentOfQueryPattern) {
 }
 
 TEST(NoisyDevice, InvalidConstructionThrows) {
-  EXPECT_THROW(NoisyDevice(nullptr, std::make_unique<NoVariability>(), util::Rng(1), 1.0),
-               util::ContractError);
-  EXPECT_THROW(NoisyDevice(std::make_shared<ConstantDeviceModel>(1.0), nullptr,
-                           util::Rng(1), 1.0),
-               util::ContractError);
-  EXPECT_THROW(NoisyDevice(std::make_shared<ConstantDeviceModel>(1.0),
-                           std::make_unique<NoVariability>(), util::Rng(1), 0.0),
+  EXPECT_THROW(EpochNoise(0.1, util::Rng(1), 0.0), util::ContractError);
+  EXPECT_THROW(EpochNoise(0.1, util::Rng(1), -1.0), util::ContractError);
+  HddRaidParams params;
+  params.disks = 0;
+  EXPECT_THROW((NoisyDevice{HddRaidModel(params), EpochNoise(0.1, util::Rng(1), 1.0)}),
                util::ContractError);
 }
 
