@@ -5,12 +5,16 @@
 // randomized-block protocol (100 repetitions by default; override with
 // BEESIM_REPS for quick passes), prints the same rows/series the paper
 // reports, writes the raw results as CSV next to the binary, and ends with
-// the machine-checked shape assertions (core::CheckList).
+// the machine-checked shape assertions (core::CheckList).  The extension
+// benches also write a BENCH_<name>.json report (writeReport).
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/args.hpp"
@@ -20,8 +24,10 @@
 #include "harness/concurrent.hpp"
 #include "harness/executor.hpp"
 #include "ior/options.hpp"
+#include "stats/summary.hpp"
 #include "topology/plafrim.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -113,6 +119,19 @@ inline harness::RunConfig plafrimRun(topo::Scenario scenario, std::size_t nodes,
   return config;
 }
 
+/// The client the fault benches run: 0.5 s comm timeout, one same-target
+/// retry after 0.25 s, then degraded-stripe failover (the defaults, 5 s and
+/// 3 retries, model an untuned client and would stall runs for tens of
+/// seconds).
+inline beegfs::ClientFaultPolicy tunedClient() {
+  beegfs::ClientFaultPolicy policy;
+  policy.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+  policy.ioTimeout = 0.5;
+  policy.backoffBase = 0.25;
+  policy.maxRetries = 1;
+  return policy;
+}
+
 /// Row annotator adding the (min,max) allocation key of the run.
 inline harness::RowAnnotator allocationAnnotator(const topo::ClusterConfig& cluster) {
   return [cluster](const harness::RunRecord& record, harness::ResultRow& row) {
@@ -136,6 +155,60 @@ inline int finish(const core::CheckList& checks) {
 inline std::string resultsPath(const std::string& name) {
   const char* dir = std::getenv("BEESIM_RESULTS_DIR");
   return (dir != nullptr ? std::string(dir) : std::string(".")) + "/" + name;
+}
+
+/// Write the bench's report to resultsPath("BENCH_<name>.json"):
+///
+///   {"bench": name,
+///    "headline": {derived number, ...},
+///    "metrics": [{"name", "factors", "value", "min", "mean", "sd", "max",
+///                 "reps"}, ...]}
+///
+/// One metric entry per (configuration, metric column) of `store`, in order
+/// of first appearance, where a configuration is a row's factors without
+/// "rep"; the numbers summarize that configuration's rows and "value" is
+/// their mean.  `headline` holds what the rows cannot: ratios between
+/// configurations, campaign totals, host timings.
+inline void writeReport(const std::string& name, const harness::ResultStore& store,
+                        const std::map<std::string, double>& headline) {
+  struct Entry {
+    std::map<std::string, std::string> factors;
+    std::string metric;
+    std::vector<double> values;
+  };
+  std::vector<Entry> entries;
+  std::map<std::pair<std::map<std::string, std::string>, std::string>, std::size_t> index;
+  for (const auto& row : store.rows()) {
+    auto factors = row.factors;
+    factors.erase("rep");
+    for (const auto& [metric, value] : row.metrics) {
+      const auto [it, added] = index.try_emplace({factors, metric}, entries.size());
+      if (added) entries.push_back({factors, metric, {}});
+      entries[it->second].values.push_back(value);
+    }
+  }
+  util::JsonArray metrics;
+  for (const auto& entry : entries) {
+    const auto s = stats::summarize(entry.values);
+    metrics.push_back(util::JsonObject{
+        {"name", entry.metric},
+        {"factors", util::JsonObject(entry.factors.begin(), entry.factors.end())},
+        {"value", s.mean},
+        {"min", s.min},
+        {"mean", s.mean},
+        {"sd", s.sd},
+        {"max", s.max},
+        {"reps", static_cast<double>(s.n)}});
+  }
+  const util::JsonValue doc(util::JsonObject{
+      {"bench", name},
+      {"metrics", std::move(metrics)},
+      {"headline", util::JsonObject(headline.begin(), headline.end())}});
+  const auto path = resultsPath("BENCH_" + name + ".json");
+  std::ofstream file(path);
+  file << doc.dump(2) << "\n";
+  if (!file) throw util::IoError("cannot write bench report " + path);
+  std::printf("%s report written to %s\n", name.c_str(), path.c_str());
 }
 
 }  // namespace beesim::bench

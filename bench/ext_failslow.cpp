@@ -35,7 +35,6 @@
 #include "control/health.hpp"
 #include "faults/schedule.hpp"
 #include "stats/summary.hpp"
-#include "util/json.hpp"
 
 using namespace beesim;
 
@@ -80,12 +79,6 @@ int main(int argc, char** argv) {
       {topo::Scenario::kOmniPath100G, "2", 1.0},
   };
 
-  const auto tunedClient = [](harness::RunConfig& config) {
-    config.fs.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
-    config.fs.faults.ioTimeout = 0.5;
-    config.fs.faults.backoffBase = 0.25;
-    config.fs.faults.maxRetries = 1;
-  };
   const auto mitigation = [](harness::RunConfig& config) {
     config.fs.hedge.enabled = true;
     config.fs.hedge.deadline = 0.5;
@@ -111,7 +104,7 @@ int main(int argc, char** argv) {
           entry.config.faults.schedule = faults::parseSchedule("slow:t4@" + at + "=0.05");
         } else if (variant == "crash") {
           entry.config.faults.schedule = faults::parseSchedule("off:h1@" + at);
-          tunedClient(entry.config);
+          entry.config.fs.faults = bench::tunedClient();
         }
         if (variant == "mitigated") mitigation(entry.config);
         entry.factors["part"] = "alloc";
@@ -264,57 +257,14 @@ int main(int argc, char** argv) {
                   util::fmt(static_cast<double>(bytesA.size()), 0) + " bytes");
   }
 
-  util::JsonObject doc;
-  doc["benchmark"] = "failslow";
-  {
-    util::JsonArray rows;
-    for (const auto& entry : entries) {
-      const auto part = entry.factors.at("part");
-      const auto sc = entry.factors.at("scenario");
-      const auto alloc = entry.factors.at("alloc");
-      const auto variant = entry.factors.at("variant");
-      util::JsonObject row;
-      row["part"] = part;
-      row["scenario"] = sc;
-      row["alloc"] = alloc;
-      row["variant"] = variant;
-      row["bandwidth_mibps"] = metric("bandwidth_mibps", part, sc, alloc, variant);
-      if (entry.config.fs.hedge.enabled) {
-        row["hedge_issued"] = metric("hedge_issued", part, sc, alloc, variant);
-        row["hedge_wins"] = metric("hedge_wins", part, sc, alloc, variant);
-        row["hedge_mib"] = metric("hedge_mib", part, sc, alloc, variant);
-      }
-      if (entry.config.health.enabled) {
-        row["gray_suspects"] = metric("gray_suspects", part, sc, alloc, variant);
-        row["gray_quarantines"] = metric("gray_quarantines", part, sc, alloc, variant);
-      }
-      if (entry.config.qos.enabled) {
-        row["qos_issued_mib"] = metric("qos_issued_mib", part, sc, alloc, variant);
-      }
-      rows.push_back(util::JsonValue(std::move(row)));
-    }
-    doc["rows"] = util::JsonValue(std::move(rows));
-  }
-  {
-    util::JsonObject summary;
-    summary["gray_over_crash_s1_44"] = bw("1", "(4,4)", "gray") / bw("1", "(4,4)", "crash");
-    summary["gray_over_crash_s2_44"] = bw("2", "(4,4)", "gray") / bw("2", "(4,4)", "crash");
-    summary["mitigated_over_healthy_s1_44"] =
-        bw("1", "(4,4)", "mitigated") / bw("1", "(4,4)", "healthy");
-    summary["mitigated_over_undetected_stutter"] =
+  bench::writeReport(
+      "failslow", store,
+      {{"gray_over_crash_s1_44", bw("1", "(4,4)", "gray") / bw("1", "(4,4)", "crash")},
+       {"gray_over_crash_s2_44", bw("2", "(4,4)", "gray") / bw("2", "(4,4)", "crash")},
+       {"mitigated_over_healthy_s1_44",
+        bw("1", "(4,4)", "mitigated") / bw("1", "(4,4)", "healthy")},
+       {"mitigated_over_undetected_stutter",
         metric("bandwidth_mibps", "detect", "1", "(4,4)", "mitigated") /
-        metric("bandwidth_mibps", "detect", "1", "(4,4)", "undetected");
-    summary["detect_quarantines"] =
-        metric("gray_quarantines", "detect", "1", "(4,4)", "monitored");
-    doc["summary"] = util::JsonValue(std::move(summary));
-  }
-  {
-    const char* out = std::getenv("BEESIM_BENCH_JSON");
-    const std::string path =
-        out != nullptr && *out != '\0' ? out : "BENCH_failslow.json";
-    std::ofstream file(path);
-    file << util::JsonValue(std::move(doc)).dump(2) << "\n";
-    std::printf("failslow numbers written to %s\n", path.c_str());
-  }
+            metric("bandwidth_mibps", "detect", "1", "(4,4)", "undetected")}});
   return bench::finish(checks);
 }

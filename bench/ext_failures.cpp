@@ -68,13 +68,7 @@ int main(int argc, char** argv) {
           const double at = fault == "early" ? spec.early : spec.late;
           entry.config.faults.schedule =
               faults::parseSchedule("off:h1@" + util::fmt(at, 1));
-          // Tuned client: 0.5 s comm timeout, one same-target retry, then
-          // degraded-stripe failover (the default 5 s / 3 retries models an
-          // untuned client and would stall runs for tens of seconds).
-          entry.config.fs.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
-          entry.config.fs.faults.ioTimeout = 0.5;
-          entry.config.fs.faults.backoffBase = 0.25;
-          entry.config.fs.faults.maxRetries = 1;
+          entry.config.fs.faults = bench::tunedClient();
         }
         entry.factors["scenario"] = spec.label;
         entry.factors["alloc"] = key;

@@ -24,7 +24,6 @@
 //                 invariant (same MDTs either way).
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,7 +31,6 @@
 #include "bench/common.hpp"
 #include "ior/mdtest.hpp"
 #include "stats/summary.hpp"
-#include "util/json.hpp"
 
 using namespace beesim;
 using namespace beesim::util::literals;
@@ -63,34 +61,37 @@ harness::RunConfig metadataConfig(topo::Scenario scenario, util::Bytes total,
   return config;
 }
 
+/// Run `reps` repetitions of `config`, add one row per repetition to
+/// `store` (the md_* columns come from the metadata feature) and read the
+/// configuration's means back.
 Outcome runOutcome(const harness::RunConfig& config, std::size_t reps,
-                   std::uint64_t seedBase, const std::string& tag,
-                   std::ofstream& csv) {
-  const auto records = harness::parallelMap<harness::RunRecord>(
+                   std::uint64_t seedBase, const std::map<std::string, std::string>& factors,
+                   harness::ResultStore& store) {
+  const auto results = harness::parallelMap<harness::ConcurrentResult>(
       reps, bench::jobs(),
-      [&](std::size_t rep) { return harness::runOnce(config, seedBase + rep); });
-  Outcome out;
-  std::vector<double> bw, iorSec, mdSec, mdOps, mdImb, score;
-  for (std::size_t rep = 0; rep < records.size(); ++rep) {
-    const auto& r = records[rep];
-    bw.push_back(r.ior.bandwidth);
-    iorSec.push_back(r.ior.end - r.ior.start);
-    mdSec.push_back(r.md.end - r.md.start);
-    mdOps.push_back(r.md.opsPerSec);
-    mdImb.push_back(r.md.mdtImbalance);
-    score.push_back(std::sqrt(r.ior.bandwidth * r.md.opsPerSec));
-    csv << tag << ',' << rep << ',' << util::fmt(r.ior.bandwidth, 2) << ','
-        << util::fmt(iorSec.back(), 4) << ',' << util::fmt(mdSec.back(), 4) << ','
-        << util::fmt(r.md.opsPerSec, 1) << ',' << util::fmt(r.md.mdtImbalance, 3)
-        << ',' << util::fmt(score.back(), 2) << '\n';
+      [&](std::size_t rep) { return harness::runSingle(config, seedBase + rep); });
+  for (std::size_t rep = 0; rep < results.size(); ++rep) {
+    const auto& r = results[rep];
+    const auto& app = r.apps.front();
+    harness::ResultRow row;
+    row.factors = factors;
+    row.factors["rep"] = std::to_string(rep);
+    row.metrics["bandwidth_mibps"] = app.bandwidth;
+    row.metrics["ior_seconds"] = app.end - app.start;
+    row.metrics["score"] = std::sqrt(app.bandwidth * r.md.opsPerSec);
+    harness::addFeatureColumns(config, r, row);
+    store.add(std::move(row));
   }
-  const auto mean = [](const std::vector<double>& xs) { return stats::summarize(xs).mean; };
-  out.bandwidth = mean(bw);
-  out.iorSeconds = mean(iorSec);
-  out.mdSeconds = mean(mdSec);
-  out.mdOpsPerSec = mean(mdOps);
-  out.mdImbalance = mean(mdImb);
-  out.score = mean(score);
+  const auto mean = [&](const std::string& metric) {
+    return stats::summarize(store.metric(metric, factors)).mean;
+  };
+  Outcome out;
+  out.bandwidth = mean("bandwidth_mibps");
+  out.iorSeconds = mean("ior_seconds");
+  out.mdSeconds = mean("md_seconds");
+  out.mdOpsPerSec = mean("md_ops_s");
+  out.mdImbalance = mean("md_mdt_imbalance");
+  out.score = mean("score");
   return out;
 }
 
@@ -102,10 +103,7 @@ int main(int argc, char** argv) {
   // means down well (the md phase is deterministic up to per-op jitter).
   const auto reps = std::min<std::size_t>(bench::repetitions(), 10);
 
-  std::ofstream csv(bench::resultsPath("ext_metadata.csv"));
-  csv << "config,rep,bandwidth_mibps,ior_seconds,md_seconds,md_ops_s,"
-         "md_mdt_imbalance,score\n";
-  util::JsonArray rows;
+  harness::ResultStore store;
 
   // -- Part 1: metadata dominance at small data sizes. -----------------------
   const std::vector<util::Bytes> totals{256_MiB, 2_GiB, 32_GiB};
@@ -115,21 +113,14 @@ int main(int argc, char** argv) {
   for (const auto total : totals) {
     const auto config = metadataConfig(topo::Scenario::kOmniPath100G, total, 1, 64,
                                        beegfs::MdShardKind::kHashDir);
-    const auto out = runOutcome(config, reps, 51000 + total % 4096,
-                                "dominance/" + util::formatBytes(total), csv);
+    const auto out =
+        runOutcome(config, reps, 51000 + total % 4096,
+                   {{"part", "dominance"}, {"total_mib", std::to_string(total / util::kMiB)}},
+                   store);
     dominance[total] = out;
     domTable.addRow({util::formatBytes(total), util::fmt(out.bandwidth, 0),
                      util::fmt(out.iorSeconds, 2), util::fmt(out.mdSeconds, 2),
                      util::fmt(out.mdFraction(), 3), util::fmt(out.mdOpsPerSec, 0)});
-    util::JsonObject row;
-    row["part"] = "dominance";
-    row["total_mib"] = static_cast<double>(util::toMiB(total));
-    row["bandwidth_mibps"] = out.bandwidth;
-    row["ior_seconds"] = out.iorSeconds;
-    row["md_seconds"] = out.mdSeconds;
-    row["md_fraction"] = out.mdFraction();
-    row["md_ops_s"] = out.mdOpsPerSec;
-    rows.push_back(util::JsonValue(std::move(row)));
   }
   bench::printFigure(
       "Ext: metadata dominance, IOR + mdtest (64 files/rank, 1 MDT, S2)", domTable);
@@ -143,35 +134,22 @@ int main(int argc, char** argv) {
     const auto config = metadataConfig(topo::Scenario::kOmniPath100G, 256_MiB, mdts,
                                        128, beegfs::MdShardKind::kHashDir);
     const auto out = runOutcome(config, reps, 52000 + mdts,
-                                "shard/hash" + std::to_string(mdts), csv);
+                                {{"part", "sharding"}, {"mdts", std::to_string(mdts)},
+                                 {"shard", "hash"}},
+                                store);
     sharded[mdts] = out;
     shardTable.addRow({std::to_string(mdts), "hash", util::fmt(out.mdOpsPerSec, 0),
                        util::fmt(out.mdOpsPerSec / sharded[1].mdOpsPerSec, 2),
                        util::fmt(out.mdImbalance, 2)});
-    util::JsonObject row;
-    row["part"] = "sharding";
-    row["mdts"] = static_cast<double>(mdts);
-    row["shard"] = "hash";
-    row["md_ops_s"] = out.mdOpsPerSec;
-    row["md_mdt_imbalance"] = out.mdImbalance;
-    rows.push_back(util::JsonValue(std::move(row)));
   }
   // Round-robin on 4 MDTs: the perfect-spread upper bound for the same load.
   const auto rrConfig = metadataConfig(topo::Scenario::kOmniPath100G, 256_MiB, 4, 128,
                                        beegfs::MdShardKind::kRoundRobin);
-  const auto rr = runOutcome(rrConfig, reps, 52100, "shard/rr4", csv);
+  const auto rr = runOutcome(rrConfig, reps, 52100,
+                             {{"part", "sharding"}, {"mdts", "4"}, {"shard", "rr"}}, store);
   shardTable.addRow({"4", "rr", util::fmt(rr.mdOpsPerSec, 0),
                      util::fmt(rr.mdOpsPerSec / sharded[1].mdOpsPerSec, 2),
                      util::fmt(rr.mdImbalance, 2)});
-  {
-    util::JsonObject row;
-    row["part"] = "sharding";
-    row["mdts"] = 4.0;
-    row["shard"] = "rr";
-    row["md_ops_s"] = rr.mdOpsPerSec;
-    row["md_mdt_imbalance"] = rr.mdImbalance;
-    rows.push_back(util::JsonValue(std::move(row)));
-  }
   bench::printFigure("Ext: MDT sharding, mdtest 128 files/rank (64 ranks, S2)",
                      shardTable);
 
@@ -196,19 +174,11 @@ int main(int argc, char** argv) {
       config.pinnedTargets = targets;
       const auto out =
           runOutcome(config, reps, 53000 + 100 * (sname == "S2" ? 1 : 0) + targets.size(),
-                     "io500/" + sname + alloc, csv);
+                     {{"part", "io500"}, {"scenario", sname}, {"alloc", alloc}}, store);
       io500[sname][alloc] = out;
       ioTable.addRow({sname, alloc, util::fmt(out.bandwidth, 0),
                       util::fmt(out.mdOpsPerSec, 0), util::fmt(out.score, 1),
                       util::fmt(out.score / io500[sname]["(1,3)"].score, 3)});
-      util::JsonObject row;
-      row["part"] = "io500";
-      row["scenario"] = sname;
-      row["alloc"] = alloc;
-      row["bandwidth_mibps"] = out.bandwidth;
-      row["md_ops_s"] = out.mdOpsPerSec;
-      row["score"] = out.score;
-      rows.push_back(util::JsonValue(std::move(row)));
     }
   }
   bench::printFigure(
@@ -266,27 +236,14 @@ int main(int argc, char** argv) {
                       0.10);
   }
 
-  util::JsonObject doc;
-  doc["benchmark"] = "metadata";
-  doc["reps"] = static_cast<double>(reps);
-  doc["rows"] = util::JsonValue(std::move(rows));
-  {
-    util::JsonObject summary;
-    summary["md_fraction_256mib"] = dominance[256_MiB].mdFraction();
-    summary["md_fraction_32gib"] = dominance[32_GiB].mdFraction();
-    summary["shard_speedup_2"] = sharded[2].mdOpsPerSec / sharded[1].mdOpsPerSec;
-    summary["shard_speedup_4"] = sharded[4].mdOpsPerSec / sharded[1].mdOpsPerSec;
-    summary["score_s2_44_over_13"] =
-        io500["S2"]["(4,4)"].score / io500["S2"]["(1,3)"].score;
-    doc["summary"] = util::JsonValue(std::move(summary));
-  }
-  {
-    const char* out = std::getenv("BEESIM_BENCH_JSON");
-    const std::string path =
-        out != nullptr && *out != '\0' ? out : "BENCH_metadata.json";
-    std::ofstream file(path);
-    file << util::JsonValue(std::move(doc)).dump(2) << "\n";
-    std::printf("metadata numbers written to %s\n", path.c_str());
-  }
+  store.writeCsv(bench::resultsPath("ext_metadata.csv"));
+  bench::writeReport(
+      "metadata", store,
+      {{"md_fraction_256mib", dominance[256_MiB].mdFraction()},
+       {"md_fraction_2gib", dominance[2_GiB].mdFraction()},
+       {"md_fraction_32gib", dominance[32_GiB].mdFraction()},
+       {"shard_speedup_2", sharded[2].mdOpsPerSec / sharded[1].mdOpsPerSec},
+       {"shard_speedup_4", sharded[4].mdOpsPerSec / sharded[1].mdOpsPerSec},
+       {"score_s2_44_over_13", io500["S2"]["(4,4)"].score / io500["S2"]["(1,3)"].score}});
   return bench::finish(checks);
 }

@@ -87,14 +87,10 @@ int main(int argc, char** argv) {
             const double on = fault == "short" ? spec.shortOn : spec.longOn;
             entry.config.faults.schedule = faults::parseSchedule(
                 "off:h1@" + util::fmt(spec.crash, 1) + ";on:h1@" + util::fmt(on, 1));
-            // Tuned client, as in ext_failures: 0.5 s comm timeout, one
-            // same-target retry, then degraded-stripe failover.  Mirrored
-            // chunks never consult the watchdog -- the registry flip is the
-            // switchover signal -- but the plain baseline needs it.
-            entry.config.fs.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
-            entry.config.fs.faults.ioTimeout = 0.5;
-            entry.config.fs.faults.backoffBase = 0.25;
-            entry.config.fs.faults.maxRetries = 1;
+            // Tuned client: mirrored chunks never consult the watchdog --
+            // the registry flip is the switchover signal -- but the plain
+            // baseline needs it.
+            entry.config.fs.faults = bench::tunedClient();
           }
           entry.factors["scenario"] = spec.label;
           entry.factors["alloc"] = key;

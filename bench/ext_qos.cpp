@@ -31,7 +31,6 @@
 // mirroring (replica flows ride the primary's admission), the latter
 // calibrated against its own mirrored saturation probe.
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,7 +39,6 @@
 #include "faults/schedule.hpp"
 #include "qos/manager.hpp"
 #include "stats/summary.hpp"
-#include "util/json.hpp"
 
 using namespace beesim;
 using namespace beesim::util::literals;
@@ -127,6 +125,7 @@ const char* legName(Leg leg) {
   return "?";
 }
 
+/// One regime's outcome, read back from its rows in the store.
 struct LegOutcome {
   double aggregate = 0.0;      // Equation-1 MiB/s, mean over reps
   double jainRaw = 0.0;        // Jain over achieved/SLO
@@ -134,10 +133,6 @@ struct LegOutcome {
   double violationRate = 0.0;  // tenants below kSloTolerance x SLO, fraction
   double narrowAchieved = 0.0;  // mean narrow-tenant bandwidth, MiB/s
   double borrowedMiB = 0.0;
-  double reclaimedMiB = 0.0;
-  double issuedMiB = 0.0;
-  double deferrals = 0.0;
-  double totalMiB = 0.0;  // logical bytes moved per rep
   bool anyFailed = false;
   bool chargeExact = true;  // issued tokens == logical bytes, every rep
 };
@@ -157,10 +152,7 @@ harness::RunConfig baseFor(const TenantMix& mix, const LegConfig& cfg, double sl
   }
   if (!cfg.faultSchedule.empty()) {
     base.faults.schedule = faults::parseSchedule(cfg.faultSchedule);
-    base.fs.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
-    base.fs.faults.ioTimeout = 0.5;
-    base.fs.faults.backoffBase = 0.25;
-    base.fs.faults.maxRetries = 1;
+    base.fs.faults = bench::tunedClient();
   }
   if (cfg.leg != Leg::kUnmanaged) {
     base.qos.enabled = true;
@@ -170,20 +162,21 @@ harness::RunConfig baseFor(const TenantMix& mix, const LegConfig& cfg, double sl
   return base;
 }
 
+/// Run `reps` repetitions of one regime, add one row per repetition to
+/// `store` (the qos_*, fault_* and mirror_* columns come from the features
+/// the regime switches on) and read the regime's outcome back.
 LegOutcome runLeg(const TenantMix& mix, const LegConfig& cfg, double slice,
-                  std::size_t reps, std::uint64_t seedBase, std::ofstream& csv) {
+                  std::size_t reps, std::uint64_t seedBase, harness::ResultStore& store) {
   const auto specs = tenantSpecs(mix, slice, cfg.leg != Leg::kUnmanaged);
   const auto base = baseFor(mix, cfg, slice);
   const auto results = harness::parallelMap<harness::ConcurrentResult>(
       reps, bench::jobs(),
       [&](std::size_t rep) { return harness::runConcurrent(base, specs, seedBase + rep); });
 
-  LegOutcome out;
-  std::vector<double> aggregates;
-  std::vector<double> jainRaw;
-  std::vector<double> jainSat;
-  std::vector<double> violations;
-  std::vector<double> narrowAchieved;
+  const std::map<std::string, std::string> factors{
+      {"tenants", std::to_string(mix.tenants)},
+      {"leg", legName(cfg.leg)},
+      {"variant", cfg.mirror ? "mirror" : cfg.faultSchedule.empty() ? "healthy" : "fault"}};
   for (std::size_t rep = 0; rep < results.size(); ++rep) {
     const auto& result = results[rep];
     std::vector<double> raw;
@@ -198,45 +191,40 @@ LegOutcome runLeg(const TenantMix& mix, const LegConfig& cfg, double slice,
       if (ratio < kSloTolerance) ++violated;
       if (t < mix.narrow) narrowSum += result.apps[t].bandwidth;
       totalBytes += static_cast<double>(result.apps[t].totalBytes);
-      out.anyFailed = out.anyFailed || result.apps[t].failed;
     }
-    aggregates.push_back(result.aggregateBandwidth);
-    jainRaw.push_back(stats::jainIndex(raw));
-    jainSat.push_back(stats::jainIndex(sat));
-    violations.push_back(static_cast<double>(violated) /
-                         static_cast<double>(specs.size()));
-    narrowAchieved.push_back(narrowSum / static_cast<double>(mix.narrow));
-    out.totalMiB = totalBytes / kMiBd;
-    if (result.qosActive) {
-      out.issuedMiB += result.qos.tokensIssued / kMiBd;
-      out.borrowedMiB += result.qos.tokensBorrowed / kMiBd;
-      out.reclaimedMiB += result.qos.tokensReclaimed / kMiBd;
-      out.deferrals += static_cast<double>(result.qos.deferrals);
-      // Charge-once contract: tokens cover every logical byte exactly,
-      // including reps where chunks timed out, failed over, or mirrored.
-      if (result.qos.tokensIssued != totalBytes) out.chargeExact = false;
-    }
-    csv << mix.tenants << ',' << legName(cfg.leg) << ','
-        << (cfg.mirror ? "mirror" : cfg.faultSchedule.empty() ? "healthy" : "fault")
-        << ',' << rep << ',' << util::fmt(result.aggregateBandwidth, 2) << ','
-        << util::fmt(jainRaw.back(), 4) << ',' << util::fmt(jainSat.back(), 4) << ','
-        << util::fmt(violations.back(), 4) << ','
-        << util::fmt(narrowAchieved.back(), 2) << ','
-        << util::fmt(result.qos.tokensBorrowed / kMiBd, 1) << '\n';
+    harness::ResultRow row;
+    row.factors = factors;
+    row.factors["rep"] = std::to_string(rep);
+    row.metrics["aggregate_mibps"] = result.aggregateBandwidth;
+    row.metrics["jain_raw"] = stats::jainIndex(raw);
+    row.metrics["jain_sat"] = stats::jainIndex(sat);
+    row.metrics["violation_rate"] =
+        static_cast<double>(violated) / static_cast<double>(specs.size());
+    row.metrics["narrow_mibps"] = narrowSum / static_cast<double>(mix.narrow);
+    row.metrics["total_mib"] = totalBytes / kMiBd;
+    harness::addFeatureColumns(base, result, row);
+    store.add(std::move(row));
   }
-  const auto mean = [](const std::vector<double>& xs) {
-    return stats::summarize(xs).mean;
+
+  const auto mean = [&](const std::string& metric) {
+    return stats::summarize(store.metric(metric, factors)).mean;
   };
-  out.aggregate = mean(aggregates);
-  out.jainRaw = mean(jainRaw);
-  out.jainSat = mean(jainSat);
-  out.violationRate = mean(violations);
-  out.narrowAchieved = mean(narrowAchieved);
-  const double n = static_cast<double>(results.size());
-  out.issuedMiB /= n;
-  out.borrowedMiB /= n;
-  out.reclaimedMiB /= n;
-  out.deferrals /= n;
+  LegOutcome out;
+  out.aggregate = mean("aggregate_mibps");
+  out.jainRaw = mean("jain_raw");
+  out.jainSat = mean("jain_sat");
+  out.violationRate = mean("violation_rate");
+  out.narrowAchieved = mean("narrow_mibps");
+  if (base.qos.enabled) {
+    out.borrowedMiB = mean("qos_borrowed_mib");
+    // Charge-once contract: tokens cover every logical byte exactly,
+    // including reps where chunks timed out, failed over, or mirrored.
+    out.chargeExact =
+        store.metric("qos_issued_mib", factors) == store.metric("total_mib", factors);
+  }
+  if (!base.faults.empty()) {
+    out.anyFailed = stats::summarize(store.metric("fault_aborted", factors)).max > 0.0;
+  }
   return out;
 }
 
@@ -272,14 +260,11 @@ int main(int argc, char** argv) {
   // pin the means down well (the protocol noise is mild at this scale).
   const auto reps = std::min<std::size_t>(bench::repetitions(), 12);
 
-  std::ofstream csv(bench::resultsPath("ext_qos.csv"));
-  csv << "tenants,leg,variant,rep,aggregate_mibps,jain_raw,jain_sat,violation_rate,"
-         "narrow_mibps,borrowed_mib\n";
+  harness::ResultStore store;
 
   const std::vector<std::size_t> tenantCounts{12, 32, 64};
   util::TableWriter table({"tenants", "leg", "aggregate", "vs unmanaged", "jain",
                            "jain(sat)", "slo viol %", "narrow MiB/s", "borrowed MiB"});
-  util::JsonArray rows;
 
   std::map<std::size_t, std::map<std::string, LegOutcome>> outcomes;
   std::map<std::size_t, double> unmanagedAggregate;
@@ -298,7 +283,7 @@ int main(int argc, char** argv) {
       LegConfig cfg;
       cfg.leg = leg;
       const auto outcome = runLeg(mix, cfg, slice, reps,
-                                  seedBase + 100 * static_cast<std::uint64_t>(leg), csv);
+                                  seedBase + 100 * static_cast<std::uint64_t>(leg), store);
       outcomes[tenants][legName(leg)] = outcome;
       if (leg == Leg::kUnmanaged) unmanagedAggregate[tenants] = outcome.aggregate;
       const double baseline = unmanagedAggregate[tenants];
@@ -309,21 +294,6 @@ int main(int argc, char** argv) {
                     util::fmt(100.0 * outcome.violationRate, 1),
                     util::fmt(outcome.narrowAchieved, 1),
                     leg == Leg::kBorrow ? util::fmt(outcome.borrowedMiB, 1) : "-"});
-      util::JsonObject row;
-      row["tenants"] = static_cast<double>(tenants);
-      row["leg"] = legName(leg);
-      row["variant"] = "healthy";
-      row["slice_mibps"] = slice;
-      row["aggregate_mibps"] = outcome.aggregate;
-      row["utilization_vs_unmanaged"] = outcome.aggregate / baseline;
-      row["jain_raw"] = outcome.jainRaw;
-      row["jain_sat"] = outcome.jainSat;
-      row["violation_rate"] = outcome.violationRate;
-      row["narrow_mibps"] = outcome.narrowAchieved;
-      row["borrowed_mib"] = outcome.borrowedMiB;
-      row["reclaimed_mib"] = outcome.reclaimedMiB;
-      row["deferrals"] = outcome.deferrals;
-      rows.push_back(util::JsonValue(std::move(row)));
     }
   }
   bench::printFigure("Ext: multi-tenant QoS, token buckets + adaptive borrowing (S2)",
@@ -334,17 +304,17 @@ int main(int argc, char** argv) {
   LegConfig faultCfg;
   faultCfg.leg = Leg::kBorrow;
   faultCfg.faultSchedule = "off:t0@2;on:t0@6";
-  const auto faultOutcome = runLeg(mix32, faultCfg, slices[32], reps, 91000, csv);
+  const auto faultOutcome = runLeg(mix32, faultCfg, slices[32], reps, 91000, store);
 
   LegConfig mirrorUnmanaged;
   mirrorUnmanaged.mirror = true;
   const double mirrorCapacity = saturationCapacity(mix32, mirrorUnmanaged, reps, 92000);
   const double mirrorSlice = kBudgetFraction * mirrorCapacity / 32.0;
   const auto mirrorUnmanagedOutcome =
-      runLeg(mix32, mirrorUnmanaged, mirrorSlice, reps, 92000, csv);
+      runLeg(mix32, mirrorUnmanaged, mirrorSlice, reps, 92000, store);
   LegConfig mirrorCfg = mirrorUnmanaged;
   mirrorCfg.leg = Leg::kBorrow;
-  const auto mirrorOutcome = runLeg(mix32, mirrorCfg, mirrorSlice, reps, 93000, csv);
+  const auto mirrorOutcome = runLeg(mix32, mirrorCfg, mirrorSlice, reps, 93000, store);
 
   util::TableWriter stress({"variant", "leg", "aggregate", "jain(sat)", "slo viol %",
                             "charge-once"});
@@ -354,16 +324,6 @@ int main(int argc, char** argv) {
                    util::fmt(outcome.jainSat, 3),
                    util::fmt(100.0 * outcome.violationRate, 1),
                    outcome.chargeExact ? "exact" : "VIOLATED"});
-    util::JsonObject row;
-    row["tenants"] = 32.0;
-    row["leg"] = leg;
-    row["variant"] = variant;
-    row["aggregate_mibps"] = outcome.aggregate;
-    row["jain_sat"] = outcome.jainSat;
-    row["violation_rate"] = outcome.violationRate;
-    row["borrowed_mib"] = outcome.borrowedMiB;
-    row["charge_exact"] = outcome.chargeExact;
-    rows.push_back(util::JsonValue(std::move(row)));
   };
   stressRow("fault", "qos+borrow", faultOutcome);
   stressRow("mirror", "unmanaged", mirrorUnmanagedOutcome);
@@ -415,30 +375,19 @@ int main(int argc, char** argv) {
                        mirrorOutcome.aggregate,
                        0.9 * mirrorUnmanagedOutcome.aggregate);
 
-  util::JsonObject doc;
-  doc["benchmark"] = "qos";
-  doc["reps"] = static_cast<double>(reps);
-  doc["budget_fraction"] = kBudgetFraction;
-  doc["rows"] = util::JsonValue(std::move(rows));
-  {
-    util::JsonObject recovery;
-    for (const auto tenants : tenantCounts) {
-      const auto& borrow = outcomes[tenants]["qos+borrow"];
-      const auto& qos = outcomes[tenants]["qos"];
-      const auto key = std::to_string(tenants);
-      recovery["borrow_over_unmanaged_" + key] =
-          borrow.aggregate / unmanagedAggregate[tenants];
-      recovery["qos_over_unmanaged_" + key] =
-          qos.aggregate / unmanagedAggregate[tenants];
-    }
-    doc["recovery"] = util::JsonValue(std::move(recovery));
+  store.writeCsv(bench::resultsPath("ext_qos.csv"));
+  std::map<std::string, double> headline{
+      {"budget_fraction", kBudgetFraction},
+      {"fault_charge_exact", faultOutcome.chargeExact ? 1.0 : 0.0},
+      {"mirror_charge_exact", mirrorOutcome.chargeExact ? 1.0 : 0.0}};
+  for (const auto tenants : tenantCounts) {
+    const auto key = std::to_string(tenants);
+    headline["slice_mibps_" + key] = slices[tenants];
+    headline["borrow_over_unmanaged_" + key] =
+        outcomes[tenants]["qos+borrow"].aggregate / unmanagedAggregate[tenants];
+    headline["qos_over_unmanaged_" + key] =
+        outcomes[tenants]["qos"].aggregate / unmanagedAggregate[tenants];
   }
-  {
-    const char* out = std::getenv("BEESIM_BENCH_JSON");
-    const std::string path = out != nullptr && *out != '\0' ? out : "BENCH_qos.json";
-    std::ofstream file(path);
-    file << util::JsonValue(std::move(doc)).dump(2) << "\n";
-    std::printf("qos numbers written to %s\n", path.c_str());
-  }
+  bench::writeReport("qos", store, headline);
   return bench::finish(checks);
 }

@@ -8,7 +8,6 @@
 #include <map>
 
 #include "bench/common.hpp"
-#include "stats/bimodal.hpp"
 #include "stats/summary.hpp"
 
 using namespace beesim;

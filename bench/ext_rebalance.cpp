@@ -21,14 +21,12 @@
 //     run stays single-hosted after the reboot.  The controller migrates the
 //     slots back.  Checks: beats the uncontrolled faulty run and lands
 //     within 10% of the no-fault bandwidth.
-#include <fstream>
 #include <map>
 
 #include "bench/common.hpp"
 #include "control/rebalance.hpp"
 #include "faults/schedule.hpp"
 #include "stats/summary.hpp"
-#include "util/json.hpp"
 
 using namespace beesim;
 
@@ -110,12 +108,7 @@ int main(int argc, char** argv) {
     entry.config.pinnedTargets = std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7};
     if (fault) {
       entry.config.faults.schedule = faults::parseSchedule("off:h0@2.0;on:h0@3.5");
-      // Tuned client, as in ext_failures: fast detection, one retry, then
-      // degraded-stripe failover.
-      entry.config.fs.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
-      entry.config.fs.faults.ioTimeout = 0.5;
-      entry.config.fs.faults.backoffBase = 0.25;
-      entry.config.fs.faults.maxRetries = 1;
+      entry.config.fs.faults = bench::tunedClient();
     }
     if (ctl) entry.config.rebalance = benchPolicy(4);
     return entry;
@@ -192,52 +185,13 @@ int main(int argc, char** argv) {
                        bw("failover", "fault", "on"),
                        0.9 * bw("failover", "none", "off"));
 
-  util::JsonObject doc;
-  doc["benchmark"] = "rebalance";
-  {
-    util::JsonArray rows;
-    for (const auto& entry : entries) {
-      const auto part = entry.factors.at("part");
-      const auto config = entry.factors.at("config");
-      const auto ctl = entry.factors.at("ctl");
-      util::JsonObject row;
-      row["part"] = part;
-      row["config"] = config;
-      row["ctl"] = ctl;
-      row["bandwidth_mibps"] = bw(part, config, ctl);
-      if (ctl == "on") {
-        row["rebal_triggers"] = metric("rebal_triggers", part, config, ctl);
-        row["rebal_retargets"] = metric("rebal_retargets", part, config, ctl);
-        row["rebal_migrations"] = metric("rebal_migrations", part, config, ctl);
-        row["rebal_migrated_mib"] = metric("rebal_migrated_mib", part, config, ctl);
-        row["rebal_migration_seconds"] =
-            metric("rebal_migration_seconds", part, config, ctl);
-        row["rebal_peak_imbalance"] =
-            metric("rebal_peak_imbalance", part, config, ctl);
-      }
-      rows.push_back(util::JsonValue(std::move(row)));
-    }
-    doc["rows"] = util::JsonValue(std::move(rows));
-  }
-  {
-    util::JsonObject recovery;
-    recovery["skew_recovered_over_balanced"] =
-        bw("skew", "(1,3)", "on") / bw("skew", "(2,2)", "off");
-    recovery["skew_recovered_over_static"] =
-        bw("skew", "(1,3)", "on") / bw("skew", "(1,3)", "off");
-    recovery["failover_recovered_over_healthy"] =
-        bw("failover", "fault", "on") / bw("failover", "none", "off");
-    recovery["failover_recovered_over_static"] =
-        bw("failover", "fault", "on") / bw("failover", "fault", "off");
-    doc["recovery"] = util::JsonValue(std::move(recovery));
-  }
-  {
-    const char* out = std::getenv("BEESIM_BENCH_JSON");
-    const std::string path =
-        out != nullptr && *out != '\0' ? out : "BENCH_rebalance.json";
-    std::ofstream file(path);
-    file << util::JsonValue(std::move(doc)).dump(2) << "\n";
-    std::printf("rebalance numbers written to %s\n", path.c_str());
-  }
+  bench::writeReport(
+      "rebalance", store,
+      {{"skew_recovered_over_balanced", bw("skew", "(1,3)", "on") / bw("skew", "(2,2)", "off")},
+       {"skew_recovered_over_static", bw("skew", "(1,3)", "on") / bw("skew", "(1,3)", "off")},
+       {"failover_recovered_over_healthy",
+        bw("failover", "fault", "on") / bw("failover", "none", "off")},
+       {"failover_recovered_over_static",
+        bw("failover", "fault", "on") / bw("failover", "fault", "off")}});
   return bench::finish(checks);
 }

@@ -13,15 +13,14 @@
 //
 // The campaign also exercises the harness profiling counters (solver
 // resolves, solver wall time, per-run wall time) and measures the overhead
-// of tracing itself; the numbers land in BENCH_observability.json.
+// of tracing itself; the numbers land in BENCH_observability.json's
+// headline.
 #include <cmath>
-#include <fstream>
 #include <map>
 
 #include "bench/common.hpp"
 #include "harness/run.hpp"
 #include "stats/summary.hpp"
-#include "util/json.hpp"
 
 using namespace beesim;
 
@@ -149,50 +148,17 @@ int main(int argc, char** argv) {
                 util::fmt(tracedRecord.ior.bandwidth, 6) + " vs " +
                     util::fmt(plainRecord.ior.bandwidth, 6));
 
-  util::JsonObject doc;
-  doc["benchmark"] = "observability";
-  {
-    util::JsonObject t;
-    t["runs"] = static_cast<double>(totals.runs);
-    t["resolves"] = static_cast<double>(totals.resolves);
-    t["solver_iterations"] = static_cast<double>(totals.solverIterations);
-    t["run_wall_seconds"] = totals.runWallSeconds;
-    t["max_run_wall_seconds"] = totals.maxRunWallSeconds;
-    t["solve_seconds"] = totals.solveSeconds;
-    t["campaign_wall_seconds"] = totals.campaignWallSeconds;
-    doc["campaign_totals"] = util::JsonValue(std::move(t));
-  }
-  {
-    util::JsonArray allocs;
-    for (const auto& [key, targets] : placements) {
-      util::JsonObject a;
-      a["alloc"] = key;
-      a["bandwidth_mibps"] = bw[key];
-      a["link_imbalance"] = imbalance[key];
-      a["srv0_mib"] = srv0Mib[key];
-      a["srv1_mib"] = srv1Mib[key];
-      a["srv0_busy_frac"] = busy0[key];
-      a["srv1_busy_frac"] = busy1[key];
-      allocs.push_back(util::JsonValue(std::move(a)));
-    }
-    doc["allocations"] = util::JsonValue(std::move(allocs));
-  }
-  {
-    util::JsonObject o;
-    o["repetitions"] = static_cast<double>(overheadReps);
-    o["plain_seconds"] = plainSeconds;
-    o["traced_seconds"] = tracedSeconds;
-    o["overhead_fraction"] = overhead;
-    doc["tracing_overhead"] = util::JsonValue(std::move(o));
-  }
-  {
-    const char* out = std::getenv("BEESIM_BENCH_JSON");
-    const std::string path =
-        out != nullptr && *out != '\0' ? out : "BENCH_observability.json";
-    std::ofstream file(path);
-    file << util::JsonValue(std::move(doc)).dump(2) << "\n";
-    std::printf("observability numbers written to %s (tracing overhead %+.1f%%)\n",
-                path.c_str(), overhead * 100.0);
-  }
+  bench::writeReport("observability", store,
+                     {{"runs", static_cast<double>(totals.runs)},
+                      {"resolves", static_cast<double>(totals.resolves)},
+                      {"solver_iterations", static_cast<double>(totals.solverIterations)},
+                      {"run_wall_seconds", totals.runWallSeconds},
+                      {"max_run_wall_seconds", totals.maxRunWallSeconds},
+                      {"solve_seconds", totals.solveSeconds},
+                      {"campaign_wall_seconds", totals.campaignWallSeconds},
+                      {"tracing_repetitions", static_cast<double>(overheadReps)},
+                      {"tracing_plain_seconds", plainSeconds},
+                      {"tracing_traced_seconds", tracedSeconds},
+                      {"tracing_overhead_fraction", overhead}});
   return bench::finish(checks);
 }

@@ -18,6 +18,12 @@ using namespace beesim;
 
 int main(int argc, char** argv) {
   bench::parseArgs(argc, argv);
+  // The bimodality analysis splits each count's sample into two means.
+  if (bench::repetitions() < 4) {
+    std::fprintf(stderr, "%s: the bimodality checks need >= 4 repetitions (got %zu)\n",
+                 argv[0], bench::repetitions());
+    return 2;
+  }
   core::CheckList checks("Fig. 6 -- stripe count");
 
   std::map<unsigned, std::vector<double>> s1ByCount;

@@ -8,20 +8,21 @@
 // resolve throughput -- the pre-change baseline (full allocating rebuild +
 // global solve per event) against the incremental component-aware resolver
 // -- across flow-count sweeps and component shapes, and writes the numbers
-// to BENCH_fluid_core.json (override the path with BEESIM_BENCH_JSON).
+// to BENCH_fluid_core.json (bench::writeReport; BEESIM_RESULTS_DIR picks
+// the directory).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
 #include <string_view>
 
 #include "beegfs/deployment.hpp"
+#include "bench/common.hpp"
 #include "beegfs/filesystem.hpp"
 #include "harness/run.hpp"
 #include "ior/mdtest.hpp"
@@ -31,7 +32,6 @@
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "topology/plafrim.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -251,7 +251,7 @@ Measurement measureResolves(Resolve&& resolve) {
   return m;
 }
 
-util::JsonValue benchFluidCoreScenario(const std::string& name, std::size_t nApps,
+harness::ResultRow benchFluidCoreScenario(const std::string& name, std::size_t nApps,
                                        std::size_t flowsPerApp,
                                        std::size_t resourcesPerApp, bool shared) {
   const auto scenario =
@@ -281,26 +281,25 @@ util::JsonValue benchFluidCoreScenario(const std::string& name, std::size_t nApp
     return workspace.solveSubset(view, scenario.appFlows[event % nApps], rates);
   });
 
-  util::JsonObject entry;
-  entry["name"] = name;
-  entry["shape"] = shared ? "shared" : "disjoint";
-  entry["apps"] = static_cast<double>(nApps);
-  entry["flows"] = static_cast<double>(nApps * flowsPerApp);
-  entry["resources"] = static_cast<double>(scenario.capacity.size());
-  entry["baseline_ns_per_resolve"] = baseline.nsPerResolve;
-  entry["incremental_ns_per_resolve"] = incremental.nsPerResolve;
-  entry["baseline_resolves_per_s"] = 1e9 / baseline.nsPerResolve;
-  entry["incremental_resolves_per_s"] = 1e9 / incremental.nsPerResolve;
-  entry["baseline_solver_iterations"] = baseline.iterationsPerResolve;
-  entry["incremental_solver_iterations"] = incremental.iterationsPerResolve;
-  entry["speedup"] = baseline.nsPerResolve / incremental.nsPerResolve;
-  return util::JsonValue(std::move(entry));
+  harness::ResultRow row;
+  row.factors = {{"scenario", name}, {"shape", shared ? "shared" : "disjoint"}};
+  row.metrics = {{"apps", static_cast<double>(nApps)},
+                 {"flows", static_cast<double>(nApps * flowsPerApp)},
+                 {"resources", static_cast<double>(scenario.capacity.size())},
+                 {"baseline_ns_per_resolve", baseline.nsPerResolve},
+                 {"incremental_ns_per_resolve", incremental.nsPerResolve},
+                 {"baseline_resolves_per_s", 1e9 / baseline.nsPerResolve},
+                 {"incremental_resolves_per_s", 1e9 / incremental.nsPerResolve},
+                 {"baseline_solver_iterations", baseline.iterationsPerResolve},
+                 {"incremental_solver_iterations", incremental.iterationsPerResolve},
+                 {"speedup", baseline.nsPerResolve / incremental.nsPerResolve}};
+  return row;
 }
 
 /// End-to-end FluidSimulator numbers (event loop + capacity evaluation +
 /// component bookkeeping included), for context next to the solver-level
 /// comparison.
-util::JsonValue benchFluidSimulator(bool disjoint) {
+harness::ResultRow benchFluidSimulator(bool disjoint) {
   sim::FluidSimulator fluid;
   fluid.setResolveInterval(0.01);
   constexpr std::size_t kApps = 2;
@@ -336,56 +335,42 @@ util::JsonValue benchFluidSimulator(bool disjoint) {
   const auto resolves = fluid.resolveCount() - resolves0;
   const auto iterations = fluid.solverIterations() - iterations0;
 
-  util::JsonObject entry;
-  entry["name"] = std::string("fluid_sim_") + (disjoint ? "disjoint" : "shared");
-  entry["shape"] = disjoint ? "disjoint" : "shared";
-  entry["apps"] = static_cast<double>(kApps);
-  entry["flows"] = static_cast<double>(kApps * kFlowsPerApp);
-  entry["resources"] = static_cast<double>(nRes);
-  entry["ns_per_resolve"] = elapsed * 1e9 / static_cast<double>(resolves);
-  entry["resolves_per_s"] = static_cast<double>(resolves) / elapsed;
-  entry["solver_iterations_per_resolve"] =
-      static_cast<double>(iterations) / static_cast<double>(resolves);
-  return util::JsonValue(std::move(entry));
+  const std::string shape = disjoint ? "disjoint" : "shared";
+  harness::ResultRow row;
+  row.factors = {{"scenario", "fluid_sim_" + shape}, {"shape", shape}};
+  row.metrics = {{"apps", static_cast<double>(kApps)},
+                 {"flows", static_cast<double>(kApps * kFlowsPerApp)},
+                 {"resources", static_cast<double>(nRes)},
+                 {"ns_per_resolve", elapsed * 1e9 / static_cast<double>(resolves)},
+                 {"resolves_per_s", static_cast<double>(resolves) / elapsed},
+                 {"solver_iterations_per_resolve",
+                  static_cast<double>(iterations) / static_cast<double>(resolves)}};
+  return row;
 }
 
 void writeFluidCoreBench() {
-  util::JsonArray scenarios;
-  double disjointHeadline = 0.0;
-  double sharedHeadline = 0.0;
+  harness::ResultStore store;
   for (const std::size_t flowsPerApp : {32u, 128u, 512u}) {
     for (const bool shared : {false, true}) {
       const std::string name = std::string(shared ? "shared" : "disjoint") +
                                "_two_app_" + std::to_string(2 * flowsPerApp) + "f";
-      auto entry = benchFluidCoreScenario(name, 2, flowsPerApp, 16, shared);
-      const double speedup = entry.at("speedup").asNumber();
-      if (flowsPerApp == 128) (shared ? sharedHeadline : disjointHeadline) = speedup;
-      scenarios.push_back(std::move(entry));
+      store.add(benchFluidCoreScenario(name, 2, flowsPerApp, 16, shared));
     }
   }
-  scenarios.push_back(benchFluidSimulator(true));
-  scenarios.push_back(benchFluidSimulator(false));
-
-  util::JsonObject headline;
-  headline["disjoint_two_app_speedup"] = disjointHeadline;
-  headline["shared_two_app_speedup"] = sharedHeadline;
-  util::JsonObject doc;
-  doc["benchmark"] = "fluid_core";
-  doc["scenarios"] = util::JsonValue(std::move(scenarios));
-  doc["headline"] = util::JsonValue(std::move(headline));
-
-  const char* out = std::getenv("BEESIM_BENCH_JSON");
-  const std::string path = out != nullptr && *out != '\0' ? out : "BENCH_fluid_core.json";
-  std::ofstream file(path);
-  file << util::JsonValue(std::move(doc)).dump(2) << "\n";
-  std::cout << "fluid-core resolve throughput written to " << path
-            << " (disjoint two-app speedup " << disjointHeadline
-            << "x, shared " << sharedHeadline << "x)\n";
+  store.add(benchFluidSimulator(true));
+  store.add(benchFluidSimulator(false));
+  bench::writeReport("fluid_core", store, {});
+  const auto speedup = [&](const char* scenario) {
+    return store.metric("speedup", {{"scenario", scenario}}).front();
+  };
+  std::cout << "fluid-core: disjoint two-app speedup " << speedup("disjoint_two_app_256f")
+            << "x, shared " << speedup("shared_two_app_256f") << "x\n";
 }
 
 // --- Cluster-scale fluid bench: exact resolves, trace sinks ------------
 //
-// The scale campaign behind results/BENCH_fluid_scale.json.  Three parts:
+// The scale campaign behind results/BENCH_fluid_scale.json.  Three parts,
+// one report row each:
 //
 //   * a 10k-flow / 1k-resource wobbling-capacity scenario, timed on the
 //     exact resolve path;
@@ -397,8 +382,8 @@ void writeFluidCoreBench() {
 //
 // Modes (environment-selected so ctest reuses one binary):
 //   BEESIM_BENCH_SMOKE=1   tiny sizes, seconds -- the tier-1 ctest smoke;
-//   (unset)                full sizes, written to BENCH_fluid_scale.json
-//                          (override with BEESIM_SCALE_JSON).
+//                          writes no file;
+//   (unset)                full sizes, written to BENCH_fluid_scale.json.
 // End-to-end regressions are gated by bench/e2e_guard.py, not here.
 
 bool envFlag(const char* name) {
@@ -501,22 +486,27 @@ std::vector<ScaleLeg> bestScaleLegs(
   return best;
 }
 
-util::JsonValue benchScaleSolver(const ScaleShape& shape, double simWindow) {
+/// "<flows>f_<resources>r", the size part of a scale row's scenario name.
+std::string scaleSize(const ScaleShape& shape) {
+  return std::to_string(shape.apps * shape.flowsPerApp) + "f_" +
+         std::to_string(shape.apps * shape.resPerApp) + "r";
+}
+
+harness::ResultRow benchScaleSolver(const ScaleShape& shape, double simWindow) {
   const ScaleLeg leg =
       bestScaleLegs({[&] { return runScaleLeg(shape, simWindow, NoObserver{}); }}).front();
 
-  util::JsonObject entry;
-  entry["name"] = "scale_" + std::to_string(shape.apps * shape.flowsPerApp) + "f_" +
-                  std::to_string(shape.apps * shape.resPerApp) + "r";
-  entry["flows"] = static_cast<double>(shape.apps * shape.flowsPerApp);
-  entry["resources"] = static_cast<double>(shape.apps * shape.resPerApp);
-  entry["components"] = static_cast<double>(shape.apps);
-  entry["resolves_per_s"] = leg.resolvesPerS;
-  entry["events_per_s"] = leg.eventsPerS;
-  return util::JsonValue(std::move(entry));
+  harness::ResultRow row;
+  row.factors = {{"scenario", "scale_" + scaleSize(shape)}};
+  row.metrics = {{"flows", static_cast<double>(shape.apps * shape.flowsPerApp)},
+                 {"resources", static_cast<double>(shape.apps * shape.resPerApp)},
+                 {"components", static_cast<double>(shape.apps)},
+                 {"resolves_per_s", leg.resolvesPerS},
+                 {"events_per_s", leg.eventsPerS}};
+  return row;
 }
 
-util::JsonValue benchScaleTracing(const ScaleShape& shape, double simWindow) {
+harness::ResultRow benchScaleTracing(const ScaleShape& shape, double simWindow) {
   // All three legs run the same scenario; only the attached observer
   // differs, so the wall-time delta is tracing cost alone.
   std::uint64_t ringRecorded = 0;
@@ -548,17 +538,18 @@ util::JsonValue benchScaleTracing(const ScaleShape& shape, double simWindow) {
     return 100.0 * (leg.wallPerSimSecond - untraced.wallPerSimSecond) /
            untraced.wallPerSimSecond;
   };
-  util::JsonObject entry;
-  entry["flows"] = static_cast<double>(shape.apps * shape.flowsPerApp);
-  entry["resources"] = static_cast<double>(shape.apps * shape.resPerApp);
-  entry["untraced_events_per_s"] = untraced.eventsPerS;
-  entry["full_tracer_overhead_pct"] = overheadPct(fullTraced);
-  entry["ring_sink_overhead_pct"] = overheadPct(ringTraced);
-  entry["ring_records"] = static_cast<double>(ringRecorded);
-  return util::JsonValue(std::move(entry));
+  harness::ResultRow row;
+  row.factors = {{"scenario", "tracing_" + scaleSize(shape)}};
+  row.metrics = {{"flows", static_cast<double>(shape.apps * shape.flowsPerApp)},
+                 {"resources", static_cast<double>(shape.apps * shape.resPerApp)},
+                 {"untraced_events_per_s", untraced.eventsPerS},
+                 {"full_tracer_overhead_pct", overheadPct(fullTraced)},
+                 {"ring_sink_overhead_pct", overheadPct(ringTraced)},
+                 {"ring_records", static_cast<double>(ringRecorded)}};
+  return row;
 }
 
-util::JsonValue benchScaleCampaign(std::size_t nodes) {
+harness::ResultRow benchScaleCampaign(std::size_t nodes) {
   // The paper's Scenario-2 jobs are 4 nodes x 8 ppn; `nodes` scales that
   // topology up while keeping the per-rank working set small enough that the
   // leg finishes in seconds.  runOnce builds the whole stack (deployment,
@@ -572,14 +563,14 @@ util::JsonValue benchScaleCampaign(std::size_t nodes) {
       static_cast<util::Bytes>(config.job.ranks()) * 4_MiB, config.job.ranks());
   const auto record = harness::runOnce(config, 42);
 
-  util::JsonObject entry;
-  entry["name"] = "paper_topology_x" + std::to_string(config.job.ranks() / 32);
-  entry["nodes"] = static_cast<double>(nodes);
-  entry["ranks"] = static_cast<double>(config.job.ranks());
-  entry["wall_s"] = record.wallSeconds;
-  entry["resolves"] = static_cast<double>(record.resolves);
-  entry["bandwidth_mibps"] = record.ior.bandwidth;
-  return util::JsonValue(std::move(entry));
+  harness::ResultRow row;
+  row.factors = {{"scenario", "paper_topology_x" + std::to_string(config.job.ranks() / 32)}};
+  row.metrics = {{"nodes", static_cast<double>(nodes)},
+                 {"ranks", static_cast<double>(config.job.ranks())},
+                 {"wall_s", record.wallSeconds},
+                 {"resolves", static_cast<double>(record.resolves)},
+                 {"bandwidth_mibps", record.ior.bandwidth}};
+  return row;
 }
 
 int runScaleBench(bool smoke) {
@@ -594,40 +585,21 @@ int runScaleBench(bool smoke) {
     gScaleRepeats = 1;
   }
 
-  util::JsonArray scenarios;
-  scenarios.push_back(benchScaleSolver(shape, simWindow));
-  util::JsonValue tracing = benchScaleTracing(shape, simWindow);
-  util::JsonValue campaign = benchScaleCampaign(campaignNodes);
-
-  util::JsonObject headline;
-  headline["scale_events_per_s"] = scenarios.front().at("events_per_s").asNumber();
-  headline["ring_overhead_pct"] = tracing.at("ring_sink_overhead_pct").asNumber();
-  util::JsonObject doc;
-  doc["benchmark"] = "fluid_scale";
-  doc["mode"] = smoke ? "smoke" : "full";
-  doc["scenarios"] = util::JsonValue(std::move(scenarios));
-  doc["tracing"] = std::move(tracing);
-  doc["campaign"] = std::move(campaign);
-  doc["headline"] = util::JsonValue(std::move(headline));
-  const util::JsonValue result(std::move(doc));
-
-  const char* outEnv = std::getenv("BEESIM_SCALE_JSON");
-  const std::string path = outEnv != nullptr && *outEnv != '\0'
-                               ? outEnv
-                               : (smoke ? std::string() : std::string("BENCH_fluid_scale.json"));
-  if (!path.empty()) {
-    std::ofstream file(path);
-    file << result.dump(2) << "\n";
-    std::cout << "fluid-scale campaign written to " << path << "\n";
-  }
-  std::cout << "fluid-scale: " << result.at("headline").at("scale_events_per_s").asNumber()
+  const auto solver = benchScaleSolver(shape, simWindow);
+  const auto tracing = benchScaleTracing(shape, simWindow);
+  harness::ResultStore store;
+  store.add(solver);
+  store.add(tracing);
+  store.add(benchScaleCampaign(campaignNodes));
+  if (!smoke) bench::writeReport("fluid_scale", store, {});
+  std::cout << "fluid-scale: " << solver.metrics.at("events_per_s")
             << " exact resolve events/s, ring tracing overhead "
-            << result.at("headline").at("ring_overhead_pct").asNumber() << "% (full tracer "
-            << result.at("tracing").at("full_tracer_overhead_pct").asNumber() << "%)\n";
+            << tracing.metrics.at("ring_sink_overhead_pct") << "% (full tracer "
+            << tracing.metrics.at("full_tracer_overhead_pct") << "%)\n";
 
   // ctest smoke: the numbers are too small to threshold, but the machinery
   // must hold together -- the ring recorded events.
-  if (smoke && result.at("tracing").at("ring_records").asNumber() <= 0.0) {
+  if (smoke && tracing.metrics.at("ring_records") <= 0.0) {
     std::cerr << "scale smoke: ring sink recorded nothing\n";
     return 1;
   }

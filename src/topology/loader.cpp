@@ -1,6 +1,8 @@
 #include "topology/loader.hpp"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -14,6 +16,24 @@ namespace {
 using util::JsonArray;
 using util::JsonObject;
 using util::JsonValue;
+
+/// json[key] as a whole number T can hold, `fallback` when absent.  A
+/// fraction, a negative or an out-of-range value is a ConfigError naming
+/// `field`.
+template <typename T>
+T wholeNumberOr(const JsonValue& json, const std::string& key, T fallback,
+                const std::string& field) {
+  const double value = json.numberOr(key, static_cast<double>(fallback));
+  // 2^digits is the first whole number above T's maximum, exact as a double.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(value >= 0.0 && value < limit && value == std::floor(value))) {
+    std::ostringstream message;
+    message << "cluster file: " << field << " must be a whole number in [0, "
+            << std::numeric_limits<T>::max() << "], got " << value;
+    throw util::ConfigError(message.str());
+  }
+  return static_cast<T>(value);
+}
 
 VariabilitySpec variabilityFromJson(const JsonValue& json) {
   const auto kind = util::toLower(json.stringOr("kind", "none"));
@@ -35,10 +55,11 @@ JsonValue variabilityToJson(const VariabilitySpec& spec) {
   return JsonValue(std::move(out));
 }
 
-storage::HddRaidParams deviceFromJson(const JsonValue& json) {
+storage::HddRaidParams deviceFromJson(const JsonValue& json, const std::string& target) {
   storage::HddRaidParams device;
-  device.disks = static_cast<int>(json.numberOr("disks", device.disks));
-  device.parityDisks = static_cast<int>(json.numberOr("parityDisks", device.parityDisks));
+  const auto field = [&](const char* key) { return "target '" + target + "' " + key; };
+  device.disks = wholeNumberOr(json, "disks", device.disks, field("disks"));
+  device.parityDisks = wholeNumberOr(json, "parityDisks", device.parityDisks, field("parityDisks"));
   device.perDiskStream = json.numberOr("perDiskStream", device.perDiskStream);
   device.writeEfficiency = json.numberOr("writeEfficiency", device.writeEfficiency);
   device.cacheFraction = json.numberOr("cacheFraction", device.cacheFraction);
@@ -64,7 +85,7 @@ JsonValue deviceToJson(const storage::HddRaidParams& device) {
 TargetCfg targetFromJson(const JsonValue& json, const std::string& fallbackName) {
   TargetCfg target;
   target.name = json.stringOr("name", fallbackName);
-  target.device = deviceFromJson(json);
+  target.device = deviceFromJson(json, target.name);
   if (json.has("variability")) {
     target.variability = variabilityFromJson(json.at("variability"));
   }
@@ -89,7 +110,7 @@ ClusterConfig clusterFromJson(const std::string& jsonText) {
   // -- Compute nodes: either {"count", ...} or an explicit array. ---------
   const auto& nodes = doc.at("nodes");
   if (nodes.isObject()) {
-    const auto count = static_cast<std::size_t>(nodes.numberOr("count", 1));
+    const auto count = wholeNumberOr<std::size_t>(nodes, "count", 1, "nodes.count");
     if (count == 0) throw util::ConfigError("cluster file: nodes.count must be >= 1");
     for (std::size_t n = 0; n < count; ++n) {
       ComputeNodeCfg node;
@@ -121,7 +142,7 @@ ClusterConfig clusterFromJson(const std::string& jsonText) {
     const auto& targets = hostJson.at("targets");
     if (targets.isObject()) {
       // Compact form: N identical targets.
-      const auto count = static_cast<std::size_t>(targets.numberOr("count", 1));
+      const auto count = wholeNumberOr<std::size_t>(targets, "count", 1, "targets.count");
       if (count == 0) throw util::ConfigError("cluster file: targets.count must be >= 1");
       for (std::size_t t = 0; t < count; ++t) {
         host.targets.push_back(

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
 
 #include "topology/plafrim.hpp"
 #include "util/error.hpp"
@@ -114,6 +115,28 @@ TEST(Loader, SchemaViolationsThrow) {
       ADD_FAILURE() << "accepted " << fields;
     } catch (const util::ConfigError& e) {
       EXPECT_NE(std::string(e.what()).find("target 't0'"), std::string::npos) << e.what();
+    }
+  }
+  // Integer fields take whole numbers their type can hold; a fraction, an
+  // out-of-range value or a negative is an error naming the field.
+  for (const std::string value : {"12.9", "1e20", "-1"}) {
+    const std::pair<std::string, std::string> cases[] = {
+        {withTarget(R"("disks": )" + value), "target 't0' disks"},
+        {withTarget(R"("parityDisks": )" + value), "target 't0' parityDisks"},
+        {R"({"nodes": {"count": )" + value + R"(}, "hosts": [ {"targets": {"count": 1}} ] })",
+         "nodes.count"},
+        {R"({"nodes": {"count": 1}, "hosts": [ {"targets": {"count": )" + value + "} } ] }",
+         "targets.count"},
+    };
+    for (const auto& [doc, field] : cases) {
+      try {
+        clusterFromJson(doc);
+        ADD_FAILURE() << "accepted " << field << " = " << value;
+      } catch (const util::ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(field + " must be a whole number"),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
   EXPECT_THROW(clusterFromJson(R"({
