@@ -226,7 +226,7 @@ void FileSystem::transferAsync(std::size_t node, FileHandle handle, util::Bytes 
       static_cast<std::size_t>(std::min<std::uint64_t>(chunks, pattern.stripeCount()));
 
   const auto transferRef = transfers_.acquire();
-  auto& transfer = transfers_[transferRef.index];
+  auto& transfer = transfers_[transferRef.index];  // every field is set here
   transfer.node = node;
   transfer.handleValue = handle.value;
   transfer.isWrite = isWrite;
@@ -246,6 +246,13 @@ void FileSystem::transferAsync(std::size_t node, FileHandle handle, util::Bytes 
     op.transfer = transferRef.index;
     op.slot = slot;
     op.bytes = bytes;
+    // A reused entry keeps its last op's fields: reset those a new op reads
+    // before the issue path writes them.  The rest (group, debt, tried, the
+    // check times, ...) are written by the path that reads them.
+    op.rule = Completion::kOne;
+    op.failedAt = -1.0;
+    op.legs[0] = op.legs[1] = Leg{};
+    op.hedgeSlot = kUntracked;
     ++liveOps_;
     ++issued;
     issue(op);

@@ -5,7 +5,9 @@
 // a reference taken before a call that may grow it stays valid.  Freed
 // indices go on a free list and are reused last-freed first.  Freeing an
 // entry bumps its generation, so a Ref kept past the free (a queued callback,
-// a check entry) finds nothing instead of the slot's next occupant.  The
+// a check entry) finds nothing instead of the slot's next occupant.  A new
+// block's entries are value-initialised; a reused entry keeps what its last
+// occupant left, so the caller resets the fields a new entry reads.  The
 // slab frees its blocks with itself, or earlier through trim() once no entry
 // is live.
 #pragma once
@@ -28,14 +30,13 @@ class Slab {
     friend bool operator==(Ref a, Ref b) = default;
   };
 
-  /// A value-initialised entry in a reused or new slot.
+  /// A reused or new entry, as its last occupant left it (see above).
   Ref acquire() {
     if (free_.empty()) grow();
     const std::uint32_t index = free_.back();
     free_.pop_back();
     auto& block = blocks_[index / kBlock];
     if (!block) block = std::make_unique<T[]>(kBlock);
-    (*this)[index] = T{};
     return Ref{index, generations_[index]};
   }
 

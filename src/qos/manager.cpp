@@ -102,6 +102,27 @@ bool QosManager::tryAdmit(std::size_t id, util::Bytes bytes, util::Seconds now) 
   return true;
 }
 
+void QosManager::WaiterQueue::push(Waiter waiter) {
+  if (count_ == ring_.size()) {
+    // Full: unroll into a ring twice the size, oldest first.
+    std::vector<Waiter> grown(std::max<std::size_t>(8, 2 * ring_.size()));
+    for (std::size_t i = 0; i < count_; ++i) {
+      grown[i] = std::move(ring_[(head_ + i) % ring_.size()]);
+    }
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  ring_[(head_ + count_) % ring_.size()] = std::move(waiter);
+  ++count_;
+}
+
+QosManager::Waiter QosManager::WaiterQueue::pop() {
+  Waiter waiter = std::move(ring_[head_]);
+  head_ = (head_ + 1) % ring_.size();
+  --count_;
+  return waiter;
+}
+
 bool QosManager::admitChunk(std::size_t node, util::Bytes bytes,
                             std::function<void()> resume) {
   const std::size_t id = node < nodeApp_.size() ? nodeApp_[node] : kNoApp;
@@ -114,7 +135,7 @@ bool QosManager::admitChunk(std::size_t node, util::Bytes bytes,
   if (app.waiters.empty() && tryAdmit(id, bytes, now)) return true;
   ++app.stats.deferrals;
   ++totals_.deferrals;
-  app.waiters.push_back(Waiter{bytes, std::move(resume), now});
+  app.waiters.push(Waiter{bytes, std::move(resume), now});
   armWake(id);
   return false;
 }
@@ -133,8 +154,7 @@ void QosManager::wake(std::size_t id) {
   app.wakeArmed = false;
   const util::Seconds now = fluid_.now();
   while (!app.waiters.empty() && tryAdmit(id, app.waiters.front().bytes, now)) {
-    Waiter waiter = std::move(app.waiters.front());
-    app.waiters.pop_front();
+    Waiter waiter = app.waiters.pop();
     app.stats.throttleSeconds += now - waiter.since;
     totals_.throttleSeconds += now - waiter.since;
     // Issues the deferred chunk's flow; runs inside this engine event like

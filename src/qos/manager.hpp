@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -136,10 +135,25 @@ class QosManager {
     std::function<void()> resume;
     util::Seconds since = 0.0;
   };
+  /// FIFO of deferred chunks: a ring that doubles when full and keeps its
+  /// storage, so a warm queue defers and wakes without allocating.
+  class WaiterQueue {
+   public:
+    bool empty() const { return count_ == 0; }
+    std::size_t size() const { return count_; }
+    Waiter& front() { return ring_[head_]; }
+    void push(Waiter waiter);
+    Waiter pop();
+
+   private:
+    std::vector<Waiter> ring_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+  };
   struct App {
     QosAppSpec spec;
     TokenBucket bucket;
-    std::deque<Waiter> waiters;
+    WaiterQueue waiters;
     bool wakeArmed = false;
     AppStats stats;
   };

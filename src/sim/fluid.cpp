@@ -25,7 +25,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // never carry the resource into saturation.
 constexpr double kSlackMargin = 1e3 * kSaturationEps;
 
-// splitmix64 finalizer: scrambles sequential keys before masking.
+// splitmix64 finalizer: scrambles the flow-class key before masking.
 std::uint64_t mix64(std::uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ull;
@@ -39,78 +39,6 @@ std::uint64_t mix64(std::uint64_t x) {
 CapacityFn constantCapacity(util::MiBps capacity) {
   BEESIM_ASSERT(capacity >= 0.0, "capacity must be >= 0");
   return [capacity](const ResourceLoad&) { return capacity; };
-}
-
-// --- FlowIdMap ---------------------------------------------------------
-
-std::size_t FlowIdMap::bucketOf(std::uint64_t key, std::size_t mask) {
-  // Flow ids are sequential, so they need scrambling before masking or every
-  // id would probe the same run of buckets.
-  return static_cast<std::size_t>(mix64(key)) & mask;
-}
-
-void FlowIdMap::grow() {
-  const std::size_t newSize = keys_.empty() ? 16 : keys_.size() * 2;
-  std::vector<std::uint64_t> oldKeys = std::move(keys_);
-  std::vector<std::uint32_t> oldSlots = std::move(slots_);
-  keys_.assign(newSize, 0);
-  slots_.assign(newSize, 0);
-  const std::size_t mask = newSize - 1;
-  for (std::size_t i = 0; i < oldKeys.size(); ++i) {
-    if (oldKeys[i] == 0) continue;
-    std::size_t b = bucketOf(oldKeys[i], mask);
-    while (keys_[b] != 0) b = (b + 1) & mask;
-    keys_[b] = oldKeys[i];
-    slots_[b] = oldSlots[i];
-  }
-}
-
-void FlowIdMap::insert(std::uint64_t key, std::uint32_t slot) {
-  // Keep the load factor under 0.7 so probe runs stay short; a stable flow
-  // population reuses the table with no rehashing (and no allocation).
-  if (keys_.empty() || (size_ + 1) * 10 > keys_.size() * 7) grow();
-  const std::size_t mask = keys_.size() - 1;
-  std::size_t b = bucketOf(key, mask);
-  while (keys_[b] != 0) b = (b + 1) & mask;
-  keys_[b] = key;
-  slots_[b] = slot;
-  ++size_;
-}
-
-std::uint32_t FlowIdMap::find(std::uint64_t key) const {
-  if (keys_.empty()) return kAbsent;
-  const std::size_t mask = keys_.size() - 1;
-  std::size_t b = bucketOf(key, mask);
-  while (keys_[b] != 0) {
-    if (keys_[b] == key) return slots_[b];
-    b = (b + 1) & mask;
-  }
-  return kAbsent;
-}
-
-void FlowIdMap::erase(std::uint64_t key) {
-  if (keys_.empty()) return;
-  const std::size_t mask = keys_.size() - 1;
-  std::size_t b = bucketOf(key, mask);
-  while (keys_[b] != 0 && keys_[b] != key) b = (b + 1) & mask;
-  if (keys_[b] == 0) return;
-  // Backward-shift deletion: pull later entries of the probe run into the
-  // hole so lookups never need tombstones.
-  std::size_t hole = b;
-  std::size_t j = b;
-  while (true) {
-    j = (j + 1) & mask;
-    if (keys_[j] == 0) break;
-    const std::size_t home = bucketOf(keys_[j], mask);
-    const bool reachable = hole <= j ? (home <= hole || home > j) : (home <= hole && home > j);
-    if (reachable) {
-      keys_[hole] = keys_[j];
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-  }
-  keys_[hole] = 0;
-  --size_;
 }
 
 // --- ClassTable --------------------------------------------------------
@@ -205,7 +133,8 @@ bool FluidSimulator::ClassTable::leave(std::uint32_t c) {
   const std::size_t mask = buckets_.size() - 1;
   std::size_t hole = hash_[c] & mask;
   while (buckets_[hole] != c) hole = (hole + 1) & mask;
-  // Backward-shift deletion, as in IdMap.
+  // Backward-shift deletion: pull later entries of the probe run into the
+  // hole so lookups never need tombstones.
   for (std::size_t j = (hole + 1) & mask; buckets_[j] != kNone; j = (j + 1) & mask) {
     const std::size_t home = hash_[buckets_[j]] & mask;
     const bool reachable = hole <= j ? (home <= hole || home > j) : (home <= hole && home > j);
@@ -400,7 +329,6 @@ std::uint32_t FluidSimulator::allocateFlowSlot() {
 }
 
 void FluidSimulator::freeFlowSlot(std::uint32_t slot) {
-  flowId_[slot] = 0;
   flowOnComplete_[slot] = nullptr;
   freeFlowSlots_.push_back(slot);
 }
@@ -412,10 +340,10 @@ FlowId FluidSimulator::startFlow(std::span<const ResourceIndex> path, util::Byte
   for (const auto r : path) {
     BEESIM_ASSERT(r.value < resources_.size(), "flow crosses an unknown resource");
   }
-  const FlowId id{nextFlowId_++};
   const SimTime t = engine_.now();
 
   if (bytes == 0) {
+    const FlowId id{nextFlowId_++};
     // Degenerate flow: completes instantly, never enters the solver.  The
     // observer still sees the full start/complete lifecycle so trace-derived
     // flow counts agree with the callers' view.
@@ -431,6 +359,7 @@ FlowId FluidSimulator::startFlow(std::span<const ResourceIndex> path, util::Byte
   }
 
   const auto slot = allocateFlowSlot();
+  const FlowId id{nextFlowId_++, slot};
   flowId_[slot] = id.value;
   flowWeight_[slot] = queueWeight;
   flowRateCap_[slot] = rateCap;
@@ -495,24 +424,23 @@ FlowId FluidSimulator::startFlow(std::span<const ResourceIndex> path, util::Byte
   listComponent(root);
 
   notify([&](FluidObserver& o) { o.onFlowStarted(id, path, bytes, t); });
-  idMap_.insert(id.value, slot);
   ++activeCount_;
   scheduleResolve();
   return id;
 }
 
 util::MiBps FluidSimulator::flowRate(FlowId id) const {
-  const auto slot = idMap_.find(id.value);
+  const auto slot = liveSlot(id);
   if (slot == kNone) return 0.0;
   // A member that joined after its class's last solve has no rate yet.
   const auto c = flowClass_[slot];
   return id.value < classes_.solvedBelow(c) ? classes_.rate(c) : 0.0;
 }
 
-bool FluidSimulator::flowActive(FlowId id) const { return idMap_.find(id.value) != kNone; }
+bool FluidSimulator::flowActive(FlowId id) const { return liveSlot(id) != kNone; }
 
 std::optional<util::Bytes> FluidSimulator::cancelFlow(FlowId id) {
-  const auto slot = idMap_.find(id.value);
+  const auto slot = liveSlot(id);
   if (slot == kNone) return std::nullopt;
   const SimTime t = engine_.now();
   const auto root = findRoot(adjacencyArena_[pathOffset_[slot]]);
@@ -530,6 +458,7 @@ std::optional<util::Bytes> FluidSimulator::cancelFlow(FlowId id) {
 
   heapErase(c, pos);
   retireFlow(root, slot);
+  freeFlowSlot(slot);
   markDirty(root);
   scheduleResolve();
   return remaining;
@@ -619,9 +548,8 @@ void FluidSimulator::retireFlow(std::uint32_t root, std::uint32_t slot) {
     (next == kNone ? compTail_[root] : classes_.prev(next)) = prev;
   }
   --compFlowCount_[root];
-  idMap_.erase(flowId_[slot]);
+  flowId_[slot] = 0;
   --activeCount_;
-  freeFlowSlot(slot);
 }
 
 void FluidSimulator::settleComponent(std::uint32_t root, SimTime t) {
@@ -636,7 +564,7 @@ void FluidSimulator::settleComponent(std::uint32_t root, SimTime t) {
       // Callbacks are deferred to the drain list: an onComplete that starts
       // new flows (the IOR segment chain does) must not mutate component
       // lists while this sweep walks them.
-      drain_.push_back(DrainEntry{FlowStats{FlowId{flowId_[slot]}, flowStart_[slot], t,
+      drain_.push_back(DrainEntry{FlowStats{FlowId{flowId_[slot], slot}, flowStart_[slot], t,
                                             flowBytes_[slot]},
                                   std::move(flowOnComplete_[slot])});
       retireFlow(root, slot);
@@ -680,12 +608,15 @@ void FluidSimulator::resolveNow() {
   // 2. Run the deferred completion callbacks, in ascending flow id.  These
   //    may start new flows (which merge/dirty components and queue another
   //    +0 resolve -- that one will find everything clean) or invalidate
-  //    capacities.
+  //    capacities.  A flow's slot is freed once every observer has seen it
+  //    complete, so an earlier callback's new flow cannot take the slot of
+  //    a flow an observer still holds.
   std::sort(drain_.begin(), drain_.end(), [](const DrainEntry& a, const DrainEntry& b) {
     return a.stats.id.value < b.stats.id.value;
   });
   for (auto& entry : drain_) {
     notify([&](FluidObserver& o) { o.onFlowCompleted(entry.stats); });
+    freeFlowSlot(entry.stats.id.slot);
     if (entry.onComplete) entry.onComplete(entry.stats);
   }
   drain_.clear();
@@ -780,7 +711,7 @@ void FluidSimulator::resolveNow() {
       }
       if (record) {
         for (const auto& m : heap) {
-          solvedIds_.push_back(FlowId{m.id});
+          solvedIds_.push_back(FlowId{m.id, m.slot});
           solvedRates_.push_back(rate);
         }
       }
@@ -919,7 +850,7 @@ void FluidSimulator::runSolverCheck() {
   checkRemaining_.resize(flowId_.size(), 0.0);
   checkRate_.resize(flowId_.size(), 0.0);
   for (const auto slot : checkSlots_) {
-    const FlowId id{flowId_[slot]};
+    const FlowId id{flowId_[slot], slot};
     const double expect = checkRates_[slot];
     const double got = flowRate(id);
     BEESIM_ASSERT(std::abs(got - expect) <= 1e-9 * std::max(1.0, std::abs(expect)),

@@ -109,8 +109,16 @@ struct ResourceSpec {
   CapacityFn capacity;
 };
 
+/// Names a flow: `value` is its start sequence (unique per simulator, from
+/// 1), which orders simultaneous completions and is what traces print;
+/// `slot` is the simulator's flow slot it occupies while live, so resolving
+/// an id is one index and one compare.  A slot is reused only after every
+/// observer has seen its flow end, and the stale id then reads inactive.
+/// Zero-byte flows occupy no slot (kNoSlot); a default FlowId names no flow.
 struct FlowId {
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   std::uint64_t value = 0;
+  std::uint32_t slot = kNoSlot;
   friend bool operator==(FlowId a, FlowId b) { return a.value == b.value; }
 };
 
@@ -175,28 +183,6 @@ class FluidObserver {
   /// were *not* transferred).  Default no-op so existing observers are
   /// unaffected.
   virtual void onFlowCancelled(const FlowStats& stats) { (void)stats; }
-};
-
-/// Open-addressed FlowId value -> slot map (linear probing, backward-shift
-/// deletion).  Key 0 marks an empty bucket -- valid flow ids start at 1.  A
-/// stable population reuses the table with no rehashing (and no allocation).
-class FlowIdMap {
- public:
-  static constexpr std::uint32_t kAbsent = 0xffffffffu;
-
-  void insert(std::uint64_t key, std::uint32_t slot);
-  void erase(std::uint64_t key);
-  /// Returns kAbsent when absent.
-  std::uint32_t find(std::uint64_t key) const;
-  std::size_t size() const { return size_; }
-
- private:
-  static std::size_t bucketOf(std::uint64_t key, std::size_t mask);
-  void grow();
-
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> slots_;
-  std::size_t size_ = 0;
 };
 
 class FluidSimulator {
@@ -414,7 +400,8 @@ class FluidSimulator {
   /// drain_ (bookkeeping updated; callbacks NOT yet run).
   void settleComponent(std::uint32_t root, SimTime t);
   /// Take a flow (already out of its class heap) out of the resource loads,
-  /// its class, its component and the id map, and free its slot.
+  /// its class and its component; from here on its id reads inactive.  The
+  /// slot stays taken until freeFlowSlot, after the observers saw the end.
   void retireFlow(std::uint32_t root, std::uint32_t slot);
 
   // Class member heaps; every move keeps flowHeapPos_ current.
@@ -438,6 +425,11 @@ class FluidSimulator {
   /// every class rate is bit-equal to the kept one.
   void checkSkippedWalk(std::uint32_t root);
 
+  /// The slot of live flow `id`, or kNone.
+  std::uint32_t liveSlot(FlowId id) const {
+    return id.slot < flowId_.size() && flowId_[id.slot] == id.value && id.value != 0 ? id.slot
+                                                                                    : kNone;
+  }
   std::uint32_t allocateFlowSlot();
   void freeFlowSlot(std::uint32_t slot);
 
@@ -474,7 +466,7 @@ class FluidSimulator {
   std::vector<std::uint32_t> activeRoots_;  // lazily filtered
   std::vector<std::uint32_t> dirtyRoots_;
 
-  // --- Per-flow state (slot-indexed; id 0 marks a free slot) ---
+  // --- Per-flow state (slot-indexed; id 0 marks a free or retired slot) ---
   std::vector<std::uint64_t> flowId_;
   std::vector<double> flowWeight_;
   std::vector<double> flowRateCap_;
@@ -488,7 +480,6 @@ class FluidSimulator {
   std::vector<std::uint32_t> pathCap_;
   std::vector<std::uint32_t> adjacencyArena_;
   std::vector<std::uint32_t> freeFlowSlots_;
-  FlowIdMap idMap_;
   ClassTable classes_;
 
   // --- Resolve scratch (reused; no steady-state allocations) ---

@@ -79,7 +79,7 @@ void RateSampler::trackLink(ResourceIndex link) {
 
 void RateSampler::emitSample(SimTime at) {
   sample_.time = at;
-  sample_.activeFlows = liveIds_.size();
+  sample_.activeFlows = liveCount_;
   sample_.aggregateRate = totalRate_;
   for (std::size_t i = 0; i < trackedLinks_.size(); ++i) {
     sample_.linkRates[i] = resourceRate_[trackedLinks_[i].value];
@@ -138,24 +138,25 @@ void RateSampler::onFlowStarted(FlowId id, std::span<const ResourceIndex> path,
   for (const auto r : path) maxIndex = std::max(maxIndex, r.value);
   ensureResourceCapacity(static_cast<std::size_t>(maxIndex) + 1);
   for (const auto r : path) ++resourceFlows_[r.value];
-  std::uint32_t slot = 0;
-  if (freeLiveSlots_.empty()) {
-    slot = static_cast<std::uint32_t>(liveFlows_.size());
-    liveFlows_.emplace_back();
+  LiveFlow* flow = nullptr;
+  if (id.slot == FlowId::kNoSlot) {
+    if (instantCount_ == instantFlows_.size()) instantFlows_.emplace_back();
+    flow = &instantFlows_[instantCount_++];
   } else {
-    slot = freeLiveSlots_.back();
-    freeLiveSlots_.pop_back();
+    if (id.slot >= liveFlows_.size()) liveFlows_.resize(id.slot + std::size_t{1});
+    flow = &liveFlows_[id.slot];
+    BEESIM_ASSERT(flow->id == 0, "a flow took the slot of one the sampler still holds");
   }
-  LiveFlow& flow = liveFlows_[slot];
-  if (path.size() > flow.capacity) {
-    flow.offset = static_cast<std::uint32_t>(livePaths_.size());
-    flow.capacity = static_cast<std::uint32_t>(path.size());
+  if (path.size() > flow->capacity) {
+    flow->offset = static_cast<std::uint32_t>(livePaths_.size());
+    flow->capacity = static_cast<std::uint32_t>(path.size());
     livePaths_.resize(livePaths_.size() + path.size());
   }
-  std::copy(path.begin(), path.end(), livePaths_.begin() + flow.offset);
-  flow.length = static_cast<std::uint32_t>(path.size());
-  flow.rate = 0.0;
-  liveIds_.insert(id.value, slot);
+  std::copy(path.begin(), path.end(), livePaths_.begin() + flow->offset);
+  flow->id = id.value;
+  flow->length = static_cast<std::uint32_t>(path.size());
+  flow->rate = 0.0;
+  ++liveCount_;
   logEvent({.time = at, .flow = id.value, .bytes = bytes, .kind = TraceRecord::Kind::kStart,
             .aux = static_cast<std::uint32_t>(path.size())});
 }
@@ -168,34 +169,43 @@ void RateSampler::onRatesSolved(SimTime at, std::span<const FlowId> ids,
   // their previous rate, so the per-resource and total aggregates are
   // maintained by applying each reported flow's rate delta along its path.
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto slot = liveIds_.find(ids[i].value);
-    if (slot == FlowIdMap::kAbsent) continue;
-    LiveFlow& flow = liveFlows_[slot];
-    const double delta = rates[i] - flow.rate;
+    LiveFlow* flow = findLive(ids[i]);
+    if (flow == nullptr) continue;  // started before the sampler attached
+    const double delta = rates[i] - flow->rate;
     if (delta != 0.0) {
-      for (const auto r : livePath(flow)) resourceRate_[r.value] += delta;
+      for (const auto r : livePath(*flow)) resourceRate_[r.value] += delta;
       totalRate_ += delta;
-      flow.rate = rates[i];
+      flow->rate = rates[i];
     }
   }
   logEvent({.time = at, .bytes = activeFlows, .value = totalRate_,
             .kind = TraceRecord::Kind::kRates});
 }
 
+RateSampler::LiveFlow* RateSampler::findLive(FlowId id) {
+  if (id.slot != FlowId::kNoSlot) {
+    return id.slot < liveFlows_.size() && liveFlows_[id.slot].id == id.value ? &liveFlows_[id.slot]
+                                                                             : nullptr;
+  }
+  for (std::size_t i = 0; i < instantCount_; ++i) {
+    if (instantFlows_[i].id == id.value) return &instantFlows_[i];
+  }
+  return nullptr;
+}
+
 void RateSampler::dropFlow(const FlowStats& stats, TraceRecord::Kind kind) {
   advance(stats.endTime);
-  if (const auto slot = liveIds_.find(stats.id.value); slot != FlowIdMap::kAbsent) {
-    const LiveFlow& flow = liveFlows_[slot];
-    for (const auto r : livePath(flow)) {
-      resourceRate_[r.value] -= flow.rate;
+  if (LiveFlow* flow = findLive(stats.id)) {
+    for (const auto r : livePath(*flow)) {
+      resourceRate_[r.value] -= flow->rate;
       // Snap to exactly zero when the resource empties so +/- residue cannot
       // accumulate into phantom busy time.
       if (--resourceFlows_[r.value] == 0) resourceRate_[r.value] = 0.0;
     }
-    totalRate_ -= flow.rate;
-    liveIds_.erase(stats.id.value);
-    freeLiveSlots_.push_back(slot);
-    if (liveIds_.size() == 0) totalRate_ = 0.0;
+    totalRate_ -= flow->rate;
+    flow->id = 0;
+    if (stats.id.slot == FlowId::kNoSlot) std::swap(*flow, instantFlows_[--instantCount_]);
+    if (--liveCount_ == 0) totalRate_ = 0.0;
   }
   // A cancelled flow's bytes are those NOT transferred (see FluidObserver).
   const bool done = kind == TraceRecord::Kind::kComplete;

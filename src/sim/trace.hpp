@@ -22,10 +22,10 @@
 // They attach through FluidSimulator::addObserver, so they compose with any
 // other observer: every event reaches all of them in attachment order.
 //
-// For cluster-scale runs the FlowTracer's per-event map lookups and O(path)
+// For cluster-scale runs the FlowTracer's per-flow bookkeeping and O(path)
 // delta accounting dominate: tracing can cost tens of percent of wall time.
 // RingTraceSink is the cheap alternative (--trace-format=ring): every
-// observer callback appends one record to a bounded log -- no map, no
+// observer callback appends one record to a bounded log -- no per-flow or
 // per-resource state, no allocation, no formatting.
 //
 // Both sinks keep their events in one EventLog of fixed-width 40-byte
@@ -224,12 +224,11 @@ class RateSampler : public FluidObserver {
   bool sawFlow_ = false;
   util::MiBps totalRate_ = 0.0;
   SimTime lastEventTime_ = 0.0;  ///< attach time before the first event
-  /// Flow -> slot of its (path, current rate); alive flows only.  Looked
-  /// up, inserted, erased and sized, never iterated, so hash order cannot
-  /// leak into output.  A slot's path region in livePaths_ stays with the
-  /// slot and is reused by the next flow whose path fits, so a steady flow
-  /// population allocates nothing.
+  /// A live flow's path region in livePaths_ and current rate.  A region
+  /// stays with its entry and is reused by the next flow whose path fits,
+  /// so a steady flow population allocates nothing.
   struct LiveFlow {
+    std::uint64_t id = 0;        ///< FlowId::value; 0 while the entry is free
     std::uint32_t offset = 0;    ///< path region in livePaths_
     std::uint32_t length = 0;    ///< the flow's path length
     std::uint32_t capacity = 0;  ///< the region's length
@@ -238,9 +237,18 @@ class RateSampler : public FluidObserver {
   std::span<const ResourceIndex> livePath(const LiveFlow& flow) const {
     return {livePaths_.data() + flow.offset, flow.length};
   }
-  FlowIdMap liveIds_;
+  /// The entry of live flow `id`, or null (an unknown or finished flow).
+  LiveFlow* findLive(FlowId id);
+  /// Flows by fluid slot: the stored id tells the live flow from an earlier
+  /// occupant of the slot (the fluid reuses a slot only after every
+  /// observer saw its flow end).
   std::vector<LiveFlow> liveFlows_;
-  std::vector<std::uint32_t> freeLiveSlots_;
+  /// Zero-byte flows, which occupy no fluid slot and live for one instant:
+  /// the first instantCount_ entries, scanned linearly.  Entries past the
+  /// count are free and keep their path regions.
+  std::vector<LiveFlow> instantFlows_;
+  std::size_t instantCount_ = 0;
+  std::size_t liveCount_ = 0;
   std::vector<ResourceIndex> livePaths_;
   /// Crossing flows per resource; like resourceRate_, maintained per event
   /// and grown to the highest resource a tracked link or flow uses.

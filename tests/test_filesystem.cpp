@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -425,6 +426,85 @@ TEST(FileSystem, CheckEntryOfAResolvedOpIsANoOpOnItsSlotsNextOccupant) {
   fluid.run();
   EXPECT_TRUE(secondDone);
   EXPECT_EQ(fs.inFlightChunks(), 0u);
+}
+
+/// What a single-copy mirrored write reports after a plain write whose
+/// chunk ops were hedged, timed out and retried.
+struct AfterDirtyOps {
+  HedgeStats dirtyHedges;
+  ClientFaultStats dirtyFaults;
+  HedgeStats hedges;
+  ClientFaultStats faults;
+  MirrorStats mirror;
+  double cleanDone = -1.0;
+};
+
+/// `trim`: drop the op slabs' blocks between the two writes, so the second
+/// write's ops are fresh entries instead of the first write's.
+AfterDirtyOps writeAfterDirtyOps(bool trim) {
+  sim::FluidSimulator fluid;
+  BeegfsParams params;
+  params.faults.mode = ClientFaultPolicy::Mode::kDegraded;
+  params.faults.ioTimeout = 0.05;
+  params.hedge.enabled = true;
+  params.hedge.deadline = 0.1;
+  params.mirror.enabled = true;
+  params.mirror.groups = {{5, 1}, {6, 3}};
+  params.defaultStripe.mirror = true;
+  Deployment deployment(fluid, quietCluster(), params, util::Rng(1));
+  FileSystem fs(deployment, util::Rng(2));
+  // The secondaries are down, so the mirrored write is single-copy: its ops
+  // complete on their primary leg alone.
+  deployment.mgmt().setTargetOnline(1, false);
+  deployment.mgmt().setTargetOnline(3, false);
+  // Target 0 serves at rate 0 while online (its chunk is hedged); target 2
+  // crashes (its chunk times out and is retried or failed over).
+  faults::FaultInjector injector(
+      deployment, faults::parseSchedule("slow:t0@0=0;off:t2@0.001;slow:t0@0.5=1;on:t2@0.6"));
+  injector.arm();
+  const auto dirty = fs.createPinned("/dirty", {0, 2}, 512_KiB);
+  const auto clean = fs.createPinned("/clean", {5, 6}, 512_KiB);
+  AfterDirtyOps out;
+  fs.writeAsync(0, dirty, 0, 64_MiB, 4.0, [&](util::Seconds) {
+    out.dirtyHedges = fs.hedgeStats();
+    out.dirtyFaults = fs.faultStats();
+    fluid.engine().scheduleAfter(0.0, [&] {
+      EXPECT_EQ(fs.inFlightChunks(), 0u);
+      if (trim) {
+        const auto token = std::make_shared<int>(0);
+        fs.hold(token);
+        fs.release(token.get());  // nothing in flight: trims the slabs
+      }
+      fs.writeAsync(1, clean, 0, 4_MiB, 4.0, [&](util::Seconds at) { out.cleanDone = at; });
+    });
+  });
+  fluid.run();
+  out.hedges = fs.hedgeStats();
+  out.faults = fs.faultStats();
+  out.mirror = fs.mirrorStats();
+  return out;
+}
+
+TEST(FileSystem, RecycledChunkOpBehavesLikeAFreshOne) {
+  // A new op in a reused slab entry starts from what the entry's last op
+  // left (failure time, legs, completion rule, hedge tracking); only the
+  // fields a new op reads are reset.  The mirrored write that reuses the
+  // entries of a hedged, timed-out and retried write must behave exactly
+  // like the same write on fresh entries.
+  const auto recycled = writeAfterDirtyOps(false);
+  const auto fresh = writeAfterDirtyOps(true);
+  ASSERT_GE(recycled.dirtyHedges.hedgesIssued, 1u);
+  ASSERT_GE(recycled.dirtyFaults.timeouts, 1u);
+  ASSERT_GT(recycled.dirtyFaults.degradedTime, 0.0);
+  ASSERT_GT(recycled.cleanDone, 0.0);
+  EXPECT_EQ(recycled.cleanDone, fresh.cleanDone);
+  EXPECT_EQ(recycled.faults, fresh.faults);
+  EXPECT_EQ(recycled.hedges, fresh.hedges);
+  EXPECT_EQ(recycled.mirror, fresh.mirror);
+  EXPECT_EQ(recycled.mirror.replicaFlows, 0u);
+  // The mirrored write failed nothing and hedged nothing.
+  EXPECT_EQ(recycled.faults, recycled.dirtyFaults);
+  EXPECT_EQ(recycled.hedges, recycled.dirtyHedges);
 }
 
 }  // namespace

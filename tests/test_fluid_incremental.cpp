@@ -690,14 +690,16 @@ class ClassOracle : public FluidObserver {
     std::vector<SolverResource> res(resources_);
     for (std::size_t r = 0; r < resources_; ++r) res[r].capacity = capacityAt_(r, at);
     std::vector<SolverFlow> flows;
-    for (const auto& [id, key] : live) {
+    for (const auto& [value, flow] : live) {
+      const auto& key = flow.key;
       flows.push_back(SolverFlow{std::get<0>(key), std::get<2>(key), std::get<1>(key)});
     }
     const auto expect = solveMaxMin(res, flows).rates;
     std::map<ClassKey, double> classRate;
     std::size_t i = 0;
-    for (const auto& [id, key] : live) {
-      const double got = fluid_.flowRate(FlowId{id});
+    for (const auto& [id, flow] : live) {
+      const auto& key = flow.key;
+      const double got = fluid_.flowRate(flow.id);
       EXPECT_NEAR(got, expect[i], 1e-9 * std::max(1.0, expect[i])) << "flow #" << id;
       const auto [it, first] = classRate.emplace(key, got);
       if (!first) {
@@ -712,7 +714,12 @@ class ClassOracle : public FluidObserver {
   void onFlowCompleted(const FlowStats& stats) override { live.erase(stats.id.value); }
   void onFlowCancelled(const FlowStats& stats) override { live.erase(stats.id.value); }
 
-  std::map<std::uint64_t, ClassKey> live;  // filled by whoever starts flows
+  /// A live flow: the id startFlow returned and its class key.
+  struct LiveFlow {
+    FlowId id;
+    ClassKey key;
+  };
+  std::map<std::uint64_t, LiveFlow> live;  // by FlowId::value; filled by whoever starts flows
   std::size_t checks = 0;
 
  private:
@@ -763,7 +770,7 @@ TEST(FlowClasses, RatesMatchPerFlowSolveUnderChurn) {
                       .onComplete = nullptr};
         for (const auto r : path) spec.path.push_back(res[r]);
         const auto id = fluid.startFlow(std::move(spec));
-        oracle.live.emplace(id.value, ClassKey{path, weight, cap});
+        oracle.live.emplace(id.value, ClassOracle::LiveFlow{id, ClassKey{path, weight, cap}});
         ++started;
       });
     }
@@ -772,7 +779,7 @@ TEST(FlowClasses, RatesMatchPerFlowSolveUnderChurn) {
         if (oracle.live.empty()) return;
         auto it = oracle.live.begin();
         std::advance(it, static_cast<std::ptrdiff_t>(pick(oracle.live.size())));
-        ASSERT_TRUE(fluid.cancelFlow(FlowId{it->first}).has_value());
+        ASSERT_TRUE(fluid.cancelFlow(it->second.id).has_value());
         ++cancelled;
       });
     }

@@ -416,6 +416,111 @@ TEST(RateSampler, LinkRatesMatchTheFluidUnderChurn) {
   EXPECT_EQ(sampler.idleSamples(), 0u);
 }
 
+TEST(RateSampler, SlotReuseAcrossTheDrainKeepsLinkRatesExact) {
+  // Batches of same-class flows finish at one instant, and each completion
+  // callback starts the next flow inside the same drain, so the new flows
+  // take slots whose earlier flows the drain has not yet reported to every
+  // observer.  The sampled link rates and flow counts must still be those
+  // the fluid reports, read by a probe event at every grid point, and a
+  // finished flow's id must stay dead once a new flow holds its slot.
+  FluidSimulator fluid;
+  const std::vector<ResourceIndex> nics = {
+      fluid.addResource(ResourceSpec{"srv0", constantCapacity(150.0)}),
+      fluid.addResource(ResourceSpec{"srv1", constantCapacity(170.0)})};
+  const std::vector<ResourceIndex> clients = {
+      fluid.addResource(ResourceSpec{"cli0", constantCapacity(120.0)}),
+      fluid.addResource(ResourceSpec{"cli1", constantCapacity(90.0)})};
+  RateSampler sampler(fluid);
+  constexpr util::Seconds kDt = 0.25;
+  sampler.setMetricsInterval(kDt);
+  for (const auto nic : nics) sampler.trackLink(nic);
+  std::vector<MetricsSample> samples;
+  sampler.setSampleListener([&samples](const MetricsSample& s) { samples.push_back(s); });
+
+  struct Started {
+    FlowId id;
+    std::vector<ResourceIndex> path;
+  };
+  std::vector<Started> flows;
+  const std::vector<std::vector<ResourceIndex>> paths = {{clients[0], nics[0]},
+                                                         {clients[1], nics[1]},
+                                                         {clients[0], nics[1]}};
+  // Flow of batch `gen` on paths[p]; its completion starts batch gen + 1 on
+  // the next path (every batch member the same size, so a batch finishes at
+  // one instant) and, every other batch, a zero-byte flow alongside.
+  std::function<void(int, std::size_t)> start = [&](int gen, std::size_t p) {
+    const auto bytes = static_cast<util::Bytes>(20 + 9 * gen) * 1_MiB;
+    const auto id = fluid.startFlow(paths[p], bytes, 1.0, 0.0, [&, gen, p](const FlowStats&) {
+      if (gen + 1 >= 6) return;
+      start(gen + 1, (p + 1) % paths.size());
+      if (gen % 2 == 0) {
+        const auto instant = fluid.startFlow(paths[p], 0, 1.0, 0.0, nullptr);
+        flows.push_back({instant, paths[p]});
+      }
+    });
+    flows.push_back({id, paths[p]});
+  };
+  fluid.engine().scheduleAfter(0.07, [&] {
+    for (int i = 0; i < 4; ++i) start(0, 0);
+    for (int i = 0; i < 3; ++i) start(0, 1);
+  });
+
+  struct Probe {
+    SimTime time = 0.0;
+    std::size_t active = 0;
+    std::vector<double> rates;
+    std::vector<std::uint32_t> counts;
+  };
+  std::vector<Probe> probes;
+  std::size_t reusedSlotChecks = 0;
+  SimTime t = kDt;  // the sampler's grid: attach time 0, repeated += dt
+  for (int k = 0; k < 80; ++k, t += kDt) {
+    fluid.engine().scheduleAfter(t, [&, t] {
+      Probe probe{t, 0, std::vector<double>(nics.size(), 0.0),
+                  std::vector<std::uint32_t>(nics.size(), 0)};
+      for (const auto& flow : flows) {
+        if (!fluid.flowActive(flow.id)) {
+          const auto holder = std::find_if(flows.begin(), flows.end(), [&](const Started& f) {
+            return f.id.slot == flow.id.slot && fluid.flowActive(f.id);
+          });
+          if (holder == flows.end()) continue;
+          // A stale id whose slot a live flow now holds names nothing.
+          EXPECT_EQ(fluid.flowRate(flow.id), 0.0) << "flow #" << flow.id.value;
+          EXPECT_FALSE(fluid.cancelFlow(flow.id).has_value()) << "flow #" << flow.id.value;
+          EXPECT_TRUE(fluid.flowActive(holder->id));
+          ++reusedSlotChecks;
+          continue;
+        }
+        ++probe.active;
+        for (std::size_t l = 0; l < nics.size(); ++l) {
+          const auto crosses = [&](ResourceIndex r) { return r.value == nics[l].value; };
+          if (std::none_of(flow.path.begin(), flow.path.end(), crosses)) continue;
+          probe.rates[l] += fluid.flowRate(flow.id);
+          ++probe.counts[l];
+        }
+      }
+      probes.push_back(std::move(probe));
+    });
+  }
+  fluid.run();
+
+  ASSERT_EQ(flows.size(), 7u * 6 + 7u * 3);  // 7 chains of 6 flows, 3 zero-byte flows each
+  EXPECT_GT(reusedSlotChecks, 10u);
+  ASSERT_GE(samples.size(), 8u);
+  ASSERT_LE(samples.size(), probes.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const auto& sample = samples[i];
+    const auto& probe = probes[i];
+    ASSERT_EQ(sample.time, probe.time);
+    EXPECT_EQ(sample.activeFlows, probe.active) << "t=" << sample.time;
+    for (std::size_t l = 0; l < nics.size(); ++l) {
+      EXPECT_EQ(sample.linkFlows[l], probe.counts[l]) << "t=" << sample.time;
+      EXPECT_NEAR(sample.linkRates[l], probe.rates[l], 1e-9) << "t=" << sample.time;
+    }
+  }
+  EXPECT_EQ(fluid.activeFlows(), 0u);
+}
+
 TEST(RateSampler, IdlePrefixIsCountedNotDispatched) {
   // A run that starts late in virtual time: the grid points before its first
   // flow are counted, never built or dispatched, and the first dispatched

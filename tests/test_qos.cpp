@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_probe.hpp"
 #include "beegfs/deployment.hpp"
 #include "beegfs/filesystem.hpp"
 #include "cli/commands.hpp"
@@ -227,6 +228,57 @@ TEST(QosManager, WaitersResumeInFifoOrderWithoutOvertaking) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 2);
+
+  // FIFO holds across the waiter ring's wrap-around and growth: six
+  // waiters, three of them woken, then ten more queued behind the rest.
+  order.clear();
+  const util::Seconds refilled = fluid.now() + 1.0;
+  fluid.engine().schedule(refilled, [&] {
+    EXPECT_TRUE(manager.admitChunk(0, 2_MiB, nullptr));  // drain the bucket
+    for (int i = 1; i <= 6; ++i) {
+      EXPECT_FALSE(manager.admitChunk(0, 1_MiB, [&order, i] { order.push_back(i); }));
+    }
+  });
+  fluid.engine().runUntil(refilled + 0.35);  // one 1 MiB wake every 0.1 s
+  ASSERT_EQ(order.size(), 3u);
+  for (int i = 7; i <= 16; ++i) {
+    EXPECT_FALSE(manager.admitChunk(0, 1_MiB, [&order, i] { order.push_back(i); }));
+  }
+  EXPECT_EQ(manager.waitingChunks(0), 13u);
+  fluid.run();
+  ASSERT_EQ(order.size(), 16u);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i + 1);
+}
+
+TEST(QosManager, WarmDeferAndWakeCycleAllocatesNothing) {
+  // A burst of chunks beyond the bucket queues behind one another and is
+  // woken one refill at a time.  Once a burst like it has grown the app's
+  // waiter queue (and the engine's event storage), the next one defers and
+  // wakes without a heap allocation.
+  sim::FluidSimulator fluid;
+  qos::QosManager manager(fluid, enabledPolicy());
+  qos::QosAppSpec spec;
+  spec.rate = 10.0;
+  spec.burst = 1_MiB;
+  manager.registerApp(spec, {0});
+  std::size_t resumed = 0;
+  const auto burst = [&] {
+    for (int i = 0; i < 24; ++i) {
+      if (manager.admitChunk(0, 1_MiB, [&resumed] { ++resumed; })) ++resumed;
+    }
+    EXPECT_GT(manager.waitingChunks(0), 20u);
+    fluid.run();
+    EXPECT_EQ(manager.waitingChunks(0), 0u);
+  };
+  burst();  // warm-up
+  std::uint64_t allocations = 0;
+  {
+    test::AllocProbe probe;
+    burst();
+    allocations = probe.count();
+  }
+  EXPECT_EQ(allocations, 0u) << "a warm defer/wake cycle must not allocate";
+  EXPECT_EQ(resumed, 48u);
 }
 
 TEST(QosManager, BorrowCoversADeficitTheOwnBucketCannot) {
