@@ -9,6 +9,7 @@
 // benches also write a BENCH_<name>.json report (writeReport).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -64,8 +65,11 @@ inline void parseArgs(int argc, char** argv) {
                    const char* env = std::getenv("BEESIM_PROGRESS");
                    return env != nullptr && env[0] == '1';
                  }();
-    const auto unused = args.unusedFlags();
-    if (!unused.empty() || !args.positionals().empty()) {
+    const auto names = args.flagNames();
+    const bool unknown = std::any_of(names.begin(), names.end(), [](const std::string& name) {
+      return name != "jobs" && name != "reps" && name != "progress";
+    });
+    if (unknown || !args.positionals().empty()) {
       std::fprintf(stderr, "usage: %s [--jobs N] [--reps N] [--progress]\n", argv[0]);
       std::exit(2);
     }

@@ -35,12 +35,13 @@ double mean(const std::vector<double>& values) {
 
 /// The tracing-overhead yardstick: plain and traced windows alternate for
 /// kTracingRounds rounds, each window repeating runOnce (seeds 7000..7009 in
-/// turn) until at least kTracingWindowSeconds of host time elapsed, and each
-/// side keeps its best (lowest) seconds per run.  Noise only ever slows a
-/// window down, so the minimum is the stable estimator; alternating keeps
-/// slow host drift from landing on one side.
-constexpr std::size_t kTracingRounds = 5;
-constexpr double kTracingWindowSeconds = 0.3;
+/// turn) until at least kTracingWindowSeconds of host time elapsed.  A
+/// round's two windows are adjacent in time, so their traced/plain ratio
+/// cancels the host's speed drift between rounds and between invocations;
+/// the overhead is the median of those ratios.  Each side's best (lowest)
+/// seconds per run is reported next to it.
+constexpr std::size_t kTracingRounds = 15;
+constexpr double kTracingWindowSeconds = 0.1;
 
 /// Host seconds per runOnce under `config`, over one window.
 double secondsPerRun(const harness::RunConfig& config) {
@@ -119,11 +120,15 @@ int main(int argc, char** argv) {
   plain.observe = {};
   double plainSeconds = std::numeric_limits<double>::infinity();
   double tracedSeconds = std::numeric_limits<double>::infinity();
+  std::vector<double> ratios;
   for (std::size_t round = 0; round < kTracingRounds; ++round) {
-    plainSeconds = std::min(plainSeconds, secondsPerRun(plain));
-    tracedSeconds = std::min(tracedSeconds, secondsPerRun(entries.front().config));
+    const double plainRound = secondsPerRun(plain);
+    const double tracedRound = secondsPerRun(entries.front().config);
+    plainSeconds = std::min(plainSeconds, plainRound);
+    tracedSeconds = std::min(tracedSeconds, tracedRound);
+    ratios.push_back(tracedRound / plainRound);
   }
-  const double overhead = tracedSeconds / plainSeconds - 1.0;
+  const double overhead = stats::summarize(ratios).median - 1.0;
 
   // Traced and untraced runs must agree bitwise: the tracer only listens.
   const auto plainRecord = harness::runOnce(plain, 4242);

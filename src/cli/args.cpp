@@ -36,7 +36,6 @@ Args::Args(std::vector<std::string> tokens, std::vector<std::string> booleanFlag
 }
 
 std::optional<std::string> Args::get(const std::string& name) const {
-  used_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return std::nullopt;
   return it->second;
@@ -123,12 +122,10 @@ bool Args::getBool(const std::string& name) const {
                           "' is not a boolean (use true/1/yes or false/0/no)");
 }
 
-std::vector<std::string> Args::unusedFlags() const {
-  std::vector<std::string> unused;
-  for (const auto& [name, _] : values_) {
-    if (!used_.count(name)) unused.push_back("--" + name);
-  }
-  return unused;
+std::vector<std::string> Args::flagNames() const {
+  std::vector<std::string> names;
+  for (const auto& [name, _] : values_) names.push_back(name);
+  return names;
 }
 
 }  // namespace beesim::cli

@@ -1,8 +1,7 @@
 // Tiny command-line argument parser for the beesim CLI.
 //
 // Supports `--flag value`, `--flag=value` and boolean `--flag`; collects
-// positionals; knows which flags were consumed so unknown flags can be
-// reported.  Deliberately minimal -- no dependency, easily testable.
+// positionals.  Deliberately minimal -- no dependency, easily testable.
 #pragma once
 
 #include <map>
@@ -45,14 +44,12 @@ class Args {
 
   const std::vector<std::string>& positionals() const { return positionals_; }
 
-  /// Flags that were supplied but never queried -- call after all `get`s to
-  /// reject typos.  (Queries are tracked by a mutable used-set.)
-  std::vector<std::string> unusedFlags() const;
+  /// Names of the supplied flags (without "--"), sorted.
+  std::vector<std::string> flagNames() const;
 
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positionals_;
-  mutable std::map<std::string, bool> used_;
 };
 
 }  // namespace beesim::cli

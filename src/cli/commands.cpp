@@ -1,10 +1,12 @@
 #include "cli/commands.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <optional>
+#include <sstream>
 
-#include "control/health.hpp"
-#include "control/rebalance.hpp"
 #include "core/advisor.hpp"
 #include "core/allocation.hpp"
 #include "core/analytic.hpp"
@@ -12,7 +14,6 @@
 #include "harness/campaign.hpp"
 #include "harness/concurrent.hpp"
 #include "ior/options.hpp"
-#include "qos/manager.hpp"
 #include "stats/plot.hpp"
 #include "stats/summary.hpp"
 #include "topology/catalyst.hpp"
@@ -27,27 +28,228 @@ namespace {
 
 using namespace beesim::util::literals;
 
-/// A count flag that must be >= 1 (--nodes, --reps, ...).  getUnsigned
-/// rejects negatives, so "--nodes=-1" cannot wrap to a huge size_t.
-std::size_t getCount(const Args& args, const std::string& name, std::size_t fallback) {
-  const auto value = args.getUnsigned(name, fallback);
-  if (value == 0) throw util::ConfigError("--" + name + " must be >= 1");
-  return value;
+// Command bits of FlagSpec::commands, in kCommandNames order.
+constexpr unsigned kDescribe = 1u << 0;
+constexpr unsigned kRun = 1u << 1;
+constexpr unsigned kSweep = 1u << 2;
+constexpr unsigned kConcurrent = 1u << 3;
+constexpr unsigned kExportCluster = 1u << 4;
+constexpr unsigned kAll = kDescribe | kRun | kSweep | kConcurrent | kExportCluster;
+constexpr unsigned kCampaigns = kRun | kSweep | kConcurrent;
+constexpr unsigned kRunConcurrent = kRun | kConcurrent;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr FlagRange kAny{};
+constexpr FlagRange kNonNegative{0};
+constexpr FlagRange kCount{1};
+constexpr FlagRange kPositive{0, kInf, true};
+constexpr FlagRange kFraction{0, 1, true};
+
+}  // namespace
+
+const std::vector<FlagSpec>& flagTable() {
+  using enum FlagKind;
+  static const std::vector<FlagSpec> table{
+      {"cluster", kAll, kText, "plafrim1|plafrim2|catalyst|FILE.json", kAny, {},
+       "cluster factory or cluster file (default plafrim2)"},
+      {"nodes", kAll, kInt, "N", kCount, {},
+       "compute nodes (default 16; concurrent: apps x nodes-per-app)"},
+      {"seed", kCampaigns, kInt, "S", kNonNegative, {}, "root RNG seed (default 2022)"},
+      {"jobs", kCampaigns, kInt, "N", kNonNegative, {},
+       "worker threads (default $BEESIM_JOBS or 1; 0 = all cores); same output"},
+      {"progress", kCampaigns, kSwitch, "", kAny, {},
+       "live status line on stderr (runs done, ETA, slowest config)"},
+      {"apps", kConcurrent, kInt, "N", kCount, {}, "concurrent applications (default 2)"},
+      {"nodes-per-app", kConcurrent, kInt, "N", kCount, {}, "nodes per application (default 8)"},
+      {"ppn", kCampaigns, kInt, "N", {1, 1 << 20}, {}, "processes per node (default 8)"},
+      {"stripe", kRunConcurrent, kInt, "N", kCount, {},
+       "stripe count, at most the cluster's target count (default 4)"},
+      {"total", kCampaigns, kBytes, "BYTES", kPositive, {},
+       "data per run, per application for concurrent (default 32GiB)"},
+      {"chooser", kCampaigns, kText, "rr|random|balanced|rr-interleaved", kAny, {},
+       "storage target chooser (default rr)"},
+      {"reps", kCampaigns, kInt, "N", kCount, {},
+       "repetitions (default 10; sweep: 30 per stripe count)"},
+      {"pattern", kRun, kText, "n1|nn", kAny, {},
+       "one shared file (default) or one file per process"},
+      {"op", kRun, kText, "write|read", kAny, {}, "IOR phase (default write)"},
+      {"trace", kRun, kText, "FILE.jsonl", kAny, {},
+       "JSONL flow timeline of the campaign's first planned run"},
+      {"trace-out", kRun, kText, "FILE.json", kAny, {},
+       "Chrome-trace/Perfetto export of that run (flows + rate/link tracks)"},
+      {"trace-format", kRun, kText, "full|ring", kAny, {"trace", "trace-out"},
+       "exact FlowTracer (default) or bounded-memory ring sink (cheap at scale)"},
+      {"trace-ring-cap", kRun, kInt, "N", {1, 1 << 26}, {},
+       "ring size in 40-byte records (default 1048576; needs ring format)"},
+      {"metrics-out", kRun, kText, "FILE.csv", kAny, {},
+       "virtual-time metrics series (aggregate and per-server link MiB/s)"},
+      {"metrics-dt", kRun, kReal, "S", kPositive, {},
+       "sampling interval (default 0.1; needs --metrics-out or full --trace-out)"},
+      {"faults", kRun, kText, "EVENTS", kAny, {},
+       "e.g. \"off:t3@30;on:t3@90;off:h1@60;link:h0@40=0.5;slow:t2@20=0.1\""},
+      {"fault-mode", kRun, kText, "strict|degraded|none", kAny, {},
+       "client fault policy (default degraded with any fault source)"},
+      {"io-timeout", kRun, kReal, "S", kPositive, {},
+       "chunk timeout before a retry (default 5; needs a fault mode)"},
+      {"mttf", kRun, kReal, "S", kPositive, {}, "stochastic target failures: mean time to fail"},
+      {"mttr", kRun, kReal, "S", kPositive, {"mttf"}, "mean time to repair (default mttf/10)"},
+      {"fault-horizon", kRun, kReal, "S", kPositive, {"mttf", "fail-slow"},
+       "seconds of stochastic faults drawn (default 120)"},
+      {"fail-slow", kRun, kReal, "S", kPositive, {},
+       "stochastic gray failures: mean seconds between episodes per target"},
+      {"fail-slow-mttr", kRun, kReal, "S", kPositive, {"fail-slow"},
+       "mean episode duration (default fail-slow/10)"},
+      {"fail-slow-severity", kRun, kReal, "F", {0, 1}, {"fail-slow"},
+       "worst rate multiplier drawn per episode (default 0.25; 0 = dead)"},
+      {"mirror", kRun, kSwitch, "", kAny, {},
+       "stripe over buddy-mirror groups (synchronous replication, failover)"},
+      {"resync-rate", kRun, kReal, "MiBps", kPositive, {"mirror"},
+       "cap background resync flows (default uncapped)"},
+      {"rebalance", kCampaigns, kSwitch, "", kAny, {},
+       "closed-loop rebalancing: steer creates and migrate chunks to cold servers"},
+      {"rebalance-threshold", kCampaigns, kReal, "X", {1, kInf, true}, {"rebalance"},
+       "engage at link imbalance >= X (default 1.25)"},
+      {"rebalance-patience", kCampaigns, kInt, "N", {1, 1'000'000}, {"rebalance"},
+       "consecutive samples over threshold before acting (default 3)"},
+      {"rebalance-rate", kCampaigns, kReal, "MiBps", kPositive, {"rebalance"},
+       "cap each background migration flow (default uncapped)"},
+      {"qos", kRunConcurrent, kSwitch, "", kAny, {"qos-rate"},
+       "per-application token-bucket bandwidth control on writes"},
+      {"qos-rate", kRunConcurrent, kReal, "MiBps", kPositive, {"qos"},
+       "reserved sustained rate per application"},
+      {"qos-burst", kRunConcurrent, kBytes, "BYTES", kPositive, {"qos"},
+       "bucket depth (default: one second at --qos-rate)"},
+      {"qos-borrow", kRunConcurrent, kSwitch, "", kAny, {"qos"},
+       "let idle applications lend unused tokens (AdapTBF-style)"},
+      {"suspect-ratio", kRunConcurrent, kReal, "R", kFraction, {},
+       "quarantine a server whose throughput stays below R x the peer median"},
+      {"suspect-patience", kRunConcurrent, kReal, "S", kPositive, {"suspect-ratio"},
+       "seconds below the ratio before quarantine (default 1.0)"},
+      {"hedge", kRunConcurrent, kSwitch, "", kAny, {},
+       "resend stalled write chunks to an alternate target"},
+      {"hedge-deadline", kRunConcurrent, kReal, "S", kPositive, {"hedge"},
+       "stall check interval (default 1.0)"},
+      {"hedge-ratio", kRunConcurrent, kReal, "R", kFraction, {"hedge"},
+       "hedge a chunk below R x the peer median rate (default 0.25)"},
+      {"mdts", kRunConcurrent, kInt, "N", {1, 4096}, {},
+       "metadata targets; any metadata flag arms the queued MDT model"},
+      {"meta-rate", kRunConcurrent, kReal, "OPS", kPositive, {},
+       "per-MDT create rate (default 2500; open/stat/unlink scale)"},
+      {"md-shard", kRunConcurrent, kText, "hash|rr", kAny, {},
+       "directory-to-MDT sharding (default hash of the parent dir)"},
+      {"md-ops", kRunConcurrent, kInt, "N", {1, 1 << 20}, {},
+       "mdtest phase after the bandwidth phase: N files per rank"},
+      {"out", kExportCluster, kText, "FILE", kAny, {}, "write the JSON to FILE, not stdout"},
+  };
+  return table;
 }
 
-/// Resolve the --cluster flag: a factory name or a JSON file path.
-topo::ClusterConfig resolveCluster(const Args& args) {
+namespace {
+
+const FlagSpec* findFlag(std::string_view name) {
+  for (const auto& flag : flagTable()) {
+    if (flag.name == name) return &flag;
+  }
+  return nullptr;
+}
+
+/// A switch is set when true; any other flag when supplied.
+bool isSet(const Args& args, const FlagSpec& flag) {
+  const std::string name(flag.name);
+  return flag.kind == FlagKind::kSwitch ? args.getBool(name) : args.get(name).has_value();
+}
+
+std::string number(double value) {
+  std::ostringstream text;
+  text.precision(15);
+  text << value;
+  return text.str();
+}
+
+/// "> 0", ">= 1", "in (0, 1)"; empty for an unbounded flag.
+std::string rangeText(const FlagRange& range) {
+  if (std::isinf(range.hi)) {
+    if (std::isinf(range.lo)) return "";
+    return std::string(range.open ? "> " : ">= ") + number(range.lo);
+  }
+  return std::string(range.open ? "in (" : "in [") + number(range.lo) + ", " +
+         number(range.hi) + (range.open ? ")" : "]");
+}
+
+/// Parses a supplied flag by its kind and rejects a value outside its range.
+void checkValue(const Args& args, const FlagSpec& flag) {
+  const std::string name(flag.name);
+  double value = 0.0;
+  switch (flag.kind) {
+    case FlagKind::kSwitch:
+      (void)args.getBool(name);
+      return;
+    case FlagKind::kText:
+      return;
+    case FlagKind::kInt:
+      value = static_cast<double>(args.getInt(name, 0));
+      break;
+    case FlagKind::kReal:
+      value = args.getDouble(name, 0.0);
+      break;
+    case FlagKind::kBytes:
+      value = static_cast<double>(args.getBytes(name, 0));
+      break;
+  }
+  const auto& range = flag.range;
+  const bool inside = range.open ? range.lo < value && value < range.hi
+                                 : range.lo <= value && value <= range.hi;
+  if (!inside) {
+    throw util::ConfigError("--" + name + " must " + (std::isinf(range.hi) ? "be " : "lie ") +
+                            rangeText(range));
+  }
+}
+
+/// The table's checks for `command`, before any reader runs: unknown flags,
+/// stray arguments, each supplied flag's value, then each set flag's gate.
+void checkFlags(const Args& args, unsigned command) {
+  std::string unknown;
+  for (const auto& name : args.flagNames()) {
+    const auto* flag = findFlag(name);
+    if (!flag || !(flag->commands & command)) unknown += (unknown.empty() ? "--" : ", --") + name;
+  }
+  if (!unknown.empty()) throw util::ConfigError("unknown flag(s): " + unknown);
+  if (const auto& stray = args.positionals(); !stray.empty()) {
+    throw util::ConfigError("unexpected argument '" + stray.front() + "'");
+  }
+  for (const auto& flag : flagTable()) {
+    if (args.get(std::string(flag.name))) checkValue(args, flag);
+  }
+  const auto gateSet = [&](std::string_view gate) { return isSet(args, *findFlag(gate)); };
+  for (const auto& flag : flagTable()) {
+    if (flag.gate.empty() || !isSet(args, flag) ||
+        std::any_of(flag.gate.begin(), flag.gate.end(), gateSet)) {
+      continue;
+    }
+    std::string needs;
+    for (const auto gate : flag.gate) needs.append(needs.empty() ? "--" : " or --").append(gate);
+    throw util::ConfigError(std::string("--").append(flag.name) + " requires " + needs);
+  }
+}
+
+/// Resolve --cluster, a factory name or a cluster file, at --nodes compute
+/// nodes, else at `defaultNodes`.  A node count from either resizes a
+/// file-described cluster by cloning its first node; with neither, a
+/// factory builds 16 nodes and a file keeps its own.
+topo::ClusterConfig resolveCluster(const Args& args,
+                                   std::optional<std::size_t> defaultNodes = std::nullopt) {
   const auto name = args.getString("cluster", "plafrim2");
-  const auto nodes = getCount(args, "nodes", 16);
-  if (name == "plafrim1") return topo::makePlafrim(topo::Scenario::kEthernet10G, nodes);
-  if (name == "plafrim2") return topo::makePlafrim(topo::Scenario::kOmniPath100G, nodes);
-  if (name == "catalyst") return topo::makeCatalystLike(nodes);
+  auto nodes = defaultNodes;
+  if (args.get("nodes")) nodes = args.getUnsigned("nodes", 0);
+  const auto count = nodes.value_or(16);
+  if (name == "plafrim1") return topo::makePlafrim(topo::Scenario::kEthernet10G, count);
+  if (name == "plafrim2") return topo::makePlafrim(topo::Scenario::kOmniPath100G, count);
+  if (name == "catalyst") return topo::makeCatalystLike(count);
   auto cluster = topo::loadCluster(name);
-  // --nodes can resize a file-described cluster by cloning its first node.
-  if (args.get("nodes")) {
+  if (nodes) {
     if (cluster.nodes.empty()) throw util::ConfigError("cluster file has no nodes");
     auto prototype = cluster.nodes.front();
-    cluster.nodes.resize(nodes, prototype);
+    cluster.nodes.resize(count, prototype);
     for (std::size_t n = 0; n < cluster.nodes.size(); ++n) {
       cluster.nodes[n].name = cluster.name + "-node" + std::to_string(n);
     }
@@ -63,137 +265,44 @@ beegfs::ChooserKind chooserFromFlag(const std::string& flag) {
   throw util::ConfigError("--chooser must be rr|random|balanced|rr-interleaved");
 }
 
-/// Common run-config assembly for run/sweep/concurrent.
+/// Common run-config assembly for run/sweep/concurrent: the chooser and the
+/// optional features (DESIGN.md §2.6, §2.8-§2.10).  A flag the command does
+/// not take was rejected by checkFlags, so its feature keeps its default.
 harness::RunConfig baseConfig(const Args& args, const topo::ClusterConfig& cluster) {
   harness::RunConfig config;
   config.cluster = cluster;
   config.fs.chooser = chooserFromFlag(args.getString("chooser", "rr"));
-  return config;
-}
-
-/// Shared --rebalance* handling: the closed-loop rebalancing controller
-/// (DESIGN.md §2.6).  Tuning knobs without the master switch are rejected as
-/// likely typos, mirroring the fault-flag conventions.
-control::RebalancePolicy rebalancePolicy(const Args& args) {
-  control::RebalancePolicy policy;
-  policy.enabled = args.getBool("rebalance");
-  const auto threshold = args.getDouble("rebalance-threshold", policy.threshold);
-  const auto rate = args.getDouble("rebalance-rate", 0.0);
-  const auto patience =
-      static_cast<int>(args.getInt("rebalance-patience", policy.patience, 1, 1'000'000));
-  if (!policy.enabled) {
-    if (args.get("rebalance-threshold") || args.get("rebalance-rate") ||
-        args.get("rebalance-patience")) {
-      throw util::ConfigError("--rebalance-threshold/-rate/-patience require --rebalance");
-    }
-    return policy;
+  auto& rebalance = config.rebalance;
+  rebalance.enabled = args.getBool("rebalance");
+  rebalance.threshold = args.getDouble("rebalance-threshold", rebalance.threshold);
+  rebalance.migrationRate = args.getDouble("rebalance-rate", rebalance.migrationRate);
+  rebalance.patience = static_cast<int>(args.getInt("rebalance-patience", rebalance.patience));
+  auto& qos = config.qos;
+  qos.enabled = args.getBool("qos");
+  qos.rate = args.getDouble("qos-rate", qos.rate);
+  qos.burst = args.getBytes("qos-burst", qos.burst);
+  qos.borrow = args.getBool("qos-borrow");
+  auto& health = config.health;  // armed by --suspect-ratio
+  health.enabled = args.get("suspect-ratio").has_value();
+  health.suspectRatio = args.getDouble("suspect-ratio", health.suspectRatio);
+  health.suspectPatience = args.getDouble("suspect-patience", health.suspectPatience);
+  auto& hedge = config.fs.hedge;
+  hedge.enabled = args.getBool("hedge");
+  hedge.deadline = args.getDouble("hedge-deadline", hedge.deadline);
+  hedge.lagRatio = args.getDouble("hedge-ratio", hedge.lagRatio);
+  // Any metadata flag switches the run from the legacy scalar-latency path
+  // to the queued MDT service model; with none of them passed nothing is
+  // touched, so default runs keep their exact legacy bytes.
+  if (!args.get("mdts") && !args.get("meta-rate") && !args.get("md-shard") &&
+      !args.get("md-ops")) {
+    return config;
   }
-  if (threshold <= 1.0) {
-    throw util::ConfigError("--rebalance-threshold must be > 1 (1 = perfectly balanced)");
-  }
-  if (args.get("rebalance-rate") && rate <= 0.0) {
-    throw util::ConfigError(
-        "--rebalance-rate must be > 0 (omit the flag for uncapped migrations)");
-  }
-  policy.threshold = threshold;
-  policy.migrationRate = rate;
-  policy.patience = patience;
-  return policy;
-}
-
-/// Shared --qos* handling: multi-tenant token-bucket bandwidth control
-/// (DESIGN.md §2.8).  Tuning knobs without the master switch are rejected as
-/// likely typos, mirroring the fault/rebalance flag conventions.
-qos::QosPolicy qosPolicy(const Args& args) {
-  qos::QosPolicy policy;
-  policy.enabled = args.getBool("qos");
-  const auto rate = args.getDouble("qos-rate", 0.0);
-  const auto burst = args.getBytes("qos-burst", 0);
-  policy.borrow = args.getBool("qos-borrow");
-  if (!policy.enabled) {
-    if (args.get("qos-rate") || args.get("qos-burst") || policy.borrow) {
-      throw util::ConfigError("--qos-rate/--qos-burst/--qos-borrow require --qos");
-    }
-    return policy;
-  }
-  if (!args.get("qos-rate")) {
-    throw util::ConfigError("--qos requires --qos-rate (reserved MiB/s per application)");
-  }
-  if (!std::isfinite(rate) || rate <= 0.0) {
-    throw util::ConfigError("--qos-rate must be finite and > 0 (MiB/s)");
-  }
-  if (args.get("qos-burst") && burst == 0) {
-    throw util::ConfigError("--qos-burst must be > 0 bytes (omit for one second at --qos-rate)");
-  }
-  policy.rate = rate;
-  policy.burst = burst;
-  return policy;
-}
-
-/// Shared --suspect-* handling: the gray-failure health monitor
-/// (DESIGN.md §2.9).  --suspect-ratio is the master switch; the patience
-/// knob without it is rejected as a likely typo.
-control::HealthPolicy healthPolicy(const Args& args) {
-  control::HealthPolicy policy;
-  const auto ratio = args.getDouble("suspect-ratio", 0.0);
-  const auto patience = args.getDouble("suspect-patience", policy.suspectPatience);
-  if (!args.get("suspect-ratio")) {
-    if (args.get("suspect-patience")) {
-      throw util::ConfigError("--suspect-patience requires --suspect-ratio");
-    }
-    return policy;
-  }
-  if (ratio <= 0.0 || ratio >= 1.0) {
-    throw util::ConfigError("--suspect-ratio must lie in (0, 1)");
-  }
-  if (patience <= 0.0) throw util::ConfigError("--suspect-patience must be > 0");
-  policy.enabled = true;
-  policy.suspectRatio = ratio;
-  policy.suspectPatience = patience;
-  return policy;
-}
-
-/// Shared --hedge* handling: hedged writes against fail-slow targets
-/// (DESIGN.md §2.9).  Tuning knobs without the master switch are rejected.
-beegfs::HedgePolicy hedgePolicy(const Args& args) {
-  beegfs::HedgePolicy policy;
-  policy.enabled = args.getBool("hedge");
-  const auto deadline = args.getDouble("hedge-deadline", policy.deadline);
-  const auto ratio = args.getDouble("hedge-ratio", policy.lagRatio);
-  if (!policy.enabled) {
-    if (args.get("hedge-deadline") || args.get("hedge-ratio")) {
-      throw util::ConfigError("--hedge-deadline/--hedge-ratio require --hedge");
-    }
-    return policy;
-  }
-  if (deadline <= 0.0) throw util::ConfigError("--hedge-deadline must be > 0");
-  if (ratio <= 0.0 || ratio >= 1.0) {
-    throw util::ConfigError("--hedge-ratio must lie in (0, 1)");
-  }
-  policy.deadline = deadline;
-  policy.lagRatio = ratio;
-  return policy;
-}
-
-/// Shared --mdts/--meta-rate/--md-shard/--md-ops handling: the queued
-/// metadata model (DESIGN.md §2.10).  Any metadata flag switches the run from
-/// the legacy scalar-latency path to the queued MDT service model; with none
-/// of them passed nothing is touched, so default runs keep their exact
-/// legacy bytes.
-void applyMetadataFlags(const Args& args, harness::RunConfig& config) {
-  const bool any = args.get("mdts") || args.get("meta-rate") || args.get("md-shard") ||
-                   args.get("md-ops");
-  if (!any) return;
   auto& meta = config.fs.meta;
   meta.queued = true;
-  meta.mdtCount = static_cast<unsigned>(args.getInt("mdts", 1, 1, 4096));
-  const auto rate = args.getDouble("meta-rate", meta.createRate);
-  if (!std::isfinite(rate) || rate <= 0.0) {
-    throw util::ConfigError("--meta-rate must be finite and > 0 (create ops/s per MDT)");
-  }
+  meta.mdtCount = static_cast<unsigned>(args.getInt("mdts", 1));
   // The service keeps the default create:open:stat:unlink ratios, so
   // --meta-rate scales the whole profile.
-  meta.createRate = rate;
+  meta.createRate = args.getDouble("meta-rate", meta.createRate);
   const auto shard = args.getString("md-shard", "hash");
   if (shard == "hash") {
     meta.shard = beegfs::MdShardKind::kHashDir;
@@ -204,10 +313,10 @@ void applyMetadataFlags(const Args& args, harness::RunConfig& config) {
   }
   if (args.get("md-ops")) {
     ior::MdtestOptions md;
-    md.filesPerRank =
-        static_cast<std::size_t>(args.getInt("md-ops", md.filesPerRank, 1, 1 << 20));
+    md.filesPerRank = static_cast<std::size_t>(args.getInt("md-ops", md.filesPerRank));
     config.mdtest = md;
   }
+  return config;
 }
 
 /// Shared --jobs/--progress handling: worker count (default BEESIM_JOBS,
@@ -219,20 +328,8 @@ harness::ExecutorOptions executorOptions(const Args& args, const std::string& la
   return exec;
 }
 
-void rejectUnknownFlags(const Args& args) {
-  const auto unused = args.unusedFlags();
-  if (!unused.empty()) {
-    std::string all;
-    for (const auto& f : unused) all += (all.empty() ? "" : ", ") + f;
-    throw util::ConfigError("unknown flag(s): " + all);
-  }
-}
-
-}  // namespace
-
 int cmdDescribe(const Args& args, std::ostream& out) {
   const auto cluster = resolveCluster(args);
-  rejectUnknownFlags(args);
 
   out << "cluster: " << cluster.name << "\n";
   out << "compute nodes: " << cluster.nodes.size() << " (NIC "
@@ -256,13 +353,11 @@ int cmdDescribe(const Args& args, std::ostream& out) {
 int cmdRun(const Args& args, std::ostream& out) {
   const auto cluster = resolveCluster(args);
   auto config = baseConfig(args, cluster);
-  // Bounded parses: the old unchecked static_casts silently truncated
-  // out-of-range input (e.g. --ppn=4294967297 read as ppn 1).
-  const auto ppn = static_cast<int>(args.getInt("ppn", 8, 1, 1 << 20));
+  const auto ppn = static_cast<int>(args.getInt("ppn", 8));
   const auto stripe = static_cast<unsigned>(
       args.getInt("stripe", 4, 1, static_cast<long>(cluster.targetCount())));
   const auto total = args.getBytes("total", 32_GiB);
-  const auto reps = getCount(args, "reps", 10);
+  const auto reps = args.getUnsigned("reps", 10);
   const auto seed = static_cast<std::uint64_t>(args.getUnsigned("seed", 2022));
   const auto pattern = args.getString("pattern", "n1");
   const auto op = args.getString("op", "write");
@@ -271,72 +366,32 @@ int cmdRun(const Args& args, std::ostream& out) {
   trace.traceJsonl = args.getString("trace", "");
   trace.traceChrome = args.getString("trace-out", "");
   const auto traceFormat = args.getString("trace-format", "full");
-  constexpr std::size_t kDefaultRingCapacity = std::size_t{1} << 20;
-  const auto ringCapacity = args.getUnsigned("trace-ring-cap", kDefaultRingCapacity);
   trace.metricsCsv = args.getString("metrics-out", "");
   trace.metricsDt = args.getDouble("metrics-dt", trace.metricsDt);
   const auto faultSpec = args.getString("faults", "");
   const auto faultMode = args.getString("fault-mode", "");
-  const auto ioTimeout = args.getDouble("io-timeout", 5.0);
   const auto mttf = args.getDouble("mttf", 0.0);
   const auto mttr = args.getDouble("mttr", 0.0);
   const auto faultHorizon = args.getDouble("fault-horizon", 120.0);
-  const bool mirror = args.getBool("mirror");
-  const auto resyncRate = args.getDouble("resync-rate", 0.0);
   const auto failSlow = args.getDouble("fail-slow", 0.0);
   const auto failSlowMttr = args.getDouble("fail-slow-mttr", 0.0);
   const auto failSlowSeverity = args.getDouble("fail-slow-severity", 0.25);
-  config.rebalance = rebalancePolicy(args);
-  config.qos = qosPolicy(args);
-  config.health = healthPolicy(args);
-  config.fs.hedge = hedgePolicy(args);
-  applyMetadataFlags(args, config);
   const auto exec = executorOptions(args, "run");
-  rejectUnknownFlags(args);
 
-  // A non-positive duration or rate silently produces empty or degenerate
-  // fault schedules (a 0 MTTF reads as "disabled"); reject them instead.
-  // The duration flags with a meaningful zero default are only checked when
-  // the user passed them.
-  if (ioTimeout <= 0.0) throw util::ConfigError("--io-timeout must be > 0");
-  if (args.get("mttf") && mttf <= 0.0) throw util::ConfigError("--mttf must be > 0");
-  if (args.get("mttr") && mttr <= 0.0) throw util::ConfigError("--mttr must be > 0");
-  if (args.get("fault-horizon") && faultHorizon <= 0.0) {
-    throw util::ConfigError("--fault-horizon must be > 0");
-  }
-  if (args.get("resync-rate") && resyncRate <= 0.0) {
-    throw util::ConfigError("--resync-rate must be > 0 (omit the flag for uncapped resync)");
-  }
-  if (args.get("fail-slow") && failSlow <= 0.0) {
-    throw util::ConfigError("--fail-slow must be > 0 (mean seconds between episodes)");
-  }
-  if (!args.get("fail-slow") && (args.get("fail-slow-mttr") || args.get("fail-slow-severity"))) {
-    throw util::ConfigError("--fail-slow-mttr/--fail-slow-severity require --fail-slow");
-  }
-  if (args.get("fail-slow-mttr") && failSlowMttr <= 0.0) {
-    throw util::ConfigError("--fail-slow-mttr must be > 0");
-  }
-  if (failSlowSeverity < 0.0 || failSlowSeverity > 1.0) {
-    throw util::ConfigError("--fail-slow-severity must lie in [0, 1] (rate-multiplier ceiling)");
-  }
-  if (trace.metricsDt <= 0.0) throw util::ConfigError("--metrics-dt must be > 0");
   if (traceFormat != "full" && traceFormat != "ring") {
     throw util::ConfigError("--trace-format must be full|ring");
   }
   const bool ring = traceFormat == "ring";
-  if (args.get("trace-format") && trace.traceJsonl.empty() && trace.traceChrome.empty()) {
-    throw util::ConfigError("--trace-format requires --trace and/or --trace-out");
-  }
   // Only the metrics CSV and the full-format Chrome trace carry samples.
   if (args.get("metrics-dt") && trace.metricsCsv.empty() &&
       (trace.traceChrome.empty() || ring)) {
     throw util::ConfigError("--metrics-dt requires --metrics-out or a full-format --trace-out");
   }
-  if (args.get("trace-ring-cap")) {
-    if (!ring) throw util::ConfigError("--trace-ring-cap requires --trace-format=ring");
-    if (ringCapacity == 0) throw util::ConfigError("--trace-ring-cap must be >= 1");
+  if (args.get("trace-ring-cap") && !ring) {
+    throw util::ConfigError("--trace-ring-cap requires --trace-format=ring");
   }
-  trace.ringCapacity = ring ? ringCapacity : 0;
+  constexpr std::size_t kDefaultRingCapacity = std::size_t{1} << 20;
+  trace.ringCapacity = ring ? args.getUnsigned("trace-ring-cap", kDefaultRingCapacity) : 0;
 
   config.fs.defaultStripe.stripeCount = stripe;
   config.job = ior::IorJob::onFirstNodes(cluster.nodes.size(), ppn);
@@ -379,15 +434,7 @@ int cmdRun(const Args& args, std::ostream& out) {
   } else if (!faultMode.empty() && faultMode != "none") {
     throw util::ConfigError("--fault-mode must be strict|degraded|none");
   }
-  config.fs.faults.ioTimeout = ioTimeout;
-  // A tuning flag whose feature is off would be parsed and then ignored.
-  if (args.get("mttr") && mttf <= 0.0) throw util::ConfigError("--mttr requires --mttf");
-  if (args.get("fault-horizon") && mttf <= 0.0 && failSlow <= 0.0) {
-    throw util::ConfigError("--fault-horizon requires --mttf or --fail-slow");
-  }
-  if (args.get("resync-rate") && !mirror) {
-    throw util::ConfigError("--resync-rate requires --mirror");
-  }
+  config.fs.faults.ioTimeout = args.getDouble("io-timeout", 5.0);
   // Target and host failures strand chunks that only a client fault policy
   // can recover; slow-only schedules stay legal without one.
   if (faultMode == "none" && (mttf > 0.0 || config.faults.schedule.hasFailures())) {
@@ -404,9 +451,9 @@ int cmdRun(const Args& args, std::ostream& out) {
 
   // Storage buddy mirroring: default cross-host pairing, mirrored striping
   // for every file the run creates.
-  if (mirror) {
+  if (args.getBool("mirror")) {
     config.fs.mirror.enabled = true;
-    config.fs.mirror.resyncRate = resyncRate;
+    config.fs.mirror.resyncRate = args.getDouble("resync-rate", 0.0);
     config.fs.defaultStripe.mirror = true;
   }
 
@@ -491,14 +538,12 @@ int cmdRun(const Args& args, std::ostream& out) {
 
 int cmdSweep(const Args& args, std::ostream& out) {
   const auto cluster = resolveCluster(args);
-  const auto ppn = static_cast<int>(args.getInt("ppn", 8, 1, 1 << 20));
-  const auto reps = getCount(args, "reps", 30);
+  const auto ppn = static_cast<int>(args.getInt("ppn", 8));
+  const auto reps = args.getUnsigned("reps", 30);
   const auto seed = static_cast<std::uint64_t>(args.getUnsigned("seed", 2022));
   const auto total = args.getBytes("total", 32_GiB);
-  auto config = baseConfig(args, cluster);
-  config.rebalance = rebalancePolicy(args);
+  const auto config = baseConfig(args, cluster);
   const auto exec = executorOptions(args, "sweep");
-  rejectUnknownFlags(args);
 
   std::vector<harness::CampaignEntry> entries;
   for (unsigned count = 1; count <= cluster.targetCount(); ++count) {
@@ -543,37 +588,22 @@ int cmdSweep(const Args& args, std::ostream& out) {
 }
 
 int cmdConcurrent(const Args& args, std::ostream& out) {
-  const auto apps = getCount(args, "apps", 2);
-  const auto nodesPerApp = getCount(args, "nodes-per-app", 8);
-
-  topo::ClusterConfig cluster = [&] {
-    if (args.get("nodes")) return resolveCluster(args);
-    // Build with exactly the node count the applications need.
-    std::vector<std::string> tokens{"--nodes", std::to_string(apps * nodesPerApp)};
-    if (const auto c = args.get("cluster")) {
-      tokens.push_back("--cluster");
-      tokens.push_back(*c);
-    }
-    return resolveCluster(Args(tokens));
-  }();
+  const auto apps = args.getUnsigned("apps", 2);
+  const auto nodesPerApp = args.getUnsigned("nodes-per-app", 8);
+  // Without --nodes, exactly the node count the applications need.
+  const auto cluster = resolveCluster(args, apps * nodesPerApp);
   if (cluster.nodes.size() < apps * nodesPerApp) {
     throw util::ConfigError("cluster has fewer nodes than apps * nodes-per-app");
   }
 
   const auto stripe = static_cast<unsigned>(
       args.getInt("stripe", 4, 1, static_cast<long>(cluster.targetCount())));
-  const auto ppn = static_cast<int>(args.getInt("ppn", 8, 1, 1 << 20));
+  const auto ppn = static_cast<int>(args.getInt("ppn", 8));
   const auto total = args.getBytes("total", 32_GiB);
-  const auto reps = getCount(args, "reps", 10);
+  const auto reps = args.getUnsigned("reps", 10);
   const auto seed = static_cast<std::uint64_t>(args.getUnsigned("seed", 2022));
   auto base = baseConfig(args, cluster);
-  base.rebalance = rebalancePolicy(args);
-  base.qos = qosPolicy(args);
-  base.health = healthPolicy(args);
-  base.fs.hedge = hedgePolicy(args);
-  applyMetadataFlags(args, base);
   const auto exec = executorOptions(args, "concurrent");
-  rejectUnknownFlags(args);
   base.fs.defaultStripe.stripeCount = stripe;
 
   // Each repetition is seed-isolated; map them in parallel and fold the
@@ -617,7 +647,6 @@ int cmdConcurrent(const Args& args, std::ostream& out) {
 int cmdExportCluster(const Args& args, std::ostream& out) {
   const auto cluster = resolveCluster(args);
   const auto file = args.getString("out", "");
-  rejectUnknownFlags(args);
   if (file.empty()) {
     out << topo::clusterToJson(cluster);
   } else {
@@ -627,97 +656,49 @@ int cmdExportCluster(const Args& args, std::ostream& out) {
   return 0;
 }
 
+struct Command {
+  int (*run)(const Args&, std::ostream&);
+  std::string_view summary;
+};
+
+/// The commands' code and usage() lines, in kCommandNames order.
+constexpr std::array<Command, kCommandNames.size()> kCommands{{
+    {cmdDescribe, "print the selected topology and analytic bounds"},
+    {cmdRun, "run repeated IOR executions, report bandwidth + allocations"},
+    {cmdSweep, "stripe-count sweep with advisor recommendation"},
+    {cmdConcurrent, "concurrent applications with Eq. 1 aggregate"},
+    {cmdExportCluster, "dump the selected topology as editable JSON"},
+}};
+
+}  // namespace
+
 std::string usage() {
-  return "beesim -- BeeGFS-like storage-target-allocation simulator (CLUSTER'22 study)\n"
-         "\n"
-         "usage: beesim <command> [flags]\n"
-         "\n"
-         "commands:\n"
-         "  describe         print the selected topology and analytic bounds\n"
-         "  run              run repeated IOR executions, report bandwidth + allocations\n"
-         "  sweep            stripe-count sweep with advisor recommendation\n"
-         "  concurrent       concurrent applications with Eq. 1 aggregate\n"
-         "  export-cluster   dump the selected topology as editable JSON\n"
-         "\n"
-         "shared flags:\n"
-         "  --cluster plafrim1|plafrim2|catalyst|FILE.json   (default plafrim2)\n"
-         "  --nodes N   compute nodes (default 16)\n"
-         "  --seed S    root RNG seed (run, sweep, concurrent; default 2022)\n"
-         "  --jobs N    worker threads for repetitions (default $BEESIM_JOBS, else 1;\n"
-         "              0 = all hardware threads; results are identical for any N)\n"
-         "  --progress  live status line on stderr (runs done, ETA, slowest config)\n"
-         "run flags:      --ppn --stripe --total --chooser --reps --pattern n1|nn\n"
-         "                --op write|read --trace FILE.jsonl\n"
-         "                --trace-out FILE.json   Chrome-trace/Perfetto export of one\n"
-         "                            traced run (flows + rate/link counter tracks)\n"
-         "                --trace-format full|ring   full: exact FlowTracer (default);\n"
-         "                            ring: bounded-memory binary record sink, rendered\n"
-         "                            on flush (minimal tracing overhead at scale)\n"
-         "                --trace-ring-cap N      ring capacity in 40-byte records\n"
-         "                            (default 1048576; oldest dropped when full)\n"
-         "                --metrics-out FILE.csv  virtual-time metrics series (aggregate\n"
-         "                            MiB/s, per-server link MiB/s, link imbalance)\n"
-         "                --metrics-dt S          sampling interval (default 0.1; needs\n"
-         "                            --metrics-out or a full-format --trace-out)\n"
-         "                --faults \"off:t3@30;on:t3@90;off:h1@60;link:h0@40=0.5;slow:t2@20=0.1\"\n"
-         "                            (slow:tN@T=F degrades target N to fraction F of its\n"
-         "                            service rate while it stays registered online)\n"
-         "                --fault-mode strict|degraded (default degraded with --faults)\n"
-         "                --io-timeout S (needs a fault mode) --mttf S\n"
-         "                --mttr S (needs --mttf) --fault-horizon S (needs --mttf or\n"
-         "                            --fail-slow)\n"
-         "                --fail-slow S         stochastic gray failures: mean seconds\n"
-         "                            between fail-slow episodes per target\n"
-         "                --fail-slow-mttr S    mean episode duration (default fail-slow/10)\n"
-         "                --fail-slow-severity F  worst-case rate multiplier drawn per\n"
-         "                            episode, in [0,1] (default 0.25; 0 = dead-but-online)\n"
-         "                --mirror    stripe over buddy-mirror groups (synchronous\n"
-         "                            cross-host replication with automatic failover)\n"
-         "                --resync-rate MiBps   cap background resync flows (needs --mirror;\n"
-         "                            default uncapped)\n"
-         "                --rebalance           closed-loop rebalancing: watch per-server\n"
-         "                            rates, bias new creates toward cold servers and\n"
-         "                            migrate hot chunks when imbalance persists\n"
-         "                --rebalance-threshold X   engage at link imbalance >= X (>1,\n"
-         "                            default 1.25; 1 = perfectly balanced)\n"
-         "                --rebalance-patience N    consecutive samples over threshold\n"
-         "                            before acting (default 3)\n"
-         "                --rebalance-rate MiBps    cap each background migration flow\n"
-         "                            (default uncapped)\n"
-         "                --qos                 per-application token-bucket bandwidth\n"
-         "                            control on the write path (DESIGN.md §2.8)\n"
-         "                --qos-rate MiBps      reserved sustained rate per application\n"
-         "                            (required with --qos)\n"
-         "                --qos-burst BYTES     bucket depth (default: one second at\n"
-         "                            --qos-rate; accepts 64m/1g suffixes)\n"
-         "                --qos-borrow          let under-subscribed apps lend unused\n"
-         "                            tokens to over-subscribed ones (AdapTBF-style)\n"
-         "                --suspect-ratio R     enable the gray-failure health monitor:\n"
-         "                            quarantine a server whose throughput EWMA stays\n"
-         "                            below R x the busy-peer median (R in (0,1))\n"
-         "                --suspect-patience S  seconds below the ratio before quarantine\n"
-         "                            (default 1.0; requires --suspect-ratio)\n"
-         "                --hedge               hedge stalled write chunks: re-issue to an\n"
-         "                            alternate target, first finisher wins\n"
-         "                --hedge-deadline S    stall check interval (default 1.0)\n"
-         "                --hedge-ratio R       hedge when a chunk's best leg runs below\n"
-         "                            R x the peer median rate (default 0.25)\n"
-         "                --mdts N              queued metadata model with N metadata\n"
-         "                            targets (any metadata flag switches from the\n"
-         "                            scalar-latency model to queued MDT service)\n"
-         "                --meta-rate OPS       per-MDT create service rate in ops/s\n"
-         "                            (default 2500; open/stat/unlink scale with it)\n"
-         "                --md-shard hash|rr    directory-to-MDT sharding: hash of the\n"
-         "                            parent directory (default) or round-robin\n"
-         "                --md-ops N            append an mdtest-style metadata phase\n"
-         "                            after the bandwidth phase: N files per rank,\n"
-         "                            create/stat/unlink (the IO500 bw-then-md shape)\n"
-         "sweep flags:    --ppn --reps --total --chooser --rebalance*\n"
-         "concurrent:     --apps --nodes-per-app --ppn --stripe --total --reps\n"
-         "                --rebalance* --qos --qos-rate --qos-burst --qos-borrow\n"
-         "                --suspect-ratio --suspect-patience --hedge*\n"
-         "                --mdts --meta-rate --md-shard --md-ops\n"
-         "export-cluster: --out FILE\n";
+  std::string text =
+      "beesim -- BeeGFS-like storage-target-allocation simulator (CLUSTER'22 study)\n"
+      "\n"
+      "usage: beesim <command> [flags]\n"
+      "\n"
+      "commands:\n";
+  for (std::size_t c = 0; c < kCommands.size(); ++c) {
+    std::string name(kCommandNames[c]);
+    name.resize(17, ' ');
+    text.append("  ").append(name).append(kCommands[c].summary).append("\n");
+  }
+  text += "\nflags ([the commands that take the flag]):\n";
+  for (const auto& flag : flagTable()) {
+    text.append("  --").append(flag.name);
+    if (!flag.arg.empty()) text.append(" ").append(flag.arg);
+    if (const auto range = rangeText(flag.range); !range.empty()) text.append(" ").append(range);
+    const char* separator = "  [";
+    for (std::size_t c = 0; c < kCommandNames.size(); ++c) {
+      if (flag.commands & (1u << c)) {
+        text.append(separator).append(kCommandNames[c]);
+        separator = " ";
+      }
+    }
+    text.append("]\n      ").append(flag.help).append("\n");
+  }
+  return text;
 }
 
 int runCli(const std::vector<std::string>& argv, std::ostream& out, std::ostream& err) {
@@ -726,16 +707,20 @@ int runCli(const std::vector<std::string>& argv, std::ostream& out, std::ostream
     return argv.empty() ? 1 : 0;
   }
   const std::string command = argv[0];
-  try {
-    const Args args(std::vector<std::string>(argv.begin() + 1, argv.end()),
-                    {"progress", "mirror", "rebalance", "qos", "qos-borrow", "hedge"});
-    if (command == "describe") return cmdDescribe(args, out);
-    if (command == "run") return cmdRun(args, out);
-    if (command == "sweep") return cmdSweep(args, out);
-    if (command == "concurrent") return cmdConcurrent(args, out);
-    if (command == "export-cluster") return cmdExportCluster(args, out);
+  const auto it = std::find(kCommandNames.begin(), kCommandNames.end(), command);
+  if (it == kCommandNames.end()) {
     err << "unknown command '" << command << "'\n\n" << usage();
     return 1;
+  }
+  const auto index = static_cast<std::size_t>(it - kCommandNames.begin());
+  try {
+    std::vector<std::string> switches;
+    for (const auto& flag : flagTable()) {
+      if (flag.kind == FlagKind::kSwitch) switches.emplace_back(flag.name);
+    }
+    const Args args(std::vector<std::string>(argv.begin() + 1, argv.end()), switches);
+    checkFlags(args, 1u << index);
+    return kCommands[index].run(args, out);
   } catch (const util::Error& e) {
     err << "error: " << e.what() << "\n";
     return 1;

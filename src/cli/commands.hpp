@@ -1,40 +1,56 @@
-// beesim CLI subcommands.
+// beesim CLI subcommands, dispatched by runCli so tests need no process.
 //
-// Each command is a plain function of (Args, ostream) so tests can drive
-// it without a process; main.cpp only dispatches.  Shared flags:
-//
-//   --cluster plafrim1|plafrim2|catalyst|<file.json>   (default plafrim2)
-//   --nodes N        compute nodes (default 16; overrides the factory size)
-//   --seed S         root RNG seed (run, sweep, concurrent; default 2022)
-//
-// Commands:
-//   describe                      print the topology and analytic bounds
-//   run      [--ppn 8 --stripe 4 --total 32GiB --chooser rr --reps 10
-//             --pattern n1|nn --op write|read]
-//   sweep    [--reps 30 --ppn 8]  stripe-count sweep + advisor verdict
-//   concurrent [--apps 2 --nodes-per-app 8 --stripe 4 --reps 10]
-//   export-cluster --out FILE     dump the selected topology as JSON
+// Every flag is one row of flagTable(); usage(), the parser's switch list and
+// the generic checks (unknown flag, stray argument, value out of range,
+// missing gate) derive from it.  A new flag is a row plus its reader.
 #pragma once
 
+#include <array>
+#include <limits>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli/args.hpp"
 
 namespace beesim::cli {
 
-int cmdDescribe(const Args& args, std::ostream& out);
-int cmdRun(const Args& args, std::ostream& out);
-int cmdSweep(const Args& args, std::ostream& out);
-int cmdConcurrent(const Args& args, std::ostream& out);
-int cmdExportCluster(const Args& args, std::ostream& out);
+/// The commands, in usage() order.
+inline constexpr std::array<std::string_view, 5> kCommandNames{
+    "describe", "run", "sweep", "concurrent", "export-cluster"};
+
+/// How a flag's value is parsed: a switch takes no separate value
+/// (`--mirror`, `--mirror=false`); text is checked by its reader.
+enum class FlagKind { kSwitch, kText, kInt, kReal, kBytes };
+
+/// A numeric flag's range: [lo, hi], or (lo, hi) when `open`.
+struct FlagRange {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool open = false;
+};
+
+/// One row of the flag table.
+struct FlagSpec {
+  std::string_view name;  ///< without the leading "--"
+  unsigned commands;      ///< bit i: kCommandNames[i] takes the flag
+  FlagKind kind;
+  std::string_view arg;  ///< the value's placeholder in usage(): "N", "n1|nn"
+  FlagRange range;
+  /// The gate: when the flag is set, one of these flags must be set too.
+  std::vector<std::string_view> gate;
+  std::string_view help;  ///< one line
+};
+
+/// Every flag of every command, in usage() order.
+const std::vector<FlagSpec>& flagTable();
 
 /// Dispatch `beesim <subcommand> [flags...]`.  Returns the exit code;
 /// prints usage on unknown subcommands.
 int runCli(const std::vector<std::string>& argv, std::ostream& out, std::ostream& err);
 
-/// The usage text.
+/// The usage text, rendered from flagTable().
 std::string usage();
 
 }  // namespace beesim::cli

@@ -82,12 +82,9 @@ TEST(Args, MissingValueThrows) {
   EXPECT_THROW(Args({"--"}), util::ConfigError);
 }
 
-TEST(Args, UnusedFlagsAreReported) {
-  const Args args({"--known", "1", "--typo", "2"});
-  EXPECT_EQ(args.getInt("known", 0), 1);
-  const auto unused = args.unusedFlags();
-  ASSERT_EQ(unused.size(), 1u);
-  EXPECT_EQ(unused[0], "--typo");
+TEST(Args, FlagNamesListsSuppliedFlags) {
+  const Args args({"--typo", "2", "--known=1", "--on", "pos"}, {"on"});
+  EXPECT_EQ(args.flagNames(), (std::vector<std::string>{"known", "on", "typo"}));
 }
 
 TEST(Args, GetDoubleParses) {

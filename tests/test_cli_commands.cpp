@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -478,6 +482,149 @@ TEST(Cli, ErrorsAreReportedNotThrown) {
   EXPECT_EQ(run({"run", "--op", "delete"}).code, 1);
   EXPECT_EQ(run({"concurrent", "--apps", "3", "--nodes-per-app", "8", "--nodes", "4"}).code,
             1);
+}
+
+TEST(Cli, RejectsStrayArguments) {
+  // A switch takes no separate value, so "--mirror false" used to leave
+  // "false" as an ignored positional and run *with* mirroring.
+  const std::vector<std::string> base{"run", "--cluster", "plafrim1", "--nodes", "2",
+                                      "--reps", "1", "--total", "1GiB"};
+  for (const auto& extra : std::vector<std::vector<std::string>>{
+           {"--mirror", "false"}, {"--qos", "false"}, {"--hedge", "false"},
+           {"--rebalance", "false"}, {"stray"}}) {
+    auto argv = base;
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    const auto result = run(argv);
+    EXPECT_EQ(result.code, 1) << extra[0];
+    EXPECT_EQ(result.out, "") << extra[0];
+    EXPECT_EQ(result.err, "error: unexpected argument '" + extra.back() + "'\n") << extra[0];
+  }
+  auto off = base;
+  off.push_back("--mirror=false");
+  const auto result = run(off);
+  EXPECT_EQ(result.code, 0) << result.err;
+  EXPECT_EQ(result.out.find("mirror (totals"), std::string::npos) << result.out;
+}
+
+TEST(Cli, TraceRingCapIsBounded) {
+  // An unbounded capacity used to end in an uncaught std::bad_alloc after
+  // the campaign had run; the table's range rejects it before any output.
+  const auto path = (std::filesystem::temp_directory_path() / "beesim_cli_cap.jsonl").string();
+  const auto result = run({"run", "--cluster", "plafrim1", "--nodes", "2", "--reps", "1",
+                           "--total", "1GiB", "--trace", path, "--trace-format", "ring",
+                           "--trace-ring-cap", "1000000000000"});
+  EXPECT_EQ(result.code, 1);
+  EXPECT_EQ(result.out, "");
+  EXPECT_EQ(result.err, "error: --trace-ring-cap must lie in [1, 67108864]\n");
+  EXPECT_FALSE(std::filesystem::exists(path));
+  // The default and README's 2^22 stay inside the range.
+  for (const auto& flag : flagTable()) {
+    if (flag.name != "trace-ring-cap") continue;
+    EXPECT_GE(flag.range.hi, double(1 << 22));
+    EXPECT_LE(flag.range.lo, double(1 << 20));
+  }
+}
+
+/// A value each row accepts.  Text and byte values are examples chosen here;
+/// numbers come from the row's range.
+std::string validValue(const FlagSpec& flag, const std::string& scratch) {
+  static const std::map<std::string_view, std::string> kExamples{
+      {"cluster", "plafrim1"},   {"total", "256m"},       {"chooser", "random"},
+      {"pattern", "nn"},         {"op", "read"},          {"trace-format", "ring"},
+      {"faults", "slow:t1@0.1=0.5"}, {"fault-mode", "degraded"}, {"qos-burst", "64m"},
+      {"md-shard", "rr"}};
+  if (const auto it = kExamples.find(flag.name); it != kExamples.end()) return it->second;
+  if (flag.kind == FlagKind::kText) return scratch + "." + std::string(flag.name);  // a path
+  const auto& range = flag.range;
+  if (flag.kind == FlagKind::kInt) return std::to_string(static_cast<long>(range.lo));
+  if (std::isinf(range.hi)) return util::fmt(range.lo + 1.0, 3);
+  return util::fmt(range.open ? (range.lo + range.hi) / 2 : range.lo, 3);
+}
+
+TEST(Cli, FlagTableDrivesAcceptanceRejectionAndUsage) {
+  const auto scratch = (std::filesystem::temp_directory_path() / "beesim_flag").string();
+  const auto flagOf = [](std::string_view name) -> const FlagSpec& {
+    for (const auto& flag : flagTable()) {
+      if (flag.name == name) return flag;
+    }
+    throw std::runtime_error(std::string("no flag ").append(name));
+  };
+  const auto tokens = [&](const FlagSpec& flag) {
+    std::vector<std::string> argv{std::string("--").append(flag.name)};
+    if (flag.kind != FlagKind::kSwitch) argv.push_back(validValue(flag, scratch));
+    return argv;
+  };
+  // What the hand-written checks need on top of the table's gates.
+  const std::map<std::string_view, std::vector<std::string>> kNeeds{
+      {"io-timeout", {"--fault-mode", "strict"}},
+      {"metrics-dt", {"--metrics-out", scratch + ".csv"}},
+      {"trace-ring-cap", {"--trace", scratch + ".jsonl", "--trace-format", "ring"}}};
+  const std::map<std::string, std::vector<std::string>> kBase{
+      {"describe", {"--cluster", "plafrim1", "--nodes", "2"}},
+      {"run", {"--cluster", "plafrim1", "--nodes", "2", "--reps", "1", "--total", "256m"}},
+      {"sweep", {"--cluster", "plafrim1", "--nodes", "2", "--reps", "1", "--total", "256m"}},
+      {"concurrent", {"--cluster", "plafrim1", "--apps", "1", "--nodes-per-app", "1",
+                      "--reps", "1", "--total", "256m"}},
+      {"export-cluster", {"--cluster", "plafrim1", "--nodes", "2"}}};
+  const auto text = usage();
+
+  for (const auto& flag : flagTable()) {
+    const std::string name(flag.name);
+    std::string listed;
+    for (std::size_t c = 0; c < kCommandNames.size(); ++c) {
+      const std::string command(kCommandNames[c]);
+      if (!(flag.commands & (1u << c))) {
+        auto argv = std::vector<std::string>{command};
+        const auto flagTokens = tokens(flag);
+        argv.insert(argv.end(), flagTokens.begin(), flagTokens.end());
+        const auto result = run(argv);
+        EXPECT_EQ(result.code, 1) << command << " --" << name;
+        EXPECT_EQ(result.err, "error: unknown flag(s): --" + name + "\n") << command;
+        continue;
+      }
+      listed += (listed.empty() ? "" : " ") + command;
+      // Accepted with a valid value, its gate and what its reader needs.
+      auto argv = std::vector<std::string>{command};
+      argv.insert(argv.end(), kBase.at(command).begin(), kBase.at(command).end());
+      std::vector<std::string_view> added;
+      std::vector<std::string_view> pending{flag.name};
+      while (!pending.empty()) {
+        const auto& next = flagOf(pending.back());
+        pending.pop_back();
+        if (std::find(added.begin(), added.end(), next.name) != added.end()) continue;
+        added.push_back(next.name);
+        const auto nextTokens = tokens(next);
+        argv.insert(argv.end(), nextTokens.begin(), nextTokens.end());
+        if (const auto it = kNeeds.find(next.name); it != kNeeds.end()) {
+          argv.insert(argv.end(), it->second.begin(), it->second.end());
+        }
+        if (!next.gate.empty()) pending.push_back(next.gate.front());
+      }
+      const auto accepted = run(argv);
+      EXPECT_EQ(accepted.code, 0) << command << " --" << name << ": " << accepted.err;
+
+      // Rejected without its gate, with the message the gate column spells.
+      if (flag.gate.empty()) continue;
+      auto ungated = std::vector<std::string>{command};
+      ungated.insert(ungated.end(), kBase.at(command).begin(), kBase.at(command).end());
+      const auto flagTokens = tokens(flag);
+      ungated.insert(ungated.end(), flagTokens.begin(), flagTokens.end());
+      std::string needs;
+      for (const auto gate : flag.gate) needs.append(needs.empty() ? "--" : " or --").append(gate);
+      const auto rejected = run(ungated);
+      EXPECT_EQ(rejected.code, 1) << command << " --" << name;
+      EXPECT_EQ(rejected.out, "") << command << " --" << name;
+      EXPECT_EQ(rejected.err, "error: --" + name + " requires " + needs + "\n") << command;
+    }
+    // usage() names the row under exactly its commands.
+    const auto at = text.find("\n  --" + name + " ");
+    ASSERT_NE(at, std::string::npos) << name;
+    const auto line = text.substr(at + 1, text.find('\n', at + 1) - at - 1);
+    EXPECT_EQ(line.substr(line.rfind('[')), "[" + listed + "]") << line;
+  }
+  for (const auto* ext : {".csv", ".jsonl", ".trace", ".trace-out", ".metrics-out", ".out"}) {
+    std::filesystem::remove(scratch + ext);
+  }
 }
 
 }  // namespace
