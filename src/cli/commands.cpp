@@ -265,6 +265,17 @@ beegfs::ChooserKind chooserFromFlag(const std::string& flag) {
   throw util::ConfigError("--chooser must be rr|random|balanced|rr-interleaved");
 }
 
+/// The per-rank block size that splits `--total` over `ranks`: each rank's
+/// block must be a whole number of `transfer`-byte IOR transfers.
+util::Bytes totalBlockSize(util::Bytes total, int ranks, util::Bytes transfer) {
+  if (total % (static_cast<util::Bytes>(ranks) * transfer) != 0) {
+    throw util::ConfigError("--total " + util::formatBytes(total) + " does not split into whole " +
+                            util::formatBytes(transfer) + " transfers over " +
+                            std::to_string(ranks) + " ranks");
+  }
+  return ior::blockSizeForTotal(total, ranks);
+}
+
 /// Common run-config assembly for run/sweep/concurrent: the chooser and the
 /// optional features (DESIGN.md §2.6, §2.8-§2.10).  A flag the command does
 /// not take was rejected by checkFlags, so its feature keeps its default.
@@ -395,7 +406,7 @@ int cmdRun(const Args& args, std::ostream& out) {
 
   config.fs.defaultStripe.stripeCount = stripe;
   config.job = ior::IorJob::onFirstNodes(cluster.nodes.size(), ppn);
-  config.ior.blockSize = ior::blockSizeForTotal(total, config.job.ranks());
+  config.ior.blockSize = totalBlockSize(total, config.job.ranks(), config.ior.transferSize);
   if (pattern == "nn") {
     config.ior.pattern = ior::AccessPattern::kFilePerProcess;
   } else if (pattern != "n1") {
@@ -551,7 +562,8 @@ int cmdSweep(const Args& args, std::ostream& out) {
     entry.config = config;
     entry.config.fs.defaultStripe.stripeCount = count;
     entry.config.job = ior::IorJob::onFirstNodes(cluster.nodes.size(), ppn);
-    entry.config.ior.blockSize = ior::blockSizeForTotal(total, entry.config.job.ranks());
+    entry.config.ior.blockSize =
+        totalBlockSize(total, entry.config.job.ranks(), entry.config.ior.transferSize);
     entry.factors["count"] = std::to_string(count);
     entries.push_back(std::move(entry));
   }
@@ -605,6 +617,8 @@ int cmdConcurrent(const Args& args, std::ostream& out) {
   auto base = baseConfig(args, cluster);
   const auto exec = executorOptions(args, "concurrent");
   base.fs.defaultStripe.stripeCount = stripe;
+  const auto blockSize = totalBlockSize(total, static_cast<int>(nodesPerApp) * ppn,
+                                        ior::IorOptions{}.transferSize);
 
   // Each repetition is seed-isolated; map them in parallel and fold the
   // per-rep results in order, so the output is independent of --jobs.
@@ -616,7 +630,7 @@ int cmdConcurrent(const Args& args, std::ostream& out) {
           for (std::size_t n = 0; n < nodesPerApp; ++n) {
             specs[a].job.nodeIds.push_back(a * nodesPerApp + n);
           }
-          specs[a].ior.blockSize = ior::blockSizeForTotal(total, specs[a].job.ranks());
+          specs[a].ior.blockSize = blockSize;
         }
         return harness::runConcurrent(base, specs, seed + rep);
       });

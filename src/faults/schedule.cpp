@@ -64,13 +64,17 @@ void FaultSchedule::normalize(std::size_t targetCount, std::size_t hostCount) {
   }
   // Total order: time, then the documented tie-break (recover < degrade <
   // fail), then index, then fraction.  std::sort is safe because the key is
-  // total -- equal keys are interchangeable events.
-  std::sort(events.begin(), events.end(), [](const FaultEvent& a, const FaultEvent& b) {
+  // total -- equal keys are interchangeable events.  A run normalizes its
+  // schedule up to three times, so an already sorted one is only checked.
+  const auto before = [](const FaultEvent& a, const FaultEvent& b) {
     if (a.at != b.at) return a.at < b.at;
     if (kindRank(a.kind) != kindRank(b.kind)) return kindRank(a.kind) < kindRank(b.kind);
     if (a.index != b.index) return a.index < b.index;
     return a.fraction < b.fraction;
-  });
+  };
+  if (!std::is_sorted(events.begin(), events.end(), before)) {
+    std::sort(events.begin(), events.end(), before);
+  }
 }
 
 void FaultSchedule::clampToHorizon(util::Seconds horizon) {

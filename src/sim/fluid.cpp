@@ -145,12 +145,20 @@ bool FluidSimulator::ClassTable::leave(std::uint32_t c) {
   }
   buckets_[hole] = kNone;
   --size_;
-  freeSlots_.push_back(c);
   return true;
 }
 
 SolverView FluidSimulator::ClassTable::view(std::span<const double> capacity) const {
   return SolverView{capacity, adjacency_, adjOffset_, adjLen_, weight_, rateCap_, members_};
+}
+
+// --- FluidObserver -----------------------------------------------------
+
+void FluidObserver::onClassesSolved(const FluidSimulator& fluid, SimTime at,
+                                    std::span<const SolvedClass> /*classes*/,
+                                    std::size_t activeFlows) {
+  const auto flows = fluid.solvedFlows();
+  onRatesSolved(at, flows.ids, flows.rates, activeFlows);
 }
 
 // --- FluidSimulator ----------------------------------------------------
@@ -457,7 +465,7 @@ std::optional<util::Bytes> FluidSimulator::cancelFlow(FlowId id) {
   notify([&](FluidObserver& o) { o.onFlowCancelled(cancelled); });
 
   heapErase(c, pos);
-  retireFlow(root, slot);
+  if (retireFlow(root, slot)) classes_.release(c);  // observers saw the cancel
   freeFlowSlot(slot);
   markDirty(root);
   scheduleResolve();
@@ -530,7 +538,7 @@ void FluidSimulator::heapErase(std::uint32_t c, std::uint32_t pos) {
   if (pos < heap.size()) heapPlace(heap, pos, last);
 }
 
-void FluidSimulator::retireFlow(std::uint32_t root, std::uint32_t slot) {
+bool FluidSimulator::retireFlow(std::uint32_t root, std::uint32_t slot) {
   const auto* adj = adjacencyArena_.data() + pathOffset_[slot];
   for (std::uint32_t i = 0; i < pathLen_[slot]; ++i) {
     const auto r = adj[i];
@@ -541,7 +549,8 @@ void FluidSimulator::retireFlow(std::uint32_t root, std::uint32_t slot) {
     if (resFlowCount_[r] == 0) resQueueDepth_[r] = 0.0;
   }
   const auto c = flowClass_[slot];
-  if (classes_.leave(c)) {  // emptied: unlink from the component list
+  const bool emptied = classes_.leave(c);
+  if (emptied) {  // unlink from the component list
     const auto prev = classes_.prev(c);
     const auto next = classes_.next(c);
     (prev == kNone ? compHead_[root] : classes_.next(prev)) = next;
@@ -550,6 +559,7 @@ void FluidSimulator::retireFlow(std::uint32_t root, std::uint32_t slot) {
   --compFlowCount_[root];
   flowId_[slot] = 0;
   --activeCount_;
+  return emptied;
 }
 
 void FluidSimulator::settleComponent(std::uint32_t root, SimTime t) {
@@ -567,7 +577,7 @@ void FluidSimulator::settleComponent(std::uint32_t root, SimTime t) {
       drain_.push_back(DrainEntry{FlowStats{FlowId{flowId_[slot], slot}, flowStart_[slot], t,
                                             flowBytes_[slot]},
                                   std::move(flowOnComplete_[slot])});
-      retireFlow(root, slot);
+      if (retireFlow(root, slot)) emptiedClasses_.push_back(c);
     }
     c = next;
   }
@@ -609,8 +619,9 @@ void FluidSimulator::resolveNow() {
   //    may start new flows (which merge/dirty components and queue another
   //    +0 resolve -- that one will find everything clean) or invalidate
   //    capacities.  A flow's slot is freed once every observer has seen it
-  //    complete, so an earlier callback's new flow cannot take the slot of
-  //    a flow an observer still holds.
+  //    complete, and a class the settle emptied once the whole drain has,
+  //    so an earlier callback's new flow can take neither the slot of a
+  //    flow an observer still holds nor the slot (and path) of its class.
   std::sort(drain_.begin(), drain_.end(), [](const DrainEntry& a, const DrainEntry& b) {
     return a.stats.id.value < b.stats.id.value;
   });
@@ -620,6 +631,8 @@ void FluidSimulator::resolveNow() {
     if (entry.onComplete) entry.onComplete(entry.stats);
   }
   drain_.clear();
+  for (const auto c : emptiedClasses_) classes_.release(c);
+  emptiedClasses_.clear();
 
   // 3. System drained: reset the merge-only union-find so the next episode
   //    starts from singleton components.
@@ -672,8 +685,8 @@ void FluidSimulator::resolveNow() {
   //    its class rates: the walk would reproduce them bit for bit (see the
   //    header comment), so everything else -- progress, stamps, horizon,
   //    observer report -- runs as if it had.
-  solvedIds_.clear();
-  solvedRates_.clear();
+  solved_.clear();
+  solvedExpanded_ = false;
   const bool record = !observers_.empty();
   const SolverView view = classes_.view(resCapacity_);
   for (std::size_t i = 0; i < dirtyRoots_.size(); ++i) {
@@ -709,12 +722,7 @@ void FluidSimulator::resolveNow() {
       if (rate > 0.0) {
         horizon = std::min(horizon, std::max(0.0, heap.front().target - classes_.served(c)) / rate);
       }
-      if (record) {
-        for (const auto& m : heap) {
-          solvedIds_.push_back(FlowId{m.id, m.slot});
-          solvedRates_.push_back(rate);
-        }
-      }
+      if (record) solved_.push_back(SolvedClass{c, classes_.members(c), rate});
     }
     compNextCompletion_[r] = std::isfinite(horizon) ? t + horizon : kInf;
   }
@@ -722,10 +730,25 @@ void FluidSimulator::resolveNow() {
 
   if (solverCheck_) runSolverCheck();
 
-  if (!solvedIds_.empty()) {
-    notify([&](FluidObserver& o) { o.onRatesSolved(t, solvedIds_, solvedRates_, activeCount_); });
+  if (!solved_.empty()) {
+    notify([&](FluidObserver& o) { o.onClassesSolved(*this, t, solved_, activeCount_); });
   }
   scheduleNextWakeup();
+}
+
+FluidSimulator::SolvedFlows FluidSimulator::solvedFlows() const {
+  if (!solvedExpanded_) {
+    solvedExpanded_ = true;
+    solvedIds_.clear();
+    solvedRates_.clear();
+    for (const auto& s : solved_) {
+      for (const auto& m : classes_.heap(s.cls)) {
+        solvedIds_.push_back(FlowId{m.id, m.slot});
+        solvedRates_.push_back(s.rate);
+      }
+    }
+  }
+  return {solvedIds_, solvedRates_};
 }
 
 void FluidSimulator::scheduleNextWakeup() {

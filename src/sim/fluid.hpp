@@ -50,8 +50,18 @@
 // bytes are target - served, so advancing, settling completions, and finding
 // the next completion cost O(classes) per component, not O(flows); each
 // component keeps an intrusive list of its classes.  Flows finishing at the
-// same instant complete in ascending flow id.  Per-flow rates are expanded
-// only for an attached observer (grouped by class, in component solve order).
+// same instant complete in ascending flow id.
+//
+// Observers see classes: a resolve reports each re-solved class once, as
+// (class, member count, rate), and an observer that keeps per-resource
+// rates (RateSampler) adds member count x rate along the class path.  Per-flow
+// rates are expanded from the class report only when an attached observer
+// asks for them (solvedFlows(), at most once per resolve; grouped by class,
+// in component solve order).  So that an observer can still read the path of
+// a class whose members it has not yet seen leave, a class emptied by
+// completions keeps its slot until their drain has reached every observer;
+// a cancellation frees its emptied class at once, since observers saw it
+// before the flow left.
 //
 // Setting BEESIM_SOLVER_CHECK=1 (or setSolverCheck(true)) turns on a
 // differential mode that re-solves every resolve from scratch over all live
@@ -158,6 +168,17 @@ struct FlowSpec {
   FlowCallback onComplete;
 };
 
+/// One flow class of a re-solve report: its slot in the simulator's class
+/// table (FluidSimulator::classPath reads its resources), its member count,
+/// and the rate each member receives from now on.
+struct SolvedClass {
+  std::uint32_t cls = 0;
+  std::uint32_t members = 0;
+  util::MiBps rate = 0.0;
+};
+
+class FluidSimulator;
+
 /// Observer of fluid-simulation events (see sim/trace.hpp for the standard
 /// implementation).  All callbacks fire from inside the event loop.  Spans
 /// are views valid only for the call.
@@ -165,16 +186,27 @@ class FluidObserver {
  public:
   virtual ~FluidObserver() = default;
 
-  /// A flow entered the system.
+  /// A flow entered the system (after joining its class, so
+  /// FluidSimulator::flowClass names it).
   virtual void onFlowStarted(FlowId id, std::span<const ResourceIndex> path,
                              util::Bytes bytes, SimTime at) = 0;
 
-  /// Rates were re-solved; `rates[i]` belongs to `ids[i]`.  Only flows whose
-  /// component was re-solved are reported (others keep their previous rate);
-  /// `activeFlows` is the total live-flow count for context.
+  /// Rates were re-solved: every member of `classes[i]` now receives
+  /// `classes[i].rate`.  Only the classes of re-solved components are
+  /// reported (components in solve order, each one's classes in its list
+  /// order); other flows keep their previous rate.  `activeFlows` is the
+  /// total live-flow count for context.  The default expands the report
+  /// into its members (fluid.solvedFlows()) and calls onRatesSolved.
+  virtual void onClassesSolved(const FluidSimulator& fluid, SimTime at,
+                               std::span<const SolvedClass> classes, std::size_t activeFlows);
+
+  /// The per-flow form of a re-solve report, reached only through the
+  /// default onClassesSolved: `rates[i]` belongs to `ids[i]`, members in
+  /// class-heap order.  Default no-op.
   virtual void onRatesSolved(SimTime at, std::span<const FlowId> ids,
-                             std::span<const util::MiBps> rates,
-                             std::size_t activeFlows) = 0;
+                             std::span<const util::MiBps> rates, std::size_t activeFlows) {
+    (void)at, (void)ids, (void)rates, (void)activeFlows;
+  }
 
   /// A flow finished.
   virtual void onFlowCompleted(const FlowStats& stats) = 0;
@@ -223,6 +255,32 @@ class FluidSimulator {
   /// Whether a flow is still in the system (started and not yet finished or
   /// cancelled).  Stale ids are safely reported as inactive.
   bool flowActive(FlowId id) const;
+
+  /// The class slot of an active flow (see SolvedClass); kNoClass for an
+  /// inactive or zero-byte one.
+  static constexpr std::uint32_t kNoClass = 0xffffffffu;
+  std::uint32_t flowClass(FlowId id) const {
+    const auto slot = liveSlot(id);
+    return slot == kNone ? kNoClass : flowClass_[slot];
+  }
+
+  /// The resources class `cls` crosses, in path order.  Valid while the
+  /// class has members, and for a class that completions emptied until
+  /// those completions reached every observer (its slot is not reused
+  /// before).
+  std::span<const std::uint32_t> classPath(std::uint32_t cls) const {
+    return classes_.path(cls);
+  }
+
+  /// The re-solve report being dispatched, expanded into its members:
+  /// `rates[i]` belongs to `ids[i]`, classes in report order, each class's
+  /// members in heap order.  Expanded at most once per resolve, on the
+  /// first call; valid only inside onClassesSolved.
+  struct SolvedFlows {
+    std::span<const FlowId> ids;
+    std::span<const util::MiBps> rates;
+  };
+  SolvedFlows solvedFlows() const;
 
   /// Cancel an active flow: progress is banked up to now(), the flow leaves
   /// the system and its onComplete callback is dropped (never invoked).
@@ -326,13 +384,18 @@ class FluidSimulator {
     /// use (served 0, rate 0, empty heap, unlinked).  Returns the class slot.
     std::uint32_t join(const std::uint32_t* path, std::uint32_t len, double weight,
                        double rateCap);
-    /// Count one member out; an emptied class is erased and its slot freed.
-    /// Returns true when the class emptied.
+    /// Count one member out; an emptied class leaves the key map, and its
+    /// slot stays taken until release(c).  Returns true when the class
+    /// emptied.
     bool leave(std::uint32_t c);
+    void release(std::uint32_t c) { freeSlots_.push_back(c); }
     std::size_t size() const { return size_; }
     std::uint32_t members(std::uint32_t c) const { return members_[c]; }
     /// First resource of the class path (locates its component).
     std::uint32_t firstResource(std::uint32_t c) const { return adjacency_[adjOffset_[c]]; }
+    std::span<const std::uint32_t> path(std::uint32_t c) const {
+      return {adjacency_.data() + adjOffset_[c], adjLen_[c]};
+    }
     SolverView view(std::span<const double> capacity) const;
     std::span<double> rates() { return rate_; }
     double rate(std::uint32_t c) const { return rate_[c]; }
@@ -340,6 +403,7 @@ class FluidSimulator {
     double& served(std::uint32_t c) { return served_[c]; }
     /// Members ordered by (target, id); heap(c).front() completes first.
     std::vector<Member>& heap(std::uint32_t c) { return heap_[c]; }
+    const std::vector<Member>& heap(std::uint32_t c) const { return heap_[c]; }
     /// Flow ids below this had joined when the class was last solved.
     std::uint64_t& solvedBelow(std::uint32_t c) { return solvedBelow_[c]; }
     std::uint64_t solvedBelow(std::uint32_t c) const { return solvedBelow_[c]; }
@@ -402,7 +466,9 @@ class FluidSimulator {
   /// Take a flow (already out of its class heap) out of the resource loads,
   /// its class and its component; from here on its id reads inactive.  The
   /// slot stays taken until freeFlowSlot, after the observers saw the end.
-  void retireFlow(std::uint32_t root, std::uint32_t slot);
+  /// Returns true when its class emptied; the caller releases the class
+  /// slot once observers have seen every member leave.
+  bool retireFlow(std::uint32_t root, std::uint32_t slot);
 
   // Class member heaps; every move keeps flowHeapPos_ current.
   /// Sift `m` from `pos` (a hole) to its place in `heap`.
@@ -485,9 +551,14 @@ class FluidSimulator {
   // --- Resolve scratch (reused; no steady-state allocations) ---
   SolverWorkspace workspace_;
   std::vector<std::uint32_t> subsetClasses_;
-  std::vector<FlowId> solvedIds_;
-  std::vector<util::MiBps> solvedRates_;
+  std::vector<SolvedClass> solved_;  // the observer report (with an observer attached)
+  // Its per-flow expansion (solvedFlows), filled on demand.
+  mutable std::vector<FlowId> solvedIds_;
+  mutable std::vector<util::MiBps> solvedRates_;
+  mutable bool solvedExpanded_ = false;
   std::vector<DrainEntry> drain_;
+  // Classes that settled completions emptied, released after the drain.
+  std::vector<std::uint32_t> emptiedClasses_;
   SolverWorkspace checkWorkspace_;
   // Check-workspace rates: per flow slot in runSolverCheck, per class slot
   // in checkSkippedWalk.

@@ -14,10 +14,10 @@ namespace beesim::sim {
 
 namespace {
 // A resource is considered busy above this aggregate rate (MiB/s).  The
-// incremental rate bookkeeping adds/subtracts per-flow rates, so exact
-// zeros are restored whenever a resource's crossing-flow count hits zero;
-// the epsilon only guards stalled-but-populated resources against
-// floating-point residue being counted as busy time.
+// incremental rate bookkeeping adds/subtracts class rates, so exact zeros
+// are restored whenever a resource's crossing-flow count hits zero; the
+// epsilon only guards stalled-but-populated resources against
+// floating-point residue being counted as busy time or sampled as a rate.
 constexpr double kBusyEpsMiBps = 1e-9;
 
 constexpr const char* kChromeHeader =
@@ -82,7 +82,11 @@ void RateSampler::emitSample(SimTime at) {
   sample_.activeFlows = liveCount_;
   sample_.aggregateRate = totalRate_;
   for (std::size_t i = 0; i < trackedLinks_.size(); ++i) {
-    sample_.linkRates[i] = resourceRate_[trackedLinks_[i].value];
+    // The +/- sums leave a residue of either sign (~1e-11 MiB/s) on a link
+    // whose flows all stalled; a link within the busy threshold reads idle,
+    // so no controller acts on the residue.
+    const double rate = resourceRate_[trackedLinks_[i].value];
+    sample_.linkRates[i] = std::abs(rate) > kBusyEpsMiBps ? rate : 0.0;
     sample_.linkFlows[i] = resourceFlows_[trackedLinks_[i].value];
   }
   sample_.linkImbalance = core::linkImbalance(sample_.linkRates);
@@ -138,75 +142,116 @@ void RateSampler::onFlowStarted(FlowId id, std::span<const ResourceIndex> path,
   for (const auto r : path) maxIndex = std::max(maxIndex, r.value);
   ensureResourceCapacity(static_cast<std::size_t>(maxIndex) + 1);
   for (const auto r : path) ++resourceFlows_[r.value];
-  LiveFlow* flow = nullptr;
   if (id.slot == FlowId::kNoSlot) {
     if (instantCount_ == instantFlows_.size()) instantFlows_.emplace_back();
-    flow = &instantFlows_[instantCount_++];
+    auto& flow = instantFlows_[instantCount_++];
+    if (path.size() > flow.capacity) {
+      flow.offset = static_cast<std::uint32_t>(instantPaths_.size());
+      flow.capacity = static_cast<std::uint32_t>(path.size());
+      instantPaths_.resize(instantPaths_.size() + path.size());
+    }
+    std::copy(path.begin(), path.end(), instantPaths_.begin() + flow.offset);
+    flow.id = id.value;
+    flow.length = static_cast<std::uint32_t>(path.size());
   } else {
     if (id.slot >= liveFlows_.size()) liveFlows_.resize(id.slot + std::size_t{1});
-    flow = &liveFlows_[id.slot];
-    BEESIM_ASSERT(flow->id == 0, "a flow took the slot of one the sampler still holds");
+    auto& flow = liveFlows_[id.slot];
+    BEESIM_ASSERT(flow.id == 0, "a flow took the slot of one the sampler still holds");
+    const auto cls = fluid_.flowClass(id);
+    if (cls >= classRates_.size()) classRates_.resize(cls + std::size_t{1});
+    flow = LiveFlow{id.value, cls};
+    ++classRates_[cls].live;
   }
-  if (path.size() > flow->capacity) {
-    flow->offset = static_cast<std::uint32_t>(livePaths_.size());
-    flow->capacity = static_cast<std::uint32_t>(path.size());
-    livePaths_.resize(livePaths_.size() + path.size());
-  }
-  std::copy(path.begin(), path.end(), livePaths_.begin() + flow->offset);
-  flow->id = id.value;
-  flow->length = static_cast<std::uint32_t>(path.size());
-  flow->rate = 0.0;
+  nextId_ = id.value + 1;
   ++liveCount_;
   logEvent({.time = at, .flow = id.value, .bytes = bytes, .kind = TraceRecord::Kind::kStart,
             .aux = static_cast<std::uint32_t>(path.size())});
 }
 
-void RateSampler::onRatesSolved(SimTime at, std::span<const FlowId> ids,
-                                std::span<const util::MiBps> rates,
-                                std::size_t activeFlows) {
+void RateSampler::onClassesSolved(const FluidSimulator& /*fluid*/, SimTime at,
+                                  std::span<const SolvedClass> classes,
+                                  std::size_t activeFlows) {
   advance(at);
-  // The solver reports only the re-solved components; flows elsewhere keep
-  // their previous rate, so the per-resource and total aggregates are
-  // maintained by applying each reported flow's rate delta along its path.
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    LiveFlow* flow = findLive(ids[i]);
-    if (flow == nullptr) continue;  // started before the sampler attached
-    const double delta = rates[i] - flow->rate;
+  // The solver reports only the re-solved components' classes; flows
+  // elsewhere keep their previous rate.  Each reported class now gives all
+  // its live members the new rate, in place of the old rate of those counted
+  // at its last report.
+  for (const auto& solved : classes) {
+    if (solved.cls >= classRates_.size()) continue;  // no member seen starting
+    auto& state = classRates_[solved.cls];
+    const double delta = static_cast<double>(state.live) * solved.rate -
+                         static_cast<double>(state.counted) * state.rate;
     if (delta != 0.0) {
-      for (const auto r : livePath(*flow)) resourceRate_[r.value] += delta;
+      for (const auto r : fluid_.classPath(solved.cls)) resourceRate_[r] += delta;
       totalRate_ += delta;
-      flow->rate = rates[i];
     }
+    state.counted = state.live;
+    state.countedBelow = nextId_;
+    state.rate = solved.rate;
   }
+  if (fluid_.solverCheck()) checkRates();
   logEvent({.time = at, .bytes = activeFlows, .value = totalRate_,
             .kind = TraceRecord::Kind::kRates});
 }
 
-RateSampler::LiveFlow* RateSampler::findLive(FlowId id) {
-  if (id.slot != FlowId::kNoSlot) {
-    return id.slot < liveFlows_.size() && liveFlows_[id.slot].id == id.value ? &liveFlows_[id.slot]
-                                                                             : nullptr;
+void RateSampler::checkRates() const {
+  std::vector<double> expect(resourceRate_.size(), 0.0);
+  double total = 0.0;
+  for (std::uint32_t slot = 0; slot < liveFlows_.size(); ++slot) {
+    const auto& flow = liveFlows_[slot];
+    if (flow.id == 0) continue;
+    const double rate = fluid_.flowRate(FlowId{flow.id, slot});
+    for (const auto r : fluid_.classPath(flow.cls)) expect[r] += rate;
+    total += rate;
   }
-  for (std::size_t i = 0; i < instantCount_; ++i) {
-    if (instantFlows_[i].id == id.value) return &instantFlows_[i];
+  const auto near = [](double got, double want) {
+    return std::abs(got - want) <= 1e-9 * std::max(1.0, std::abs(want));
+  };
+  for (std::uint32_t r = 0; r < expect.size(); ++r) {
+    BEESIM_ASSERT(near(resourceRate_[r], expect[r]),
+                  "solver check: sampled rate of " + fluid_.resourceName(ResourceIndex{r}) +
+                      " diverged (" + std::to_string(resourceRate_[r]) + " vs a recount of " +
+                      std::to_string(expect[r]) + ")");
   }
-  return nullptr;
+  BEESIM_ASSERT(near(totalRate_, total), "solver check: sampled total rate diverged (" +
+                                             std::to_string(totalRate_) + " vs a recount of " +
+                                             std::to_string(total) + ")");
 }
 
 void RateSampler::dropFlow(const FlowStats& stats, TraceRecord::Kind kind) {
   advance(stats.endTime);
-  if (LiveFlow* flow = findLive(stats.id)) {
-    for (const auto r : livePath(*flow)) {
-      resourceRate_[r.value] -= flow->rate;
-      // Snap to exactly zero when the resource empties so +/- residue cannot
-      // accumulate into phantom busy time.
-      if (--resourceFlows_[r.value] == 0) resourceRate_[r.value] = 0.0;
+  const auto leave = [&](std::uint32_t r, double rate) {
+    resourceRate_[r] -= rate;
+    // Snap to exactly zero when the resource empties so +/- residue cannot
+    // accumulate into phantom busy time.
+    if (--resourceFlows_[r] == 0) resourceRate_[r] = 0.0;
+  };
+  bool held = false;
+  const auto slot = stats.id.slot;
+  if (slot == FlowId::kNoSlot) {
+    for (std::size_t i = 0; i < instantCount_ && !held; ++i) {
+      auto& flow = instantFlows_[i];
+      if (flow.id != stats.id.value) continue;
+      for (std::uint32_t k = 0; k < flow.length; ++k) {
+        leave(instantPaths_[flow.offset + k].value, 0.0);
+      }
+      flow.id = 0;
+      std::swap(flow, instantFlows_[--instantCount_]);
+      held = true;
     }
-    totalRate_ -= flow->rate;
-    flow->id = 0;
-    if (stats.id.slot == FlowId::kNoSlot) std::swap(*flow, instantFlows_[--instantCount_]);
-    if (--liveCount_ == 0) totalRate_ = 0.0;
+  } else if (slot < liveFlows_.size() && liveFlows_[slot].id == stats.id.value) {
+    auto& flow = liveFlows_[slot];
+    auto& state = classRates_[flow.cls];
+    const bool counted = stats.id.value < state.countedBelow;
+    const double rate = counted ? state.rate : 0.0;
+    for (const auto r : fluid_.classPath(flow.cls)) leave(r, rate);
+    totalRate_ -= rate;
+    if (counted) --state.counted;
+    --state.live;
+    flow.id = 0;
+    held = true;
   }
+  if (held && --liveCount_ == 0) totalRate_ = 0.0;
   // A cancelled flow's bytes are those NOT transferred (see FluidObserver).
   const bool done = kind == TraceRecord::Kind::kComplete;
   logEvent({.time = stats.endTime, .flow = stats.id.value, .bytes = stats.bytes,
@@ -412,14 +457,17 @@ void RingTraceSink::onFlowStarted(FlowId id, std::span<const ResourceIndex> path
              .aux = static_cast<std::uint32_t>(path.size())});
 }
 
-void RingTraceSink::onRatesSolved(SimTime at, std::span<const FlowId> /*ids*/,
-                                  std::span<const util::MiBps> rates,
-                                  std::size_t activeFlows) {
+void RingTraceSink::onClassesSolved(const FluidSimulator& /*fluid*/, SimTime at,
+                                    std::span<const SolvedClass> classes,
+                                    std::size_t activeFlows) {
   double solved = 0.0;
-  for (const auto rate : rates) solved += rate;
+  std::uint32_t flows = 0;
+  for (const auto& c : classes) {
+    solved += static_cast<double>(c.members) * c.rate;
+    flows += c.members;
+  }
   log_.push({.time = at, .bytes = activeFlows, .value = solved,
-             .kind = TraceRecord::Kind::kSolvedRates,
-             .aux = static_cast<std::uint32_t>(rates.size())});
+             .kind = TraceRecord::Kind::kSolvedRates, .aux = flows});
 }
 
 void RingTraceSink::onFlowCompleted(const FlowStats& stats) {

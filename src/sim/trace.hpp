@@ -22,9 +22,11 @@
 // They attach through FluidSimulator::addObserver, so they compose with any
 // other observer: every event reaches all of them in attachment order.
 //
-// For cluster-scale runs the FlowTracer's per-flow bookkeeping and O(path)
-// delta accounting dominate: tracing can cost tens of percent of wall time.
-// RingTraceSink is the cheap alternative (--trace-format=ring): every
+// The rates are kept per flow class, as the fluid core reports them: a
+// re-solve adds each class's rate change times its member count along the
+// class path, so its cost scales with classes, not flows.  For cluster-scale
+// runs the FlowTracer's per-resource banking still costs a share of wall
+// time; RingTraceSink is the cheap alternative (--trace-format=ring): every
 // observer callback appends one record to a bounded log -- no per-flow or
 // per-resource state, no allocation, no formatting.
 //
@@ -56,7 +58,8 @@ namespace beesim::sim {
 ///   kRates:       bytes = active flow count, value = sum of every live
 ///                 flow's rate (MiB/s; FlowTracer)
 ///   kSolvedRates: bytes = active flow count, value = sum of the re-solved
-///                 flows' rates (MiB/s; RingTraceSink), aux = flows re-solved
+///                 flows' rates (MiB/s; RingTraceSink: sum over classes of
+///                 members x rate), aux = flows re-solved
 ///   kComplete:    flow = id, bytes = moved,  value = mean MiB/s
 ///   kCancel:      flow = id, bytes = bytes left untransferred
 struct TraceRecord {
@@ -166,8 +169,8 @@ class RateSampler : public FluidObserver {
   // FluidObserver:
   void onFlowStarted(FlowId id, std::span<const ResourceIndex> path, util::Bytes bytes,
                      SimTime at) override;
-  void onRatesSolved(SimTime at, std::span<const FlowId> ids,
-                     std::span<const util::MiBps> rates, std::size_t activeFlows) override;
+  void onClassesSolved(const FluidSimulator& fluid, SimTime at,
+                       std::span<const SolvedClass> classes, std::size_t activeFlows) override;
   void onFlowCompleted(const FlowStats& stats) override {
     dropFlow(stats, TraceRecord::Kind::kComplete);
   }
@@ -219,37 +222,54 @@ class RateSampler : public FluidObserver {
   void countIdlePrefix(SimTime until);
   void emitSample(SimTime at);
   void dropFlow(const FlowStats& stats, TraceRecord::Kind kind);
+  /// Solver check: every resource's rate and the total must match a recount
+  /// of flowRate over the flows the sampler holds, within 1e-9 relative.
+  void checkRates() const;
 
   const bool buildIdlePrefix_;
   bool sawFlow_ = false;
   util::MiBps totalRate_ = 0.0;
   SimTime lastEventTime_ = 0.0;  ///< attach time before the first event
-  /// A live flow's path region in livePaths_ and current rate.  A region
-  /// stays with its entry and is reused by the next flow whose path fits,
-  /// so a steady flow population allocates nothing.
-  struct LiveFlow {
-    std::uint64_t id = 0;        ///< FlowId::value; 0 while the entry is free
-    std::uint32_t offset = 0;    ///< path region in livePaths_
-    std::uint32_t length = 0;    ///< the flow's path length
-    std::uint32_t capacity = 0;  ///< the region's length
+  /// One past the highest flow id seen starting: every flow seen so far is
+  /// below it, every later flow at or above it.
+  std::uint64_t nextId_ = 0;
+
+  /// A flow class's share of the rates.  `live` members were seen starting
+  /// and not yet leaving; the `counted` of them, those with ids below
+  /// `countedBelow`, each add `rate` along the class path (the rest joined
+  /// after the class's last report, and the fluid gives them 0 until the
+  /// next).  A slot's state is back to zero members by the time the fluid
+  /// reuses it for another class.
+  struct ClassRate {
+    std::uint32_t live = 0;
+    std::uint32_t counted = 0;
+    std::uint64_t countedBelow = 0;
     util::MiBps rate = 0.0;
   };
-  std::span<const ResourceIndex> livePath(const LiveFlow& flow) const {
-    return {livePaths_.data() + flow.offset, flow.length};
-  }
-  /// The entry of live flow `id`, or null (an unknown or finished flow).
-  LiveFlow* findLive(FlowId id);
-  /// Flows by fluid slot: the stored id tells the live flow from an earlier
-  /// occupant of the slot (the fluid reuses a slot only after every
-  /// observer saw its flow end).
+  /// By fluid class slot.
+  std::vector<ClassRate> classRates_;
+  /// A flow the sampler saw start, by fluid slot: the stored id tells the
+  /// live flow from an earlier occupant of the slot (the fluid reuses a slot
+  /// only after every observer saw its flow end).
+  struct LiveFlow {
+    std::uint64_t id = 0;  ///< FlowId::value; 0 while the entry is free
+    std::uint32_t cls = 0;
+  };
   std::vector<LiveFlow> liveFlows_;
-  /// Zero-byte flows, which occupy no fluid slot and live for one instant:
-  /// the first instantCount_ entries, scanned linearly.  Entries past the
-  /// count are free and keep their path regions.
-  std::vector<LiveFlow> instantFlows_;
+  /// Zero-byte flows, which have no fluid slot or class and live for one
+  /// instant (rate 0): the first instantCount_ entries, scanned linearly.
+  /// Each keeps a path region in instantPaths_, reused by the next zero-byte
+  /// flow whose path fits, so a steady flow population allocates nothing.
+  struct InstantFlow {
+    std::uint64_t id = 0;
+    std::uint32_t offset = 0;    ///< path region in instantPaths_
+    std::uint32_t length = 0;    ///< the flow's path length
+    std::uint32_t capacity = 0;  ///< the region's length
+  };
+  std::vector<InstantFlow> instantFlows_;
   std::size_t instantCount_ = 0;
+  std::vector<ResourceIndex> instantPaths_;
   std::size_t liveCount_ = 0;
-  std::vector<ResourceIndex> livePaths_;
   /// Crossing flows per resource; like resourceRate_, maintained per event
   /// and grown to the highest resource a tracked link or flow uses.
   std::vector<std::uint32_t> resourceFlows_;
@@ -318,9 +338,9 @@ class FlowTracer final : public RateSampler {
 /// Attaches through addObserver like FlowTracer and records the same flow
 /// lifecycle, but keeps no per-flow or per-resource state: each callback
 /// pushes one record into a bounded EventLog.  Rate records therefore carry
-/// the *re-solved components'* aggregate rate (kSolvedRates), not the global
-/// total (maintaining the global total is exactly the per-flow bookkeeping
-/// this sink exists to avoid).
+/// the *re-solved components'* aggregate rate (kSolvedRates, summed over the
+/// reported classes), not the global total (maintaining the global total is
+/// exactly the bookkeeping this sink exists to avoid).
 class RingTraceSink final : public FluidObserver {
  public:
   /// `capacity` is the ring size in records (40 bytes each, >= 1).
@@ -333,8 +353,8 @@ class RingTraceSink final : public FluidObserver {
   // FluidObserver:
   void onFlowStarted(FlowId id, std::span<const ResourceIndex> path, util::Bytes bytes,
                      SimTime at) override;
-  void onRatesSolved(SimTime at, std::span<const FlowId> ids,
-                     std::span<const util::MiBps> rates, std::size_t activeFlows) override;
+  void onClassesSolved(const FluidSimulator& fluid, SimTime at,
+                       std::span<const SolvedClass> classes, std::size_t activeFlows) override;
   void onFlowCompleted(const FlowStats& stats) override;
   void onFlowCancelled(const FlowStats& stats) override;
 

@@ -525,6 +525,31 @@ TEST(Cli, TraceRingCapIsBounded) {
   }
 }
 
+TEST(Cli, RejectsATotalThatDoesNotSplitIntoWholeTransfers) {
+  // Each rank's block must be whole 1 MiB transfers.  Such a --total used to
+  // fail inside IOR with a message that named no flag.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases{
+      {{"run", "--cluster", "plafrim1", "--nodes", "2", "--reps", "1", "--total", "1m"},
+       "--total 1 MiB does not split into whole 1 MiB transfers over 16 ranks"},
+      {{"run", "--cluster", "plafrim1", "--nodes", "2", "--reps", "1", "--total", "24m"},
+       "--total 24 MiB does not split into whole 1 MiB transfers over 16 ranks"},
+      {{"sweep", "--cluster", "plafrim1", "--nodes", "2", "--reps", "1", "--total", "1m"},
+       "--total 1 MiB does not split into whole 1 MiB transfers over 16 ranks"},
+      {{"concurrent", "--apps", "2", "--nodes-per-app", "1", "--reps", "1", "--total", "12m"},
+       "--total 12 MiB does not split into whole 1 MiB transfers over 8 ranks"},
+  };
+  for (const auto& [argv, message] : cases) {
+    const auto result = run(argv);
+    EXPECT_EQ(result.code, 1) << argv[0];
+    EXPECT_EQ(result.out, "") << argv[0];
+    EXPECT_EQ(result.err, "error: " + message + "\n");
+  }
+  // A total of whole transfers per rank runs.
+  EXPECT_EQ(run({"run", "--cluster", "plafrim1", "--nodes", "2", "--reps", "1", "--total", "16m"})
+                .code,
+            0);
+}
+
 /// A value each row accepts.  Text and byte values are examples chosen here;
 /// numbers come from the row's range.
 std::string validValue(const FlagSpec& flag, const std::string& scratch) {

@@ -8,7 +8,9 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "harness/campaign.hpp"
@@ -596,6 +598,229 @@ TEST(RateSampler, IdlePrefixCountFollowsTheRoundedGrid) {
       EXPECT_EQ(firstSample, next) << "dt=" << dt << " first=" << first;
     }
   }
+}
+
+/// The sampler's per-flow reference: every flow it saw start, with its path
+/// and the rate of its last per-flow report (the default class-report
+/// expansion), summed per resource from scratch on demand.  Attached after
+/// a sampler, it still holds the rates that preceded an event while the
+/// sampler takes the grid points that event closes.
+class PerFlowRates final : public FluidObserver {
+ public:
+  void onFlowStarted(FlowId id, std::span<const ResourceIndex> path, util::Bytes,
+                     SimTime) override {
+    flows_[id.value] = Flow{{path.begin(), path.end()}, 0.0};
+  }
+  void onRatesSolved(SimTime, std::span<const FlowId> ids, std::span<const util::MiBps> rates,
+                     std::size_t) override {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (const auto it = flows_.find(ids[i].value); it != flows_.end()) it->second.rate = rates[i];
+    }
+  }
+  void onFlowCompleted(const FlowStats& stats) override { flows_.erase(stats.id.value); }
+  void onFlowCancelled(const FlowStats& stats) override { flows_.erase(stats.id.value); }
+
+  std::size_t flows() const { return flows_.size(); }
+  double total() const {
+    double sum = 0.0;
+    for (const auto& [id, flow] : flows_) sum += flow.rate;
+    return sum;
+  }
+  /// Rate and crossing-flow count of one resource.
+  std::pair<double, std::uint32_t> resource(ResourceIndex r) const {
+    std::pair<double, std::uint32_t> out{0.0, 0};
+    for (const auto& [id, flow] : flows_) {
+      for (const auto hop : flow.path) {
+        if (hop.value != r.value) continue;
+        out.first += flow.rate;
+        ++out.second;
+      }
+    }
+    return out;
+  }
+
+ private:
+  struct Flow {
+    std::vector<ResourceIndex> path;
+    double rate = 0.0;
+  };
+  std::map<std::uint64_t, Flow> flows_;
+};
+
+/// Checks every sample of `sampler` against `reference` (attached after it)
+/// within 1e-9 relative, counting them in `checked`.
+void expectSamplesMatch(RateSampler& sampler, const PerFlowRates& reference,
+                        std::vector<ResourceIndex> links, std::size_t& checked) {
+  for (const auto link : links) sampler.trackLink(link);
+  sampler.setSampleListener([&reference, links, &checked](const MetricsSample& s) {
+    const auto near = [](double want) { return 1e-9 * std::max(1.0, std::abs(want)); };
+    EXPECT_EQ(s.activeFlows, reference.flows()) << "t=" << s.time;
+    EXPECT_NEAR(s.aggregateRate, reference.total(), near(reference.total())) << "t=" << s.time;
+    for (std::size_t l = 0; l < links.size(); ++l) {
+      const auto [rate, count] = reference.resource(links[l]);
+      EXPECT_EQ(s.linkFlows[l], count) << "t=" << s.time << " link " << l;
+      EXPECT_NEAR(s.linkRates[l], rate, near(rate)) << "t=" << s.time << " link " << l;
+    }
+    ++checked;
+  });
+}
+
+TEST(RateSampler, ClassRatesMatchAPerFlowReferenceUnderChurn) {
+  // Classes gain members between solves, lose solved members (cancels and
+  // completions) and unsolved ones (a flow cancelled in the event that
+  // started it, before any resolve), and zero-byte flows come and go on the
+  // same paths.  At every sample the class-level sampler must agree with the
+  // per-flow reference.
+  FluidSimulator fluid;
+  const std::vector<ResourceIndex> nics = {
+      fluid.addResource(ResourceSpec{"srv0", constantCapacity(150.0)}),
+      fluid.addResource(ResourceSpec{"srv1", constantCapacity(170.0)})};
+  const std::vector<ResourceIndex> clients = {
+      fluid.addResource(ResourceSpec{"cli0", constantCapacity(120.0)}),
+      fluid.addResource(ResourceSpec{"cli1", constantCapacity(90.0)}),
+      fluid.addResource(ResourceSpec{"cli2", constantCapacity(200.0)})};
+  RateSampler sampler(fluid);
+  sampler.setMetricsInterval(0.1);
+  PerFlowRates reference;
+  fluid.addObserver(&reference);
+  std::size_t checked = 0;
+  expectSamplesMatch(sampler, reference, {nics[0], nics[1], clients[0]}, checked);
+
+  const std::vector<std::vector<ResourceIndex>> paths = {{clients[0], nics[0]},
+                                                         {clients[1], nics[1]},
+                                                         {clients[2], nics[0]},
+                                                         {clients[0], nics[1]},
+                                                         {nics[0], nics[1]}};
+  std::vector<FlowId> live;
+  std::size_t unsolvedCancels = 0;
+  std::size_t solvedCancels = 0;
+  for (int i = 0; i < 24; ++i) {
+    fluid.engine().scheduleAfter(0.05 + 0.17 * i, [&, i] {
+      const auto& path = paths[i % paths.size()];
+      const double weight = i % 5 == 4 ? 0.25 : 1.0;
+      // Two joins into the class of this path, each completing into a
+      // follow-up join on the same path, and a zero-byte flow beside them.
+      for (int k = 0; k < 2; ++k) {
+        const auto bytes = static_cast<util::Bytes>(30 + 11 * ((i + k) % 7)) * 1_MiB;
+        const auto next = [&, path, weight](const FlowStats&) {
+          fluid.startFlow(path, 25_MiB, weight, 0.0, nullptr);
+        };
+        live.push_back(fluid.startFlow(path, bytes, weight, 0.0, next));
+      }
+      fluid.startFlow(path, 0, weight, 0.0, nullptr);
+      if (i % 3 == 1) {  // an unsolved member leaves
+        const auto doomed = fluid.startFlow(path, 40_MiB, weight, 0.0, nullptr);
+        unsolvedCancels += fluid.cancelFlow(doomed).has_value() ? 1 : 0;
+      }
+      if (i % 4 == 3) {  // a solved member leaves
+        for (const auto id : live) {
+          if (!fluid.flowActive(id) || fluid.flowRate(id) == 0.0) continue;
+          solvedCancels += fluid.cancelFlow(id).has_value() ? 1 : 0;
+          break;
+        }
+      }
+    });
+  }
+  fluid.run();
+  fluid.removeObserver(&reference);
+
+  EXPECT_EQ(unsolvedCancels, 8u);
+  EXPECT_EQ(solvedCancels, 6u);
+  EXPECT_GE(checked, 40u);
+  EXPECT_EQ(fluid.activeFlows(), 0u);
+}
+
+TEST(RateSampler, ClassEmptiedInASettleKeepsItsSlotThroughTheDrain) {
+  // A class's members finish together; the first completion's callback
+  // starts a flow on a new path and one with the emptied class's key.  The
+  // emptied class must keep its slot, and so its path, until every member's
+  // completion has reached the sampler: had the new class taken the slot,
+  // the later members would leave from the wrong resources.
+  FluidSimulator fluid;
+  const std::vector<ResourceIndex> nics = {
+      fluid.addResource(ResourceSpec{"srv0", constantCapacity(150.0)}),
+      fluid.addResource(ResourceSpec{"srv1", constantCapacity(170.0)})};
+  const std::vector<ResourceIndex> clients = {
+      fluid.addResource(ResourceSpec{"cli0", constantCapacity(120.0)}),
+      fluid.addResource(ResourceSpec{"cli1", constantCapacity(90.0)})};
+  RateSampler sampler(fluid);
+  sampler.setMetricsInterval(0.1);
+  PerFlowRates reference;
+  fluid.addObserver(&reference);
+  std::size_t checked = 0;
+  expectSamplesMatch(sampler, reference, {nics[0], nics[1], clients[0]}, checked);
+
+  const std::vector<ResourceIndex> emptied = {clients[0], nics[0]};
+  const std::vector<ResourceIndex> fresh = {clients[0], nics[1]};
+  const std::vector<ResourceIndex> other = {clients[1], nics[1]};
+  std::vector<std::uint32_t> classes;
+  bool first = true;
+  fluid.engine().scheduleAfter(0.05, [&] {
+    fluid.startFlow(other, 400_MiB, 1.0, 0.0, nullptr);
+    for (int k = 0; k < 3; ++k) {
+      const auto id = fluid.startFlow(emptied, 30_MiB, 1.0, 0.0, [&](const FlowStats&) {
+        if (!first) return;
+        first = false;
+        for (const auto& path : {fresh, emptied}) {
+          const auto started = fluid.startFlow(path, 60_MiB, 1.0, 0.0, nullptr);
+          classes.push_back(fluid.flowClass(started));
+        }
+      });
+      if (k == 0) classes.push_back(fluid.flowClass(id));
+    }
+  });
+  fluid.run();
+  fluid.removeObserver(&reference);
+
+  ASSERT_EQ(classes.size(), 3u);
+  EXPECT_NE(classes[1], classes[0]);
+  EXPECT_NE(classes[2], classes[0]);
+  EXPECT_GE(checked, 10u);
+}
+
+TEST(RateSampler, AttachedMidRunIgnoresMembersItNeverSaw) {
+  // Flows started before the sampler attached share a class with flows
+  // started after; the sampler counts only the latter, through solves,
+  // joins and the unseen members' cancel and completions.
+  FluidSimulator fluid;
+  const std::vector<ResourceIndex> nics = {
+      fluid.addResource(ResourceSpec{"srv0", constantCapacity(150.0)}),
+      fluid.addResource(ResourceSpec{"srv1", constantCapacity(170.0)})};
+  const std::vector<ResourceIndex> clients = {
+      fluid.addResource(ResourceSpec{"cli0", constantCapacity(120.0)}),
+      fluid.addResource(ResourceSpec{"cli1", constantCapacity(90.0)})};
+  const std::vector<ResourceIndex> shared = {clients[0], nics[0]};
+  const std::vector<ResourceIndex> other = {clients[1], nics[1]};
+  std::vector<FlowId> unseen;
+  for (int k = 0; k < 3; ++k) {
+    unseen.push_back(fluid.startFlow(shared, (40 + 20 * k) * 1_MiB, 1.0, 0.0, nullptr));
+  }
+  unseen.push_back(fluid.startFlow(other, 60_MiB, 1.0, 0.0, nullptr));
+
+  std::optional<RateSampler> sampler;
+  PerFlowRates reference;
+  std::size_t checked = 0;
+  std::size_t unseenAtSamples = 0;
+  fluid.engine().scheduleAfter(0.3, [&] {
+    sampler.emplace(fluid);
+    sampler->setMetricsInterval(0.1);
+    fluid.addObserver(&reference);
+    expectSamplesMatch(*sampler, reference, {nics[0], nics[1], clients[0]}, checked);
+    for (int k = 0; k < 2; ++k) fluid.startFlow(shared, 100_MiB, 1.0, 0.0, nullptr);
+    fluid.startFlow(other, 80_MiB, 1.0, 0.0, nullptr);
+  });
+  fluid.engine().scheduleAfter(0.45, [&] { EXPECT_TRUE(fluid.cancelFlow(unseen[2])); });
+  for (int k = 0; k < 8; ++k) {  // the unseen members are live on the shared class
+    fluid.engine().scheduleAfter(0.35 + 0.1 * k, [&] {
+      if (fluid.flowActive(unseen[0]) && fluid.flowRate(unseen[0]) > 0.0) ++unseenAtSamples;
+    });
+  }
+  fluid.run();
+  fluid.removeObserver(&reference);
+
+  EXPECT_GE(unseenAtSamples, 2u);
+  EXPECT_GE(checked, 10u);
+  EXPECT_EQ(fluid.activeFlows(), 0u);
 }
 
 }  // namespace
